@@ -21,6 +21,7 @@ from .errors import (
     DegenerateDenominator,
     DegreeError,
     FrameMismatch,
+    IllConditionedReduction,
     KLFormError,
     LabelError,
     NonPositiveH0Error,

@@ -47,7 +47,22 @@ class UnsupportedLabel(KLFormError):
 
 
 class DegreeError(KLFormError):
-    """Operator degree exceeds what the matrix assembler supports."""
+    """Operator degree exceeds what the matrix assembler supports, or a
+    matrix that must respect the Hermite degree grading raises the degree."""
+
+
+class IllConditionedReduction(KLFormError):
+    """A reduction plan misses its forward check by more than roundoff.
+
+    `residual` holds the miss, so callers can see how far off the plan is.
+    """
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message, residual)
+        self.residual = residual
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class ZeroVector(KLFormError):

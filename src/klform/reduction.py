@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CriticalDampingError,
+    IllConditionedReduction,
     NonPositiveH0Error,
     OverdampedError,
     SignError,
@@ -71,7 +72,9 @@ def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
 
     h = (0, 0, 0) returns (0, 0, 0): nothing to rotate.  Raises
     OverdampedError / CriticalDampingError when h0^2 - h1^2 - h2^2 is
-    negative / zero, and NonPositiveH0Error when h0 <= 0 with h nonzero.
+    negative / zero, NonPositiveH0Error when h0 <= 0 with h nonzero, and
+    IllConditionedReduction when no sign combination annihilates (h1, h2)
+    to within roundoff.
     """
     h0, h1, h2 = (float(x) for x in h)
     if h0 == 0.0 and h1 == 0.0 and h2 == 0.0:
@@ -99,7 +102,10 @@ def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
             if out[0] > 0 and (best is None or miss < best[0]):
                 best = (miss, theta, phi)
     if best is None or best[0] > 1e-9 * scale:
-        raise AssertionError("no sign combination annihilates (h1, h2)")
+        miss = math.inf if best is None else best[0]
+        raise IllConditionedReduction(
+            f"no sign combination annihilates (h1, h2) (miss {miss})", miss
+        )
     return best[1], best[2], omega0
 
 
@@ -189,7 +195,8 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     Step order: IL0 rotation, IM1 boost (these fix h), then the three
     shifts OPLUS, L1PLUS, L2PLUS (these fix g; gamma is invariant
     throughout).  The returned plan is verified by replaying it; a replay
-    residual above REPLAY_TOL is a bug and raises AssertionError.
+    residual above REPLAY_TOL (relative to the largest coefficient) raises
+    IllConditionedReduction carrying the residual.
     """
     if b_target < 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
@@ -211,5 +218,5 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target, c)
     resid = plan.replay_residual(c)
     if resid > REPLAY_TOL * max(1.0, float(np.max(np.abs(c.as_vector())))):
-        raise AssertionError(f"replay residual {resid} exceeds tolerance")
+        raise IllConditionedReduction(f"replay residual {resid} exceeds tolerance", resid)
     return plan

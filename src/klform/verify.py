@@ -7,7 +7,8 @@ frame matched to a stationary Gaussian the eigenfunctions of a quadratic
 evolution operator are finite combinations, so truncation is exact for
 low modes and every closed-form claim can be checked against plain
 sparse linear algebra: residuals, evolution, traces, spectra, and
-left/right biorthogonality.
+left/right biorthogonality.  Such a frame also grades the matrix by total
+Hermite degree, so spectra come from small dense blocks, one per degree.
 """
 
 from __future__ import annotations
@@ -299,29 +300,43 @@ def trace_and_hermiticity(
     return trace, defect
 
 
-def _parity_indices(cfg: BasisConfig):
+def _total_degree(cfg: BasisConfig) -> np.ndarray:
+    """Total Hermite degree j + k of each basis index j * n_r + k."""
     idx = np.arange(cfg.dim)
-    parity = (idx // cfg.n_r + idx % cfg.n_r) % 2
-    return np.where(parity == 0)[0], np.where(parity == 1)[0]
+    return idx // cfg.n_r + idx % cfg.n_r
+
+
+# Degree-raising entries up to this fraction of the largest entry are
+# roundoff (below 4e-16 for the presets), not structure.
+_GRADING_TOL = 1e-12
+
+
+def _is_graded(k_mat: OperatorMatrix) -> bool:
+    """Whether no entry raises the total degree j + k beyond roundoff."""
+    coo = k_mat.matrix.tocoo()
+    deg = _total_degree(k_mat.config)
+    raising = np.abs(coo.data[deg[coo.row] > deg[coo.col]])
+    return bool(np.all(raising <= _GRADING_TOL * np.max(np.abs(coo.data), initial=0.0)))
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
-    """Dense spectrum of the truncated matrix.
+    """Spectrum of the truncated matrix.
 
-    All seven generators preserve the parity of j + k, so the matrix
-    normally splits into two decoupled blocks that are diagonalized
-    separately (about 4x faster); a nonzero cross block falls back to
-    one dense solve.
+    In a frame matched to a stationary Gaussian the matrix never raises
+    the total Hermite degree j + k: ordered by degree it is block
+    upper-triangular, so its spectrum is the union of those of the small
+    diagonal blocks, one per degree, each diagonalized densely.  A matrix
+    that fails this check falls back to one dense solve.
     """
     mat = k_mat.matrix.tocsr()
-    even, odd = _parity_indices(k_mat.config)
-    cross = mat[even][:, odd]
-    cross2 = mat[odd][:, even]
-    if cross.nnz == 0 and cross2.nnz == 0:
-        ev_even = np.linalg.eigvals(mat[even][:, even].toarray())
-        ev_odd = np.linalg.eigvals(mat[odd][:, odd].toarray())
-        return np.concatenate([ev_even, ev_odd])
-    return np.linalg.eigvals(mat.toarray())
+    if not _is_graded(k_mat):
+        return np.linalg.eigvals(mat.toarray())
+    deg = _total_degree(k_mat.config)
+    order = np.argsort(deg, kind="stable")
+    graded = mat[order][:, order]
+    edges = np.searchsorted(deg[order], np.arange(deg.max() + 2))
+    blocks = [graded[lo:hi, lo:hi].toarray() for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate([np.linalg.eigvals(block) for block in blocks])
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
@@ -375,67 +390,6 @@ def stationary_similarity(
     return out, frame
 
 
-def _ladder_factors_longdouble(op: PhasePolyOperator, cfg: BasisConfig):
-    """Per-term dense ladder-product factors in extended precision.
-
-    The assembled matrix is a sum of Kronecker products; keeping the
-    factors lets matrix-vector products run as two small dense matmuls
-    per term, so extended precision costs almost nothing.
-    """
-    ld = np.longdouble
-    cld = np.clongdouble
-
-    def ladders(n):
-        x = np.zeros((n, n), dtype=cld)
-        d = np.zeros((n, n), dtype=cld)
-        for j in range(1, n):
-            val = np.sqrt(ld(j) / ld(2))
-            x[j - 1, j] = x[j, j - 1] = val
-            d[j - 1, j] = val
-            d[j, j - 1] = -val
-        return x, d
-
-    xq, dq = ladders(cfg.n_q)
-    xr, dr = ladders(cfg.n_r)
-    s_q = ld(cfg.frame.s_q)
-    s_r = ld(cfg.frame.s_r)
-    eye_q = np.eye(cfg.n_q, dtype=cld)
-    eye_r = np.eye(cfg.n_r, dtype=cld)
-    factors = []
-    for (a, b, c, d), coeff in op.terms.items():
-        # same frame rescaling as rescale_coordinates, in extended precision
-        scale = cld(coeff) * (s_q / np.sqrt(ld(2))) ** (a - c) * (
-            np.sqrt(ld(2)) * s_r
-        ) ** (d - b)
-        fq = eye_q
-        for _ in range(a):
-            fq = fq @ xq
-        for _ in range(c):
-            fq = fq @ dq
-        fr = eye_r
-        for _ in range(b):
-            fr = fr @ xr
-        for _ in range(d):
-            fr = fr @ dr
-        factors.append((scale, np.ascontiguousarray(fq), np.ascontiguousarray(fr.T)))
-    return factors
-
-
-def _factored_matvec(factors, vec: np.ndarray, n_q: int, n_r: int) -> np.ndarray:
-    mat = vec.reshape(n_q, n_r)
-    out = np.zeros((n_q, n_r), dtype=np.clongdouble)
-    for scale, fq, fr_t in factors:
-        out += scale * (fq @ mat @ fr_t)
-    return out.reshape(-1)
-
-
-def _adjoint_factors(factors):
-    return [
-        (np.conj(scale), np.ascontiguousarray(fq.conj().T), np.ascontiguousarray(fr_t.conj()))
-        for scale, fq, fr_t in factors
-    ]
-
-
 def refined_window_eigenvalues(
     coeffs,
     state: GaussianState,
@@ -443,72 +397,22 @@ def refined_window_eigenvalues(
     n_r: int,
     radius: float,
 ) -> np.ndarray:
-    """Accurate truncated-matrix eigenvalues with |lambda| <= radius.
+    """Truncated-matrix eigenvalues with |lambda| <= radius, sorted by (re, im).
 
-    Pipeline: conjugate the Liouvillian by the square root of the
-    stationary Gaussian (same spectrum, far better conditioning), take a
-    dense eigensolve of that matrix as the seed, then polish every
-    window eigenvalue by inverse iteration with Rayleigh quotients
-    evaluated in extended precision.  The double-precision LU factors
-    act as the preconditioner; residuals are accumulated in extended
-    precision so each refined eigenvalue carries an extended-precision
-    residual certificate.  Double precision alone leaves the deepest
-    window modes displaced by more than 1e-6 because the eigenvalue
-    condition numbers grow exponentially with mode order.
+    The Liouvillian is conjugated by the square root of the stationary
+    Gaussian `state`, whose frame makes the matrix graded by Hermite
+    degree; the eigenvalues then come from the small, well-conditioned
+    blocks of all_eigenvalues.  A state that is not stationary for
+    `coeffs` breaks the grading and raises DegreeError.
     """
     op, frame = stationary_similarity(coeffs, state)
-    cfg = BasisConfig(n_q, n_r, frame)
-    k_mat = assemble_matrix(op, cfg)
-    seeds = eigenvalues_in_window(k_mat, radius)
-    if seeds.size == 0:
-        return seeds
-    factors = _ladder_factors_longdouble(op, cfg)
-    adj_factors = _adjoint_factors(factors)
-    mat = k_mat.matrix.tocsc()
-    eye = sp.identity(cfg.dim, format="csc", dtype=complex)
-    rng = np.random.default_rng(1812)
-    refined = np.empty(seeds.size, dtype=complex)
-
-    def ir_solve(lu, lam, rhs, facs, trans):
-        # double LU as preconditioner, residual accumulated in extended
-        # precision; two passes reach the extended-precision floor
-        sol = lu.solve(np.asarray(rhs, dtype=complex), trans=trans).astype(
-            np.clongdouble
+    k_mat = assemble_matrix(op, BasisConfig(n_q, n_r, frame))
+    if not _is_graded(k_mat):
+        raise DegreeError(
+            "conjugated matrix raises the Hermite degree beyond roundoff: "
+            "the state is not stationary for these coefficients"
         )
-        shift = np.conj(lam) if trans == "H" else lam
-        for _ in range(2):
-            res = rhs - (_factored_matvec(facs, sol, n_q, n_r) - shift * sol)
-            sol = sol + lu.solve(np.asarray(res, dtype=complex), trans=trans).astype(
-                np.clongdouble
-            )
-        return sol / np.sqrt(np.abs(np.vdot(sol, sol)))
-
-    for i, seed in enumerate(seeds):
-        lu = splu(mat - complex(seed) * eye)
-        vec = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-        left = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-        for _ in range(3):
-            vec = lu.solve(vec)
-            vec /= np.linalg.norm(vec)
-            left = lu.solve(left, trans="H")
-            left /= np.linalg.norm(left)
-        vec = vec.astype(np.clongdouble)
-        left = left.astype(np.clongdouble)
-        lam = np.clongdouble(seed)
-        for _ in range(4):
-            vec = ir_solve(lu, lam, vec, factors, "N")
-            left = ir_solve(lu, lam, left, adj_factors, "H")
-            # two-sided Rayleigh quotient: error is bilinear in the left
-            # and right residuals, so the condition number cancels
-            overlap = np.vdot(left, vec)
-            new_lam = np.vdot(left, _factored_matvec(factors, vec, n_q, n_r)) / overlap
-            if abs(complex(new_lam - lam)) < 1e-17 * (1.0 + abs(complex(lam))):
-                lam = new_lam
-                break
-            lam = new_lam
-        refined[i] = complex(lam)
-    order = np.lexsort((refined.imag, refined.real))
-    return refined[order]
+    return eigenvalues_in_window(k_mat, radius)
 
 
 @dataclass

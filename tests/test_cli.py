@@ -233,6 +233,21 @@ def test_overdamped_input_exits_2_without_artifacts(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ill_conditioned_reduction_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "generic",
+            "coefficients": {"h": [1, 0.999999999999, 0], "gamma": 0.3, "g": [-0.6, 0, 0]},
+            "out": str(out),
+        },
+    )
+    assert run_cli(["reduce", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "IllConditionedReduction"
+    assert not out.exists()
+
+
 def test_positivity_violation_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(

@@ -10,6 +10,7 @@ from klform import (
     GENERATOR_ORDER,
     CriticalDampingError,
     GeneratorId,
+    IllConditionedReduction,
     LiouvillianCoeffs,
     NonPositiveH0Error,
     OverdampedError,
@@ -24,6 +25,7 @@ from klform import (
     step2_solve,
     u_matrix,
 )
+from klform.reduction import REPLAY_TOL
 
 METRIC = np.diag([1.0, -1.0, -1.0])
 
@@ -175,3 +177,13 @@ def test_plan_b_target_other_than_one():
     plan = reduce_to_kl(c, b_target=1.25)
     assert plan.replay_residual(c) <= 1e-10
     assert plan.target.g[0] == pytest.approx(-2.0 * gamma * 1.25)
+
+
+def test_reduce_near_critical_h_raises_typed_error():
+    """A nearly lightlike h makes the boost ill-conditioned; the replay
+    check must fail with a typed error that carries the residual."""
+    c = LiouvillianCoeffs((1.0, 0.999999999999, 0.0), 0.3, (-0.6, 0.0, 0.0))
+    with pytest.raises(IllConditionedReduction) as info:
+        reduce_to_kl(c, b_target=1.0)
+    assert info.value.residual > REPLAY_TOL
+    assert "replay residual" in str(info.value)

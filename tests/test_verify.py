@@ -27,6 +27,7 @@ from klform import (
     evolve,
     evolve_series,
     expand,
+    hpz_coefficients,
     kl_coefficients,
     kl_eigenfunction,
     ladder_matrices,
@@ -35,11 +36,23 @@ from klform import (
     refined_window_eigenvalues,
     residual,
     stationary_preset,
+    stationary_similarity,
     trace_and_hermiticity,
     transformed_eigenfunction,
 )
+from klform.verify import _GRADING_TOL
 
 W0, GAM, B = 1.0, 0.3, 1.0
+
+# reference parameters of the three named models: coefficients, stationary state
+MODELS = {
+    "kl": (kl_coefficients(W0, GAM, B), {"b": B}),
+    "cl": (cl_coefficients(1.0, 0.6, 1.0), {"omega0_prime": 1.0, "gamma": 0.6, "b_cl": 1.0}),
+    "hpz": (
+        hpz_coefficients(1.0, 0.6, 1.0, 0.2),
+        {"omega0_prime": 1.0, "gamma": 0.6, "b_hpz": 1.0, "d": 0.2},
+    ),
+}
 
 
 def kl_setup(n=32, gamma=GAM):
@@ -202,6 +215,36 @@ def test_parity_blocks_decouple():
     assert np.max(np.abs(mat[np.ix_(~even, even)])) == 0.0
 
 
+def degree_raising_ratio(k_mat):
+    """Largest entry mapping total degree j + k up, relative to the largest entry."""
+    cfg = k_mat.config
+    mat = k_mat.matrix.toarray()
+    j = np.repeat(np.arange(cfg.n_q), cfg.n_r)
+    k = np.tile(np.arange(cfg.n_r), cfg.n_q)
+    deg = j + k
+    raising = deg[:, None] > deg[None, :]
+    return np.max(np.abs(mat[raising])) / np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_stationary_similarity_respects_degree_grading(model):
+    coeffs, params = MODELS[model]
+    state, _ = stationary_preset(model, **params)
+    op, frame = stationary_similarity(coeffs, state)
+    k_mat = assemble_matrix(op, BasisConfig(24, 24, frame))
+    assert degree_raising_ratio(k_mat) <= _GRADING_TOL
+
+
+def test_all_eigenvalues_dense_fallback_for_ungraded_matrix():
+    cfg = BasisConfig(12, 12, CoordinateFrame(1.3, 0.7))
+    k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
+    assert degree_raising_ratio(k_mat) > 1e-3
+    eigvals = all_eigenvalues(k_mat)
+    assert eigvals.size == cfg.dim
+    # the fallback is the very same dense solve, so the values agree exactly
+    assert np.array_equal(eigvals, np.linalg.eigvals(k_mat.matrix.toarray()))
+
+
 def test_all_eigenvalues_contains_low_spectrum():
     _, cfg, k_mat = kl_setup(24)
     eigvals = all_eigenvalues(k_mat)
@@ -256,6 +299,31 @@ def test_refined_window_eigenvalues_small_case():
     assert eigvals.size == len(expected) == 5
     for lam in expected:
         assert np.min(np.abs(eigvals - lam)) <= 1e-9
+
+
+def test_refined_window_eigenvalues_rejects_non_stationary_state():
+    state, _ = stationary_preset("kl", b=1.5)
+    with pytest.raises(DegreeError):
+        refined_window_eigenvalues(kl_coefficients(W0, GAM, B), state, 24, 24, radius=4.0)
+
+
+@pytest.mark.parametrize("model", ["cl", "hpz"])
+def test_refined_window_eigenvalues_cl_hpz(model):
+    coeffs, params = MODELS[model]
+    state, _ = stationary_preset(model, **params)
+    h0, h1, h2 = coeffs.h
+    omega0 = 0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2)
+    radius = 4.0 * max(omega0, coeffs.gamma)
+    eigvals = refined_window_eigenvalues(coeffs, state, 20, 20, radius)
+    analytic = np.array(
+        [eigenvalue(lab, omega0, coeffs.gamma) for lab in distinct_labels(20)]
+    )
+    analytic = analytic[np.abs(analytic) <= radius]
+    assert eigvals.size == analytic.size == 35
+    for lam in eigvals:
+        assert np.min(np.abs(analytic - lam)) <= 1e-6
+    for lam in analytic:
+        assert np.min(np.abs(eigvals - lam)) <= 1e-6
 
 
 def test_biorthogonality_kl_low_modes():
