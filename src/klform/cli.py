@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,40 +48,29 @@ from .verify import (
 
 __all__ = ["RunConfig", "GridSpec", "ConfigError", "load_config", "run", "main"]
 
-COMMANDS = ("spectrum", "reduce", "eigfun", "stationary", "verify", "evolve")
-
 DESK_PRESETS = {
     "kl": {"omega0": 1.0, "gamma": 0.3, "b": 1.0},
     "cl": {"omega0_prime": 1.0, "gamma": 0.6, "b_cl": 1.0},
     "hpz": {"omega0_prime": 1.0, "gamma": 0.6, "b_hpz": 1.0, "d": 0.2},
 }
 
-PRESET_KEYS = {
-    "kl": ("omega0", "gamma", "b"),
-    "cl": ("omega0_prime", "gamma", "b_cl"),
-    "hpz": ("omega0_prime", "gamma", "b_hpz", "d"),
-}
-
-CONFIG_KEYS = {
-    "model",
-    "coefficients",
-    "preset",
-    "m_max",
-    "basis_n",
-    "tol",
-    "out",
-    "grid",
-    "label",
-    "seed_label",
-    "b_target",
-    "t_max",
-    "n_times",
-    "seed_amplitude",
-}
+# coefficient builder per named model; its parameter names are the preset keys
+MODELS = {"kl": kl_coefficients, "cl": cl_coefficients, "hpz": hpz_coefficients}
 
 
 class ConfigError(KLFormError):
     """A run configuration violates the schema or an invariant."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite float, or an int that converts to one; never a bool."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -96,17 +85,20 @@ class GridSpec:
 
     def __post_init__(self):
         vals = (self.q_min, self.q_max, self.r_min, self.r_max)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError("grid bounds must be finite")
+        if not all(_is_real(v) for v in vals):
+            raise ConfigError("grid bounds must be finite numbers")
         if not (self.q_min < self.q_max and self.r_min < self.r_max):
             raise ConfigError("grid bounds must satisfy min < max")
-        if not isinstance(self.steps, int) or self.steps < 2:
+        if not _is_int(self.steps) or self.steps < 2:
             raise ConfigError("grid steps must be an integer >= 2")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated inputs for one CLI run.
+
+    The "Config files" table of the README gives each field's type,
+    default and constraint.
 
     Exactly one of `coefficients` (model "generic") and `preset`
     (models "kl", "cl", "hpz") is present.
@@ -128,7 +120,7 @@ class RunConfig:
     seed_amplitude: float = 0.2
 
     def __post_init__(self):
-        if self.model not in ("generic", "kl", "cl", "hpz"):
+        if self.model not in ("generic", *MODELS):
             raise ConfigError(f"unknown model {self.model!r}")
         if (self.coefficients is None) == (self.preset is None):
             raise ConfigError("exactly one of coefficients/preset must be present")
@@ -137,70 +129,92 @@ class RunConfig:
         if self.model != "generic" and self.preset is None:
             raise ConfigError(f"model {self.model!r} requires preset parameters")
         if self.preset is not None:
-            required = PRESET_KEYS[self.model]
-            given = set(self.preset)
-            if given != set(required):
+            required = set(DESK_PRESETS[self.model])
+            if set(self.preset) != required:
                 raise ConfigError(
-                    f"model {self.model!r} needs preset keys {sorted(required)}, "
-                    f"got {sorted(given)}"
+                    f"model {self.model!r} needs preset keys {sorted(required)}"
                 )
             for key, val in self.preset.items():
-                if not isinstance(val, (int, float)) or not math.isfinite(val):
-                    raise ConfigError(f"preset parameter {key!r} must be finite")
-        if not isinstance(self.m_max, int) or self.m_max < 0:
+                if not _is_real(val):
+                    raise ConfigError(f"preset parameter {key!r} must be a finite number")
+        if not _is_int(self.m_max) or self.m_max < 0:
             raise ConfigError("m_max must be a non-negative integer")
-        if not isinstance(self.basis_n, int) or self.basis_n < 4:
+        if not _is_int(self.basis_n) or self.basis_n < 4:
             raise ConfigError("basis_n must be an integer >= 4")
         if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("tol must be a positive finite float")
+        if not (isinstance(self.out, str) and self.out):
+            raise ConfigError("out must be a non-empty path string")
         for name in ("label", "seed_label"):
             trip = getattr(self, name)
-            if len(trip) != 3 or not all(isinstance(v, int) for v in trip):
+            if not isinstance(trip, tuple) or len(trip) != 3 or not all(map(_is_int, trip)):
                 raise ConfigError(f"{name} must be three integers [m, n, sigma]")
-        if not math.isfinite(self.b_target):
-            raise ConfigError("b_target must be finite")
-        if self.t_max is not None and not (
-            math.isfinite(self.t_max) and self.t_max > 0
-        ):
+        # the smallest width reduce_to_kl accepts
+        if not _is_real(self.b_target) or self.b_target < 0.5:
+            raise ConfigError("b_target must be a finite number >= 1/2")
+        if self.t_max is not None and not (_is_real(self.t_max) and self.t_max > 0):
             raise ConfigError("t_max must be positive and finite")
-        if not isinstance(self.n_times, int) or self.n_times < 2:
+        if not _is_int(self.n_times) or self.n_times < 2:
             raise ConfigError("n_times must be an integer >= 2")
-        if not math.isfinite(self.seed_amplitude) or self.seed_amplitude == 0:
+        if not _is_real(self.seed_amplitude) or self.seed_amplitude == 0:
             raise ConfigError("seed_amplitude must be finite and nonzero")
 
 
-def _as_float(value, name):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite")
-    return out
+# ---------------------------------------------------------------------------
+# JSON to RunConfig.  The parsers turn JSON objects, arrays and ints standing
+# for floats into the field types and check only what that needs; RunConfig
+# and GridSpec check every field.
+
+
+def _float(value):
+    return float(value) if _is_int(value) and _is_real(value) else value
 
 
 def _parse_coefficients(raw) -> LiouvillianCoeffs:
     if not isinstance(raw, dict) or set(raw) != {"h", "gamma", "g"}:
         raise ConfigError("coefficients must be an object with keys h, gamma, g")
-    h = raw["h"]
-    g = raw["g"]
+    h, gamma, g = raw["h"], raw["gamma"], raw["g"]
     if not (isinstance(h, list) and len(h) == 3 and isinstance(g, list) and len(g) == 3):
         raise ConfigError("coefficient entries h and g must be length-3 arrays")
+    if not all(map(_is_real, (*h, gamma, *g))):
+        raise ConfigError("coefficients must be finite numbers")
     try:
-        return LiouvillianCoeffs(
-            tuple(_as_float(x, "h") for x in h),
-            _as_float(raw["gamma"], "gamma"),
-            tuple(_as_float(x, "g") for x in g),
-        )
+        return LiouvillianCoeffs(tuple(h), gamma, tuple(g))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_triple(raw, name) -> tuple[int, int, int]:
-    if not (isinstance(raw, list) and len(raw) == 3):
-        raise ConfigError(f"{name} must be a three-element array [m, n, sigma]")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        raise ConfigError(f"{name} entries must be integers")
-    return (raw[0], raw[1], raw[2])
+def _parse_preset(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError("preset must be an object of named parameters")
+    return {key: _float(val) for key, val in raw.items()}
+
+
+def _parse_grid(raw) -> GridSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError("grid must be an object")
+    unknown = set(raw) - {f.name for f in fields(GridSpec)}
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    return GridSpec(**{k: v if k == "steps" else _float(v) for k, v in raw.items()})
+
+
+def _parse_label(raw):
+    return tuple(raw) if isinstance(raw, list) else raw
+
+
+# config key -> JSON value parser; every other key is passed on unchanged
+_PARSERS = {
+    "coefficients": _parse_coefficients,
+    "preset": _parse_preset,
+    "grid": _parse_grid,
+    "label": _parse_label,
+    "seed_label": _parse_label,
+    "tol": _float,
+    "b_target": _float,
+    "t_max": _float,
+    "seed_amplitude": _float,
+}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -212,79 +226,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-    unknown = set(raw) - CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if args.preset is not None:
         raw.pop("coefficients", None)
         raw["model"] = args.preset
         raw["preset"] = dict(DESK_PRESETS[args.preset])
-    if args.m_max is not None:
-        raw["m_max"] = args.m_max
-    if args.basis_n is not None:
-        raw["basis_n"] = args.basis_n
-    if args.tol is not None:
-        raw["tol"] = args.tol
-    if args.out is not None:
-        raw["out"] = args.out
+    for key in ("m_max", "basis_n", "tol", "out"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     if "model" not in raw:
         raise ConfigError("no model selected; pass --preset or a config file")
-
-    kwargs: dict = {"model": raw["model"]}
-    if "coefficients" in raw:
-        kwargs["coefficients"] = _parse_coefficients(raw["coefficients"])
-    if "preset" in raw:
-        preset = raw["preset"]
-        if not isinstance(preset, dict):
-            raise ConfigError("preset must be an object of named parameters")
-        kwargs["preset"] = {k: _as_float(v, k) for k, v in preset.items()}
-    if "m_max" in raw:
-        if not isinstance(raw["m_max"], int):
-            raise ConfigError("m_max must be an integer")
-        kwargs["m_max"] = raw["m_max"]
-    if "basis_n" in raw:
-        if not isinstance(raw["basis_n"], int):
-            raise ConfigError("basis_n must be an integer")
-        kwargs["basis_n"] = raw["basis_n"]
-    if "tol" in raw:
-        kwargs["tol"] = _as_float(raw["tol"], "tol")
-    if "out" in raw:
-        if not isinstance(raw["out"], str) or not raw["out"]:
-            raise ConfigError("out must be a non-empty path string")
-        kwargs["out"] = raw["out"]
-    if "grid" in raw:
-        grid_raw = raw["grid"]
-        if not isinstance(grid_raw, dict):
-            raise ConfigError("grid must be an object")
-        allowed = {"q_min", "q_max", "r_min", "r_max", "steps"}
-        bad = set(grid_raw) - allowed
-        if bad:
-            raise ConfigError(f"unknown grid keys: {sorted(bad)}")
-        fields = {k: _as_float(v, k) for k, v in grid_raw.items() if k != "steps"}
-        if "steps" in grid_raw:
-            if not isinstance(grid_raw["steps"], int):
-                raise ConfigError("grid steps must be an integer")
-            fields["steps"] = grid_raw["steps"]
-        kwargs["grid"] = GridSpec(**fields)
-    if "label" in raw:
-        kwargs["label"] = _parse_triple(raw["label"], "label")
-    if "seed_label" in raw:
-        kwargs["seed_label"] = _parse_triple(raw["seed_label"], "seed_label")
-    if "b_target" in raw:
-        kwargs["b_target"] = _as_float(raw["b_target"], "b_target")
-    if "t_max" in raw and raw["t_max"] is not None:
-        kwargs["t_max"] = _as_float(raw["t_max"], "t_max")
-    if "n_times" in raw:
-        if not isinstance(raw["n_times"], int):
-            raise ConfigError("n_times must be an integer")
-        kwargs["n_times"] = raw["n_times"]
-    if "seed_amplitude" in raw:
-        kwargs["seed_amplitude"] = _as_float(raw["seed_amplitude"], "seed_amplitude")
-    return RunConfig(**kwargs)
+    return RunConfig(
+        **{key: _PARSERS[key](val) if key in _PARSERS else val for key, val in raw.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +308,16 @@ def _write_atomic(path: str, text: str) -> None:
 # Subcommand implementations.  Each returns ({filename: text}, passed).
 
 
-def _build_coefficients(cfg: RunConfig) -> LiouvillianCoeffs:
-    if cfg.model == "generic":
-        return cfg.coefficients
-    p = cfg.preset
-    if cfg.model == "kl":
-        return kl_coefficients(p["omega0"], p["gamma"], p["b"])
-    if cfg.model == "cl":
-        return cl_coefficients(p["omega0_prime"], p["gamma"], p["b_cl"])
-    return hpz_coefficients(p["omega0_prime"], p["gamma"], p["b_hpz"], p["d"])
+def _reduce(cfg: RunConfig):
+    """Source coefficients of the run and the plan carrying them to normal form."""
+    coeffs = cfg.coefficients if cfg.model == "generic" else MODELS[cfg.model](**cfg.preset)
+    return coeffs, reduce_to_kl(coeffs, b_target=cfg.b_target)
+
+
+def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, steady):
+    """Truncated basis in the frame of the stationary mode, and the matrix of K on it."""
+    basis = BasisConfig(cfg.basis_n, cfg.basis_n, steady.gaussian.frame())
+    return basis, assemble_matrix(assemble_liouvillian(coeffs), basis)
 
 
 def _coeff_doc(c: LiouvillianCoeffs) -> dict:
@@ -379,8 +340,7 @@ def _eigen_rows(m_max: int, omega0: float, gamma: float) -> list:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    coeffs = _build_coefficients(cfg)
-    plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+    coeffs, plan = _reduce(cfg)
     doc = {
         "model": cfg.model,
         "omega0": plan.omega0,
@@ -392,8 +352,7 @@ def cmd_spectrum(cfg: RunConfig):
 
 
 def cmd_reduce(cfg: RunConfig):
-    coeffs = _build_coefficients(cfg)
-    plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+    coeffs, plan = _reduce(cfg)
     doc = {
         "model": cfg.model,
         "source": _coeff_doc(coeffs),
@@ -410,8 +369,7 @@ def cmd_reduce(cfg: RunConfig):
 
 def cmd_stationary(cfg: RunConfig):
     if cfg.model == "generic":
-        coeffs = _build_coefficients(cfg)
-        plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+        coeffs, plan = _reduce(cfg)
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs).gaussian
         frame = state.frame()
     else:
@@ -427,8 +385,7 @@ def cmd_stationary(cfg: RunConfig):
 
 
 def cmd_eigfun(cfg: RunConfig):
-    coeffs = _build_coefficients(cfg)
-    plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+    coeffs, plan = _reduce(cfg)
     mode = transformed_eigenfunction(plan, EigenLabel(*cfg.label), coeffs)
     lam = complex(mode.eigenvalue)
 
@@ -462,13 +419,10 @@ def cmd_eigfun(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    coeffs = _build_coefficients(cfg)
-    plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+    coeffs, plan = _reduce(cfg)
     labels = distinct_labels(cfg.m_max)
     modes = [transformed_eigenfunction(plan, lab, coeffs) for lab in labels]
-    frame = modes[0].gaussian.frame()
-    basis = BasisConfig(cfg.basis_n, cfg.basis_n, frame)
-    k_mat = assemble_matrix(assemble_liouvillian(coeffs), basis)
+    basis, k_mat = _oracle(cfg, coeffs, modes[0])
     rows = []
     worst = 0.0
     stationary_vec = None
@@ -503,14 +457,11 @@ def cmd_verify(cfg: RunConfig):
 
 
 def cmd_evolve(cfg: RunConfig):
-    coeffs = _build_coefficients(cfg)
-    plan = reduce_to_kl(coeffs, b_target=cfg.b_target)
+    coeffs, plan = _reduce(cfg)
     gamma = coeffs.gamma
     seed = transformed_eigenfunction(plan, EigenLabel(*cfg.seed_label), coeffs)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs)
-    frame = steady.gaussian.frame()
-    basis = BasisConfig(cfg.basis_n, cfg.basis_n, frame)
-    k_mat = assemble_matrix(assemble_liouvillian(coeffs), basis)
+    basis, k_mat = _oracle(cfg, coeffs, steady)
     v_steady = expand(steady, basis)
     v_seed = expand(seed, basis)
     f0 = v_steady + cfg.seed_amplitude * v_seed / np.linalg.norm(v_seed)
@@ -565,6 +516,8 @@ DISPATCH = {
     "verify": cmd_verify,
     "evolve": cmd_evolve,
 }
+
+COMMANDS = tuple(DISPATCH)
 
 
 def build_parser() -> argparse.ArgumentParser:

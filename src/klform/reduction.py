@@ -73,8 +73,8 @@ def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     h = (0, 0, 0) returns (0, 0, 0): nothing to rotate.  Raises
     OverdampedError / CriticalDampingError when h0^2 - h1^2 - h2^2 is
     negative / zero, NonPositiveH0Error when h0 <= 0 with h nonzero, and
-    IllConditionedReduction when no sign combination annihilates (h1, h2)
-    to within roundoff.
+    IllConditionedReduction when that metric overflows (residual inf) or
+    when no sign combination annihilates (h1, h2) to within roundoff.
     """
     h0, h1, h2 = (float(x) for x in h)
     if h0 == 0.0 and h1 == 0.0 and h2 == 0.0:
@@ -82,6 +82,10 @@ def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     metric = h0 * h0 - h1 * h1 - h2 * h2
     if h0 <= 0.0:
         raise NonPositiveH0Error(f"h0 = {h0} must be positive")
+    if not math.isfinite(metric):
+        raise IllConditionedReduction(
+            f"h0^2 - h1^2 - h2^2 overflows for h = {(h0, h1, h2)}", math.inf
+        )
     if metric < 0.0:
         raise OverdampedError(
             f"h0^2 - h1^2 - h2^2 = {metric} < 0: no real reduced frequency"

@@ -1,5 +1,6 @@
 """Command-line front end: config handling, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 
 from klform import GeneratorId, LiouvillianCoeffs, conjugate_coefficients
-from klform.cli import main
+from klform.cli import (
+    DESK_PRESETS,
+    ConfigError,
+    GridSpec,
+    RunConfig,
+    build_parser,
+    load_config,
+    main,
+)
 
 
 def run_cli(argv):
@@ -248,6 +257,21 @@ def test_ill_conditioned_reduction_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_source_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": "generic",
+            "coefficients": {"h": [1e200, 0.5, 0], "gamma": 0.3, "g": [-0.6, 0, 0]},
+            "out": str(out),
+        },
+    )
+    assert run_cli(["reduce", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "IllConditionedReduction"
+    assert not out.exists()
+
+
 def test_positivity_violation_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(
@@ -310,3 +334,180 @@ def test_flags_override_config(tmp_path):
     assert doc["m_max"] == 2
     assert len(doc["modes"]) == 9
     assert not (tmp_path / "ignored").exists()
+
+
+KL = {"model": "kl", "preset": {"omega0": 1.0, "gamma": 0.3, "b": 1.0}}
+GENERIC = {
+    "model": "generic",
+    "coefficients": {"h": [2.2, 0.4, -0.3], "gamma": 0.5, "g": [-1.1, 0.2, 0.3]},
+}
+
+
+INVALID = {
+    "bool-m_max": {**KL, "m_max": True},
+    "str-m_max": {**KL, "m_max": "2"},
+    "bool-basis_n": {**KL, "basis_n": False},
+    "bool-n_times": {**KL, "n_times": True},
+    "float-label": {**KL, "label": [1.0, 1, 1]},
+    "bool-label": {**KL, "label": [1, True, 1]},
+    "short-seed_label": {**KL, "seed_label": [1, 0]},
+    "bool-steps": {**KL, "grid": {"q_min": -1.0, "steps": True}},
+    "unknown-grid-key": {**KL, "grid": {"q_min": -1.0, "z_max": 2.0}},
+    "bool-tol": {**KL, "tol": True},
+    "huge-int-tol": {**KL, "tol": 10**400},
+    "str-t_max": {**KL, "t_max": "10"},
+    "zero-seed_amplitude": {**KL, "seed_amplitude": 0},
+    "empty-out": {**KL, "out": ""},
+    "list-preset": {**KL, "preset": [1.0, 0.3, 1.0]},
+    "null-preset": {**KL, "preset": None},
+    "bool-preset-value": {**KL, "preset": {"omega0": 1.0, "gamma": 0.3, "b": True}},
+    "small-b_target": {**GENERIC, "b_target": 0.3},
+    "str-b_target": {**GENERIC, "b_target": "1"},
+    "bool-coefficient": {
+        **GENERIC,
+        "coefficients": {"h": [2.2, 0.4, True], "gamma": 0.5, "g": [-1.1, 0, 0]},
+    },
+    "negative-gamma": {
+        **GENERIC,
+        "coefficients": {"h": [2.2, 0.4, 0], "gamma": -0.5, "g": [-1.1, 0, 0]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", INVALID.values(), ids=INVALID.keys())
+def test_invalid_config_exits_2_with_config_error(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"out": str(out), **doc})
+    assert run_cli(["spectrum", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def load(path):
+    return load_config(build_parser().parse_args(["spectrum", "--config", path]))
+
+
+@pytest.mark.parametrize(
+    "source, parsed, t_max",
+    [
+        (
+            {
+                "model": "generic",
+                "coefficients": {"h": [3, 1, 0], "gamma": 1, "g": [-2, 0, 1]},
+            },
+            {"coefficients": LiouvillianCoeffs((3.0, 1.0, 0.0), 1.0, (-2.0, 0.0, 1.0))},
+            None,
+        ),
+        (
+            {"model": "hpz", "preset": {"omega0_prime": 2, "gamma": 1, "b_hpz": 3, "d": 0}},
+            {"preset": {"omega0_prime": 2.0, "gamma": 1.0, "b_hpz": 3.0, "d": 0.0}},
+            5,
+        ),
+    ],
+    ids=["generic", "hpz"],
+)
+def test_config_round_trip(tmp_path, source, parsed, t_max):
+    """Every key of the schema reaches RunConfig; JSON ints become floats."""
+    doc = {
+        **source,
+        "m_max": 3,
+        "basis_n": 12,
+        "tol": 1,
+        "out": "elsewhere",
+        "grid": {"q_min": -1, "q_max": 2, "r_min": -4, "r_max": 0.5, "steps": 5},
+        "label": [2, 1, -1],
+        "seed_label": [2, 0, 1],
+        "b_target": 2,
+        "t_max": t_max,
+        "n_times": 9,
+        "seed_amplitude": -1,
+    }
+    cfg = load(write_config(tmp_path, doc))
+    assert cfg == RunConfig(
+        model=source["model"],
+        **parsed,
+        m_max=3,
+        basis_n=12,
+        tol=1.0,
+        out="elsewhere",
+        grid=GridSpec(-1.0, 2.0, -4.0, 0.5, 5),
+        label=(2, 1, -1),
+        seed_label=(2, 0, 1),
+        b_target=2.0,
+        t_max=None if t_max is None else float(t_max),
+        n_times=9,
+        seed_amplitude=-1.0,
+    )
+    # == treats 1 and 1.0 alike, so check the conversion itself
+    floats = [cfg.tol, cfg.b_target, cfg.seed_amplitude, *dataclasses.astuple(cfg.grid)[:4]]
+    floats += [*(cfg.preset or {}).values(), *([] if t_max is None else [cfg.t_max])]
+    assert all(type(v) is float for v in floats)
+
+
+def test_load_config_raises_only_config_error(tmp_path):
+    """Random JSON objects over the schema's keys give a RunConfig or a
+    ConfigError, never another exception."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(10**300, 10**320)
+        | st.floats()
+        | st.text(max_size=4)
+    )
+    anything = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=8,
+    )
+    count = st.integers(-1, 40)
+    number = st.integers(-3, 40) | st.floats(-3.0, 40.0)
+    triple = st.lists(st.integers(-2, 3), min_size=3, max_size=3)
+    vec3 = st.lists(number, min_size=3, max_size=3)
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    grid_keys = [f.name for f in dataclasses.fields(GridSpec)]
+    source = {
+        "generic": st.fixed_dictionaries({"h": vec3, "gamma": number, "g": vec3}),
+        **{name: st.just(preset) for name, preset in DESK_PRESETS.items()},
+    }
+    optional = {
+        "m_max": count,
+        "basis_n": count,
+        "tol": number,
+        "out": st.text(max_size=4),
+        "grid": st.dictionaries(st.sampled_from(grid_keys), number, max_size=5),
+        "label": triple,
+        "seed_label": triple,
+        "b_target": number,
+        "t_max": st.none() | number,
+        "n_times": count,
+        "seed_amplitude": number,
+    }
+
+    def plausible(model):
+        key = "coefficients" if model == "generic" else "preset"
+        return st.fixed_dictionaries(
+            {"model": st.just(model), key: source[model]}, optional=optional
+        )
+
+    def corrupt(doc):
+        # one key (or none) replaced by an arbitrary JSON value
+        replace = st.tuples(st.sampled_from(keys), anything)
+        return st.just(doc) | replace.map(lambda kv: {**doc, kv[0]: kv[1]})
+
+    docs = st.sampled_from(list(source)).flatmap(plausible).flatmap(corrupt)
+    path = tmp_path / "config.json"
+
+    @hyp.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hyp.given(docs)
+    def check(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            assert isinstance(load(str(path)), RunConfig)
+        except ConfigError:
+            pass
+
+    check()

@@ -187,3 +187,14 @@ def test_reduce_near_critical_h_raises_typed_error():
         reduce_to_kl(c, b_target=1.0)
     assert info.value.residual > REPLAY_TOL
     assert "replay residual" in str(info.value)
+
+
+@pytest.mark.parametrize("h", [(1e155, 0.5, 0.0), (1e200, 0.5, 0.0), (1e307, 3e306, -1e306)])
+def test_overflowing_metric_raises_typed_error(h):
+    """h0^2 - h1^2 - h2^2 beyond the float range is reported, not carried
+    into the boost as inf."""
+    c = LiouvillianCoeffs(h, 0.3, (-0.6, 0.0, 0.0))
+    with pytest.raises(IllConditionedReduction) as info:
+        reduce_to_kl(c, b_target=1.0)
+    assert info.value.residual == math.inf
+    assert "overflows" in str(info.value)
