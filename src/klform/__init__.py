@@ -28,7 +28,6 @@ from .errors import (
     OverdampedError,
     PairingFailure,
     PositivityViolation,
-    SignError,
     SingularGError,
     UnsupportedLabel,
     ZeroVector,
@@ -63,7 +62,6 @@ from .operators import (
 from .reduction import (
     ReductionPlan,
     reduce_to_kl,
-    rescale_b,
     step1_solve,
     step2_matrix,
     step2_solve,

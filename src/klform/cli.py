@@ -137,6 +137,9 @@ class RunConfig:
             for key, val in self.preset.items():
                 if not _is_real(val):
                     raise ConfigError(f"preset parameter {key!r} must be a finite number")
+            # every preset has gamma, and the reduction needs it positive
+            if self.preset["gamma"] <= 0:
+                raise ConfigError("preset parameter 'gamma' must be positive")
         if not _is_int(self.m_max) or self.m_max < 0:
             raise ConfigError("m_max must be a non-negative integer")
         if not _is_int(self.basis_n) or self.basis_n < 4:

@@ -25,17 +25,14 @@ class SingularGError(KLFormError):
     """The linear system for the shift parameters is singular (gamma = 0)."""
 
 
-class SignError(KLFormError):
-    """A coefficient has the wrong sign for the requested rescaling."""
-
-
 class PositivityViolation(KLFormError):
     """A Gaussian map parameter leaves the positivity window, or a state
     fails mu > 0, nu >= 0."""
 
 
 class DegenerateDenominator(KLFormError):
-    """A Gaussian parameter map hits a vanishing or negative denominator."""
+    """A Gaussian parameter map hits a vanishing or negative denominator,
+    or maps a parameter outside the float range."""
 
 
 class LabelError(KLFormError):

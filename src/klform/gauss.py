@@ -155,8 +155,9 @@ def transform_gaussian(
     physical: the parameter is checked against positivity_window and
     PositivityViolation is raised outside it.  With enforce_window=False
     the map is applied formally, which is what eigenfunction transport
-    needs; only a vanishing or sign-changing denominator raises
-    (DegenerateDenominator).  Nonphysical inputs are never window-checked.
+    needs; only a vanishing or sign-changing denominator, or a mapped
+    parameter outside the float range, raises (DegenerateDenominator).
+    Nonphysical inputs are never window-checked.
     """
     p = float(param)
     if enforce_window and s.is_physical():
@@ -206,7 +207,10 @@ def transform_gaussian(
         kappa2 = kappa - 2.0 * mu * p
     else:
         raise ValueError(f"unknown generator {gid!r}")
-    return GaussianState(mu2, kappa2, w2 - mu2)
+    nu2 = w2 - mu2
+    if not all(map(math.isfinite, (mu2, kappa2, nu2))):
+        raise DegenerateDenominator(f"map leaves the float range: {(mu2, kappa2, nu2)}")
+    return GaussianState(mu2, kappa2, nu2)
 
 
 def _guard_denominator(den: float) -> None:

@@ -15,7 +15,7 @@ whenever gamma > 0 (step 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     IllConditionedReduction,
     NonPositiveH0Error,
     OverdampedError,
-    SignError,
     SingularGError,
 )
 from .operators import GeneratorId, LiouvillianCoeffs, conjugate_coefficients, kl_coefficients
@@ -34,47 +33,45 @@ __all__ = [
     "step1_solve",
     "step2_matrix",
     "step2_solve",
-    "rescale_b",
     "ReductionPlan",
     "reduce_to_kl",
 ]
 
 REPLAY_TOL = 1e-10
 
+_U_FLOWS = {"U0": GeneratorId.IL0, "U1": GeneratorId.IM1, "U2": GeneratorId.IM2}
+_SHIFTS = (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
+
 
 def u_matrix(which: str, param: float) -> np.ndarray:
     """3x3 matrix acting on (h0, h1, h2) for the rotation/boost flows.
 
-    which = "U0" rotates (h1, h2); "U1" boosts (h0, h2); "U2" boosts
-    (h0, h1).  U0 preserves the Euclidean metric on (h1, h2) and the
-    boosts preserve the indefinite form h0^2 - h1^2 - h2^2.
+    which = "U0" rotates (h1, h2) (flow IL0); "U1" boosts (h0, h2) (IM1);
+    "U2" boosts (h0, h1) (IM2).  Column j is the image of the j-th unit
+    vector under conjugate_coefficients.  U0 preserves the Euclidean
+    metric on (h1, h2) and the boosts preserve the indefinite form
+    h0^2 - h1^2 - h2^2.
     """
-    p = float(param)
-    if which == "U0":
-        c, s = math.cos(p), math.sin(p)
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-    if which == "U1":
-        ch, sh = math.cosh(p), math.sinh(p)
-        return np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]])
-    if which == "U2":
-        ch, sh = math.cosh(p), math.sinh(p)
-        return np.array([[ch, -sh, 0.0], [-sh, ch, 0.0], [0.0, 0.0, 1.0]])
-    raise ValueError(f"unknown U matrix {which!r}")
+    if which not in _U_FLOWS:
+        raise ValueError(f"unknown U matrix {which!r}")
+    units = (LiouvillianCoeffs(e, 0.0, (0.0, 0.0, 0.0)) for e in np.eye(3))
+    return np.array([conjugate_coefficients(_U_FLOWS[which], param, c).h for c in units]).T
 
 
 def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     """Rotation and boost parameters sending h to (2*omega0, 0, 0).
 
-    Returns (theta, phi, omega0) such that U1(phi) @ U0(theta) @ h equals
-    (2*omega0, 0, 0).  The candidate magnitudes are theta = atan2(h1, h2)
-    and phi = artanh(sqrt(h1^2 + h2^2)/h0); the working sign combination
-    is selected by forward substitution rather than fixed a priori.
+    Returns (theta, phi, omega0) with theta = -atan2(h1, h2) and
+    phi = -artanh(rho/h0), rho = hypot(h1, h2): the rotation U0(theta)
+    carries h to (h0, 0, rho) and the boost U1(phi) then carries that to
+    (2*omega0, 0, 0).  One forward substitution checks the result.
 
     h = (0, 0, 0) returns (0, 0, 0): nothing to rotate.  Raises
     OverdampedError / CriticalDampingError when h0^2 - h1^2 - h2^2 is
     negative / zero, NonPositiveH0Error when h0 <= 0 with h nonzero, and
-    IllConditionedReduction when that metric overflows (residual inf) or
-    when no sign combination annihilates (h1, h2) to within roundoff.
+    IllConditionedReduction when that metric overflows or rho/h0 rounds
+    to 1 (residual inf), or when the forward substitution leaves (h1, h2)
+    above roundoff (residual = the miss).
     """
     h0, h1, h2 = (float(x) for x in h)
     if h0 == 0.0 and h1 == 0.0 and h2 == 0.0:
@@ -94,41 +91,29 @@ def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
         raise CriticalDampingError("h0^2 = h1^2 + h2^2: reduced frequency vanishes")
     omega0 = 0.5 * math.sqrt(metric)
     rho = math.hypot(h1, h2)
-    theta_c = math.atan2(h1, h2)
-    phi_c = math.atanh(rho / h0)
+    if rho >= h0:  # the metric is positive, yet artanh(rho/h0) is undefined
+        raise IllConditionedReduction(f"rho/h0 rounds to 1 for h = {(h0, h1, h2)}", math.inf)
+    theta = -math.atan2(h1, h2)
+    phi = -math.atanh(rho / h0)
     hvec = np.array([h0, h1, h2])
-    scale = max(1.0, float(np.max(np.abs(hvec))))
-    best = None
-    for theta in (-theta_c, theta_c):
-        for phi in (-phi_c, phi_c):
-            out = u_matrix("U1", phi) @ u_matrix("U0", theta) @ hvec
-            miss = abs(out[1]) + abs(out[2])
-            if out[0] > 0 and (best is None or miss < best[0]):
-                best = (miss, theta, phi)
-    if best is None or best[0] > 1e-9 * scale:
-        miss = math.inf if best is None else best[0]
-        raise IllConditionedReduction(
-            f"no sign combination annihilates (h1, h2) (miss {miss})", miss
-        )
-    return best[1], best[2], omega0
+    out = u_matrix("U1", phi) @ u_matrix("U0", theta) @ hvec
+    miss = abs(out[1]) + abs(out[2])
+    if miss > 1e-9 * max(1.0, float(np.max(np.abs(hvec)))):
+        raise IllConditionedReduction(f"rotation and boost miss (h1, h2) by {miss}", miss)
+    return theta, phi, omega0
 
 
 def step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
     """Matrix of the combined affine action of the shift flows on g.
 
-    Columns correspond to the parameters (eta0, eta1, eta2) of OPLUS,
-    L1PLUS, L2PLUS.  det = -gamma*(h0^2 - h1^2 - h2^2 + gamma^2), so for
-    a reducible h the system is singular exactly at gamma = 0.
+    Column j is the image of g = 0 under the j-th of OPLUS, L1PLUS,
+    L2PLUS at parameter 1 (conjugate_coefficients), so columns
+    correspond to the parameters (eta0, eta1, eta2).
+    det = -gamma*(h0^2 - h1^2 - h2^2 + gamma^2), so for a reducible h the
+    system is singular exactly at gamma = 0.
     """
-    h0, h1, h2 = (float(x) for x in h)
-    return np.array(
-        [
-            [-gamma, h2, -h1],
-            [h2, -gamma, -h0],
-            [-h1, h0, -gamma],
-        ]
-    )
-
+    zero_g = LiouvillianCoeffs(h, gamma, (0.0, 0.0, 0.0))
+    return np.array([conjugate_coefficients(gid, 1.0, zero_g).g for gid in _SHIFTS]).T
 
 def step2_solve(
     omega0: float,
@@ -143,29 +128,13 @@ def step2_solve(
     """
     if gamma == 0:
         raise SingularGError("gamma = 0: the shift system has determinant zero")
-    h = (2.0 * float(omega0), 0.0, 0.0)
-    mat = step2_matrix(h, gamma)
+    mat = step2_matrix((2.0 * float(omega0), 0.0, 0.0), gamma)
     rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
     eta = np.linalg.solve(mat, rhs)
     resid = float(np.max(np.abs(mat @ eta - rhs)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularGError(f"shift solve failed the forward check (resid {resid})")
     return eta
-
-
-def rescale_b(gplus: float, gamma: float, b_target: float) -> float:
-    """Parameter alpha of the O0MI flow sending gplus to -2*gamma*b_target.
-
-    The flow multiplies g by exp(alpha), which preserves signs: gplus
-    must already be negative (SignError otherwise).
-    """
-    if gamma <= 0:
-        raise SingularGError("gamma must be positive to set the width")
-    if b_target <= 0:
-        raise ValueError("b_target must be positive")
-    if gplus >= 0:
-        raise SignError(f"gplus = {gplus} must be negative for a positive width")
-    return math.log(2.0 * gamma * b_target / (-gplus))
 
 
 @dataclass(frozen=True)
@@ -182,7 +151,6 @@ class ReductionPlan:
     omega0: float
     b: float
     target: LiouvillianCoeffs
-    source: LiouvillianCoeffs = field(repr=False, default=None)
 
     def replay(self, c: LiouvillianCoeffs) -> LiouvillianCoeffs:
         for gid, param in self.steps:
@@ -190,7 +158,11 @@ class ReductionPlan:
         return c
 
     def replay_residual(self, c: LiouvillianCoeffs) -> float:
-        return self.replay(c).max_abs_diff(self.target)
+        """Largest coefficient miss of the replay; inf when a step leaves the float range."""
+        try:
+            return self.replay(c).max_abs_diff(self.target)
+        except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient
+            return math.inf
 
 
 def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
@@ -211,15 +183,10 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
         if param != 0.0:
             work = conjugate_coefficients(gid, param, work)
             steps.append((gid, param))
-    g_target = (-2.0 * c.gamma * b_target, 0.0, 0.0)
-    eta = step2_solve(omega0, c.gamma, work.g, g_target)
-    for gid, param in zip(
-        (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS), eta
-    ):
-        if param != 0.0:
-            steps.append((gid, float(param)))
     target = kl_coefficients(omega0, c.gamma, b_target)
-    plan = ReductionPlan(tuple(steps), omega0, float(b_target), target, c)
+    eta = step2_solve(omega0, c.gamma, work.g, target.g)
+    steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
+    plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
     resid = plan.replay_residual(c)
     if resid > REPLAY_TOL * max(1.0, float(np.max(np.abs(c.as_vector())))):
         raise IllConditionedReduction(f"replay residual {resid} exceeds tolerance", resid)

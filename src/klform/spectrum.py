@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LabelError, PositivityViolation, UnsupportedLabel
+from .errors import IllConditionedReduction, LabelError, PositivityViolation, UnsupportedLabel
 from .gauss import (
     GaussianState,
     apply_plan_gaussian,
@@ -35,6 +35,7 @@ from .operators import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
     conjugate_linear,
+    kl_coefficients,
 )
 from .reduction import ReductionPlan
 
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 MAX_M_DEFAULT = 32
+# largest |[op_q, op_r]| of a commuting operator pair
+COMMUTATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -318,7 +321,7 @@ class AppliedEigenfunction:
 
     def __post_init__(self):
         comm = abs(self.op_q.commutator_scalar(self.op_r))
-        if comm > 1e-12:
+        if comm > COMMUTATOR_TOL:
             raise ValueError(f"operator pair does not commute: |[op_q, op_r]| = {comm}")
 
     @cached_property
@@ -350,24 +353,11 @@ class AppliedEigenfunction:
 def kl_eigenfunction(
     label: EigenLabel, b: float, omega0: float, gamma: float
 ) -> AppliedEigenfunction:
-    """Normal-form eigenfunction at width b >= 1/2.
-
-    The operator pair is plain multiplication by the normalized
-    coordinates Qs = Q/sqrt(2b) and rs = sqrt(b/2)*r; omega0 and gamma
-    only enter the eigenvalue.
-    """
-    state, frame = stationary_preset("kl", b=b)
-    op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b))
-    op_r = LinearPhaseOperator(r=math.sqrt(b / 2.0))
-    return AppliedEigenfunction(
-        label=label,
-        eigenvalue=eigenvalue(label, omega0, gamma),
-        pi=pi_polynomial(label),
-        op_q=op_q,
-        op_r=op_r,
-        gaussian=state,
-        frame=frame,
-    )
+    """Normal-form eigenfunction at width b >= 1/2: the transport of the
+    empty plan, whose operator pair is plain multiplication by the
+    normalized coordinates Qs = Q/sqrt(2b) and rs = sqrt(b/2)*r."""
+    target = kl_coefficients(omega0, gamma, b)
+    return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
 
 
 def transformed_eigenfunction(
@@ -381,7 +371,9 @@ def transformed_eigenfunction(
     multiplication pair are transported through the steps in reverse
     order with negated parameters.  The transported Gaussian may pass
     outside the physical region; only a non-normalizable endpoint
-    (mu + nu <= 0) is an error.
+    (mu + nu <= 0) is an error.  A transported pair that no longer
+    commutes to within COMMUTATOR_TOL raises IllConditionedReduction
+    carrying the commutator.
     """
     if plan.replay_residual(source) > 1e-8 * max(
         1.0, float(np.max(np.abs(source.as_vector())))
@@ -399,6 +391,9 @@ def transformed_eigenfunction(
     for gid, p in inverse_steps:
         op_q = conjugate_linear(gid, p, op_q)
         op_r = conjugate_linear(gid, p, op_r)
+    comm = abs(op_q.commutator_scalar(op_r))
+    if not comm <= COMMUTATOR_TOL:
+        raise IllConditionedReduction(f"transported pair fails to commute by {comm}", comm)
     return AppliedEigenfunction(
         label=label,
         eigenvalue=eigenvalue(label, plan.omega0, source.gamma),

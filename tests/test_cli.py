@@ -371,6 +371,10 @@ INVALID = {
         **GENERIC,
         "coefficients": {"h": [2.2, 0.4, 0], "gamma": -0.5, "g": [-1.1, 0, 0]},
     },
+    "kl-negative-preset-gamma": {"model": "kl", "preset": {**KL["preset"], "gamma": -0.3}},
+    "kl-zero-preset-gamma": {"model": "kl", "preset": {**KL["preset"], "gamma": 0}},
+    "cl-zero-preset-gamma": {"model": "cl", "preset": {**DESK_PRESETS["cl"], "gamma": 0.0}},
+    "hpz-zero-preset-gamma": {"model": "hpz", "preset": {**DESK_PRESETS["hpz"], "gamma": 0.0}},
 }
 
 
@@ -380,6 +384,59 @@ def test_invalid_config_exits_2_with_config_error(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, {"out": str(out), **doc})
     assert run_cli(["spectrum", "--config", cfg]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+# sources that leave double precision in the reduction or the transport:
+# (subcommand, h, gamma, g, b_target, error)
+UNREDUCIBLE = {
+    "rho-rounds-to-h0": (
+        "reduce",
+        [1.0, 0.9434413524127122, 0.3315394615391546],
+        0.3,
+        [-0.6, 0.0, 0.0],
+        1.0,
+        "IllConditionedReduction",
+    ),
+    "replay-overflow": (
+        "reduce",
+        [1.360036708715085e144, 3.4837177984489023e143, 1.3146622958229615e144],
+        2.209288427382011e-217,
+        [-1.3573919648994925, 1.8797016528645303, 0.06427434219151484],
+        0.7896640311769259,
+        "IllConditionedReduction",
+    ),
+    "gaussian-overflow": (
+        "stationary",
+        [0.33515482634104415, -0.033824882989909676, -0.1180102987830284],
+        1.4153006582829272e-259,
+        [-0.1462732548874063, -0.18087973136909527, -0.03674907623760859],
+        1.0,
+        "DegenerateDenominator",
+    ),
+    "non-commuting-pair": (
+        "eigfun",
+        [1.7107911937902252e64, -1.1621737986635487e64, 1.255451540421193e64],
+        2.3938915882896794e-97,
+        [-1.1843704796086492, -0.5865968874137653, 0.17325364514941777],
+        1.5691276280361226,
+        "IllConditionedReduction",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNREDUCIBLE.values(), ids=UNREDUCIBLE.keys())
+def test_unreducible_source_exits_2_with_typed_error(tmp_path, capsys, case):
+    command, h, gamma, g, b_target, error = case
+    out = tmp_path / "out"
+    doc = {
+        "model": "generic",
+        "coefficients": {"h": h, "gamma": gamma, "g": g},
+        "b_target": b_target,
+        "out": str(out),
+    }
+    assert run_cli([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == error
     assert not out.exists()
 
 
@@ -501,7 +558,7 @@ def test_load_config_raises_only_config_error(tmp_path):
     docs = st.sampled_from(list(source)).flatmap(plausible).flatmap(corrupt)
     path = tmp_path / "config.json"
 
-    @hyp.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hyp.settings(max_examples=100)
     @hyp.given(docs)
     def check(doc):
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -9,20 +9,22 @@ from numpy.testing import assert_allclose
 from klform import (
     GENERATOR_ORDER,
     CriticalDampingError,
+    DegenerateDenominator,
+    EigenLabel,
     GeneratorId,
     IllConditionedReduction,
+    KLFormError,
     LiouvillianCoeffs,
     NonPositiveH0Error,
     OverdampedError,
-    SignError,
     SingularGError,
     conjugate_coefficients,
     kl_coefficients,
     reduce_to_kl,
-    rescale_b,
     step1_solve,
     step2_matrix,
     step2_solve,
+    transformed_eigenfunction,
     u_matrix,
 )
 from klform.reduction import REPLAY_TOL
@@ -64,6 +66,21 @@ def test_u_matrices_preserve_metric():
         assert abs(before - after) <= 1e-12 * max(1.0, abs(before))
 
 
+def test_u_matrix_equals_literal_closed_form():
+    """u_matrix is built from conjugate_coefficients; it must reproduce the
+    rotation and boost matrices entry for entry."""
+    for p in (-1.3, -0.2, 0.0, 0.7, 2.5):
+        c, s = math.cos(p), math.sin(p)
+        ch, sh = math.cosh(p), math.sinh(p)
+        literal = {
+            "U0": [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]],
+            "U1": [[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]],
+            "U2": [[ch, -sh, 0.0], [-sh, ch, 0.0], [0.0, 0.0, 1.0]],
+        }
+        for which, mat in literal.items():
+            assert np.array_equal(u_matrix(which, p), np.array(mat))
+
+
 def test_u_matrix_rejects_unknown_name():
     with pytest.raises(ValueError):
         u_matrix("U3", 0.1)
@@ -101,6 +118,15 @@ def test_step2_matrix_determinant_formula():
         assert abs(det - formula) <= 1e-12 * max(1.0, abs(formula))
 
 
+def test_step2_matrix_equals_literal_closed_form():
+    rng = np.random.default_rng(56)
+    for _ in range(50):
+        h0, h1, h2 = rng.uniform(-2.0, 2.0, size=3)
+        gamma = float(rng.uniform(0.0, 2.0))
+        literal = [[-gamma, h2, -h1], [h2, -gamma, -h0], [-h1, h0, -gamma]]
+        assert np.array_equal(step2_matrix((h0, h1, h2), gamma), np.array(literal))
+
+
 def test_step2_solve_forward_replay():
     """The linear shift system mirrors the actual conjugation flows."""
     rng = np.random.default_rng(77)
@@ -127,13 +153,6 @@ def test_step2_solve_forward_replay():
 def test_step2_solve_singular_at_zero_gamma():
     with pytest.raises(SingularGError):
         step2_solve(1.0, 0.0, (0.1, 0.2, 0.3), (-0.6, 0.0, 0.0))
-
-
-def test_rescale_b_fixture_and_sign_guard():
-    assert rescale_b(-0.6, 0.3, 1.0) == pytest.approx(0.0)
-    assert rescale_b(-0.3, 0.3, 1.0) == pytest.approx(math.log(2.0))
-    with pytest.raises(SignError):
-        rescale_b(0.2, 0.3, 1.0)
 
 
 def test_reduce_round_trip_scrambled_normal_forms():
@@ -179,14 +198,113 @@ def test_plan_b_target_other_than_one():
     assert plan.target.g[0] == pytest.approx(-2.0 * gamma * 1.25)
 
 
-def test_reduce_near_critical_h_raises_typed_error():
-    """A nearly lightlike h makes the boost ill-conditioned; the replay
-    check must fail with a typed error that carries the residual."""
-    c = LiouvillianCoeffs((1.0, 0.999999999999, 0.0), 0.3, (-0.6, 0.0, 0.0))
+@pytest.mark.parametrize(
+    "h, gamma, g",
+    [
+        ((1.0, 0.999999999999, 0.0), 0.3, (-0.6, 0.0, 0.0)),
+        ((2.0, 0.3, 0.0), 1e-300, (-0.6, 0.1, 0.0)),
+    ],
+    ids=["near-lightlike-h", "tiny-gamma"],
+)
+def test_reduce_near_critical_h_raises_typed_error(h, gamma, g):
+    """A nearly lightlike h makes the boost ill-conditioned, a tiny gamma
+    the shift solve; the replay check must fail with a typed error that
+    carries the residual."""
+    c = LiouvillianCoeffs(h, gamma, g)
     with pytest.raises(IllConditionedReduction) as info:
         reduce_to_kl(c, b_target=1.0)
     assert info.value.residual > REPLAY_TOL
     assert "replay residual" in str(info.value)
+
+
+def test_step1_rho_rounding_to_h0_raises_typed_error():
+    """h0^2 - h1^2 - h2^2 is positive (2.8e-17) but rho/h0 rounds to 1,
+    so artanh(rho/h0) is undefined."""
+    with pytest.raises(IllConditionedReduction) as info:
+        step1_solve((1.0, 0.9434413524127122, 0.3315394615391546))
+    assert info.value.residual == math.inf
+
+
+# sources whose plan or transport leaves double precision: (h, gamma, g, b_target)
+TRANSPORT_REPRODUCERS = {
+    "replay-overflow": (
+        (1.360036708715085e144, 3.4837177984489023e143, 1.3146622958229615e144),
+        2.209288427382011e-217,
+        (-1.3573919648994925, 1.8797016528645303, 0.06427434219151484),
+        0.7896640311769259,
+    ),
+    "gaussian-overflow": (
+        (0.33515482634104415, -0.033824882989909676, -0.1180102987830284),
+        1.4153006582829272e-259,
+        (-0.1462732548874063, -0.18087973136909527, -0.03674907623760859),
+        1.0,
+    ),
+    "non-commuting-pair": (
+        (1.7107911937902252e64, -1.1621737986635487e64, 1.255451540421193e64),
+        2.3938915882896794e-97,
+        (-1.1843704796086492, -0.5865968874137653, 0.17325364514941777),
+        1.5691276280361226,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("replay-overflow", IllConditionedReduction),
+        ("gaussian-overflow", DegenerateDenominator),
+        ("non-commuting-pair", IllConditionedReduction),
+    ],
+)
+def test_transport_reproducers_raise_typed_errors(name, error):
+    h, gamma, g, b_target = TRANSPORT_REPRODUCERS[name]
+    c = LiouvillianCoeffs(h, gamma, g)
+    with pytest.raises(error) as info:
+        plan = reduce_to_kl(c, b_target=b_target)
+        transformed_eigenfunction(plan, EigenLabel(0, 0, 1), c)
+    if name == "replay-overflow":
+        assert info.value.residual == math.inf
+    if name == "gaussian-overflow":
+        assert str(info.value).startswith("step 2 (OPLUS")
+    if name == "non-commuting-pair":
+        assert info.value.residual > 1e-12
+
+
+def test_reduce_and_transport_raise_only_klform_errors():
+    """Sources at the edges of the domain (h0 up to 1e150, rho/h0 up to
+    1 - 1e-17, gamma down to 1e-300) reduce and transport to the stationary
+    mode, or raise a KLFormError; never another exception."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def power(lo, hi):
+        return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+    ratio = st.floats(0.0, 1.0) | power(-17, 0).map(lambda x: 1.0 - x)
+
+    def build(h0, x, angle, gamma, g):
+        h = (h0, x * h0 * math.sin(angle), x * h0 * math.cos(angle))
+        return LiouvillianCoeffs(h, gamma, g)
+
+    sources = st.builds(
+        build,
+        power(-3, 150),
+        ratio,
+        st.floats(-math.pi, math.pi),
+        power(-300, 1),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    )
+
+    @hyp.settings(max_examples=300)
+    @hyp.given(sources, st.floats(0.5, 3.0))
+    def check(c, b_target):
+        try:
+            plan = reduce_to_kl(c, b_target=b_target)
+            transformed_eigenfunction(plan, EigenLabel(0, 0, 1), c)
+        except KLFormError:
+            pass
+
+    check()
 
 
 @pytest.mark.parametrize("h", [(1e155, 0.5, 0.0), (1e200, 0.5, 0.0), (1e307, 3e306, -1e306)])
