@@ -20,6 +20,7 @@ from .errors import (
     CriticalDampingError,
     DegenerateDenominator,
     DegreeError,
+    EvolutionOverflow,
     FrameMismatch,
     IllConditionedReduction,
     KLFormError,

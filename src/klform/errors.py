@@ -62,6 +62,11 @@ class IllConditionedReduction(KLFormError):
         return self.args[0]
 
 
+class EvolutionOverflow(KLFormError):
+    """The time span of an evolution is too long for the truncated matrix:
+    the matrix exponential cannot size its steps within the float range."""
+
+
 class ZeroVector(KLFormError):
     """A residual or normalization was requested for the zero vector."""
 

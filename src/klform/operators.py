@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
+
+# scipy.linalg is imported inside the two matrix-exponential routes below,
+# so that the closed forms run on numpy alone.
 
 __all__ = [
     "GeneratorId",
@@ -411,6 +413,8 @@ def adjoint_conjugate_coefficients(
     The gamma row of every ad_G vanishes, so gamma passes through the
     exponential bit-identically.
     """
+    from scipy.linalg import expm
+
     mat = expm(float(param) * _adjoint_matrix_7(gid))
     return LiouvillianCoeffs.from_vector(mat @ c.as_vector())
 
@@ -448,6 +452,8 @@ def conjugate_linear(
     gid: GeneratorId, param: float, op: LinearPhaseOperator
 ) -> LinearPhaseOperator:
     """exp(param*G) op exp(-param*G) for a degree-one operator op."""
+    from scipy.linalg import expm
+
     mat = expm(float(param) * _adjoint_matrix_4(gid))
     return LinearPhaseOperator.from_vector(mat @ op.as_vector())
 

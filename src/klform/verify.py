@@ -17,12 +17,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, splu
 
-from .errors import DegreeError, FrameMismatch, PairingFailure, ZeroVector
+from .errors import DegreeError, EvolutionOverflow, FrameMismatch, PairingFailure, ZeroVector
 from .gauss import GaussianState
 from .operators import (
     CoordinateFrame,
@@ -30,6 +29,12 @@ from .operators import (
     assemble_liouvillian,
     rescale_coordinates,
 )
+
+# scipy is imported inside the functions that call it, so that the
+# closed-form layers, and the CLI subcommands built on them alone, start
+# without loading it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "BasisConfig",
@@ -89,6 +94,8 @@ def ladder_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     interior block D X - X D = identity; the last row/column carries the
     truncation defect.
     """
+    import scipy.sparse as sp
+
     off = np.sqrt(np.arange(1, n) / 2.0)
     x_mat = sp.diags([off, off], [1, -1], shape=(n, n), format="csr")
     d_mat = sp.diags([off, -off], [1, -1], shape=(n, n), format="csr")
@@ -105,6 +112,8 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     degree above 4 is rejected: higher powers of the truncated ladder
     matrices lose the exact-representation property this oracle relies on.
     """
+    import scipy.sparse as sp
+
     if op.degree() > 4:
         raise DegreeError(f"operator degree {op.degree()} exceeds 4")
     scaled = rescale_coordinates(op, cfg.frame)
@@ -226,24 +235,50 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     return float(np.linalg.norm(k_mat.matrix @ vec - lam * vec)) / norm
 
 
+def _expm_multiply(mat, f0: np.ndarray, **grid) -> np.ndarray:
+    """scipy's expm_multiply, with a typed error when it cannot size its steps.
+
+    scipy counts its Taylor steps from norms of powers of t * mat; for a
+    time span too long for the matrix those norms overflow and the count
+    comes out as inf or NaN, which scipy fails to convert to an integer.
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    f0 = np.asarray(f0, dtype=complex)
+    if f0.shape[:1] != mat.shape[1:]:
+        raise ValueError(f"f0 of shape {f0.shape} does not fit a {mat.shape} matrix")
+    try:
+        return expm_multiply(mat, f0, **grid)
+    except (OverflowError, ValueError) as exc:
+        raise EvolutionOverflow(
+            f"time span too long for the matrix: cannot size the Taylor steps ({exc})"
+        ) from exc
+
+
 def evolve(k_mat: OperatorMatrix, f0: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t K) f0 via scipy's Krylov-free expm_multiply."""
+    """exp(-t K) f0 via scipy's Krylov-free expm_multiply.
+
+    Raises EvolutionOverflow when t is too large for the matrix.
+    """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return expm_multiply(-float(t) * k_mat.matrix.tocsc(), np.asarray(f0, dtype=complex))
+    return _expm_multiply(-float(t) * k_mat.matrix.tocsc(), f0)
 
 
 def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-t K) f0 on a uniform time grid; rows follow `times`."""
+    """exp(-t K) f0 on a uniform time grid; rows follow `times`.
+
+    Raises EvolutionOverflow when the grid is too long for the matrix.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 1:
         return evolve(k_mat, f0, float(times[0]))[None, :]
     gaps = np.diff(times)
     if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
         raise ValueError("time grid must be uniform")
-    return expm_multiply(
+    return _expm_multiply(
         -k_mat.matrix.tocsc(),
-        np.asarray(f0, dtype=complex),
+        f0,
         start=float(times[0]),
         stop=float(times[-1]),
         num=times.size,
@@ -432,6 +467,13 @@ class BiorthReport:
         return self.max_offdiag <= self.tol
 
 
+def splu(mat):
+    """scipy's sparse LU factorization, imported on first call."""
+    from scipy.sparse.linalg import splu
+
+    return splu(mat)
+
+
 def biorthogonality_check(
     k_mat: OperatorMatrix, modes, tol: float = 1e-6
 ) -> BiorthReport:
@@ -444,6 +486,8 @@ def biorthogonality_check(
     report contains the Gram matrix of left/right vectors and its
     diagonal-rescaled deviation from identity.
     """
+    import scipy.sparse as sp
+
     cfg = k_mat.config
     mat = k_mat.matrix.tocsc()
     rng = np.random.default_rng(20240)
@@ -480,6 +524,8 @@ def biorthogonality_check(
         predicted.append(lam)
         computed.append(rayleigh)
         labels.append(mode.label)
+        # free this factorization before the next one is built
+        del lu
     right_mat = np.array(rights).T
     left_mat = np.array(lefts).T
     gram = left_mat.conj().T @ right_mat

@@ -225,6 +225,27 @@ def test_evolve_decay_rate(tmp_path):
     assert doc["rows"][0]["overlap"] == pytest.approx(1.0)
 
 
+TINY_GAMMA = 2.3447469302921906e-139
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"model": "kl", "preset": {**DESK_PRESETS["kl"], "gamma": TINY_GAMMA}},
+        {"model": "hpz", "preset": {**DESK_PRESETS["hpz"], "gamma": TINY_GAMMA}},
+        {"model": "kl", "preset": DESK_PRESETS["kl"], "t_max": 1e308},
+    ],
+    ids=["kl-tiny-gamma", "hpz-tiny-gamma", "kl-t-max-1e308"],
+)
+def test_evolve_beyond_the_float_range_exits_2(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**doc, "out": str(out)})
+    with pytest.warns(RuntimeWarning):  # from scipy, before the typed error
+        assert run_cli(["evolve", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "EvolutionOverflow"
+    assert not out.exists()
+
+
 def test_overdamped_input_exits_2_without_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(

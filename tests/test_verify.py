@@ -12,6 +12,7 @@ from klform import (
     CoordinateFrame,
     DegreeError,
     EigenLabel,
+    EvolutionOverflow,
     FrameMismatch,
     GaussianState,
     PairingFailure,
@@ -283,6 +284,36 @@ def test_evolve_series_grid_handling():
     assert_allclose(rows[-1], evolve(k_mat, f0, 4.0), atol=1e-10)
     with pytest.raises(ValueError):
         evolve_series(k_mat, f0, np.array([0.0, 1.0, 3.0]))
+
+
+TINY_GAMMA = 2.3447469302921906e-139
+
+
+@pytest.mark.parametrize(
+    "coeffs, preset, t_end",
+    [
+        (kl_coefficients(W0, TINY_GAMMA, B), ("kl", {"b": B}), 10.0 / TINY_GAMMA),
+        (
+            hpz_coefficients(1.0, TINY_GAMMA, 1.0, 0.2),
+            ("hpz", {"omega0_prime": 1.0, "gamma": TINY_GAMMA, "b_hpz": 1.0, "d": 0.2}),
+            10.0 / TINY_GAMMA,
+        ),
+        (kl_coefficients(W0, GAM, B), ("kl", {"b": B}), 1e308),
+    ],
+    ids=["kl-tiny-gamma", "hpz-tiny-gamma", "kl-t-1e308"],
+)
+def test_evolve_beyond_the_float_range_raises_typed_error(coeffs, preset, t_end):
+    """The step count of the matrix exponential overflows (scipy warns on
+    the way); both evolve routes raise EvolutionOverflow."""
+    model, params = preset
+    state, frame = stationary_preset(model, **params)
+    cfg = BasisConfig(32, 32, frame)
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
+    f0 = expand(state, cfg)
+    with pytest.warns(RuntimeWarning), pytest.raises(EvolutionOverflow):
+        evolve(k_mat, f0, t_end)
+    with pytest.warns(RuntimeWarning), pytest.raises(EvolutionOverflow):
+        evolve_series(k_mat, f0, np.linspace(0.0, t_end, 81))
 
 
 def test_refined_window_eigenvalues_small_case():
