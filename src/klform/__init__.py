@@ -36,7 +36,6 @@ from .errors import (
 from .gauss import (
     GaussianState,
     apply_plan_gaussian,
-    delta,
     positivity_window,
     reduced_frequency,
     stationary_preset,
@@ -75,7 +74,6 @@ from .spectrum import (
     c_coefficient,
     distinct_labels,
     eigenvalue,
-    hermite,
     hermite_coefficients,
     kl_eigenfunction,
     pi_polynomial,

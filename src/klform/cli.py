@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import FrameMismatch, KLFormError
+from .errors import EvolutionOverflow, FrameMismatch, KLFormError
 from .gauss import stationary_preset
 from .operators import (
     GeneratorId,
@@ -275,6 +275,8 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite float {obj}")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -471,27 +473,36 @@ def cmd_evolve(cfg: RunConfig):
     t_max = cfg.t_max if cfg.t_max is not None else 10.0 / gamma
     times = np.linspace(0.0, t_max, cfg.n_times)
     series = evolve_series(k_mat, f0, times)
-    dev0 = float(np.linalg.norm(series[0] - v_steady))
     rows = []
     overlaps = np.empty(cfg.n_times)
     max_trace_error = 0.0
     max_defect = 0.0
-    for i, t in enumerate(times):
-        vec = series[i]
-        trace, defect = trace_and_hermiticity(vec, basis)
-        max_trace_error = max(max_trace_error, abs(trace - 1.0))
-        max_defect = max(max_defect, defect)
-        overlaps[i] = float(np.linalg.norm(vec - v_steady)) / dev0
-        rows.append(
-            {
-                "t": float(t),
-                "re_trace": trace.real,
-                "im_trace": trace.imag,
-                "norm": float(np.linalg.norm(vec)),
-                "overlap": overlaps[i],
-            }
-        )
-    slope = np.polyfit(times, np.log(overlaps), 1)[0]
+    # A seed amplitude near 1e308 overflows the norms, a tiny one (1e-150
+    # on the kl preset) rounds the deviation to zero and a t_max near 1e-200
+    # underflows the fit: raise instead of reporting inf or NaN.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            dev0 = np.linalg.norm(series[0] - v_steady)
+            for i, t in enumerate(times):
+                vec = series[i]
+                trace, defect = trace_and_hermiticity(vec, basis)
+                max_trace_error = max(max_trace_error, abs(trace - 1.0))
+                max_defect = max(max_defect, defect)
+                overlaps[i] = np.linalg.norm(vec - v_steady) / dev0
+                rows.append(
+                    {
+                        "t": float(t),
+                        "re_trace": trace.real,
+                        "im_trace": trace.imag,
+                        "norm": float(np.linalg.norm(vec)),
+                        "overlap": overlaps[i],
+                    }
+                )
+            slope = np.polyfit(times, np.log(overlaps), 1)[0]
+    except FloatingPointError as exc:
+        raise EvolutionOverflow(
+            f"the seeded deviation rounds to zero or its decay leaves the float range ({exc})"
+        ) from exc
     expected = abs(complex(seed.eigenvalue).real)
     fitted = -float(slope)
     doc = {

@@ -63,8 +63,9 @@ class IllConditionedReduction(KLFormError):
 
 
 class EvolutionOverflow(KLFormError):
-    """The time span of an evolution is too long for the truncated matrix:
-    the matrix exponential cannot size its steps within the float range."""
+    """An evolution leaves the float range or its step budget: the time
+    span needs more Taylor steps than the matrix exponential may take, or
+    the seeded deviation or its fitted decay overflows or underflows."""
 
 
 class ZeroVector(KLFormError):

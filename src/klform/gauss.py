@@ -27,7 +27,6 @@ from .operators import CoordinateFrame, GeneratorId
 
 __all__ = [
     "GaussianState",
-    "delta",
     "transform_gaussian",
     "positivity_window",
     "apply_plan_gaussian",
@@ -65,8 +64,8 @@ class GaussianState:
         """Discriminant 4*mu*(mu+nu) + kappa^2 of the quadratic form."""
         return 4.0 * self.mu * self.width_sum + self.kappa**2
 
-    def is_physical(self, tol: float = 0.0) -> bool:
-        return self.nu >= -tol
+    def is_physical(self) -> bool:
+        return self.nu >= 0.0
 
     def frame(self) -> CoordinateFrame:
         """Scales (1/sqrt(2*mu), sqrt((mu+nu)/2)) that normalize the envelope.
@@ -91,11 +90,6 @@ class GaussianState:
             - 0.5 * self.width_sum * r * r
         )
         return pref * np.exp(expo)
-
-
-def delta(s: GaussianState) -> float:
-    """Discriminant 4*mu*(mu+nu) + kappa^2."""
-    return s.delta()
 
 
 def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
@@ -218,25 +212,21 @@ def _guard_denominator(den: float) -> None:
         raise DegenerateDenominator(f"map denominator {den} is not positive")
 
 
-def apply_plan_gaussian(steps, s: GaussianState, enforce_window: bool = True) -> GaussianState:
+def apply_plan_gaussian(steps, s: GaussianState) -> GaussianState:
     """Apply a sequence of (GeneratorId, param) steps to a Gaussian, in order.
 
-    Errors from an individual step are re-raised with the step index
-    prepended to the message.
+    The maps are applied formally (transform_gaussian with
+    enforce_window=False), as eigenfunction transport needs: the state may
+    pass outside the physical region.  Errors from an individual step are
+    re-raised with the step index prepended to the message.
     """
     out = s
     for idx, (gid, param) in enumerate(steps):
         try:
-            out = transform_gaussian(gid, param, out, enforce_window=enforce_window)
+            out = transform_gaussian(gid, param, out, enforce_window=False)
         except (PositivityViolation, DegenerateDenominator) as exc:
             raise type(exc)(f"step {idx} ({gid.name}, {param}): {exc}") from exc
     return out
-
-
-def _width_state(b: float, what: str) -> GaussianState:
-    if b < 0.5:
-        raise PositivityViolation(f"{what} = {b} must be at least 1/2")
-    return GaussianState(1.0 / (4.0 * b), 0.0, b - 1.0 / (4.0 * b))
 
 
 def reduced_frequency(omega0_prime: float, gamma: float) -> float:
@@ -255,32 +245,25 @@ def stationary_preset(model: str, **params) -> tuple[GaussianState, CoordinateFr
 
     model = "kl":  params b.  State (1/(4b), 0, b - 1/(4b)), frame
         (sqrt(2b), sqrt(b/2)).
-    model = "cl":  params omega0_prime, gamma, and either b_cl directly
-        or b, converted via b_cl = b * omega0 / omega0_prime with
-        omega0 = sqrt(omega0_prime^2 - gamma^2/4).
     model = "hpz": params omega0_prime, gamma, b_hpz, d.  The widths
         split: mu = 1/(4*b_plus) with b_plus = b_hpz + d/(2*omega0_prime),
         mu + nu = b_hpz, frame (sqrt(2*b_plus), sqrt(b_hpz/2)).
+    model = "cl":  params omega0_prime, gamma, b_cl.  The hpz preset at
+        b_hpz = b_cl and d = 0: cl is hpz without the anomalous-diffusion
+        coupling.
 
     Raises PositivityViolation when the resulting nu would be negative
     and OverdampedError when omega0_prime <= gamma/2.
     """
     name = model.lower()
+    if name == "cl":
+        name, params = "hpz", {**params, "b_hpz": params["b_cl"], "d": 0.0}
     if name == "kl":
         b = float(params["b"])
-        return _width_state(b, "b"), CoordinateFrame(
+        if b < 0.5:
+            raise PositivityViolation(f"b = {b} must be at least 1/2")
+        return GaussianState(1.0 / (4.0 * b), 0.0, b - 1.0 / (4.0 * b)), CoordinateFrame(
             math.sqrt(2.0 * b), math.sqrt(b / 2.0)
-        )
-    if name == "cl":
-        omega0_prime = float(params["omega0_prime"])
-        gamma = float(params["gamma"])
-        omega0 = reduced_frequency(omega0_prime, gamma)
-        if "b_cl" in params:
-            b_cl = float(params["b_cl"])
-        else:
-            b_cl = float(params["b"]) * omega0 / omega0_prime
-        return _width_state(b_cl, "b_cl"), CoordinateFrame(
-            math.sqrt(2.0 * b_cl), math.sqrt(b_cl / 2.0)
         )
     if name == "hpz":
         omega0_prime = float(params["omega0_prime"])

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,9 +237,6 @@ class LinearPhaseOperator:
             - self.r * other.dr
         )
 
-    def isclose(self, other: "LinearPhaseOperator", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.as_vector() - other.as_vector()) <= tol))
-
 
 @dataclass(frozen=True)
 class LiouvillianCoeffs:
@@ -369,9 +367,6 @@ def _snap_half_integers(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return snapped
 
 
-_DECOMP_CACHE: dict = {}
-
-
 def _decompose_over_generators(op: PhasePolyOperator) -> np.ndarray:
     """Write op as sum_i x_i G_i + x_7 * I; raises if op is outside the span."""
     polys = [generator(g) for g in GENERATOR_ORDER] + [PhasePolyOperator.identity()]
@@ -386,20 +381,18 @@ def _decompose_over_generators(op: PhasePolyOperator) -> np.ndarray:
     return x.real
 
 
+@lru_cache(maxsize=None)
 def _adjoint_matrix_7(gid: GeneratorId) -> np.ndarray:
     """7x7 matrix of ad_G on the coefficient vector: [G, G_j] = sum_i A_ij G_i."""
-    key = ("ad7", gid)
-    if key not in _DECOMP_CACHE:
-        g_op = generator(gid)
-        cols = []
-        for other in GENERATOR_ORDER:
-            x = _decompose_over_generators(commutator(g_op, generator(other)))
-            # Brackets of trace-killing operators are trace-killing: no identity part.
-            if abs(x[7]) > 1e-12:
-                raise AssertionError("commutator acquired an identity component")
-            cols.append(x[:7])
-        _DECOMP_CACHE[key] = _snap_half_integers(np.array(cols).T)
-    return _DECOMP_CACHE[key]
+    g_op = generator(gid)
+    cols = []
+    for other in GENERATOR_ORDER:
+        x = _decompose_over_generators(commutator(g_op, generator(other)))
+        # Brackets of trace-killing operators are trace-killing: no identity part.
+        if abs(x[7]) > 1e-12:
+            raise AssertionError("commutator acquired an identity component")
+        cols.append(x[:7])
+    return _snap_half_integers(np.array(cols).T)
 
 
 def adjoint_conjugate_coefficients(
@@ -427,25 +420,22 @@ _LINEAR_BASIS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
     """4x4 matrix of ad_G on (Q, r, dQ, dr)."""
-    key = ("ad4", gid)
-    if key not in _DECOMP_CACHE:
-        g_op = generator(gid)
-        cols = []
-        for e in _LINEAR_BASIS:
-            bracket = commutator(g_op, e.to_poly())
-            vec = np.zeros(4, dtype=complex)
-            for term, coeff in bracket.terms.items():
-                idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)
-                if idx is None:
-                    raise AssertionError("bracket with a linear operator is not linear")
-                vec[idx] = coeff
-            cols.append(vec)
-        mat = np.array(cols).T
-        mat = _snap_half_integers(mat.real) + 1j * _snap_half_integers(mat.imag)
-        _DECOMP_CACHE[key] = mat
-    return _DECOMP_CACHE[key]
+    g_op = generator(gid)
+    cols = []
+    for e in _LINEAR_BASIS:
+        bracket = commutator(g_op, e.to_poly())
+        vec = np.zeros(4, dtype=complex)
+        for term, coeff in bracket.terms.items():
+            idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)
+            if idx is None:
+                raise AssertionError("bracket with a linear operator is not linear")
+            vec[idx] = coeff
+        cols.append(vec)
+    mat = np.array(cols).T
+    return _snap_half_integers(mat.real) + 1j * _snap_half_integers(mat.imag)
 
 
 def conjugate_linear(

@@ -44,7 +44,6 @@ __all__ = [
     "BivariatePoly",
     "AppliedEigenfunction",
     "eigenvalue",
-    "hermite",
     "hermite_coefficients",
     "c_coefficient",
     "pi_polynomial",
@@ -54,7 +53,9 @@ __all__ = [
     "reference_eigenfunction",
 ]
 
-MAX_M_DEFAULT = 32
+# largest m of pi_polynomial: the exact integer combinatorics outgrow
+# double precision beyond it
+MAX_M = 32
 # largest |[op_q, op_r]| of a commuting operator pair
 COMMUTATOR_TOL = 1e-12
 
@@ -82,10 +83,6 @@ class EigenLabel:
         if self.sigma not in (1, -1):
             raise LabelError(f"sigma must be +1 or -1, got {self.sigma}")
 
-    @property
-    def sign_char(self) -> str:
-        return "+" if self.sigma > 0 else "-"
-
 
 def eigenvalue(label: EigenLabel, omega0: float, gamma: float) -> complex:
     """sign*i*n*omega0 + (m - n/2)*gamma."""
@@ -109,20 +106,6 @@ def distinct_labels(m_max: int) -> list[EigenLabel]:
                 out.append(EigenLabel(m, n, 1))
                 out.append(EigenLabel(m, n, -1))
     return out
-
-
-def hermite(k: int, x) -> np.ndarray:
-    """Physicists' Hermite polynomial H_k evaluated by three-term recurrence."""
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a non-negative integer")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = 2.0 * x
-    for j in range(1, k):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * j * prev
-    return cur
 
 
 def hermite_coefficients(k: int) -> list[int]:
@@ -233,25 +216,21 @@ class BivariatePoly:
             abs(self._terms.get(k, 0) - other._terms.get(k, 0)) <= tol for k in keys
         )
 
-    def sorted_terms(self) -> list:
-        return sorted(self._terms.items())
-
     def __repr__(self):
-        items = ", ".join(f"{k}: {v}" for k, v in self.sorted_terms())
+        items = ", ".join(f"{k}: {v}" for k, v in sorted(self._terms.items()))
         return f"BivariatePoly({{{items}}})"
 
 
-def pi_polynomial(label: EigenLabel, max_m: int = MAX_M_DEFAULT) -> BivariatePoly:
+def pi_polynomial(label: EigenLabel) -> BivariatePoly:
     """Normal-form eigenpolynomial Pi(m, n, sign) in (Qs, rs).
 
     Triple sum over (mu, nu, sigma) of c_coefficient times
     Qs^(2(mu-nu)+n-sigma) H_(2nu+sigma)(rs), with the Hermite factor
-    expanded into monomials.  Total degree is 2m - n.  m above max_m is
-    rejected (LabelError): the exact integer combinatorics outgrow double
-    precision there.
+    expanded into monomials.  Total degree is 2m - n.  m above MAX_M is
+    rejected (LabelError).
     """
-    if label.m > max_m:
-        raise LabelError(f"m = {label.m} exceeds the cap {max_m}")
+    if label.m > MAX_M:
+        raise LabelError(f"m = {label.m} exceeds the cap {MAX_M}")
     m, n = label.m, label.n
     terms: dict = {}
     for mu_idx in range(m - n + 1):
@@ -305,10 +284,11 @@ class AppliedEigenfunction:
     """Eigenfunction Pi(op_q, op_r) applied to a Gaussian.
 
     pi holds the polynomial in the two commuting degree-one operators
-    op_q, op_r; gaussian is the stationary state the polynomial acts on;
-    frame records the natural coordinates of that Gaussian.  evaluate()
-    multiplies out the operator polynomial once (cached) and then
-    evaluates polynomial times Gaussian pointwise.
+    op_q, op_r; gaussian is the stationary state the polynomial acts on.
+    evaluate() multiplies out the operator polynomial once (cached) and
+    then evaluates polynomial times Gaussian pointwise.  A pair that does
+    not commute to within COMMUTATOR_TOL (NaN included) raises
+    IllConditionedReduction carrying the commutator.
     """
 
     label: EigenLabel
@@ -317,12 +297,16 @@ class AppliedEigenfunction:
     op_q: LinearPhaseOperator
     op_r: LinearPhaseOperator
     gaussian: GaussianState
-    frame: CoordinateFrame
 
     def __post_init__(self):
         comm = abs(self.op_q.commutator_scalar(self.op_r))
-        if comm > COMMUTATOR_TOL:
-            raise ValueError(f"operator pair does not commute: |[op_q, op_r]| = {comm}")
+        if not comm <= COMMUTATOR_TOL:
+            raise IllConditionedReduction(f"transported pair fails to commute by {comm}", comm)
+
+    @property
+    def frame(self) -> CoordinateFrame:
+        """Natural coordinates of the Gaussian: gaussian.frame()."""
+        return self.gaussian.frame()
 
     @cached_property
     def expanded_poly(self) -> BivariatePoly:
@@ -372,8 +356,7 @@ def transformed_eigenfunction(
     order with negated parameters.  The transported Gaussian may pass
     outside the physical region; only a non-normalizable endpoint
     (mu + nu <= 0) is an error.  A transported pair that no longer
-    commutes to within COMMUTATOR_TOL raises IllConditionedReduction
-    carrying the commutator.
+    commutes raises IllConditionedReduction (see AppliedEigenfunction).
     """
     if plan.replay_residual(source) > 1e-8 * max(
         1.0, float(np.max(np.abs(source.as_vector())))
@@ -381,7 +364,7 @@ def transformed_eigenfunction(
         raise ValueError("plan does not reduce the given source coefficients")
     inverse_steps = [(gid, -p) for gid, p in reversed(plan.steps)]
     base_state, _ = stationary_preset("kl", b=plan.b)
-    state = apply_plan_gaussian(inverse_steps, base_state, enforce_window=False)
+    state = apply_plan_gaussian(inverse_steps, base_state)
     if state.width_sum <= 0:
         raise PositivityViolation(
             "transported stationary Gaussian is not normalizable (mu + nu <= 0)"
@@ -391,9 +374,6 @@ def transformed_eigenfunction(
     for gid, p in inverse_steps:
         op_q = conjugate_linear(gid, p, op_q)
         op_r = conjugate_linear(gid, p, op_r)
-    comm = abs(op_q.commutator_scalar(op_r))
-    if not comm <= COMMUTATOR_TOL:
-        raise IllConditionedReduction(f"transported pair fails to commute by {comm}", comm)
     return AppliedEigenfunction(
         label=label,
         eigenvalue=eigenvalue(label, plan.omega0, source.gamma),
@@ -401,16 +381,7 @@ def transformed_eigenfunction(
         op_q=op_q,
         op_r=op_r,
         gaussian=state,
-        frame=state.frame(),
     )
-
-
-def _cl_like_geometry(omega0_prime: float, gamma: float):
-    omega0 = reduced_frequency(omega0_prime, gamma)
-    lam_plus = complex(0.5 * gamma, omega0)
-    lam_minus = complex(0.5 * gamma, -omega0)
-    pref = cmath.sqrt(1j * omega0_prime) / omega0
-    return omega0, lam_plus, lam_minus, pref
 
 
 def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedEigenfunction:
@@ -420,14 +391,16 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
 
       "kl"  params b, omega0, gamma.
             Pi(1,1,s) = -i(s*Qs + rs),  Pi(1,0) = 1/2 - Qs^2 + rs^2.
-      "cl"  params omega0_prime, gamma, b_cl.  With w = omega0_prime/omega0,
-            Pi(1,1,+) = (sqrt(i w0') / w0) (i sqrt(lam-) Qb + sqrt(lam+) rb)
-            Pi(1,1,-) = (sqrt(i w0') / w0) (sqrt(lam+) Qb - i sqrt(lam-) rb)
-            Pi(1,0)   = w (w (1/2 - Qb^2 + rb^2) + i (gamma/w0) Qb rb)
-            where lam(+-) = (+-) i w0 + gamma/2.
-      "hpz" params omega0_prime, gamma, b_hpz, d: as for "cl" but with the
-            split widths b_plus, b_minus entering both the coordinates and
-            extra sqrt(b_plus/b_minus) weights.
+      "hpz" params omega0_prime, gamma, b_hpz, d.  With the split widths
+            b- = b_hpz, b+ = b_hpz + d/(2 w0'), coordinates
+            Qs = Q/sqrt(2 b+), rs = sqrt(b-/2) r, w = w0'/w0,
+            p = sqrt(i w0') sqrt(b+ + b-) / w0 and
+            lam(+-) = (+-) i w0 + gamma/2:
+            Pi(1,1,+) = p (i sqrt(lam-/(2b+)) Qs + sqrt(lam+/(2b-)) rs)
+            Pi(1,1,-) = p (sqrt(lam+/(2b+)) Qs - i sqrt(lam-/(2b-)) rs)
+            Pi(1,0)   = w (b+ + b-)/(2b+) (w (1/2 - Qs^2 + (b+/b-) rs^2)
+                        + i (gamma/w0) sqrt(b+/b-) Qs rs)
+      "cl"  params omega0_prime, gamma, b_cl: "hpz" at b_hpz = b_cl, d = 0.
 
     Unsupported labels raise UnsupportedLabel.
     """
@@ -435,12 +408,14 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
     supported = {(1, 1, 1), (1, 1, -1), (1, 0, 1), (1, 0, -1)}
     if (label.m, label.n, label.sigma) not in supported:
         raise UnsupportedLabel(f"no closed form tabulated for {label}")
+    if name == "cl":
+        name, params = "hpz", {**params, "b_hpz": params["b_cl"], "d": 0.0}
 
     if name == "kl":
         b = float(params["b"])
         omega0 = float(params["omega0"])
         gamma = float(params["gamma"])
-        state, frame = stationary_preset("kl", b=b)
+        state, _ = stationary_preset("kl", b=b)
         op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b))
         op_r = LinearPhaseOperator(r=math.sqrt(b / 2.0))
         if label.n == 1:
@@ -448,48 +423,19 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
         else:
             pi = BivariatePoly({(0, 0): 0.5, (2, 0): -1.0, (0, 2): 1.0})
         lam = eigenvalue(label, omega0, gamma)
-        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state, frame)
-
-    if name == "cl":
-        omega0_prime = float(params["omega0_prime"])
-        gamma = float(params["gamma"])
-        b_cl = float(params["b_cl"])
-        omega0, lam_plus, lam_minus, pref = _cl_like_geometry(omega0_prime, gamma)
-        state, frame = stationary_preset(
-            "cl", omega0_prime=omega0_prime, gamma=gamma, b_cl=b_cl
-        )
-        op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b_cl))
-        op_r = LinearPhaseOperator(r=math.sqrt(b_cl / 2.0))
-        if label.n == 1:
-            if label.sigma == 1:
-                pi = BivariatePoly(
-                    {(1, 0): pref * 1j * cmath.sqrt(lam_minus), (0, 1): pref * cmath.sqrt(lam_plus)}
-                )
-            else:
-                pi = BivariatePoly(
-                    {(1, 0): pref * cmath.sqrt(lam_plus), (0, 1): -pref * 1j * cmath.sqrt(lam_minus)}
-                )
-        else:
-            wr = omega0_prime / omega0
-            pi = BivariatePoly(
-                {
-                    (0, 0): 0.5 * wr * wr,
-                    (2, 0): -wr * wr,
-                    (0, 2): wr * wr,
-                    (1, 1): 1j * wr * gamma / omega0,
-                }
-            )
-        lam = eigenvalue(label, omega0, gamma)
-        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state, frame)
+        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state)
 
     if name == "hpz":
         omega0_prime = float(params["omega0_prime"])
         gamma = float(params["gamma"])
         b_minus = float(params["b_hpz"])
         d = float(params["d"])
-        omega0, lam_plus, lam_minus, pref = _cl_like_geometry(omega0_prime, gamma)
+        omega0 = reduced_frequency(omega0_prime, gamma)
+        lam_plus = complex(0.5 * gamma, omega0)
+        lam_minus = complex(0.5 * gamma, -omega0)
+        pref = cmath.sqrt(1j * omega0_prime) / omega0
         b_plus = b_minus + d / (2.0 * omega0_prime)
-        state, frame = stationary_preset(
+        state, _ = stationary_preset(
             "hpz", omega0_prime=omega0_prime, gamma=gamma, b_hpz=b_minus, d=d
         )
         op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b_plus))
@@ -522,6 +468,6 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
                 }
             )
         lam = eigenvalue(label, omega0, gamma)
-        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state, frame)
+        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state)
 
     raise ValueError(f"unknown model {model!r}")

@@ -80,10 +80,6 @@ class OperatorMatrix:
     matrix: sp.csr_matrix
     config: BasisConfig
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 @lru_cache(maxsize=None)
 def ladder_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -235,24 +231,36 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     return float(np.linalg.norm(k_mat.matrix @ vec - lam * vec)) / norm
 
 
-def _expm_multiply(mat, f0: np.ndarray, **grid) -> np.ndarray:
-    """scipy's expm_multiply, with a typed error when it cannot size its steps.
+# Taylor steps an evolution may take: at basis_n 32 one step costs about
+# 1.5 ms (2-core Xeon, one BLAS thread), so the budget is a few minutes,
+# 400 times what the kl preset needs over its default span 10/gamma.
+MAX_TAYLOR_STEPS = 100_000
+# scipy's largest Taylor degree m = 55 covers a 1-norm of theta_55 per step
+_THETA_55 = 9.9
 
-    scipy counts its Taylor steps from norms of powers of t * mat; for a
-    time span too long for the matrix those norms overflow and the count
-    comes out as inf or NaN, which scipy fails to convert to an integer.
+
+def _steppable(gen, f0: np.ndarray, span: float) -> np.ndarray:
+    """f0 as a complex vector, once it fits gen and scipy can step gen over span.
+
+    scipy's expm_multiply shifts gen by mu = trace(gen)/n and takes at
+    least span * |gen - mu I|_1 / theta_55 Taylor steps.  Above
+    MAX_TAYLOR_STEPS, or for a count that is not a number,
+    EvolutionOverflow is raised before scipy starts stepping.
     """
-    from scipy.sparse.linalg import expm_multiply
+    import scipy.sparse as sp
 
     f0 = np.asarray(f0, dtype=complex)
-    if f0.shape[:1] != mat.shape[1:]:
-        raise ValueError(f"f0 of shape {f0.shape} does not fit a {mat.shape} matrix")
-    try:
-        return expm_multiply(mat, f0, **grid)
-    except (OverflowError, ValueError) as exc:
+    if f0.shape[:1] != gen.shape[1:]:
+        raise ValueError(f"f0 of shape {f0.shape} does not fit a {gen.shape} matrix")
+    n = gen.shape[0]
+    shifted = gen - (gen.trace() / n) * sp.identity(n, format="csc")
+    steps = span * float(abs(shifted).sum(axis=0).max()) / _THETA_55
+    if not steps <= MAX_TAYLOR_STEPS:
         raise EvolutionOverflow(
-            f"time span too long for the matrix: cannot size the Taylor steps ({exc})"
-        ) from exc
+            f"time span too long for the matrix: about {steps:.3g} Taylor steps, "
+            f"more than {MAX_TAYLOR_STEPS}"
+        )
+    return f0
 
 
 def evolve(k_mat: OperatorMatrix, f0: np.ndarray, t: float) -> np.ndarray:
@@ -260,9 +268,13 @@ def evolve(k_mat: OperatorMatrix, f0: np.ndarray, t: float) -> np.ndarray:
 
     Raises EvolutionOverflow when t is too large for the matrix.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return _expm_multiply(-float(t) * k_mat.matrix.tocsc(), f0)
+    gen = -k_mat.matrix.tocsc()
+    f0 = _steppable(gen, f0, abs(float(t)))
+    return expm_multiply(float(t) * gen, f0)
 
 
 def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -270,17 +282,23 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
 
     Raises EvolutionOverflow when the grid is too long for the matrix.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     times = np.asarray(times, dtype=float)
     if times.size == 1:
         return evolve(k_mat, f0, float(times[0]))[None, :]
     gaps = np.diff(times)
     if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
         raise ValueError("time grid must be uniform")
-    return _expm_multiply(
-        -k_mat.matrix.tocsc(),
-        f0,
-        start=float(times[0]),
-        stop=float(times[-1]),
+    start, stop = float(times[0]), float(times[-1])
+    gen = -k_mat.matrix.tocsc()
+    # scipy steps to the start, then across the grid
+    span = abs(start) + abs(stop - start)
+    return expm_multiply(
+        gen,
+        _steppable(gen, f0, span),
+        start=start,
+        stop=stop,
         num=times.size,
         endpoint=True,
     )
@@ -303,21 +321,15 @@ def _trace_covector_parts(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _psi_at_zero(n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[0] = math.pi ** (-0.25)
-    for k in range(1, n - 1):
-        out[k + 1] = -math.sqrt(k / (k + 1)) * out[k - 1]
-    return out
+    return _hermite_functions(np.zeros(1), n)[0]
 
 
-def trace_and_hermiticity(
-    vec: np.ndarray, cfg: BasisConfig, grid_points: int = 33, grid_radius: float = 3.0
-) -> tuple[complex, float]:
+def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:
     """Trace functional and hermiticity defect of an expanded function.
 
     The trace is the closed-form integral of f(Q, 0) over Q (only even
     Q-indices and the psi_k(0) column enter).  The hermiticity defect is
-    max |f(Q, -r) - conj(f(Q, r))| over a sample grid covering the frame
+    max |f(Q, -r) - conj(f(Q, r))| over a 33x33 grid out to three frame
     scales; the reflected values are obtained by flipping the sign of
     odd-k coefficients, not by resampling.
     """
@@ -326,8 +338,8 @@ def trace_and_hermiticity(
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
     tr_q = _trace_covector_parts(cfg.n_q) * (sq / math.sqrt(2.0)) * norm
     trace = complex(tr_q @ coeffs @ _psi_at_zero(cfg.n_r))
-    q_grid = np.linspace(-grid_radius * sq, grid_radius * sq, grid_points)
-    r_grid = np.linspace(-grid_radius / sr, grid_radius / sr, grid_points)
+    q_grid = np.linspace(-3.0 * sq, 3.0 * sq, 33)
+    r_grid = np.linspace(-3.0 / sr, 3.0 / sr, 33)
     direct = reconstruct(vec, cfg, q_grid, r_grid)
     flipped = coeffs * ((-1.0) ** np.arange(cfg.n_r))[None, :]
     reflected = reconstruct(flipped.reshape(-1), cfg, q_grid, r_grid)

@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from klform.cli import (
     build_parser,
     load_config,
     main,
+    render_json,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -228,22 +234,56 @@ def test_evolve_decay_rate(tmp_path):
 TINY_GAMMA = 2.3447469302921906e-139
 
 
+KL_16 = {"model": "kl", "preset": DESK_PRESETS["kl"], "basis_n": 16}
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, in_subprocess",
     [
-        {"model": "kl", "preset": {**DESK_PRESETS["kl"], "gamma": TINY_GAMMA}},
-        {"model": "hpz", "preset": {**DESK_PRESETS["hpz"], "gamma": TINY_GAMMA}},
-        {"model": "kl", "preset": DESK_PRESETS["kl"], "t_max": 1e308},
+        ({"model": "kl", "preset": {**DESK_PRESETS["kl"], "gamma": TINY_GAMMA}}, False),
+        ({"model": "hpz", "preset": {**DESK_PRESETS["hpz"], "gamma": TINY_GAMMA}}, False),
+        ({"model": "kl", "preset": DESK_PRESETS["kl"], "t_max": 1e308}, False),
+        # scipy stepped this span without end; a regression must fail, not hang
+        ({**KL_16, "t_max": 1e30}, True),
+        ({**KL_16, "t_max": 1e-200}, False),
+        ({**KL_16, "seed_amplitude": 1e308}, False),
+        ({**KL_16, "seed_amplitude": 1e-320}, False),
     ],
-    ids=["kl-tiny-gamma", "hpz-tiny-gamma", "kl-t-max-1e308"],
+    ids=[
+        "kl-tiny-gamma",
+        "hpz-tiny-gamma",
+        "kl-t-max-1e308",
+        "kl-t-max-1e30",
+        "kl-t-max-1e-200",
+        "kl-seed-amplitude-1e308",
+        "kl-seed-amplitude-1e-320",
+    ],
 )
-def test_evolve_beyond_the_float_range_exits_2(tmp_path, capsys, doc):
+def test_evolve_beyond_the_float_range_exits_2(tmp_path, capsys, doc, in_subprocess):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {**doc, "out": str(out)})
-    with pytest.warns(RuntimeWarning):  # from scipy, before the typed error
-        assert run_cli(["evolve", "--config", cfg]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "EvolutionOverflow"
+    if in_subprocess:
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "klform.cli", "evolve", "--config", cfg],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, stdout = proc.returncode, proc.stdout
+    else:
+        code, stdout = run_cli(["evolve", "--config", cfg]), capsys.readouterr().out
+    assert code == 2
+    assert json.loads(stdout)["error"] == "EvolutionOverflow"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_render_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        render_json({"rows": [{"overlap": value}]})
 
 
 def test_overdamped_input_exits_2_without_artifacts(tmp_path, capsys):

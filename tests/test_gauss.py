@@ -216,10 +216,16 @@ def test_kl_preset():
 def test_cl_preset_width_conversion():
     direct, _ = stationary_preset("cl", omega0_prime=1.0, gamma=0.6, b_cl=0.95)
     assert direct.width_sum == pytest.approx(0.95)
-    # passing b instead applies b_cl = b * omega0 / omega0_prime
-    omega0 = reduced_frequency(1.0, 0.6)
-    implied, _ = stationary_preset("cl", omega0_prime=1.0, gamma=0.6, b=1.0)
-    assert implied.width_sum == pytest.approx(omega0)
+    # cl is hpz without the anomalous-diffusion coupling, bit for bit
+    for params in ((1.0, 0.6, 0.95), (1.3, 0.5, 0.8), (0.9, 0.4, 1.7)):
+        w0p, gam, b = params
+        cl_state, cl_frame = stationary_preset("cl", omega0_prime=w0p, gamma=gam, b_cl=b)
+        hpz_state, hpz_frame = stationary_preset(
+            "hpz", omega0_prime=w0p, gamma=gam, b_hpz=b, d=0.0
+        )
+        cl_bits = [x.hex() for x in (*vars(cl_state).values(), *vars(cl_frame).values())]
+        hpz_bits = [x.hex() for x in (*vars(hpz_state).values(), *vars(hpz_frame).values())]
+        assert cl_bits == hpz_bits
 
 
 def test_hpz_preset_width_split():

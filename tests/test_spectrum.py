@@ -13,7 +13,10 @@ from klform import (
     EigenLabel,
     FrameMismatch,
     GENERATOR_ORDER,
+    AppliedEigenfunction,
+    IllConditionedReduction,
     LabelError,
+    LinearPhaseOperator,
     UnsupportedLabel,
     assemble_liouvillian,
     assemble_matrix,
@@ -23,7 +26,6 @@ from klform import (
     distinct_labels,
     eigenvalue,
     expand,
-    hermite,
     hermite_coefficients,
     hpz_coefficients,
     kl_coefficients,
@@ -78,7 +80,8 @@ def test_distinct_labels_counts_and_dedup():
 
 def test_hermite_polynomial_values_and_coefficients():
     x = np.linspace(-2.0, 2.0, 9)
-    assert_allclose(hermite(3, x), 8.0 * x**3 - 12.0 * x, atol=1e-12)
+    h3 = np.polynomial.polynomial.polyval(x, hermite_coefficients(3))
+    assert_allclose(h3, 8.0 * x**3 - 12.0 * x, atol=1e-12)
     assert hermite_coefficients(4) == [12, 0, -48, 0, 16]
     assert hermite_coefficients(0) == [1]
     assert hermite_coefficients(1) == [0, 2]
@@ -215,6 +218,18 @@ def test_reference_hpz_matches_plan_transport():
         f = transformed_eigenfunction(plan, lab, src)
         _, dev = sampled_proportionality(f, ref)
         assert dev <= 1e-10
+
+
+def test_non_commuting_pair_raises_typed_error():
+    """A NaN commutator fails the check too: NaN > tol is false."""
+    state = kl_eigenfunction(EigenLabel(0, 0, 1), 1.0, 1.0, 0.3).gaussian
+    pi = pi_polynomial(EigenLabel(1, 0, 1))
+    for op_q in (LinearPhaseOperator(dq=1.0), LinearPhaseOperator(dq=math.nan)):
+        with pytest.raises(IllConditionedReduction) as err:
+            AppliedEigenfunction(
+                EigenLabel(1, 0, 1), 0.3, pi, op_q, LinearPhaseOperator(q=1.0), state
+            )
+        assert err.value.residual != 0.0
 
 
 def test_reference_unsupported_label():
