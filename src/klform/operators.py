@@ -438,13 +438,27 @@ def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
     return _snap_half_integers(mat.real) + 1j * _snap_half_integers(mat.imag)
 
 
+# flow matrices kept: a reduction plan has at most five steps, so this
+# holds the steps of about one plan, which both operators of the pair
+# and every label transported through it share
+_PLAN_FLOWS = 8
+
+
+@lru_cache(maxsize=_PLAN_FLOWS)
+def _flow_matrix_4(gid: GeneratorId, param: float) -> np.ndarray:
+    """Read-only expm(param * ad_G) on (Q, r, dQ, dr)."""
+    from scipy.linalg import expm
+
+    mat = expm(param * _adjoint_matrix_4(gid))
+    mat.flags.writeable = False
+    return mat
+
+
 def conjugate_linear(
     gid: GeneratorId, param: float, op: LinearPhaseOperator
 ) -> LinearPhaseOperator:
     """exp(param*G) op exp(-param*G) for a degree-one operator op."""
-    from scipy.linalg import expm
-
-    mat = expm(float(param) * _adjoint_matrix_4(gid))
+    mat = _flow_matrix_4(gid, float(param))
     return LinearPhaseOperator.from_vector(mat @ op.as_vector())
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,6 +59,11 @@ __all__ = [
 MAX_M = 32
 # largest |[op_q, op_r]| of a commuting operator pair
 COMMUTATOR_TOL = 1e-12
+# eigenpolynomials kept, one per label: the (m + 1)^2 labels up to m = 15
+_LABEL_POLYS = 256
+# operator powers kept, shared by the labels of one plan: labels up to
+# m = 3 have degree <= 6 and reach at most the 49 powers with j, k <= 6
+_PLAN_POWERS = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -221,13 +227,15 @@ class BivariatePoly:
         return f"BivariatePoly({{{items}}})"
 
 
+@lru_cache(maxsize=_LABEL_POLYS)
 def pi_polynomial(label: EigenLabel) -> BivariatePoly:
     """Normal-form eigenpolynomial Pi(m, n, sign) in (Qs, rs).
 
     Triple sum over (mu, nu, sigma) of c_coefficient times
     Qs^(2(mu-nu)+n-sigma) H_(2nu+sigma)(rs), with the Hermite factor
     expanded into monomials.  Total degree is 2m - n.  m above MAX_M is
-    rejected (LabelError).
+    rejected (LabelError).  Cached per label; a BivariatePoly hands out
+    only copies of its terms, so callers cannot change the cached one.
     """
     if label.m > MAX_M:
         raise LabelError(f"m = {label.m} exceeds the cap {MAX_M}")
@@ -279,6 +287,24 @@ def _apply_linear_to_poly(
     return {k: v for k, v in out.items() if v != 0}
 
 
+@lru_cache(maxsize=_PLAN_POWERS)
+def _operator_power(
+    op_q: LinearPhaseOperator, op_r: LinearPhaseOperator, s: GaussianState, j: int, k: int
+) -> MappingProxyType:
+    """Read-only coefficients of (op_q^j op_r^k f)/f for the Gaussian f = s.
+
+    op_r is applied k times to 1, then op_q j times; each power is
+    built from the cached one below it.
+    """
+    if j > 0:
+        poly = _apply_linear_to_poly(op_q, _operator_power(op_q, op_r, s, j - 1, k), s)
+    elif k > 0:
+        poly = _apply_linear_to_poly(op_r, _operator_power(op_q, op_r, s, 0, k - 1), s)
+    else:
+        poly = {(0, 0): 1.0 + 0j}
+    return MappingProxyType(poly)
+
+
 @dataclass(eq=False)
 class AppliedEigenfunction:
     """Eigenfunction Pi(op_q, op_r) applied to a Gaussian.
@@ -311,22 +337,10 @@ class AppliedEigenfunction:
     @cached_property
     def expanded_poly(self) -> BivariatePoly:
         """Polynomial P(Q, r) with f(Q, r) = P(Q, r) * gaussian(Q, r)."""
-        max_j = max((j for j, _ in self.pi.terms), default=0)
-        max_k = max((k for _, k in self.pi.terms), default=0)
-        table: dict = {(0, 0): {(0, 0): 1.0 + 0j}}
-        for k in range(1, max_k + 1):
-            table[(0, k)] = _apply_linear_to_poly(
-                self.op_r, table[(0, k - 1)], self.gaussian
-            )
-        for j in range(1, max_j + 1):
-            for k in range(max_k + 1):
-                if (j - 1, k) in table:
-                    table[(j, k)] = _apply_linear_to_poly(
-                        self.op_q, table[(j - 1, k)], self.gaussian
-                    )
         total: dict = {}
         for (j, k), coeff in self.pi.terms.items():
-            for key, val in table[(j, k)].items():
+            power = _operator_power(self.op_q, self.op_r, self.gaussian, j, k)
+            for key, val in power.items():
                 total[key] = total.get(key, 0) + coeff * val
         return BivariatePoly(total)
 
@@ -355,13 +369,17 @@ def transformed_eigenfunction(
     multiplication pair are transported through the steps in reverse
     order with negated parameters.  The transported Gaussian may pass
     outside the physical region; only a non-normalizable endpoint
-    (mu + nu <= 0) is an error.  A transported pair that no longer
-    commutes raises IllConditionedReduction (see AppliedEigenfunction).
+    (mu + nu <= 0) is an error.  A plan that does not replay source onto
+    its target, or a transported pair that no longer commutes (see
+    AppliedEigenfunction), raises IllConditionedReduction carrying the
+    miss.
     """
-    if plan.replay_residual(source) > 1e-8 * max(
-        1.0, float(np.max(np.abs(source.as_vector())))
-    ):
-        raise ValueError("plan does not reduce the given source coefficients")
+    resid = plan.replay_residual(source)
+    if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(source.as_vector())))):
+        raise IllConditionedReduction(
+            f"plan does not reduce the given source coefficients: replay residual {resid}",
+            resid,
+        )
     inverse_steps = [(gid, -p) for gid, p in reversed(plan.steps)]
     base_state, _ = stationary_preset("kl", b=plan.b)
     state = apply_plan_gaussian(inverse_steps, base_state)

@@ -29,6 +29,7 @@ from .operators import (
     assemble_liouvillian,
     rescale_coordinates,
 )
+from .spectrum import AppliedEigenfunction
 
 # scipy is imported inside the functions that call it, so that the
 # closed-form layers, and the CLI subcommands built on them alone, start
@@ -98,30 +99,20 @@ def ladder_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return x_mat, d_mat
 
 
-def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
-    """Matrix of a normal-ordered operator in the tensor basis.
+# Kronecker matrices kept, one per (monomial, n_q, n_r): a quadratic
+# operator has at most 15 normal-ordered monomials, so this covers the
+# basis sizes of several oracles at once
+_BASIS_MONOMIALS = 128
 
-    The operator is first rewritten in the frame's normalized
-    coordinates; a monomial Qs^a rs^b dQs^c drs^d then maps to
+
+@lru_cache(maxsize=_BASIS_MONOMIALS)
+def _monomial_matrix(mono: tuple[int, int, int, int], n_q: int, n_r: int) -> sp.csr_matrix:
+    """Read-only matrix of Qs^a rs^b dQs^c drs^d on n_q x n_r Hermite functions.
+
     (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r factor,
-    multiplication factors to the left of derivative factors.  Total
-    degree above 4 is rejected: higher powers of the truncated ladder
-    matrices lose the exact-representation property this oracle relies on.
+    multiplication factors to the left of derivative factors.
     """
     import scipy.sparse as sp
-
-    if op.degree() > 4:
-        raise DegreeError(f"operator degree {op.degree()} exceeds 4")
-    scaled = rescale_coordinates(op, cfg.frame)
-    xq, dq = ladder_matrices(cfg.n_q)
-    xr, dr = ladder_matrices(cfg.n_r)
-    mult_q = (xq / math.sqrt(2.0)).tocsr()
-    dif_q = (dq * math.sqrt(2.0)).tocsr()
-    mult_r = (xr / math.sqrt(2.0)).tocsr()
-    dif_r = (dr * math.sqrt(2.0)).tocsr()
-    total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    eye_q = sp.identity(cfg.n_q, format="csr")
-    eye_r = sp.identity(cfg.n_r, format="csr")
 
     def power(mat, k, eye):
         out = eye
@@ -129,10 +120,40 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
             out = out @ mat
         return out
 
-    for (a, b, c, d), coeff in scaled.terms.items():
-        factor_q = power(mult_q, a, eye_q) @ power(dif_q, c, eye_q)
-        factor_r = power(mult_r, b, eye_r) @ power(dif_r, d, eye_r)
-        total = total + coeff * sp.kron(factor_q, factor_r, format="csr")
+    def factor(n, mult_power, dif_power):
+        x_mat, d_mat = ladder_matrices(n)
+        eye = sp.identity(n, format="csr")
+        mult = (x_mat / math.sqrt(2.0)).tocsr()
+        dif = (d_mat * math.sqrt(2.0)).tocsr()
+        return power(mult, mult_power, eye) @ power(dif, dif_power, eye)
+
+    a, b, c, d = mono
+    mat = sp.kron(factor(n_q, a, c), factor(n_r, b, d), format="csr")
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
+    """Matrix of a normal-ordered operator in the tensor basis.
+
+    The operator is first rewritten in the frame's normalized
+    coordinates; a monomial Qs^a rs^b dQs^c drs^d then maps to
+    (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r factor,
+    multiplication factors to the left of derivative factors.  The
+    monomial matrices are cached per basis size and summed in the
+    operator's term order.  Total degree above 4 is rejected: higher
+    powers of the truncated ladder matrices lose the exact-representation
+    property this oracle relies on.
+    """
+    import scipy.sparse as sp
+
+    if op.degree() > 4:
+        raise DegreeError(f"operator degree {op.degree()} exceeds 4")
+    scaled = rescale_coordinates(op, cfg.frame)
+    total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
+    for mono, coeff in scaled.terms.items():
+        total = total + coeff * _monomial_matrix(mono, cfg.n_q, cfg.n_r)
     return OperatorMatrix(total.tocsr(), cfg)
 
 
@@ -161,6 +182,25 @@ def _hermite_functions(x: np.ndarray, n_basis: int) -> np.ndarray:
             - math.sqrt(j / (j + 1)) * psi[:, j - 1]
         )
     return psi
+
+
+def _nodes(frame: CoordinateFrame, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes in Q and in r of the frame."""
+    x, _ = _quadrature(n_nodes)
+    return (frame.s_q / math.sqrt(2.0)) * x, x / (math.sqrt(2.0) * frame.s_r)
+
+
+# Gaussians on the quadrature grid kept: every mode of a plan shares one
+_PLAN_ENVELOPES = 1
+
+
+@lru_cache(maxsize=_PLAN_ENVELOPES)
+def _envelope(gauss: GaussianState, frame: CoordinateFrame, n_nodes: int) -> np.ndarray:
+    """Read-only values of gauss on the n_nodes x n_nodes grid of the frame."""
+    q_nodes, r_nodes = _nodes(frame, n_nodes)
+    values = gauss.evaluate(q_nodes[:, None], r_nodes[None, :])
+    values.flags.writeable = False
+    return values
 
 
 def _gaussian_of(f):
@@ -196,11 +236,16 @@ def expand(f, cfg: BasisConfig) -> np.ndarray:
                 stacklevel=2,
             )
     n_nodes = 2 * max(cfg.n_q, cfg.n_r)
-    x, wtot = _quadrature(n_nodes)
+    _, wtot = _quadrature(n_nodes)
+    q_nodes, r_nodes = _nodes(cfg.frame, n_nodes)
+    if isinstance(f, AppliedEigenfunction):
+        # f.evaluate is this product; the Gaussian factor is shared by every
+        # mode of a plan
+        poly = f.expanded_poly.evaluate(q_nodes[:, None], r_nodes[None, :])
+        values = poly * _envelope(f.gaussian, cfg.frame, n_nodes)
+    else:
+        values = np.asarray(f.evaluate(q_nodes[:, None], r_nodes[None, :]), dtype=complex)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
-    q_nodes = (sq / math.sqrt(2.0)) * x
-    r_nodes = x / (math.sqrt(2.0) * sr)
-    values = np.asarray(f.evaluate(q_nodes[:, None], r_nodes[None, :]), dtype=complex)
     psi_q = _basis_at(n_nodes, cfg.n_q)
     psi_r = _basis_at(n_nodes, cfg.n_r)
     pref = math.sqrt(sq / math.sqrt(2.0)) * math.sqrt(1.0 / (math.sqrt(2.0) * sr))

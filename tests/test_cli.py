@@ -280,6 +280,23 @@ def test_evolve_beyond_the_float_range_exits_2(tmp_path, capsys, doc, in_subproc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{**KL_16, "t_max": 1e-20}, {**KL_16, "seed_amplitude": 1e-16}],
+    ids=["kl-t-max-1e-20", "kl-seed-amplitude-1e-16"],
+)
+def test_evolve_fails_when_the_decay_fit_misses_the_rate(tmp_path, doc):
+    # trace and hermiticity hold here; only the fitted rate tells the
+    # decay was not seen
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**doc, "out": str(out)})
+    assert run_cli(["evolve", "--config", cfg]) == 3
+    doc = json.loads((out / "evolve.json").read_text())
+    assert doc["max_trace_error"] <= 1e-8
+    assert doc["max_hermiticity_defect"] <= 1e-8
+    assert doc["rate_rel_error"] > 0.5
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_render_refuses_non_finite_floats(value):
     with pytest.raises(ValueError, match="non-finite"):

@@ -232,6 +232,16 @@ def test_non_commuting_pair_raises_typed_error():
         assert err.value.residual != 0.0
 
 
+def test_plan_of_another_source_raises_typed_error():
+    src_a = cl_coefficients(1.0, 0.6, 1.0)
+    src_b = hpz_coefficients(1.0, 0.6, 1.0, 0.2)
+    plan_a = reduce_to_kl(src_a, b_target=1.0)
+    with pytest.raises(IllConditionedReduction, match="does not reduce") as err:
+        transformed_eigenfunction(plan_a, EigenLabel(1, 0, 1), src_b)
+    assert err.value.residual == plan_a.replay_residual(src_b)
+    assert err.value.residual > 0.1
+
+
 def test_reference_unsupported_label():
     with pytest.raises(UnsupportedLabel):
         reference_eigenfunction("kl", EigenLabel(2, 2, 1), b=1.0, omega0=1.0, gamma=0.3)
