@@ -61,8 +61,8 @@ MAX_M = 32
 COMMUTATOR_TOL = 1e-12
 # eigenpolynomials kept, one per label: the (m + 1)^2 labels up to m = 15
 _LABEL_POLYS = 256
-# operator powers kept, shared by the labels of one plan: labels up to
-# m = 3 have degree <= 6 and reach at most the 49 powers with j, k <= 6
+# operator powers kept, shared by the labels of one plan: the labels up to
+# m = 2 reach 13 powers, those up to m = 5 reach 61
 _PLAN_POWERS = 64
 
 

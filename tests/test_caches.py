@@ -19,6 +19,7 @@ from klform import (
     BasisConfig,
     FrameMismatch,
     LinearPhaseOperator,
+    PhasePolyOperator,
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
@@ -184,11 +185,11 @@ def test_conjugate_linear_equals_a_fresh_exponential(gid):
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
     fs = modes(SOURCES["c02-0"])
     cfg = BasisConfig(24, 24, fs[0].frame)
-    op = assemble_liouvillian(SOURCES["c02-0"])
-    first = assemble_matrix(op, cfg).matrix
-    reference = first.copy()
-    first.data *= 3.0
-    assert same_matrix(assemble_matrix(op, cfg).matrix, reference)
+    for op in (assemble_liouvillian(SOURCES["c02-0"]), PhasePolyOperator.identity()):
+        first = assemble_matrix(op, cfg).matrix
+        reference = first.copy()
+        first.data *= 3.0
+        assert same_matrix(assemble_matrix(op, cfg).matrix, reference)
 
     vec = quiet_expand(fs[1], cfg)
     reference = vec.copy()
