@@ -69,7 +69,6 @@ from .reduction import (
 )
 from .spectrum import (
     AppliedEigenfunction,
-    BivariatePoly,
     EigenLabel,
     c_coefficient,
     distinct_labels,
@@ -88,7 +87,6 @@ from .verify import (
     assemble_matrix,
     biorthogonality_check,
     eigenvalues_in_window,
-    evolve,
     evolve_series,
     expand,
     ladder_matrices,

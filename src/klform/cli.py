@@ -395,13 +395,11 @@ def cmd_eigfun(cfg: RunConfig):
     lam = complex(mode.eigenvalue)
 
     def poly_rows(poly):
-        rows = []
-        for (a, b) in sorted(poly.terms):
-            c = poly.terms[(a, b)]
-            rows.append(
-                {"q_power": a, "r_power": b, "re": c.real, "im": c.imag}
-            )
-        return rows
+        # both polynomials are multiplication operators, with terms (a, b, 0, 0)
+        return [
+            {"q_power": a, "r_power": b, "re": c.real, "im": c.imag}
+            for (a, b, _, _), c in sorted(poly.terms.items())
+        ]
 
     g = mode.gaussian
     doc = {
@@ -518,11 +516,13 @@ def cmd_evolve(cfg: RunConfig):
         "max_trace_error": max_trace_error,
         "max_hermiticity_defect": max_defect,
     }
-    # trace and hermiticity hold even when the span or the seeded deviation
-    # is too small to show the decay, so the fitted rate must match too
+    # the roundoff of the trace and of the reflection grows with the seeded
+    # deviation; both hold even when the span or the deviation is too small
+    # to show the decay, so the fitted rate must match too
+    scaled_tol = cfg.tol * max(1.0, abs(cfg.seed_amplitude))
     passed = (
-        max_trace_error <= cfg.tol
-        and max_defect <= cfg.tol
+        max_trace_error <= scaled_tol
+        and max_defect <= scaled_tol
         and doc["rate_rel_error"] <= cfg.tol
     )
     return {"evolve.json": render_json(doc)}, passed

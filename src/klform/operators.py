@@ -108,7 +108,10 @@ class PhasePolyOperator:
     to complex coefficients.  Exact zeros are dropped on construction so
     that equal operators compare equal term-by-term.
 
-    Supports + and -, scalar multiplication, and composition with @.
+    Supports + and -, scalar multiplication, composition with @, and
+    evaluation of the operator applied to the constant function 1.  A
+    polynomial P(Q, r) is the multiplication operator with terms
+    (a, b, 0, 0).
     Composition normal-orders the product: each derivative commuted past
     a multiplication factor picks up the Leibniz terms
 
@@ -147,6 +150,17 @@ class PhasePolyOperator:
             return 0
         return max(sum(key) for key in self._terms)
 
+    def evaluate(self, q, r) -> np.ndarray:
+        """(op 1)(q, r) with numpy broadcasting: derivatives annihilate the
+        constant 1, so only the multiplication terms Q^a r^b contribute."""
+        q = np.asarray(q)
+        r = np.asarray(r)
+        out = np.zeros(np.broadcast(q, r).shape, dtype=complex)
+        for (a, b, c, d), coeff in self._terms.items():
+            if c == 0 and d == 0:
+                out += coeff * q**a * r**b
+        return out
+
     def __add__(self, other):
         out = dict(self._terms)
         for key, val in other._terms.items():
@@ -183,12 +197,6 @@ class PhasePolyOperator:
         if not isinstance(other, PhasePolyOperator):
             return NotImplemented
         return self._terms == other._terms
-
-    def isclose(self, other: "PhasePolyOperator", tol: float = 1e-12) -> bool:
-        keys = set(self._terms) | set(other._terms)
-        return all(
-            abs(self._terms.get(k, 0) - other._terms.get(k, 0)) <= tol for k in keys
-        )
 
     def max_abs_diff(self, other: "PhasePolyOperator") -> float:
         keys = set(self._terms) | set(other._terms)

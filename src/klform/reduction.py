@@ -164,15 +164,26 @@ class ReductionPlan:
         except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient
             return math.inf
 
+    def check_replay(self, c: LiouvillianCoeffs) -> None:
+        """Raise IllConditionedReduction carrying the replay residual of c
+        unless it is at most REPLAY_TOL times the largest coefficient of c
+        (at least 1); inf and NaN fail."""
+        resid = self.replay_residual(c)
+        if not resid <= REPLAY_TOL * max(1.0, float(np.max(np.abs(c.as_vector())))):
+            raise IllConditionedReduction(
+                f"plan does not reduce the given coefficients: replay residual {resid} "
+                "exceeds tolerance",
+                resid,
+            )
+
 
 def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     """Build the conjugation sequence reducing c to normal form at width b_target.
 
     Step order: IL0 rotation, IM1 boost (these fix h), then the three
     shifts OPLUS, L1PLUS, L2PLUS (these fix g; gamma is invariant
-    throughout).  The returned plan is verified by replaying it; a replay
-    residual above REPLAY_TOL (relative to the largest coefficient) raises
-    IllConditionedReduction carrying the residual.
+    throughout).  The returned plan is verified by replaying it
+    (ReductionPlan.check_replay).
     """
     if b_target < 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
@@ -187,7 +198,5 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     eta = step2_solve(omega0, c.gamma, work.g, target.g)
     steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
-    resid = plan.replay_residual(c)
-    if resid > REPLAY_TOL * max(1.0, float(np.max(np.abs(c.as_vector())))):
-        raise IllConditionedReduction(f"replay residual {resid} exceeds tolerance", resid)
+    plan.check_replay(c)
     return plan

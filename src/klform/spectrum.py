@@ -35,6 +35,7 @@ from .operators import (
     CoordinateFrame,
     LinearPhaseOperator,
     LiouvillianCoeffs,
+    PhasePolyOperator,
     conjugate_linear,
     kl_coefficients,
 )
@@ -42,7 +43,6 @@ from .reduction import ReductionPlan
 
 __all__ = [
     "EigenLabel",
-    "BivariatePoly",
     "AppliedEigenfunction",
     "eigenvalue",
     "hermite_coefficients",
@@ -162,80 +162,16 @@ def c_coefficient(
     return sign_factor * parity * combs * root / denom
 
 
-class BivariatePoly:
-    """Polynomial in two commuting symbols, terms (j, k) -> coefficient.
-
-    Used both for abstract operator polynomials (symbols = the two
-    conjugated degree-one operators) and for plain polynomials in the
-    coordinates.  Exact zeros are dropped.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        canon = {}
-        if terms:
-            for (j, k), coeff in terms.items():
-                if j < 0 or k < 0 or int(j) != j or int(k) != k:
-                    raise ValueError(f"exponents must be non-negative integers: {(j, k)}")
-                val = complex(coeff)
-                if val != 0:
-                    canon[(int(j), int(k))] = val
-        self._terms = canon
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(j + k for j, k in self._terms)
-
-    def evaluate(self, q, r) -> np.ndarray:
-        q = np.asarray(q)
-        r = np.asarray(r)
-        out = np.zeros(np.broadcast(q, r).shape, dtype=complex)
-        for (j, k), coeff in self._terms.items():
-            out += coeff * q**j * r**k
-        return out
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for key, val in other._terms.items():
-            out[key] = out.get(key, 0) + val
-        return BivariatePoly(out)
-
-    def __mul__(self, scalar):
-        return BivariatePoly({k: v * scalar for k, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def isclose(self, other: "BivariatePoly", tol: float = 1e-12) -> bool:
-        keys = set(self._terms) | set(other._terms)
-        return all(
-            abs(self._terms.get(k, 0) - other._terms.get(k, 0)) <= tol for k in keys
-        )
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {v}" for k, v in sorted(self._terms.items()))
-        return f"BivariatePoly({{{items}}})"
-
-
 @lru_cache(maxsize=_LABEL_POLYS)
-def pi_polynomial(label: EigenLabel) -> BivariatePoly:
+def pi_polynomial(label: EigenLabel) -> PhasePolyOperator:
     """Normal-form eigenpolynomial Pi(m, n, sign) in (Qs, rs).
 
     Triple sum over (mu, nu, sigma) of c_coefficient times
     Qs^(2(mu-nu)+n-sigma) H_(2nu+sigma)(rs), with the Hermite factor
-    expanded into monomials.  Total degree is 2m - n.  m above MAX_M is
-    rejected (LabelError).  Cached per label; a BivariatePoly hands out
-    only copies of its terms, so callers cannot change the cached one.
+    expanded into monomials; Qs^j rs^k is the term (j, k, 0, 0) of a
+    multiplication operator.  Total degree is 2m - n.  m above MAX_M is
+    rejected (LabelError).  Cached per label; a PhasePolyOperator hands
+    out only copies of its terms, so callers cannot change the cached one.
     """
     if label.m > MAX_M:
         raise LabelError(f"m = {label.m} exceeds the cap {MAX_M}")
@@ -248,9 +184,9 @@ def pi_polynomial(label: EigenLabel) -> BivariatePoly:
                 jexp = 2 * (mu_idx - nu_idx) + n - sigma_idx
                 for kexp, hc in enumerate(hermite_coefficients(2 * nu_idx + sigma_idx)):
                     if hc:
-                        key = (jexp, kexp)
+                        key = (jexp, kexp, 0, 0)
                         terms[key] = terms.get(key, 0) + c * hc
-    return BivariatePoly(terms)
+    return PhasePolyOperator(terms)
 
 
 def _apply_linear_to_poly(
@@ -310,16 +246,17 @@ class AppliedEigenfunction:
     """Eigenfunction Pi(op_q, op_r) applied to a Gaussian.
 
     pi holds the polynomial in the two commuting degree-one operators
-    op_q, op_r; gaussian is the stationary state the polynomial acts on.
-    evaluate() multiplies out the operator polynomial once (cached) and
-    then evaluates polynomial times Gaussian pointwise.  A pair that does
-    not commute to within COMMUTATOR_TOL (NaN included) raises
-    IllConditionedReduction carrying the commutator.
+    op_q, op_r, with op_q^j op_r^k as the term (j, k, 0, 0); gaussian is
+    the stationary state the polynomial acts on.  evaluate() multiplies
+    out the operator polynomial once (cached) and then evaluates
+    polynomial times Gaussian pointwise.  A pair that does not commute to
+    within COMMUTATOR_TOL (NaN included) raises IllConditionedReduction
+    carrying the commutator.
     """
 
     label: EigenLabel
     eigenvalue: complex
-    pi: BivariatePoly
+    pi: PhasePolyOperator
     op_q: LinearPhaseOperator
     op_r: LinearPhaseOperator
     gaussian: GaussianState
@@ -335,14 +272,15 @@ class AppliedEigenfunction:
         return self.gaussian.frame()
 
     @cached_property
-    def expanded_poly(self) -> BivariatePoly:
-        """Polynomial P(Q, r) with f(Q, r) = P(Q, r) * gaussian(Q, r)."""
+    def expanded_poly(self) -> PhasePolyOperator:
+        """Multiplication by P(Q, r) with f(Q, r) = P(Q, r) * gaussian(Q, r)."""
         total: dict = {}
-        for (j, k), coeff in self.pi.terms.items():
+        for (j, k, _, _), coeff in self.pi.terms.items():
             power = _operator_power(self.op_q, self.op_r, self.gaussian, j, k)
-            for key, val in power.items():
+            for (a, b), val in power.items():
+                key = (a, b, 0, 0)
                 total[key] = total.get(key, 0) + coeff * val
-        return BivariatePoly(total)
+        return PhasePolyOperator(total)
 
     def evaluate(self, q, r) -> np.ndarray:
         return self.expanded_poly.evaluate(q, r) * self.gaussian.evaluate(q, r)
@@ -370,16 +308,11 @@ def transformed_eigenfunction(
     order with negated parameters.  The transported Gaussian may pass
     outside the physical region; only a non-normalizable endpoint
     (mu + nu <= 0) is an error.  A plan that does not replay source onto
-    its target, or a transported pair that no longer commutes (see
-    AppliedEigenfunction), raises IllConditionedReduction carrying the
-    miss.
+    its target (ReductionPlan.check_replay), or a transported pair that no
+    longer commutes (see AppliedEigenfunction), raises
+    IllConditionedReduction carrying the miss.
     """
-    resid = plan.replay_residual(source)
-    if not resid <= 1e-8 * max(1.0, float(np.max(np.abs(source.as_vector())))):
-        raise IllConditionedReduction(
-            f"plan does not reduce the given source coefficients: replay residual {resid}",
-            resid,
-        )
+    plan.check_replay(source)
     inverse_steps = [(gid, -p) for gid, p in reversed(plan.steps)]
     base_state, _ = stationary_preset("kl", b=plan.b)
     state = apply_plan_gaussian(inverse_steps, base_state)
@@ -437,9 +370,9 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
         op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b))
         op_r = LinearPhaseOperator(r=math.sqrt(b / 2.0))
         if label.n == 1:
-            pi = BivariatePoly({(1, 0): -1j * label.sigma, (0, 1): -1j})
+            pi = PhasePolyOperator({(1, 0, 0, 0): -1j * label.sigma, (0, 1, 0, 0): -1j})
         else:
-            pi = BivariatePoly({(0, 0): 0.5, (2, 0): -1.0, (0, 2): 1.0})
+            pi = PhasePolyOperator({(0, 0, 0, 0): 0.5, (2, 0, 0, 0): -1.0, (0, 2, 0, 0): 1.0})
         lam = eigenvalue(label, omega0, gamma)
         return AppliedEigenfunction(label, lam, pi, op_q, op_r, state)
 
@@ -461,28 +394,28 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
         if label.n == 1:
             scale = math.sqrt(b_plus + b_minus)
             if label.sigma == 1:
-                pi = BivariatePoly(
+                pi = PhasePolyOperator(
                     {
-                        (1, 0): pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_plus)),
-                        (0, 1): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_minus)),
+                        (1, 0, 0, 0): pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_plus)),
+                        (0, 1, 0, 0): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_minus)),
                     }
                 )
             else:
-                pi = BivariatePoly(
+                pi = PhasePolyOperator(
                     {
-                        (1, 0): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_plus)),
-                        (0, 1): -pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_minus)),
+                        (1, 0, 0, 0): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_plus)),
+                        (0, 1, 0, 0): -pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_minus)),
                     }
                 )
         else:
             wr = omega0_prime / omega0
             lead = wr * (b_plus + b_minus) / (2.0 * b_plus)
-            pi = BivariatePoly(
+            pi = PhasePolyOperator(
                 {
-                    (0, 0): 0.5 * lead * wr,
-                    (2, 0): -lead * wr,
-                    (0, 2): lead * wr * (b_plus / b_minus),
-                    (1, 1): 1j * lead * (gamma / omega0) * math.sqrt(b_plus / b_minus),
+                    (0, 0, 0, 0): 0.5 * lead * wr,
+                    (2, 0, 0, 0): -lead * wr,
+                    (0, 2, 0, 0): lead * wr * (b_plus / b_minus),
+                    (1, 1, 0, 0): 1j * lead * (gamma / omega0) * math.sqrt(b_plus / b_minus),
                 }
             )
         lam = eigenvalue(label, omega0, gamma)

@@ -45,7 +45,6 @@ __all__ = [
     "expand",
     "reconstruct",
     "residual",
-    "evolve",
     "evolve_series",
     "trace_and_hermiticity",
     "all_eigenvalues",
@@ -308,35 +307,27 @@ def _steppable(gen, f0: np.ndarray, span: float) -> np.ndarray:
     return f0
 
 
-def evolve(k_mat: OperatorMatrix, f0: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t K) f0 via scipy's Krylov-free expm_multiply.
-
-    Raises EvolutionOverflow when t is too large for the matrix.
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    gen = -k_mat.matrix.tocsc()
-    f0 = _steppable(gen, f0, abs(float(t)))
-    return expm_multiply(float(t) * gen, f0)
-
-
 def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-t K) f0 on a uniform time grid; rows follow `times`.
 
-    Raises EvolutionOverflow when the grid is too long for the matrix.
+    A one-point grid is a single expm_multiply of t * (-K), and its t
+    must be finite (ValueError).  Raises EvolutionOverflow when the grid
+    is too long for the matrix.
     """
     from scipy.sparse.linalg import expm_multiply
 
     times = np.asarray(times, dtype=float)
+    gen = -k_mat.matrix.tocsc()
     if times.size == 1:
-        return evolve(k_mat, f0, float(times[0]))[None, :]
+        t = float(times[0])
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
+        f0 = _steppable(gen, f0, abs(t))  # before t * gen can overflow
+        return expm_multiply(t * gen, f0)[None, :]
     gaps = np.diff(times)
     if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
         raise ValueError("time grid must be uniform")
     start, stop = float(times[0]), float(times[-1])
-    gen = -k_mat.matrix.tocsc()
     # scipy steps to the start, then across the grid
     span = abs(start) + abs(stop - start)
     return expm_multiply(
@@ -403,14 +394,6 @@ def _total_degree(cfg: BasisConfig) -> np.ndarray:
 _GRADING_TOL = 1e-12
 
 
-def _is_graded(k_mat: OperatorMatrix) -> bool:
-    """Whether no entry raises the total degree j + k beyond roundoff."""
-    coo = k_mat.matrix.tocoo()
-    deg = _total_degree(k_mat.config)
-    raising = np.abs(coo.data[deg[coo.row] > deg[coo.col]])
-    return bool(np.all(raising <= _GRADING_TOL * np.max(np.abs(coo.data), initial=0.0)))
-
-
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     """Spectrum of the truncated matrix.
 
@@ -418,12 +401,17 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     the total Hermite degree j + k: ordered by degree it is block
     upper-triangular, so its spectrum is the union of those of the small
     diagonal blocks, one per degree, each diagonalized densely.  A matrix
-    that fails this check falls back to one dense solve.
+    with a degree-raising entry above roundoff raises DegreeError.
     """
     mat = k_mat.matrix.tocsr()
-    if not _is_graded(k_mat):
-        return np.linalg.eigvals(mat.toarray())
     deg = _total_degree(k_mat.config)
+    coo = mat.tocoo()
+    raising = np.abs(coo.data[deg[coo.row] > deg[coo.col]])
+    if not np.all(raising <= _GRADING_TOL * np.max(np.abs(coo.data), initial=0.0)):
+        raise DegreeError(
+            "matrix raises the Hermite degree beyond roundoff: its frame does not "
+            "match a Gaussian that is stationary for the operator"
+        )
     order = np.argsort(deg, kind="stable")
     graded = mat[order][:, order]
     edges = np.searchsorted(deg[order], np.arange(deg.max() + 2))
@@ -495,16 +483,10 @@ def refined_window_eigenvalues(
     Gaussian `state`, whose frame makes the matrix graded by Hermite
     degree; the eigenvalues then come from the small, well-conditioned
     blocks of all_eigenvalues.  A state that is not stationary for
-    `coeffs` breaks the grading and raises DegreeError.
+    `coeffs` breaks the grading, and all_eigenvalues raises DegreeError.
     """
     op, frame = stationary_similarity(coeffs, state)
-    k_mat = assemble_matrix(op, BasisConfig(n_q, n_r, frame))
-    if not _is_graded(k_mat):
-        raise DegreeError(
-            "conjugated matrix raises the Hermite degree beyond roundoff: "
-            "the state is not stationary for these coefficients"
-        )
-    return eigenvalues_in_window(k_mat, radius)
+    return eigenvalues_in_window(assemble_matrix(op, BasisConfig(n_q, n_r, frame)), radius)
 
 
 @dataclass

@@ -111,9 +111,12 @@ def fresh_assemble(op, cfg):
 
 
 def fresh_expanded_poly(f):
-    """expanded_poly's terms as they were before the cache: one table per label."""
-    max_j = max((j for j, _ in f.pi.terms), default=0)
-    max_k = max((k for _, k in f.pi.terms), default=0)
+    """expanded_poly's terms as they were before the cache: one table per label.
+
+    The table holds the coefficients of op_q^j op_r^k 1 keyed (a, b); the
+    polynomials are multiplication operators with terms (a, b, 0, 0)."""
+    max_j = max((j for j, _, _, _ in f.pi.terms), default=0)
+    max_k = max((k for _, k, _, _ in f.pi.terms), default=0)
     table = {(0, 0): {(0, 0): 1.0 + 0j}}
     for k in range(1, max_k + 1):
         table[(0, k)] = _apply_linear_to_poly(f.op_r, table[(0, k - 1)], f.gaussian)
@@ -122,9 +125,9 @@ def fresh_expanded_poly(f):
             if (j - 1, k) in table:
                 table[(j, k)] = _apply_linear_to_poly(f.op_q, table[(j - 1, k)], f.gaussian)
     total = {}
-    for (j, k), coeff in f.pi.terms.items():
-        for key, val in table[(j, k)].items():
-            total[key] = total.get(key, 0) + coeff * val
+    for (j, k, _, _), coeff in f.pi.terms.items():
+        for (a, b), val in table[(j, k)].items():
+            total[(a, b, 0, 0)] = total.get((a, b, 0, 0), 0) + coeff * val
     return {key: val for key, val in total.items() if val != 0}
 
 
@@ -199,7 +202,7 @@ def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
     assert same_bits(quiet_expand(fs[2], cfg), quiet_expand(modes(SOURCES["c02-0"])[2], cfg))
 
     terms = fs[3].expanded_poly.terms
-    terms[(0, 0)] = 123.0
+    terms[(0, 0, 0, 0)] = 123.0
     again = modes(SOURCES["c02-0"])[3]
     assert exact(again.expanded_poly.terms) == exact(fresh_expanded_poly(again))
 

@@ -297,6 +297,18 @@ def test_evolve_fails_when_the_decay_fit_misses_the_rate(tmp_path, doc):
     assert doc["rate_rel_error"] > 0.5
 
 
+def test_evolve_trace_bound_scales_with_the_seed_amplitude(tmp_path):
+    # the roundoff of the trace (about 1e-5 here) and of the reflection
+    # grows with the seeded deviation; only the fitted rate keeps tol as is
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**KL_16, "seed_amplitude": 1e10, "out": str(out)})
+    assert run_cli(["evolve", "--config", cfg]) == 0
+    doc = json.loads((out / "evolve.json").read_text())
+    assert 1e-8 < doc["max_trace_error"] <= 1e-8 * 1e10
+    assert doc["max_hermiticity_defect"] <= 1e-8 * 1e10
+    assert doc["rate_rel_error"] <= 1e-8
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_render_refuses_non_finite_floats(value):
     with pytest.raises(ValueError, match="non-finite"):

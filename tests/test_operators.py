@@ -75,13 +75,36 @@ def test_normal_ordering_second_derivative():
     expected = PhasePolyOperator(
         {(2, 0, 2, 0): 1.0, (1, 0, 1, 0): 4.0, (0, 0, 0, 0): 2.0}
     )
-    assert prod.isclose(expected)
+    assert prod.max_abs_diff(expected) <= 1e-12
+
+
+def test_polynomial_algebra_and_evaluate():
+    """A polynomial P(Q, r) is the multiplication operator with terms
+    (a, b, 0, 0); evaluate is (op 1)(Q, r), so derivative terms add nothing."""
+    p = PhasePolyOperator({(1, 0, 0, 0): 2.0, (0, 1, 0, 0): -1j})
+    q = PhasePolyOperator({(1, 0, 0, 0): -2.0})
+    assert (p + q).terms == {(0, 1, 0, 0): -1j}
+    doubled = PhasePolyOperator({(1, 0, 0, 0): 4.0, (0, 1, 0, 0): -2j})
+    assert (2.0 * p).max_abs_diff(doubled) <= 1e-12
+    assert_allclose(p.evaluate(np.array([[0.5]]), np.array([[2.0]])), [[1.0 - 2j]])
+
+    x = np.linspace(-1.3, 1.3, 7)[:, None]
+    y = np.linspace(-0.9, 0.9, 6)[None, :]
+    poly = PhasePolyOperator({(0, 0, 0, 0): 0.5, (2, 1, 0, 0): -1.5j, (0, 3, 0, 0): 0.25})
+    direct = 0.5 - 1.5j * x**2 * y + 0.25 * y**3
+    assert poly.evaluate(x, y).shape == (7, 6)
+    assert_allclose(poly.evaluate(x, y), direct, rtol=0, atol=1e-14)
+    derivatives = PhasePolyOperator(
+        {(1, 0, 1, 0): 3.0, (0, 2, 0, 1): -2j, (0, 0, 2, 0): 1.0, (0, 0, 0, 1): 0.7}
+    )
+    assert np.array_equal(derivatives.evaluate(x, y), np.zeros((7, 6)))
+    assert np.array_equal((poly + derivatives).evaluate(x, y), poly.evaluate(x, y))
 
 
 def test_commutator_oscillation_and_boost():
     lhs = commutator(generator(GeneratorId.IL0), generator(GeneratorId.IM1))
     rhs = (-1.0) * generator(GeneratorId.IM2)
-    assert lhs.isclose(rhs, tol=1e-15)
+    assert lhs.max_abs_diff(rhs) <= 1e-15
 
 
 def test_commutators_close_over_span():
@@ -124,7 +147,7 @@ def test_assemble_liouvillian_matches_hand_expansion():
             (0, 2, 0, 0): gam * b,
         }
     )
-    assert op.isclose(expected, tol=1e-14)
+    assert op.max_abs_diff(expected) <= 1e-14
 
 
 def test_assemble_liouvillian_hpz_extra_term():
@@ -133,7 +156,7 @@ def test_assemble_liouvillian_hpz_extra_term():
     op_hpz = assemble_liouvillian(hpz_coefficients(w0p, gam, b, d))
     diff = op_hpz + (-1.0) * op_cl
     # the cross coupling contributes -d * L2PLUS = (i d/2) r dQ
-    assert diff.isclose(PhasePolyOperator({(0, 1, 1, 0): 0.5j * d}), tol=1e-14)
+    assert diff.max_abs_diff(PhasePolyOperator({(0, 1, 1, 0): 0.5j * d})) <= 1e-14
 
 
 def test_model_coefficient_tuples():

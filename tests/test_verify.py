@@ -25,7 +25,6 @@ from klform import (
     cl_coefficients,
     distinct_labels,
     eigenvalue,
-    evolve,
     evolve_series,
     expand,
     hpz_coefficients,
@@ -236,14 +235,12 @@ def test_stationary_similarity_respects_degree_grading(model):
     assert degree_raising_ratio(k_mat) <= _GRADING_TOL
 
 
-def test_all_eigenvalues_dense_fallback_for_ungraded_matrix():
+def test_all_eigenvalues_rejects_an_ungraded_matrix():
     cfg = BasisConfig(12, 12, CoordinateFrame(1.3, 0.7))
     k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
     assert degree_raising_ratio(k_mat) > 1e-3
-    eigvals = all_eigenvalues(k_mat)
-    assert eigvals.size == cfg.dim
-    # the fallback is the very same dense solve, so the values agree exactly
-    assert np.array_equal(eigvals, np.linalg.eigvals(k_mat.matrix.toarray()))
+    with pytest.raises(DegreeError, match="raises the Hermite degree"):
+        all_eigenvalues(k_mat)
 
 
 def test_all_eigenvalues_contains_low_spectrum():
@@ -258,9 +255,9 @@ def test_all_eigenvalues_contains_low_spectrum():
 def test_evolve_identity_and_eigenmode_decay():
     _, cfg, k_mat = kl_setup(28, gamma=0.5)
     f10 = expand(kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.5), cfg)
-    assert_allclose(evolve(k_mat, f10, 0.0), f10, atol=1e-14)
+    assert_allclose(evolve_series(k_mat, f10, [0.0])[0], f10, atol=1e-14)
     t = 2.0
-    moved = evolve(k_mat, f10, t)
+    moved = evolve_series(k_mat, f10, [t])[0]
     assert_allclose(moved, math.exp(-0.5 * t) * f10, atol=1e-10)
 
 
@@ -270,7 +267,7 @@ def test_evolve_preserves_trace_of_mixtures():
         kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.5), cfg
     )
     t0, _ = trace_and_hermiticity(vec, cfg)
-    t1, _ = trace_and_hermiticity(evolve(k_mat, vec, 3.0), cfg)
+    t1, _ = trace_and_hermiticity(evolve_series(k_mat, vec, [3.0])[0], cfg)
     assert t1 == pytest.approx(t0, abs=1e-10)
 
 
@@ -281,9 +278,12 @@ def test_evolve_series_grid_handling():
     rows = evolve_series(k_mat, f0, times)
     assert rows.shape == (5, cfg.dim)
     assert_allclose(rows[0], f0, atol=1e-12)
-    assert_allclose(rows[-1], evolve(k_mat, f0, 4.0), atol=1e-10)
+    assert_allclose(rows[-1], evolve_series(k_mat, f0, [4.0])[0], atol=1e-10)
     with pytest.raises(ValueError):
         evolve_series(k_mat, f0, np.array([0.0, 1.0, 3.0]))
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_series(k_mat, f0, [t])
 
 
 TINY_GAMMA = 2.3447469302921906e-139
@@ -304,14 +304,15 @@ TINY_GAMMA = 2.3447469302921906e-139
 )
 def test_evolve_beyond_the_float_range_raises_typed_error(coeffs, preset, t_end):
     """The Taylor step count of the matrix exponential exceeds its budget;
-    both evolve routes raise EvolutionOverflow before scipy steps."""
+    a one-point grid and an 81-point grid both raise EvolutionOverflow
+    before scipy steps."""
     model, params = preset
     state, frame = stationary_preset(model, **params)
     cfg = BasisConfig(32, 32, frame)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
     f0 = expand(state, cfg)
     with pytest.raises(EvolutionOverflow):
-        evolve(k_mat, f0, t_end)
+        evolve_series(k_mat, f0, [t_end])
     with pytest.raises(EvolutionOverflow):
         evolve_series(k_mat, f0, np.linspace(0.0, t_end, 81))
 

@@ -3,9 +3,10 @@
 Runs `klform.cli.main` in-process for the six subcommands on eight sources:
 the kl, cl and hpz presets, the generic config of the cli-batch benchmark
 (40x40 basis, tolerance 1e-7), and two cl and two hpz configs away from the
-preset values.  Each run starts in a fresh directory with the relative
-output directory `out`, so the printed JSON depends only on the exit codes,
-stdout and artifact bytes.  klform is imported from PYTHONPATH, which makes
+preset values.  `eigfun` runs at the label (2, 0, +1) on cl-b, at (3, 2, -1)
+on hpz-b and at the default (1, 1, +1) on the others.  Each run starts in a
+fresh directory with the relative output directory `out`, so the printed
+JSON depends only on the exit codes, stdout and artifact bytes.  klform is imported from PYTHONPATH, which makes
 two checkouts comparable:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.json
@@ -38,6 +39,7 @@ SOURCES = {
         "model": "cl",
         "preset": {"omega0_prime": 0.9, "gamma": 0.4, "b_cl": 1.7},
         "b_target": 1.5,
+        "label": [2, 0, 1],
     },
     "hpz-a": {
         "model": "hpz",
@@ -47,6 +49,7 @@ SOURCES = {
         "model": "hpz",
         "preset": {"omega0_prime": 0.8, "gamma": 0.3, "b_hpz": 1.4, "d": -0.1},
         "m_max": 3,
+        "label": [3, 2, -1],
     },
 }
 
