@@ -20,12 +20,11 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EvolutionOverflow, FrameMismatch, KLFormError
+from .errors import EvolutionOverflow, KLFormError
 from .gauss import stationary_preset
 from .operators import (
     GeneratorId,
@@ -402,12 +401,13 @@ def cmd_eigfun(cfg: RunConfig):
         ]
 
     g = mode.gaussian
+    frame = g.frame()
     doc = {
         "model": cfg.model,
         "label": _label_doc(mode.label),
         "eigenvalue": {"re": lam.real, "im": lam.imag},
         "gaussian": {"mu": g.mu, "kappa": g.kappa, "nu": g.nu},
-        "frame": {"s_q": mode.frame.s_q, "s_r": mode.frame.s_r},
+        "frame": {"s_q": frame.s_q, "s_r": frame.s_r},
         "operator_polynomial": poly_rows(mode.pi),
         "multiplier_polynomial": poly_rows(mode.expanded_poly),
     }
@@ -566,9 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(command: str, cfg: RunConfig) -> tuple[dict, bool]:
     """Execute one subcommand; returns ({filename: text}, passed)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FrameMismatch)
-        return DISPATCH[command](cfg)
+    return DISPATCH[command](cfg)
 
 
 def main(argv=None) -> int:

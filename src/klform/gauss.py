@@ -36,6 +36,9 @@ __all__ = [
 
 _NO_WINDOW = (GeneratorId.IL0, GeneratorId.IM1, GeneratorId.IM2)
 
+# normalized width or phase difference up to which a Gaussian fits a frame
+FRAME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -68,17 +71,20 @@ class GaussianState:
         return self.nu >= 0.0
 
     def frame(self) -> CoordinateFrame:
-        """Scales (1/sqrt(2*mu), sqrt((mu+nu)/2)) that normalize the envelope.
+        """Scales (1/sqrt(2*mu), sqrt((mu+nu)/2)) and phase kappa of the Gaussian.
 
-        In the resulting coordinates the envelope is exp(-Qs^2 - rs^2/...),
-        i.e. the pure-width part matches the normal-form stationary state.
+        The state is then one basis function of the oracle.  A normalized
+        phase |kappa| s_q / (sqrt(2) s_r) of at most FRAME_TOL is transport
+        roundoff (5.8e-17 on the cl preset): the frame takes 0.0.
         Requires mu + nu > 0.
         """
         if self.width_sum <= 0:
             raise PositivityViolation(
                 f"mu + nu = {self.width_sum} must be positive to define a frame"
             )
-        return CoordinateFrame(1.0 / math.sqrt(2.0 * self.mu), math.sqrt(self.width_sum / 2.0))
+        s_q, s_r = 1.0 / math.sqrt(2.0 * self.mu), math.sqrt(self.width_sum / 2.0)
+        phase = abs(self.kappa) * s_q / (math.sqrt(2.0) * s_r)
+        return CoordinateFrame(s_q, s_r, self.kappa if phase > FRAME_TOL else 0.0)
 
     def evaluate(self, q, r) -> np.ndarray:
         q = np.asarray(q, dtype=float)

@@ -285,20 +285,24 @@ class LiouvillianCoeffs:
 
 @dataclass(frozen=True)
 class CoordinateFrame:
-    """Positive scale factors mapping physical to normalized coordinates.
+    """Scale factors and phase of the Gaussian a function is expanded against.
 
     Normalized coordinates are Qs = Q / s_q and rs = s_r * r; note the
-    relative coordinate is multiplied, not divided.
+    relative coordinate is multiplied, not divided.  A frame with phase
+    kappa expands f * exp(i kappa Q r).
     """
 
     s_q: float
     s_r: float
+    kappa: float = 0.0
 
     def __post_init__(self):
         if not (self.s_q > 0 and math.isfinite(self.s_q)):
             raise ValueError("s_q must be positive and finite")
         if not (self.s_r > 0 and math.isfinite(self.s_r)):
             raise ValueError("s_r must be positive and finite")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
 
 
 def generator(gid: GeneratorId) -> PhasePolyOperator:
@@ -470,14 +474,35 @@ def conjugate_linear(
     return LinearPhaseOperator.from_vector(mat @ op.as_vector())
 
 
+def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> PhasePolyOperator:
+    """exp(-phi) op exp(phi) for a polynomial phi(Q, r), terms (a, b, 0, 0).
+
+    Each derivative picks up the gradient of phi, dQ -> dQ + [dQ, phi] =
+    dQ + dphi/dQ and likewise dr, so a quadratic phi keeps op's degree.
+    """
+    d_q, d_r = PhasePolyOperator({(0, 0, 1, 0): 1.0}), PhasePolyOperator({(0, 0, 0, 1): 1.0})
+    sub_q, sub_r = d_q + commutator(d_q, phi), d_r + commutator(d_r, phi)
+    out = PhasePolyOperator({})
+    for (a, b, c, d), coeff in op.terms.items():
+        term = PhasePolyOperator({(a, b, 0, 0): coeff})
+        for _ in range(c):
+            term = term @ sub_q
+        for _ in range(d):
+            term = term @ sub_r
+        out = out + term
+    return out
+
+
 def rescale_coordinates(
     op: PhasePolyOperator, frame: CoordinateFrame
 ) -> PhasePolyOperator:
-    """Rewrite op in normalized coordinates Qs = Q/s_q, rs = s_r*r.
+    """Rewrite exp(i kappa Q r) op exp(-i kappa Q r) in Qs = Q/s_q, rs = s_r*r.
 
     Each monomial picks up the factor s_q^(a-c) * s_r^(d-b); exponents
     are unchanged.
     """
+    if frame.kappa:
+        op = exponential_similarity(op, PhasePolyOperator({(1, 1, 0, 0): -1j * frame.kappa}))
     sq, sr = frame.s_q, frame.s_r
     return PhasePolyOperator(
         {

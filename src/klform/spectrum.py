@@ -32,7 +32,6 @@ from .gauss import (
     stationary_preset,
 )
 from .operators import (
-    CoordinateFrame,
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
@@ -265,11 +264,6 @@ class AppliedEigenfunction:
         comm = abs(self.op_q.commutator_scalar(self.op_r))
         if not comm <= COMMUTATOR_TOL:
             raise IllConditionedReduction(f"transported pair fails to commute by {comm}", comm)
-
-    @property
-    def frame(self) -> CoordinateFrame:
-        """Natural coordinates of the Gaussian: gaussian.frame()."""
-        return self.gaussian.frame()
 
     @cached_property
     def expanded_poly(self) -> PhasePolyOperator:

@@ -2,8 +2,9 @@
 
 Functions f(Q, r) are expanded over products of orthonormal Hermite
 functions psi_j(u) psi_k(v) of the scaled coordinates u = sqrt(2) Q/s_q,
-v = sqrt(2) s_r r, where (s_q, s_r) form the expansion frame.  With a
-frame matched to a stationary Gaussian the eigenfunctions of a quadratic
+v = sqrt(2) s_r r, where (s_q, s_r) are the scales of the expansion frame;
+a frame with phase kappa expands f * exp(i kappa Q r).  With a frame
+matched to a stationary Gaussian the eigenfunctions of a quadratic
 evolution operator are finite combinations, so truncation is exact for
 low modes and every closed-form claim can be checked against plain
 sparse linear algebra: residuals, evolution, traces, spectra, and
@@ -15,18 +16,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegreeError, EvolutionOverflow, FrameMismatch, PairingFailure, ZeroVector
-from .gauss import GaussianState
+from .gauss import FRAME_TOL, GaussianState
 from .operators import (
     CoordinateFrame,
     PhasePolyOperator,
     assemble_liouvillian,
+    exponential_similarity,
     rescale_coordinates,
 )
 from .spectrum import AppliedEigenfunction
@@ -136,10 +138,10 @@ def _monomial_matrix(mono: tuple[int, int, int, int], n_q: int, n_r: int) -> sp.
 def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     """Matrix of a normal-ordered operator in the tensor basis.
 
-    The operator is first rewritten in the frame's normalized
-    coordinates; a monomial Qs^a rs^b dQs^c drs^d then maps to
-    (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r factor,
-    multiplication factors to the left of derivative factors.  The
+    The operator is first conjugated by the frame's phase and rewritten
+    in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
+    maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
+    factor, multiplication factors to the left of derivative factors.  The
     monomial matrices are cached per basis size and summed in the
     operator's term order.  Total degree above 4 is rejected: higher
     powers of the truncated ladder matrices lose the exact-representation
@@ -195,8 +197,9 @@ _PLAN_ENVELOPES = 1
 
 @lru_cache(maxsize=_PLAN_ENVELOPES)
 def _envelope(gauss: GaussianState, frame: CoordinateFrame, n_nodes: int) -> np.ndarray:
-    """Read-only values of gauss on the n_nodes x n_nodes grid of the frame."""
+    """Read-only values of gauss times the frame's phase on the frame's grid."""
     q_nodes, r_nodes = _nodes(frame, n_nodes)
+    gauss = replace(gauss, kappa=gauss.kappa - frame.kappa)  # phases cancel exactly
     values = gauss.evaluate(q_nodes[:, None], r_nodes[None, :])
     values.flags.writeable = False
     return values
@@ -209,28 +212,29 @@ def _gaussian_of(f):
 
 
 def expand(f, cfg: BasisConfig) -> np.ndarray:
-    """Coefficient vector of f in the tensor basis, by Gauss-Hermite quadrature.
+    """Coefficient vector of f * exp(i kappa Q r) in the tensor basis of the
+    frame (phase kappa), by Gauss-Hermite quadrature.
 
     f must expose evaluate(Q, r) supporting numpy broadcasting; Gaussian
     states and applied eigenfunctions both do.  The quadrature order is
     twice the larger basis size, exact for polynomial-times-envelope
-    integrands of the matched frame.  If f carries a Gaussian whose
-    quadratic form differs from the frame's, a FrameMismatch warning is
-    emitted and the (slowly converging) expansion is still returned.
+    integrands of the matched frame.  If f carries a Gaussian that does
+    not fit the frame, in its widths or its phase, a FrameMismatch warning
+    is emitted and the (slowly converging) expansion is still returned.
     """
     gauss = _gaussian_of(f)
     if gauss is not None:
-        sq, sr = cfg.frame.s_q, cfg.frame.s_r
+        sq, sr, kappa = cfg.frame.s_q, cfg.frame.s_r, cfg.frame.kappa
         width = gauss.width_sum
         mismatch = (
-            abs(2.0 * gauss.mu * sq * sq - 1.0) > 1e-9
-            or abs(2.0 * sr * sr / width - 1.0) > 1e-9
-            or abs(gauss.kappa) * sq / (math.sqrt(2.0) * sr) > 1e-9
+            abs(2.0 * gauss.mu * sq * sq - 1.0) > FRAME_TOL
+            or abs(2.0 * sr * sr / width - 1.0) > FRAME_TOL
+            or abs(gauss.kappa - kappa) * sq / (math.sqrt(2.0) * sr) > FRAME_TOL
         )
         if mismatch:
             warnings.warn(
-                f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) "
-                f"does not match frame (s_q={sq}, s_r={sr}); expansion accuracy degrades",
+                f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) does not "
+                f"match frame (s_q={sq}, s_r={sr}, kappa={kappa}); expansion accuracy degrades",
                 FrameMismatch,
                 stacklevel=2,
             )
@@ -238,12 +242,13 @@ def expand(f, cfg: BasisConfig) -> np.ndarray:
     _, wtot = _quadrature(n_nodes)
     q_nodes, r_nodes = _nodes(cfg.frame, n_nodes)
     if isinstance(f, AppliedEigenfunction):
-        # f.evaluate is this product; the Gaussian factor is shared by every
-        # mode of a plan
+        # f.evaluate is this product; the Gaussian factor, with the phase, is
+        # shared by every mode of a plan
         poly = f.expanded_poly.evaluate(q_nodes[:, None], r_nodes[None, :])
         values = poly * _envelope(f.gaussian, cfg.frame, n_nodes)
     else:
-        values = np.asarray(f.evaluate(q_nodes[:, None], r_nodes[None, :]), dtype=complex)
+        phase = np.exp(1j * cfg.frame.kappa * np.outer(q_nodes, r_nodes))
+        values = f.evaluate(q_nodes[:, None], r_nodes[None, :]) * phase
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     psi_q = _basis_at(n_nodes, cfg.n_q)
     psi_r = _basis_at(n_nodes, cfg.n_r)
@@ -253,7 +258,8 @@ def expand(f, cfg: BasisConfig) -> np.ndarray:
 
 
 def reconstruct(vec: np.ndarray, cfg: BasisConfig, q, r) -> np.ndarray:
-    """Evaluate an expansion on the outer grid of 1-D arrays q and r."""
+    """Evaluate an expansion, the frame's phase taken off, on the outer grid
+    of 1-D arrays q and r."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
@@ -263,7 +269,8 @@ def reconstruct(vec: np.ndarray, cfg: BasisConfig, q, r) -> np.ndarray:
     psi_r = _hermite_functions(v, cfg.n_r)
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
     coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
-    return norm * psi_q @ coeffs @ psi_r.T
+    phase = np.exp(-1j * cfg.frame.kappa * np.outer(q, r)) if cfg.frame.kappa else 1.0
+    return norm * psi_q @ coeffs @ psi_r.T * phase
 
 
 def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
@@ -311,33 +318,35 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     """exp(-t K) f0 on a uniform time grid; rows follow `times`.
 
     A one-point grid is a single expm_multiply of t * (-K), and its t
-    must be finite (ValueError).  Raises EvolutionOverflow when the grid
-    is too long for the matrix.
+    must be finite; an empty grid is refused too (ValueError).  Raises
+    EvolutionOverflow when the grid is too long for the matrix or the
+    evolution leaves the float range.
     """
     from scipy.sparse.linalg import expm_multiply
 
     times = np.asarray(times, dtype=float)
     gen = -k_mat.matrix.tocsc()
+    if times.size == 0:
+        raise ValueError("time grid must not be empty")
     if times.size == 1:
         t = float(times[0])
         if not math.isfinite(t):
             raise ValueError("t must be finite")
         f0 = _steppable(gen, f0, abs(t))  # before t * gen can overflow
-        return expm_multiply(t * gen, f0)[None, :]
-    gaps = np.diff(times)
-    if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
-        raise ValueError("time grid must be uniform")
-    start, stop = float(times[0]), float(times[-1])
-    # scipy steps to the start, then across the grid
-    span = abs(start) + abs(stop - start)
-    return expm_multiply(
-        gen,
-        _steppable(gen, f0, span),
-        start=start,
-        stop=stop,
-        num=times.size,
-        endpoint=True,
-    )
+        gen, kwargs = t * gen, {}
+    else:
+        gaps = np.diff(times)
+        if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
+            raise ValueError("time grid must be uniform")
+        start, stop = float(times[0]), float(times[-1])
+        # scipy steps to the start, then across the grid
+        f0 = _steppable(gen, f0, abs(start) + abs(stop - start))
+        kwargs = dict(start=start, stop=stop, num=times.size, endpoint=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        series = expm_multiply(gen, f0, **kwargs)
+    if not np.all(np.isfinite(series)):
+        raise EvolutionOverflow("the evolution leaves the float range on this basis")
+    return series[None, :] if times.size == 1 else series
 
 
 @lru_cache(maxsize=None)
@@ -367,8 +376,10 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
     Q-indices and the psi_k(0) column enter).  The hermiticity defect is
     max |f(Q, -r) - conj(f(Q, r))| over a 33x33 grid out to three frame
     scales; the reflected values are obtained by flipping the sign of
-    odd-k coefficients, not by resampling.
+    odd-k coefficients, not by resampling.  Both read the expansion
+    without the frame's phase, which is 1 at r = 0 and conjugated by r -> -r.
     """
+    cfg = replace(cfg, frame=replace(cfg.frame, kappa=0.0))
     coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
@@ -430,7 +441,8 @@ def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
 def stationary_similarity(
     coeffs, state: GaussianState
 ) -> tuple[PhasePolyOperator, CoordinateFrame]:
-    """Conjugate a Liouvillian by the square root of its stationary Gaussian.
+    """Conjugate a Liouvillian by the square root of its stationary Gaussian's
+    modulus, and by the Gaussian's phase.
 
     The evolution operator is strongly non-normal in the plain Hermite
     basis: its right eigenfunctions are polynomials times the stationary
@@ -441,33 +453,18 @@ def stationary_similarity(
     eigenvalue condition numbers by many orders of magnitude without
     changing the spectrum.
 
-    Returns the conjugated operator together with the coordinate frame
-    whose basis weight matches the half-Gaussian, so the conjugated
-    eigenfunctions are again finite basis combinations.
+    Returns the operator conjugated by the real half-Gaussian, and the
+    frame of its widths with the state's whole phase, which assemble_matrix
+    conjugates by; the conjugated eigenfunctions are again finite basis
+    combinations.
     """
     mu = state.mu
-    kap = state.kappa
     w = state.width_sum
     if w <= 0.0:
         raise ValueError("stationary Gaussian must have positive width sum")
-    # d/dQ and d/dr pick up the gradient of log sqrt(gaussian)
-    sub_q = PhasePolyOperator(
-        {(0, 0, 1, 0): 1.0, (1, 0, 0, 0): -2.0 * mu, (0, 1, 0, 0): -0.5j * kap}
-    )
-    sub_r = PhasePolyOperator(
-        {(0, 0, 0, 1): 1.0, (1, 0, 0, 0): -0.5j * kap, (0, 1, 0, 0): -0.5 * w}
-    )
-    op = assemble_liouvillian(coeffs)
-    out = PhasePolyOperator({})
-    for (a, b, c, d), coeff in op.terms.items():
-        term = PhasePolyOperator({(a, b, 0, 0): coeff})
-        for _ in range(c):
-            term = term @ sub_q
-        for _ in range(d):
-            term = term @ sub_r
-        out = out + term
-    frame = CoordinateFrame(1.0 / math.sqrt(mu), math.sqrt(w) / 2.0)
-    return out, frame
+    half = PhasePolyOperator({(2, 0, 0, 0): -mu, (0, 2, 0, 0): -0.25 * w})
+    op = exponential_similarity(assemble_liouvillian(coeffs), half)
+    return op, CoordinateFrame(1.0 / math.sqrt(mu), math.sqrt(w) / 2.0, state.frame().kappa)
 
 
 def refined_window_eigenvalues(
@@ -479,9 +476,9 @@ def refined_window_eigenvalues(
 ) -> np.ndarray:
     """Truncated-matrix eigenvalues with |lambda| <= radius, sorted by (re, im).
 
-    The Liouvillian is conjugated by the square root of the stationary
-    Gaussian `state`, whose frame makes the matrix graded by Hermite
-    degree; the eigenvalues then come from the small, well-conditioned
+    The Liouvillian is conjugated by stationary_similarity of the
+    stationary Gaussian `state`, whose frame makes the matrix graded by
+    Hermite degree; the eigenvalues then come from the small, well-conditioned
     blocks of all_eigenvalues.  A state that is not stationary for
     `coeffs` breaks the grading, and all_eigenvalues raises DegreeError.
     """

@@ -1,7 +1,6 @@
 """Truncated-basis oracle: assembly, expansion, evolution, biorthogonality."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +147,19 @@ def test_expand_reconstruct_round_trip():
     assert_allclose(reconstruct(vec, cfg, q, r), direct, atol=1e-10)
 
 
+def test_a_gaussian_with_a_phase_is_one_basis_function_of_its_frame():
+    state = GaussianState(mu=0.3, kappa=0.8, nu=0.5)
+    cfg = BasisConfig(12, 12, state.frame())
+    assert cfg.frame.kappa == 0.8
+    vec = expand(state, cfg)
+    assert abs(vec[0]) > 0.5
+    assert np.max(np.abs(vec[1:])) <= 1e-13
+    q = np.linspace(-2.5, 2.5, 9)
+    r = np.linspace(-1.8, 1.8, 8)
+    direct = state.evaluate(q[:, None], r[None, :])
+    assert_allclose(reconstruct(vec, cfg, q, r), direct, atol=1e-13)
+
+
 def test_expand_warns_on_frame_mismatch():
     _, cfg, _ = kl_setup(10)
     off_state = GaussianState(mu=0.4, kappa=0.0, nu=0.6)
@@ -284,6 +296,8 @@ def test_evolve_series_grid_handling():
     for t in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             evolve_series(k_mat, f0, [t])
+    with pytest.raises(ValueError, match="must not be empty"):
+        evolve_series(k_mat, f0, [])
 
 
 TINY_GAMMA = 2.3447469302921906e-139
@@ -385,9 +399,7 @@ def test_biorthogonality_transported_modes():
     modes = [transformed_eigenfunction(plan, lab, src) for lab in distinct_labels(1)]
     cfg = BasisConfig(36, 36, modes[0].gaussian.frame())
     k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FrameMismatch)
-        report = biorthogonality_check(k_mat, modes, tol=1e-6)
+    report = biorthogonality_check(k_mat, modes, tol=1e-6)
     assert report.passed
 
 

@@ -1,9 +1,11 @@
 """Exit code and sha256 of stdout plus artifacts for a fixed set of CLI runs.
 
-Runs `klform.cli.main` in-process for the six subcommands on eight sources:
+Runs `klform.cli.main` in-process for the six subcommands on nine sources:
 the kl, cl and hpz presets, the generic config of the cli-batch benchmark
-(40x40 basis, tolerance 1e-7), and two cl and two hpz configs away from the
-preset values.  `eigfun` runs at the label (2, 0, +1) on cl-b, at (3, 2, -1)
+(40x40 basis, tolerance 1e-7), a second generic source whose transported
+Gaussian has a large phase kappa (draw 432 of the criterion-02 recipe at
+seed 630948696, same basis and tolerance), and two cl and two hpz configs
+away from the preset values.  `eigfun` runs at the label (2, 0, +1) on cl-b, at (3, 2, -1)
 on hpz-b and at the default (1, 1, +1) on the others.  Each run starts in a
 fresh directory with the relative output directory `out`, so the printed
 JSON depends only on the exit codes, stdout and artifact bytes.  klform is imported from PYTHONPATH, which makes
@@ -31,6 +33,16 @@ SOURCES = {
     "generic": {
         "model": "generic",
         "coefficients": {"h": [2.2, 0.4, -0.3], "gamma": 0.5, "g": [-1.1, 0.2, 0.3]},
+        "basis_n": 40,
+        "tol": 1e-7,
+    },
+    "generic-b": {
+        "model": "generic",
+        "coefficients": {
+            "h": [1.9109153716086482, 0.0, -1.0290809590950434],
+            "gamma": 0.9831829473770743,
+            "g": [-1.8696805952981936, 0.8812674395635763, 1.525608071675152],
+        },
         "basis_n": 40,
         "tol": 1e-7,
     },
