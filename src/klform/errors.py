@@ -26,8 +26,9 @@ class SingularGError(KLFormError):
 
 
 class PositivityViolation(KLFormError):
-    """A Gaussian map parameter leaves the positivity window, or a state
-    fails mu > 0, nu >= 0."""
+    """A Gaussian state or a preset's widths fail a requirement: mu > 0,
+    mu + nu > 0 where the state must be normalizable, nu >= 0 where it
+    must be physical."""
 
 
 class DegenerateDenominator(KLFormError):

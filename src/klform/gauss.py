@@ -86,6 +86,21 @@ class GaussianState:
         phase = abs(self.kappa) * s_q / (math.sqrt(2.0) * s_r)
         return CoordinateFrame(s_q, s_r, self.kappa if phase > FRAME_TOL else 0.0)
 
+    def fits(self, frame: CoordinateFrame) -> bool:
+        """Whether the state is one basis function of frame: the normalized
+        differences of its widths and phase from the frame's are at most
+        FRAME_TOL.  Requires mu + nu > 0."""
+        if self.width_sum <= 0:
+            raise PositivityViolation(
+                f"mu + nu = {self.width_sum} must be positive to fit a frame"
+            )
+        sq, sr = frame.s_q, frame.s_r
+        return (
+            abs(2.0 * self.mu * sq * sq - 1.0) <= FRAME_TOL
+            and abs(2.0 * sr * sr / self.width_sum - 1.0) <= FRAME_TOL
+            and abs(self.kappa - frame.kappa) * sq / (math.sqrt(2.0) * sr) <= FRAME_TOL
+        )
+
     def evaluate(self, q, r) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         r = np.asarray(r, dtype=float)
@@ -134,34 +149,17 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
     raise ValueError(f"unknown generator {gid!r}")
 
 
-def _check_window(gid: GeneratorId, param: float, s: GaussianState) -> None:
-    lo, hi = positivity_window(gid, s)
-    slack_lo = 1e-12 * (1.0 + abs(lo)) if math.isfinite(lo) else 0.0
-    slack_hi = 1e-12 * (1.0 + abs(hi)) if math.isfinite(hi) else 0.0
-    if param < lo - slack_lo or param > hi + slack_hi:
-        raise PositivityViolation(
-            f"parameter {param} of {gid.name} outside positivity window [{lo}, {hi}]"
-        )
-
-
-def transform_gaussian(
-    gid: GeneratorId, param: float, s: GaussianState, enforce_window: bool = True
-) -> GaussianState:
+def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> GaussianState:
     """Parameters of exp(param*G) applied to the Gaussian s.
 
     All seven flows preserve the trace, so the result is again a
     unit-trace Gaussian and the parameter triple determines it fully.
-    With enforce_window=True (default) a physical input must stay
-    physical: the parameter is checked against positivity_window and
-    PositivityViolation is raised outside it.  With enforce_window=False
-    the map is applied formally, which is what eigenfunction transport
-    needs; only a vanishing or sign-changing denominator, or a mapped
-    parameter outside the float range, raises (DegenerateDenominator).
-    Nonphysical inputs are never window-checked.
+    The map is formal, as eigenfunction transport needs: a physical s
+    stays physical only for a parameter in positivity_window(gid, s).
+    Only a vanishing or sign-changing denominator, or a mapped parameter
+    outside the float range, raises (DegenerateDenominator).
     """
     p = float(param)
-    if enforce_window and s.is_physical():
-        _check_window(gid, p, s)
     mu, kappa, w = s.mu, s.kappa, s.width_sum
     dis = s.delta()
     if gid is GeneratorId.IL0:
@@ -221,15 +219,14 @@ def _guard_denominator(den: float) -> None:
 def apply_plan_gaussian(steps, s: GaussianState) -> GaussianState:
     """Apply a sequence of (GeneratorId, param) steps to a Gaussian, in order.
 
-    The maps are applied formally (transform_gaussian with
-    enforce_window=False), as eigenfunction transport needs: the state may
-    pass outside the physical region.  Errors from an individual step are
+    The maps are formal (transform_gaussian): the state may pass outside
+    the physical region.  Errors from an individual step are
     re-raised with the step index prepended to the message.
     """
     out = s
     for idx, (gid, param) in enumerate(steps):
         try:
-            out = transform_gaussian(gid, param, out, enforce_window=False)
+            out = transform_gaussian(gid, param, out)
         except (PositivityViolation, DegenerateDenominator) as exc:
             raise type(exc)(f"step {idx} ({gid.name}, {param}): {exc}") from exc
     return out

@@ -308,14 +308,14 @@ def transformed_eigenfunction(
     """
     plan.check_replay(source)
     inverse_steps = [(gid, -p) for gid, p in reversed(plan.steps)]
-    base_state, _ = stationary_preset("kl", b=plan.b)
+    base_state, frame = stationary_preset("kl", b=plan.b)
     state = apply_plan_gaussian(inverse_steps, base_state)
     if state.width_sum <= 0:
         raise PositivityViolation(
             "transported stationary Gaussian is not normalizable (mu + nu <= 0)"
         )
-    op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * plan.b))
-    op_r = LinearPhaseOperator(r=math.sqrt(plan.b / 2.0))
+    op_q = LinearPhaseOperator(q=1.0 / frame.s_q)
+    op_r = LinearPhaseOperator(r=frame.s_r)
     for gid, p in inverse_steps:
         op_q = conjugate_linear(gid, p, op_q)
         op_r = conjugate_linear(gid, p, op_r)
@@ -355,36 +355,24 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
         raise UnsupportedLabel(f"no closed form tabulated for {label}")
     if name == "cl":
         name, params = "hpz", {**params, "b_hpz": params["b_cl"], "d": 0.0}
+    # ValueError for an unknown model
+    state, frame = stationary_preset(name, **params)
+    gamma = float(params["gamma"])
 
     if name == "kl":
-        b = float(params["b"])
         omega0 = float(params["omega0"])
-        gamma = float(params["gamma"])
-        state, _ = stationary_preset("kl", b=b)
-        op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b))
-        op_r = LinearPhaseOperator(r=math.sqrt(b / 2.0))
         if label.n == 1:
             pi = PhasePolyOperator({(1, 0, 0, 0): -1j * label.sigma, (0, 1, 0, 0): -1j})
         else:
             pi = PhasePolyOperator({(0, 0, 0, 0): 0.5, (2, 0, 0, 0): -1.0, (0, 2, 0, 0): 1.0})
-        lam = eigenvalue(label, omega0, gamma)
-        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state)
-
-    if name == "hpz":
+    else:
         omega0_prime = float(params["omega0_prime"])
-        gamma = float(params["gamma"])
         b_minus = float(params["b_hpz"])
-        d = float(params["d"])
         omega0 = reduced_frequency(omega0_prime, gamma)
         lam_plus = complex(0.5 * gamma, omega0)
         lam_minus = complex(0.5 * gamma, -omega0)
         pref = cmath.sqrt(1j * omega0_prime) / omega0
-        b_plus = b_minus + d / (2.0 * omega0_prime)
-        state, _ = stationary_preset(
-            "hpz", omega0_prime=omega0_prime, gamma=gamma, b_hpz=b_minus, d=d
-        )
-        op_q = LinearPhaseOperator(q=1.0 / math.sqrt(2.0 * b_plus))
-        op_r = LinearPhaseOperator(r=math.sqrt(b_minus / 2.0))
+        b_plus = b_minus + float(params["d"]) / (2.0 * omega0_prime)
         if label.n == 1:
             scale = math.sqrt(b_plus + b_minus)
             if label.sigma == 1:
@@ -412,7 +400,6 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
                     (1, 1, 0, 0): 1j * lead * (gamma / omega0) * math.sqrt(b_plus / b_minus),
                 }
             )
-        lam = eigenvalue(label, omega0, gamma)
-        return AppliedEigenfunction(label, lam, pi, op_q, op_r, state)
-
-    raise ValueError(f"unknown model {model!r}")
+    op_q = LinearPhaseOperator(q=1.0 / frame.s_q)
+    op_r = LinearPhaseOperator(r=frame.s_r)
+    return AppliedEigenfunction(label, eigenvalue(label, omega0, gamma), pi, op_q, op_r, state)

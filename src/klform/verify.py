@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegreeError, EvolutionOverflow, FrameMismatch, PairingFailure, ZeroVector
-from .gauss import FRAME_TOL, GaussianState
+from .gauss import GaussianState
 from .operators import (
     CoordinateFrame,
     PhasePolyOperator,
@@ -205,51 +205,42 @@ def _envelope(gauss: GaussianState, frame: CoordinateFrame, n_nodes: int) -> np.
     return values
 
 
-def _gaussian_of(f):
-    if isinstance(f, GaussianState):
-        return f
-    return getattr(f, "gaussian", None)
-
-
-def expand(f, cfg: BasisConfig) -> np.ndarray:
+def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndarray:
     """Coefficient vector of f * exp(i kappa Q r) in the tensor basis of the
     frame (phase kappa), by Gauss-Hermite quadrature.
 
-    f must expose evaluate(Q, r) supporting numpy broadcasting; Gaussian
-    states and applied eigenfunctions both do.  The quadrature order is
-    twice the larger basis size, exact for polynomial-times-envelope
-    integrands of the matched frame.  If f carries a Gaussian that does
-    not fit the frame, in its widths or its phase, a FrameMismatch warning
-    is emitted and the (slowly converging) expansion is still returned.
+    f is a Gaussian state or an applied eigenfunction, whose polynomial
+    multiplies its Gaussian; any other type raises TypeError, and a
+    Gaussian with mu + nu <= 0 PositivityViolation.  The quadrature order
+    is twice the larger basis size, exact for polynomial-times-envelope
+    integrands of the matched frame.  If the Gaussian does not fit the
+    frame (GaussianState.fits), a FrameMismatch warning is emitted and the
+    (slowly converging) expansion is still returned.
     """
-    gauss = _gaussian_of(f)
-    if gauss is not None:
-        sq, sr, kappa = cfg.frame.s_q, cfg.frame.s_r, cfg.frame.kappa
-        width = gauss.width_sum
-        mismatch = (
-            abs(2.0 * gauss.mu * sq * sq - 1.0) > FRAME_TOL
-            or abs(2.0 * sr * sr / width - 1.0) > FRAME_TOL
-            or abs(gauss.kappa - kappa) * sq / (math.sqrt(2.0) * sr) > FRAME_TOL
+    if isinstance(f, GaussianState):
+        gauss, poly = f, None
+    elif isinstance(f, AppliedEigenfunction):
+        gauss, poly = f.gaussian, f.expanded_poly
+    else:
+        raise TypeError(
+            f"cannot expand {type(f).__name__}: need a GaussianState or an AppliedEigenfunction"
         )
-        if mismatch:
-            warnings.warn(
-                f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) does not "
-                f"match frame (s_q={sq}, s_r={sr}, kappa={kappa}); expansion accuracy degrades",
-                FrameMismatch,
-                stacklevel=2,
-            )
+    sq, sr = cfg.frame.s_q, cfg.frame.s_r
+    if not gauss.fits(cfg.frame):
+        warnings.warn(
+            f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) does not "
+            f"match frame (s_q={sq}, s_r={sr}, kappa={cfg.frame.kappa}); "
+            "expansion accuracy degrades",
+            FrameMismatch,
+            stacklevel=2,
+        )
     n_nodes = 2 * max(cfg.n_q, cfg.n_r)
     _, wtot = _quadrature(n_nodes)
-    q_nodes, r_nodes = _nodes(cfg.frame, n_nodes)
-    if isinstance(f, AppliedEigenfunction):
-        # f.evaluate is this product; the Gaussian factor, with the phase, is
-        # shared by every mode of a plan
-        poly = f.expanded_poly.evaluate(q_nodes[:, None], r_nodes[None, :])
-        values = poly * _envelope(f.gaussian, cfg.frame, n_nodes)
-    else:
-        phase = np.exp(1j * cfg.frame.kappa * np.outer(q_nodes, r_nodes))
-        values = f.evaluate(q_nodes[:, None], r_nodes[None, :]) * phase
-    sq, sr = cfg.frame.s_q, cfg.frame.s_r
+    # the Gaussian factor, with the phase, is shared by every mode of a plan
+    values = _envelope(gauss, cfg.frame, n_nodes)
+    if poly is not None:
+        q_nodes, r_nodes = _nodes(cfg.frame, n_nodes)
+        values = poly.evaluate(q_nodes[:, None], r_nodes[None, :]) * values
     psi_q = _basis_at(n_nodes, cfg.n_q)
     psi_r = _basis_at(n_nodes, cfg.n_r)
     pref = math.sqrt(sq / math.sqrt(2.0)) * math.sqrt(1.0 / (math.sqrt(2.0) * sr))
@@ -458,13 +449,11 @@ def stationary_similarity(
     conjugates by; the conjugated eigenfunctions are again finite basis
     combinations.
     """
-    mu = state.mu
-    w = state.width_sum
-    if w <= 0.0:
-        raise ValueError("stationary Gaussian must have positive width sum")
+    phase = state.frame().kappa  # PositivityViolation unless mu + nu > 0
+    mu, w = state.mu, state.width_sum
     half = PhasePolyOperator({(2, 0, 0, 0): -mu, (0, 2, 0, 0): -0.25 * w})
     op = exponential_similarity(assemble_liouvillian(coeffs), half)
-    return op, CoordinateFrame(1.0 / math.sqrt(mu), math.sqrt(w) / 2.0, state.frame().kappa)
+    return op, CoordinateFrame(1.0 / math.sqrt(mu), math.sqrt(w) / 2.0, phase)
 
 
 def refined_window_eigenvalues(
@@ -490,9 +479,6 @@ def refined_window_eigenvalues(
 class BiorthReport:
     """Left/right pairing summary for a set of constructed eigenfunctions."""
 
-    labels: list
-    predicted: np.ndarray
-    computed: np.ndarray
     gram: np.ndarray
     gram_rescaled: np.ndarray
     max_offdiag: float
@@ -516,9 +502,11 @@ def biorthogonality_check(
     """Pair numerically computed left eigenvectors with constructed right ones.
 
     For each mode the predicted eigenvalue seeds one shifted sparse LU;
-    a few inverse-iteration steps on the adjoint system give the left
-    eigenvector, and a Rayleigh quotient from the right system confirms
-    the pairing (PairingFailure if it drifts from the prediction).  The
+    a few inverse-iteration steps on the adjoint system, started from the
+    mode's own vector (its pairing with the left eigenvector is nonzero,
+    which the Gram diagonal tests), give the left eigenvector, and a
+    Rayleigh quotient from the right system confirms the pairing
+    (PairingFailure if it drifts from the prediction).  The
     report contains the Gram matrix of left/right vectors and its
     diagonal-rescaled deviation from identity.
     """
@@ -526,12 +514,8 @@ def biorthogonality_check(
 
     cfg = k_mat.config
     mat = k_mat.matrix.tocsc()
-    rng = np.random.default_rng(20240)
     rights = []
     lefts = []
-    predicted = []
-    computed = []
-    labels = []
     eye = sp.identity(cfg.dim, format="csc", dtype=complex)
     for mode in modes:
         lam = complex(mode.eigenvalue)
@@ -551,15 +535,12 @@ def biorthogonality_check(
                 f"mode {mode.label}: matrix eigenvalue {rayleigh} does not match "
                 f"prediction {lam}"
             )
-        left = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
+        left = vec
         for _ in range(3):
             left = lu.solve(left, trans="H")
             left /= np.linalg.norm(left)
         rights.append(vec)
         lefts.append(left)
-        predicted.append(lam)
-        computed.append(rayleigh)
-        labels.append(mode.label)
         # free this factorization before the next one is built
         del lu
     right_mat = np.array(rights).T
@@ -572,11 +553,5 @@ def biorthogonality_check(
     off = rescaled - np.eye(len(modes))
     max_offdiag = float(np.max(np.abs(off)))
     return BiorthReport(
-        labels=labels,
-        predicted=np.array(predicted),
-        computed=np.array(computed),
-        gram=gram,
-        gram_rescaled=rescaled,
-        max_offdiag=max_offdiag,
-        tol=tol,
+        gram=gram, gram_rescaled=rescaled, max_offdiag=max_offdiag, tol=tol
     )

@@ -170,6 +170,21 @@ def test_scrambled_sources_meet_the_residual_bound_property():
     check()
 
 
+def test_biorthogonality_generic_sources():
+    """Criterion-02 sources 0-4 and draw 432 of seed 630948696, whose
+    transported Gaussians carry a phase |kappa| from 0.12 to 0.81."""
+    rng = np.random.default_rng(20260816)
+    sources = [random_scrambled_source(rng) for _ in range(5)]
+    rng = np.random.default_rng(630948696)
+    sources.append([random_scrambled_source(rng) for _ in range(433)][432])
+    for i, src in enumerate(sources):
+        plan = reduce_to_kl(src, b_target=1.0)
+        modes = [transformed_eigenfunction(plan, lab, src) for lab in distinct_labels(2)]
+        cfg = BasisConfig(32, 32, modes[0].gaussian.frame())
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        assert biorthogonality_check(k_mat, modes, tol=1e-6).max_offdiag <= 1e-6, i
+
+
 def test_stationary_similarity_grades_generic_sources():
     """all_eigenvalues raises DegreeError on a matrix that is not graded."""
     rng = np.random.default_rng(20260816)

@@ -154,19 +154,19 @@ def test_one_parameter_group_law():
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
-def test_transform_outside_window_raises():
+def test_transform_outside_window_leaves_the_physical_region():
     s = GaussianState(0.25, 0.0, 0.75)
-    with pytest.raises(PositivityViolation):
-        transform_gaussian(GeneratorId.L2PLUS, 2.0, s)
-    with pytest.raises(PositivityViolation):
-        transform_gaussian(GeneratorId.O0MI, -5.0, s)
+    for gid, param in ((GeneratorId.L2PLUS, 2.0), (GeneratorId.O0MI, -5.0)):
+        lo, hi = positivity_window(gid, s)
+        assert not lo <= param <= hi
+        assert not transform_gaussian(gid, param, s).is_physical()
 
 
 def test_degenerate_denominator_without_window_guard():
     s = GaussianState(0.5, 0.0, 0.5)
     # the diffusion map divides by 1 + 2*mu*p, degenerate at p = -1
     with pytest.raises(DegenerateDenominator):
-        transform_gaussian(GeneratorId.OPLUS, -1.0, s, enforce_window=False)
+        transform_gaussian(GeneratorId.OPLUS, -1.0, s)
 
 
 def test_transform_scaling_fixture():

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from klform import (
+    AppliedEigenfunction,
     BasisConfig,
     CoordinateFrame,
     DegreeError,
@@ -14,8 +15,10 @@ from klform import (
     EvolutionOverflow,
     FrameMismatch,
     GaussianState,
+    LinearPhaseOperator,
     PairingFailure,
     PhasePolyOperator,
+    PositivityViolation,
     ZeroVector,
     all_eigenvalues,
     assemble_liouvillian,
@@ -131,20 +134,41 @@ def test_expand_reconstruct_round_trip():
         for b in range(4)
         if a + b <= 3
     }
+    # the polynomial in the operator pair (Q, r) times the Gaussian
+    f = AppliedEigenfunction(
+        label=EigenLabel(0, 0),
+        eigenvalue=0.0,
+        pi=PhasePolyOperator({(a, b, 0, 0): c for (a, b), c in coeffs.items()}),
+        op_q=LinearPhaseOperator(q=1.0),
+        op_r=LinearPhaseOperator(r=1.0),
+        gaussian=state,
+    )
+    vec = expand(f, cfg)
+    q = np.linspace(-2.5, 2.5, 9)[:, None]
+    r = np.linspace(-1.8, 1.8, 8)[None, :]
+    direct = sum(c * q**a * r**b for (a, b), c in coeffs.items()) * state.evaluate(q, r)
+    assert_allclose(reconstruct(vec, cfg, q.ravel(), r.ravel()), direct, atol=1e-10)
 
-    class PolyTimesGaussian:
+
+def test_expand_refuses_other_types():
+    """An object with a Gaussian but no polynomial is not its bare Gaussian."""
+    state, cfg, _ = kl_setup(8)
+
+    class GaussianOnly:
         gaussian = state
 
         def evaluate(self, q, r):
-            poly = sum(c * q**a * r**b for (a, b), c in coeffs.items())
-            return poly * state.evaluate(q, r)
+            return state.evaluate(q, r)
 
-    f = PolyTimesGaussian()
-    vec = expand(f, cfg)
-    q = np.linspace(-2.5, 2.5, 9)
-    r = np.linspace(-1.8, 1.8, 8)
-    direct = f.evaluate(q[:, None], r[None, :])
-    assert_allclose(reconstruct(vec, cfg, q, r), direct, atol=1e-10)
+    with pytest.raises(TypeError, match="GaussianOnly"):
+        expand(GaussianOnly(), cfg)
+
+
+@pytest.mark.parametrize("nu", [-0.5, -0.7])
+def test_expand_refuses_a_gaussian_that_cannot_be_normalized(nu):
+    cfg = BasisConfig(8, 8, CoordinateFrame(1.0, 1.0))
+    with pytest.raises(PositivityViolation, match="mu \\+ nu"):
+        expand(GaussianState(0.5, 0.0, nu), cfg)
 
 
 def test_a_gaussian_with_a_phase_is_one_basis_function_of_its_frame():
@@ -345,6 +369,14 @@ def test_refined_window_eigenvalues_small_case():
     assert eigvals.size == len(expected) == 5
     for lam in expected:
         assert np.min(np.abs(eigvals - lam)) <= 1e-9
+
+
+def test_stationary_similarity_refuses_a_gaussian_that_cannot_be_normalized():
+    state = GaussianState(0.5, 0.0, -0.7)
+    with pytest.raises(PositivityViolation):
+        stationary_similarity(kl_coefficients(W0, GAM, B), state)
+    with pytest.raises(PositivityViolation):
+        refined_window_eigenvalues(kl_coefficients(W0, GAM, B), state, 12, 12, radius=4.0)
 
 
 def test_refined_window_eigenvalues_rejects_non_stationary_state():
