@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# scipy.linalg is imported inside the two matrix-exponential routes below,
-# so that the closed forms run on numpy alone.
+# scipy.linalg is imported only inside adjoint_conjugate_coefficients, the
+# matrix-exponential oracle; every closed form here runs on numpy alone.
 
 __all__ = [
     "GeneratorId",
@@ -91,14 +91,6 @@ _GENERATOR_TERMS = {
     GeneratorId.L1PLUS: {(0, 0, 2, 0): -0.25, (0, 2, 0, 0): -0.25},
     GeneratorId.L2PLUS: {(0, 1, 1, 0): -0.5j},
 }
-
-
-def _falling(n: int, k: int) -> int:
-    """Falling factorial n (n-1) ... (n-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 class PhasePolyOperator:
@@ -186,9 +178,9 @@ class PhasePolyOperator:
         for (a1, b1, c1, d1), v1 in self._terms.items():
             for (a2, b2, c2, d2), v2 in other._terms.items():
                 for k in range(min(c1, a2) + 1):
-                    fk = math.comb(c1, k) * _falling(a2, k)
+                    fk = math.comb(c1, k) * math.perm(a2, k)
                     for l in range(min(d1, b2) + 1):
-                        fl = math.comb(d1, l) * _falling(b2, l)
+                        fl = math.comb(d1, l) * math.perm(b2, l)
                         key = (a1 + a2 - k, b1 + b2 - l, c1 + c2 - k, d1 + d2 - l)
                         out[key] = out.get(key, 0) + v1 * v2 * fk * fl
         return PhasePolyOperator(out)
@@ -223,8 +215,7 @@ class LinearPhaseOperator:
 
     @classmethod
     def from_vector(cls, vec) -> "LinearPhaseOperator":
-        q, r, dq, dr = (complex(x) for x in vec)
-        return cls(q, r, dq, dr)
+        return cls(*np.asarray(vec, dtype=complex).tolist())
 
     def to_poly(self) -> PhasePolyOperator:
         return PhasePolyOperator(
@@ -446,32 +437,34 @@ def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
                 raise AssertionError("bracket with a linear operator is not linear")
             vec[idx] = coeff
         cols.append(vec)
-    mat = np.array(cols).T
-    return _snap_half_integers(mat.real) + 1j * _snap_half_integers(mat.imag)
-
-
-# flow matrices kept: a reduction plan has at most five steps, so this
-# holds the steps of about one plan, which both operators of the pair
-# and every label transported through it share
-_PLAN_FLOWS = 8
-
-
-@lru_cache(maxsize=_PLAN_FLOWS)
-def _flow_matrix_4(gid: GeneratorId, param: float) -> np.ndarray:
-    """Read-only expm(param * ad_G) on (Q, r, dQ, dr)."""
-    from scipy.linalg import expm
-
-    mat = expm(param * _adjoint_matrix_4(gid))
-    mat.flags.writeable = False
-    return mat
+    # exact: each entry is a generator coefficient times 1 or 2, and the
+    # other terms of the two products cancel exactly
+    return np.array(cols).T
 
 
 def conjugate_linear(
     gid: GeneratorId, param: float, op: LinearPhaseOperator
 ) -> LinearPhaseOperator:
-    """exp(param*G) op exp(-param*G) for a degree-one operator op."""
-    mat = _flow_matrix_4(gid, float(param))
-    return LinearPhaseOperator.from_vector(mat @ op.as_vector())
+    """exp(param*G) op exp(-param*G) for a degree-one operator op.
+
+    exp(p ad_G) in closed form: ad_G is diagonal for the scalings IM2 and
+    O0MI, and for every other generator it squares to k times the identity
+    (k = -1/4 for IL0, 1/4 for IM1, 0 for the shifts), so that
+    exp(p ad_G) = c I + s ad_G.  An overflowing boost gives non-finite
+    entries under numpy's RuntimeWarning.
+    """
+    p = float(param)
+    ad = _adjoint_matrix_4(gid)
+    vec = op.as_vector()
+    if gid in (GeneratorId.IM2, GeneratorId.O0MI):
+        return LinearPhaseOperator.from_vector(np.exp(p * ad.diagonal().real) * vec)
+    if gid is GeneratorId.IL0:
+        c, s = np.cos(p / 2), 2 * np.sin(p / 2)
+    elif gid is GeneratorId.IM1:
+        c, s = np.cosh(p / 2), 2 * np.sinh(p / 2)
+    else:
+        c, s = 1.0, p
+    return LinearPhaseOperator.from_vector(c * vec + s * (ad @ vec))
 
 
 def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> PhasePolyOperator:

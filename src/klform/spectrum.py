@@ -152,10 +152,7 @@ def c_coefficient(
     sign_factor = 1 if sign == 1 else (-1) ** ((n + sigma_idx) % 2)
     parity = (-1) ** ((mu_idx + nu_idx) % 2)
     # falling factorial m!/(m-n)! as an exact integer, then one float sqrt
-    falling = 1
-    for i in range(n):
-        falling *= m - i
-    root = 1.0 / math.sqrt(falling)
+    root = 1.0 / math.sqrt(math.perm(m, n))
     combs = math.comb(m, n + mu_idx) * math.comb(mu_idx, nu_idx) * math.comb(n, sigma_idx)
     denom = (1j) ** (n % 4) * 2 ** (2 * nu_idx + sigma_idx) * math.factorial(mu_idx)
     return sign_factor * parity * combs * root / denom

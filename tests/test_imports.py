@@ -1,8 +1,8 @@
 """scipy is loaded only by the code that calls it.
 
 The closed-form layers run on numpy alone, so `import klform.cli` and the
-subcommands built on them start without scipy; the oracle and the
-matrix-exponential routes import it inside the functions that use it.
+subcommands built on them start without scipy; the oracles import it
+inside the functions that use it.
 """
 
 import ast
@@ -74,8 +74,8 @@ def test_import_check_sees_nested_and_exempt_blocks():
     assert list(_import_time_scipy_imports(ast.parse(source).body)) == [6, 8, 12]
 
 
-# Runs subcommands in one fresh interpreter and reports the scipy modules
-# loaded after the import and after each step.
+# Runs CLI commands in one fresh interpreter, in order, and reports the
+# scipy modules loaded after the import and after each command.
 _PROBE = """
 import json, sys
 import klform.cli
@@ -84,18 +84,17 @@ def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 report = {"import": loaded()}
-for command in sys.argv[2:]:
-    code = klform.cli.main([command, "--preset", "kl", "--out", sys.argv[1]])
-    report[command] = [code, loaded()]
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = [klform.cli.main(argv), loaded()]
 print(json.dumps(report))
 """
 
 
-def _probe(tmp_path, *commands):
+def _probe(runs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path), *commands],
+        [sys.executable, "-c", _PROBE, json.dumps(runs)],
         env=env,
         capture_output=True,
         text=True,
@@ -106,10 +105,40 @@ def _probe(tmp_path, *commands):
 
 
 def test_closed_form_subcommands_run_without_scipy(tmp_path):
-    report = _probe(tmp_path, "spectrum", "reduce", "stationary", "eigfun", "verify")
+    commands = ("spectrum", "reduce", "stationary", "eigfun", "verify")
+    report = _probe([[c, [c, "--preset", "kl", "--out", str(tmp_path)]] for c in commands])
     assert report["import"] == []
     for command in ("spectrum", "reduce", "stationary", "eigfun"):
         assert report[command] == [0, []], command
     code, after_verify = report["verify"]
     assert code == 0
     assert "scipy.sparse" in after_verify
+
+
+def test_transport_runs_without_scipy(tmp_path):
+    """Transporting modes through a plan is closed form on every model;
+    verify loads scipy's sparse matrices but not its dense linear algebra."""
+    config = tmp_path / "generic.json"
+    config.write_text(
+        json.dumps(
+            {
+                "model": "generic",
+                "coefficients": {"h": [2.2, 0.4, -0.3], "gamma": 0.5, "g": [-1.1, 0.2, 0.3]},
+                "basis_n": 24,
+            }
+        )
+    )
+    sources = {
+        "cl": ["--preset", "cl"],
+        "hpz": ["--preset", "hpz"],
+        "generic": ["--config", str(config)],
+    }
+    runs = [[f"eigfun:{name}", ["eigfun", *args]] for name, args in sources.items()]
+    runs += [[f"{c}:generic", [c, *sources["generic"]]] for c in ("stationary", "verify")]
+    report = _probe([[name, [*argv, "--out", str(tmp_path / "out")]] for name, argv in runs])
+    for name, _ in runs[:-1]:
+        assert report[name] == [0, []], name
+    code, after_verify = report["verify:generic"]
+    assert code == 0
+    assert "scipy.sparse" in after_verify
+    assert not any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in after_verify)

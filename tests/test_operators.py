@@ -263,6 +263,33 @@ def test_conjugate_linear_preserves_commutator_pairing():
         assert abs(before - after) <= 1e-12 * (1.0 + abs(before))
 
 
+def test_conjugate_linear_group_law():
+    rng = np.random.default_rng(31)
+    for gid in GENERATOR_ORDER:
+        for _ in range(20):
+            a, b = (float(x) for x in rng.uniform(-3.0, 3.0, size=2))
+            op = LinearPhaseOperator.from_vector(
+                rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            )
+            twice = conjugate_linear(gid, b, conjugate_linear(gid, a, op)).as_vector()
+            once = conjugate_linear(gid, a + b, op).as_vector()
+            assert np.max(np.abs(twice - once)) <= 1e-14 * np.max(np.abs(once)), (gid, a, b)
+
+
+def test_conjugate_linear_far_parameters():
+    """A finite flow stays finite at any parameter; a boost that overflows
+    gives non-finite entries under numpy's warning, never an exception."""
+    a = LinearPhaseOperator(0.3 - 0.1j, -0.7, 1.1j, 0.25)
+    b = LinearPhaseOperator(0.2, 1.0j, -0.4, 0.9 + 0.3j)
+    far = [conjugate_linear(GeneratorId.IL0, 1e300, op) for op in (a, b)]
+    assert np.all(np.isfinite([op.as_vector() for op in far]))
+    assert abs(far[0].commutator_scalar(far[1]) - a.commutator_scalar(b)) <= 1e-14
+    for p in (2000.0, 1e300):
+        with pytest.warns(RuntimeWarning):
+            out = conjugate_linear(GeneratorId.IM1, p, a).as_vector()
+        assert np.isinf(out).any() and not np.isfinite(out).any(), p
+
+
 def test_rescale_coordinates_monomials():
     frame = CoordinateFrame(2.0, 0.5)
     op = PhasePolyOperator({(2, 0, 0, 0): 1.0, (0, 1, 0, 1): 3.0, (1, 0, 1, 0): 5.0})

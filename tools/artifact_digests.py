@@ -14,13 +14,27 @@ two checkouts comparable:
     PYTHONPATH=src python3 tools/artifact_digests.py > new.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_digests.py > old.json
     diff old.json new.json
+
+`--dump DIR` also writes each run's exit code, stdout and artifacts to
+DIR/<command>:<source>/, and `--compare OLD NEW` reads two dumps and
+prints, per run, whether its files are identical and otherwise the largest
+absolute difference between their numbers.  It flags a run whose exit
+code, file set or count of numbers per file changed, and then exits 1:
+
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_digests.py --dump old > /dev/null
+    PYTHONPATH=src python3 tools/artifact_digests.py --dump new > /dev/null
+    PYTHONPATH=src python3 tools/artifact_digests.py --compare old new
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
+import shutil
 import sys
 import tempfile
 
@@ -66,8 +80,11 @@ SOURCES = {
 }
 
 
-def digest(command: str, source) -> dict:
-    """Run one subcommand in a fresh directory; hash stdout and every artifact."""
+def digest(command: str, source, dump=None) -> dict:
+    """Run one subcommand in a fresh directory; hash stdout and every artifact.
+
+    With `dump`, a directory, the exit code, stdout and artifacts go there too.
+    """
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -84,18 +101,85 @@ def digest(command: str, source) -> dict:
             for name in names:
                 with open(os.path.join("out", name), "rb") as fh:
                     sha.update(name.encode() + b"\0" + fh.read())
+            if dump is not None:
+                os.makedirs(os.path.join(dump, "out"))
+                for name in names:
+                    shutil.copy(os.path.join("out", name), os.path.join(dump, "out", name))
+                with open(os.path.join(dump, "exit"), "w", encoding="utf-8") as fh:
+                    fh.write(f"{code}\n")
+                with open(os.path.join(dump, "stdout"), "w", encoding="utf-8") as fh:
+                    fh.write(stdout.getvalue())
         finally:
             os.chdir(cwd)
     return {"exit": code, "sha256": sha.hexdigest()}
 
 
+# a decimal number, inf or nan standing alone, so not the 0 of "omega0"
+_NUMBER = re.compile(r"(?<![\w.])-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
+def _read_run(path: str):
+    """(exit code, {file: text}) of one dumped run; stdout counts as a file."""
+    files = {"stdout": os.path.join(path, "stdout")}
+    for name in os.listdir(os.path.join(path, "out")):
+        files[f"out/{name}"] = os.path.join(path, "out", name)
+    texts = {}
+    for name, file in files.items():
+        with open(file, encoding="utf-8") as fh:
+            texts[name] = fh.read()
+    with open(os.path.join(path, "exit"), encoding="utf-8") as fh:
+        return int(fh.read()), texts
+
+
+def _difference(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) if math.isfinite(a - b) else math.inf
+
+
+def compare(old: str, new: str) -> int:
+    """Print one line per run of two dumps; 1 if any run changed shape."""
+    changed = False
+    for run in sorted(set(os.listdir(old)) | set(os.listdir(new))):
+        if not (os.path.isdir(os.path.join(old, run)) and os.path.isdir(os.path.join(new, run))):
+            print(f"{run}  FLAG: only in one dump")
+            changed = True
+            continue
+        code_a, files_a = _read_run(os.path.join(old, run))
+        code_b, files_b = _read_run(os.path.join(new, run))
+        flags = []
+        if code_a != code_b:
+            flags.append(f"exit {code_a} -> {code_b}")
+        if set(files_a) != set(files_b):
+            flags.append(f"files {sorted(files_a)} -> {sorted(files_b)}")
+        worst = 0.0
+        for name in sorted(set(files_a) & set(files_b)):
+            a, b = ([float(x) for x in _NUMBER.findall(f[name])] for f in (files_a, files_b))
+            if len(a) != len(b):
+                flags.append(f"{name}: {len(a)} -> {len(b)} numbers")
+                continue
+            worst = max([worst, *(_difference(x, y) for x, y in zip(a, b))])
+        changed = changed or bool(flags)
+        state = "identical" if files_a == files_b else f"moved, max_abs_diff {worst:.3g}"
+        print(f"{run}  exit {code_b}  {state}" + "".join(f"  FLAG: {f}" for f in flags))
+    return 1 if changed else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", metavar="DIR", help="also write each run's files to DIR")
+    group.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dumps")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     print(f"klform from {os.path.dirname(cli.__file__)}", file=sys.stderr)
-    runs = {
-        f"{command}:{name}": digest(command, source)
-        for name, source in SOURCES.items()
-        for command in cli.COMMANDS
-    }
+    runs = {}
+    for name, source in SOURCES.items():
+        for command in cli.COMMANDS:
+            run = f"{command}:{name}"
+            dump = os.path.join(os.path.abspath(args.dump), run) if args.dump else None
+            runs[run] = digest(command, source, dump)
     print(json.dumps(runs, indent=1, sort_keys=True))
     return 0
 
