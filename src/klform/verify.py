@@ -7,9 +7,15 @@ a frame with phase kappa expands f * exp(i kappa Q r).  With a frame
 matched to a stationary Gaussian the eigenfunctions of a quadratic
 evolution operator are finite combinations, so truncation is exact for
 low modes and every closed-form claim can be checked against plain
-sparse linear algebra: residuals, evolution, traces, spectra, and
-left/right biorthogonality.  Such a frame also grades the matrix by total
-Hermite degree, so spectra come from small dense blocks, one per degree.
+linear algebra: residuals, evolution, traces, spectra, and left/right
+biorthogonality.  Such a frame also grades the matrix by total Hermite
+degree, so spectra come from small dense blocks, one per degree.
+
+A polynomial operator moves each Hermite index by at most its degree in
+that coordinate, so its matrix is stored as one coefficient array per
+index shift (BandedMatrix) and applied with numpy alone; the evolution is
+a truncated Taylor series on those arrays.  scipy is imported only for the
+sparse LU of biorthogonality_check.
 """
 
 from __future__ import annotations
@@ -33,9 +39,8 @@ from .operators import (
 )
 from .spectrum import AppliedEigenfunction
 
-# scipy is imported inside the functions that call it, so that the
-# closed-form layers, and the CLI subcommands built on them alone, start
-# without loading it.
+# scipy is imported inside the function that calls it, so that every CLI
+# subcommand starts and runs without loading it.
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -75,64 +80,140 @@ class BasisConfig:
         return self.n_q * self.n_r
 
 
+def _span(n: int, shift: int) -> slice:
+    """Indices j of n basis functions with j + shift also among them."""
+    return slice(max(0, -shift), n - max(0, shift))
+
+
+class BandedMatrix:
+    """Matrix on the n_q x n_r tensor basis, stored by index shift.
+
+    bands[(s, t)][j, k] is the entry in row (j, k) and column (j + s, k + t),
+    with basis index j * n_r + k; entries whose column falls outside the
+    basis are zero.  A term of degree p in one coordinate moves its index
+    by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
+    at most 9 such arrays.  Supports `@` on vectors, `nnz`, `shape`,
+    `toarray()` and `tocsc()`; only `tocsc()` imports scipy.
+    """
+
+    def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
+        # sorted shifts sum each row in the column order of a sparse matrix
+        self.bands = dict(sorted(bands.items()))
+        self.n_q, self.n_r = n_q, n_r
+        # In the flattened basis a shift (s, t) is the offset s * n_r + t; a
+        # column that wraps past the end of a row meets a zero entry.
+        self._offsets = [s * n_r + t for s, t in self.bands]
+        self._pad = max(map(abs, self._offsets), default=0)
+        self._flat = [band.reshape(-1) for band in self.bands.values()]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = self.n_q * self.n_r
+        return dim, dim
+
+    @property
+    def nnz(self) -> int:
+        return sum(int(np.count_nonzero(band)) for band in self.bands.values())
+
+    def __matmul__(self, vec) -> np.ndarray:
+        vec = np.asarray(vec)
+        dim, pad = self.shape[0], self._pad
+        if vec.shape != (dim,):
+            raise ValueError(f"vector of shape {vec.shape} does not fit a {self.shape} matrix")
+        padded = np.zeros(dim + 2 * pad, dtype=np.result_type(vec, complex))
+        padded[pad : pad + dim] = vec
+        out = np.zeros(dim, dtype=padded.dtype)
+        product = np.empty_like(out)
+        for off, band in zip(self._offsets, self._flat):
+            out += np.multiply(band, padded[pad + off : pad + off + dim], out=product)
+        return out
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices, column indices and values of the nonzero entries."""
+        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for (s, t), band in self.bands.items():
+            j, k = np.nonzero(band)
+            rows.append(j * self.n_r + k)
+            cols.append((j + s) * self.n_r + k + t)
+            vals.append(band[j, k])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        rows, cols, vals = self._entries()
+        out[rows, cols] = vals
+        return out
+
+    def tocsc(self) -> sp.csc_matrix:
+        import scipy.sparse as sp
+
+        rows, cols, vals = self._entries()
+        return sp.csc_matrix((vals, (rows, cols)), shape=self.shape)
+
+
 @dataclass
 class OperatorMatrix:
-    """Sparse matrix of an operator in a fixed BasisConfig."""
+    """Matrix of an operator in a fixed BasisConfig."""
 
-    matrix: sp.csr_matrix
+    matrix: BandedMatrix
     config: BasisConfig
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
-def ladder_matrices(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Tridiagonal matrices of u* and d/du* on n orthonormal Hermite functions.
+def ladder_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tridiagonal matrices of u* and d/du* on n orthonormal Hermite functions.
 
     X is symmetric with X[j, j+1] = sqrt((j+1)/2); D is antisymmetric
     with D[j, j+1] = sqrt((j+1)/2), D[j+1, j] = -sqrt((j+1)/2).  On the
     interior block D X - X D = identity; the last row/column carries the
     truncation defect.
     """
-    import scipy.sparse as sp
-
     off = np.sqrt(np.arange(1, n) / 2.0)
-    x_mat = sp.diags([off, off], [1, -1], shape=(n, n), format="csr")
-    d_mat = sp.diags([off, -off], [1, -1], shape=(n, n), format="csr")
-    return x_mat, d_mat
+    upper, lower = np.diag(off, 1), np.diag(off, -1)
+    return _read_only(upper + lower), _read_only(upper - lower)
 
 
-# Kronecker matrices kept, one per (monomial, n_q, n_r): a quadratic
-# operator has at most 15 normal-ordered monomials, so this covers the
-# basis sizes of several oracles at once
-_BASIS_MONOMIALS = 128
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b summed one index at a time, as a sparse product sums.
 
-
-@lru_cache(maxsize=_BASIS_MONOMIALS)
-def _monomial_matrix(mono: tuple[int, int, int, int], n_q: int, n_r: int) -> sp.csr_matrix:
-    """Read-only matrix of Qs^a rs^b dQs^c drs^d on n_q x n_r Hermite functions.
-
-    (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r factor,
-    multiplication factors to the left of derivative factors.
+    BLAS fuses multiplies and adds, which rounds differently.
     """
-    import scipy.sparse as sp
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for col, row in zip(a.T, b):
+        out += np.multiply.outer(col, row)
+    return out
 
-    def power(mat, k, eye):
-        out = eye
+
+# Ladder factors kept, one per (n, a, c): a + c <= 4, so 15 per basis size
+_LADDER_FACTORS = 128
+
+
+@lru_cache(maxsize=_LADDER_FACTORS)
+def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Nonzero diagonals (shift s, read-only F[j, j+s]) of F = (X/sqrt2)^a (sqrt2 D)^c,
+    the matrix of Qs^a dQs^c on n Hermite functions."""
+    x_mat, d_mat = ladder_matrices(n)
+
+    def power(mat, k):
+        out = np.eye(n)
         for _ in range(k):
-            out = out @ mat
+            out = _product(out, mat)
         return out
 
-    def factor(n, mult_power, dif_power):
-        x_mat, d_mat = ladder_matrices(n)
-        eye = sp.identity(n, format="csr")
-        mult = (x_mat / math.sqrt(2.0)).tocsr()
-        dif = (d_mat * math.sqrt(2.0)).tocsr()
-        return power(mult, mult_power, eye) @ power(dif, dif_power, eye)
-
-    a, b, c, d = mono
-    mat = sp.kron(factor(n_q, a, c), factor(n_r, b, d), format="csr")
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
+    factor = _product(
+        power(x_mat * (1.0 / math.sqrt(2.0)), mult_power),
+        power(d_mat * math.sqrt(2.0), dif_power),
+    )
+    reach = mult_power + dif_power
+    diagonals = (factor.diagonal(s).copy() for s in range(-reach, reach + 1))
+    return tuple(
+        (s - reach, _read_only(diag)) for s, diag in enumerate(diagonals) if diag.any()
+    )
 
 
 def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
@@ -142,20 +223,25 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
     factor, multiplication factors to the left of derivative factors.  The
-    monomial matrices are cached per basis size and summed in the
-    operator's term order.  Total degree above 4 is rejected: higher
-    powers of the truncated ladder matrices lose the exact-representation
-    property this oracle relies on.
+    diagonals of the 1-D factors are cached per basis size, and each band
+    sums the outer products of its diagonals in the operator's term order.
+    Total degree above 4 is rejected: higher powers of the truncated
+    ladder matrices lose the exact-representation property this oracle
+    relies on.
     """
-    import scipy.sparse as sp
-
     if op.degree() > 4:
         raise DegreeError(f"operator degree {op.degree()} exceeds 4")
     scaled = rescale_coordinates(op, cfg.frame)
-    total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    for mono, coeff in scaled.terms.items():
-        total = total + coeff * _monomial_matrix(mono, cfg.n_q, cfg.n_r)
-    return OperatorMatrix(total.tocsr(), cfg)
+    n_q, n_r = cfg.n_q, cfg.n_r
+    bands: dict[tuple[int, int], np.ndarray] = {}
+    for (a, b, c, d), coeff in scaled.terms.items():
+        for s, diag_q in _ladder_factor(n_q, a, c):
+            for t, diag_r in _ladder_factor(n_r, b, d):
+                band = bands.get((s, t))
+                if band is None:
+                    band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
+                band[_span(n_q, s), _span(n_r, t)] += coeff * np.multiply.outer(diag_q, diag_r)
+    return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
 @lru_cache(maxsize=None)
@@ -274,70 +360,118 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
 
 
 # Taylor steps an evolution may take: at basis_n 32 one step costs about
-# 1.5 ms (2-core Xeon, one BLAS thread), so the budget is a few minutes,
-# 400 times what the kl preset needs over its default span 10/gamma.
+# 1.1 ms, 3 ms at the full degree 55 (2-core Xeon, one BLAS thread), so the
+# budget is a few minutes, 300 times the 320 steps the kl preset takes over
+# its default span 10/gamma.
 MAX_TAYLOR_STEPS = 100_000
-# scipy's largest Taylor degree m = 55 covers a 1-norm of theta_55 per step
+# A Taylor series of degree 55 reaches unit roundoff on steps whose 1-norm
+# is at most theta_55 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488).
+_TAYLOR_DEGREE = 55
 _THETA_55 = 9.9
+_UNIT_ROUNDOFF = 2.0**-53
 
 
-def _steppable(gen, f0: np.ndarray, span: float) -> np.ndarray:
-    """f0 as a complex vector, once it fits gen and scipy can step gen over span.
+def _shifted_generator(mat: BandedMatrix) -> tuple[BandedMatrix, complex, float]:
+    """B = -K - mu I with mu = trace(-K)/n, mu, and the 1-norm of B.
 
-    scipy's expm_multiply shifts gen by mu = trace(gen)/n and takes at
-    least span * |gen - mu I|_1 / theta_55 Taylor steps.  Above
-    MAX_TAYLOR_STEPS, or for a count that is not a number,
-    EvolutionOverflow is raised before scipy starts stepping.
+    The shift takes the mean decay out of the Taylor series and applies
+    it as one exponential per step.
     """
-    import scipy.sparse as sp
+    n_q, n_r = mat.n_q, mat.n_r
+    bands = {key: -band for key, band in mat.bands.items()}
+    diag = bands.get((0, 0), np.zeros((n_q, n_r), dtype=complex))
+    mu = complex(diag.sum()) / (n_q * n_r)
+    bands[(0, 0)] = diag - mu
+    # column (j, k) holds the entries of rows (j - s, k - t)
+    col_sums = np.zeros((n_q, n_r))
+    for (s, t), band in bands.items():
+        col_sums[_span(n_q, -s), _span(n_r, -t)] += np.abs(band[_span(n_q, s), _span(n_r, t)])
+    return BandedMatrix(bands, n_q, n_r), mu, float(col_sums.max())
 
-    f0 = np.asarray(f0, dtype=complex)
-    if f0.shape[:1] != gen.shape[1:]:
-        raise ValueError(f"f0 of shape {f0.shape} does not fit a {gen.shape} matrix")
-    n = gen.shape[0]
-    shifted = gen - (gen.trace() / n) * sp.identity(n, format="csc")
-    steps = span * float(abs(shifted).sum(axis=0).max()) / _THETA_55
-    if not steps <= MAX_TAYLOR_STEPS:
-        raise EvolutionOverflow(
-            f"time span too long for the matrix: about {steps:.3g} Taylor steps, "
-            f"more than {MAX_TAYLOR_STEPS}"
-        )
-    return f0
+
+def _taylor_steps(norm: float, dt: float) -> float:
+    """Steps of degree 55 across dt; inf or NaN when dt * norm is."""
+    return float(np.ceil(abs(dt) * norm / _THETA_55))
+
+
+def _sup(vec: np.ndarray) -> float:
+    """Largest modulus of the real and imaginary parts; inf or NaN when vec is not finite."""
+    return float(np.max(np.abs(vec.view(np.float64))))
+
+
+def _taylor_advance(gen: BandedMatrix, mu: complex, vec: np.ndarray, dt: float, steps: int):
+    """exp(dt (gen + mu I)) vec in `steps` truncated Taylor steps.
+
+    A step ends early once two successive terms fall below unit roundoff
+    of the partial sum; EvolutionOverflow is raised at the first step
+    whose result is not finite.
+    """
+    degree = _TAYLOR_DEGREE if steps else 0
+    steps = max(steps, 1)
+    scale = np.exp(dt * mu / steps)
+    size = _sup(vec)
+    for _ in range(steps):
+        total, term = vec.copy(), vec
+        last = bound = size
+        for j in range(1, degree + 1):
+            term = gen @ term
+            term *= dt / (steps * j)
+            size = _sup(term)
+            total += term
+            bound += size
+            # the partial sum is at most `bound`: only a small term needs its norm
+            small = last + size
+            if small <= _UNIT_ROUNDOFF * bound and small <= _UNIT_ROUNDOFF * _sup(total):
+                break
+            last = size
+        vec = scale * total
+        size = _sup(vec)
+        if not math.isfinite(size):
+            raise EvolutionOverflow("the evolution leaves the float range on this basis")
+    return vec
 
 
 def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-t K) f0 on a uniform time grid; rows follow `times`.
 
-    A one-point grid is a single expm_multiply of t * (-K), and its t
-    must be finite; an empty grid is refused too (ValueError).  Raises
-    EvolutionOverflow when the grid is too long for the matrix or the
-    evolution leaves the float range.
+    A truncated Taylor series steps f0 to the first time and then across
+    each interval of the grid, ceil(|dt| ||B||_1 / theta_55) steps of
+    degree up to 55 per stretch dt, where B is -K shifted by its mean
+    diagonal.  A one-point grid must have a finite t; an empty grid, a
+    non-uniform one and a vector f0 that does not fit the matrix raise
+    ValueError.  EvolutionOverflow is raised before stepping when the
+    steps would exceed MAX_TAYLOR_STEPS, and at the first step that
+    leaves the float range.
     """
-    from scipy.sparse.linalg import expm_multiply
-
     times = np.asarray(times, dtype=float)
-    gen = -k_mat.matrix.tocsc()
     if times.size == 0:
         raise ValueError("time grid must not be empty")
-    if times.size == 1:
-        t = float(times[0])
-        if not math.isfinite(t):
-            raise ValueError("t must be finite")
-        f0 = _steppable(gen, f0, abs(t))  # before t * gen can overflow
-        gen, kwargs = t * gen, {}
-    else:
+    if times.size == 1 and not math.isfinite(float(times[0])):
+        raise ValueError("t must be finite")
+    start = float(times[0])
+    gap = 0.0
+    if times.size > 1:
         gaps = np.diff(times)
         if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
             raise ValueError("time grid must be uniform")
-        start, stop = float(times[0]), float(times[-1])
-        # scipy steps to the start, then across the grid
-        f0 = _steppable(gen, f0, abs(start) + abs(stop - start))
-        kwargs = dict(start=start, stop=stop, num=times.size, endpoint=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        series = expm_multiply(gen, f0, **kwargs)
-    if not np.all(np.isfinite(series)):
-        raise EvolutionOverflow("the evolution leaves the float range on this basis")
-    return series[None, :] if times.size == 1 else series
+        gap = (float(times[-1]) - start) / (times.size - 1)
+    f0 = np.asarray(f0, dtype=complex)
+    if f0.shape != k_mat.matrix.shape[1:]:
+        raise ValueError(f"f0 of shape {f0.shape} does not fit a {k_mat.matrix.shape} matrix")
+    gen, mu, norm = _shifted_generator(k_mat.matrix)
+    first, each = _taylor_steps(norm, start), _taylor_steps(norm, gap)
+    steps = first + (times.size - 1) * each
+    if not steps <= MAX_TAYLOR_STEPS:
+        raise EvolutionOverflow(
+            f"time span too long for the matrix: about {steps:.3g} Taylor steps, "
+            f"more than {MAX_TAYLOR_STEPS}"
+        )
+    series = np.empty((times.size, f0.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
+        series[0] = _taylor_advance(gen, mu, f0, start, int(first))
+        for i in range(1, times.size):
+            series[i] = _taylor_advance(gen, mu, series[i - 1], gap, int(each))
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -360,35 +494,35 @@ def _psi_at_zero(n: int) -> np.ndarray:
     return _hermite_functions(np.zeros(1), n)[0]
 
 
+# scaled points of the hermiticity grid: three frame scales either side
+_REFLECTION_POINTS = math.sqrt(2.0) * np.linspace(-3.0, 3.0, 33)
+
+
+@lru_cache(maxsize=None)
+def _reflection_basis(n: int) -> np.ndarray:
+    return _read_only(_hermite_functions(_REFLECTION_POINTS, n))
+
+
 def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:
     """Trace functional and hermiticity defect of an expanded function.
 
     The trace is the closed-form integral of f(Q, 0) over Q (only even
     Q-indices and the psi_k(0) column enter).  The hermiticity defect is
     max |f(Q, -r) - conj(f(Q, r))| over a 33x33 grid out to three frame
-    scales; the reflected values are obtained by flipping the sign of
-    odd-k coefficients, not by resampling.  Both read the expansion
-    without the frame's phase, which is 1 at r = 0 and conjugated by r -> -r.
+    scales.  The Hermite functions are real and psi_k(-v) = (-1)^k psi_k(v),
+    so the difference is one product psi_q (C (-1)^k - conj C) psi_r^T of
+    the coefficient array C.  Both read the expansion without the frame's
+    phase, which is 1 at r = 0 and conjugated by r -> -r.
     """
-    cfg = replace(cfg, frame=replace(cfg.frame, kappa=0.0))
     coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
     tr_q = _trace_covector_parts(cfg.n_q) * (sq / math.sqrt(2.0)) * norm
     trace = complex(tr_q @ coeffs @ _psi_at_zero(cfg.n_r))
-    q_grid = np.linspace(-3.0 * sq, 3.0 * sq, 33)
-    r_grid = np.linspace(-3.0 / sr, 3.0 / sr, 33)
-    direct = reconstruct(vec, cfg, q_grid, r_grid)
-    flipped = coeffs * ((-1.0) ** np.arange(cfg.n_r))[None, :]
-    reflected = reconstruct(flipped.reshape(-1), cfg, q_grid, r_grid)
-    defect = float(np.max(np.abs(reflected - np.conj(direct))))
+    reflected = coeffs * (-1.0) ** np.arange(cfg.n_r)
+    gap = _reflection_basis(cfg.n_q) @ (reflected - coeffs.conj()) @ _reflection_basis(cfg.n_r).T
+    defect = norm * float(np.max(np.abs(gap)))
     return trace, defect
-
-
-def _total_degree(cfg: BasisConfig) -> np.ndarray:
-    """Total Hermite degree j + k of each basis index j * n_r + k."""
-    idx = np.arange(cfg.dim)
-    return idx // cfg.n_r + idx % cfg.n_r
 
 
 # Degree-raising entries up to this fraction of the largest entry are
@@ -400,25 +534,31 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     """Spectrum of the truncated matrix.
 
     In a frame matched to a stationary Gaussian the matrix never raises
-    the total Hermite degree j + k: ordered by degree it is block
-    upper-triangular, so its spectrum is the union of those of the small
-    diagonal blocks, one per degree, each diagonalized densely.  A matrix
-    with a degree-raising entry above roundoff raises DegreeError.
+    the total Hermite degree j + k: its bands with s + t < 0 vanish, and
+    ordered by degree it is block upper-triangular.  Its spectrum is the
+    union of those of the small diagonal blocks, one per degree, read off
+    the bands with s + t = 0 and each diagonalized densely.  A matrix with
+    a degree-raising entry above roundoff raises DegreeError.
     """
-    mat = k_mat.matrix.tocsr()
-    deg = _total_degree(k_mat.config)
-    coo = mat.tocoo()
-    raising = np.abs(coo.data[deg[coo.row] > deg[coo.col]])
-    if not np.all(raising <= _GRADING_TOL * np.max(np.abs(coo.data), initial=0.0)):
-        raise DegreeError(
-            "matrix raises the Hermite degree beyond roundoff: its frame does not "
-            "match a Gaussian that is stationary for the operator"
-        )
-    order = np.argsort(deg, kind="stable")
-    graded = mat[order][:, order]
-    edges = np.searchsorted(deg[order], np.arange(deg.max() + 2))
-    blocks = [graded[lo:hi, lo:hi].toarray() for lo, hi in zip(edges[:-1], edges[1:])]
-    return np.concatenate([np.linalg.eigvals(block) for block in blocks])
+    mat = k_mat.matrix
+    largest = max((float(np.max(np.abs(band))) for band in mat.bands.values()), default=0.0)
+    for (s, t), band in mat.bands.items():
+        if s + t < 0 and not np.all(np.abs(band) <= _GRADING_TOL * largest):
+            raise DegreeError(
+                "matrix raises the Hermite degree beyond roundoff: its frame does not "
+                "match a Gaussian that is stationary for the operator"
+            )
+    level = {s: band for (s, t), band in mat.bands.items() if s + t == 0}
+    spectra = []
+    for degree in range(mat.n_q + mat.n_r - 1):
+        # block rows and columns (j, degree - j) in the order of the basis
+        j = np.arange(max(0, degree - mat.n_r + 1), min(degree, mat.n_q - 1) + 1)
+        block = np.zeros((j.size, j.size), dtype=complex)
+        for s, band in level.items():
+            row = np.arange(max(0, -s), min(j.size, j.size - s))
+            block[row, row + s] = band[j[row], degree - j[row]]
+        spectra.append(np.linalg.eigvals(block))
+    return np.concatenate(spectra)
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:

@@ -200,21 +200,33 @@ def test_stationary_similarity_grades_generic_sources():
             assert np.min(np.abs(eigvals - eigenvalue(lab, omega0, src.gamma))) <= 1e-8
 
 
-def test_evolve_series_raises_when_the_evolution_leaves_the_float_range():
-    """Criterion-02 source 87 (nu = -8.2 after transport): exp(-t K) on the
-    truncated basis grows past the float range within 10 / gamma, at 32x32
-    as at the 40x40 of `klform evolve`."""
+def source_87_evolution(n):
+    """Matrix, seeded start and `klform evolve` grid of criterion-02 source 87
+    (nu = -8.2 after transport) on an n x n basis."""
     rng = np.random.default_rng(20260816)
     src = [random_scrambled_source(rng) for _ in range(88)][87]
     plan = reduce_to_kl(src, b_target=1.0)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src)
     seed = transformed_eigenfunction(plan, EigenLabel(1, 0, 1), src)
-    cfg = BasisConfig(32, 32, steady.gaussian.frame())
+    cfg = BasisConfig(n, n, steady.gaussian.frame())
     k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
     v_seed = expand(seed, cfg)
     f0 = expand(steady, cfg) + 0.2 * v_seed / np.linalg.norm(v_seed)
+    return k_mat, f0, np.linspace(0.0, 10.0 / src.gamma, 81)
+
+
+def test_evolve_series_raises_when_the_evolution_leaves_the_float_range():
+    """exp(-t K) on the truncated basis of source 87 grows past the float
+    range within 10 / gamma, at 32x32 as at the 40x40 of `klform evolve`."""
+    k_mat, f0, times = source_87_evolution(32)
     with pytest.raises(EvolutionOverflow, match="float range"):
-        evolve_series(k_mat, f0, np.linspace(0.0, 10.0 / src.gamma, 81))
+        evolve_series(k_mat, f0, times)
+
+
+def test_evolve_series_on_source_87_at_40x40_stops_when_it_leaves_the_float_range():
+    k_mat, f0, times = source_87_evolution(40)
+    with pytest.raises(EvolutionOverflow, match="float range"):
+        evolve_series(k_mat, f0, times)
 
 
 def test_criterion_03_conjugation_closed_forms():

@@ -27,7 +27,6 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
-    ladder_matrices,
     reduce_to_kl,
     rescale_coordinates,
     stationary_preset,
@@ -83,14 +82,18 @@ def oracle_operators():
 
 
 def fresh_assemble(op, cfg):
-    """assemble_matrix as it was before the cache: every Kronecker product anew."""
+    """The operator's matrix as scipy builds it: a sum of Kronecker products
+    of sparse ladder-matrix powers, every one made anew."""
     scaled = rescale_coordinates(op, cfg.frame)
-    xq, dq = ladder_matrices(cfg.n_q)
-    xr, dr = ladder_matrices(cfg.n_r)
-    mult_q = (xq / math.sqrt(2.0)).tocsr()
-    dif_q = (dq * math.sqrt(2.0)).tocsr()
-    mult_r = (xr / math.sqrt(2.0)).tocsr()
-    dif_r = (dr * math.sqrt(2.0)).tocsr()
+
+    def ladder(n):
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        x_mat = sp.diags([off, off], [1, -1], shape=(n, n), format="csr")
+        d_mat = sp.diags([off, -off], [1, -1], shape=(n, n), format="csr")
+        return (x_mat / math.sqrt(2.0)).tocsr(), (d_mat * math.sqrt(2.0)).tocsr()
+
+    mult_q, dif_q = ladder(cfg.n_q)
+    mult_r, dif_r = ladder(cfg.n_r)
     total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
     eye_q = sp.identity(cfg.n_q, format="csr")
     eye_r = sp.identity(cfg.n_r, format="csr")
@@ -135,8 +138,13 @@ def same_bits(a, b):
 
 
 def same_matrix(a, b):
-    pairs = ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))
-    return all(same_bits(x, y) for x, y in pairs)
+    """Equal entries, bit for bit, and equal counts of nonzero entries."""
+    return a.nnz == b.nnz and same_bits(a.toarray(), b.toarray())
+
+
+def same_bands(a, b):
+    """Equal shifts and equal bits in every band of two {shift: array} maps."""
+    return a.keys() == b.keys() and all(same_bits(a[key], b[key]) for key in a)
 
 
 def exact(terms):
@@ -184,9 +192,10 @@ def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
     cfg = BasisConfig(24, 24, fs[0].gaussian.frame())
     for op in (assemble_liouvillian(SOURCES["c02-0"]), PhasePolyOperator.identity()):
         first = assemble_matrix(op, cfg).matrix
-        reference = first.copy()
-        first.data *= 3.0
-        assert same_matrix(assemble_matrix(op, cfg).matrix, reference)
+        reference = {key: band.copy() for key, band in first.bands.items()}
+        for band in first.bands.values():
+            band *= 3.0
+        assert same_bands(assemble_matrix(op, cfg).matrix.bands, reference)
 
     vec = expand(fs[1], cfg)
     reference = vec.copy()

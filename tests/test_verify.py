@@ -16,6 +16,7 @@ from klform import (
     FrameMismatch,
     GaussianState,
     LinearPhaseOperator,
+    LiouvillianCoeffs,
     PairingFailure,
     PhasePolyOperator,
     PositivityViolation,
@@ -74,9 +75,8 @@ def hermite_function_oracle(j, x):
 
 def test_ladder_matrices_against_quadrature():
     n = 6
-    x_mat, d_mat = ladder_matrices(n)
-    x_dense = x_mat.toarray()
-    d_dense = d_mat.toarray()
+    x_dense, d_dense = ladder_matrices(n)
+    assert not x_dense.flags.writeable and not d_dense.flags.writeable
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     wts = weights * np.exp(nodes**2)
     for j in range(n):
@@ -322,6 +322,60 @@ def test_evolve_series_grid_handling():
             evolve_series(k_mat, f0, [t])
     with pytest.raises(ValueError, match="must not be empty"):
         evolve_series(k_mat, f0, [])
+    with pytest.raises(ValueError, match="does not fit"):
+        evolve_series(k_mat, f0[:-1], times)
+
+
+@pytest.mark.parametrize("model", ["kl", "cl", "hpz", "generic"])
+def test_evolve_series_matches_expm_multiply(model):
+    """scipy's expm_multiply (Al-Mohy & Higham's algorithm) is the oracle of
+    the Taylor integrator: on an 81-point grid from 0, a one-point grid and
+    a grid starting at t > 0, every row agrees to 1e-12 of its norm."""
+    from scipy.sparse.linalg import expm_multiply
+
+    # the generic source is the config of the CLI tests
+    generic = LiouvillianCoeffs((2.2, 0.4, -0.3), 0.5, (-1.1, 0.2, 0.3))
+    coeffs = generic if model == "generic" else MODELS[model][0]
+    plan = reduce_to_kl(coeffs, b_target=1.0)
+    steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs)
+    seed = transformed_eigenfunction(plan, EigenLabel(1, 1, 1), coeffs)
+    cfg = BasisConfig(24, 24, steady.gaussian.frame())
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
+    f0 = expand(steady, cfg) + 0.3 * expand(seed, cfg)
+    gen = -k_mat.matrix.tocsc()
+    span = 10.0 / coeffs.gamma
+    grids = [np.linspace(0.0, span, 81), np.array([0.37 * span]), np.linspace(2.0, 9.0, 15)]
+    for times in grids:
+        if times.size == 1:
+            expected = expm_multiply(times[0] * gen, f0)[None, :]
+        else:
+            expected = expm_multiply(
+                gen, f0, start=times[0], stop=times[-1], num=times.size, endpoint=True
+            )
+        got = evolve_series(k_mat, f0, times)
+        assert got.shape == expected.shape
+        for row, ref in zip(got, expected):
+            assert np.linalg.norm(row - ref) <= 1e-12 * np.linalg.norm(ref), times
+
+
+def test_evolve_series_stops_at_the_first_step_that_leaves_the_float_range(monkeypatch):
+    """A start near the largest float overflows in the first Taylor step
+    after t = 0; the integrator raises there instead of spending the rest
+    of the grid's steps on inf and NaN."""
+    _, cfg, k_mat = kl_setup(20, gamma=0.5)
+    f0 = np.full(cfg.dim, 1e308)
+    products = []
+    matmul = type(k_mat.matrix).__matmul__
+
+    def counted(mat, vec):
+        products.append(1)
+        return matmul(mat, vec)
+
+    monkeypatch.setattr(type(k_mat.matrix), "__matmul__", counted)
+    with pytest.raises(EvolutionOverflow, match="float range"):
+        evolve_series(k_mat, f0, np.linspace(0.0, 50.0, 81))
+    # one Taylor step takes at most 55 products; the grid asks for hundreds of steps
+    assert 0 < len(products) <= 55
 
 
 TINY_GAMMA = 2.3447469302921906e-139
