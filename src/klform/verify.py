@@ -9,13 +9,13 @@ evolution operator are finite combinations, so truncation is exact for
 low modes and every closed-form claim can be checked against plain
 linear algebra: residuals, evolution, traces, spectra, and left/right
 biorthogonality.  Such a frame also grades the matrix by total Hermite
-degree, so spectra come from small dense blocks, one per degree.
+degree, so spectra come from small dense blocks, one per degree, and the
+left eigenvectors of low modes from the leading block of low degrees.
 
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix) and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.  scipy is imported only for the
-sparse LU of biorthogonality_check.
+a truncated Taylor series on those arrays.  The oracle imports no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,11 +37,6 @@ from .operators import (
     rescale_coordinates,
 )
 from .spectrum import AppliedEigenfunction
-
-# scipy is imported inside the function that calls it, so that every CLI
-# subcommand starts and runs without loading it.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "BasisConfig",
@@ -92,8 +86,8 @@ class BandedMatrix:
     with basis index j * n_r + k; entries whose column falls outside the
     basis are zero.  A term of degree p in one coordinate moves its index
     by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
-    at most 9 such arrays.  Supports `@` on vectors, `nnz`, `shape`,
-    `toarray()` and `tocsc()`; only `tocsc()` imports scipy.
+    at most 9 such arrays.  Supports `@` on vectors, `nnz`, `shape` and
+    `toarray()`.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -143,12 +137,6 @@ class BandedMatrix:
         rows, cols, vals = self._entries()
         out[rows, cols] = vals
         return out
-
-    def tocsc(self) -> sp.csc_matrix:
-        import scipy.sparse as sp
-
-        rows, cols, vals = self._entries()
-        return sp.csc_matrix((vals, (rows, cols)), shape=self.shape)
 
 
 @dataclass
@@ -530,6 +518,18 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
 _GRADING_TOL = 1e-12
 
 
+def _check_grading(mat: BandedMatrix) -> None:
+    """DegreeError unless every band with s + t < 0, which raises the total
+    Hermite degree, is roundoff of the largest entry."""
+    largest = max((float(np.max(np.abs(band))) for band in mat.bands.values()), default=0.0)
+    for (s, t), band in mat.bands.items():
+        if s + t < 0 and not np.all(np.abs(band) <= _GRADING_TOL * largest):
+            raise DegreeError(
+                "matrix raises the Hermite degree beyond roundoff: its frame does not "
+                "match a Gaussian that is stationary for the operator"
+            )
+
+
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     """Spectrum of the truncated matrix.
 
@@ -541,13 +541,7 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     a degree-raising entry above roundoff raises DegreeError.
     """
     mat = k_mat.matrix
-    largest = max((float(np.max(np.abs(band))) for band in mat.bands.values()), default=0.0)
-    for (s, t), band in mat.bands.items():
-        if s + t < 0 and not np.all(np.abs(band) <= _GRADING_TOL * largest):
-            raise DegreeError(
-                "matrix raises the Hermite degree beyond roundoff: its frame does not "
-                "match a Gaussian that is stationary for the operator"
-            )
+    _check_grading(mat)
     level = {s: band for (s, t), band in mat.bands.items() if s + t == 0}
     spectra = []
     for degree in range(mat.n_q + mat.n_r - 1):
@@ -629,47 +623,58 @@ class BiorthReport:
         return self.max_offdiag <= self.tol
 
 
-def splu(mat):
-    """scipy's sparse LU factorization, imported on first call."""
-    from scipy.sparse.linalg import splu
+def _leading_block(mat: BandedMatrix, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of degree j + k <= top, in basis order, and mat's dense block on them."""
+    j, k = np.nonzero(np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)) <= top)
+    index = j * mat.n_r + k
+    position = np.full(mat.shape[0], -1)
+    position[index] = np.arange(index.size)
+    rows, cols, vals = mat._entries()
+    keep = (position[rows] >= 0) & (position[cols] >= 0)
+    block = np.zeros((index.size, index.size), dtype=complex)
+    block[position[rows[keep]], position[cols[keep]]] = vals[keep]
+    return index, block
 
-    return splu(mat)
+
+def splu(mat: np.ndarray) -> np.ndarray:
+    """Inverse of one mode's shifted leading block in biorthogonality_check,
+    the step that perfbench's tracer times under this name."""
+    return np.linalg.inv(mat)
 
 
-def biorthogonality_check(
-    k_mat: OperatorMatrix, modes, tol: float = 1e-6
-) -> BiorthReport:
+def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> BiorthReport:
     """Pair numerically computed left eigenvectors with constructed right ones.
 
-    For each mode the predicted eigenvalue seeds one shifted sparse LU;
-    a few inverse-iteration steps on the adjoint system, started from the
-    mode's own vector (its pairing with the left eigenvector is nonzero,
-    which the Gram diagonal tests), give the left eigenvector, and a
-    Rayleigh quotient from the right system confirms the pairing
-    (PairingFailure if it drifts from the prediction).  The
+    A matched frame's matrix never raises the total Hermite degree (else
+    DegreeError), so degrees <= D = max(2m - n) over the modes (m, n, sigma)
+    span an invariant subspace holding every mode, and on it the left
+    eigenvectors are those of the leading block on degrees <= D (15x15 for
+    m <= 2).  For each mode the predicted eigenvalue seeds one shifted
+    inverse of that block; a few inverse-iteration steps on the adjoint
+    system, started from the mode's own vector (its pairing with the left
+    eigenvector is nonzero, which the Gram diagonal tests), give the left
+    eigenvector, and a Rayleigh quotient from the right system confirms
+    the pairing (PairingFailure if it drifts from the prediction).  The
     report contains the Gram matrix of left/right vectors and its
     diagonal-rescaled deviation from identity.
     """
-    import scipy.sparse as sp
-
-    cfg = k_mat.config
-    mat = k_mat.matrix.tocsc()
-    rights = []
-    lefts = []
-    eye = sp.identity(cfg.dim, format="csc", dtype=complex)
+    _check_grading(k_mat.matrix)
+    top = max(2 * mode.label.m - mode.label.n for mode in modes)
+    index, block = _leading_block(k_mat.matrix, top)
+    rights, lefts = [], []
     for mode in modes:
         lam = complex(mode.eigenvalue)
-        vec = expand(mode, cfg)
+        vec = expand(mode, k_mat.config)[index]
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ZeroVector(f"mode {mode.label} expanded to the zero vector")
         vec = vec / norm
         shift = lam + 1e-8 * (1.0 + abs(lam)) * (1.0 + 1.0j) / math.sqrt(2.0)
-        lu = splu(mat - shift * eye)
+        inverse = splu(block - shift * np.eye(index.size))
         # one inverse-iteration step from the constructed vector, then Rayleigh
-        refined = lu.solve(vec)
+        refined = inverse @ vec
         refined /= np.linalg.norm(refined)
-        rayleigh = complex(np.vdot(refined, mat @ refined))
+        rayleigh = complex(np.vdot(refined, block @ refined))
         if abs(rayleigh - lam) > 10.0 * tol:
             raise PairingFailure(
                 f"mode {mode.label}: matrix eigenvalue {rayleigh} does not match "
@@ -677,21 +682,14 @@ def biorthogonality_check(
             )
         left = vec
         for _ in range(3):
-            left = lu.solve(left, trans="H")
+            left = inverse.conj().T @ left
             left /= np.linalg.norm(left)
         rights.append(vec)
         lefts.append(left)
-        # free this factorization before the next one is built
-        del lu
-    right_mat = np.array(rights).T
-    left_mat = np.array(lefts).T
-    gram = left_mat.conj().T @ right_mat
+    gram = np.array(lefts).conj() @ np.array(rights).T
     diag = np.diag(gram)
     if np.min(np.abs(diag)) < 1e-8:
         raise PairingFailure("a left/right pair is numerically orthogonal")
     rescaled = gram / diag[:, None]
-    off = rescaled - np.eye(len(modes))
-    max_offdiag = float(np.max(np.abs(off)))
-    return BiorthReport(
-        gram=gram, gram_rescaled=rescaled, max_offdiag=max_offdiag, tol=tol
-    )
+    max_offdiag = float(np.max(np.abs(rescaled - np.eye(len(modes)))))
+    return BiorthReport(gram=gram, gram_rescaled=rescaled, max_offdiag=max_offdiag, tol=tol)

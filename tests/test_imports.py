@@ -1,9 +1,9 @@
 """scipy is loaded only by the code that calls it.
 
 The closed-form layers and the Hermite-basis oracle run on numpy alone, so
-`import klform.cli` and every subcommand start and run without scipy; the
-sparse LU of `biorthogonality_check` and the oracle
-`adjoint_conjugate_coefficients` import it inside the functions that use it.
+`import klform.cli`, every subcommand and `biorthogonality_check` start and
+run without scipy; the one scipy import of the package is inside the
+oracle `adjoint_conjugate_coefficients`.
 """
 
 import ast
@@ -16,43 +16,39 @@ import sys
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "klform"
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
+def _scipy_imports(body, scope="<module>"):
+    """(enclosing function, line number) of every scipy import.
 
-
-def _import_time_scipy_imports(body):
-    """Line numbers of scipy imports that run when the module is imported.
-
-    Function bodies run later and `if TYPE_CHECKING:` blocks never run;
-    every other block, class bodies included, runs at import.
+    Every block is searched, function bodies and `if TYPE_CHECKING:`
+    blocks included; a class body keeps the scope around it.
     """
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.If) and _is_type_checking(node.test):
-            yield from _import_time_scipy_imports(node.orelse)
+            yield from _scipy_imports(node.body, node.name)
             continue
         if isinstance(node, ast.Import) and any(
             alias.name.split(".")[0] == "scipy" for alias in node.names
         ):
-            yield node.lineno
+            yield scope, node.lineno
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-            yield node.lineno
+            yield scope, node.lineno
         for field in ("body", "orelse", "finalbody"):
-            yield from _import_time_scipy_imports(getattr(node, field, []))
+            yield from _scipy_imports(getattr(node, field, []), scope)
         for handler in getattr(node, "handlers", []):
-            yield from _import_time_scipy_imports(handler.body)
+            yield from _scipy_imports(handler.body, scope)
 
 
 def test_no_module_level_scipy_import():
+    """The only scipy import in the package is the one inside
+    adjoint_conjugate_coefficients."""
     found = [
-        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        (path.name, scope, line)
         for path in sorted(PACKAGE.glob("*.py"))
-        for line in _import_time_scipy_imports(ast.parse(path.read_text()).body)
+        for scope, line in _scipy_imports(ast.parse(path.read_text()).body)
     ]
-    assert not found, "scipy imported at module level: " + ", ".join(found)
+    assert [place[:2] for place in found] == [
+        ("operators.py", "adjoint_conjugate_coefficients")
+    ], f"scipy imported at {found}"
 
 
 def test_import_check_sees_nested_and_exempt_blocks():
@@ -69,10 +65,19 @@ def test_import_check_sees_nested_and_exempt_blocks():
         "    pass\n"
         "class A:\n"
         "    from scipy.sparse import linalg\n"
+        "    def g(self):\n"
+        "        import scipy.linalg\n"
         "def f():\n"
         "    import scipy.sparse\n"
     )
-    assert list(_import_time_scipy_imports(ast.parse(source).body)) == [6, 8, 12]
+    assert list(_scipy_imports(ast.parse(source).body)) == [
+        ("<module>", 4),
+        ("<module>", 6),
+        ("<module>", 8),
+        ("<module>", 12),
+        ("g", 14),
+        ("f", 16),
+    ]
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the
@@ -91,11 +96,29 @@ print(json.dumps(report))
 """
 
 
-def _probe(runs):
+# Runs biorthogonality_check on the m <= 2 modes of the kl preset at 32x32
+# in a fresh interpreter and reports the scipy modules loaded.
+_BIORTH_PROBE = """
+import json, sys
+from klform import (BasisConfig, assemble_liouvillian, assemble_matrix,
+    biorthogonality_check, distinct_labels, kl_coefficients, kl_eigenfunction,
+    stationary_preset)
+
+_, frame = stationary_preset("kl", b=1.0)
+cfg = BasisConfig(32, 32, frame)
+k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(1.0, 0.3, 1.0)), cfg)
+modes = [kl_eigenfunction(lab, 1.0, 1.0, 0.3) for lab in distinct_labels(2)]
+report = biorthogonality_check(k_mat, modes)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([report.passed, loaded]))
+"""
+
+
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(runs)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -103,6 +126,14 @@ def _probe(runs):
         check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _probe(runs):
+    return _run(_PROBE, json.dumps(runs))
+
+
+def test_biorthogonality_check_runs_without_scipy():
+    assert _run(_BIORTH_PROBE) == [True, []]
 
 
 def test_closed_form_subcommands_run_without_scipy(tmp_path):

@@ -277,6 +277,9 @@ def test_all_eigenvalues_rejects_an_ungraded_matrix():
     assert degree_raising_ratio(k_mat) > 1e-3
     with pytest.raises(DegreeError, match="raises the Hermite degree"):
         all_eigenvalues(k_mat)
+    modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
+    with pytest.raises(DegreeError, match="raises the Hermite degree"):
+        biorthogonality_check(k_mat, modes)
 
 
 def test_all_eigenvalues_contains_low_spectrum():
@@ -331,6 +334,7 @@ def test_evolve_series_matches_expm_multiply(model):
     """scipy's expm_multiply (Al-Mohy & Higham's algorithm) is the oracle of
     the Taylor integrator: on an 81-point grid from 0, a one-point grid and
     a grid starting at t > 0, every row agrees to 1e-12 of its norm."""
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
 
     # the generic source is the config of the CLI tests
@@ -342,7 +346,7 @@ def test_evolve_series_matches_expm_multiply(model):
     cfg = BasisConfig(24, 24, steady.gaussian.frame())
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
     f0 = expand(steady, cfg) + 0.3 * expand(seed, cfg)
-    gen = -k_mat.matrix.tocsc()
+    gen = -csc_matrix(k_mat.matrix.toarray())
     span = 10.0 / coeffs.gamma
     grids = [np.linspace(0.0, span, 81), np.array([0.37 * span]), np.linspace(2.0, 9.0, 15)]
     for times in grids:
