@@ -86,8 +86,8 @@ class BandedMatrix:
     with basis index j * n_r + k; entries whose column falls outside the
     basis are zero.  A term of degree p in one coordinate moves its index
     by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
-    at most 9 such arrays.  Supports `@` on vectors, `nnz`, `shape` and
-    `toarray()`.
+    at most 9 such arrays; they serve `@` on vectors and `nnz`.  `toarray()`
+    and the structure (degree grading, column sums) read `_entries()`.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -125,11 +125,11 @@ class BandedMatrix:
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row indices, column indices and values of the nonzero entries."""
         rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for (s, t), band in self.bands.items():
-            j, k = np.nonzero(band)
-            rows.append(j * self.n_r + k)
-            cols.append((j + s) * self.n_r + k + t)
-            vals.append(band[j, k])
+        for off, band in zip(self._offsets, self._flat):
+            row = np.flatnonzero(band)
+            rows.append(row)
+            cols.append(row + off)
+            vals.append(band[row])
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
     def toarray(self) -> np.ndarray:
@@ -370,11 +370,9 @@ def _shifted_generator(mat: BandedMatrix) -> tuple[BandedMatrix, complex, float]
     diag = bands.get((0, 0), np.zeros((n_q, n_r), dtype=complex))
     mu = complex(diag.sum()) / (n_q * n_r)
     bands[(0, 0)] = diag - mu
-    # column (j, k) holds the entries of rows (j - s, k - t)
-    col_sums = np.zeros((n_q, n_r))
-    for (s, t), band in bands.items():
-        col_sums[_span(n_q, -s), _span(n_r, -t)] += np.abs(band[_span(n_q, s), _span(n_r, t)])
-    return BandedMatrix(bands, n_q, n_r), mu, float(col_sums.max())
+    gen = BandedMatrix(bands, n_q, n_r)
+    _, cols, vals = gen._entries()
+    return gen, mu, float(np.bincount(cols, np.abs(vals), minlength=n_q * n_r).max())
 
 
 def _taylor_steps(norm: float, dt: float) -> float:
@@ -518,39 +516,42 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
 _GRADING_TOL = 1e-12
 
 
-def _check_grading(mat: BandedMatrix) -> None:
-    """DegreeError unless every band with s + t < 0, which raises the total
-    Hermite degree, is roundoff of the largest entry."""
-    largest = max((float(np.max(np.abs(band))) for band in mat.bands.values()), default=0.0)
-    for (s, t), band in mat.bands.items():
-        if s + t < 0 and not np.all(np.abs(band) <= _GRADING_TOL * largest):
-            raise DegreeError(
-                "matrix raises the Hermite degree beyond roundoff: its frame does not "
-                "match a Gaussian that is stationary for the operator"
-            )
+def _graded_entries(mat: BandedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of mat's nonzero entries, and the total Hermite
+    degree j + k of each basis function.  DegreeError unless every entry that
+    raises the degree (row degree above column degree) is roundoff of the
+    largest entry; a NaN entry makes a maximum NaN and fails too."""
+    rows, cols, vals = mat._entries()
+    degree = np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)).reshape(-1)
+    magnitude = np.abs(vals)
+    raising = magnitude[degree[rows] > degree[cols]]
+    if not raising.max(initial=0.0) <= _GRADING_TOL * magnitude.max(initial=0.0):
+        raise DegreeError(
+            "matrix raises the Hermite degree beyond roundoff: its frame does not "
+            "match a Gaussian that is stationary for the operator"
+        )
+    return rows, cols, vals, degree
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     """Spectrum of the truncated matrix.
 
-    In a frame matched to a stationary Gaussian the matrix never raises
-    the total Hermite degree j + k: its bands with s + t < 0 vanish, and
-    ordered by degree it is block upper-triangular.  Its spectrum is the
-    union of those of the small diagonal blocks, one per degree, read off
-    the bands with s + t = 0 and each diagonalized densely.  A matrix with
-    a degree-raising entry above roundoff raises DegreeError.
+    In a frame matched to a stationary Gaussian the matrix never raises the
+    total Hermite degree j + k (else DegreeError), so ordered by degree it
+    is block upper-triangular, and its spectrum is the union of those of
+    the diagonal blocks, one per degree, each diagonalized densely.
     """
-    mat = k_mat.matrix
-    _check_grading(mat)
-    level = {s: band for (s, t), band in mat.bands.items() if s + t == 0}
-    spectra = []
-    for degree in range(mat.n_q + mat.n_r - 1):
-        # block rows and columns (j, degree - j) in the order of the basis
-        j = np.arange(max(0, degree - mat.n_r + 1), min(degree, mat.n_q - 1) + 1)
-        block = np.zeros((j.size, j.size), dtype=complex)
-        for s, band in level.items():
-            row = np.arange(max(0, -s), min(j.size, j.size - s))
-            block[row, row + s] = band[j[row], degree - j[row]]
+    rows, cols, vals, degree = _graded_entries(k_mat.matrix)
+    level = degree[rows] == degree[cols]
+    rows, cols, vals = rows[level], cols[level], vals[level]
+    # (j, d - j) sits at j - j_0 in block d, whose first row has j_0 = max(0, d - n_r + 1)
+    n_r = k_mat.matrix.n_r
+    position = np.arange(degree.size) // n_r - np.maximum(0, degree - n_r + 1)
+    block_of, spectra = degree[rows], []
+    for d, size in enumerate(np.bincount(degree)):
+        at = block_of == d
+        block = np.zeros((size, size), dtype=complex)
+        block[position[rows[at]], position[cols[at]]] = vals[at]
         spectra.append(np.linalg.eigvals(block))
     return np.concatenate(spectra)
 
@@ -623,19 +624,6 @@ class BiorthReport:
         return self.max_offdiag <= self.tol
 
 
-def _leading_block(mat: BandedMatrix, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of degree j + k <= top, in basis order, and mat's dense block on them."""
-    j, k = np.nonzero(np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)) <= top)
-    index = j * mat.n_r + k
-    position = np.full(mat.shape[0], -1)
-    position[index] = np.arange(index.size)
-    rows, cols, vals = mat._entries()
-    keep = (position[rows] >= 0) & (position[cols] >= 0)
-    block = np.zeros((index.size, index.size), dtype=complex)
-    block[position[rows[keep]], position[cols[keep]]] = vals[keep]
-    return index, block
-
-
 def splu(mat: np.ndarray) -> np.ndarray:
     """Inverse of one mode's shifted leading block in biorthogonality_check,
     the step that perfbench's tracer times under this name."""
@@ -646,21 +634,26 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     """Pair numerically computed left eigenvectors with constructed right ones.
 
     A matched frame's matrix never raises the total Hermite degree (else
-    DegreeError), so degrees <= D = max(2m - n) over the modes (m, n, sigma)
-    span an invariant subspace holding every mode, and on it the left
-    eigenvectors are those of the leading block on degrees <= D (15x15 for
-    m <= 2).  For each mode the predicted eigenvalue seeds one shifted
-    inverse of that block; a few inverse-iteration steps on the adjoint
-    system, started from the mode's own vector (its pairing with the left
-    eigenvector is nonzero, which the Gram diagonal tests), give the left
-    eigenvector, and a Rayleigh quotient from the right system confirms
-    the pairing (PairingFailure if it drifts from the prediction).  The
-    report contains the Gram matrix of left/right vectors and its
-    diagonal-rescaled deviation from identity.
+    DegreeError), so degrees <= D = max(2m - n) over the modes (m, n, sigma;
+    PairingFailure if there are none) span an invariant subspace holding
+    every mode, and on it the left eigenvectors are those of the leading
+    block on degrees <= D (15x15 for m <= 2).  For each mode the predicted
+    eigenvalue seeds one shifted inverse of that block; a few inverse-iteration
+    steps on the adjoint system, started from the mode's own vector (its
+    pairing with the left eigenvector is nonzero, which the Gram diagonal
+    tests), give the left eigenvector, and a Rayleigh quotient from the right
+    system confirms the pairing (PairingFailure if it drifts from the
+    prediction).  The report contains the Gram matrix of left/right vectors
+    and its diagonal-rescaled deviation from identity.
     """
-    _check_grading(k_mat.matrix)
-    top = max(2 * mode.label.m - mode.label.n for mode in modes)
-    index, block = _leading_block(k_mat.matrix, top)
+    if not modes:
+        raise PairingFailure("no modes to pair")
+    rows, cols, vals, degree = _graded_entries(k_mat.matrix)
+    low = degree <= max(2 * mode.label.m - mode.label.n for mode in modes)
+    index, position = np.flatnonzero(low), np.cumsum(low) - 1
+    keep = low[rows] & low[cols]
+    block = np.zeros((index.size, index.size), dtype=complex)
+    block[position[rows[keep]], position[cols[keep]]] = vals[keep]
     rights, lefts = [], []
     for mode in modes:
         lam = complex(mode.eigenvalue)

@@ -282,6 +282,33 @@ def test_all_eigenvalues_rejects_an_ungraded_matrix():
         biorthogonality_check(k_mat, modes)
 
 
+def test_non_finite_entries_fail_the_grading_check():
+    """A NaN entry is no roundoff: the check must not let it reach numpy."""
+    state, frame = stationary_preset("kl", b=B)
+    op = assemble_liouvillian(kl_coefficients(W0, GAM, B))
+    op = op + PhasePolyOperator({(1, 0, 1, 0): float("nan")})
+    k_mat = assemble_matrix(op, BasisConfig(8, 8, frame))
+    with pytest.raises(DegreeError):
+        all_eigenvalues(k_mat)
+    modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
+    with pytest.raises(DegreeError):
+        biorthogonality_check(k_mat, modes)
+
+
+@pytest.mark.parametrize("n_q, n_r", [(14, 9), (9, 14)])
+def test_all_eigenvalues_on_a_rectangular_basis(n_q, n_r):
+    """The degree blocks of a rectangular basis are cut on one side only."""
+    _, frame = stationary_preset("kl", b=B)
+    cfg = BasisConfig(n_q, n_r, frame)
+    k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
+    eigvals = all_eigenvalues(k_mat)
+    dense = np.linalg.eigvals(k_mat.matrix.toarray())
+    assert eigvals.size == n_q * n_r
+    gaps = np.abs(eigvals[:, None] - dense[None, :])
+    assert np.max(np.min(gaps, axis=1)) <= 1e-9
+    assert np.max(np.min(gaps, axis=0)) <= 1e-9
+
+
 def test_all_eigenvalues_contains_low_spectrum():
     _, cfg, k_mat = kl_setup(24)
     eigvals = all_eigenvalues(k_mat)
@@ -499,3 +526,9 @@ def test_biorthogonality_detects_wrong_spectrum():
     bad_modes = [kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.3)]
     with pytest.raises(PairingFailure):
         biorthogonality_check(k_mat, bad_modes, tol=1e-6)
+
+
+def test_biorthogonality_refuses_an_empty_mode_list():
+    _, _, k_mat = kl_setup(8)
+    with pytest.raises(PairingFailure, match="no modes"):
+        biorthogonality_check(k_mat, [])
