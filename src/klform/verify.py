@@ -184,11 +184,15 @@ _LADDER_FACTORS = 128
 @lru_cache(maxsize=_LADDER_FACTORS)
 def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Nonzero diagonals (shift s, read-only F[j, j+s]) of F = (X/sqrt2)^a (sqrt2 D)^c,
-    the matrix of Qs^a dQs^c on n Hermite functions."""
-    x_mat, d_mat = ladder_matrices(n)
+    the exact matrix of Qs^a dQs^c on n Hermite functions: the product runs on
+    n + a + c of them and is cropped, so entries near the edge keep their terms
+    through indices >= n, and interior ones gain only exact zeros."""
+    reach = mult_power + dif_power
+    size = n + reach
+    x_mat, d_mat = ladder_matrices(size)
 
     def power(mat, k):
-        out = np.eye(n)
+        out = np.eye(size)
         for _ in range(k):
             out = _product(out, mat)
         return out
@@ -196,8 +200,7 @@ def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, 
     factor = _product(
         power(x_mat * (1.0 / math.sqrt(2.0)), mult_power),
         power(d_mat * math.sqrt(2.0), dif_power),
-    )
-    reach = mult_power + dif_power
+    )[:n, :n]
     diagonals = (factor.diagonal(s).copy() for s in range(-reach, reach + 1))
     return tuple(
         (s - reach, _read_only(diag)) for s, diag in enumerate(diagonals) if diag.any()
@@ -213,9 +216,9 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     factor, multiplication factors to the left of derivative factors.  The
     diagonals of the 1-D factors are cached per basis size, and each band
     sums the outer products of its diagonals in the operator's term order.
-    Total degree above 4 is rejected: higher powers of the truncated
-    ladder matrices lose the exact-representation property this oracle
-    relies on.
+    Every entry is that of the operator itself, restricted to the basis.
+    Total degree above 4 is rejected, which bounds the factors cached per
+    basis size at 15.
     """
     if op.degree() > 4:
         raise DegreeError(f"operator degree {op.degree()} exceeds 4")
@@ -539,7 +542,9 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     In a frame matched to a stationary Gaussian the matrix never raises the
     total Hermite degree j + k (else DegreeError), so ordered by degree it
     is block upper-triangular, and its spectrum is the union of those of
-    the diagonal blocks, one per degree, each diagonalized densely.
+    the diagonal blocks, one per degree, each diagonalized densely.  The
+    entries are exact, so a block of degree below min(n_q, n_r) is the
+    operator's own; the blocks of higher degree are cut by the truncation.
     """
     rows, cols, vals, degree = _graded_entries(k_mat.matrix)
     level = degree[rows] == degree[cols]
@@ -570,19 +575,13 @@ def stationary_similarity(
     """Conjugate a Liouvillian by the square root of its stationary Gaussian's
     modulus, and by the Gaussian's phase.
 
-    The evolution operator is strongly non-normal in the plain Hermite
-    basis: its right eigenfunctions are polynomials times the stationary
-    Gaussian while its left ones are bare polynomials, so left/right
-    norms diverge with mode order and dense eigensolvers lose digits.
-    Conjugating by the Gaussian's square root puts both families on the
-    same footing (polynomial times half-Gaussian), which shrinks the
-    eigenvalue condition numbers by many orders of magnitude without
-    changing the spectrum.
-
+    Both families of eigenfunctions become polynomials times the real
+    half-Gaussian, so the conjugated operator's matrix is graded by Hermite
+    degree too, with the same degree blocks up to a similarity: an
+    independent route to the spectrum of refined_window_eigenvalues.
     Returns the operator conjugated by the real half-Gaussian, and the
     frame of its widths with the state's whole phase, which assemble_matrix
-    conjugates by; the conjugated eigenfunctions are again finite basis
-    combinations.
+    conjugates by.
     """
     phase = state.frame().kappa  # PositivityViolation unless mu + nu > 0
     mu, w = state.mu, state.width_sum
@@ -600,14 +599,14 @@ def refined_window_eigenvalues(
 ) -> np.ndarray:
     """Truncated-matrix eigenvalues with |lambda| <= radius, sorted by (re, im).
 
-    The Liouvillian is conjugated by stationary_similarity of the
-    stationary Gaussian `state`, whose frame makes the matrix graded by
-    Hermite degree; the eigenvalues then come from the small, well-conditioned
-    blocks of all_eigenvalues.  A state that is not stationary for
-    `coeffs` breaks the grading, and all_eigenvalues raises DegreeError.
+    The Liouvillian is assembled in the frame of the stationary Gaussian
+    `state`, which grades the matrix by Hermite degree, and the eigenvalues
+    come from the small degree blocks of all_eigenvalues.  A state that is
+    not stationary for `coeffs` breaks the grading, and all_eigenvalues
+    raises DegreeError.
     """
-    op, frame = stationary_similarity(coeffs, state)
-    return eigenvalues_in_window(assemble_matrix(op, BasisConfig(n_q, n_r, frame)), radius)
+    cfg = BasisConfig(n_q, n_r, state.frame())
+    return eigenvalues_in_window(assemble_matrix(assemble_liouvillian(coeffs), cfg), radius)
 
 
 @dataclass

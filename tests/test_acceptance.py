@@ -15,7 +15,6 @@ import pytest
 from klform import (
     BasisConfig,
     EigenLabel,
-    EvolutionOverflow,
     GENERATOR_ORDER,
     GaussianState,
     LinearPhaseOperator,
@@ -204,33 +203,57 @@ def test_stationary_similarity_grades_generic_sources():
             assert np.min(np.abs(eigvals - eigenvalue(lab, omega0, src.gamma))) <= 1e-8
 
 
-def source_87_evolution(n):
-    """Matrix, seeded start and `klform evolve` grid of criterion-02 source 87
-    (nu = -8.2 after transport) on an n x n basis."""
+def criterion_02_source(i):
+    """Source i of acceptance criterion 02 (its seed and recipe)."""
     rng = np.random.default_rng(20260816)
-    src = [random_scrambled_source(rng) for _ in range(88)][87]
+    return [random_scrambled_source(rng) for _ in range(i + 1)][i]
+
+
+def evolve_criterion_02_source(i, tmp_path, capsys):
+    """Exit code, output directory and stdout of `klform evolve` on
+    criterion-02 source i at 40x40 and tol 1e-7."""
+    src = criterion_02_source(i)
+    out = tmp_path / "out"
+    cfg = tmp_path / "evolve.json"
+    coefficients = {"h": list(src.h), "gamma": src.gamma, "g": list(src.g)}
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": "generic",
+                "coefficients": coefficients,
+                "basis_n": 40,
+                "tol": 1e-7,
+                "out": str(out),
+            }
+        )
+    )
+    code = cli_main(["evolve", "--config", str(cfg)])
+    return code, out, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("i", [7, 63, 73, 78, 93])
+def test_evolve_passes_on_sources_whose_cut_corner_grew(i, tmp_path, capsys):
+    """The unpadded ladder products gave the top degree blocks of these
+    sources an eigenvalue with negative real part, and the evolution grew
+    by tens of orders of magnitude (exit 3; exit 2 on source 78)."""
+    code, out, _ = evolve_criterion_02_source(i, tmp_path, capsys)
+    assert code == 0
+    doc = json.loads((out / "evolve.json").read_text())
+    assert doc["rate_rel_error"] <= 1e-7
+
+
+def test_evolve_on_source_87_exits_2_when_it_leaves_the_float_range(tmp_path, capsys):
+    """Source 87 (nu = -8.2 after transport) keeps a growing block at
+    40x40: the evolution stays finite but its norms overflow."""
+    code, out, stdout = evolve_criterion_02_source(87, tmp_path, capsys)
+    assert code == 2
+    assert json.loads(stdout)["error"] == "EvolutionOverflow"
+    assert not out.exists()
+    src = criterion_02_source(87)
     plan = reduce_to_kl(src, b_target=1.0)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src)
-    seed = transformed_eigenfunction(plan, EigenLabel(1, 0, 1), src)
-    cfg = BasisConfig(n, n, steady.gaussian.frame())
-    k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
-    v_seed = expand(seed, cfg)
-    f0 = expand(steady, cfg) + 0.2 * v_seed / np.linalg.norm(v_seed)
-    return k_mat, f0, np.linspace(0.0, 10.0 / src.gamma, 81)
-
-
-def test_evolve_series_raises_when_the_evolution_leaves_the_float_range():
-    """exp(-t K) on the truncated basis of source 87 grows past the float
-    range within 10 / gamma, at 32x32 as at the 40x40 of `klform evolve`."""
-    k_mat, f0, times = source_87_evolution(32)
-    with pytest.raises(EvolutionOverflow, match="float range"):
-        evolve_series(k_mat, f0, times)
-
-
-def test_evolve_series_on_source_87_at_40x40_stops_when_it_leaves_the_float_range():
-    k_mat, f0, times = source_87_evolution(40)
-    with pytest.raises(EvolutionOverflow, match="float range"):
-        evolve_series(k_mat, f0, times)
+    k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(40, 40, steady.gaussian.frame()))
+    assert np.min(all_eigenvalues(k_mat).real) < 0.0
 
 
 def test_criterion_03_conjugation_closed_forms():

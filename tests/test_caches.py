@@ -83,31 +83,27 @@ def oracle_operators():
 
 def fresh_assemble(op, cfg):
     """The operator's matrix as scipy builds it: a sum of Kronecker products
-    of sparse ladder-matrix powers, every one made anew."""
+    of sparse ladder-matrix powers, every one made anew.  Each 1-D factor
+    is multiplied on n + a + c functions and cropped to n x n, so that it
+    is the operator's exact restriction."""
     scaled = rescale_coordinates(op, cfg.frame)
 
-    def ladder(n):
-        off = np.sqrt(np.arange(1, n) / 2.0)
-        x_mat = sp.diags([off, off], [1, -1], shape=(n, n), format="csr")
-        d_mat = sp.diags([off, -off], [1, -1], shape=(n, n), format="csr")
-        return (x_mat / math.sqrt(2.0)).tocsr(), (d_mat * math.sqrt(2.0)).tocsr()
+    def factor(n, a, c):
+        size = n + a + c
+        off = np.sqrt(np.arange(1, size) / 2.0)
+        x_mat = sp.diags([off, off], [1, -1], shape=(size, size), format="csr")
+        d_mat = sp.diags([off, -off], [1, -1], shape=(size, size), format="csr")
+        out = sp.identity(size, format="csr")
+        for _ in range(a):
+            out = out @ (x_mat / math.sqrt(2.0)).tocsr()
+        dif = sp.identity(size, format="csr")
+        for _ in range(c):
+            dif = dif @ (d_mat * math.sqrt(2.0)).tocsr()
+        return (out @ dif)[:n, :n]
 
-    mult_q, dif_q = ladder(cfg.n_q)
-    mult_r, dif_r = ladder(cfg.n_r)
     total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    eye_q = sp.identity(cfg.n_q, format="csr")
-    eye_r = sp.identity(cfg.n_r, format="csr")
-
-    def power(mat, k, eye):
-        out = eye
-        for _ in range(k):
-            out = out @ mat
-        return out
-
     for (a, b, c, d), coeff in scaled.terms.items():
-        factor_q = power(mult_q, a, eye_q) @ power(dif_q, c, eye_q)
-        factor_r = power(mult_r, b, eye_r) @ power(dif_r, d, eye_r)
-        total = total + coeff * sp.kron(factor_q, factor_r, format="csr")
+        total = total + coeff * sp.kron(factor(cfg.n_q, a, c), factor(cfg.n_r, b, d), format="csr")
     return total.tocsr()
 
 

@@ -28,6 +28,7 @@ from klform import (
     cl_coefficients,
     distinct_labels,
     eigenvalue,
+    eigenvalues_in_window,
     evolve_series,
     expand,
     hpz_coefficients,
@@ -470,23 +471,49 @@ def test_refined_window_eigenvalues_rejects_non_stationary_state():
         refined_window_eigenvalues(kl_coefficients(W0, GAM, B), state, 24, 24, radius=4.0)
 
 
-@pytest.mark.parametrize("model", ["cl", "hpz"])
-def test_refined_window_eigenvalues_cl_hpz(model):
+def window_spectrum(model):
+    """Coefficients, stationary state, window radius 4 max(omega0, gamma)
+    and the closed-form eigenvalues inside it of a reference model."""
     coeffs, params = MODELS[model]
     state, _ = stationary_preset(model, **params)
     h0, h1, h2 = coeffs.h
     omega0 = 0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2)
     radius = 4.0 * max(omega0, coeffs.gamma)
-    eigvals = refined_window_eigenvalues(coeffs, state, 20, 20, radius)
     analytic = np.array(
         [eigenvalue(lab, omega0, coeffs.gamma) for lab in distinct_labels(20)]
     )
-    analytic = analytic[np.abs(analytic) <= radius]
+    return coeffs, state, radius, analytic[np.abs(analytic) <= radius]
+
+
+def nearest_gap(a, b):
+    """Largest distance from a point of either set to the nearest of the other."""
+    gap = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
+
+
+@pytest.mark.parametrize("model", ["cl", "hpz"])
+def test_refined_window_eigenvalues_cl_hpz(model):
+    coeffs, state, radius, analytic = window_spectrum(model)
+    eigvals = refined_window_eigenvalues(coeffs, state, 20, 20, radius)
     assert eigvals.size == analytic.size == 35
-    for lam in eigvals:
-        assert np.min(np.abs(analytic - lam)) <= 1e-6
-    for lam in analytic:
-        assert np.min(np.abs(eigvals - lam)) <= 1e-6
+    assert nearest_gap(eigvals, analytic) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "model, n", [("kl", 28), ("kl", 32), ("kl", 48), ("cl", 24), ("hpz", 24)]
+)
+def test_refined_window_eigenvalues_match_the_half_gaussian_route(model, n):
+    """The matched frame and the stationary similarity give the same degree
+    blocks up to a similarity; with exact entries even the blocks the
+    truncation cuts agree.  The unpadded ladder products left kl at 28x28
+    with 81 window eigenvalues."""
+    coeffs, state, radius, analytic = window_spectrum(model)
+    eigvals = refined_window_eigenvalues(coeffs, state, n, n, radius)
+    op, frame = stationary_similarity(coeffs, state)
+    reference = eigenvalues_in_window(assemble_matrix(op, BasisConfig(n, n, frame)), radius)
+    assert eigvals.size == reference.size == analytic.size
+    assert nearest_gap(eigvals, reference) <= 1e-12
+    assert nearest_gap(eigvals, analytic) <= 1e-12
 
 
 def test_biorthogonality_kl_low_modes():
