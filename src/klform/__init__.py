@@ -48,7 +48,6 @@ from .operators import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
-    adjoint_conjugate_coefficients,
     assemble_liouvillian,
     cl_coefficients,
     commutator,

@@ -8,8 +8,9 @@ Subcommands
     verify      truncated-basis residual table and trace/hermiticity report
     evolve      time series for a seeded mode relaxing onto the steady state
 
-Exit codes: 0 success, 2 validation error (nothing written), 3 a
-numerical tolerance was exceeded (the report is still written).
+Exit codes: 0 success, 2 validation error (nothing written) or an out
+directory that cannot be written, 3 a numerical tolerance was exceeded
+(the report is still written).
 Identical configurations produce bit-identical output files.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EvolutionOverflow, KLFormError
+from .errors import EvolutionOverflow, KLFormError, LabelError
 from .gauss import stationary_preset
 from .operators import (
     GeneratorId,
@@ -35,7 +36,7 @@ from .operators import (
     kl_coefficients,
 )
 from .reduction import reduce_to_kl
-from .spectrum import EigenLabel, distinct_labels, eigenvalue, transformed_eigenfunction
+from .spectrum import MAX_M, EigenLabel, distinct_labels, eigenvalue, transformed_eigenfunction
 from .verify import (
     BasisConfig,
     assemble_matrix,
@@ -303,9 +304,14 @@ def render_grid_csv(q_vals, r_vals, values) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +428,8 @@ def cmd_eigfun(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
+    if cfg.m_max > MAX_M:  # before transporting the labels below the cap
+        raise LabelError(f"m = {cfg.m_max} exceeds the cap {MAX_M}")
     coeffs, plan = _reduce(cfg)
     labels = distinct_labels(cfg.m_max)
     modes = [transformed_eigenfunction(plan, lab, coeffs) for lab in labels]
@@ -574,15 +582,18 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         artifacts, passed = run(args.command, cfg)
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+            for name in sorted(artifacts):
+                _write_atomic(os.path.join(cfg.out, name), artifacts[name])
+        except OSError as exc:
+            raise ConfigError(f"cannot write to out: {exc}") from exc
     except KLFormError as exc:
         sys.stdout.write(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except ValueError as exc:
         sys.stdout.write(render_json({"error": "ValueError", "message": str(exc)}))
         return 2
-    os.makedirs(cfg.out, exist_ok=True)
-    for name in sorted(artifacts):
-        _write_atomic(os.path.join(cfg.out, name), artifacts[name])
     status = "ok" if passed else "tolerance_failure"
     doc = {"status": status, "out": cfg.out, "files": sorted(artifacts)}
     sys.stdout.write(render_json(doc))

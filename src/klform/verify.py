@@ -15,7 +15,8 @@ left eigenvectors of low modes from the leading block of low degrees.
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix) and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.  The oracle imports no scipy.
+a truncated Taylor series on those arrays.  Like the rest of the
+package, the oracle runs on numpy alone.
 """
 
 from __future__ import annotations

@@ -1,0 +1,76 @@
+"""The matrix-exponential oracle of the coefficient flows.
+
+`klform.conjugate_coefficients` computes each flow exp(p*G) K exp(-p*G) in
+closed form.  This module computes the same flow by another route: the
+structure constants of the seven-generator algebra are read off the
+commutators of the generator table by least squares, and scipy's `expm`
+of p * ad_G is applied to the coefficient vector.  Nothing here uses the
+closed forms, so the two routes check each other.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+from scipy.linalg import expm
+
+from klform import (
+    GENERATOR_ORDER,
+    GeneratorId,
+    LiouvillianCoeffs,
+    PhasePolyOperator,
+    commutator,
+    generator,
+)
+
+
+def _snap_half_integers(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Round entries to the nearest multiple of 1/2, asserting they are close.
+
+    Structure constants of the seven-generator algebra are exact half
+    integers; snapping removes least-squares rounding noise so that the
+    matrix exponentials preserve invariant components exactly.
+    """
+    snapped = np.round(2.0 * mat) / 2.0
+    if not np.allclose(snapped, mat, atol=tol, rtol=0):
+        raise AssertionError("structure constants deviate from half-integer grid")
+    return snapped
+
+
+def _decompose_over_generators(op: PhasePolyOperator) -> np.ndarray:
+    """Write op as sum_i x_i G_i + x_7 * I; raises if op is outside the span."""
+    polys = [generator(g) for g in GENERATOR_ORDER] + [PhasePolyOperator.identity()]
+    monos = sorted(set().union(*[set(p.terms) for p in polys], set(op.terms)))
+    basis = np.array([[p.terms.get(m, 0) for p in polys] for m in monos], dtype=complex)
+    rhs = np.array([op.terms.get(m, 0) for m in monos], dtype=complex)
+    x, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+    if not np.allclose(basis @ x, rhs, atol=1e-10):
+        raise ValueError("operator is not in the span of the seven generators + I")
+    if np.max(np.abs(x.imag)) > 1e-10:
+        raise ValueError("decomposition coefficients are not real")
+    return x.real
+
+
+@lru_cache(maxsize=None)
+def _adjoint_matrix_7(gid: GeneratorId) -> np.ndarray:
+    """7x7 matrix of ad_G on the coefficient vector: [G, G_j] = sum_i A_ij G_i."""
+    g_op = generator(gid)
+    cols = []
+    for other in GENERATOR_ORDER:
+        x = _decompose_over_generators(commutator(g_op, generator(other)))
+        # Brackets of trace-killing operators are trace-killing: no identity part.
+        if abs(x[7]) > 1e-12:
+            raise AssertionError("commutator acquired an identity component")
+        cols.append(x[:7])
+    return _snap_half_integers(np.array(cols).T)
+
+
+def adjoint_conjugate_coefficients(
+    gid: GeneratorId, param: float, c: LiouvillianCoeffs
+) -> LiouvillianCoeffs:
+    """Conjugated coefficients via the matrix exponential of the adjoint action.
+
+    The gamma row of every ad_G vanishes, so gamma passes through the
+    exponential bit-identically.
+    """
+    mat = expm(float(param) * _adjoint_matrix_7(gid))
+    return LiouvillianCoeffs.from_vector(mat @ c.as_vector())

@@ -22,7 +22,6 @@ from klform import (
     OverdampedError,
     PositivityViolation,
     SingularGError,
-    adjoint_conjugate_coefficients,
     all_eigenvalues,
     assemble_liouvillian,
     assemble_matrix,
@@ -52,6 +51,8 @@ from klform import (
     u_matrix,
 )
 from klform.cli import main as cli_main
+
+from adjoint_oracle import adjoint_conjugate_coefficients
 
 W0, GAM, B = 1.0, 0.3, 1.0
 SHIFT_IDS = tuple(GENERATOR_ORDER[4:])

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from klform import GeneratorId, LiouvillianCoeffs, conjugate_coefficients
+from klform import GeneratorId, LiouvillianCoeffs, cli, conjugate_coefficients
 from klform.cli import (
     DESK_PRESETS,
     ConfigError,
@@ -377,6 +377,41 @@ def test_positivity_violation_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "PositivityViolation"
     assert not out.exists()
+
+
+def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, monkeypatch):
+    def transport(*args):
+        raise AssertionError("verify transported a label")
+
+    monkeypatch.setattr(cli, "transformed_eigenfunction", transport)
+    out = tmp_path / "out"
+    argv = ["--preset", "kl", "--m-max", "33", "--basis-n", "8", "--out", str(out)]
+    assert run_cli(["verify", *argv]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": "LabelError", "message": "m = 33 exceeds the cap 32"}
+    assert not out.exists()
+    # the closed-form table has no cap
+    assert run_cli(["spectrum", *argv]) == 0
+
+
+@pytest.mark.parametrize(
+    "case", ["out-is-a-file", "out-under-a-file", "artifact-is-a-directory"]
+)
+def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = {
+        "out-is-a-file": blocker,
+        "out-under-a-file": blocker / "out",
+        "artifact-is-a-directory": tmp_path / "out",
+    }[case]
+    (tmp_path / "out" / "spectrum.json").mkdir(parents=True)
+    assert run_cli(["spectrum", "--preset", "kl", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("cannot write to out: ")
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "out", "spectrum.json"]
 
 
 def test_config_validation_errors(tmp_path, capsys):

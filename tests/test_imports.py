@@ -1,9 +1,8 @@
-"""scipy is loaded only by the code that calls it.
+"""The package runs on numpy alone.
 
-The closed-form layers and the Hermite-basis oracle run on numpy alone, so
-`import klform.cli`, every subcommand and `biorthogonality_check` start and
-run without scipy; the one scipy import of the package is inside the
-oracle `adjoint_conjugate_coefficients`.
+No module of `src/klform` imports scipy, and `import klform.cli`, every
+subcommand and `biorthogonality_check` start and run in a fresh
+interpreter without loading it.  scipy serves only the tests' oracles.
 """
 
 import ast
@@ -38,17 +37,13 @@ def _scipy_imports(body, scope="<module>"):
             yield from _scipy_imports(handler.body, scope)
 
 
-def test_no_module_level_scipy_import():
-    """The only scipy import in the package is the one inside
-    adjoint_conjugate_coefficients."""
+def test_no_scipy_import():
     found = [
         (path.name, scope, line)
         for path in sorted(PACKAGE.glob("*.py"))
         for scope, line in _scipy_imports(ast.parse(path.read_text()).body)
     ]
-    assert [place[:2] for place in found] == [
-        ("operators.py", "adjoint_conjugate_coefficients")
-    ], f"scipy imported at {found}"
+    assert found == [], f"scipy imported at {found}"
 
 
 def test_import_check_sees_nested_and_exempt_blocks():

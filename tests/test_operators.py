@@ -13,7 +13,6 @@ from klform import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
-    adjoint_conjugate_coefficients,
     assemble_liouvillian,
     cl_coefficients,
     commutator,
@@ -24,6 +23,8 @@ from klform import (
     kl_coefficients,
     rescale_coordinates,
 )
+
+from adjoint_oracle import adjoint_conjugate_coefficients
 
 GENERATOR_TABLE = {
     GeneratorId.IL0: {(1, 1, 0, 0): 0.5j, (0, 0, 1, 1): -0.5j},
