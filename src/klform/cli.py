@@ -302,15 +302,25 @@ def render_grid_csv(q_vals, r_vals, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+def _write_artifacts(out: str, artifacts: dict) -> None:
+    """Write every artifact to a temporary file, then move them all into
+    place: a target that is a directory is refused before anything is
+    written, and a failure removes the temporary files."""
+    paths = {name: os.path.join(out, name) for name in sorted(artifacts)}
+    for path in paths.values():
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+    os.makedirs(out, exist_ok=True)
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for name, path in paths.items():
+            with open(f"{path}.tmp", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(artifacts[name])
+        for path in paths.values():
+            os.replace(f"{path}.tmp", path)
     except OSError:
-        os.remove(tmp)
+        for path in paths.values():
+            if os.path.isfile(f"{path}.tmp"):
+                os.remove(f"{path}.tmp")
         raise
 
 
@@ -583,9 +593,7 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         artifacts, passed = run(args.command, cfg)
         try:
-            os.makedirs(cfg.out, exist_ok=True)
-            for name in sorted(artifacts):
-                _write_atomic(os.path.join(cfg.out, name), artifacts[name])
+            _write_artifacts(cfg.out, artifacts)
         except OSError as exc:
             raise ConfigError(f"cannot write to out: {exc}") from exc
     except KLFormError as exc:

@@ -77,9 +77,7 @@ class PairingFailure(KLFormError):
     """A predicted eigenvalue could not be matched to a matrix eigenvalue."""
 
 
-class FrameMismatch(UserWarning):
-    """Expansion frame does not match the Gaussian envelope of the function.
-
-    This is a warning, not an error: the expansion is still returned, but
-    convergence of the coefficient tail degrades.
-    """
+class FrameMismatch(KLFormError, UserWarning):
+    """Expansion frame does not fit the Gaussian envelope of the function, so
+    no exact expansion exists in it.  A UserWarning subclass too, so that
+    warning filters naming it keep working."""

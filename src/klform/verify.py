@@ -3,27 +3,26 @@
 Functions f(Q, r) are expanded over products of orthonormal Hermite
 functions psi_j(u) psi_k(v) of the scaled coordinates u = sqrt(2) Q/s_q,
 v = sqrt(2) s_r r, where (s_q, s_r) are the scales of the expansion frame;
-a frame with phase kappa expands f * exp(i kappa Q r).  With a frame
-matched to a stationary Gaussian the eigenfunctions of a quadratic
-evolution operator are finite combinations, so truncation is exact for
-low modes and every closed-form claim can be checked against plain
-linear algebra: residuals, evolution, traces, spectra, and left/right
-biorthogonality.  Such a frame also grades the matrix by total Hermite
-degree, so spectra come from small dense blocks, one per degree, and the
-left eigenvectors of low modes from the leading block of low degrees.
+a frame with phase kappa expands f * exp(i kappa Q r).  In a frame
+matched to a stationary Gaussian that Gaussian is the ground function and
+each coordinate a ladder matrix, so an eigenfunction, a polynomial times
+the Gaussian, has an exact finite expansion, and every closed-form claim
+can be checked against plain linear algebra: residuals, evolution, traces,
+spectra, and left/right biorthogonality.  Such a frame also grades the
+matrix by total Hermite degree, so spectra come from small dense blocks,
+one per degree, the left eigenvectors of low modes from the leading block
+of low degrees, and an evolution keeps to the degrees its start occupies.
 
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix) and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.  Like the rest of the
-package, the oracle runs on numpy alone.
+a truncated Taylor series on those arrays.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -236,20 +235,6 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
-@lru_cache(maxsize=None)
-def _quadrature(n_nodes: int):
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    # total weights for integrating smooth f: sum w_i exp(x_i^2) f(x_i)
-    return x, w * np.exp(x * x)
-
-
-@lru_cache(maxsize=None)
-def _basis_at(n_nodes: int, n_basis: int):
-    """Matrix psi[i, j] = psi_j(x_i) of orthonormal Hermite functions at nodes."""
-    x, _ = _quadrature(n_nodes)
-    return _hermite_functions(x, n_basis)
-
-
 def _hermite_functions(x: np.ndarray, n_basis: int) -> np.ndarray:
     psi = np.empty((x.size, n_basis))
     psi[:, 0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
@@ -263,67 +248,50 @@ def _hermite_functions(x: np.ndarray, n_basis: int) -> np.ndarray:
     return psi
 
 
-def _nodes(frame: CoordinateFrame, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes in Q and in r of the frame."""
-    x, _ = _quadrature(n_nodes)
-    return (frame.s_q / math.sqrt(2.0)) * x, x / (math.sqrt(2.0) * frame.s_r)
-
-
-# Gaussians on the quadrature grid kept: every mode of a plan shares one
-_PLAN_ENVELOPES = 1
-
-
-@lru_cache(maxsize=_PLAN_ENVELOPES)
-def _envelope(gauss: GaussianState, frame: CoordinateFrame, n_nodes: int) -> np.ndarray:
-    """Read-only values of gauss times the frame's phase on the frame's grid."""
-    q_nodes, r_nodes = _nodes(frame, n_nodes)
-    gauss = replace(gauss, kappa=gauss.kappa - frame.kappa)  # phases cancel exactly
-    values = gauss.evaluate(q_nodes[:, None], r_nodes[None, :])
-    values.flags.writeable = False
-    return values
+def _monomials(n: int, scale: float, degree: int) -> np.ndarray:
+    """Columns scale^a X^a e_0, a <= degree: (scale u)^a psi_0(u) on n functions,
+    exact since X acts on more than `degree` of them and no power reaches the edge."""
+    size = max(n, degree + 1)
+    x_mat, _ = ladder_matrices(size)
+    cols = [np.eye(1, size)[0]]
+    for _ in range(degree):
+        cols.append(x_mat @ cols[-1])
+    return np.stack(cols, axis=1)[:n] * scale ** np.arange(degree + 1)
 
 
 def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndarray:
     """Coefficient vector of f * exp(i kappa Q r) in the tensor basis of the
-    frame (phase kappa), by Gauss-Hermite quadrature.
+    frame (phase kappa), by the ladder algebra.
 
     f is a Gaussian state or an applied eigenfunction, whose polynomial
-    multiplies its Gaussian; any other type raises TypeError, and a
-    Gaussian with mu + nu <= 0 PositivityViolation.  The quadrature order
-    is twice the larger basis size, exact for polynomial-times-envelope
-    integrands of the matched frame.  If the Gaussian does not fit the
-    frame (GaussianState.fits), a FrameMismatch warning is emitted and the
-    (slowly converging) expansion is still returned.
+    P(Q, r) = sum c_ab Q^a r^b multiplies its Gaussian; any other type
+    raises TypeError, a Gaussian with mu + nu <= 0 PositivityViolation, and
+    one that does not fit the frame (GaussianState.fits) FrameMismatch.  A
+    fitting Gaussian is the frame's own sqrt(2 mu) psi_0(u) psi_0(v), on
+    which Q and r act as the ladder matrices s_q X/sqrt2 and X/(sqrt2 s_r):
+    the coefficients are exact, and exactly zero above the degree of P.
     """
     if isinstance(f, GaussianState):
-        gauss, poly = f, None
+        gauss, terms = f, {(0, 0, 0, 0): 1.0}
     elif isinstance(f, AppliedEigenfunction):
-        gauss, poly = f.gaussian, f.expanded_poly
+        gauss, terms = f.gaussian, f.expanded_poly.terms
     else:
         raise TypeError(
             f"cannot expand {type(f).__name__}: need a GaussianState or an AppliedEigenfunction"
         )
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     if not gauss.fits(cfg.frame):
-        warnings.warn(
+        raise FrameMismatch(
             f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) does not "
-            f"match frame (s_q={sq}, s_r={sr}, kappa={cfg.frame.kappa}); "
-            "expansion accuracy degrades",
-            FrameMismatch,
-            stacklevel=2,
+            f"match frame (s_q={sq}, s_r={sr}, kappa={cfg.frame.kappa})"
         )
-    n_nodes = 2 * max(cfg.n_q, cfg.n_r)
-    _, wtot = _quadrature(n_nodes)
-    # the Gaussian factor, with the phase, is shared by every mode of a plan
-    values = _envelope(gauss, cfg.frame, n_nodes)
-    if poly is not None:
-        q_nodes, r_nodes = _nodes(cfg.frame, n_nodes)
-        values = poly.evaluate(q_nodes[:, None], r_nodes[None, :]) * values
-    psi_q = _basis_at(n_nodes, cfg.n_q)
-    psi_r = _basis_at(n_nodes, cfg.n_r)
+    poly = np.zeros([1 + max((key[i] for key in terms), default=0) for i in (0, 1)], dtype=complex)
+    for (a, b, _, _), coeff in terms.items():
+        poly[a, b] = coeff
     pref = math.sqrt(sq / math.sqrt(2.0)) * math.sqrt(1.0 / (math.sqrt(2.0) * sr))
-    coeffs = pref * (psi_q * wtot[:, None]).T @ values @ (psi_r * wtot[:, None])
-    return coeffs.reshape(-1)
+    vq = _monomials(cfg.n_q, sq / math.sqrt(2.0), poly.shape[0] - 1)
+    vr = _monomials(cfg.n_r, 1.0 / (math.sqrt(2.0) * sr), poly.shape[1] - 1)
+    return (pref * math.sqrt(2.0 * gauss.mu) * vq @ poly @ vr.T).reshape(-1)
 
 
 def reconstruct(vec: np.ndarray, cfg: BasisConfig, q, r) -> np.ndarray:
@@ -363,17 +331,29 @@ _THETA_55 = 9.9
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _shifted_generator(mat: BandedMatrix) -> tuple[BandedMatrix, complex, float]:
-    """B = -K - mu I with mu = trace(-K)/n, mu, and the 1-norm of B.
+def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix, complex, float]:
+    """B = -K - mu I on the degrees f0 occupies, mu, and the 1-norm of B.
 
-    The shift takes the mean decay out of the Taylor series and applies
-    it as one exponential per step.
+    A graded matrix never raises the total Hermite degree j + k, so the
+    degrees up to the largest of an exactly nonzero entry of f0 span an
+    invariant subspace: B keeps the entries whose row and column both lie
+    there, after checking the grading (DegreeError), or all of them when
+    f0 reaches the largest degree.  mu is the mean of the kept diagonal;
+    the shift takes it out of the Taylor series, one exponential per step.
     """
     n_q, n_r = mat.n_q, mat.n_r
-    bands = {key: -band for key, band in mat.bands.items()}
+    degree = np.add.outer(np.arange(n_q), np.arange(n_r))
+    top = degree.reshape(-1)[np.flatnonzero(f0)].max(initial=0)
+    kept = degree <= top
+    if not kept.all():
+        _graded_entries(mat)
+    bands = {
+        (s, t): np.where(degree <= top - max(0, s + t), -band, 0.0)
+        for (s, t), band in mat.bands.items()
+    }
     diag = bands.get((0, 0), np.zeros((n_q, n_r), dtype=complex))
-    mu = complex(diag.sum()) / (n_q * n_r)
-    bands[(0, 0)] = diag - mu
+    mu = complex(diag.sum()) / np.count_nonzero(kept)
+    bands[(0, 0)] = np.where(kept, diag - mu, 0.0)
     gen = BandedMatrix(bands, n_q, n_r)
     _, cols, vals = gen._entries()
     return gen, mu, float(np.bincount(cols, np.abs(vals), minlength=n_q * n_r).max())
@@ -426,12 +406,12 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
 
     A truncated Taylor series steps f0 to the first time and then across
     each interval of the grid, ceil(|dt| ||B||_1 / theta_55) steps of
-    degree up to 55 per stretch dt, where B is -K shifted by its mean
-    diagonal.  A one-point grid must have a finite t; an empty grid, a
-    non-uniform one and a vector f0 that does not fit the matrix raise
-    ValueError.  EvolutionOverflow is raised before stepping when the
-    steps would exceed MAX_TAYLOR_STEPS, and at the first step that
-    leaves the float range.
+    degree up to 55 per stretch dt, where B is -K on the degrees f0
+    occupies, shifted by its mean diagonal (DegreeError if K is cut but not
+    graded).  A one-point grid must have a finite t; an empty grid, a
+    non-uniform one and an f0 that does not fit raise ValueError.
+    EvolutionOverflow is raised before stepping when the steps would exceed
+    MAX_TAYLOR_STEPS, and at the first step that leaves the float range.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -448,7 +428,7 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     f0 = np.asarray(f0, dtype=complex)
     if f0.shape != k_mat.matrix.shape[1:]:
         raise ValueError(f"f0 of shape {f0.shape} does not fit a {k_mat.matrix.shape} matrix")
-    gen, mu, norm = _shifted_generator(k_mat.matrix)
+    gen, mu, norm = _shifted_generator(k_mat.matrix, f0)
     first, each = _taylor_steps(norm, start), _taylor_steps(norm, gap)
     steps = first + (times.size - 1) * each
     if not steps <= MAX_TAYLOR_STEPS:

@@ -243,13 +243,15 @@ def test_evolve_passes_on_sources_whose_cut_corner_grew(i, tmp_path, capsys):
     assert doc["rate_rel_error"] <= 1e-7
 
 
-def test_evolve_on_source_87_exits_2_when_it_leaves_the_float_range(tmp_path, capsys):
-    """Source 87 (nu = -8.2 after transport) keeps a growing block at
-    40x40: the evolution stays finite but its norms overflow."""
-    code, out, stdout = evolve_criterion_02_source(87, tmp_path, capsys)
-    assert code == 2
-    assert json.loads(stdout)["error"] == "EvolutionOverflow"
-    assert not out.exists()
+def test_evolve_on_source_87_keeps_to_the_degrees_of_its_start(tmp_path, capsys):
+    """Source 87 (nu = -8.2 after transport) keeps a growing block at 40x40,
+    an eigenvalue of the whole matrix with negative real part.  The start
+    occupies degrees <= 2, an invariant subspace the evolution keeps to, so
+    the block stays out; over the whole basis the norms overflowed (exit 2)."""
+    code, out, _ = evolve_criterion_02_source(87, tmp_path, capsys)
+    assert code == 0
+    doc = json.loads((out / "evolve.json").read_text())
+    assert doc["rate_rel_error"] <= 1e-7
     src = criterion_02_source(87)
     plan = reduce_to_kl(src, b_target=1.0)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src)

@@ -395,23 +395,37 @@ def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "case", ["out-is-a-file", "out-under-a-file", "artifact-is-a-directory"]
+    "case",
+    [
+        "out-is-a-file",
+        "out-under-a-file",
+        "artifact-is-a-directory",
+        "second-artifact-is-a-directory",
+    ],
 )
 def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, case):
+    """Nothing is written: eigfun's eigenfunction.csv, which sorts before the
+    blocked eigenfunction.json, is not left behind either."""
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")
     out = {
         "out-is-a-file": blocker,
         "out-under-a-file": blocker / "out",
         "artifact-is-a-directory": tmp_path / "out",
+        "second-artifact-is-a-directory": tmp_path / "out",
     }[case]
-    (tmp_path / "out" / "spectrum.json").mkdir(parents=True)
-    assert run_cli(["spectrum", "--preset", "kl", "--out", str(out)]) == 2
+    command, blocked = "spectrum", "spectrum.json"
+    if case == "second-artifact-is-a-directory":
+        command, blocked = "eigfun", "eigenfunction.json"
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert run_cli([command, "--preset", "kl", "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("cannot write to out: ")
     assert blocker.read_text() == "kept"
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "out", "spectrum.json"]
+    assert not (tmp_path / "out" / "eigenfunction.csv").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["blocker", "out", blocked])
 
 
 def test_config_validation_errors(tmp_path, capsys):

@@ -15,6 +15,7 @@ from klform import (
     EvolutionOverflow,
     FrameMismatch,
     GaussianState,
+    KLFormError,
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PairingFailure,
@@ -45,6 +46,9 @@ from klform import (
     transformed_eigenfunction,
 )
 from klform.verify import _GRADING_TOL
+
+from quadrature_oracle import quadrature_expand
+from test_acceptance import criterion_02_source, random_scrambled_source
 
 W0, GAM, B = 1.0, 0.3, 1.0
 
@@ -185,11 +189,59 @@ def test_a_gaussian_with_a_phase_is_one_basis_function_of_its_frame():
     assert_allclose(reconstruct(vec, cfg, q, r), direct, atol=1e-13)
 
 
-def test_expand_warns_on_frame_mismatch():
+def test_expand_raises_frame_mismatch():
+    """Only a frame the Gaussian fits has its exact expansion; FrameMismatch
+    is a typed error that warning filters may still name."""
     _, cfg, _ = kl_setup(10)
     off_state = GaussianState(mu=0.4, kappa=0.0, nu=0.6)
-    with pytest.warns(FrameMismatch):
+    with pytest.raises(FrameMismatch, match="does not match frame"):
         expand(off_state, cfg)
+    assert issubclass(FrameMismatch, KLFormError)
+    assert issubclass(FrameMismatch, UserWarning)
+
+
+# the generic config of the CLI tests
+GENERIC = LiouvillianCoeffs((2.2, 0.4, -0.3), 0.5, (-1.1, 0.2, 0.3))
+
+
+def transported_modes(src, m_max):
+    """The modes m <= m_max of src, transported by its plan to b = 1."""
+    plan = reduce_to_kl(src, b_target=1.0)
+    return [transformed_eigenfunction(plan, lab, src) for lab in distinct_labels(m_max)]
+
+
+def test_expand_matches_the_quadrature_reference():
+    """At 40x40 every mode m <= 4 of the presets, the generic config and
+    criterion-02 sources 0-19 agrees with the Gauss-Hermite expansion to
+    1e-13 of its largest coefficient; so do the presets' modes on a 6x5
+    basis, whose degrees up to 8 pass its edge."""
+    presets = [coeffs for coeffs, _ in MODELS.values()]
+    sources = presets + [GENERIC] + [criterion_02_source(i) for i in range(20)]
+    cases = [(src, 40, 40) for src in sources] + [(src, 6, 5) for src in presets]
+    for i, (src, n_q, n_r) in enumerate(cases):
+        modes = transported_modes(src, 4)
+        cfg = BasisConfig(n_q, n_r, modes[0].gaussian.frame())
+        for f in modes:
+            ref = quadrature_expand(f, cfg)
+            assert np.max(np.abs(expand(f, cfg) - ref)) <= 1e-13 * np.max(np.abs(ref)), (i, f.label)
+
+
+def test_expand_is_exactly_zero_above_the_mode_degree():
+    """A mode (m, n, sigma) is a polynomial of degree 2m - n times the
+    frame's ground function: every coefficient of higher total degree
+    j + k is exactly 0.0, and the top degree is occupied."""
+    rng = np.random.default_rng(630948696)
+    draw_432 = [random_scrambled_source(rng) for _ in range(433)][432]
+    sources = [coeffs for coeffs, _ in MODELS.values()] + [GENERIC, draw_432]
+    degree = np.add.outer(np.arange(24), np.arange(24))
+    for i, src in enumerate(sources):
+        modes = transported_modes(src, 3)
+        cfg = BasisConfig(24, 24, modes[0].gaussian.frame())
+        for f in modes:
+            top = 2 * f.label.m - f.label.n
+            vec = expand(f, cfg).reshape(24, 24)
+            assert np.all(vec[degree > top] == 0.0), (i, f.label)
+            assert np.any(vec[degree == top] != 0.0), (i, f.label)
 
 
 def test_residual_zero_vector_rejected():
@@ -281,6 +333,11 @@ def test_all_eigenvalues_rejects_an_ungraded_matrix():
     modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
     with pytest.raises(DegreeError, match="raises the Hermite degree"):
         biorthogonality_check(k_mat, modes)
+    # an evolution may keep to the degrees of its start only on a graded matrix
+    ground = np.eye(cfg.dim)[0]
+    with pytest.raises(DegreeError, match="raises the Hermite degree"):
+        evolve_series(k_mat, ground, [1.0])
+    assert np.all(np.isfinite(evolve_series(k_mat, np.ones(cfg.dim), [1.0])))
 
 
 def test_non_finite_entries_fail_the_grading_check():
@@ -357,17 +414,23 @@ def test_evolve_series_grid_handling():
         evolve_series(k_mat, f0[:-1], times)
 
 
-@pytest.mark.parametrize("model", ["kl", "cl", "hpz", "generic"])
+@pytest.mark.parametrize(
+    "model", ["kl", "cl", "hpz", "generic", *(f"c02-{i}" for i in (0, 1, 2, 3, 4, 87))]
+)
 def test_evolve_series_matches_expm_multiply(model):
-    """scipy's expm_multiply (Al-Mohy & Higham's algorithm) is the oracle of
-    the Taylor integrator: on an 81-point grid from 0, a one-point grid and
-    a grid starting at t > 0, every row agrees to 1e-12 of its norm."""
+    """scipy's expm_multiply (Al-Mohy & Higham's algorithm) on the whole
+    basis is the oracle of the Taylor integrator, which keeps to the degrees
+    its start occupies: on an 81-point grid from 0, a one-point grid and a
+    grid starting at t > 0, every row agrees to 1e-12 of its norm."""
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
 
-    # the generic source is the config of the CLI tests
-    generic = LiouvillianCoeffs((2.2, 0.4, -0.3), 0.5, (-1.1, 0.2, 0.3))
-    coeffs = generic if model == "generic" else MODELS[model][0]
+    if model == "generic":
+        coeffs = GENERIC
+    elif model.startswith("c02-"):
+        coeffs = criterion_02_source(int(model[4:]))
+    else:
+        coeffs = MODELS[model][0]
     plan = reduce_to_kl(coeffs, b_target=1.0)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs)
     seed = transformed_eigenfunction(plan, EigenLabel(1, 1, 1), coeffs)
@@ -427,18 +490,25 @@ TINY_GAMMA = 2.3447469302921906e-139
     ids=["kl-tiny-gamma", "hpz-tiny-gamma", "kl-t-1e308"],
 )
 def test_evolve_beyond_the_float_range_raises_typed_error(coeffs, preset, t_end):
-    """The Taylor step count of the matrix exponential exceeds its budget;
-    a one-point grid and an 81-point grid both raise EvolutionOverflow
-    before scipy steps."""
+    """From the stationary state plus a seed, as `klform evolve` starts, the
+    Taylor step count exceeds its budget: a one-point grid and an 81-point
+    grid both raise EvolutionOverflow before stepping.  The stationary state
+    alone occupies degree 0, where the shifted generator vanishes, so it
+    takes no step and returns itself."""
     model, params = preset
     state, frame = stationary_preset(model, **params)
     cfg = BasisConfig(32, 32, frame)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
-    f0 = expand(state, cfg)
+    plan = reduce_to_kl(coeffs, b_target=1.0)
+    seed = transformed_eigenfunction(plan, EigenLabel(1, 0, 1), coeffs)
+    steady = expand(state, cfg)
+    f0 = steady + 0.2 * expand(seed, cfg)
     with pytest.raises(EvolutionOverflow):
         evolve_series(k_mat, f0, [t_end])
     with pytest.raises(EvolutionOverflow):
         evolve_series(k_mat, f0, np.linspace(0.0, t_end, 81))
+    moved = evolve_series(k_mat, steady, [t_end])[0]
+    assert np.linalg.norm(moved - steady) <= 1e-14 * np.linalg.norm(steady)
 
 
 def test_refined_window_eigenvalues_small_case():
