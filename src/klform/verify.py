@@ -10,8 +10,9 @@ the Gaussian, has an exact finite expansion, and every closed-form claim
 can be checked against plain linear algebra: residuals, evolution, traces,
 spectra, and left/right biorthogonality.  Such a frame also grades the
 matrix by total Hermite degree, so spectra come from small dense blocks,
-one per degree, the left eigenvectors of low modes from the leading block
-of low degrees, and an evolution keeps to the degrees its start occupies.
+one per degree the basis holds whole, the left eigenvectors of low modes
+from the leading block of low degrees, and an evolution keeps to the
+degrees its start occupies.
 
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
@@ -338,8 +339,10 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     degrees up to the largest of an exactly nonzero entry of f0 span an
     invariant subspace: B keeps the entries whose row and column both lie
     there, after checking the grading (DegreeError), or all of them when
-    f0 reaches the largest degree.  mu is the mean of the kept diagonal;
-    the shift takes it out of the Taylor series, one exponential per step.
+    f0 reaches the largest degree.  Every kept entry, its column too, lies
+    among the leading min(n_q, top + 1) x min(n_r, top + 1) functions, the
+    basis B is returned on.  mu is the mean of the kept diagonal; the shift
+    takes it out of the Taylor series, one exponential per step.
     """
     n_q, n_r = mat.n_q, mat.n_r
     degree = np.add.outer(np.arange(n_q), np.arange(n_r))
@@ -354,9 +357,10 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     diag = bands.get((0, 0), np.zeros((n_q, n_r), dtype=complex))
     mu = complex(diag.sum()) / np.count_nonzero(kept)
     bands[(0, 0)] = np.where(kept, diag - mu, 0.0)
-    gen = BandedMatrix(bands, n_q, n_r)
+    keep_q, keep_r = min(n_q, top + 1), min(n_r, top + 1)
+    gen = BandedMatrix({st: band[:keep_q, :keep_r] for st, band in bands.items()}, keep_q, keep_r)
     _, cols, vals = gen._entries()
-    return gen, mu, float(np.bincount(cols, np.abs(vals), minlength=n_q * n_r).max())
+    return gen, mu, float(np.bincount(cols, np.abs(vals), minlength=keep_q * keep_r).max())
 
 
 def _taylor_steps(norm: float, dt: float) -> float:
@@ -408,7 +412,9 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     each interval of the grid, ceil(|dt| ||B||_1 / theta_55) steps of
     degree up to 55 per stretch dt, where B is -K on the degrees f0
     occupies, shifted by its mean diagonal (DegreeError if K is cut but not
-    graded).  A one-point grid must have a finite t; an empty grid, a
+    graded).  The steps run on the leading rectangle of functions that
+    holds those degrees; the rows are exactly zero outside it.  A
+    one-point grid must have a finite t; an empty grid, a
     non-uniform one and an f0 that does not fit raise ValueError.
     EvolutionOverflow is raised before stepping when the steps would exceed
     MAX_TAYLOR_STEPS, and at the first step that leaves the float range.
@@ -436,12 +442,18 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
             f"time span too long for the matrix: about {steps:.3g} Taylor steps, "
             f"more than {MAX_TAYLOR_STEPS}"
         )
-    series = np.empty((times.size, f0.size), dtype=complex)
+    # f0 is exactly zero outside gen's leading rectangle, and so is its evolution
+    n_q, n_r, keep_q, keep_r = k_mat.matrix.n_q, k_mat.matrix.n_r, gen.n_q, gen.n_r
+    live = np.empty((times.size, keep_q * keep_r), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
-        series[0] = _taylor_advance(gen, mu, f0, start, int(first))
+        live[0] = _taylor_advance(
+            gen, mu, f0.reshape(n_q, n_r)[:keep_q, :keep_r].reshape(-1), start, int(first)
+        )
         for i in range(1, times.size):
-            series[i] = _taylor_advance(gen, mu, series[i - 1], gap, int(each))
-    return series
+            live[i] = _taylor_advance(gen, mu, live[i - 1], gap, int(each))
+    series = np.zeros((times.size, n_q, n_r), dtype=complex)
+    series[:, :keep_q, :keep_r] = live.reshape(times.size, keep_q, keep_r)
+    return series.reshape(times.size, -1)
 
 
 @lru_cache(maxsize=None)
@@ -518,32 +530,34 @@ def _graded_entries(mat: BandedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
-    """Spectrum of the truncated matrix.
+    """Spectrum of the degree blocks the basis holds whole.
 
     In a frame matched to a stationary Gaussian the matrix never raises the
     total Hermite degree j + k (else DegreeError), so ordered by degree it
-    is block upper-triangular, and its spectrum is the union of those of
-    the diagonal blocks, one per degree, each diagonalized densely.  The
-    entries are exact, so a block of degree below min(n_q, n_r) is the
-    operator's own; the blocks of higher degree are cut by the truncation.
+    is block upper-triangular, and the degrees below any bound span an
+    invariant subspace.  The entries are exact, so for d < m = min(n_q, n_r)
+    the block of degree d, on the d + 1 functions (j, d - j), is the
+    operator's own; those m blocks are diagonalized densely, m (m + 1) / 2
+    eigenvalues in all.  The blocks of higher degree, cut by the
+    truncation, are left out.
     """
     rows, cols, vals, degree = _graded_entries(k_mat.matrix)
-    level = degree[rows] == degree[cols]
-    rows, cols, vals = rows[level], cols[level], vals[level]
-    # (j, d - j) sits at j - j_0 in block d, whose first row has j_0 = max(0, d - n_r + 1)
     n_r = k_mat.matrix.n_r
-    position = np.arange(degree.size) // n_r - np.maximum(0, degree - n_r + 1)
+    top = min(k_mat.matrix.n_q, n_r)
+    level = (degree[rows] == degree[cols]) & (degree[rows] < top)
+    rows, cols, vals = rows[level], cols[level], vals[level]
     block_of, spectra = degree[rows], []
-    for d, size in enumerate(np.bincount(degree)):
+    for d in range(top):
         at = block_of == d
-        block = np.zeros((size, size), dtype=complex)
-        block[position[rows[at]], position[cols[at]]] = vals[at]
+        block = np.zeros((d + 1, d + 1), dtype=complex)
+        # (j, d - j) is row j of block d
+        block[rows[at] // n_r, cols[at] // n_r] = vals[at]
         spectra.append(np.linalg.eigvals(block))
     return np.concatenate(spectra)
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
-    """Matrix eigenvalues with |lambda| <= radius, sorted by (re, im)."""
+    """Eigenvalues of all_eigenvalues with |lambda| <= radius, sorted by (re, im)."""
     ev = all_eigenvalues(k_mat)
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))
@@ -578,13 +592,13 @@ def refined_window_eigenvalues(
     n_r: int,
     radius: float,
 ) -> np.ndarray:
-    """Truncated-matrix eigenvalues with |lambda| <= radius, sorted by (re, im).
+    """Liouvillian eigenvalues with |lambda| <= radius, sorted by (re, im).
 
     The Liouvillian is assembled in the frame of the stationary Gaussian
     `state`, which grades the matrix by Hermite degree, and the eigenvalues
-    come from the small degree blocks of all_eigenvalues.  A state that is
-    not stationary for `coeffs` breaks the grading, and all_eigenvalues
-    raises DegreeError.
+    come from the degree blocks the basis holds whole (all_eigenvalues).  A
+    state that is not stationary for `coeffs` breaks the grading, and
+    all_eigenvalues raises DegreeError.
     """
     cfg = BasisConfig(n_q, n_r, state.frame())
     return eigenvalues_in_window(assemble_matrix(assemble_liouvillian(coeffs), cfg), radius)

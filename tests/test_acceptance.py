@@ -244,10 +244,11 @@ def test_evolve_passes_on_sources_whose_cut_corner_grew(i, tmp_path, capsys):
 
 
 def test_evolve_on_source_87_keeps_to_the_degrees_of_its_start(tmp_path, capsys):
-    """Source 87 (nu = -8.2 after transport) keeps a growing block at 40x40,
-    an eigenvalue of the whole matrix with negative real part.  The start
-    occupies degrees <= 2, an invariant subspace the evolution keeps to, so
-    the block stays out; over the whole basis the norms overflowed (exit 2)."""
+    """Source 87 (nu = -8.2 after transport) has at 40x40 an eigenvalue
+    with negative real part, -19.9, in an exact degree block: its blocks of
+    high degree are ill conditioned, not cut.  The start occupies degrees
+    <= 2, an invariant subspace the evolution keeps to, so that block stays
+    out; over the whole basis the norms overflowed (exit 2)."""
     code, out, _ = evolve_criterion_02_source(87, tmp_path, capsys)
     assert code == 0
     doc = json.loads((out / "evolve.json").read_text())

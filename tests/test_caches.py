@@ -21,7 +21,6 @@ from klform import (
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
-    conjugate_coefficients,
     conjugate_linear,
     distinct_labels,
     expand,
@@ -37,6 +36,8 @@ from klform.cli import DESK_PRESETS
 from klform.operators import _adjoint_matrix_4
 from klform.spectrum import _apply_linear_to_poly
 
+from test_acceptance import random_scrambled_source
+
 PRESETS = {
     "kl": kl_coefficients(**DESK_PRESETS["kl"]),
     "cl": cl_coefficients(**DESK_PRESETS["cl"]),
@@ -47,17 +48,7 @@ PRESETS = {
 def criterion_02_sources(count):
     """The first sources of acceptance criterion 02 (same seed and recipe)."""
     rng = np.random.default_rng(20260816)
-    out = []
-    for _ in range(count):
-        omega0 = float(rng.uniform(0.5, 1.5))
-        gamma = float(rng.uniform(0.05, 1.0))
-        b = float(rng.uniform(0.6, 1.6))
-        src = kl_coefficients(omega0, gamma, b)
-        for _ in range(int(rng.integers(3, 7))):
-            gid = GENERATOR_ORDER[rng.integers(7)]
-            src = conjugate_coefficients(gid, float(rng.uniform(-0.5, 0.5)), src)
-        out.append(src)
-    return out
+    return [random_scrambled_source(rng) for _ in range(count)]
 
 
 SOURCES = {**PRESETS, **{f"c02-{i}": src for i, src in enumerate(criterion_02_sources(3))}}

@@ -428,6 +428,22 @@ def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["blocker", "out", blocked])
 
 
+def test_failed_move_removes_the_temporary_files(tmp_path, capsys, monkeypatch):
+    """A move into place that fails after every temporary file is written
+    removes them all."""
+
+    def refuse(src, dst):
+        raise OSError(f"cannot move {src}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "out"
+    assert run_cli(["eigfun", "--preset", "kl", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("cannot write to out: cannot move ")
+    assert list(out.iterdir()) == []
+
+
 def test_config_validation_errors(tmp_path, capsys):
     both = write_config(
         tmp_path,
@@ -452,6 +468,27 @@ def test_config_validation_errors(tmp_path, capsys):
     )
     assert run_cli(["spectrum", "--config", missing]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+
+
+UNREADABLE = {
+    "missing-file": (None, "cannot read config file: "),
+    "invalid-json": ('{"model": "kl",', "config file is not valid JSON: "),
+    "not-an-object": ('["kl"]', "config file must contain a JSON object"),
+    "no-model": ('{"m_max": 2}', "no model selected"),
+}
+
+
+@pytest.mark.parametrize("text, message", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_config_file_exits_2_without_artifacts(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else ["config.json"])
 
 
 def test_flags_override_config(tmp_path):

@@ -353,24 +353,35 @@ def test_non_finite_entries_fail_the_grading_check():
         biorthogonality_check(k_mat, modes)
 
 
-@pytest.mark.parametrize("n_q, n_r", [(14, 9), (9, 14)])
-def test_all_eigenvalues_on_a_rectangular_basis(n_q, n_r):
-    """The degree blocks of a rectangular basis are cut on one side only."""
-    _, frame = stationary_preset("kl", b=B)
-    cfg = BasisConfig(n_q, n_r, frame)
-    k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
+def assert_low_degree_spectrum(k_mat):
+    """all_eigenvalues is, within 1e-9 both ways, the dense spectrum of the
+    matrix restricted to degrees below m = min(n_q, n_r), an invariant
+    subspace of a graded matrix: m (m + 1) / 2 eigenvalues."""
+    mat = k_mat.matrix
+    top = min(mat.n_q, mat.n_r)
+    degree = np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)).reshape(-1)
+    low = np.flatnonzero(degree < top)
+    dense = np.linalg.eigvals(mat.toarray()[np.ix_(low, low)])
     eigvals = all_eigenvalues(k_mat)
-    dense = np.linalg.eigvals(k_mat.matrix.toarray())
-    assert eigvals.size == n_q * n_r
+    assert eigvals.size == dense.size == top * (top + 1) // 2
     gaps = np.abs(eigvals[:, None] - dense[None, :])
     assert np.max(np.min(gaps, axis=1)) <= 1e-9
     assert np.max(np.min(gaps, axis=0)) <= 1e-9
+    return eigvals
+
+
+@pytest.mark.parametrize("n_q, n_r", [(14, 9), (9, 14)])
+def test_all_eigenvalues_on_a_rectangular_basis(n_q, n_r):
+    """A rectangular basis holds whole the degree blocks below its shorter side."""
+    _, frame = stationary_preset("kl", b=B)
+    cfg = BasisConfig(n_q, n_r, frame)
+    k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
+    assert_low_degree_spectrum(k_mat)
 
 
 def test_all_eigenvalues_contains_low_spectrum():
-    _, cfg, k_mat = kl_setup(24)
-    eigvals = all_eigenvalues(k_mat)
-    assert eigvals.size == cfg.dim
+    _, _, k_mat = kl_setup(24)
+    eigvals = assert_low_degree_spectrum(k_mat)
     for lab in distinct_labels(1):
         lam = eigenvalue(lab, W0, GAM)
         assert np.min(np.abs(eigvals - lam)) <= 1e-8
@@ -393,6 +404,26 @@ def test_evolve_preserves_trace_of_mixtures():
     t0, _ = trace_and_hermiticity(vec, cfg)
     t1, _ = trace_and_hermiticity(evolve_series(k_mat, vec, [3.0])[0], cfg)
     assert t1 == pytest.approx(t0, abs=1e-10)
+
+
+def test_evolve_series_keeps_to_the_degrees_of_its_start():
+    """The stationary state plus a seed occupies degrees <= 2: on kl at
+    40x40 the rows are exactly zero above them, and equal the rows of the
+    same evolution on a 4x4 basis, which holds those degrees whole."""
+    rows = {}
+    for n in (40, 4):
+        state, cfg, k_mat = kl_setup(n)
+        seed = expand(kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, GAM), cfg)
+        f0 = expand(state, cfg) + 0.2 * seed
+        times = np.linspace(0.0, 10.0 / GAM, 81)
+        rows[n] = evolve_series(k_mat, f0, times).reshape(times.size, n, n)
+    degree = np.add.outer(np.arange(40), np.arange(40))
+    assert np.any(rows[40][0][degree == 2] != 0.0)
+    assert np.all(rows[40][:, degree > 2] == 0.0)
+    padded = np.zeros_like(rows[40])
+    padded[:, :4, :4] = rows[4]
+    for got, ref in zip(rows[40], padded):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_evolve_series_grid_handling():
@@ -574,9 +605,8 @@ def test_refined_window_eigenvalues_cl_hpz(model):
 )
 def test_refined_window_eigenvalues_match_the_half_gaussian_route(model, n):
     """The matched frame and the stationary similarity give the same degree
-    blocks up to a similarity; with exact entries even the blocks the
-    truncation cuts agree.  The unpadded ladder products left kl at 28x28
-    with 81 window eigenvalues."""
+    blocks up to a similarity.  The unpadded ladder products left kl at
+    28x28 with 81 window eigenvalues."""
     coeffs, state, radius, analytic = window_spectrum(model)
     eigvals = refined_window_eigenvalues(coeffs, state, n, n, radius)
     op, frame = stationary_similarity(coeffs, state)
@@ -584,6 +614,48 @@ def test_refined_window_eigenvalues_match_the_half_gaussian_route(model, n):
     assert eigvals.size == reference.size == analytic.size
     assert nearest_gap(eigvals, reference) <= 1e-12
     assert nearest_gap(eigvals, analytic) <= 1e-12
+
+
+def closed_forms_in_disk(omega0, gamma, radius):
+    """Closed-form eigenvalues with |lambda| <= radius and their degrees
+    2m - n.  |lambda| bounds both (m - n/2) gamma >= m gamma / 2 and
+    n omega0, so the labels below those bounds are all of them."""
+    labels = [
+        EigenLabel(m, n, sigma)
+        for m in range(int(2.0 * radius / gamma) + 1)
+        for n in range(min(m, int(radius / omega0)) + 1)
+        for sigma in ((1,) if n == 0 else (1, -1))
+    ]
+    lam = np.array([eigenvalue(lab, omega0, gamma) for lab in labels])
+    degree = np.array([2 * lab.m - lab.n for lab in labels])
+    inside = np.abs(lam) <= radius
+    return lam[inside], degree[inside]
+
+
+def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
+    """On the 100 criterion-02 sources at 32x32, radius 4 max(omega0, gamma),
+    the window returns every closed-form eigenvalue of degree < 32 strictly
+    inside the radius, and no eigenvalue more than 1e-6 from every closed
+    form except on source 87, whose exact blocks of high degree are ill
+    conditioned.  With the blocks the truncation cuts, 21 sources had such
+    an eigenvalue."""
+    n = 32
+    rng = np.random.default_rng(20260816)
+    strays = set()
+    for i in range(100):
+        src = random_scrambled_source(rng)
+        h0, h1, h2 = src.h
+        omega0 = 0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2)
+        radius = 4.0 * max(omega0, src.gamma)
+        plan = reduce_to_kl(src, b_target=1.0)
+        state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
+        window = refined_window_eigenvalues(src, state, n, n, radius)
+        closed, degree = closed_forms_in_disk(omega0, src.gamma, radius)
+        if np.abs(window[:, None] - closed[None, :]).min(axis=1).max(initial=0.0) > 1e-6:
+            strays.add(i)
+        wanted = closed[(degree < n) & (np.abs(closed) < (1.0 - 1e-9) * radius)]
+        assert np.abs(wanted[:, None] - window[None, :]).min(axis=1).max() <= 1e-6, i
+    assert strays == {87}
 
 
 def test_biorthogonality_kl_low_modes():
