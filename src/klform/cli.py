@@ -304,24 +304,37 @@ def render_grid_csv(q_vals, r_vals, values) -> str:
 
 def _write_artifacts(out: str, artifacts: dict) -> None:
     """Write every artifact to a temporary file, then move them all into
-    place: a target that is a directory is refused before anything is
-    written, and a failure removes the temporary files."""
+    place, all or nothing: a target that is a directory is refused before
+    anything is written, each file a move replaces is set aside until the
+    last move succeeds, and a failure puts those files back and removes the
+    temporary ones."""
     paths = {name: os.path.join(out, name) for name in sorted(artifacts)}
     for path in paths.values():
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory")
     os.makedirs(out, exist_ok=True)
+    saved, placed = [], []  # old files set aside as <path>.old; new files moved in
     try:
         for name, path in paths.items():
             with open(f"{path}.tmp", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(artifacts[name])
         for path in paths.values():
+            if os.path.isfile(path):
+                os.replace(path, f"{path}.old")
+                saved.append(path)
             os.replace(f"{path}.tmp", path)
+            placed.append(path)
     except OSError:
+        for path in placed:
+            os.remove(path)
+        for path in saved:
+            os.replace(f"{path}.old", path)
         for path in paths.values():
             if os.path.isfile(f"{path}.tmp"):
                 os.remove(f"{path}.tmp")
         raise
+    for path in saved:
+        os.remove(f"{path}.old")
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +457,16 @@ def cmd_verify(cfg: RunConfig):
     labels = distinct_labels(cfg.m_max)
     modes = [transformed_eigenfunction(plan, lab, coeffs) for lab in labels]
     basis, k_mat = _oracle(cfg, coeffs, modes[0])
-    rows = []
+    rows = _eigen_rows(cfg.m_max, plan.omega0, coeffs.gamma)
     worst = 0.0
     stationary_vec = None
-    for mode in modes:
+    for mode, row in zip(modes, rows):
         vec = expand(mode, basis)
         if mode.label.m == 0:
             stationary_vec = vec
         res = residual(k_mat, vec, mode.eigenvalue)
         worst = max(worst, res)
-        row = _label_doc(mode.label)
-        lam = complex(mode.eigenvalue)
-        row["re_lambda"] = lam.real
-        row["im_lambda"] = lam.imag
         row["residual"] = res
-        rows.append(row)
     trace, defect = trace_and_hermiticity(stationary_vec, basis)
     trace_error = abs(trace - 1.0)
     passed = worst <= cfg.tol and trace_error <= cfg.tol and defect <= cfg.tol

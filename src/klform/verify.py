@@ -8,7 +8,9 @@ matched to a stationary Gaussian that Gaussian is the ground function and
 each coordinate a ladder matrix, so an eigenfunction, a polynomial times
 the Gaussian, has an exact finite expansion, and every closed-form claim
 can be checked against plain linear algebra: residuals, evolution, traces,
-spectra, and left/right biorthogonality.  Such a frame also grades the
+hermiticity, spectra, and left/right biorthogonality.  The trace and the
+hermiticity defect are read from the coefficients, the defect as a bound
+over the whole plane.  Such a frame also grades the
 matrix by total Hermite degree, so spectra come from small dense blocks,
 one per degree the basis holds whole, the left eigenvectors of low modes
 from the leading block of low degrees, and an evolution keeps to the
@@ -476,34 +478,26 @@ def _psi_at_zero(n: int) -> np.ndarray:
     return _hermite_functions(np.zeros(1), n)[0]
 
 
-# scaled points of the hermiticity grid: three frame scales either side
-_REFLECTION_POINTS = math.sqrt(2.0) * np.linspace(-3.0, 3.0, 33)
-
-
-@lru_cache(maxsize=None)
-def _reflection_basis(n: int) -> np.ndarray:
-    return _read_only(_hermite_functions(_REFLECTION_POINTS, n))
-
-
 def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:
     """Trace functional and hermiticity defect of an expanded function.
 
     The trace is the closed-form integral of f(Q, 0) over Q (only even
-    Q-indices and the psi_k(0) column enter).  The hermiticity defect is
-    max |f(Q, -r) - conj(f(Q, r))| over a 33x33 grid out to three frame
-    scales.  The Hermite functions are real and psi_k(-v) = (-1)^k psi_k(v),
-    so the difference is one product psi_q (C (-1)^k - conj C) psi_r^T of
-    the coefficient array C.  Both read the expansion without the frame's
-    phase, which is 1 at r = 0 and conjugated by r -> -r.
+    Q-indices and the psi_k(0) column enter).  The hermiticity defect bounds
+    |f(Q, -r) - conj(f(Q, r))| over the whole plane.  The Hermite functions
+    are real and psi_k(-v) = (-1)^k psi_k(v), so the difference is
+    psi_q (C (-1)^k - conj C) psi_r^T of the coefficient array C, and by
+    Indritz's inequality |psi_j| <= pi^(-1/4) its modulus is at most the
+    basis normalization times pi^(-1/2) sum |C (-1)^k - conj C|.  Both read
+    the expansion without the frame's phase, which is 1 at r = 0 and
+    conjugated by r -> -r.
     """
     coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
     tr_q = _trace_covector_parts(cfg.n_q) * (sq / math.sqrt(2.0)) * norm
     trace = complex(tr_q @ coeffs @ _psi_at_zero(cfg.n_r))
-    reflected = coeffs * (-1.0) ** np.arange(cfg.n_r)
-    gap = _reflection_basis(cfg.n_q) @ (reflected - coeffs.conj()) @ _reflection_basis(cfg.n_r).T
-    defect = norm * float(np.max(np.abs(gap)))
+    gap = coeffs * (-1.0) ** np.arange(cfg.n_r) - coeffs.conj()
+    defect = norm / math.sqrt(math.pi) * float(np.sum(np.abs(gap)))
     return trace, defect
 
 

@@ -379,6 +379,24 @@ def test_positivity_violation_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "preset, message",
+    [
+        ({"b_hpz": 1.0, "d": -3.0}, "b_plus = -0.5 must be positive"),
+        ({"b_hpz": 0.3, "d": 0.0}, "nu = -0.5333333333333334 < 0"),
+    ],
+    ids=["negative-b_plus", "negative-nu"],
+)
+def test_unphysical_hpz_preset_exits_2(tmp_path, capsys, preset, message):
+    out = tmp_path / "out"
+    doc = {"model": "hpz", "preset": {**DESK_PRESETS["hpz"], **preset}, "out": str(out)}
+    assert run_cli(["stationary", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "PositivityViolation"
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, monkeypatch):
     def transport(*args):
         raise AssertionError("verify transported a label")
@@ -428,20 +446,43 @@ def test_unwritable_out_exits_2_without_temporary_files(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["blocker", "out", blocked])
 
 
-def test_failed_move_removes_the_temporary_files(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case", ["empty-out", "previous-run"])
+def test_failed_move_removes_the_temporary_files(tmp_path, capsys, monkeypatch, case):
     """A move into place that fails after every temporary file is written
-    removes them all."""
-
-    def refuse(src, dst):
-        raise OSError(f"cannot move {src}")
-
-    monkeypatch.setattr(cli.os, "replace", refuse)
+    leaves `out` as it was: no temporary or set-aside file remains, and the
+    artifacts of a previous run keep their bytes even when the failing move
+    comes after another artifact was replaced."""
     out = tmp_path / "out"
-    assert run_cli(["eigfun", "--preset", "kl", "--out", str(out)]) == 2
+    replace = os.replace
+    if case == "empty-out":
+        def refuse(src, dst):
+            raise OSError(f"cannot move {src}")
+
+        argv = ["eigfun", "--preset", "kl", "--out", str(out)]
+    else:
+        assert run_cli(["eigfun", "--preset", "kl", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def refuse(src, dst):
+            if str(src).endswith("eigenfunction.json.tmp"):
+                raise OSError(f"cannot move {src}")
+            replace(src, dst)
+
+        doc = {"model": "kl", "preset": {"omega0": 1.0, "gamma": 0.3, "b": 1.3}, "out": str(out)}
+        argv = ["eigfun", "--config", write_config(tmp_path, doc)]
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert run_cli(argv) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("cannot write to out: cannot move ")
-    assert list(out.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    if case == "previous-run":  # the refused run would have changed both artifacts
+        monkeypatch.setattr(cli.os, "replace", replace)
+        assert run_cli(argv) == 0
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert all(after[name] != before[name] for name in before)
 
 
 def test_config_validation_errors(tmp_path, capsys):
@@ -551,6 +592,11 @@ INVALID = {
     "kl-zero-preset-gamma": {"model": "kl", "preset": {**KL["preset"], "gamma": 0}},
     "cl-zero-preset-gamma": {"model": "cl", "preset": {**DESK_PRESETS["cl"], "gamma": 0.0}},
     "hpz-zero-preset-gamma": {"model": "hpz", "preset": {**DESK_PRESETS["hpz"], "gamma": 0.0}},
+    "generic-with-preset": {"model": "generic", "preset": KL["preset"]},
+    "kl-with-coefficients": {"model": "kl", "coefficients": GENERIC["coefficients"]},
+    "list-coefficients": {**GENERIC, "coefficients": [[2.2, 0.4, -0.3], 0.5, [-1.1, 0.2, 0.3]]},
+    "short-h": {**GENERIC, "coefficients": {**GENERIC["coefficients"], "h": [2.2, 0.4]}},
+    "infinite-grid-bound": {**KL, "grid": {"q_min": -math.inf}},
 }
 
 

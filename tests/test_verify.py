@@ -45,7 +45,7 @@ from klform import (
     trace_and_hermiticity,
     transformed_eigenfunction,
 )
-from klform.verify import _GRADING_TOL
+from klform.verify import _GRADING_TOL, _hermite_functions
 
 from quadrature_oracle import quadrature_expand
 from test_acceptance import criterion_02_source, random_scrambled_source
@@ -263,6 +263,30 @@ def test_trace_and_hermiticity_fixtures():
     minus = expand(kl_eigenfunction(EigenLabel(1, 1, -1), B, W0, GAM), cfg)
     _, defect_pair = trace_and_hermiticity(plus + minus, cfg)
     assert defect_pair <= 1e-10
+
+
+@pytest.mark.parametrize("n_q, n_r", [(12, 12), (14, 9)], ids=["square", "rectangular"])
+@pytest.mark.parametrize("kappa", [0.0, 0.7], ids=["plain", "phased"])
+def test_hermiticity_defect_bounds_the_reflection_everywhere(n_q, n_r, kappa):
+    """The defect bounds |f(Q, -r) - conj f(Q, r)| far beyond the frame:
+    on a 241x241 grid out to eight frame scales, where the highest Hermite
+    functions of the basis peak past three scales."""
+    frame = CoordinateFrame(1.3, 0.6, kappa)
+    cfg = BasisConfig(n_q, n_r, frame)
+    rng = np.random.default_rng(n_q + n_r)
+    vec = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+    _, defect = trace_and_hermiticity(vec, cfg)
+    scales = np.linspace(-8.0, 8.0, 241)
+    q, r = frame.s_q * scales, scales / frame.s_r
+    gap = reconstruct(vec, cfg, q, -r) - reconstruct(vec, cfg, q, r).conj()
+    assert defect >= np.max(np.abs(gap)) > 0.0
+
+
+def test_hermite_functions_obey_indritz_bound():
+    """|psi_j(u)| <= pi^(-1/4) for every j and u (Indritz 1961), the bound
+    behind the hermiticity defect."""
+    psi = _hermite_functions(np.linspace(-14.0, 14.0, 2801), 64)
+    assert np.max(np.abs(psi)) <= math.pi**-0.25 * (1.0 + 1e-12)
 
 
 def test_trace_functional_annihilates_image():
