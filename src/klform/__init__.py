@@ -30,7 +30,6 @@ from .errors import (
     PairingFailure,
     PositivityViolation,
     SingularGError,
-    UnsupportedLabel,
     ZeroVector,
 )
 from .gauss import (
@@ -75,7 +74,6 @@ from .spectrum import (
     hermite_coefficients,
     kl_eigenfunction,
     pi_polynomial,
-    reference_eigenfunction,
     transformed_eigenfunction,
 )
 from .verify import (
@@ -89,7 +87,6 @@ from .verify import (
     evolve_series,
     expand,
     ladder_matrices,
-    reconstruct,
     refined_window_eigenvalues,
     residual,
     stationary_similarity,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EvolutionOverflow, KLFormError, LabelError
+from .errors import EvolutionOverflow, KLFormError, LabelError, PositivityViolation
 from .gauss import stationary_preset
 from .operators import (
     GeneratorId,
@@ -404,6 +404,8 @@ def cmd_stationary(cfg: RunConfig):
     if cfg.model == "generic":
         coeffs, plan = _reduce(cfg)
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs).gaussian
+        if not state.is_physical():  # as stationary_preset demands of a preset
+            raise PositivityViolation(f"stationary Gaussian has nu = {state.nu} < 0")
         frame = state.frame()
     else:
         state, frame = stationary_preset(cfg.model, **cfg.preset)

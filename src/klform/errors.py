@@ -40,10 +40,6 @@ class LabelError(KLFormError):
     """Eigenvalue label outside 0 <= n <= m, bad sign, or above the size cap."""
 
 
-class UnsupportedLabel(KLFormError):
-    """No closed-form reference eigenfunction is tabulated for this label."""
-
-
 class DegreeError(KLFormError):
     """Operator degree exceeds what the matrix assembler supports, or a
     matrix that must respect the Hermite degree grading raises the degree."""

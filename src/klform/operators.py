@@ -360,8 +360,11 @@ _LINEAR_BASIS = (
     LinearPhaseOperator(dr=1),
 )
 
+# adjoint matrices kept, one per generator
+_GENERATORS = len(GENERATOR_ORDER)
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_GENERATORS)
 def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
     """4x4 matrix of ad_G on (Q, r, dQ, dr)."""
     g_op = generator(gid)

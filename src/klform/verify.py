@@ -47,7 +47,6 @@ __all__ = [
     "ladder_matrices",
     "assemble_matrix",
     "expand",
-    "reconstruct",
     "residual",
     "evolve_series",
     "trace_and_hermiticity",
@@ -155,7 +154,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
+# Ladder matrices kept, one per size: a basis size n uses sizes n to n + 4
+# (the products of _ladder_factor), so 16 serve three basis sizes at once
+_LADDER_SIZES = 16
+
+
+@lru_cache(maxsize=_LADDER_SIZES)
 def ladder_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tridiagonal matrices of u* and d/du* on n orthonormal Hermite functions.
 
@@ -238,19 +242,6 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
-def _hermite_functions(x: np.ndarray, n_basis: int) -> np.ndarray:
-    psi = np.empty((x.size, n_basis))
-    psi[:, 0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n_basis > 1:
-        psi[:, 1] = math.sqrt(2.0) * x * psi[:, 0]
-    for j in range(1, n_basis - 1):
-        psi[:, j + 1] = (
-            math.sqrt(2.0 / (j + 1)) * x * psi[:, j]
-            - math.sqrt(j / (j + 1)) * psi[:, j - 1]
-        )
-    return psi
-
-
 def _monomials(n: int, scale: float, degree: int) -> np.ndarray:
     """Columns scale^a X^a e_0, a <= degree: (scale u)^a psi_0(u) on n functions,
     exact since X acts on more than `degree` of them and no power reaches the edge."""
@@ -295,22 +286,6 @@ def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndar
     vq = _monomials(cfg.n_q, sq / math.sqrt(2.0), poly.shape[0] - 1)
     vr = _monomials(cfg.n_r, 1.0 / (math.sqrt(2.0) * sr), poly.shape[1] - 1)
     return (pref * math.sqrt(2.0 * gauss.mu) * vq @ poly @ vr.T).reshape(-1)
-
-
-def reconstruct(vec: np.ndarray, cfg: BasisConfig, q, r) -> np.ndarray:
-    """Evaluate an expansion, the frame's phase taken off, on the outer grid
-    of 1-D arrays q and r."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    sq, sr = cfg.frame.s_q, cfg.frame.s_r
-    u = math.sqrt(2.0) * q / sq
-    v = math.sqrt(2.0) * sr * r
-    psi_q = _hermite_functions(u, cfg.n_q)
-    psi_r = _hermite_functions(v, cfg.n_r)
-    norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
-    coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
-    phase = np.exp(-1j * cfg.frame.kappa * np.outer(q, r)) if cfg.frame.kappa else 1.0
-    return norm * psi_q @ coeffs @ psi_r.T * phase
 
 
 def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
@@ -458,24 +433,28 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     return series.reshape(times.size, -1)
 
 
-@lru_cache(maxsize=None)
+def _even_ratios(n: int) -> np.ndarray:
+    """sqrt((2t - 1)/(2t)) for 0 < 2t < n: the ratio of sqrt((2t)!)/(2^t t!)
+    to its value at t - 1."""
+    two_t = np.arange(2, n, 2)
+    return np.sqrt((two_t - 1) / two_t)
+
+
 def _trace_covector_parts(n: int) -> np.ndarray:
-    """Integrals integral psi_j(u) du; zero for odd j."""
+    """Integrals integral psi_j(u) du: sqrt(2 pi) pi^(-1/4) sqrt((2t)!)/(2^t t!)
+    at j = 2t, zero for odd j."""
     out = np.zeros(n)
-    ratio = 1.0  # sqrt((2t)!)/(2^t t!)
-    base = math.sqrt(2.0 * math.pi) / math.pi**0.25
-    for t in range(0, (n + 1) // 2):
-        j = 2 * t
-        if t > 0:
-            ratio *= math.sqrt((2 * t - 1) / (2 * t))
-        if j < n:
-            out[j] = base * ratio
+    out[::2] = math.sqrt(2.0 * math.pi) / math.pi**0.25 * np.cumprod(np.r_[1.0, _even_ratios(n)])
     return out
 
 
-@lru_cache(maxsize=None)
 def _psi_at_zero(n: int) -> np.ndarray:
-    return _hermite_functions(np.zeros(1), n)[0]
+    """Values psi_j(0): at u = 0 the Hermite recurrence reduces to
+    psi_j+1(0) = -sqrt(j/(j+1)) psi_j-1(0), which the product runs in order;
+    zero for odd j."""
+    out = np.zeros(n)
+    out[::2] = np.cumprod(np.r_[math.pi ** (-0.25), -_even_ratios(n)])
+    return out
 
 
 def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:

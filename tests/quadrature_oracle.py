@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from klform import GaussianState
-from klform.verify import _hermite_functions
+
+from hermite_oracle import hermite_functions
 
 
 def quadrature_expand(f, cfg) -> np.ndarray:
@@ -30,7 +31,7 @@ def quadrature_expand(f, cfg) -> np.ndarray:
     values = GaussianState(gauss.mu, gauss.kappa - kappa, gauss.nu).evaluate(q_nodes, r_nodes)
     if poly is not None:
         values = poly.evaluate(q_nodes, r_nodes) * values
-    psi_q = _hermite_functions(x, cfg.n_q) * wtot[:, None]
-    psi_r = _hermite_functions(x, cfg.n_r) * wtot[:, None]
+    psi_q = hermite_functions(x, cfg.n_q) * wtot[:, None]
+    psi_r = hermite_functions(x, cfg.n_r) * wtot[:, None]
     pref = math.sqrt(sq / math.sqrt(2.0)) * math.sqrt(1.0 / (math.sqrt(2.0) * sr))
     return (pref * psi_q.T @ values @ psi_r).reshape(-1)

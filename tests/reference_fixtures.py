@@ -1,0 +1,101 @@
+"""Hard-coded closed forms of the lowest modes of the named models.
+
+The tests compare the package's transported eigenfunctions with these
+polynomials, written out by hand: they share nothing with the reduction
+or the eigenpolynomial formula, and take only their Gaussians and widths
+from the stationary presets.
+"""
+
+import cmath
+import math
+
+from klform import (
+    AppliedEigenfunction,
+    EigenLabel,
+    KLFormError,
+    LinearPhaseOperator,
+    PhasePolyOperator,
+    eigenvalue,
+    reduced_frequency,
+    stationary_preset,
+)
+
+
+class UnsupportedLabel(KLFormError):
+    """No closed-form reference eigenfunction is tabulated for this label."""
+
+
+def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedEigenfunction:
+    """Hard-coded closed forms for the lowest modes, used as regression fixtures.
+
+    Supported labels: (1, 1, +), (1, 1, -) and (1, 0).  Models:
+
+      "kl"  params b, omega0, gamma.
+            Pi(1,1,s) = -i(s*Qs + rs),  Pi(1,0) = 1/2 - Qs^2 + rs^2.
+      "hpz" params omega0_prime, gamma, b_hpz, d.  With the split widths
+            b- = b_hpz, b+ = b_hpz + d/(2 w0'), coordinates
+            Qs = Q/sqrt(2 b+), rs = sqrt(b-/2) r, w = w0'/w0,
+            p = sqrt(i w0') sqrt(b+ + b-) / w0 and
+            lam(+-) = (+-) i w0 + gamma/2:
+            Pi(1,1,+) = p (i sqrt(lam-/(2b+)) Qs + sqrt(lam+/(2b-)) rs)
+            Pi(1,1,-) = p (sqrt(lam+/(2b+)) Qs - i sqrt(lam-/(2b-)) rs)
+            Pi(1,0)   = w (b+ + b-)/(2b+) (w (1/2 - Qs^2 + (b+/b-) rs^2)
+                        + i (gamma/w0) sqrt(b+/b-) Qs rs)
+      "cl"  params omega0_prime, gamma, b_cl: "hpz" at b_hpz = b_cl, d = 0.
+
+    Unsupported labels raise UnsupportedLabel.
+    """
+    name = model.lower()
+    supported = {(1, 1, 1), (1, 1, -1), (1, 0, 1), (1, 0, -1)}
+    if (label.m, label.n, label.sigma) not in supported:
+        raise UnsupportedLabel(f"no closed form tabulated for {label}")
+    if name == "cl":
+        name, params = "hpz", {**params, "b_hpz": params["b_cl"], "d": 0.0}
+    # ValueError for an unknown model
+    state, frame = stationary_preset(name, **params)
+    gamma = float(params["gamma"])
+
+    if name == "kl":
+        omega0 = float(params["omega0"])
+        if label.n == 1:
+            pi = PhasePolyOperator({(1, 0, 0, 0): -1j * label.sigma, (0, 1, 0, 0): -1j})
+        else:
+            pi = PhasePolyOperator({(0, 0, 0, 0): 0.5, (2, 0, 0, 0): -1.0, (0, 2, 0, 0): 1.0})
+    else:
+        omega0_prime = float(params["omega0_prime"])
+        b_minus = float(params["b_hpz"])
+        omega0 = reduced_frequency(omega0_prime, gamma)
+        lam_plus = complex(0.5 * gamma, omega0)
+        lam_minus = complex(0.5 * gamma, -omega0)
+        pref = cmath.sqrt(1j * omega0_prime) / omega0
+        b_plus = b_minus + float(params["d"]) / (2.0 * omega0_prime)
+        if label.n == 1:
+            scale = math.sqrt(b_plus + b_minus)
+            if label.sigma == 1:
+                pi = PhasePolyOperator(
+                    {
+                        (1, 0, 0, 0): pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_plus)),
+                        (0, 1, 0, 0): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_minus)),
+                    }
+                )
+            else:
+                pi = PhasePolyOperator(
+                    {
+                        (1, 0, 0, 0): pref * scale * cmath.sqrt(lam_plus / (2.0 * b_plus)),
+                        (0, 1, 0, 0): -pref * scale * 1j * cmath.sqrt(lam_minus / (2.0 * b_minus)),
+                    }
+                )
+        else:
+            wr = omega0_prime / omega0
+            lead = wr * (b_plus + b_minus) / (2.0 * b_plus)
+            pi = PhasePolyOperator(
+                {
+                    (0, 0, 0, 0): 0.5 * lead * wr,
+                    (2, 0, 0, 0): -lead * wr,
+                    (0, 2, 0, 0): lead * wr * (b_plus / b_minus),
+                    (1, 1, 0, 0): 1j * lead * (gamma / omega0) * math.sqrt(b_plus / b_minus),
+                }
+            )
+    op_q = LinearPhaseOperator(q=1.0 / frame.s_q)
+    op_r = LinearPhaseOperator(r=frame.s_r)
+    return AppliedEigenfunction(label, eigenvalue(label, omega0, gamma), pi, op_q, op_r, state)

@@ -38,7 +38,6 @@ from klform import (
     kl_eigenfunction,
     positivity_window,
     reduce_to_kl,
-    reference_eigenfunction,
     refined_window_eigenvalues,
     residual,
     stationary_preset,
@@ -53,6 +52,7 @@ from klform import (
 from klform.cli import main as cli_main
 
 from adjoint_oracle import adjoint_conjugate_coefficients
+from reference_fixtures import reference_eigenfunction
 
 W0, GAM, B = 1.0, 0.3, 1.0
 SHIFT_IDS = tuple(GENERATOR_ORDER[4:])
@@ -258,6 +258,32 @@ def test_evolve_on_source_87_keeps_to_the_degrees_of_its_start(tmp_path, capsys)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src)
     k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(40, 40, steady.gaussian.frame()))
     assert np.min(all_eigenvalues(k_mat).real) < 0.0
+
+
+def test_stationary_exits_2_exactly_on_the_unphysical_criterion_02_sources(tmp_path, capsys):
+    """`klform stationary` keeps to one contract on both paths: a transported
+    stationary Gaussian with nu < 0 raises PositivityViolation, as a preset
+    does.  Of the 100 sources four transport to nu < 0."""
+    unphysical = {30: -0.49, 62: -0.16, 69: -0.27, 87: -8.2}
+    for i in range(100):
+        src = criterion_02_source(i)
+        out = tmp_path / f"out{i}"
+        cfg = tmp_path / "stationary.json"
+        coefficients = {"h": list(src.h), "gamma": src.gamma, "g": list(src.g)}
+        doc = {"model": "generic", "coefficients": coefficients, "out": str(out)}
+        cfg.write_text(json.dumps(doc))
+        code = cli_main(["stationary", "--config", str(cfg)])
+        stdout = capsys.readouterr().out
+        if i in unphysical:
+            assert code == 2, i
+            err = json.loads(stdout)
+            assert err["error"] == "PositivityViolation", i
+            nu = float(err["message"].split("nu = ")[1].split()[0])
+            assert float(f"{nu:.2g}") == unphysical[i], i
+            assert not out.exists(), i
+        else:
+            assert code == 0, i
+            assert json.loads((out / "stationary.json").read_text())["nu"] >= 0.0, i
 
 
 def test_criterion_03_conjugation_closed_forms():

@@ -397,6 +397,20 @@ def test_unphysical_hpz_preset_exits_2(tmp_path, capsys, preset, message):
     assert not out.exists()
 
 
+def test_unphysical_generic_stationary_exits_2(tmp_path, capsys):
+    """The hpz operator at b_hpz = 0.3, d = 0 as generic coefficients: the
+    transported Gaussian is the preset's, nu = -0.533, and is refused as the
+    preset is."""
+    out = tmp_path / "out"
+    coefficients = {"h": [2.0, 0.0, -0.6], "gamma": 0.6, "g": [-0.36, -0.36, 0.0]}
+    doc = {"model": "generic", "coefficients": coefficients, "out": str(out)}
+    assert run_cli(["stationary", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "PositivityViolation"
+    assert err["message"].startswith("stationary Gaussian has nu = -0.533")
+    assert not out.exists()
+
+
 def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, monkeypatch):
     def transport(*args):
         raise AssertionError("verify transported a label")

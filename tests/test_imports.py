@@ -46,6 +46,68 @@ def test_no_scipy_import():
     assert found == [], f"scipy imported at {found}"
 
 
+def _unbounded_caches(tree):
+    """(function, line number) of every functools.cache and of every
+    lru_cache that does not state a finite maxsize, however it is spelt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "cache":
+                yield node.name, dec.lineno
+            elif name == "lru_cache":
+                # a bare @lru_cache or lru_cache() keeps 128 entries but states no bound
+                sizes = []
+                if call:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                    yield node.name, dec.lineno
+
+
+def test_no_unbounded_cache():
+    found = [
+        (path.name, name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _unbounded_caches(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"unbounded caches at {found}"
+
+
+def test_cache_check_sees_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n): pass\n"
+        "@functools.lru_cache\n"
+        "def b(n): pass\n"
+        "@lru_cache()\n"
+        "def c(n): pass\n"
+        "@functools.cache\n"
+        "def d(n): pass\n"
+        "class A:\n"
+        "    @cache\n"
+        "    def e(self): pass\n"
+        "@lru_cache(None)\n"
+        "def f(n): pass\n"
+        "@lru_cache(maxsize=_SIZE)\n"
+        "def g(n): pass\n"
+        "@functools.lru_cache(16)\n"
+        "def h(n): pass\n"
+    )
+    assert sorted(_unbounded_caches(ast.parse(source))) == [
+        ("a", 3),
+        ("b", 5),
+        ("c", 7),
+        ("d", 9),
+        ("e", 12),
+        ("f", 14),
+    ]
+
+
 def test_import_check_sees_nested_and_exempt_blocks():
     source = (
         "import numpy\n"

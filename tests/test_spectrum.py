@@ -15,7 +15,6 @@ from klform import (
     LabelError,
     LinearPhaseOperator,
     PhasePolyOperator,
-    UnsupportedLabel,
     assemble_liouvillian,
     assemble_matrix,
     c_coefficient,
@@ -30,10 +29,11 @@ from klform import (
     kl_eigenfunction,
     pi_polynomial,
     reduce_to_kl,
-    reference_eigenfunction,
     residual,
     transformed_eigenfunction,
 )
+
+from reference_fixtures import UnsupportedLabel, reference_eigenfunction
 
 
 def test_eigenvalue_formula_fixtures():

@@ -36,7 +36,6 @@ from klform import (
     kl_coefficients,
     kl_eigenfunction,
     ladder_matrices,
-    reconstruct,
     reduce_to_kl,
     refined_window_eigenvalues,
     residual,
@@ -45,8 +44,9 @@ from klform import (
     trace_and_hermiticity,
     transformed_eigenfunction,
 )
-from klform.verify import _GRADING_TOL, _hermite_functions
+from klform.verify import _GRADING_TOL, _psi_at_zero, _trace_covector_parts
 
+from hermite_oracle import hermite_functions, reconstruct
 from quadrature_oracle import quadrature_expand
 from test_acceptance import criterion_02_source, random_scrambled_source
 
@@ -285,8 +285,26 @@ def test_hermiticity_defect_bounds_the_reflection_everywhere(n_q, n_r, kappa):
 def test_hermite_functions_obey_indritz_bound():
     """|psi_j(u)| <= pi^(-1/4) for every j and u (Indritz 1961), the bound
     behind the hermiticity defect."""
-    psi = _hermite_functions(np.linspace(-14.0, 14.0, 2801), 64)
+    psi = hermite_functions(np.linspace(-14.0, 14.0, 2801), 64)
     assert np.max(np.abs(psi)) <= math.pi**-0.25 * (1.0 + 1e-12)
+
+
+def test_psi_at_zero_equals_the_recurrence():
+    """The closed form runs the recurrence's product at u = 0, bit for bit
+    but for the sign of the zeros at odd j, which == does not tell apart."""
+    for n in range(4, 201):
+        assert (_psi_at_zero(n) == hermite_functions(np.zeros(1), n)[0]).all(), n
+
+
+def test_trace_covector_is_the_fourier_image_of_psi_at_zero():
+    """The Hermite functions are eigenfunctions of the Fourier transform,
+    integral psi_j(u) exp(-i k u) du = sqrt(2 pi) (-i)^j psi_j(k), so the
+    trace parts are their values at k = 0 times sqrt(2 pi) (-i)^j."""
+    for n in range(4, 201):
+        phase = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(n) % 4]
+        fourier = math.sqrt(2.0 * math.pi) * phase * hermite_functions(np.zeros(1), n)[0]
+        gap = np.abs(_trace_covector_parts(n) - fourier)
+        assert (gap <= 1e-15 * np.abs(fourier)).all(), n
 
 
 def test_trace_functional_annihilates_image():
