@@ -42,7 +42,8 @@ class LabelError(KLFormError):
 
 class DegreeError(KLFormError):
     """Operator degree exceeds what the matrix assembler supports, or a
-    matrix that must respect the Hermite degree grading raises the degree."""
+    matrix that must respect the Hermite degree grading raises the degree,
+    or one whose spectrum is solved in real arithmetic breaks hermiticity."""
 
 
 class IllConditionedReduction(KLFormError):

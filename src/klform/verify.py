@@ -14,7 +14,9 @@ over the whole plane.  Such a frame also grades the
 matrix by total Hermite degree, so spectra come from small dense blocks,
 one per degree the basis holds whole, the left eigenvectors of low modes
 from the leading block of low degrees, and an evolution keeps to the
-degrees its start occupies.
+degrees its start occupies.  A Liouvillian keeps functions Hermitian, so
+the similarity diag(i^k), whose factors are exact, makes every degree
+block real, and the spectra are solved in real arithmetic.
 
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
@@ -503,7 +505,7 @@ def _graded_entries(mat: BandedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
-    """Spectrum of the degree blocks the basis holds whole.
+    """Spectrum of the degree blocks the basis holds whole, as complex128.
 
     In a frame matched to a stationary Gaussian the matrix never raises the
     total Hermite degree j + k (else DegreeError), so ordered by degree it
@@ -512,21 +514,29 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     the block of degree d, on the d + 1 functions (j, d - j), is the
     operator's own; those m blocks are diagonalized densely, m (m + 1) / 2
     eigenvalues in all.  The blocks of higher degree, cut by the
-    truncation, are left out.
+    truncation, are left out.  A Liouvillian keeps functions Hermitian,
+    C -> conj(C) (-1)^k, so its matrix has P conj(M) P = M, P = diag((-1)^k)
+    = S^2 with S = diag(i^k): S^-1 M S, each entry times the exact
+    i^(k_col - k_row), is real, and so are the blocks diagonalized (an
+    imaginary part beyond roundoff raises DegreeError).
     """
     rows, cols, vals, degree = _graded_entries(k_mat.matrix)
     n_r = k_mat.matrix.n_r
     top = min(k_mat.matrix.n_q, n_r)
-    level = (degree[rows] == degree[cols]) & (degree[rows] < top)
-    rows, cols, vals = rows[level], cols[level], vals[level]
-    block_of, spectra = degree[rows], []
+    level = np.flatnonzero((degree[rows] == degree[cols]) & (degree[rows] < top))
+    level = level[np.argsort(degree[rows[level]], kind="stable")]
+    rows, cols = rows[level], cols[level]
+    vals = vals[level] * np.array([1, 1j, -1, -1j])[(cols % n_r - rows % n_r) % 4]
+    if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
+        raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
+    bounds, spectra = np.searchsorted(degree[rows], np.arange(top + 1)), []
     for d in range(top):
-        at = block_of == d
-        block = np.zeros((d + 1, d + 1), dtype=complex)
+        at = slice(bounds[d], bounds[d + 1])
+        block = np.zeros((d + 1, d + 1))
         # (j, d - j) is row j of block d
-        block[rows[at] // n_r, cols[at] // n_r] = vals[at]
+        block[rows[at] // n_r, cols[at] // n_r] = vals.real[at]
         spectra.append(np.linalg.eigvals(block))
-    return np.concatenate(spectra)
+    return np.concatenate(spectra, dtype=complex)
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:

@@ -429,6 +429,62 @@ def test_all_eigenvalues_contains_low_spectrum():
         assert np.min(np.abs(eigvals - lam)) <= 1e-8
 
 
+def assert_real_form(k_mat):
+    """The degree-preserving entries of S^-1 M S, S = diag(i^k), have imaginary
+    part exactly 0.0, and all_eigenvalues is complex128 and closed under
+    conjugation bit for bit; returns the eigenvalues."""
+    for (s, t), band in k_mat.matrix.bands.items():
+        # band (s, t) keeps the degree when s + t = 0, and moves k by t
+        if s + t == 0:
+            assert np.all((band * [1, 1j, -1, -1j][t % 4]).imag == 0.0)
+    eigvals = all_eigenvalues(k_mat)
+    assert eigvals.dtype == np.complex128
+    assert np.array_equal(np.sort_complex(eigvals), np.sort_complex(eigvals.conj()))
+    return eigvals
+
+
+@pytest.mark.parametrize(
+    "model, n, even_degrees", [("kl", 32, 16), ("cl", 24, 12), ("hpz", 24, 12)]
+)
+def test_degree_blocks_are_real_after_the_similarity_diag_i_to_the_k(model, n, even_degrees):
+    """A Liouvillian keeps functions Hermitian, so its blocks are real in the
+    frame diag(i^k): each even degree 2m holds one real eigenvalue, m gamma,
+    exactly real, and every other eigenvalue has its exact conjugate."""
+    coeffs, params = MODELS[model]
+    _, frame = stationary_preset(model, **params)
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, frame))
+    eigvals = assert_real_form(k_mat)
+    assert np.count_nonzero(eigvals.imag == 0.0) == even_degrees
+
+
+def test_degree_blocks_of_the_criterion_02_sources_are_real():
+    """The same on the 100 criterion-02 sources at 32x32, whose frames carry
+    the phase of their stationary Gaussian."""
+    rng = np.random.default_rng(20260816)
+    for _ in range(100):
+        src = random_scrambled_source(rng)
+        plan = reduce_to_kl(src, b_target=1.0)
+        state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
+        cfg = BasisConfig(32, 32, state.frame())
+        assert_real_form(assemble_matrix(assemble_liouvillian(src), cfg))
+
+
+def test_all_eigenvalues_rejects_a_matrix_that_breaks_hermiticity():
+    """An imaginary constant keeps the grading but not the conjugation
+    symmetry of the spectrum, so the blocks have no real form; a real
+    constant shifts the spectrum by itself."""
+    _, cfg, k_mat = kl_setup(24)
+    k_op = assemble_liouvillian(kl_coefficients(W0, GAM, B))
+    broken = assemble_matrix(k_op + PhasePolyOperator({(0, 0, 0, 0): 0.25j}), cfg)
+    assert degree_raising_ratio(broken) <= _GRADING_TOL
+    with pytest.raises(DegreeError, match="hermiticity"):
+        all_eigenvalues(broken)
+    shifted = assemble_matrix(k_op + PhasePolyOperator({(0, 0, 0, 0): 0.25}), cfg)
+    eigvals, moved = all_eigenvalues(k_mat), all_eigenvalues(shifted)
+    assert moved.size == eigvals.size
+    assert nearest_gap(moved, eigvals + 0.25) <= 1e-12
+
+
 def test_evolve_identity_and_eigenmode_decay():
     _, cfg, k_mat = kl_setup(28, gamma=0.5)
     f10 = expand(kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.5), cfg)
