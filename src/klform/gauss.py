@@ -49,8 +49,8 @@ class GaussianState:
     nu: float
 
     def __post_init__(self):
-        mu, kappa, nu = (float(x) for x in (self.mu, self.kappa, self.nu))
-        if not all(math.isfinite(x) for x in (mu, kappa, nu)):
+        mu, kappa, nu = map(float, (self.mu, self.kappa, self.nu))
+        if not all(map(math.isfinite, (mu, kappa, nu))):
             raise ValueError("Gaussian parameters must be finite")
         if mu <= 0:
             raise PositivityViolation(f"mu = {mu} must be positive")

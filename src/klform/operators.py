@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import ne, sub
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class PhasePolyOperator:
         if terms:
             for key, coeff in terms.items():
                 a, b, c, d = key
-                if min(a, b, c, d) < 0 or any(int(e) != e for e in key):
+                if min(a, b, c, d) < 0 or any(map(ne, map(int, key), key)):
                     raise ValueError(f"exponents must be non-negative integers: {key}")
                 val = complex(coeff)
                 if val != 0:
@@ -242,12 +243,12 @@ class LiouvillianCoeffs:
     g: tuple[float, float, float]
 
     def __post_init__(self):
-        h = tuple(float(x) for x in self.h)
-        g = tuple(float(x) for x in self.g)
+        h = tuple(map(float, self.h))
+        g = tuple(map(float, self.g))
         gamma = float(self.gamma)
         if len(h) != 3 or len(g) != 3:
             raise ValueError("h and g must each have three entries")
-        if not all(math.isfinite(x) for x in (*h, gamma, *g)):
+        if not all(map(math.isfinite, (*h, gamma, *g))):
             raise ValueError("all coefficients must be finite")
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
@@ -267,7 +268,9 @@ class LiouvillianCoeffs:
         return cls((v[0], v[1], v[2]), v[3], (v[4], v[5], v[6]))
 
     def max_abs_diff(self, other: "LiouvillianCoeffs") -> float:
-        return float(np.max(np.abs(self.as_vector() - other.as_vector())))
+        """Largest |difference| of the seven coefficients."""
+        diffs = map(sub, (*self.h, self.gamma, *self.g), (*other.h, other.gamma, *other.g))
+        return max(map(abs, diffs))
 
 
 @dataclass(frozen=True)
@@ -353,34 +356,22 @@ def conjugate_coefficients(
     return LiouvillianCoeffs(h, c.gamma, g)
 
 
-_LINEAR_BASIS = (
-    LinearPhaseOperator(q=1),
-    LinearPhaseOperator(r=1),
-    LinearPhaseOperator(dq=1),
-    LinearPhaseOperator(dr=1),
-)
-
-# adjoint matrices kept, one per generator
+# (Q, r, dQ, dr) as the terms of degree-one operators
+_LINEAR_TERMS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# adjoint rows kept, one per generator
 _GENERATORS = len(GENERATOR_ORDER)
 
 
 @lru_cache(maxsize=_GENERATORS)
-def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
-    """4x4 matrix of ad_G on (Q, r, dQ, dr)."""
-    g_op = generator(gid)
-    cols = []
-    for e in _LINEAR_BASIS:
-        bracket = commutator(g_op, e.to_poly())
-        vec = np.zeros(4, dtype=complex)
-        for term, coeff in bracket.terms.items():
-            idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)
-            if idx is None:
-                raise AssertionError("bracket with a linear operator is not linear")
-            vec[idx] = coeff
-        cols.append(vec)
-    # exact: each entry is a generator coefficient times 1 or 2, and the
-    # other terms of the two products cancel exactly
-    return np.array(cols).T
+def _adjoint_rows(gid: GeneratorId) -> tuple[tuple[int, complex], ...]:
+    """(j, a_ij) for the nonzero entry of each row i of ad_G on (Q, r, dQ, dr),
+    (0, 0j) for a zero row, from [G, e_j] = sum_i a_ij e_i.  Exact: each entry
+    is a generator coefficient times 1 or 2."""
+    rows = [(0, 0j)] * 4
+    for j, e_j in enumerate(_LINEAR_TERMS):
+        for term, coeff in commutator(generator(gid), PhasePolyOperator({e_j: 1.0})).terms.items():
+            rows[_LINEAR_TERMS.index(term)] = (j, coeff)
+    return tuple(rows)
 
 
 def conjugate_linear(
@@ -388,24 +379,35 @@ def conjugate_linear(
 ) -> LinearPhaseOperator:
     """exp(param*G) op exp(-param*G) for a degree-one operator op.
 
-    exp(p ad_G) in closed form: ad_G is diagonal for the scalings IM2 and
-    O0MI, and for every other generator it squares to k times the identity
-    (k = -1/4 for IL0, 1/4 for IM1, 0 for the shifts), so that
-    exp(p ad_G) = c I + s ad_G.  An overflowing boost gives non-finite
-    entries under numpy's RuntimeWarning.
+    Each row i of ad_G on (Q, r, dQ, dr) has at most one nonzero entry a_ij,
+    so exp(p ad_G) acts on the four fields of op one at a time.  ad_G is
+    diagonal for the scalings IM2 and O0MI, which give exp(p a_ii) v_i; for
+    every other generator it squares to k times the identity (k = -1/4 for
+    IL0, 1/4 for IM1, 0 for the shifts), so that exp(p ad_G) = c I + s ad_G
+    gives c v_i + s a_ij v_j.  c, s and the exponentials come from numpy's
+    cos, sin, cosh, sinh and exp, as in the 4-vector form c v + s (ad_G @ v)
+    (tests/adjoint_oracle.py), whose bits the result keeps; the math
+    module's cosh, sinh and exp round differently.  An overflowing boost
+    gives non-finite entries under numpy's RuntimeWarning.
     """
     p = float(param)
-    ad = _adjoint_matrix_4(gid)
-    vec = op.as_vector()
-    if gid in (GeneratorId.IM2, GeneratorId.O0MI):
-        return LinearPhaseOperator.from_vector(np.exp(p * ad.diagonal().real) * vec)
+    vec = (op.q, op.r, op.dq, op.dr)
+    rows = _adjoint_rows(gid)
+    if gid is GeneratorId.IM2 or gid is GeneratorId.O0MI:
+        return LinearPhaseOperator(*[float(np.exp(p * a.real)) * v for v, (_, a) in zip(vec, rows)])
     if gid is GeneratorId.IL0:
-        c, s = np.cos(p / 2), 2 * np.sin(p / 2)
+        c, s = float(np.cos(p / 2)), 2 * float(np.sin(p / 2))
     elif gid is GeneratorId.IM1:
-        c, s = np.cosh(p / 2), 2 * np.sinh(p / 2)
+        c, s = float(np.cosh(p / 2)), 2 * float(np.sinh(p / 2))
     else:
         c, s = 1.0, p
-    return LinearPhaseOperator.from_vector(c * vec + s * (ad @ vec))
+    (j0, a0), (j1, a1), (j2, a2), (j3, a3) = rows
+    return LinearPhaseOperator(
+        c * vec[0] + s * (a0 * vec[j0]),
+        c * vec[1] + s * (a1 * vec[j1]),
+        c * vec[2] + s * (a2 * vec[j2]),
+        c * vec[3] + s * (a3 * vec[j3]),
+    )
 
 
 def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> PhasePolyOperator:

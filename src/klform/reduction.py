@@ -169,7 +169,7 @@ class ReductionPlan:
         unless it is at most REPLAY_TOL times the largest coefficient of c
         (at least 1); inf and NaN fail."""
         resid = self.replay_residual(c)
-        if not resid <= REPLAY_TOL * max(1.0, float(np.max(np.abs(c.as_vector())))):
+        if not resid <= REPLAY_TOL * max(1.0, *map(abs, (*c.h, c.gamma, *c.g))):
             raise IllConditionedReduction(
                 f"plan does not reduce the given coefficients: replay residual {resid} "
                 "exceeds tolerance",

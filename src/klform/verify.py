@@ -244,15 +244,26 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
-def _monomials(n: int, scale: float, degree: int) -> np.ndarray:
-    """Columns scale^a X^a e_0, a <= degree: (scale u)^a psi_0(u) on n functions,
-    exact since X acts on more than `degree` of them and no power reaches the edge."""
+# Ladder columns kept, one per (n, degree): a mode reaches degree 2m - n in each
+# coordinate: the labels m <= 2 use 5 per basis size, those up to MAX_M = 32 use 65
+_LADDER_COLUMNS = 128
+
+
+@lru_cache(maxsize=_LADDER_COLUMNS)
+def _ladder_columns(n: int, degree: int) -> np.ndarray:
+    """Read-only columns X^a e_0, a <= degree: u^a psi_0(u) on n functions, exact
+    since X acts on more than `degree` of them and no power reaches the edge."""
     size = max(n, degree + 1)
     x_mat, _ = ladder_matrices(size)
     cols = [np.eye(1, size)[0]]
     for _ in range(degree):
         cols.append(x_mat @ cols[-1])
-    return np.stack(cols, axis=1)[:n] * scale ** np.arange(degree + 1)
+    return _read_only(np.stack(cols, axis=1)[:n])
+
+
+def _monomials(n: int, scale: float, degree: int) -> np.ndarray:
+    """Columns scale^a X^a e_0, a <= degree: (scale u)^a psi_0(u) on n functions."""
+    return _ladder_columns(n, degree) * scale ** np.arange(degree + 1)
 
 
 def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndarray:

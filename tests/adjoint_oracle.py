@@ -1,4 +1,5 @@
-"""The matrix-exponential oracle of the coefficient flows.
+"""The matrix-exponential oracle of the coefficient flows, and the 4-vector
+form of the degree-one flows.
 
 `klform.conjugate_coefficients` computes each flow exp(p*G) K exp(-p*G) in
 closed form.  This module computes the same flow by another route: the
@@ -6,6 +7,11 @@ structure constants of the seven-generator algebra are read off the
 commutators of the generator table by least squares, and scipy's `expm`
 of p * ad_G is applied to the coefficient vector.  Nothing here uses the
 closed forms, so the two routes check each other.
+
+`klform.conjugate_linear` works on the four fields of a degree-one
+operator one at a time.  `conjugate_linear_4vector` applies the same closed
+form to the whole vector (Q, r, dQ, dr) with numpy, on a 4x4 matrix of ad_G
+built here from the commutators, and must give the same bits.
 """
 
 from functools import lru_cache
@@ -16,6 +22,7 @@ from scipy.linalg import expm
 from klform import (
     GENERATOR_ORDER,
     GeneratorId,
+    LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
     commutator,
@@ -74,3 +81,51 @@ def adjoint_conjugate_coefficients(
     """
     mat = expm(float(param) * _adjoint_matrix_7(gid))
     return LiouvillianCoeffs.from_vector(mat @ c.as_vector())
+
+
+_LINEAR_BASIS = (
+    LinearPhaseOperator(q=1),
+    LinearPhaseOperator(r=1),
+    LinearPhaseOperator(dq=1),
+    LinearPhaseOperator(dr=1),
+)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
+    """4x4 matrix of ad_G on (Q, r, dQ, dr)."""
+    g_op = generator(gid)
+    cols = []
+    for e in _LINEAR_BASIS:
+        bracket = commutator(g_op, e.to_poly())
+        vec = np.zeros(4, dtype=complex)
+        for term, coeff in bracket.terms.items():
+            idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)
+            if idx is None:
+                raise AssertionError("bracket with a linear operator is not linear")
+            vec[idx] = coeff
+        cols.append(vec)
+    # exact: each entry is a generator coefficient times 1 or 2, and the
+    # other terms of the two products cancel exactly
+    return np.array(cols).T
+
+
+def conjugate_linear_4vector(
+    gid: GeneratorId, param: float, op: LinearPhaseOperator
+) -> LinearPhaseOperator:
+    """exp(param*G) op exp(-param*G) as exp(p ad_G) applied to the vector of op:
+    elementwise exponentials for the diagonal scalings IM2 and O0MI, and
+    c v + s (ad_G @ v) for the others, whose ad_G squares to k times the
+    identity."""
+    p = float(param)
+    ad = _adjoint_matrix_4(gid)
+    vec = op.as_vector()
+    if gid in (GeneratorId.IM2, GeneratorId.O0MI):
+        return LinearPhaseOperator.from_vector(np.exp(p * ad.diagonal().real) * vec)
+    if gid is GeneratorId.IL0:
+        c, s = np.cos(p / 2), 2 * np.sin(p / 2)
+    elif gid is GeneratorId.IM1:
+        c, s = np.cosh(p / 2), 2 * np.sinh(p / 2)
+    else:
+        c, s = 1.0, p
+    return LinearPhaseOperator.from_vector(c * vec + s * (ad @ vec))

@@ -33,9 +33,10 @@ from klform import (
     transformed_eigenfunction,
 )
 from klform.cli import DESK_PRESETS
-from klform.operators import _adjoint_matrix_4
 from klform.spectrum import _apply_linear_to_poly
+from klform.verify import _ladder_columns
 
+from adjoint_oracle import _adjoint_matrix_4, conjugate_linear_4vector
 from test_acceptance import random_scrambled_source
 
 PRESETS = {
@@ -172,6 +173,53 @@ def test_conjugate_linear_equals_a_fresh_exponential(gid):
         fresh = expm(param * _adjoint_matrix_4(gid))
         got = np.array([conjugate_linear(gid, param, e).as_vector() for e in basis]).T
         assert np.max(np.abs(got - fresh)) <= 1e-14 * np.max(np.abs(fresh)), param
+
+
+@pytest.mark.parametrize("gid", GENERATOR_ORDER, ids=lambda g: g.name)
+def test_conjugate_linear_equals_the_4vector_form(gid):
+    """One field at a time gives what the whole vector gives, at the
+    parameters of the expm check above and at 1.28, where numpy's exp, cosh
+    and sinh round differently from the math module's."""
+    ops = [LinearPhaseOperator.from_vector(e) for e in np.eye(4)]
+    ops.append(LinearPhaseOperator(0.3 - 1.2j, -0.7 + 0.1j, 2.5j, -1.9))
+    for param in (0.37, -0.37, 3.1, -3.1, 18.7, -18.7, 0.0, -0.0, 1.28, -1.28):
+        for op in ops:
+            assert conjugate_linear(gid, param, op) == conjugate_linear_4vector(gid, param, op), (
+                param,
+                op,
+            )
+
+
+def test_conjugate_linear_equals_the_4vector_form_along_the_criterion_02_plans():
+    """Each inverse step of the 100 plans, applied to the frame pair as
+    transformed_eigenfunction applies it."""
+    for index, src in enumerate(criterion_02_sources(100)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        _, frame = stationary_preset("kl", b=plan.b)
+        pair = (LinearPhaseOperator(q=1.0 / frame.s_q), LinearPhaseOperator(r=frame.s_r))
+        for gid, p in reversed(plan.steps):
+            moved = tuple(conjugate_linear(gid, -p, op) for op in pair)
+            assert moved == tuple(conjugate_linear_4vector(gid, -p, op) for op in pair), (
+                index,
+                gid,
+            )
+            pair = moved
+
+
+def test_ladder_columns_equal_fresh_ladder_products():
+    """X^a e_0 from a ladder matrix built anew, for each (n, degree); the
+    second pass at 24 reads the entries the first one left."""
+    for n in (24, 40, 24):
+        for degree in (0, 1, 2, 4, 8, 45):
+            size = max(n, degree + 1)
+            off = np.sqrt(np.arange(1, size) / 2.0)
+            x_mat = np.diag(off, 1) + np.diag(off, -1)
+            cols = [np.eye(size)[0]]
+            for _ in range(degree):
+                cols.append(x_mat @ cols[-1])
+            got = _ladder_columns(n, degree)
+            assert not got.flags.writeable
+            assert same_bits(got, np.stack(cols, axis=1)[:n]), (n, degree)
 
 
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():

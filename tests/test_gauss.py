@@ -198,6 +198,21 @@ def test_state_validation():
     assert not s.is_physical()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(3), ids=["mu", "kappa", "nu"])
+def test_state_rejects_a_non_finite_parameter(slot, bad):
+    params = [0.5, 0.1, 0.2]
+    params[slot] = bad
+    with pytest.raises(ValueError, match="Gaussian parameters must be finite"):
+        GaussianState(*params)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.0, -1e-300, -0.5])
+def test_state_rejects_a_non_positive_mu(mu):
+    with pytest.raises(PositivityViolation, match="must be positive"):
+        GaussianState(mu, 0.1, 0.2)
+
+
 def test_kl_preset():
     state, frame = stationary_preset("kl", b=1.0)
     assert state.mu == pytest.approx(0.25)

@@ -183,6 +183,52 @@ def test_negative_gamma_rejected():
         LiouvillianCoeffs((1.0, 0.0, 0.0), -0.1, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((0, -1, 0, 0), "exponents must be non-negative integers"),
+        ((1, 0, 1.5, 0), "exponents must be non-negative integers"),
+        ((1, 0, 0), "not enough values to unpack"),
+        ((1, 0, 0, 0, 0), "too many values to unpack"),
+    ],
+    ids=["negative", "fractional", "length-3", "length-5"],
+)
+def test_phase_poly_operator_rejects_bad_exponents(key, message):
+    with pytest.raises(ValueError, match=message):
+        PhasePolyOperator({(0, 0, 0, 0): 1.0, key: 2.0})
+
+
+def test_phase_poly_operator_takes_integral_floats_and_drops_exact_zeros():
+    op = PhasePolyOperator({(1.0, 0, 0, 0): 2.0, (0, 1, 0, 0): 0.0, (0, 0, 1, 0): 0j})
+    assert op.terms == {(1, 0, 0, 0): 2.0}
+    assert [type(e) for e in next(iter(op.terms))] == [int] * 4
+    assert op == PhasePolyOperator({(1, 0, 0, 0): 2.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(7))
+def test_coefficients_reject_a_non_finite_entry(slot, bad):
+    vec = [0.3, -0.4, 0.5, 0.7, -0.1, 0.2, -0.3]
+    vec[slot] = bad
+    with pytest.raises(ValueError, match="all coefficients must be finite"):
+        LiouvillianCoeffs((vec[0], vec[1], vec[2]), vec[3], (vec[4], vec[5], vec[6]))
+
+
+@pytest.mark.parametrize(
+    "h, g",
+    [
+        ((1.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ],
+    ids=["h2", "h4", "g2", "g4"],
+)
+def test_coefficients_reject_h_or_g_of_the_wrong_length(h, g):
+    with pytest.raises(ValueError, match="h and g must each have three entries"):
+        LiouvillianCoeffs(h, 0.5, g)
+
+
 def test_conjugation_closed_form_vs_adjoint_exponential():
     """Closed-form coefficient flows against the structure-constant oracle."""
     rng = np.random.default_rng(42)
