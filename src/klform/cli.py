@@ -36,7 +36,14 @@ from .operators import (
     kl_coefficients,
 )
 from .reduction import reduce_to_kl
-from .spectrum import MAX_M, EigenLabel, distinct_labels, eigenvalue, transformed_eigenfunction
+from .spectrum import (
+    MAX_M,
+    EigenLabel,
+    distinct_labels,
+    eigenvalue,
+    pi_polynomial,
+    transformed_eigenfunction,
+)
 from .verify import (
     BasisConfig,
     assemble_matrix,
@@ -439,7 +446,7 @@ def cmd_eigfun(cfg: RunConfig):
         "eigenvalue": {"re": lam.real, "im": lam.imag},
         "gaussian": {"mu": g.mu, "kappa": g.kappa, "nu": g.nu},
         "frame": {"s_q": frame.s_q, "s_r": frame.s_r},
-        "operator_polynomial": poly_rows(mode.pi),
+        "operator_polynomial": poly_rows(pi_polynomial(mode.label)),
         "multiplier_polynomial": poly_rows(mode.expanded_poly),
     }
     grid = cfg.grid

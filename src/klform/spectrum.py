@@ -2,16 +2,23 @@
 
 In normal form the spectrum is
 
-    lambda(m, n, sign) = sign * i*n*omega0 + (m - n/2)*gamma,   0 <= n <= m,
+    lambda(m, n, sign) = sign * i*n*omega0 + (m - n/2)*gamma,   0 <= n <= m.
 
-with right eigenfunctions Pi(m, n, sign) applied to the stationary
-Gaussian.  Pi is a polynomial in two commuting operators Qs and rs; for
-the normal form these are plain multiplications by the normalized
-coordinates, and for a general reducible Liouvillian they are the
-conjugated degree-one operators obtained by transporting the normal-form
-pair backwards through the reduction plan.  This module builds the
-polynomials from their exact coefficient formula, applies the operator
-pair to the Gaussian, and carries eigenfunctions across a reduction.
+Each right eigenfunction is a word in the raising pair of ad_K, the
+degree-one operators with [K, B_i] = lambda_i B_i, lambda_1 = gamma/2 -
+i omega0 and lambda_2 = gamma/2 + i omega0, applied to the stationary
+Gaussian rho (third quantization: Prosen, New J. Phys. 10 (2008) 043026):
+
+    B1^n1 B2^n2 rho / (i^n sqrt(n1! n2!)),
+
+with (n1, n2) = (m - n, m) for sign +1 and (m, m - n) for sign -1.  The
+word equals Pi(m, n, sign) rho, where Pi is a polynomial in the normalized
+coordinates Qs and rs with an exact coefficient formula (pi_polynomial,
+which eigfun publishes).  For a general reducible Liouvillian the pair and
+the Gaussian are transported backwards through the reduction plan; the
+transported pair is again degree one, so every mode stays a word of the
+same form.  This module builds the words, applies them to the Gaussian,
+and carries eigenfunctions across a reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -50,18 +56,20 @@ __all__ = [
     "transformed_eigenfunction",
 ]
 
-# largest m of pi_polynomial.  Its coefficients are exact; the accuracy of a
-# mode ends earlier, in the floating-point cancellation of the monomial form:
-# the residual of (m, 0) on the kl preset at 48x48 is 2.6e-10 at m = 16 and
-# 3.6e-8 at m = 20
+# largest m of a mode.  The words are exact to roundoff at every m a basis
+# holds (residuals at most 4.9e-13 up to m = 32 at 66x66); the cap stays
+# because eigfun publishes Pi, and pi_polynomial's exact triple sum for the
+# 1,089 labels with m <= 32 takes 41-54 s on one CPU of a shared 2-core Xeon
 MAX_M = 32
-# largest |[op_q, op_r]| of a commuting operator pair
+# largest |[B1, B2]| of a commuting raising pair
 COMMUTATOR_TOL = 1e-12
+# largest miss of [K, B1] = lambda_1 B1, summed over the r and dQ fields,
+# relative to |lambda_1| max |B1|, the replay check's REPLAY_TOL: at most
+# 8.7e-16 on the 100 criterion-02 sources and 798 draws of their recipe at
+# seed 630948696
+RAISING_TOL = 1e-10
 # eigenpolynomials kept, one per label: the (m + 1)^2 labels up to m = 15
 _LABEL_POLYS = 256
-# operator powers kept, shared by the labels of one plan: the labels up to
-# m = 2 reach 13 powers, those up to m = 5 reach 61
-_PLAN_POWERS = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -191,86 +199,86 @@ def _apply_linear_to_poly(
 
     Multiplications add exponents; derivatives act by the product rule,
     with the Gaussian contributing d(ln f)/dQ = -4 mu Q - i kappa r and
-    d(ln f)/dr = -i kappa Q - (mu + nu) r.
+    d(ln f)/dr = -i kappa Q - (mu + nu) r.  A zero product adds nothing,
+    so a field of op that is 0 and the derivative of a constant factor
+    leave no term.
     """
     out: dict = {}
-
-    def add(key, val):
-        if val != 0:
-            out[key] = out.get(key, 0) + val
-
     mu, kappa, w = s.mu, s.kappa, s.width_sum
     for (j, k), coeff in poly.items():
-        if op.q != 0:
-            add((j + 1, k), op.q * coeff)
-        if op.r != 0:
-            add((j, k + 1), op.r * coeff)
-        if op.dq != 0:
-            if j > 0:
-                add((j - 1, k), op.dq * coeff * j)
-            add((j + 1, k), op.dq * coeff * (-4.0 * mu))
-            add((j, k + 1), op.dq * coeff * (-1j * kappa))
-        if op.dr != 0:
-            if k > 0:
-                add((j, k - 1), op.dr * coeff * k)
-            add((j + 1, k), op.dr * coeff * (-1j * kappa))
-            add((j, k + 1), op.dr * coeff * (-w))
+        for key, val in (
+            ((j + 1, k), op.q * coeff),
+            ((j, k + 1), op.r * coeff),
+            ((j - 1, k), op.dq * coeff * j),
+            ((j + 1, k), op.dq * coeff * (-4.0 * mu)),
+            ((j, k + 1), op.dq * coeff * (-1j * kappa)),
+            ((j, k - 1), op.dr * coeff * k),
+            ((j + 1, k), op.dr * coeff * (-1j * kappa)),
+            ((j, k + 1), op.dr * coeff * (-w)),
+        ):
+            if val != 0:
+                out[key] = out.get(key, 0) + val
     return {k: v for k, v in out.items() if v != 0}
 
 
-@lru_cache(maxsize=_PLAN_POWERS)
-def _operator_power(
-    op_q: LinearPhaseOperator, op_r: LinearPhaseOperator, s: GaussianState, j: int, k: int
-) -> MappingProxyType:
-    """Read-only coefficients of (op_q^j op_r^k f)/f for the Gaussian f = s.
+def _word(label: EigenLabel) -> tuple[int, int, complex]:
+    """(n1, n2, c) of the mode c B1^n1 B2^n2 rho of a label.
 
-    op_r is applied k times to 1, then op_q j times; each power is
-    built from the cached one below it.
+    (n1, n2) = (m - n, m) for sigma = +1 and (m, m - n) for sigma = -1, so
+    that n1 lambda_1 + n2 lambda_2 is the label's eigenvalue, and
+    c = 1/(i^n sqrt(n1! n2!)) makes the word Pi(m, n, sigma) rho.  m above
+    MAX_M is rejected (LabelError).
     """
-    if j > 0:
-        poly = _apply_linear_to_poly(op_q, _operator_power(op_q, op_r, s, j - 1, k), s)
-    elif k > 0:
-        poly = _apply_linear_to_poly(op_r, _operator_power(op_q, op_r, s, 0, k - 1), s)
-    else:
-        poly = {(0, 0): 1.0 + 0j}
-    return MappingProxyType(poly)
+    if label.m > MAX_M:
+        raise LabelError(f"m = {label.m} exceeds the cap {MAX_M}")
+    m, n = label.m, label.n
+    n1, n2 = (m - n, m) if label.sigma == 1 else (m, m - n)
+    return n1, n2, 1.0 / ((1j) ** (n % 4) * math.sqrt(math.factorial(n1) * math.factorial(n2)))
 
 
 @dataclass(eq=False)
 class AppliedEigenfunction:
-    """Eigenfunction Pi(op_q, op_r) applied to a Gaussian.
+    """Eigenfunction c B1^n1 B2^n2 rho: a word in a raising pair applied to a Gaussian.
 
-    pi holds the polynomial in the two commuting degree-one operators
-    op_q, op_r, with op_q^j op_r^k as the term (j, k, 0, 0); gaussian is
-    the stationary state the polynomial acts on.  evaluate() multiplies
-    out the operator polynomial once (cached) and then evaluates
-    polynomial times Gaussian pointwise.  A pair that does not commute to
-    within COMMUTATOR_TOL (NaN included) raises IllConditionedReduction
-    carrying the commutator.
+    raising holds the degree-one pair (B1, B2) with [K, B_i] = lambda_i B_i,
+    lambda_1 = gamma/2 - i omega0 and lambda_2 = gamma/2 + i omega0, and
+    gaussian the stationary state rho it acts on; the label fixes the word
+    (`word`).  evaluate() multiplies out the word once (expanded_poly,
+    cached) and then evaluates polynomial times Gaussian pointwise.  A pair
+    that does not commute to within COMMUTATOR_TOL (NaN included), so that
+    the word would depend on the order of its letters, raises
+    IllConditionedReduction carrying the commutator.
     """
 
     label: EigenLabel
     eigenvalue: complex
-    pi: PhasePolyOperator
-    op_q: LinearPhaseOperator
-    op_r: LinearPhaseOperator
+    raising: tuple[LinearPhaseOperator, LinearPhaseOperator]
     gaussian: GaussianState
 
     def __post_init__(self):
-        comm = abs(self.op_q.commutator_scalar(self.op_r))
+        b1, b2 = self.raising
+        comm = abs(b1.commutator_scalar(b2))
         if not comm <= COMMUTATOR_TOL:
             raise IllConditionedReduction(f"transported pair fails to commute by {comm}", comm)
+
+    @property
+    def word(self) -> tuple[complex, tuple[tuple[LinearPhaseOperator, int], ...]]:
+        """(c, powers): the mode is c times the letters applied to the
+        Gaussian in turn, B2 n2 times and then B1 n1 times; a power with
+        exponent 0 is left out."""
+        n1, n2, scale = _word(self.label)
+        b1, b2 = self.raising
+        return scale, tuple((op, count) for op, count in ((b2, n2), (b1, n1)) if count)
 
     @cached_property
     def expanded_poly(self) -> PhasePolyOperator:
         """Multiplication by P(Q, r) with f(Q, r) = P(Q, r) * gaussian(Q, r)."""
-        total: dict = {}
-        for (j, k, _, _), coeff in self.pi.terms.items():
-            power = _operator_power(self.op_q, self.op_r, self.gaussian, j, k)
-            for (a, b), val in power.items():
-                key = (a, b, 0, 0)
-                total[key] = total.get(key, 0) + coeff * val
-        return PhasePolyOperator(total)
+        scale, powers = self.word
+        poly = {(0, 0): scale}
+        for op, count in powers:
+            for _ in range(count):
+                poly = _apply_linear_to_poly(op, poly, self.gaussian)
+        return PhasePolyOperator({(a, b, 0, 0): coeff for (a, b), coeff in poly.items()})
 
     def evaluate(self, q, r) -> np.ndarray:
         return self.expanded_poly.evaluate(q, r) * self.gaussian.evaluate(q, r)
@@ -280,8 +288,8 @@ def kl_eigenfunction(
     label: EigenLabel, b: float, omega0: float, gamma: float
 ) -> AppliedEigenfunction:
     """Normal-form eigenfunction at width b >= 1/2: the transport of the
-    empty plan, whose operator pair is plain multiplication by the
-    normalized coordinates Qs = Q/sqrt(2b) and rs = sqrt(b/2)*r."""
+    empty plan, whose raising pair is B1 = s_r (r + dQ) and
+    B2 = s_r (r - dQ) with s_r = sqrt(b/2)."""
     target = kl_coefficients(omega0, gamma, b)
     return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
 
@@ -294,14 +302,18 @@ def transformed_eigenfunction(
     If S is the similarity built from the plan steps (so S K S^-1 is the
     normal form), the source eigenfunctions are S^-1 applied to the
     normal-form ones at the same label: the stationary Gaussian and the
-    multiplication pair are transported through the steps in reverse
-    order with negated parameters.  The transported Gaussian may pass
-    outside the physical region; only a non-normalizable endpoint
-    (mu + nu <= 0) is an error.  A plan that does not replay source onto
-    its target (ReductionPlan.check_replay), or a transported pair that no
-    longer commutes (see AppliedEigenfunction), raises
-    IllConditionedReduction carrying the miss.
+    raising pair are transported through the steps in reverse order with
+    negated parameters, and the label's word is unchanged.  m above MAX_M
+    raises LabelError before anything is transported.  The transported
+    Gaussian may pass outside the physical region; only a non-normalizable
+    endpoint (mu + nu <= 0) is an error.  A plan that does not replay
+    source onto its target (ReductionPlan.check_replay), a transported
+    pair that misses [K, B_i] = lambda_i B_i of the source by more than
+    RAISING_TOL relative to |lambda_i B_i|, or one that no longer commutes
+    (see AppliedEigenfunction) raises IllConditionedReduction carrying the
+    miss.
     """
+    _word(label)  # LabelError above MAX_M
     plan.check_replay(source)
     inverse_steps = [(gid, -p) for gid, p in reversed(plan.steps)]
     base_state, frame = stationary_preset("kl", b=plan.b)
@@ -310,16 +322,31 @@ def transformed_eigenfunction(
         raise PositivityViolation(
             "transported stationary Gaussian is not normalizable (mu + nu <= 0)"
         )
-    op_q = LinearPhaseOperator(q=1.0 / frame.s_q)
-    op_r = LinearPhaseOperator(r=frame.s_r)
+    b1 = LinearPhaseOperator(r=frame.s_r, dq=frame.s_r)
+    b2 = LinearPhaseOperator(r=frame.s_r, dq=-frame.s_r)
     for gid, p in inverse_steps:
-        op_q = conjugate_linear(gid, p, op_q)
-        op_r = conjugate_linear(gid, p, op_r)
+        b1 = conjugate_linear(gid, p, b1)
+        b2 = conjugate_linear(gid, p, b2)
+    # The transport's certificate [K, B1] = lambda_1 B1.  The flows keep the
+    # trace, so B1 stays beta r + delta dQ (q = dr = 0 exactly), on which K
+    # acts through h and gamma alone: [K, r] = (gamma - h2)/2 r + i(h1 - h0)/2 dQ,
+    # [K, dQ] = -i(h0 + h1)/2 r + (gamma + h2)/2 dQ.  They keep B2 the mirror
+    # of B1 under f -> conj f(Q, -r) bit for bit, so B2 misses as much.
+    (h0, h1, h2), gamma = source.h, source.gamma
+    lam = eigenvalue(EigenLabel(1, 1, -1), plan.omega0, gamma)
+    beta, delta = b1.r, b1.dq
+    miss = abs(0.5 * (beta * (gamma - h2) - 1j * delta * (h0 + h1)) - lam * beta) + abs(
+        0.5 * (1j * beta * (h1 - h0) + delta * (gamma + h2)) - lam * delta
+    )
+    scale = abs(lam) * max(abs(beta), abs(delta))
+    if not miss <= RAISING_TOL * scale:
+        raise IllConditionedReduction(
+            f"transported raising pair misses [K, B] = lambda B by {miss} of {scale}",
+            miss / scale if scale else math.inf,
+        )
     return AppliedEigenfunction(
         label=label,
         eigenvalue=eigenvalue(label, plan.omega0, source.gamma),
-        pi=pi_polynomial(label),
-        op_q=op_q,
-        op_r=op_r,
+        raising=(b1, b2),
         gaussian=state,
     )

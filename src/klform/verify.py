@@ -5,8 +5,9 @@ functions psi_j(u) psi_k(v) of the scaled coordinates u = sqrt(2) Q/s_q,
 v = sqrt(2) s_r r, where (s_q, s_r) are the scales of the expansion frame;
 a frame with phase kappa expands f * exp(i kappa Q r).  In a frame
 matched to a stationary Gaussian that Gaussian is the ground function and
-each coordinate a ladder matrix, so an eigenfunction, a polynomial times
-the Gaussian, has an exact finite expansion, and every closed-form claim
+each degree-one operator a sum of ladder matrices, so an eigenfunction, a
+word of such letters applied to the Gaussian, has an exact finite
+expansion, and every closed-form claim
 can be checked against plain linear algebra: residuals, evolution, traces,
 hermiticity, spectra, and left/right biorthogonality.  The trace and the
 hermiticity defect are read from the coefficients, the defect as a bound
@@ -157,7 +158,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Ladder matrices kept, one per size: a basis size n uses sizes n to n + 4
-# (the products of _ladder_factor), so 16 serve three basis sizes at once
+# (the products of _ladder_factor) and a word of k letters size k + 1
+# (expand), so 16 serve two basis sizes and the words of the labels m <= 2
 _LADDER_SIZES = 16
 
 
@@ -244,61 +246,55 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
-# Ladder columns kept, one per (n, degree): a mode reaches degree 2m - n in each
-# coordinate: the labels m <= 2 use 5 per basis size, those up to MAX_M = 32 use 65
-_LADDER_COLUMNS = 128
-
-
-@lru_cache(maxsize=_LADDER_COLUMNS)
-def _ladder_columns(n: int, degree: int) -> np.ndarray:
-    """Read-only columns X^a e_0, a <= degree: u^a psi_0(u) on n functions, exact
-    since X acts on more than `degree` of them and no power reaches the edge."""
-    size = max(n, degree + 1)
-    x_mat, _ = ladder_matrices(size)
-    cols = [np.eye(1, size)[0]]
-    for _ in range(degree):
-        cols.append(x_mat @ cols[-1])
-    return _read_only(np.stack(cols, axis=1)[:n])
-
-
-def _monomials(n: int, scale: float, degree: int) -> np.ndarray:
-    """Columns scale^a X^a e_0, a <= degree: (scale u)^a psi_0(u) on n functions."""
-    return _ladder_columns(n, degree) * scale ** np.arange(degree + 1)
-
-
 def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndarray:
     """Coefficient vector of f * exp(i kappa Q r) in the tensor basis of the
     frame (phase kappa), by the ladder algebra.
 
-    f is a Gaussian state or an applied eigenfunction, whose polynomial
-    P(Q, r) = sum c_ab Q^a r^b multiplies its Gaussian; any other type
-    raises TypeError, a Gaussian with mu + nu <= 0 PositivityViolation, and
-    one that does not fit the frame (GaussianState.fits) FrameMismatch.  A
-    fitting Gaussian is the frame's own sqrt(2 mu) psi_0(u) psi_0(v), on
-    which Q and r act as the ladder matrices s_q X/sqrt2 and X/(sqrt2 s_r):
-    the coefficients are exact, and exactly zero above the degree of P.
+    f is a Gaussian state, the empty word, or an applied eigenfunction, a
+    word of k degree-one letters applied to its Gaussian
+    (AppliedEigenfunction.word); any other type raises TypeError, a Gaussian
+    with mu + nu <= 0 PositivityViolation, and one that does not fit the
+    frame (GaussianState.fits) FrameMismatch.  A fitting Gaussian is the
+    frame's own sqrt(2 mu) psi_0(u) psi_0(v), and a letter
+    q Q + r r + dq dQ + dr dr, conjugated by the phase, acts on the
+    coefficient array C through the ladder matrices X, D as
+
+        C -> [(q - i kappa dr) s_q/sqrt2 X + dq sqrt2/s_q D] C
+             + C [(r - i kappa dq)/(sqrt2 s_r) X + dr sqrt2 s_r D]^T.
+
+    Each letter moves an index by one, so the word runs on k + 1 functions
+    per coordinate, whose edge it never reaches, and is cropped to the
+    basis: the coefficients are exact, and exactly zero above total degree k.
     """
     if isinstance(f, GaussianState):
-        gauss, terms = f, {(0, 0, 0, 0): 1.0}
+        gauss, (scale, powers) = f, (1.0, ())
     elif isinstance(f, AppliedEigenfunction):
-        gauss, terms = f.gaussian, f.expanded_poly.terms
+        gauss, (scale, powers) = f.gaussian, f.word
     else:
         raise TypeError(
             f"cannot expand {type(f).__name__}: need a GaussianState or an AppliedEigenfunction"
         )
-    sq, sr = cfg.frame.s_q, cfg.frame.s_r
+    sq, sr, kappa = cfg.frame.s_q, cfg.frame.s_r, cfg.frame.kappa
     if not gauss.fits(cfg.frame):
         raise FrameMismatch(
             f"Gaussian (mu={gauss.mu}, kappa={gauss.kappa}, nu={gauss.nu}) does not "
-            f"match frame (s_q={sq}, s_r={sr}, kappa={cfg.frame.kappa})"
+            f"match frame (s_q={sq}, s_r={sr}, kappa={kappa})"
         )
-    poly = np.zeros([1 + max((key[i] for key in terms), default=0) for i in (0, 1)], dtype=complex)
-    for (a, b, _, _), coeff in terms.items():
-        poly[a, b] = coeff
-    pref = math.sqrt(sq / math.sqrt(2.0)) * math.sqrt(1.0 / (math.sqrt(2.0) * sr))
-    vq = _monomials(cfg.n_q, sq / math.sqrt(2.0), poly.shape[0] - 1)
-    vr = _monomials(cfg.n_r, 1.0 / (math.sqrt(2.0) * sr), poly.shape[1] - 1)
-    return (pref * math.sqrt(2.0 * gauss.mu) * vq @ poly @ vr.T).reshape(-1)
+    size = 1 + sum(count for _, count in powers)
+    x_mat, d_mat = ladder_matrices(size)
+    coeffs = np.zeros((size, size), dtype=complex)
+    root2 = math.sqrt(2.0)
+    pref = math.sqrt(sq / root2) * math.sqrt(1.0 / (root2 * sr))
+    coeffs[0, 0] = pref * math.sqrt(2.0 * gauss.mu) * scale
+    for op, count in powers:
+        on_q = (op.q - 1j * kappa * op.dr) * (sq / root2) * x_mat + op.dq * (root2 / sq) * d_mat
+        on_r = (op.r - 1j * kappa * op.dq) / (root2 * sr) * x_mat + op.dr * (root2 * sr) * d_mat
+        for _ in range(count):
+            coeffs = on_q @ coeffs + coeffs @ on_r.T
+    out = np.zeros((cfg.n_q, cfg.n_r), dtype=complex)
+    keep_q, keep_r = min(size, cfg.n_q), min(size, cfg.n_r)
+    out[:keep_q, :keep_r] = coeffs[:keep_q, :keep_r]
+    return out.reshape(-1)
 
 
 def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:

@@ -1,19 +1,22 @@
 """Hard-coded closed forms of the lowest modes of the named models.
 
 The tests compare the package's transported eigenfunctions with these
-polynomials, written out by hand: they share nothing with the reduction
-or the eigenpolynomial formula, and take only their Gaussians and widths
-from the stationary presets.
+polynomials, written out by hand: they share nothing with the reduction,
+the raising pair or the eigenpolynomial formula, and take only their
+Gaussians and widths from the stationary presets.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from klform import (
-    AppliedEigenfunction,
+    CoordinateFrame,
     EigenLabel,
+    GaussianState,
     KLFormError,
-    LinearPhaseOperator,
     PhasePolyOperator,
     eigenvalue,
     reduced_frequency,
@@ -25,7 +28,21 @@ class UnsupportedLabel(KLFormError):
     """No closed-form reference eigenfunction is tabulated for this label."""
 
 
-def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedEigenfunction:
+@dataclass(frozen=True)
+class ReferenceMode:
+    """Pi(Qs, rs) times the Gaussian, Qs = Q/s_q and rs = s_r r of the frame."""
+
+    eigenvalue: complex
+    pi: PhasePolyOperator
+    gaussian: GaussianState
+    frame: CoordinateFrame
+
+    def evaluate(self, q, r) -> np.ndarray:
+        qs, rs = np.asarray(q) / self.frame.s_q, self.frame.s_r * np.asarray(r)
+        return self.pi.evaluate(qs, rs) * self.gaussian.evaluate(q, r)
+
+
+def reference_eigenfunction(model: str, label: EigenLabel, **params) -> ReferenceMode:
     """Hard-coded closed forms for the lowest modes, used as regression fixtures.
 
     Supported labels: (1, 1, +), (1, 1, -) and (1, 0).  Models:
@@ -96,6 +113,4 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> AppliedE
                     (1, 1, 0, 0): 1j * lead * (gamma / omega0) * math.sqrt(b_plus / b_minus),
                 }
             )
-    op_q = LinearPhaseOperator(q=1.0 / frame.s_q)
-    op_r = LinearPhaseOperator(r=frame.s_r)
-    return AppliedEigenfunction(label, eigenvalue(label, omega0, gamma), pi, op_q, op_r, state)
+    return ReferenceMode(eigenvalue(label, omega0, gamma), pi, state, frame)

@@ -3,7 +3,8 @@
 A cached step must give the same bits as building it afresh, and no caller
 may reach a cached array: the references below rebuild every piece from
 scratch, and the in-place tests scale what a call returns before calling
-again.
+again.  A mode's multiplier, built once per mode, is held against the
+monomial route it replaced, whose arithmetic differs, within 1e-12.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.linalg import expm
 from klform import (
     GENERATOR_ORDER,
     BasisConfig,
+    EigenLabel,
     LinearPhaseOperator,
     PhasePolyOperator,
     assemble_liouvillian,
@@ -26,18 +28,21 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
+    ladder_matrices,
+    pi_polynomial,
     reduce_to_kl,
     rescale_coordinates,
     stationary_preset,
     stationary_similarity,
     transformed_eigenfunction,
 )
+from klform import verify
 from klform.cli import DESK_PRESETS
-from klform.spectrum import _apply_linear_to_poly
-from klform.verify import _ladder_columns
 
 from adjoint_oracle import _adjoint_matrix_4, conjugate_linear_4vector
+from pi_oracle import pi_route_terms
 from test_acceptance import random_scrambled_source
+from test_verify import GENERIC
 
 PRESETS = {
     "kl": kl_coefficients(**DESK_PRESETS["kl"]),
@@ -99,27 +104,6 @@ def fresh_assemble(op, cfg):
     return total.tocsr()
 
 
-def fresh_expanded_poly(f):
-    """expanded_poly's terms as they were before the cache: one table per label.
-
-    The table holds the coefficients of op_q^j op_r^k 1 keyed (a, b); the
-    polynomials are multiplication operators with terms (a, b, 0, 0)."""
-    max_j = max((j for j, _, _, _ in f.pi.terms), default=0)
-    max_k = max((k for _, k, _, _ in f.pi.terms), default=0)
-    table = {(0, 0): {(0, 0): 1.0 + 0j}}
-    for k in range(1, max_k + 1):
-        table[(0, k)] = _apply_linear_to_poly(f.op_r, table[(0, k - 1)], f.gaussian)
-    for j in range(1, max_j + 1):
-        for k in range(max_k + 1):
-            if (j - 1, k) in table:
-                table[(j, k)] = _apply_linear_to_poly(f.op_q, table[(j - 1, k)], f.gaussian)
-    total = {}
-    for (j, k, _, _), coeff in f.pi.terms.items():
-        for (a, b), val in table[(j, k)].items():
-            total[(a, b, 0, 0)] = total.get((a, b, 0, 0), 0) + coeff * val
-    return {key: val for key, val in total.items() if val != 0}
-
-
 def same_bits(a, b):
     """Equal dtypes, shapes and bytes, so that signed zeros count too."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -151,14 +135,19 @@ def test_assemble_matrix_equals_fresh_kronecker_products():
 
 
 def test_expanded_poly_equals_the_per_label_table():
-    plans = {name: modes(src, 3) for name, src in SOURCES.items()}
-    # label-major order alternates plans, so their entries evict each other
-    for i in range(len(plans["kl"])):
-        for name, fs in plans.items():
-            assert exact(fs[i].expanded_poly.terms) == exact(fresh_expanded_poly(fs[i])), (
-                name,
-                fs[i].label,
-            )
+    """Every mode m <= 8 of the presets, the CLI tests' generic config and
+    criterion-02 sources 0-4 equals the monomial route, pi_polynomial's
+    table times the powers of the transported multiplication pair, within
+    1e-12 of its largest coefficient."""
+    sources = {**PRESETS, "generic": GENERIC}
+    sources.update({f"c02-{i}": src for i, src in enumerate(criterion_02_sources(5))})
+    for name, src in sources.items():
+        plan = reduce_to_kl(src, b_target=1.0)
+        for lab in distinct_labels(8):
+            f = transformed_eigenfunction(plan, lab, src)
+            ref = PhasePolyOperator(pi_route_terms(plan, f))
+            peak = max(map(abs, ref.terms.values()))
+            assert f.expanded_poly.max_abs_diff(ref) <= 1e-12 * peak, (name, lab)
 
 
 @pytest.mark.parametrize("gid", GENERATOR_ORDER, ids=lambda g: g.name)
@@ -206,20 +195,26 @@ def test_conjugate_linear_equals_the_4vector_form_along_the_criterion_02_plans()
             pair = moved
 
 
-def test_ladder_columns_equal_fresh_ladder_products():
-    """X^a e_0 from a ladder matrix built anew, for each (n, degree); the
-    second pass at 24 reads the entries the first one left."""
-    for n in (24, 40, 24):
-        for degree in (0, 1, 2, 4, 8, 45):
-            size = max(n, degree + 1)
-            off = np.sqrt(np.arange(1, size) / 2.0)
-            x_mat = np.diag(off, 1) + np.diag(off, -1)
-            cols = [np.eye(size)[0]]
-            for _ in range(degree):
-                cols.append(x_mat @ cols[-1])
-            got = _ladder_columns(n, degree)
-            assert not got.flags.writeable
-            assert same_bits(got, np.stack(cols, axis=1)[:n]), (n, degree)
+def test_expand_equals_the_word_on_fresh_ladder_matrices(monkeypatch):
+    """Words of degree 0 to 45 on bases of 24 and 40 functions, cropped
+    where the word is longer, give the bits that ladder matrices built anew
+    give, and the cached matrices stay read-only."""
+    src = SOURCES["c02-0"]
+    plan = reduce_to_kl(src, b_target=1.0)
+    labels = [EigenLabel(0, 0), EigenLabel(1, 1, -1), EigenLabel(2, 0), EigenLabel(23, 1, 1)]
+    fs = [transformed_eigenfunction(plan, lab, src) for lab in labels]
+    cfgs = [BasisConfig(n, n, fs[0].gaussian.frame()) for n in (24, 40, 24)]
+    cached = [expand(f, cfg) for cfg in cfgs for f in fs]
+    sizes = [2 * f.label.m - f.label.n + 1 for f in fs]
+    assert not any(mat.flags.writeable for size in sizes for mat in ladder_matrices(size))
+
+    def fresh_ladder_matrices(n):
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        return np.diag(off, 1) + np.diag(off, -1), np.diag(off, 1) - np.diag(off, -1)
+
+    monkeypatch.setattr(verify, "ladder_matrices", fresh_ladder_matrices)
+    for got, want in zip(cached, [expand(f, cfg) for cfg in cfgs for f in fs]):
+        assert same_bits(got, want)
 
 
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
@@ -236,18 +231,19 @@ def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
     reference = vec.copy()
     vec *= 3.0
     assert same_bits(expand(fs[1], cfg), reference)
-    # another mode of the plan shares the cached Gaussian on the grid
+    # another mode of the plan reads the same cached ladder matrices
     assert same_bits(expand(fs[2], cfg), expand(modes(SOURCES["c02-0"])[2], cfg))
 
     terms = fs[3].expanded_poly.terms
     terms[(0, 0, 0, 0)] = 123.0
     again = modes(SOURCES["c02-0"])[3]
-    assert exact(again.expanded_poly.terms) == exact(fresh_expanded_poly(again))
+    assert exact(fs[3].expanded_poly.terms) == exact(again.expanded_poly.terms)
 
 
 def test_plans_share_one_eigenpolynomial_per_label_but_not_its_terms():
+    """eigfun publishes pi_polynomial(label), cached per label across plans."""
     f, g = (modes(src)[4] for src in (SOURCES["cl"], SOURCES["c02-1"]))
     assert f.label == g.label
-    assert f.pi is g.pi
-    f.pi.terms.clear()
-    assert g.pi.terms
+    assert pi_polynomial(f.label) is pi_polynomial(g.label)
+    pi_polynomial(f.label).terms.clear()
+    assert pi_polynomial(g.label).terms

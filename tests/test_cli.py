@@ -202,6 +202,23 @@ def test_verify_passes_for_presets(tmp_path):
         assert len(doc["modes"]) == 9
 
 
+@pytest.mark.parametrize("source", ["kl", "generic"])
+def test_verify_passes_on_every_mode_the_basis_holds_whole(tmp_path, source):
+    """The 441 modes m <= 20 on 48x48 (degree 2m - n <= 40 < 48): exit 0 at
+    the default tol 1e-8 (the monomial form missed it, by 5.4e-8 on kl)."""
+    if source == "kl":
+        argv = ["--preset", "kl"]
+    else:
+        coefficients = {"h": [2.2, 0.4, -0.3], "gamma": 0.5, "g": [-1.1, 0.2, 0.3]}
+        argv = ["--config", write_config(tmp_path, {"model": "generic", "coefficients": coefficients})]
+    out = tmp_path / "out"
+    assert run_cli(["verify", *argv, "--m-max", "20", "--basis-n", "48", "--out", str(out)]) == 0
+    doc = json.loads((out / "verify.json").read_text())
+    assert doc["passed"] is True
+    assert len(doc["modes"]) == 441
+    assert doc["max_residual"] <= 1e-12
+
+
 def test_verify_tolerance_failure_still_writes(tmp_path):
     out = tmp_path / "out"
     code = run_cli(

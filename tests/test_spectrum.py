@@ -19,6 +19,7 @@ from klform import (
     assemble_matrix,
     c_coefficient,
     cl_coefficients,
+    commutator,
     conjugate_coefficients,
     distinct_labels,
     eigenvalue,
@@ -33,7 +34,14 @@ from klform import (
     transformed_eigenfunction,
 )
 
+from klform import spectrum
+from klform.spectrum import _apply_linear_to_poly
+
+from adjoint_oracle import _adjoint_matrix_4
+from pi_oracle import apply_linear, multiplication_pair
 from reference_fixtures import UnsupportedLabel, reference_eigenfunction
+from test_caches import criterion_02_sources
+from test_verify import GENERIC
 
 
 def test_eigenvalue_formula_fixtures():
@@ -127,8 +135,25 @@ def test_pi_polynomial_conjugate_reflection_pairing():
 
 
 def test_pi_polynomial_m_cap():
-    with pytest.raises(LabelError):
+    with pytest.raises(LabelError, match="^m = 40 exceeds the cap 32$"):
         pi_polynomial(EigenLabel(40, 0, 1))
+
+
+def test_transport_rejects_m_above_the_cap_before_transporting(monkeypatch):
+    """The word's cap, with the message of pi_polynomial and verify, before
+    the Gaussian or the pair moves along the plan."""
+
+    def transport(*args):
+        raise AssertionError("a label above the cap was transported")
+
+    monkeypatch.setattr(spectrum, "conjugate_linear", transport)
+    monkeypatch.setattr(spectrum, "apply_plan_gaussian", transport)
+    src = criterion_02_sources(1)[0]
+    plan = reduce_to_kl(src, b_target=1.0)
+    assert plan.steps
+    for sigma in (1, -1):
+        with pytest.raises(LabelError, match="^m = 33 exceeds the cap 32$"):
+            transformed_eigenfunction(plan, EigenLabel(33, 1, sigma), src)
 
 
 def test_kl_eigenfunction_residuals_low_modes():
@@ -167,12 +192,79 @@ def test_transformed_eigenfunction_random_sources():
             assert residual(k_mat, vec, lam) <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["kl", "generic"])
+def test_modes_up_to_the_cap_meet_roundoff_residuals(name):
+    """At 66x66, which holds every mode up to m = 32 whole, the residual of
+    each word stays within 1e-12 (the monomial form reached 9.9e-2 on the
+    generic config at (32, 0))."""
+    src = {"kl": kl_coefficients(1.0, 0.3, 1.0), "generic": GENERIC}[name]
+    plan = reduce_to_kl(src, b_target=1.0)
+    cfg = k_mat = None
+    for m in (16, 24, 32):
+        for n in sorted({0, 1, m // 2, m}):
+            for sigma in (1, -1):
+                f = transformed_eigenfunction(plan, EigenLabel(m, n, sigma), src)
+                if k_mat is None:
+                    cfg = BasisConfig(66, 66, f.gaussian.frame())
+                    k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+                assert residual(k_mat, expand(f, cfg), f.eigenvalue) <= 1e-12, f.label
+
+
+def test_raising_pair_against_the_reduction_free_4x4_route():
+    """On the 100 criterion-02 sources each transported letter raises the
+    source's spectrum by its rate, [K, B_i] = lambda_i B_i with lambda_1 the
+    rate of (1, 1, -) and lambda_2 that of (1, 1, +), and the two
+    eigenvectors of the 4x4 matrix of ad_K with Re = -gamma/2, the lowering
+    pair, annihilate the transported Gaussian: L rho / rho has the linear
+    coefficients lq - 4 mu ldq - i kappa ldr and lr - i kappa ldq - w ldr."""
+    for index, src in enumerate(criterion_02_sources(100)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        f = transformed_eigenfunction(plan, EigenLabel(0, 0), src)
+        k_op = assemble_liouvillian(src)
+        for letter, sign in zip(f.raising, (-1, 1)):
+            want = eigenvalue(EigenLabel(1, 1, sign), plan.omega0, src.gamma) * letter.to_poly()
+            got = commutator(k_op, letter.to_poly())
+            assert got.max_abs_diff(want) <= 1e-12 * max(map(abs, want.terms.values())), index
+        ad_k = sum(c * _adjoint_matrix_4(gid) for c, gid in zip(src.as_vector(), GENERATOR_ORDER))
+        rates, vecs = np.linalg.eig(ad_k)
+        lowering = vecs[:, rates.real < 0]
+        assert_allclose(rates.real[rates.real < 0], -0.5 * src.gamma, rtol=1e-12)
+        g = f.gaussian
+        for lq, lr, ldq, ldr in lowering.T:
+            assert abs(lq - 4.0 * g.mu * ldq - 1j * g.kappa * ldr) <= 1e-12, index
+            assert abs(lr - 1j * g.kappa * ldq - g.width_sum * ldr) <= 1e-12, index
+
+
+def test_apply_linear_to_poly_equals_the_closure_form():
+    """The inlined update adds the product-rule terms in the order of the
+    closure form it replaced, bit for bit: along every word m <= 4 of the
+    presets and criterion-02 sources 0-9, then for the transported
+    multiplication pair; kl's letters and pair carry exact zero fields."""
+
+    def exact(terms):
+        return sorted((key, repr(val)) for key, val in terms.items())
+
+    presets = [kl_coefficients(1.0, 0.3, 1.0), cl_coefficients(1.0, 0.6, 1.0)]
+    presets.append(hpz_coefficients(1.0, 0.6, 1.0, 0.2))
+    for src in presets + criterion_02_sources(10):
+        plan = reduce_to_kl(src, b_target=1.0)
+        for lab in distinct_labels(4):
+            f = transformed_eigenfunction(plan, lab, src)
+            scale, powers = f.word
+            letters = [op for op, count in powers for _ in range(count)]
+            poly = {(0, 0): scale}
+            for op in letters + list(multiplication_pair(plan)):
+                got = _apply_linear_to_poly(op, poly, f.gaussian)
+                assert exact(got) == exact(apply_linear(op, poly, f.gaussian)), (lab, op)
+                poly = got
+
+
 def test_reference_kl_equals_direct_construction():
     w0, gam, b = 1.0, 0.3, 1.0
     for lab in (EigenLabel(1, 1, 1), EigenLabel(1, 1, -1), EigenLabel(1, 0, 1)):
         ref = reference_eigenfunction("kl", lab, b=b, omega0=w0, gamma=gam)
         direct = kl_eigenfunction(lab, b, w0, gam)
-        assert ref.pi.max_abs_diff(direct.pi) <= 1e-12
+        assert ref.pi.max_abs_diff(pi_polynomial(lab)) <= 1e-12
         assert ref.eigenvalue == direct.eigenvalue
         q = np.linspace(-1.0, 1.0, 5)[:, None]
         r = np.linspace(-1.0, 1.0, 4)[None, :]
@@ -218,12 +310,9 @@ def test_reference_hpz_matches_plan_transport():
 def test_non_commuting_pair_raises_typed_error():
     """A NaN commutator fails the check too: NaN > tol is false."""
     state = kl_eigenfunction(EigenLabel(0, 0, 1), 1.0, 1.0, 0.3).gaussian
-    pi = pi_polynomial(EigenLabel(1, 0, 1))
-    for op_q in (LinearPhaseOperator(dq=1.0), LinearPhaseOperator(dq=math.nan)):
+    for b1 in (LinearPhaseOperator(dq=1.0), LinearPhaseOperator(dq=math.nan)):
         with pytest.raises(IllConditionedReduction) as err:
-            AppliedEigenfunction(
-                EigenLabel(1, 0, 1), 0.3, pi, op_q, LinearPhaseOperator(q=1.0), state
-            )
+            AppliedEigenfunction(EigenLabel(1, 0, 1), 0.3, (b1, LinearPhaseOperator(q=1.0)), state)
         assert err.value.residual != 0.0
 
 

@@ -130,29 +130,30 @@ def test_expand_first_excited_mode_pattern():
     assert support == {(1, 0), (0, 1)}
 
 
+def commuting_pair(rng):
+    """Two random degree-one operators, the second's r field solved so that
+    their commutator dq1 q2 - q1 dq2 + dr1 r2 - r1 dr2 is zero."""
+    b1, b2 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+    b2[1] = (b1[0] * b2[2] + b1[1] * b2[3] - b1[2] * b2[0]) / b1[3]
+    return LinearPhaseOperator.from_vector(b1), LinearPhaseOperator.from_vector(b2)
+
+
 def test_expand_reconstruct_round_trip():
-    state, cfg, _ = kl_setup(20)
-    rng = np.random.default_rng(77)
-    coeffs = {
-        (a, b): complex(rng.normal(), rng.normal())
-        for a in range(4)
-        for b in range(4)
-        if a + b <= 3
-    }
-    # the polynomial in the operator pair (Q, r) times the Gaussian
-    f = AppliedEigenfunction(
-        label=EigenLabel(0, 0),
-        eigenvalue=0.0,
-        pi=PhasePolyOperator({(a, b, 0, 0): c for (a, b), c in coeffs.items()}),
-        op_q=LinearPhaseOperator(q=1.0),
-        op_r=LinearPhaseOperator(r=1.0),
-        gaussian=state,
-    )
-    vec = expand(f, cfg)
-    q = np.linspace(-2.5, 2.5, 9)[:, None]
-    r = np.linspace(-1.8, 1.8, 8)[None, :]
-    direct = sum(c * q**a * r**b for (a, b), c in coeffs.items()) * state.evaluate(q, r)
-    assert_allclose(reconstruct(vec, cfg, q.ravel(), r.ravel()), direct, atol=1e-10)
+    """Words of degree up to 4 in a random commuting pair of degree-one
+    operators, multiplications and derivatives mixed, applied to a Gaussian
+    with and without a phase: the expansion evaluates to the product-rule
+    polynomial (expanded_poly) times the Gaussian."""
+    pair = commuting_pair(np.random.default_rng(77))
+    q = np.linspace(-2.5, 2.5, 9)
+    r = np.linspace(-1.8, 1.8, 8)
+    for kappa in (0.0, 0.8):
+        state = GaussianState(mu=0.3, kappa=kappa, nu=0.5)
+        cfg = BasisConfig(20, 20, state.frame())
+        for lab in distinct_labels(2):
+            f = AppliedEigenfunction(label=lab, eigenvalue=0.0, raising=pair, gaussian=state)
+            direct = f.evaluate(q[:, None], r[None, :])
+            got = reconstruct(expand(f, cfg), cfg, q, r)
+            assert_allclose(got, direct, atol=1e-10, err_msg=f"{kappa} {lab}")
 
 
 def test_expand_refuses_other_types():
