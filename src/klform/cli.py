@@ -28,7 +28,6 @@ import numpy as np
 from .errors import EvolutionOverflow, KLFormError, LabelError, PositivityViolation
 from .gauss import stationary_preset
 from .operators import (
-    GeneratorId,
     LiouvillianCoeffs,
     assemble_liouvillian,
     cl_coefficients,

@@ -121,6 +121,16 @@ class PhasePolyOperator:
                     canon[(int(a), int(b), int(c), int(d))] = canon.get(key, 0) + val
         self._terms = {k: v for k, v in canon.items() if v != 0}
 
+    @classmethod
+    def _from_checked(cls, terms: dict) -> "PhasePolyOperator":
+        """The operator of terms whose keys are already non-negative integer
+        quadruples (results of the arithmetic on checked operators), with the
+        constructor's normalization and no key checks: complex coefficients,
+        exact zeros dropped, and 0 + v, which turns a -0.0 part into +0.0."""
+        out = cls.__new__(cls)
+        out._terms = {k: 0 + v for k, v in zip(terms, map(complex, terms.values())) if v != 0}
+        return out
+
     @property
     def terms(self) -> dict:
         return dict(self._terms)
@@ -154,19 +164,19 @@ class PhasePolyOperator:
         out = dict(self._terms)
         for key, val in other._terms.items():
             out[key] = out.get(key, 0) + val
-        return PhasePolyOperator(out)
+        return PhasePolyOperator._from_checked(out)
 
     def __sub__(self, other):
         out = dict(self._terms)
         for key, val in other._terms.items():
             out[key] = out.get(key, 0) - val
-        return PhasePolyOperator(out)
+        return PhasePolyOperator._from_checked(out)
 
     def __neg__(self):
-        return PhasePolyOperator({k: -v for k, v in self._terms.items()})
+        return PhasePolyOperator._from_checked({k: -v for k, v in self._terms.items()})
 
     def __mul__(self, scalar):
-        return PhasePolyOperator({k: v * scalar for k, v in self._terms.items()})
+        return PhasePolyOperator._from_checked({k: v * scalar for k, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -180,7 +190,7 @@ class PhasePolyOperator:
                         fl = math.comb(d1, l) * math.perm(b2, l)
                         key = (a1 + a2 - k, b1 + b2 - l, c1 + c2 - k, d1 + d2 - l)
                         out[key] = out.get(key, 0) + v1 * v2 * fk * fl
-        return PhasePolyOperator(out)
+        return PhasePolyOperator._from_checked(out)
 
     def __eq__(self, other):
         if not isinstance(other, PhasePolyOperator):
@@ -440,10 +450,10 @@ def rescale_coordinates(
     if frame.kappa:
         op = exponential_similarity(op, PhasePolyOperator({(1, 1, 0, 0): -1j * frame.kappa}))
     sq, sr = frame.s_q, frame.s_r
-    return PhasePolyOperator(
+    return PhasePolyOperator._from_checked(
         {
             (a, b, c, d): coeff * sq ** (a - c) * sr ** (d - b)
-            for (a, b, c, d), coeff in op.terms.items()
+            for (a, b, c, d), coeff in op._terms.items()
         }
     )
 

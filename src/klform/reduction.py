@@ -15,7 +15,8 @@ whenever gamma > 0 (step 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,14 @@ from .errors import (
     OverdampedError,
     SingularGError,
 )
-from .operators import GeneratorId, LiouvillianCoeffs, conjugate_coefficients, kl_coefficients
+from .operators import (
+    GeneratorId,
+    LinearPhaseOperator,
+    LiouvillianCoeffs,
+    conjugate_coefficients,
+    conjugate_linear,
+    kl_coefficients,
+)
 
 __all__ = [
     "u_matrix",
@@ -145,12 +153,40 @@ class ReductionPlan:
     conjugate_coefficients (G1 first) reproduces `target`, which is
     kl_coefficients(omega0, gamma, b).  Steps with parameter exactly 0
     are omitted, so a source already in normal form yields an empty plan.
+
+    The similarity S of the steps is the same for every label, so what
+    depends on the plan alone is computed once per plan object:
+    `raising_pair` carries the normal form's pair through the inverse
+    steps.  `checked_source` is the coefficient object reduce_to_kl
+    replayed the plan against (None for a plan built by hand); it takes no
+    part in equality, and dataclasses.replace drops it.
     """
 
     steps: tuple[tuple[GeneratorId, float], ...]
     omega0: float
     b: float
     target: LiouvillianCoeffs
+    checked_source: LiouvillianCoeffs | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @property
+    def inverse_steps(self) -> list[tuple[GeneratorId, float]]:
+        """The steps of S^-1: reversed, with negated parameters."""
+        return [(gid, -p) for gid, p in reversed(self.steps)]
+
+    @cached_property
+    def raising_pair(self) -> tuple[LinearPhaseOperator, LinearPhaseOperator]:
+        """The normal form's raising pair B1,2 = s_r (r +- dQ), s_r = sqrt(b/2),
+        carried through the inverse steps by conjugate_linear.  An
+        overflowing step leaves non-finite fields (see conjugate_linear)."""
+        s_r = math.sqrt(self.b / 2.0)
+        b1 = LinearPhaseOperator(r=s_r, dq=s_r)
+        b2 = LinearPhaseOperator(r=s_r, dq=-s_r)
+        for gid, p in self.inverse_steps:
+            b1 = conjugate_linear(gid, p, b1)
+            b2 = conjugate_linear(gid, p, b2)
+        return b1, b2
 
     def replay(self, c: LiouvillianCoeffs) -> LiouvillianCoeffs:
         for gid, param in self.steps:
@@ -183,7 +219,7 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     Step order: IL0 rotation, IM1 boost (these fix h), then the three
     shifts OPLUS, L1PLUS, L2PLUS (these fix g; gamma is invariant
     throughout).  The returned plan is verified by replaying it
-    (ReductionPlan.check_replay).
+    (ReductionPlan.check_replay), and records c as its checked_source.
     """
     if b_target < 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
@@ -199,4 +235,5 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
     plan.check_replay(c)
+    object.__setattr__(plan, "checked_source", c)
     return plan

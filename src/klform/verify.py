@@ -225,8 +225,10 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
     factor, multiplication factors to the left of derivative factors.  The
-    diagonals of the 1-D factors are cached per basis size, and each band
-    sums the outer products of its diagonals in the operator's term order.
+    diagonals of the 1-D factors are cached per basis size.  Each band
+    stacks the outer products of its diagonals, scaled by their
+    coefficients in the operator's term order, and sums the stack in one
+    reduction, which adds in that order.
     Every entry is that of the operator itself, restricted to the basis.
     Total degree above 4 is rejected, which bounds the factors cached per
     basis size at 15.
@@ -235,14 +237,22 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
         raise DegreeError(f"operator degree {op.degree()} exceeds 4")
     scaled = rescale_coordinates(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
-    bands: dict[tuple[int, int], np.ndarray] = {}
+    # each band's coefficients and factor diagonals, in term order
+    parts: dict[tuple[int, int], tuple[list, list, list]] = {}
     for (a, b, c, d), coeff in scaled.terms.items():
         for s, diag_q in _ladder_factor(n_q, a, c):
             for t, diag_r in _ladder_factor(n_r, b, d):
-                band = bands.get((s, t))
-                if band is None:
-                    band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
-                band[_span(n_q, s), _span(n_r, t)] += coeff * np.multiply.outer(diag_q, diag_r)
+                coeffs, diags_q, diags_r = parts.setdefault((s, t), ([], [], []))
+                coeffs.append(coeff)
+                diags_q.append(diag_q)
+                diags_r.append(diag_r)
+    bands: dict[tuple[int, int], np.ndarray] = {}
+    for (s, t), (coeffs, diags_q, diags_r) in parts.items():
+        outer = np.stack(diags_q)[:, :, None] * np.stack(diags_r)[:, None, :]
+        terms = np.array(coeffs)[:, None, None] * outer
+        # added to zeros, not assigned, as the per-term sum started from them
+        band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
+        band[_span(n_q, s), _span(n_r, t)] += np.add.reduce(terms, axis=0)
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 

@@ -8,6 +8,7 @@ monomial route it replaced, whose arithmetic differs, within 1e-12.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,15 @@ from scipy.linalg import expm
 
 from klform import (
     GENERATOR_ORDER,
+    AppliedEigenfunction,
     BasisConfig,
     EigenLabel,
+    IllConditionedReduction,
     LinearPhaseOperator,
+    LiouvillianCoeffs,
     PhasePolyOperator,
+    ReductionPlan,
+    apply_plan_gaussian,
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
@@ -36,7 +42,7 @@ from klform import (
     stationary_similarity,
     transformed_eigenfunction,
 )
-from klform import verify
+from klform import reduction, verify
 from klform.cli import DESK_PRESETS
 
 from adjoint_oracle import _adjoint_matrix_4, conjugate_linear_4vector
@@ -122,6 +128,38 @@ def same_bands(a, b):
 def exact(terms):
     """Terms in a form whose equality also tells 0.0 from -0.0."""
     return sorted((key, repr(val)) for key, val in terms.items())
+
+
+def per_term_bands(op, cfg):
+    """The bands as the per-term loop sums them: each term's outer product,
+    scaled by its coefficient, added in place in term order."""
+    scaled = rescale_coordinates(op, cfg.frame)
+    n_q, n_r = cfg.n_q, cfg.n_r
+    bands = {}
+    for (a, b, c, d), coeff in scaled.terms.items():
+        for s, diag_q in verify._ladder_factor(n_q, a, c):
+            for t, diag_r in verify._ladder_factor(n_r, b, d):
+                band = bands.setdefault((s, t), np.zeros((n_q, n_r), dtype=complex))
+                band[verify._span(n_q, s), verify._span(n_r, t)] += coeff * np.multiply.outer(
+                    diag_q, diag_r
+                )
+    return bands
+
+
+def test_stacked_band_sums_equal_the_per_term_loop():
+    """The presets at 24, 32 and 40 and their stationary similarities, and
+    the 100 criterion-02 sources at 40: every band, signed zeros included."""
+    cases = [(name, op, frame, (24, 32, 40)) for name, op, frame in oracle_operators()]
+    for index, src in enumerate(criterion_02_sources(100)):
+        frame = modes(src, 0)[0].gaussian.frame()
+        cases.append((f"c02-{index}", assemble_liouvillian(src), frame, (40,)))
+    for name, op, frame, sizes in cases:
+        for n in sizes:
+            cfg = BasisConfig(n, n, frame)
+            assert same_bands(assemble_matrix(op, cfg).matrix.bands, per_term_bands(op, cfg)), (
+                name,
+                n,
+            )
 
 
 def test_assemble_matrix_equals_fresh_kronecker_products():
@@ -247,3 +285,95 @@ def test_plans_share_one_eigenpolynomial_per_label_but_not_its_terms():
     assert pi_polynomial(f.label) is pi_polynomial(g.label)
     pi_polynomial(f.label).terms.clear()
     assert pi_polynomial(g.label).terms
+
+
+def per_label_transport(plan, label, lam):
+    """The mode as a transport per label builds it: the normal form's pair
+    and Gaussian carried through the inverse steps anew."""
+    inverse = [(gid, -p) for gid, p in reversed(plan.steps)]
+    state, frame = stationary_preset("kl", b=plan.b)
+    pair = (
+        LinearPhaseOperator(r=frame.s_r, dq=frame.s_r),
+        LinearPhaseOperator(r=frame.s_r, dq=-frame.s_r),
+    )
+    for gid, p in inverse:
+        pair = tuple(conjugate_linear(gid, p, op) for op in pair)
+    return AppliedEigenfunction(label, lam, pair, apply_plan_gaussian(inverse, state))
+
+
+def test_modes_of_one_plan_equal_a_per_label_transport():
+    """The plan's pair, transported once, gives every label the bits a
+    transport per label gives: pair fields, Gaussian and multiplier."""
+    sources = {**PRESETS, **{f"c02-{i}": src for i, src in enumerate(criterion_02_sources(100))}}
+    for name, src in sources.items():
+        plan = reduce_to_kl(src, b_target=1.0)
+        for lab in distinct_labels(2):
+            got = transformed_eigenfunction(plan, lab, src)
+            ref = per_label_transport(plan, lab, got.eigenvalue)
+            assert got.raising is plan.raising_pair, (name, lab)
+            assert [repr(op) for op in got.raising] == [repr(op) for op in ref.raising], (name, lab)
+            assert repr(got.gaussian) == repr(ref.gaussian), (name, lab)
+            assert exact(got.expanded_poly.terms) == exact(ref.expanded_poly.terms), (name, lab)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_pair_transport_per_plan_and_no_replay_for_its_source(monkeypatch):
+    for src in (PRESETS["cl"], *criterion_02_sources(5)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        assert plan.steps and plan.checked_source is src
+        linear = counting(monkeypatch, reduction, "conjugate_linear")
+        replays = counting(monkeypatch, ReductionPlan, "check_replay")
+        for _ in range(2):
+            for lab in distinct_labels(2):
+                transformed_eigenfunction(plan, lab, src)
+        assert len(linear) == 2 * len(plan.steps)
+        assert replays == []
+        monkeypatch.undo()
+
+
+def test_plans_without_a_checked_source_replay_on_every_call(monkeypatch):
+    """A hand-built plan, an equal copy of the source and a replaced plan
+    run the replay check on each call, and it passes."""
+    src = criterion_02_sources(1)[0]
+    plan = reduce_to_kl(src, b_target=1.0)
+    by_hand = ReductionPlan(plan.steps, plan.omega0, plan.b, plan.target)
+    assert by_hand == plan and by_hand.checked_source is None
+    assert replace(plan).checked_source is None
+    copy = LiouvillianCoeffs(src.h, src.gamma, src.g)
+    replays = counting(monkeypatch, ReductionPlan, "check_replay")
+    for used, source in ((by_hand, src), (plan, copy), (replace(plan), src)):
+        replays.clear()
+        for lab in distinct_labels(2):
+            transformed_eigenfunction(used, lab, source)
+        assert len(replays) == 9
+
+
+def test_a_plan_used_with_another_source_raises_on_every_call():
+    """The plan of source A with B (A's g perturbed), and a hand-built plan
+    whose target is wrong, fail the replay check on every call, before
+    and after each plan has transported its pair."""
+    for index, src in enumerate(criterion_02_sources(5)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        other = LiouvillianCoeffs(src.h, src.gamma, (src.g[0] + 1e-3, *src.g[1:]))
+        wrong = kl_coefficients(plan.omega0, src.gamma, 1.5)
+        by_hand = ReductionPlan(plan.steps, plan.omega0, plan.b, wrong)
+        for _ in range(2):
+            for used, source in ((plan, other), (by_hand, src)):
+                for lab in distinct_labels(2):
+                    with pytest.raises(IllConditionedReduction, match="does not reduce") as err:
+                        transformed_eigenfunction(used, lab, source)
+                    assert err.value.residual == used.replay_residual(source), index
+            # the second round runs with both pairs transported
+            plan.raising_pair, by_hand.raising_pair

@@ -137,6 +137,73 @@ def test_import_check_sees_nested_and_exempt_blocks():
     ]
 
 
+def _unused_imports(tree):
+    """(name, line number) of every name an import binds, at any depth, that
+    the module never references and does not list in its `__all__`.
+
+    `import a.b` binds `a`, `import a as b` and `from m import a as b` bind
+    `b`; `from __future__` imports and star imports bind nothing checked.
+    """
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return [(name, line) for name, line in bound if name not in used]
+
+
+# (module, name) imported on purpose and never referenced: the benchmark's
+# tracer test (perfbench/test_perfbench.py) looks conjugate_linear up on
+# spectrum, which no longer calls it since the plan transports its pair
+_KEPT_UNUSED = {("spectrum.py", "conjugate_linear")}
+
+
+def test_no_unused_import():
+    """Every name a module of the package imports is referenced there, or
+    re-exported: by `__init__.py`, whose imports are the package's names, or
+    through the module's `__all__`."""
+    found = [
+        (path.name, name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name, line in _unused_imports(ast.parse(path.read_text()))
+        if (path.name, name) not in _KEPT_UNUSED
+    ]
+    assert found == [], f"unused imports at {found}"
+
+
+def test_unused_import_check_sees_every_spelling():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import json as js\n"
+        "from math import pi, tau as two_pi\n"
+        "from .errors import KLFormError, LabelError\n"
+        "from . import gauss\n"
+        "__all__ = ['LabelError']\n"
+        "def f(x: KLFormError):\n"
+        "    import sys\n"
+        "    from re import compile\n"
+        "    return np.sin(x) + pi + sys.maxsize\n"
+    )
+    assert sorted(_unused_imports(ast.parse(source))) == [
+        ("compile", 12),
+        ("gauss", 8),
+        ("js", 5),
+        ("os", 2),
+        ("os", 3),
+        ("two_pi", 6),
+    ]
+
+
 # Runs CLI commands in one fresh interpreter, in order, and reports the
 # scipy modules loaded after the import and after each command.
 _PROBE = """

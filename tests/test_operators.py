@@ -205,6 +205,31 @@ def test_phase_poly_operator_takes_integral_floats_and_drops_exact_zeros():
     assert op == PhasePolyOperator({(1, 0, 0, 0): 2.0})
 
 
+def test_arithmetic_results_are_normalized_as_the_constructor_normalizes():
+    """Sums, differences, negation, scalar products, compositions and
+    rescalings equal the checked constructor applied to their terms, down
+    to the sign of a zero part: negating 1 + 0j gives -1 + 0j, not -1 - 0j."""
+    ops = [generator(gid) for gid in GENERATOR_ORDER]
+    ops += [
+        PhasePolyOperator({(1, 0, 0, 0): 1.0, (0, 0, 1, 0): -2.0, (0, 1, 0, 1): 0.5 - 0.0j}),
+        PhasePolyOperator({(2, 0, 0, 0): complex(-1.0, 0.0), (0, 0, 0, 0): 3.0}),
+    ]
+    frame = CoordinateFrame(2.0, 0.5, 0.3)
+    results = []
+    for a in ops:
+        results += [-a, -1.0 * a, a * -0.5, 0.0 * a, rescale_coordinates(a, frame)]
+        for b in ops:
+            results += [a + b, a - b, a - a, a @ b, commutator(a, b)]
+
+    def exact(op):
+        return [(key, repr(val)) for key, val in op.terms.items()]
+
+    for result in results:
+        assert exact(result) == exact(PhasePolyOperator(result.terms))
+        assert all(type(val) is complex and val != 0 for val in result.terms.values())
+    assert repr((-PhasePolyOperator({(1, 0, 0, 0): 1.0})).terms[(1, 0, 0, 0)]) == "(-1+0j)"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("slot", range(7))
 def test_coefficients_reject_a_non_finite_entry(slot, bad):

@@ -17,8 +17,10 @@ from klform import (
     LiouvillianCoeffs,
     NonPositiveH0Error,
     OverdampedError,
+    ReductionPlan,
     SingularGError,
     conjugate_coefficients,
+    distinct_labels,
     kl_coefficients,
     reduce_to_kl,
     step1_solve,
@@ -166,6 +168,17 @@ def test_reduce_round_trip_scrambled_normal_forms():
         assert plan.target.max_abs_diff(kl_coefficients(omega0, gamma, 1.0)) <= 1e-9
 
 
+def test_reduce_records_the_source_it_checked_outside_equality():
+    rng = np.random.default_rng(77)
+    c, *_ = random_reducible(rng)
+    plan = reduce_to_kl(c, b_target=1.0)
+    assert plan.checked_source is c
+    by_hand = ReductionPlan(plan.steps, plan.omega0, plan.b, plan.target)
+    assert by_hand.checked_source is None
+    assert by_hand == plan and hash(by_hand) == hash(plan)
+    assert repr(by_hand) == repr(plan) and "checked_source" not in repr(plan)
+
+
 def test_reduce_already_normal_form_gives_empty_plan():
     c = kl_coefficients(1.0, 0.3, 1.0)
     plan = reduce_to_kl(c, b_target=1.0)
@@ -268,6 +281,19 @@ def test_transport_reproducers_raise_typed_errors(name, error):
         assert str(info.value).startswith("step 2 (OPLUS")
     if name == "non-commuting-pair":
         assert info.value.residual > 1e-12
+
+
+def test_transport_reproducer_raises_on_every_call():
+    """The h ~ 1e64 source fails the certificate for each label and each
+    call, though its plan transports the pair only once."""
+    h, gamma, g, b_target = TRANSPORT_REPRODUCERS["non-commuting-pair"]
+    c = LiouvillianCoeffs(h, gamma, g)
+    plan = reduce_to_kl(c, b_target=b_target)
+    for _ in range(2):
+        for lab in distinct_labels(2):
+            with pytest.raises(IllConditionedReduction, match="misses") as info:
+                transformed_eigenfunction(plan, lab, c)
+            assert info.value.residual > 1e-12
 
 
 def test_reduce_and_transport_raise_only_klform_errors():

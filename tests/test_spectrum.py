@@ -34,7 +34,7 @@ from klform import (
     transformed_eigenfunction,
 )
 
-from klform import spectrum
+from klform import reduction, spectrum
 from klform.spectrum import _apply_linear_to_poly
 
 from adjoint_oracle import _adjoint_matrix_4
@@ -146,7 +146,7 @@ def test_transport_rejects_m_above_the_cap_before_transporting(monkeypatch):
     def transport(*args):
         raise AssertionError("a label above the cap was transported")
 
-    monkeypatch.setattr(spectrum, "conjugate_linear", transport)
+    monkeypatch.setattr(reduction, "conjugate_linear", transport)
     monkeypatch.setattr(spectrum, "apply_plan_gaussian", transport)
     src = criterion_02_sources(1)[0]
     plan = reduce_to_kl(src, b_target=1.0)
@@ -154,6 +154,7 @@ def test_transport_rejects_m_above_the_cap_before_transporting(monkeypatch):
     for sigma in (1, -1):
         with pytest.raises(LabelError, match="^m = 33 exceeds the cap 32$"):
             transformed_eigenfunction(plan, EigenLabel(33, 1, sigma), src)
+    assert "raising_pair" not in vars(plan)
 
 
 def test_kl_eigenfunction_residuals_low_modes():
