@@ -68,10 +68,8 @@ from .reduction import (
 from .spectrum import (
     AppliedEigenfunction,
     EigenLabel,
-    c_coefficient,
     distinct_labels,
     eigenvalue,
-    hermite_coefficients,
     kl_eigenfunction,
     pi_polynomial,
     transformed_eigenfunction,

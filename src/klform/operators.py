@@ -217,13 +217,6 @@ class LinearPhaseOperator:
     dq: complex = 0.0
     dr: complex = 0.0
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.q, self.r, self.dq, self.dr], dtype=complex)
-
-    @classmethod
-    def from_vector(cls, vec) -> "LinearPhaseOperator":
-        return cls(*np.asarray(vec, dtype=complex).tolist())
-
     def to_poly(self) -> PhasePolyOperator:
         return PhasePolyOperator(
             {
@@ -269,13 +262,6 @@ class LiouvillianCoeffs:
     def as_vector(self) -> np.ndarray:
         """Length-7 vector in GENERATOR_ORDER."""
         return np.array([*self.h, self.gamma, *self.g], dtype=float)
-
-    @classmethod
-    def from_vector(cls, vec) -> "LiouvillianCoeffs":
-        v = [float(x) for x in vec]
-        if len(v) != 7:
-            raise ValueError("coefficient vector must have length 7")
-        return cls((v[0], v[1], v[2]), v[3], (v[4], v[5], v[6]))
 
     def max_abs_diff(self, other: "LiouvillianCoeffs") -> float:
         """Largest |difference| of the seven coefficients."""

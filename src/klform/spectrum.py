@@ -13,8 +13,9 @@ Gaussian rho (third quantization: Prosen, New J. Phys. 10 (2008) 043026):
 
 with (n1, n2) = (m - n, m) for sign +1 and (m, m - n) for sign -1.  The
 word equals Pi(m, n, sign) rho, where Pi is a polynomial in the normalized
-coordinates Qs and rs with an exact coefficient formula (pi_polynomial,
-which eigfun publishes).  For a general reducible Liouvillian the pair and
+coordinates Qs and rs; in them the normal form's pair has integer
+coefficients, so pi_polynomial, which eigfun publishes, multiplies the word
+out in exact integers.  For a general reducible Liouvillian the pair and
 the Gaussian are transported backwards through the reduction plan; the
 transported pair is again degree one, so every mode stays a word of the
 same form.  This module builds the words, applies them to the Gaussian,
@@ -23,9 +24,10 @@ and carries eigenfunctions across a reduction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -50,18 +52,14 @@ __all__ = [
     "EigenLabel",
     "AppliedEigenfunction",
     "eigenvalue",
-    "hermite_coefficients",
-    "c_coefficient",
     "pi_polynomial",
     "distinct_labels",
     "kl_eigenfunction",
     "transformed_eigenfunction",
 ]
 
-# largest m of a mode.  The words are exact to roundoff at every m a basis
-# holds (residuals at most 4.9e-13 up to m = 32 at 66x66); the cap stays
-# because eigfun publishes Pi, and pi_polynomial's exact triple sum for the
-# 1,089 labels with m <= 32 takes 41-54 s on one CPU of a shared 2-core Xeon
+# largest m of a mode: the range where the words are tested, with residuals
+# at most 4.9e-13 up to m = 32 at 66x66
 MAX_M = 32
 # largest |[B1, B2]| of a commuting raising pair
 COMMUTATOR_TOL = 1e-12
@@ -70,8 +68,6 @@ COMMUTATOR_TOL = 1e-12
 # 8.7e-16 on the 100 criterion-02 sources and 798 draws of their recipe at
 # seed 630948696
 RAISING_TOL = 1e-10
-# eigenpolynomials kept, one per label: the (m + 1)^2 labels up to m = 15
-_LABEL_POLYS = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -122,105 +118,36 @@ def distinct_labels(m_max: int) -> list[EigenLabel]:
     return out
 
 
-def hermite_coefficients(k: int) -> list[int]:
-    """Exact integer coefficients of H_k, index = power of x."""
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a non-negative integer")
-    prev = [1]
-    if k == 0:
-        return prev
-    cur = [0, 2]
-    for j in range(1, k):
-        nxt = [0] * (j + 2)
-        for p, c in enumerate(cur):
-            nxt[p + 1] += 2 * c
-        for p, c in enumerate(prev):
-            nxt[p] -= 2 * j * c
-        prev, cur = cur, nxt
-    return cur
+def _apply_linear_to_poly(op: LinearPhaseOperator, poly: dict, grad: tuple) -> dict:
+    """Coefficients of (op P f)/f for P the given polynomial and f an envelope
+    with log-derivative grad = (a, b, c): d(ln f)/dQ = a Q + b r and
+    d(ln f)/dr = b Q + c r.
 
-
-def c_coefficient(
-    m: int, n: int, mu_idx: int, nu_idx: int, sigma_idx: int, sign: int
-) -> complex:
-    """Exact expansion coefficient of the (m, n) polynomial.
-
-        c = s^(n+sigma) * (-1)^(mu+nu) / (i^n 2^(2nu+sigma) mu!)
-            * sqrt((m-n)!/m!) * C(m, n+mu) * C(mu, nu) * C(n, sigma)
-
-    with s = +1 or -1 the mode sign; indices range over 0 <= mu <= m-n,
-    0 <= nu <= mu, 0 <= sigma <= n.  The multiplying monomial is
-    Qs^(2(mu-nu)+n-sigma) * H_(2nu+sigma)(rs).
-    """
-    if not (0 <= n <= m):
-        raise LabelError(f"need 0 <= n <= m, got ({m}, {n})")
-    if not (0 <= mu_idx <= m - n and 0 <= nu_idx <= mu_idx and 0 <= sigma_idx <= n):
-        raise LabelError("summation index out of range")
-    if sign not in (1, -1):
-        raise LabelError("sign must be +1 or -1")
-    sign_factor = 1 if sign == 1 else (-1) ** ((n + sigma_idx) % 2)
-    parity = (-1) ** ((mu_idx + nu_idx) % 2)
-    # falling factorial m!/(m-n)! as an exact integer, then one float sqrt
-    root = 1.0 / math.sqrt(math.perm(m, n))
-    combs = math.comb(m, n + mu_idx) * math.comb(mu_idx, nu_idx) * math.comb(n, sigma_idx)
-    denom = (1j) ** (n % 4) * 2 ** (2 * nu_idx + sigma_idx) * math.factorial(mu_idx)
-    return sign_factor * parity * combs * root / denom
-
-
-@lru_cache(maxsize=_LABEL_POLYS)
-def pi_polynomial(label: EigenLabel) -> PhasePolyOperator:
-    """Normal-form eigenpolynomial Pi(m, n, sign) in (Qs, rs).
-
-    Triple sum over (mu, nu, sigma) of c_coefficient times
-    Qs^(2(mu-nu)+n-sigma) H_(2nu+sigma)(rs), with the Hermite factor
-    expanded into monomials; Qs^j rs^k is the term (j, k, 0, 0) of a
-    multiplication operator.  Total degree is 2m - n.  m above MAX_M is
-    rejected (LabelError).  Cached per label; a PhasePolyOperator hands
-    out only copies of its terms, so callers cannot change the cached one.
-    """
-    if label.m > MAX_M:
-        raise LabelError(f"m = {label.m} exceeds the cap {MAX_M}")
-    m, n = label.m, label.n
-    terms: dict = {}
-    for mu_idx in range(m - n + 1):
-        for nu_idx in range(mu_idx + 1):
-            for sigma_idx in range(n + 1):
-                c = c_coefficient(m, n, mu_idx, nu_idx, sigma_idx, label.sigma)
-                jexp = 2 * (mu_idx - nu_idx) + n - sigma_idx
-                for kexp, hc in enumerate(hermite_coefficients(2 * nu_idx + sigma_idx)):
-                    if hc:
-                        key = (jexp, kexp, 0, 0)
-                        terms[key] = terms.get(key, 0) + c * hc
-    return PhasePolyOperator(terms)
-
-
-def _apply_linear_to_poly(
-    op: LinearPhaseOperator, poly: dict, s: GaussianState
-) -> dict:
-    """Coefficients of (op P f)/f for P the given polynomial and f Gaussian s.
-
-    Multiplications add exponents; derivatives act by the product rule,
-    with the Gaussian contributing d(ln f)/dQ = -4 mu Q - i kappa r and
-    d(ln f)/dr = -i kappa Q - (mu + nu) r.  A zero product adds nothing,
-    so a field of op that is 0 and the derivative of a constant factor
-    leave no term.
+    Multiplications add exponents; derivatives act by the product rule.  A
+    zero product adds nothing, so a field of op that is 0 and the derivative
+    of a constant factor leave no term; integer fields, grad and poly keep
+    the arithmetic in exact integers.  A coefficient that leaves the float
+    range raises IllConditionedReduction with an infinite miss.
     """
     out: dict = {}
-    mu, kappa, w = s.mu, s.kappa, s.width_sum
+    a, b, c = grad
     for (j, k), coeff in poly.items():
         for key, val in (
             ((j + 1, k), op.q * coeff),
             ((j, k + 1), op.r * coeff),
-            ((j - 1, k), op.dq * coeff * j),
-            ((j + 1, k), op.dq * coeff * (-4.0 * mu)),
-            ((j, k + 1), op.dq * coeff * (-1j * kappa)),
-            ((j, k - 1), op.dr * coeff * k),
-            ((j + 1, k), op.dr * coeff * (-1j * kappa)),
-            ((j, k + 1), op.dr * coeff * (-w)),
+            ((j - 1, k), op.dq * coeff * j if j else 0),
+            ((j + 1, k), op.dq * coeff * a),
+            ((j, k + 1), op.dq * coeff * b),
+            ((j, k - 1), op.dr * coeff * k if k else 0),
+            ((j + 1, k), op.dr * coeff * b),
+            ((j, k + 1), op.dr * coeff * c),
         ):
             if val != 0:
                 out[key] = out.get(key, 0) + val
-    return {k: v for k, v in out.items() if v != 0}
+    out = {k: v for k, v in out.items() if v != 0}
+    if not all(map(cmath.isfinite, out.values())):
+        raise IllConditionedReduction("the word's coefficients leave the float range", math.inf)
+    return out
 
 
 def _word(label: EigenLabel) -> tuple[int, int, complex]:
@@ -236,6 +163,35 @@ def _word(label: EigenLabel) -> tuple[int, int, complex]:
     m, n = label.m, label.n
     n1, n2 = (m - n, m) if label.sigma == 1 else (m, m - n)
     return n1, n2, 1.0 / ((1j) ** (n % 4) * math.sqrt(math.factorial(n1) * math.factorial(n2)))
+
+
+# the doubled normal-form pair 2 B1,2 = 2 rs +- dQs in (Qs, rs), where the
+# Gaussian's log-derivative is (-2 Qs, -2 rs)
+_DOUBLED_PAIR = (LinearPhaseOperator(0, 2, 1, 0), LinearPhaseOperator(0, 2, -1, 0))
+_NORMAL_GRAD = (-2, 0, -2)
+
+
+def pi_polynomial(label: EigenLabel) -> PhasePolyOperator:
+    """Normal-form eigenpolynomial Pi(m, n, sign) in (Qs, rs): the label's
+    word over the normal form's Gaussian.
+
+    In Qs = Q/s_q and rs = s_r r the Gaussian is exp(-Qs^2 - rs^2) and the
+    pair is B1,2 = rs +- dQs/2, so the word in the doubled letters, applied
+    to 1, multiplies out in Python integers to N(Qs, rs) = 2^(n1 + n2) Pi/c,
+    with c the word's scale.  Each coefficient is then N/2^(n1 + n2) rounded
+    once, times c, and a term that is exactly zero is left out.  Qs^j rs^k
+    is the term (j, k, 0, 0); the total degree is 2m - n.  m above MAX_M
+    raises LabelError.
+    """
+    n1, n2, scale = _word(label)
+    b1, b2 = _DOUBLED_PAIR
+    poly = {(0, 0): 1}
+    for letter, count in ((b2, n2), (b1, n1)):
+        for _ in range(count):
+            poly = _apply_linear_to_poly(letter, poly, _NORMAL_GRAD)
+    return PhasePolyOperator(
+        {(j, k, 0, 0): v / 2 ** (n1 + n2) * scale for (j, k), v in poly.items()}
+    )
 
 
 @dataclass(eq=False)
@@ -276,10 +232,12 @@ class AppliedEigenfunction:
     def expanded_poly(self) -> PhasePolyOperator:
         """Multiplication by P(Q, r) with f(Q, r) = P(Q, r) * gaussian(Q, r)."""
         scale, powers = self.word
+        s = self.gaussian
+        grad = (-4.0 * s.mu, -1j * s.kappa, -s.width_sum)
         poly = {(0, 0): scale}
         for op, count in powers:
             for _ in range(count):
-                poly = _apply_linear_to_poly(op, poly, self.gaussian)
+                poly = _apply_linear_to_poly(op, poly, grad)
         return PhasePolyOperator({(a, b, 0, 0): coeff for (a, b), coeff in poly.items()})
 
     def evaluate(self, q, r) -> np.ndarray:

@@ -12,6 +12,10 @@ closed forms, so the two routes check each other.
 operator one at a time.  `conjugate_linear_4vector` applies the same closed
 form to the whole vector (Q, r, dQ, dr) with numpy, on a 4x4 matrix of ad_G
 built here from the commutators, and must give the same bits.
+
+The vector forms of `LinearPhaseOperator` and the inverse of
+`LiouvillianCoeffs.as_vector` live here too, for the tests that build or
+read operators as arrays.
 """
 
 from functools import lru_cache
@@ -28,6 +32,22 @@ from klform import (
     commutator,
     generator,
 )
+
+
+def linear_as_vector(op: LinearPhaseOperator) -> np.ndarray:
+    """The fields (q, r, dq, dr) of a degree-one operator as a complex 4-vector."""
+    return np.array([op.q, op.r, op.dq, op.dr], dtype=complex)
+
+
+def linear_from_vector(vec) -> LinearPhaseOperator:
+    """The degree-one operator with fields (q, r, dq, dr) = vec."""
+    return LinearPhaseOperator(*np.asarray(vec, dtype=complex).tolist())
+
+
+def coeffs_from_vector(vec) -> LiouvillianCoeffs:
+    """The coefficients of a length-7 vector in GENERATOR_ORDER."""
+    h0, h1, h2, gamma, *g = (float(x) for x in vec)
+    return LiouvillianCoeffs((h0, h1, h2), gamma, tuple(g))
 
 
 def _snap_half_integers(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -80,7 +100,7 @@ def adjoint_conjugate_coefficients(
     exponential bit-identically.
     """
     mat = expm(float(param) * _adjoint_matrix_7(gid))
-    return LiouvillianCoeffs.from_vector(mat @ c.as_vector())
+    return coeffs_from_vector(mat @ c.as_vector())
 
 
 _LINEAR_BASIS = (
@@ -119,13 +139,13 @@ def conjugate_linear_4vector(
     identity."""
     p = float(param)
     ad = _adjoint_matrix_4(gid)
-    vec = op.as_vector()
+    vec = linear_as_vector(op)
     if gid in (GeneratorId.IM2, GeneratorId.O0MI):
-        return LinearPhaseOperator.from_vector(np.exp(p * ad.diagonal().real) * vec)
+        return linear_from_vector(np.exp(p * ad.diagonal().real) * vec)
     if gid is GeneratorId.IL0:
         c, s = np.cos(p / 2), 2 * np.sin(p / 2)
     elif gid is GeneratorId.IM1:
         c, s = np.cosh(p / 2), 2 * np.sinh(p / 2)
     else:
         c, s = 1.0, p
-    return LinearPhaseOperator.from_vector(c * vec + s * (ad @ vec))
+    return linear_from_vector(c * vec + s * (ad @ vec))

@@ -1,16 +1,75 @@
-"""The monomial route to a mode: Pi's terms times powers of a multiplication pair.
+"""The triple sum for Pi, and the monomial route to a mode built on it.
 
 Before the modes were words in the raising pair, each one was built this
-way: pi_polynomial(label) is a polynomial in Qs = Q/s_q and rs = s_r r of
-the kl frame; Qs and rs, transported backwards through the plan, are two
-degree-one operators op_q and op_r, and each monomial Qs^j rs^k becomes
-op_q^j op_r^k applied to the Gaussian.  The product rule is the closure
-form the package used.  The route shares nothing with the words but
-pi_polynomial and conjugate_linear, and its Hermite expansion cancels
-badly from m near 16 on, so the tests compare it with the words at small m.
+way.  Pi(m, n, sign), a polynomial in Qs = Q/s_q and rs = s_r r of the kl
+frame, is the exact triple sum over (mu, nu, sigma) of coefficients c times
+Qs^(2(mu-nu)+n-sigma) H_(2nu+sigma)(rs); pi_exact carries it out in
+rationals, so it is the oracle for the package's pi_polynomial, which
+multiplies out the word instead.  Qs and rs, transported backwards through
+the plan, are two degree-one operators op_q and op_r, and each monomial
+Qs^j rs^k becomes op_q^j op_r^k applied to the Gaussian.  The product rule
+is the closure form the package used.  The route shares nothing with the
+words but conjugate_linear, and its Hermite expansion cancels badly from m
+near 16 on, so the tests compare it with the words at small m.
 """
 
-from klform import LinearPhaseOperator, conjugate_linear, pi_polynomial, stationary_preset
+import math
+from fractions import Fraction
+
+from klform import LinearPhaseOperator, conjugate_linear, stationary_preset
+
+
+def hermite_coefficients(k: int) -> list[int]:
+    """Exact integer coefficients of H_k, index = power of x."""
+    prev = [1]
+    if k == 0:
+        return prev
+    cur = [0, 2]
+    for j in range(1, k):
+        nxt = [0] * (j + 2)
+        for p, c in enumerate(cur):
+            nxt[p + 1] += 2 * c
+        for p, c in enumerate(prev):
+            nxt[p] -= 2 * j * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def c_rational(m: int, n: int, mu_idx: int, nu_idx: int, sigma_idx: int, sign: int) -> Fraction:
+    """Expansion coefficient of the (m, n) polynomial with mode sign s = +-1,
+
+        c = s^(n+sigma) * (-1)^(mu+nu) / (i^n 2^(2nu+sigma) mu!)
+            * sqrt((m-n)!/m!) * C(m, n+mu) * C(mu, nu) * C(n, sigma),
+
+    times the label's common factor i^n sqrt(m!/(m-n)!), which leaves a
+    rational; 0 <= mu <= m-n, 0 <= nu <= mu, 0 <= sigma <= n.  The
+    multiplying monomial is Qs^(2(mu-nu)+n-sigma) * H_(2nu+sigma)(rs).
+    """
+    sign_factor = sign ** ((n + sigma_idx) % 2)
+    parity = (-1) ** ((mu_idx + nu_idx) % 2)
+    combs = math.comb(m, n + mu_idx) * math.comb(mu_idx, nu_idx) * math.comb(n, sigma_idx)
+    denom = 2 ** (2 * nu_idx + sigma_idx) * math.factorial(mu_idx)
+    return Fraction(sign_factor * parity * combs, denom)
+
+
+def common_factor(m: int, n: int) -> complex:
+    """i^n sqrt(m!/(m-n)!), the factor c_rational takes out of c."""
+    return (1j) ** (n % 4) * math.sqrt(math.perm(m, n))
+
+
+def pi_exact(label) -> dict:
+    """{(j, k): Fraction}, the nonzero terms Qs^j rs^k of Pi(label) times the
+    label's common factor: the triple sum in exact rationals."""
+    m, n = label.m, label.n
+    terms = {}
+    for mu_idx in range(m - n + 1):
+        for nu_idx in range(mu_idx + 1):
+            for sigma_idx in range(n + 1):
+                c = c_rational(m, n, mu_idx, nu_idx, sigma_idx, label.sigma)
+                jexp = 2 * (mu_idx - nu_idx) + n - sigma_idx
+                for kexp, hc in enumerate(hermite_coefficients(2 * nu_idx + sigma_idx)):
+                    terms[(jexp, kexp)] = terms.get((jexp, kexp), 0) + c * hc
+    return {key: val for key, val in terms.items() if val}
 
 
 def apply_linear(op, poly, s):
@@ -66,7 +125,9 @@ def pi_route_terms(plan, mode):
         return powers[(j, k)]
 
     total = {}
-    for (j, k, _, _), coeff in pi_polynomial(mode.label).terms.items():
+    common = common_factor(mode.label.m, mode.label.n)
+    for (j, k), exact in pi_exact(mode.label).items():
+        coeff = float(exact) / common
         for (a, b), val in power(j, k).items():
             total[(a, b, 0, 0)] = total.get((a, b, 0, 0), 0) + coeff * val
     return total

@@ -35,7 +35,6 @@ from klform import (
     hpz_coefficients,
     kl_coefficients,
     ladder_matrices,
-    pi_polynomial,
     reduce_to_kl,
     rescale_coordinates,
     stationary_preset,
@@ -45,7 +44,12 @@ from klform import (
 from klform import reduction, verify
 from klform.cli import DESK_PRESETS
 
-from adjoint_oracle import _adjoint_matrix_4, conjugate_linear_4vector
+from adjoint_oracle import (
+    _adjoint_matrix_4,
+    conjugate_linear_4vector,
+    linear_as_vector,
+    linear_from_vector,
+)
 from pi_oracle import pi_route_terms
 from test_acceptance import random_scrambled_source
 from test_verify import GENERIC
@@ -174,7 +178,7 @@ def test_assemble_matrix_equals_fresh_kronecker_products():
 
 def test_expanded_poly_equals_the_per_label_table():
     """Every mode m <= 8 of the presets, the CLI tests' generic config and
-    criterion-02 sources 0-4 equals the monomial route, pi_polynomial's
+    criterion-02 sources 0-4 equals the monomial route, the triple sum's
     table times the powers of the transported multiplication pair, within
     1e-12 of its largest coefficient."""
     sources = {**PRESETS, "generic": GENERIC}
@@ -195,10 +199,10 @@ def test_conjugate_linear_equals_a_fresh_exponential(gid):
     The closed form rounds differently, so the check is relative; 18.7 is
     about the largest boost a plan takes, artanh(1 - 2^-53).
     """
-    basis = [LinearPhaseOperator.from_vector(e) for e in np.eye(4)]
+    basis = [linear_from_vector(e) for e in np.eye(4)]
     for param in (0.37, -0.37, 3.1, -3.1, 18.7, -18.7, 0.0, -0.0):
         fresh = expm(param * _adjoint_matrix_4(gid))
-        got = np.array([conjugate_linear(gid, param, e).as_vector() for e in basis]).T
+        got = np.array([linear_as_vector(conjugate_linear(gid, param, e)) for e in basis]).T
         assert np.max(np.abs(got - fresh)) <= 1e-14 * np.max(np.abs(fresh)), param
 
 
@@ -207,7 +211,7 @@ def test_conjugate_linear_equals_the_4vector_form(gid):
     """One field at a time gives what the whole vector gives, at the
     parameters of the expm check above and at 1.28, where numpy's exp, cosh
     and sinh round differently from the math module's."""
-    ops = [LinearPhaseOperator.from_vector(e) for e in np.eye(4)]
+    ops = [linear_from_vector(e) for e in np.eye(4)]
     ops.append(LinearPhaseOperator(0.3 - 1.2j, -0.7 + 0.1j, 2.5j, -1.9))
     for param in (0.37, -0.37, 3.1, -3.1, 18.7, -18.7, 0.0, -0.0, 1.28, -1.28):
         for op in ops:
@@ -276,15 +280,6 @@ def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
     terms[(0, 0, 0, 0)] = 123.0
     again = modes(SOURCES["c02-0"])[3]
     assert exact(fs[3].expanded_poly.terms) == exact(again.expanded_poly.terms)
-
-
-def test_plans_share_one_eigenpolynomial_per_label_but_not_its_terms():
-    """eigfun publishes pi_polynomial(label), cached per label across plans."""
-    f, g = (modes(src)[4] for src in (SOURCES["cl"], SOURCES["c02-1"]))
-    assert f.label == g.label
-    assert pi_polynomial(f.label) is pi_polynomial(g.label)
-    pi_polynomial(f.label).terms.clear()
-    assert pi_polynomial(g.label).terms
 
 
 def per_label_transport(plan, label, lam):

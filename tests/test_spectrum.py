@@ -1,6 +1,8 @@
 """Closed-form spectrum, eigenpolynomials, and transported eigenfunctions."""
 
 import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,14 +19,12 @@ from klform import (
     PhasePolyOperator,
     assemble_liouvillian,
     assemble_matrix,
-    c_coefficient,
     cl_coefficients,
     commutator,
     conjugate_coefficients,
     distinct_labels,
     eigenvalue,
     expand,
-    hermite_coefficients,
     hpz_coefficients,
     kl_coefficients,
     kl_eigenfunction,
@@ -38,7 +38,14 @@ from klform import reduction, spectrum
 from klform.spectrum import _apply_linear_to_poly
 
 from adjoint_oracle import _adjoint_matrix_4
-from pi_oracle import apply_linear, multiplication_pair
+from pi_oracle import (
+    apply_linear,
+    c_rational,
+    common_factor,
+    hermite_coefficients,
+    multiplication_pair,
+    pi_exact,
+)
 from reference_fixtures import UnsupportedLabel, reference_eigenfunction
 from test_caches import criterion_02_sources
 from test_verify import GENERIC
@@ -88,9 +95,9 @@ def test_hermite_polynomial_values_and_coefficients():
 
 
 def test_c_coefficient_fixture():
-    assert c_coefficient(1, 1, 0, 0, 0, 1) == pytest.approx(-1j)
+    assert c_rational(1, 1, 0, 0, 0, 1) / common_factor(1, 1) == pytest.approx(-1j)
     # the sign flip enters through (-1)^(n + sigma_idx)
-    assert c_coefficient(1, 1, 0, 0, 0, -1) == pytest.approx(1j)
+    assert c_rational(1, 1, 0, 0, 0, -1) / common_factor(1, 1) == pytest.approx(1j)
 
 
 def test_pi_polynomial_lowest_modes():
@@ -105,16 +112,37 @@ def test_pi_polynomial_lowest_modes():
         assert pi.max_abs_diff(PhasePolyOperator(terms)) <= 1e-12, label
 
 
+def test_pi_polynomial_equals_the_exact_triple_sum():
+    """Every label up to m = 10 and two at the cap: Pi has exactly the
+    nonzero terms of the triple sum, and each coefficient times the label's
+    common factor i^n sqrt(m!/(m-n)!) is real and within 1e-15 of the exact
+    rational, relative.  With x that coefficient and v the exact value,
+    x^2 m!/(m-n)! against v^2 decides it in rationals."""
+    labels = [EigenLabel(m, n, s) for m in range(11) for n in range(m + 1) for s in (1, -1)]
+    labels += [EigenLabel(32, 0, 1), EigenLabel(32, 31, -1)]
+    lo, hi = (1 - Fraction(1, 10**15)) ** 2, (1 + Fraction(1, 10**15)) ** 2
+    for lab in labels:
+        exact = pi_exact(lab)
+        terms = pi_polynomial(lab).terms
+        assert set(terms) == {(j, k, 0, 0) for j, k in exact}, lab
+        rotate = (1j) ** (lab.n % 4)
+        for (j, k), v in exact.items():
+            got = terms[(j, k, 0, 0)] * rotate
+            assert got.imag == 0 and (got.real > 0) == (v > 0), (lab, j, k)
+            ratio = Fraction(got.real) ** 2 * math.perm(lab.m, lab.n) / v**2
+            assert lo <= ratio <= hi, (lab, j, k, float(ratio - 1))
+
+
 def test_pi_polynomial_degree_is_2m_minus_n():
     for lab in distinct_labels(5):
         assert pi_polynomial(lab).degree() == 2 * lab.m - lab.n
 
 
 def test_pi_polynomial_sigma_degenerate_only_at_n0():
-    for m in range(1, 5):
+    for m in (*range(1, 5), 16, 32):
         plus = pi_polynomial(EigenLabel(m, 0, 1))
         minus = pi_polynomial(EigenLabel(m, 0, -1))
-        assert plus.max_abs_diff(minus) <= 1e-12
+        assert plus == minus, m
     # away from n = 0 the two signs are genuinely different polynomials
     p = pi_polynomial(EigenLabel(2, 2, 1))
     q = pi_polynomial(EigenLabel(2, 2, -1))
@@ -122,16 +150,17 @@ def test_pi_polynomial_sigma_degenerate_only_at_n0():
 
 
 def test_pi_polynomial_conjugate_reflection_pairing():
-    """The sign partner is the complex conjugate under r -> -r."""
-    x = np.linspace(-1.3, 1.3, 7)[:, None]
-    y = np.linspace(-0.9, 0.9, 6)[None, :]
-    for lab in distinct_labels(3):
-        if lab.n == 0:
-            continue
+    """The sign partner is the complex conjugate under r -> -r, term by
+    term: the coefficient of Qs^j rs^k goes to (-1)^k times its conjugate."""
+    labels = [lab for lab in distinct_labels(3) if lab.n]
+    labels += [EigenLabel(16, 5, 1), EigenLabel(32, 1, -1), EigenLabel(32, 31, 1)]
+    for lab in labels:
         partner = EigenLabel(lab.m, lab.n, -lab.sigma)
-        direct = pi_polynomial(partner).evaluate(x, y)
-        reflected = np.conj(pi_polynomial(lab).evaluate(x, -y))
-        assert_allclose(direct, reflected, atol=1e-12)
+        reflected = {
+            (j, k, 0, 0): -v.conjugate() if k % 2 else v.conjugate()
+            for (j, k, _, _), v in pi_polynomial(lab).terms.items()
+        }
+        assert pi_polynomial(partner) == PhasePolyOperator(reflected), lab
 
 
 def test_pi_polynomial_m_cap():
@@ -238,9 +267,11 @@ def test_raising_pair_against_the_reduction_free_4x4_route():
 
 def test_apply_linear_to_poly_equals_the_closure_form():
     """The inlined update adds the product-rule terms in the order of the
-    closure form it replaced, bit for bit: along every word m <= 4 of the
-    presets and criterion-02 sources 0-9, then for the transported
-    multiplication pair; kl's letters and pair carry exact zero fields."""
+    closure form it replaced, bit for bit, on the log-derivative of the
+    Gaussian that expanded_poly passes: along every word m <= 4 of the
+    presets and criterion-02 sources 0-9, whose end is the mode's
+    multiplier, then for the transported multiplication pair; kl's letters
+    and pair carry exact zero fields."""
 
     def exact(terms):
         return sorted((key, repr(val)) for key, val in terms.items())
@@ -253,11 +284,18 @@ def test_apply_linear_to_poly_equals_the_closure_form():
             f = transformed_eigenfunction(plan, lab, src)
             scale, powers = f.word
             letters = [op for op, count in powers for _ in range(count)]
-            poly = {(0, 0): scale}
-            for op in letters + list(multiplication_pair(plan)):
-                got = _apply_linear_to_poly(op, poly, f.gaussian)
-                assert exact(got) == exact(apply_linear(op, poly, f.gaussian)), (lab, op)
-                poly = got
+            g = f.gaussian
+            grad = (-4.0 * g.mu, -1j * g.kappa, -g.width_sum)
+
+            def step(poly, op):
+                got = _apply_linear_to_poly(op, poly, grad)
+                assert exact(got) == exact(apply_linear(op, poly, g)), (lab, op)
+                return got
+
+            poly = reduce(step, letters, {(0, 0): scale})
+            word = PhasePolyOperator({(a, b, 0, 0): v for (a, b), v in poly.items()})
+            assert exact(word.terms) == exact(f.expanded_poly.terms), lab
+            reduce(step, multiplication_pair(plan), poly)
 
 
 def test_reference_kl_equals_direct_construction():
@@ -315,6 +353,18 @@ def test_non_commuting_pair_raises_typed_error():
         with pytest.raises(IllConditionedReduction) as err:
             AppliedEigenfunction(EigenLabel(1, 0, 1), 0.3, (b1, LinearPhaseOperator(q=1.0)), state)
         assert err.value.residual != 0.0
+
+
+def test_overflowing_word_raises_typed_error():
+    """A pair of scale 1e200 commutes, so the mode is accepted; its word
+    leaves the float range, which raises a typed error carrying an infinite
+    miss instead of a ValueError about a negative exponent."""
+    state = kl_eigenfunction(EigenLabel(0, 0, 1), 1.0, 1.0, 0.3).gaussian
+    pair = (LinearPhaseOperator(r=1e200, dq=1e200), LinearPhaseOperator(r=1e200, dq=-1e200))
+    f = AppliedEigenfunction(EigenLabel(2, 0, 1), 0.6, pair, state)
+    with pytest.raises(IllConditionedReduction) as err:
+        f.evaluate(0.0, 0.0)
+    assert err.value.residual == math.inf
 
 
 def test_plan_of_another_source_raises_typed_error():

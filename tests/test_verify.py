@@ -16,7 +16,6 @@ from klform import (
     FrameMismatch,
     GaussianState,
     KLFormError,
-    LinearPhaseOperator,
     LiouvillianCoeffs,
     PairingFailure,
     PhasePolyOperator,
@@ -46,6 +45,7 @@ from klform import (
 )
 from klform.verify import _GRADING_TOL, _psi_at_zero, _trace_covector_parts
 
+from adjoint_oracle import linear_from_vector
 from hermite_oracle import hermite_functions, reconstruct
 from quadrature_oracle import quadrature_expand
 from test_acceptance import criterion_02_source, random_scrambled_source
@@ -135,7 +135,7 @@ def commuting_pair(rng):
     their commutator dq1 q2 - q1 dq2 + dr1 r2 - r1 dr2 is zero."""
     b1, b2 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
     b2[1] = (b1[0] * b2[2] + b1[1] * b2[3] - b1[2] * b2[0]) / b1[3]
-    return LinearPhaseOperator.from_vector(b1), LinearPhaseOperator.from_vector(b2)
+    return linear_from_vector(b1), linear_from_vector(b2)
 
 
 def test_expand_reconstruct_round_trip():

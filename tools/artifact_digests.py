@@ -1,15 +1,18 @@
 """Exit code and sha256 of stdout plus artifacts for a fixed set of CLI runs.
 
-Runs `klform.cli.main` in-process for the six subcommands on nine sources:
+Runs `klform.cli.main` in-process for the six subcommands on ten sources:
 the kl, cl and hpz presets, the generic config of the cli-batch benchmark
 (40x40 basis, tolerance 1e-7), a second generic source whose transported
 Gaussian has a large phase kappa (draw 432 of the criterion-02 recipe at
-seed 630948696, same basis and tolerance), and two cl and two hpz configs
-away from the preset values.  `eigfun` runs at the label (2, 0, +1) on cl-b, at (3, 2, -1)
-on hpz-b and at the default (1, 1, +1) on the others.  Each run starts in a
-fresh directory with the relative output directory `out`, so the printed
-JSON depends only on the exit codes, stdout and artifact bytes.  klform is imported from PYTHONPATH, which makes
-two checkouts comparable:
+seed 630948696, same basis and tolerance), two cl and two hpz configs away
+from the preset values, and the kl preset as a config with a label.
+`eigfun` runs at the label (2, 0, +1) on cl-b, at (3, 2, -1) on hpz-b, at
+(5, 2, +1) on kl-b, whose eigenpolynomial is the first to hold terms that
+cancel exactly, and at the default (1, 1, +1) on the others.  Each run
+starts in a fresh directory with the relative output directory `out`, so
+the printed JSON depends only on the exit codes, stdout and artifact
+bytes.  klform is imported from PYTHONPATH, which makes two checkouts
+comparable:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > new.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_digests.py > old.json
@@ -77,6 +80,7 @@ SOURCES = {
         "m_max": 3,
         "label": [3, 2, -1],
     },
+    "kl-b": {"model": "kl", "preset": dict(cli.DESK_PRESETS["kl"]), "label": [5, 2, 1]},
 }
 
 
