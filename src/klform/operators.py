@@ -301,12 +301,14 @@ def commutator(a: PhasePolyOperator, b: PhasePolyOperator) -> PhasePolyOperator:
 
 
 def assemble_liouvillian(c: LiouvillianCoeffs) -> PhasePolyOperator:
-    """Real linear combination sum_i c_i G_i of the seven generators."""
-    out = PhasePolyOperator.zero()
+    """Real linear combination sum_i c_i G_i of the seven generators, each
+    term added in GENERATOR_ORDER."""
+    out = {}
     for coeff, gid in zip(c.as_vector(), GENERATOR_ORDER):
         if coeff != 0:
-            out = out + coeff * generator(gid)
-    return out
+            for key, val in _GENERATOR_TERMS[gid].items():
+                out[key] = out.get(key, 0) + complex(val) * coeff
+    return PhasePolyOperator._from_checked(out)
 
 
 def conjugate_coefficients(

@@ -22,7 +22,11 @@ block real, and the spectra are solved in real arithmetic.
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix) and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.
+a truncated Taylor series on those arrays.  A shift (s, t) moves the total
+degree by a fixed -(s + t), so the grading is checked on per-band maxima
+and the blocks are gathered from the bands with s + t = 0; a spectral
+window skips each block whose diagonal puts, by Bendixson's theorem, the
+real parts of its eigenvalues outside the window.
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ class BandedMatrix:
     with basis index j * n_r + k; entries whose column falls outside the
     basis are zero.  A term of degree p in one coordinate moves its index
     by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
-    at most 9 such arrays; they serve `@` on vectors and `nnz`.  `toarray()`
-    and the structure (degree grading, column sums) read `_entries()`.
+    at most 9 such arrays.  Every use reads them band by band: `@` on
+    vectors, `nnz`, `toarray()`, and the degree structure, since band
+    (s, t) maps a function of total Hermite degree e to degree e - (s + t).
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -127,20 +132,11 @@ class BandedMatrix:
             out += np.multiply(band, padded[pad + off : pad + off + dim], out=product)
         return out
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row indices, column indices and values of the nonzero entries."""
-        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for off, band in zip(self._offsets, self._flat):
-            row = np.flatnonzero(band)
-            rows.append(row)
-            cols.append(row + off)
-            vals.append(band[row])
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
-        rows, cols, vals = self._entries()
-        out[rows, cols] = vals
+        for off, band in zip(self._offsets, self._flat):
+            row = np.flatnonzero(band)
+            out[row, row + off] = band[row]
         return out
 
 
@@ -225,10 +221,9 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
     factor, multiplication factors to the left of derivative factors.  The
-    diagonals of the 1-D factors are cached per basis size.  Each band
-    stacks the outer products of its diagonals, scaled by their
-    coefficients in the operator's term order, and sums the stack in one
-    reduction, which adds in that order.
+    diagonals of the 1-D factors are cached per basis size.  Each term adds
+    the outer products of its diagonals, scaled by its coefficient, into
+    its bands, in the operator's term order.
     Every entry is that of the operator itself, restricted to the basis.
     Total degree above 4 is rejected, which bounds the factors cached per
     basis size at 15.
@@ -237,22 +232,14 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
         raise DegreeError(f"operator degree {op.degree()} exceeds 4")
     scaled = rescale_coordinates(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
-    # each band's coefficients and factor diagonals, in term order
-    parts: dict[tuple[int, int], tuple[list, list, list]] = {}
+    bands: dict[tuple[int, int], np.ndarray] = {}
     for (a, b, c, d), coeff in scaled.terms.items():
         for s, diag_q in _ladder_factor(n_q, a, c):
             for t, diag_r in _ladder_factor(n_r, b, d):
-                coeffs, diags_q, diags_r = parts.setdefault((s, t), ([], [], []))
-                coeffs.append(coeff)
-                diags_q.append(diag_q)
-                diags_r.append(diag_r)
-    bands: dict[tuple[int, int], np.ndarray] = {}
-    for (s, t), (coeffs, diags_q, diags_r) in parts.items():
-        outer = np.stack(diags_q)[:, :, None] * np.stack(diags_r)[:, None, :]
-        terms = np.array(coeffs)[:, None, None] * outer
-        # added to zeros, not assigned, as the per-term sum started from them
-        band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
-        band[_span(n_q, s), _span(n_r, t)] += np.add.reduce(terms, axis=0)
+                band = bands.get((s, t))
+                if band is None:
+                    band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
+                band[_span(n_q, s), _span(n_r, t)] += coeff * np.multiply.outer(diag_q, diag_r)
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 
@@ -345,7 +332,7 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     top = degree.reshape(-1)[np.flatnonzero(f0)].max(initial=0)
     kept = degree <= top
     if not kept.all():
-        _graded_entries(mat)
+        _check_grading(mat)
     bands = {
         (s, t): np.where(degree <= top - max(0, s + t), -band, 0.0)
         for (s, t), band in mat.bands.items()
@@ -355,8 +342,12 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     bands[(0, 0)] = np.where(kept, diag - mu, 0.0)
     keep_q, keep_r = min(n_q, top + 1), min(n_r, top + 1)
     gen = BandedMatrix({st: band[:keep_q, :keep_r] for st, band in bands.items()}, keep_q, keep_r)
-    _, cols, vals = gen._entries()
-    return gen, mu, float(np.bincount(cols, np.abs(vals), minlength=keep_q * keep_r).max())
+    # each column's moduli added in band order, from zero
+    norms = np.zeros((keep_q, keep_r))
+    for (s, t), band in gen.bands.items():
+        rows = _span(keep_q, s), _span(keep_r, t)
+        norms[_span(keep_q, -s), _span(keep_r, -t)] += np.abs(band[rows])
+    return gen, mu, float(norms.max())
 
 
 def _taylor_steps(norm: float, dt: float) -> float:
@@ -504,21 +495,55 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
 _GRADING_TOL = 1e-12
 
 
-def _graded_entries(mat: BandedMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of mat's nonzero entries, and the total Hermite
-    degree j + k of each basis function.  DegreeError unless every entry that
-    raises the degree (row degree above column degree) is roundoff of the
-    largest entry; a NaN entry makes a maximum NaN and fails too."""
-    rows, cols, vals = mat._entries()
-    degree = np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)).reshape(-1)
-    magnitude = np.abs(vals)
-    raising = magnitude[degree[rows] > degree[cols]]
-    if not raising.max(initial=0.0) <= _GRADING_TOL * magnitude.max(initial=0.0):
+def _check_grading(mat: BandedMatrix) -> None:
+    """DegreeError unless every entry that raises the total Hermite degree,
+    those of the bands (s, t) with s + t < 0, is roundoff of the largest
+    entry; a NaN entry makes a maximum NaN and fails too."""
+    peaks = {st: np.max(np.abs(band)) for st, band in mat.bands.items()}
+    raising = np.max([peak for (s, t), peak in peaks.items() if s + t < 0], initial=0.0)
+    if not raising <= _GRADING_TOL * np.max(list(peaks.values()), initial=0.0):
         raise DegreeError(
             "matrix raises the Hermite degree beyond roundoff: its frame does not "
             "match a Gaussian that is stationary for the operator"
         )
-    return rows, cols, vals, degree
+
+
+def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The real blocks of all_eigenvalues, and the strip low[d] <= Re lambda
+    <= high[d] of eigenvalues_in_window on each, (-inf, inf) where it does
+    not apply.  Entry band[j, d - j] of a degree-keeping band (s, -s) lies
+    in row j, column j + s of block d, times i^(-s)."""
+    _check_grading(mat)
+    top = min(mat.n_q, mat.n_r)
+    deg, row = np.tril_indices(top)
+    # block d, row-major, fills packed[ends[d] : ends[d + 1]]
+    ends = np.cumsum(np.arange(top + 1) ** 2)
+    diag = ends[deg] + row * (deg + 2)
+    packed = np.zeros(ends[-1])
+    phases = np.array([1, 1j, -1, -1j])
+    kept, wide = [np.zeros(0)], False
+    for (s, t), band in mat.bands.items():
+        if s + t == 0:
+            inside = (row + s >= 0) & (row + s <= deg)
+            vals = band[row[inside], (deg - row)[inside]] * phases[t % 4]
+            nonzero = vals != 0
+            packed[diag[inside][nonzero] + s] = vals.real[nonzero]
+            wide = wide or (abs(s) > 1 and nonzero.any())
+            kept.append(vals)
+    vals = np.concatenate(kept)
+    if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
+        raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
+    blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
+    # the strip needs M[j, j + 1] M[j + 1, j] <= 0 for j < d, and finite entries
+    inner = row < deg
+    upper = diag[inner] + 1
+    products = packed[upper] * packed[upper + deg[inner]]
+    loose = np.bincount(deg[inner], products > 0, minlength=top) > 0
+    loose |= wide or not np.isfinite(packed).all()
+    starts = np.flatnonzero(row == 0)
+    low = np.where(loose, -np.inf, np.minimum.reduceat(packed[diag], starts))
+    high = np.where(loose, np.inf, np.maximum.reduceat(packed[diag], starts))
+    return blocks, low, high
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
@@ -529,36 +554,34 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     is block upper-triangular, and the degrees below any bound span an
     invariant subspace.  The entries are exact, so for d < m = min(n_q, n_r)
     the block of degree d, on the d + 1 functions (j, d - j), is the
-    operator's own; those m blocks are diagonalized densely, m (m + 1) / 2
-    eigenvalues in all.  The blocks of higher degree, cut by the
-    truncation, are left out.  A Liouvillian keeps functions Hermitian,
-    C -> conj(C) (-1)^k, so its matrix has P conj(M) P = M, P = diag((-1)^k)
-    = S^2 with S = diag(i^k): S^-1 M S, each entry times the exact
-    i^(k_col - k_row), is real, and so are the blocks diagonalized (an
-    imaginary part beyond roundoff raises DegreeError).
+    operator's own; those m blocks, read from the bands (s, -s), are
+    diagonalized densely, m (m + 1) / 2 eigenvalues in all.  The blocks of
+    higher degree, cut by the truncation, are left out.  A Liouvillian
+    keeps functions Hermitian, C -> conj(C) (-1)^k, so its matrix has
+    P conj(M) P = M, P = diag((-1)^k) = S^2 with S = diag(i^k): S^-1 M S,
+    each entry times the exact i^(k_col - k_row), is real, and so are the
+    blocks diagonalized (an imaginary part beyond roundoff raises
+    DegreeError).
     """
-    rows, cols, vals, degree = _graded_entries(k_mat.matrix)
-    n_r = k_mat.matrix.n_r
-    top = min(k_mat.matrix.n_q, n_r)
-    level = np.flatnonzero((degree[rows] == degree[cols]) & (degree[rows] < top))
-    level = level[np.argsort(degree[rows[level]], kind="stable")]
-    rows, cols = rows[level], cols[level]
-    vals = vals[level] * np.array([1, 1j, -1, -1j])[(cols % n_r - rows % n_r) % 4]
-    if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
-        raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
-    bounds, spectra = np.searchsorted(degree[rows], np.arange(top + 1)), []
-    for d in range(top):
-        at = slice(bounds[d], bounds[d + 1])
-        block = np.zeros((d + 1, d + 1))
-        # (j, d - j) is row j of block d
-        block[rows[at] // n_r, cols[at] // n_r] = vals.real[at]
-        spectra.append(np.linalg.eigvals(block))
-    return np.concatenate(spectra, dtype=complex)
+    blocks, _, _ = _degree_blocks(k_mat.matrix)
+    return np.concatenate([np.linalg.eigvals(block) for block in blocks], dtype=complex)
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
-    """Eigenvalues of all_eigenvalues with |lambda| <= radius, sorted by (re, im)."""
-    ev = all_eigenvalues(k_mat)
+    """Eigenvalues of all_eigenvalues with |lambda| <= radius, sorted by (re, im).
+
+    A block is not diagonalized when the matrix alone puts its spectrum
+    outside the disk: if it is tridiagonal and each off-diagonal pair has a
+    product <= 0, a diagonal similarity leaves its diagonal plus a
+    skew-symmetric part, so by Bendixson's theorem (Acta Math. 25 (1902)
+    359) every Re lambda lies between its smallest and largest diagonal
+    entry.  Every Liouvillian block is such a block.
+    """
+    blocks, low, high = _degree_blocks(k_mat.matrix)
+    # a NaN bound solves the block
+    skip = (low > radius) | (high < -radius)
+    spectra = [np.linalg.eigvals(block) for block, out in zip(blocks, skip) if not out]
+    ev = np.concatenate([np.zeros(0), *spectra], dtype=complex)
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
@@ -619,8 +642,9 @@ class BiorthReport:
 
 
 def splu(mat: np.ndarray) -> np.ndarray:
-    """Inverse of one mode's shifted leading block in biorthogonality_check,
-    the step that perfbench's tracer times under this name."""
+    """Inverses of the stack of the modes' shifted leading blocks in
+    biorthogonality_check, the step that perfbench's tracer times under
+    this name."""
     return np.linalg.inv(mat)
 
 
@@ -637,43 +661,48 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     pairing with the left eigenvector is nonzero, which the Gram diagonal
     tests), give the left eigenvector, and a Rayleigh quotient from the right
     system confirms the pairing (PairingFailure if it drifts from the
-    prediction).  The report contains the Gram matrix of left/right vectors
-    and its diagonal-rescaled deviation from identity.
+    prediction).  The modes run as one stack, so of several failing modes
+    the first to expand to zero (ZeroVector) is reported before any
+    Rayleigh failure.  The report contains the Gram matrix of left/right
+    vectors and its diagonal-rescaled deviation from identity.
     """
     if not modes:
         raise PairingFailure("no modes to pair")
-    rows, cols, vals, degree = _graded_entries(k_mat.matrix)
+    mat = k_mat.matrix
+    _check_grading(mat)
+    degree = np.add.outer(np.arange(mat.n_q), np.arange(mat.n_r)).reshape(-1)
     low = degree <= max(2 * mode.label.m - mode.label.n for mode in modes)
     index, position = np.flatnonzero(low), np.cumsum(low) - 1
-    keep = low[rows] & low[cols]
     block = np.zeros((index.size, index.size), dtype=complex)
-    block[position[rows[keep]], position[cols[keep]]] = vals[keep]
-    rights, lefts = [], []
-    for mode in modes:
-        lam = complex(mode.eigenvalue)
-        vec = expand(mode, k_mat.config)[index]
-        norm = np.linalg.norm(vec)
+    for off, band in zip(mat._offsets, mat._flat):
+        rows = index[band[index] != 0]
+        rows = rows[low[rows + off]]
+        block[position[rows], position[rows + off]] = band[rows]
+    rights = np.array([expand(mode, k_mat.config)[index] for mode in modes])
+    norms = np.linalg.norm(rights, axis=1)
+    for mode, norm in zip(modes, norms):
         if norm == 0:
             raise ZeroVector(f"mode {mode.label} expanded to the zero vector")
-        vec = vec / norm
-        shift = lam + 1e-8 * (1.0 + abs(lam)) * (1.0 + 1.0j) / math.sqrt(2.0)
-        inverse = splu(block - shift * np.eye(index.size))
-        # one inverse-iteration step from the constructed vector, then Rayleigh
-        refined = inverse @ vec
-        refined /= np.linalg.norm(refined)
-        rayleigh = complex(np.vdot(refined, block @ refined))
-        if abs(rayleigh - lam) > 10.0 * tol:
+    rights /= norms[:, None]
+    lams = np.array([complex(mode.eigenvalue) for mode in modes])
+    shifts = lams + 1e-8 * (1.0 + np.abs(lams)) * (1.0 + 1.0j) / math.sqrt(2.0)
+    inverses = splu(block - shifts[:, None, None] * np.eye(index.size))
+    # one inverse-iteration step from the constructed vector, then Rayleigh
+    refined = (inverses @ rights[:, :, None])[:, :, 0]
+    refined /= np.linalg.norm(refined, axis=1)[:, None]
+    rayleigh = np.sum(refined.conj() * (refined @ block.T), axis=1)
+    for mode, lam, quotient in zip(modes, lams, rayleigh):
+        if abs(quotient - lam) > 10.0 * tol:
             raise PairingFailure(
-                f"mode {mode.label}: matrix eigenvalue {rayleigh} does not match "
-                f"prediction {lam}"
+                f"mode {mode.label}: matrix eigenvalue {complex(quotient)} does not match "
+                f"prediction {complex(lam)}"
             )
-        left = vec
-        for _ in range(3):
-            left = inverse.conj().T @ left
-            left /= np.linalg.norm(left)
-        rights.append(vec)
-        lefts.append(left)
-    gram = np.array(lefts).conj() @ np.array(rights).T
+    lefts = rights
+    adjoints = inverses.conj().transpose(0, 2, 1)
+    for _ in range(3):
+        lefts = (adjoints @ lefts[:, :, None])[:, :, 0]
+        lefts /= np.linalg.norm(lefts, axis=1)[:, None]
+    gram = lefts.conj() @ rights.T
     diag = np.diag(gram)
     if np.min(np.abs(diag)) < 1e-8:
         raise PairingFailure("a left/right pair is numerically orthogonal")

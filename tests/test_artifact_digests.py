@@ -46,6 +46,27 @@ def test_digit_in_a_key_is_not_a_number(tmp_path, capsys):
     assert (code, out) == (0, "spectrum:kl  exit 0  moved, max_abs_diff 0\n")
 
 
+RECOUNTED = {
+    "alone": ({**RUN[1], "out/spectrum.json": '{"omega0": 1.5, "m": [2, 3]}\n'}, "n/a"),
+    "beside-a-moved-file": (
+        {
+            "stdout": '{"status": "ok", "t": 2}\n',
+            "out/spectrum.json": '{"omega0": 1.5000001, "m": 2}\n',
+        },
+        "1e-07",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, diff", RECOUNTED.values(), ids=RECOUNTED.keys())
+def test_a_recounted_file_reports_no_difference(tmp_path, capsys, files, diff):
+    """A file whose count of numbers changed is not compared, so the run's
+    difference is unknown unless another file's numbers moved."""
+    code, out = compare(tmp_path, capsys, {"spectrum:kl": (0, files)})
+    line = f"spectrum:kl  exit 0  moved, max_abs_diff {diff}  FLAG: "
+    assert code == 1 and out.startswith(line), out
+
+
 FLAGGED = {
     "exit-code": ({"spectrum:kl": (3, RUN[1])}, "exit 0 -> 3"),
     "file-set": (

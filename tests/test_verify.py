@@ -1,6 +1,7 @@
 """Truncated-basis oracle: assembly, expansion, evolution, biorthogonality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from klform import (
     FrameMismatch,
     GaussianState,
     KLFormError,
+    LinearPhaseOperator,
     LiouvillianCoeffs,
     PairingFailure,
     PhasePolyOperator,
@@ -43,10 +45,18 @@ from klform import (
     trace_and_hermiticity,
     transformed_eigenfunction,
 )
-from klform.verify import _GRADING_TOL, _psi_at_zero, _trace_covector_parts
+from klform.verify import (
+    _GRADING_TOL,
+    BandedMatrix,
+    OperatorMatrix,
+    _degree_blocks,
+    _psi_at_zero,
+    _trace_covector_parts,
+)
 
 from adjoint_oracle import linear_from_vector
 from hermite_oracle import hermite_functions, reconstruct
+from pairing_oracle import per_mode_pairing
 from quadrature_oracle import quadrature_expand
 from test_acceptance import criterion_02_source, random_scrambled_source
 
@@ -394,6 +404,26 @@ def test_non_finite_entries_fail_the_grading_check():
     modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
     with pytest.raises(DegreeError):
         biorthogonality_check(k_mat, modes)
+
+
+@pytest.mark.parametrize(
+    "shift", [(-1, -1), (0, 0), (1, 1)], ids=["raising", "keeping", "lowering"]
+)
+def test_a_nan_in_any_band_fails_the_grading_check(shift):
+    """Every reader of the grading raises on a NaN written into one band,
+    whichever way that band moves the degree: the maximum over the per-band
+    maxima must keep the NaN."""
+    _, cfg, k_mat = kl_setup(8)
+    k_mat.matrix.bands[shift][3, 3] = math.nan
+    modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
+    for check in (all_eigenvalues, lambda k: eigenvalues_in_window(k, 4.0)):
+        with pytest.raises(DegreeError, match="raises the Hermite degree"):
+            check(k_mat)
+    with pytest.raises(DegreeError, match="raises the Hermite degree"):
+        biorthogonality_check(k_mat, modes)
+    # a start below the top degree keeps to its degrees, which needs the grading
+    with pytest.raises(DegreeError, match="raises the Hermite degree"):
+        evolve_series(k_mat, np.eye(cfg.dim)[0], [1.0])
 
 
 def assert_low_degree_spectrum(k_mat):
@@ -757,6 +787,88 @@ def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
     assert strays == {87}
 
 
+def assert_window_filters_all_eigenvalues(k_mat, radius):
+    """eigenvalues_in_window is, bit for bit, the radius filter of
+    all_eigenvalues, sorted; every block that Bendixson's strip skips has its
+    whole spectrum outside the radius and is tridiagonal.  Returns the count
+    skipped."""
+    eigvals = all_eigenvalues(k_mat)
+    eigvals = eigvals[np.abs(eigvals) <= radius]
+    expected = eigvals[np.lexsort((eigvals.imag, eigvals.real))]
+    assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
+    blocks, low, high = _degree_blocks(k_mat.matrix)
+    skipped = (low > radius) | (high < -radius)
+    for block in (block for block, out in zip(blocks, skipped) if out):
+        assert np.all(np.abs(np.linalg.eigvals(block)) > radius)
+        assert not np.any(np.triu(block, 2)) and not np.any(np.tril(block, -2))
+    return int(np.count_nonzero(skipped))
+
+
+@pytest.mark.parametrize(
+    "model, n_q, n_r, skipped",
+    [
+        ("kl", 32, 32, 5),
+        ("cl", 24, 24, 0),
+        ("hpz", 24, 24, 0),
+        ("kl", 32, 27, 0),
+        ("kl", 25, 32, 0),
+    ],
+)
+def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped):
+    """At the window-spectrum sizes and on rectangular bases, at the
+    workload's radius 4 max(omega0, gamma) (the pinned count) and at half and
+    twice it."""
+    coeffs, state, radius, _ = window_spectrum(model)
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n_q, n_r, state.frame()))
+    assert assert_window_filters_all_eigenvalues(k_mat, radius) == skipped
+    for scale in (0.5, 2.0):
+        assert_window_filters_all_eigenvalues(k_mat, scale * radius)
+
+
+def test_the_strip_never_skips_a_pentadiagonal_block():
+    """K @ K has degree 4, so its blocks are pentadiagonal.  The diagonal of
+    its block 4 lies left of -1, yet the block holds an eigenvalue of
+    modulus 0.36 (= (2 gamma)^2), so at radius 1 it must be solved."""
+    coeffs, state, _, _ = window_spectrum("kl")
+    op = assemble_liouvillian(coeffs)
+    k_mat = assemble_matrix(op @ op, BasisConfig(32, 32, state.frame()))
+    block = _degree_blocks(k_mat.matrix)[0][4]
+    assert np.diag(block).max() < -1.0 and np.triu(block, 2).any()
+    assert np.abs(np.linalg.eigvals(block)).min() < 1.0
+    assert assert_window_filters_all_eigenvalues(k_mat, 1.0) == 0
+
+
+def test_the_strip_never_skips_a_block_with_a_positive_product():
+    """Blocks with diagonal 5 and both neighbours 3, symmetric: their
+    eigenvalues 5 + 6 cos(k pi / (d + 2)) reach into the disk of radius 2
+    that the diagonal misses.  Only block 0, the lone 5, is skipped."""
+    n = 8
+    bands = {
+        (0, 0): np.full((n, n), 5.0 + 0j),
+        (1, -1): np.full((n, n), 3j),
+        (-1, 1): np.full((n, n), -3j),
+    }
+    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    assert eigenvalues_in_window(k_mat, 2.0).size > 0
+    assert assert_window_filters_all_eigenvalues(k_mat, 2.0) == 1
+
+
+def test_the_strip_on_the_criterion_02_sources():
+    """On the 100 criterion-02 sources at 32x32, radius 4 max(omega0, gamma),
+    the strip skips 1006 of the 3200 blocks and no window changes."""
+    rng = np.random.default_rng(20260816)
+    skipped = 0
+    for _ in range(100):
+        src = random_scrambled_source(rng)
+        h0, h1, h2 = src.h
+        radius = 4.0 * max(0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2), src.gamma)
+        plan = reduce_to_kl(src, b_target=1.0)
+        state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
+        k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
+        skipped += assert_window_filters_all_eigenvalues(k_mat, radius)
+    assert skipped == 1006
+
+
 def test_biorthogonality_kl_low_modes():
     _, cfg, k_mat = kl_setup(32)
     modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(2)]
@@ -794,6 +906,47 @@ def test_biorthogonality_detects_wrong_spectrum():
     bad_modes = [kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.3)]
     with pytest.raises(PairingFailure):
         biorthogonality_check(k_mat, bad_modes, tol=1e-6)
+
+
+@pytest.mark.parametrize("source", ["kl", "cl", "hpz", 0, 2, 75, 80, 87])
+def test_stacked_pairing_equals_the_per_mode_loop(source):
+    """The presets and criterion-02 sources at 32x32, modes m <= 2."""
+    src = MODELS[source][0] if source in MODELS else criterion_02_source(source)
+    modes = transported_modes(src, 2)
+    cfg = BasisConfig(32, 32, modes[0].gaussian.frame())
+    k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+    report = biorthogonality_check(k_mat, modes)
+    gram, max_offdiag = per_mode_pairing(k_mat, modes)
+    assert np.max(np.abs(report.gram - gram)) <= 1e-12
+    assert abs(report.max_offdiag - max_offdiag) <= 1e-12
+
+
+def quoted_eigenvalue(message):
+    """An error message with the matrix eigenvalue it quotes taken out, and
+    that eigenvalue (0 if none)."""
+    match = re.search(r"matrix eigenvalue (\(.*?\)) does", message)
+    if match is None:
+        return message, 0j
+    return message.replace(match.group(1), "{}"), complex(match.group(1))
+
+
+def test_pairing_errors_equal_those_of_the_per_mode_loop():
+    """A mode of the wrong spectrum and a mode that expands to zero (its
+    letters are zero) raise the same types and messages, up to the roundoff
+    of the quoted Rayleigh quotient."""
+    _, _, k_mat = kl_setup(24, gamma=0.8)
+    wrong = kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.3)
+    zero = AppliedEigenfunction(
+        EigenLabel(1, 0, 1), wrong.eigenvalue, (LinearPhaseOperator(),) * 2, wrong.gaussian
+    )
+    for modes, error in (([wrong], PairingFailure), ([zero], ZeroVector)):
+        quoted = []
+        for pairing in (biorthogonality_check, per_mode_pairing):
+            with pytest.raises(error) as raised:
+                pairing(k_mat, modes, tol=1e-6)
+            quoted.append(quoted_eigenvalue(str(raised.value)))
+        (text, lam), (oracle_text, oracle_lam) = quoted
+        assert text == oracle_text and abs(lam - oracle_lam) <= 1e-12, quoted
 
 
 def test_biorthogonality_refuses_an_empty_mode_list():

@@ -21,7 +21,8 @@ comparable:
 `--dump DIR` also writes each run's exit code, stdout and artifacts to
 DIR/<command>:<source>/, and `--compare OLD NEW` reads two dumps and
 prints, per run, whether its files are identical and otherwise the largest
-absolute difference between their numbers.  It flags a run whose exit
+absolute difference between their numbers, `n/a` when the only files that
+differ changed their count of numbers.  It flags a run whose exit
 code, file set or count of numbers per file changed, and then exits 1:
 
     PYTHONPATH=/path/to/other/checkout/src python3 tools/artifact_digests.py --dump old > /dev/null
@@ -156,15 +157,18 @@ def compare(old: str, new: str) -> int:
             flags.append(f"exit {code_a} -> {code_b}")
         if set(files_a) != set(files_b):
             flags.append(f"files {sorted(files_a)} -> {sorted(files_b)}")
-        worst = 0.0
+        worst, uncounted = 0.0, False
         for name in sorted(set(files_a) & set(files_b)):
             a, b = ([float(x) for x in _NUMBER.findall(f[name])] for f in (files_a, files_b))
             if len(a) != len(b):
                 flags.append(f"{name}: {len(a)} -> {len(b)} numbers")
+                uncounted = True
                 continue
             worst = max([worst, *(_difference(x, y) for x, y in zip(a, b))])
         changed = changed or bool(flags)
-        state = "identical" if files_a == files_b else f"moved, max_abs_diff {worst:.3g}"
+        # a file whose count changed has no difference to report: 0 would claim one
+        diff = "n/a" if uncounted and worst == 0.0 else f"{worst:.3g}"
+        state = "identical" if files_a == files_b else f"moved, max_abs_diff {diff}"
         print(f"{run}  exit {code_b}  {state}" + "".join(f"  FLAG: {f}" for f in flags))
     return 1 if changed else 0
 
