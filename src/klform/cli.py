@@ -146,6 +146,10 @@ class RunConfig:
             # every preset has gamma, and the reduction needs it positive
             if self.preset["gamma"] <= 0:
                 raise ConfigError("preset parameter 'gamma' must be positive")
+            try:
+                MODELS[self.model](**self.preset)
+            except ValueError as exc:  # a coefficient beyond the float range
+                raise ConfigError(f"preset {self.model!r} coefficients: {exc}") from exc
         if not _is_int(self.m_max) or self.m_max < 0:
             raise ConfigError("m_max must be a non-negative integer")
         if not _is_int(self.basis_n) or self.basis_n < 4:

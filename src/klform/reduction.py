@@ -132,15 +132,22 @@ def step2_solve(
     """Shift parameters (eta0, eta1, eta2) moving g_from onto g_target.
 
     Assumes the frequency part is already in normal form h = (2*omega0,
-    0, 0).  Raises SingularGError when gamma = 0.
+    0, 0).  Raises SingularGError when gamma = 0 or the forward check
+    misses, and IllConditionedReduction (residual inf) when the move or
+    the parameters leave the float range.
     """
     if gamma == 0:
         raise SingularGError("gamma = 0: the shift system has determinant zero")
     mat = step2_matrix((2.0 * float(omega0), 0.0, 0.0), gamma)
-    rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
-    eta = np.linalg.solve(mat, rhs)
-    resid = float(np.max(np.abs(mat @ eta - rhs)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite miss fails below
+        rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
+        eta = np.linalg.solve(mat, rhs)
+        resid = float(np.max(np.abs(mat @ eta - rhs)))
+    if not math.isfinite(resid):
+        raise IllConditionedReduction(
+            f"shift parameters {eta.tolist()} leave the float range", math.inf
+        )
+    if not resid <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
         raise SingularGError(f"shift solve failed the forward check (resid {resid})")
     return eta
 
@@ -219,9 +226,11 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     Step order: IL0 rotation, IM1 boost (these fix h), then the three
     shifts OPLUS, L1PLUS, L2PLUS (these fix g; gamma is invariant
     throughout).  The returned plan is verified by replaying it
-    (ReductionPlan.check_replay), and records c as its checked_source.
+    (ReductionPlan.check_replay), and records c as its checked_source.  A
+    normal form or shift beyond the float range raises
+    IllConditionedReduction with residual inf.
     """
-    if b_target < 0.5:
+    if not b_target >= 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
     theta, phi, omega0 = step1_solve(c.h)
     work = c
@@ -230,7 +239,14 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
         if param != 0.0:
             work = conjugate_coefficients(gid, param, work)
             steps.append((gid, param))
-    target = kl_coefficients(omega0, c.gamma, b_target)
+    try:
+        target = kl_coefficients(omega0, c.gamma, b_target)
+    except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient
+        raise IllConditionedReduction(
+            f"normal form g0 = -2 gamma b leaves the float range at gamma = {c.gamma}, "
+            f"b = {b_target}",
+            math.inf,
+        ) from None
     eta = step2_solve(omega0, c.gamma, work.g, target.g)
     steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)

@@ -21,7 +21,8 @@ block real, and the spectra are solved in real arithmetic.
 
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
-index shift (BandedMatrix) and applied with numpy alone; the evolution is
+index shift (BandedMatrix), from ladder factors in closed form for the
+quadratic operators assembled, and applied with numpy alone; the evolution is
 a truncated Taylor series on those arrays.  A shift (s, t) moves the total
 degree by a fixed -(s + t), so the grading is checked on per-band maxima
 and the blocks are gathered from the bands with s + t = 0; a spectral
@@ -153,9 +154,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Ladder matrices kept, one per size: a basis size n uses sizes n to n + 4
-# (the products of _ladder_factor) and a word of k letters size k + 1
-# (expand), so 16 serve two basis sizes and the words of the labels m <= 2
+# Ladder matrices kept, one per size: a word of k letters uses size k + 1
+# (expand), so 16 serve the words of up to 15 letters
 _LADDER_SIZES = 16
 
 
@@ -173,63 +173,61 @@ def ladder_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(upper + lower), _read_only(upper - lower)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b summed one index at a time, as a sparse product sums.
-
-    BLAS fuses multiplies and adds, which rounds differently.
-    """
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for col, row in zip(a.T, b):
-        out += np.multiply.outer(col, row)
-    return out
-
-
-# Ladder factors kept, one per (n, a, c): a + c <= 4, so 15 per basis size
+# Ladder factors kept, one per (n, a, c): a + c <= 2, so 6 per basis size
 _LADDER_FACTORS = 128
 
 
 @lru_cache(maxsize=_LADDER_FACTORS)
 def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Nonzero diagonals (shift s, read-only F[j, j+s]) of F = (X/sqrt2)^a (sqrt2 D)^c,
-    the exact matrix of Qs^a dQs^c on n Hermite functions: the product runs on
-    n + a + c of them and is cropped, so entries near the edge keep their terms
-    through indices >= n, and interior ones gain only exact zeros."""
-    reach = mult_power + dif_power
-    size = n + reach
-    x_mat, d_mat = ladder_matrices(size)
+    a + c <= 2, the exact matrix of Qs^a dQs^c on n Hermite functions.
 
-    def power(mat, k):
-        out = np.eye(size)
-        for _ in range(k):
-            out = _product(out, mat)
-        return out
-
-    factor = _product(
-        power(x_mat * (1.0 / math.sqrt(2.0)), mult_power),
-        power(d_mat * math.sqrt(2.0), dif_power),
-    )[:n, :n]
-    diagonals = (factor.diagonal(s).copy() for s in range(-reach, reach + 1))
-    return tuple(
-        (s - reach, _read_only(diag)) for s, diag in enumerate(diagonals) if diag.any()
-    )
+    A letter L moves an index by one: L[j, j+1] = up[j] and L[j+1, j] = down[j],
+    with up = down = sqrt((j+1)/2)/sqrt2 for X/sqrt2 and up = -down =
+    sqrt2 sqrt((j+1)/2) for sqrt2 D.  A product of two letters A B keeps
+    the diagonals -2, 0 and +2, and entry j of diagonal 0 adds its terms
+    A[j, j-1] B[j-1, j] and A[j, j+1] B[j+1, j] in that order, from zero;
+    the second runs through index j + 1 = n at the edge, so every entry is
+    the operator's own.
+    """
+    link = np.sqrt(np.arange(1, n + 1) / 2.0)
+    mult = link * (1.0 / math.sqrt(2.0))
+    dif = link * math.sqrt(2.0)
+    letters = [(mult, mult)] * mult_power + [(dif, -dif)] * dif_power
+    if not letters:
+        diagonals = [(0, np.ones(n))]
+    elif len(letters) == 1:
+        [(up, down)] = letters
+        diagonals = [(-1, down[: n - 1]), (1, up[: n - 1])]
+    else:
+        (a_up, a_down), (b_up, b_down) = letters
+        middle = np.zeros(n)
+        middle[1:] += a_down[: n - 1] * b_up[: n - 1]
+        middle += a_up * b_down
+        diagonals = [
+            (-2, a_down[1 : n - 1] * b_down[: n - 2]),
+            (0, middle),
+            (2, a_up[: n - 2] * b_up[1 : n - 1]),
+        ]
+    return tuple((s, _read_only(diag.copy())) for s, diag in diagonals)
 
 
 def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
-    """Matrix of a normal-ordered operator in the tensor basis.
+    """Matrix of a normal-ordered operator of degree at most 2 in the tensor basis.
 
     The operator is first conjugated by the frame's phase and rewritten
     in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
     factor, multiplication factors to the left of derivative factors.  The
-    diagonals of the 1-D factors are cached per basis size.  Each term adds
-    the outer products of its diagonals, scaled by its coefficient, into
-    its bands, in the operator's term order.
+    diagonals of the 1-D factors, in closed form, are cached per basis
+    size.  Each term adds the outer products of its diagonals, scaled by
+    its coefficient, into its bands, in the operator's term order.
     Every entry is that of the operator itself, restricted to the basis.
-    Total degree above 4 is rejected, which bounds the factors cached per
-    basis size at 15.
+    Total degree above 2, beyond any quadratic Liouvillian, raises
+    DegreeError, which bounds the factors cached per basis size at 6.
     """
-    if op.degree() > 4:
-        raise DegreeError(f"operator degree {op.degree()} exceeds 4")
+    if op.degree() > 2:
+        raise DegreeError(f"operator degree {op.degree()} exceeds 2")
     scaled = rescale_coordinates(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
     bands: dict[tuple[int, int], np.ndarray] = {}

@@ -675,6 +675,22 @@ UNREDUCIBLE = {
         1.5691276280361226,
         "IllConditionedReduction",
     ),
+    "target-overflow": (
+        "reduce",
+        GENERIC["coefficients"]["h"],
+        1.0,
+        GENERIC["coefficients"]["g"],
+        1e308,
+        "IllConditionedReduction",
+    ),
+    "shift-overflow": (
+        "reduce",
+        [2.0, 0.0, 0.0],
+        0.3,
+        [-0.6, 0.0, 0.0],
+        1e308,
+        "IllConditionedReduction",
+    ),
 }
 
 
@@ -690,6 +706,17 @@ def test_unreducible_source_exits_2_with_typed_error(tmp_path, capsys, case):
     }
     assert run_cli([command, "--config", write_config(tmp_path, doc)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == error
+    assert not out.exists()
+
+
+def test_overflowing_preset_exits_2_with_config_error(tmp_path, capsys):
+    """A preset whose own coefficient -2 gamma b leaves the float range."""
+    out = tmp_path / "out"
+    doc = {"model": "kl", "preset": {"omega0": 1.0, "gamma": 1.0, "b": 1e308}, "out": str(out)}
+    assert run_cli(["reduce", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    message = "preset 'kl' coefficients: all coefficients must be finite"
+    assert err == {"error": "ConfigError", "message": message}
     assert not out.exists()
 
 

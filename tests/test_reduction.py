@@ -298,8 +298,9 @@ def test_transport_reproducer_raises_on_every_call():
 
 def test_reduce_and_transport_raise_only_klform_errors():
     """Sources at the edges of the domain (h0 up to 1e150, rho/h0 up to
-    1 - 1e-17, gamma down to 1e-300) reduce and transport to the stationary
-    mode, or raise a KLFormError; never another exception."""
+    1 - 1e-17, gamma down to 1e-300), at widths b up to 1e308, reduce and
+    transport to the stationary mode, or raise a KLFormError; never another
+    exception."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -322,7 +323,7 @@ def test_reduce_and_transport_raise_only_klform_errors():
     )
 
     @hyp.settings(max_examples=300)
-    @hyp.given(sources, st.floats(0.5, 3.0))
+    @hyp.given(sources, st.floats(0.5, 3.0) | power(0, 308))
     def check(c, b_target):
         try:
             plan = reduce_to_kl(c, b_target=b_target)
@@ -342,3 +343,27 @@ def test_overflowing_metric_raises_typed_error(h):
         reduce_to_kl(c, b_target=1.0)
     assert info.value.residual == math.inf
     assert "overflows" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "c, match",
+    [
+        (LiouvillianCoeffs((2.2, 0.4, -0.3), 1.0, (-1.1, 0.2, 0.3)), "normal form"),
+        (kl_coefficients(1.0, 0.3, 1.0), "shift parameters"),
+    ],
+    ids=["target-g0", "shift-eta0"],
+)
+def test_a_width_beyond_the_float_range_raises_typed_error(c, match):
+    """At b = 1e308 the normal form's g0 = -2 gamma b overflows for gamma = 1;
+    for gamma = 0.3 it fits, but the shift eta0 = inf does not, and its
+    forward check is NaN.  Both raise IllConditionedReduction with residual
+    inf, without a RuntimeWarning."""
+    with pytest.raises(IllConditionedReduction, match=match) as info:
+        reduce_to_kl(c, b_target=1e308)
+    assert info.value.residual == math.inf
+
+
+def test_step2_check_fails_on_a_non_finite_miss():
+    with pytest.raises(IllConditionedReduction, match="float range") as info:
+        step2_solve(1.0, 0.3, (0.0, 0.0, 0.0), (-6e307, 0.0, 0.0))
+    assert info.value.residual == math.inf

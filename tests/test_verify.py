@@ -115,9 +115,13 @@ def test_assemble_matrix_identity_and_zero():
 
 
 def test_assemble_matrix_degree_cap():
+    """Degree 2, that of every quadratic Liouvillian, is the cap: a cubic
+    monomial, K @ K and a degree-5 monomial raise DegreeError."""
     cfg = BasisConfig(4, 4, CoordinateFrame(1.0, 1.0))
-    with pytest.raises(DegreeError):
-        assemble_matrix(PhasePolyOperator({(3, 2, 0, 0): 1.0}), cfg)
+    op = assemble_liouvillian(kl_coefficients(W0, GAM, B))
+    for bad in ({(3, 2, 0, 0): 1.0}, {(1, 0, 1, 1): 1.0}, (op @ op).terms):
+        with pytest.raises(DegreeError, match="exceeds 2"):
+            assemble_matrix(PhasePolyOperator(bad), cfg)
 
 
 def test_expand_stationary_state_is_ground_mode():
@@ -826,12 +830,19 @@ def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped
 
 
 def test_the_strip_never_skips_a_pentadiagonal_block():
-    """K @ K has degree 4, so its blocks are pentadiagonal.  The diagonal of
-    its block 4 lies left of -1, yet the block holds an eigenvalue of
-    modulus 0.36 (= (2 gamma)^2), so at radius 1 it must be solved."""
-    coeffs, state, _, _ = window_spectrum("kl")
-    op = assemble_liouvillian(coeffs)
-    k_mat = assemble_matrix(op @ op, BasisConfig(32, 32, state.frame()))
+    """Blocks with diagonal -5, no tridiagonal entries, and symmetric
+    entries 3 two places off the diagonal from the bands (2, -2) and
+    (-2, 2), as no operator assemble_matrix takes gives.  Block 4 splits
+    into chains of lengths 3 and 2: its diagonal lies left of -1, yet it
+    holds the eigenvalue -5 + 6 cos(pi / 4), of modulus 0.76, so at radius
+    1 it must be solved."""
+    n = 8
+    bands = {
+        (0, 0): np.full((n, n), -5.0 + 0j),
+        (2, -2): np.full((n, n), -3.0 + 0j),
+        (-2, 2): np.full((n, n), -3.0 + 0j),
+    }
+    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
     block = _degree_blocks(k_mat.matrix)[0][4]
     assert np.diag(block).max() < -1.0 and np.triu(block, 2).any()
     assert np.abs(np.linalg.eigvals(block)).min() < 1.0
