@@ -58,6 +58,16 @@ class GaussianState:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "nu", nu)
 
+    @classmethod
+    def _from_checked(cls, mu: float, kappa: float, nu: float) -> "GaussianState":
+        """The state of floats a map has already found finite, taken as they
+        are; only the positivity check mu > 0 runs (PositivityViolation)."""
+        if mu <= 0:
+            raise PositivityViolation(f"mu = {mu} must be positive")
+        out = cls.__new__(cls)
+        out.__dict__.update(mu=mu, kappa=kappa, nu=nu)
+        return out
+
     @property
     def width_sum(self) -> float:
         """mu + nu, the coefficient of -r^2/2 in the exponent."""
@@ -157,58 +167,62 @@ def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> Gaus
     The map is formal, as eigenfunction transport needs: a physical s
     stays physical only for a parameter in positivity_window(gid, s).
     Only a vanishing or sign-changing denominator, or a mapped parameter
-    outside the float range, raises (DegenerateDenominator).
+    outside the float range, raises (DegenerateDenominator), and a mapped
+    mu that underflows to 0 (PositivityViolation).
     """
     p = float(param)
     mu, kappa, w = s.mu, s.kappa, s.width_sum
-    dis = s.delta()
-    if gid is GeneratorId.IL0:
-        half = 0.5 * p
-        den = (math.cos(half) + kappa * math.sin(half)) ** 2 + 4.0 * mu * w * math.sin(
-            half
-        ) ** 2
-        _guard_denominator(den)
-        mu2 = mu / den
-        w2 = w / den
-        kappa2 = (kappa * math.cos(p) - 0.5 * (1.0 - dis) * math.sin(p)) / den
-    elif gid is GeneratorId.IM1:
-        half = 0.5 * p
-        den = (math.cosh(half) - kappa * math.sinh(half)) ** 2 + 4.0 * mu * w * math.sinh(
-            half
-        ) ** 2
-        _guard_denominator(den)
-        mu2 = mu / den
-        w2 = w / den
-        kappa2 = (kappa * math.cosh(p) - 0.5 * (1.0 + dis) * math.sinh(p)) / den
-    elif gid is GeneratorId.IM2:
-        scale = math.exp(-p)
-        mu2, w2, kappa2 = mu * scale, w * scale, kappa * scale
-    elif gid is GeneratorId.O0MI:
-        mu2 = mu * math.exp(-p)
-        w2 = w * math.exp(p)
-        kappa2 = kappa
-    elif gid is GeneratorId.OPLUS:
-        den = 1.0 + 2.0 * mu * p
-        _guard_denominator(den)
-        mu2 = mu / den
-        w2 = (w + 0.5 * (1.0 + dis) * p + mu * p * p) / den
-        kappa2 = kappa / den
-    elif gid is GeneratorId.L1PLUS:
-        den = 1.0 - 2.0 * mu * p
-        _guard_denominator(den)
-        mu2 = mu / den
-        w2 = (w + 0.5 * (1.0 - dis) * p - mu * p * p) / den
-        kappa2 = kappa / den
-    elif gid is GeneratorId.L2PLUS:
-        mu2 = mu
-        w2 = w + kappa * p - mu * p * p
-        kappa2 = kappa - 2.0 * mu * p
-    else:
-        raise ValueError(f"unknown generator {gid!r}")
+    try:
+        dis = s.delta()
+        if gid is GeneratorId.IL0:
+            half = 0.5 * p
+            den = (math.cos(half) + kappa * math.sin(half)) ** 2 + 4.0 * mu * w * math.sin(
+                half
+            ) ** 2
+            _guard_denominator(den)
+            mu2 = mu / den
+            w2 = w / den
+            kappa2 = (kappa * math.cos(p) - 0.5 * (1.0 - dis) * math.sin(p)) / den
+        elif gid is GeneratorId.IM1:
+            half = 0.5 * p
+            den = (math.cosh(half) - kappa * math.sinh(half)) ** 2 + 4.0 * mu * w * math.sinh(
+                half
+            ) ** 2
+            _guard_denominator(den)
+            mu2 = mu / den
+            w2 = w / den
+            kappa2 = (kappa * math.cosh(p) - 0.5 * (1.0 + dis) * math.sinh(p)) / den
+        elif gid is GeneratorId.IM2:
+            scale = math.exp(-p)
+            mu2, w2, kappa2 = mu * scale, w * scale, kappa * scale
+        elif gid is GeneratorId.O0MI:
+            mu2 = mu * math.exp(-p)
+            w2 = w * math.exp(p)
+            kappa2 = kappa
+        elif gid is GeneratorId.OPLUS:
+            den = 1.0 + 2.0 * mu * p
+            _guard_denominator(den)
+            mu2 = mu / den
+            w2 = (w + 0.5 * (1.0 + dis) * p + mu * p * p) / den
+            kappa2 = kappa / den
+        elif gid is GeneratorId.L1PLUS:
+            den = 1.0 - 2.0 * mu * p
+            _guard_denominator(den)
+            mu2 = mu / den
+            w2 = (w + 0.5 * (1.0 - dis) * p - mu * p * p) / den
+            kappa2 = kappa / den
+        elif gid is GeneratorId.L2PLUS:
+            mu2 = mu
+            w2 = w + kappa * p - mu * p * p
+            kappa2 = kappa - 2.0 * mu * p
+        else:
+            raise ValueError(f"unknown generator {gid!r}")
+    except OverflowError:  # a square, cosh, sinh or exp beyond the float range
+        raise DegenerateDenominator(f"map leaves the float range at parameter {p}") from None
     nu2 = w2 - mu2
     if not all(map(math.isfinite, (mu2, kappa2, nu2))):
         raise DegenerateDenominator(f"map leaves the float range: {(mu2, kappa2, nu2)}")
-    return GaussianState(mu2, kappa2, nu2)
+    return GaussianState._from_checked(mu2, kappa2, nu2)
 
 
 def _guard_denominator(den: float) -> None:

@@ -259,6 +259,17 @@ class LiouvillianCoeffs:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", gamma)
 
+    @classmethod
+    def _from_checked(cls, h: tuple, gamma: float, g: tuple) -> "LiouvillianCoeffs":
+        """The coefficients of a flow's image, taken as they are: h and g
+        tuples of three floats, gamma a checked coefficient's.  Only the
+        finiteness check runs (ValueError)."""
+        if not all(map(math.isfinite, (*h, gamma, *g))):
+            raise ValueError("all coefficients must be finite")
+        out = cls.__new__(cls)
+        out.__dict__.update(h=h, gamma=gamma, g=g)
+        return out
+
     def as_vector(self) -> np.ndarray:
         """Length-7 vector in GENERATOR_ORDER."""
         return np.array([*self.h, self.gamma, *self.g], dtype=float)
@@ -319,39 +330,44 @@ def conjugate_coefficients(
     The rotation IL0 mixes (h1, h2) and (g1, g2); the boosts IM1, IM2 mix
     hyperbolically; O0MI rescales g by exp(param); the three shift flows
     OPLUS, L1PLUS, L2PLUS are affine in param.  gamma is invariant under
-    every flow and is returned bit-identically.
+    every flow and is returned bit-identically.  A coefficient that leaves
+    the float range raises ValueError, also where the flow's cosh, sinh or
+    exp itself overflows.
     """
     p = float(param)
     h0, h1, h2 = c.h
     gp, g1, g2 = c.g
-    if gid is GeneratorId.IL0:
-        ct, st = math.cos(p), math.sin(p)
-        h = (h0, h1 * ct + h2 * st, h2 * ct - h1 * st)
-        g = (gp, g1 * ct + g2 * st, g2 * ct - g1 * st)
-    elif gid is GeneratorId.IM1:
-        ch, sh = math.cosh(p), math.sinh(p)
-        h = (h0 * ch + h2 * sh, h1, h2 * ch + h0 * sh)
-        g = (gp * ch + g2 * sh, g1, g2 * ch + gp * sh)
-    elif gid is GeneratorId.IM2:
-        ch, sh = math.cosh(p), math.sinh(p)
-        h = (h0 * ch - h1 * sh, h1 * ch - h0 * sh, h2)
-        g = (gp * ch - g1 * sh, g1 * ch - gp * sh, g2)
-    elif gid is GeneratorId.O0MI:
-        ep = math.exp(p)
-        h = (h0, h1, h2)
-        g = (gp * ep, g1 * ep, g2 * ep)
-    elif gid is GeneratorId.OPLUS:
-        h = (h0, h1, h2)
-        g = (gp - p * c.gamma, g1 + p * h2, g2 - p * h1)
-    elif gid is GeneratorId.L1PLUS:
-        h = (h0, h1, h2)
-        g = (gp + p * h2, g1 - p * c.gamma, g2 + p * h0)
-    elif gid is GeneratorId.L2PLUS:
-        h = (h0, h1, h2)
-        g = (gp - p * h1, g1 - p * h0, g2 - p * c.gamma)
-    else:
-        raise ValueError(f"unknown generator {gid!r}")
-    return LiouvillianCoeffs(h, c.gamma, g)
+    try:
+        if gid is GeneratorId.IL0:
+            ct, st = math.cos(p), math.sin(p)
+            h = (h0, h1 * ct + h2 * st, h2 * ct - h1 * st)
+            g = (gp, g1 * ct + g2 * st, g2 * ct - g1 * st)
+        elif gid is GeneratorId.IM1:
+            ch, sh = math.cosh(p), math.sinh(p)
+            h = (h0 * ch + h2 * sh, h1, h2 * ch + h0 * sh)
+            g = (gp * ch + g2 * sh, g1, g2 * ch + gp * sh)
+        elif gid is GeneratorId.IM2:
+            ch, sh = math.cosh(p), math.sinh(p)
+            h = (h0 * ch - h1 * sh, h1 * ch - h0 * sh, h2)
+            g = (gp * ch - g1 * sh, g1 * ch - gp * sh, g2)
+        elif gid is GeneratorId.O0MI:
+            ep = math.exp(p)
+            h = (h0, h1, h2)
+            g = (gp * ep, g1 * ep, g2 * ep)
+        elif gid is GeneratorId.OPLUS:
+            h = (h0, h1, h2)
+            g = (gp - p * c.gamma, g1 + p * h2, g2 - p * h1)
+        elif gid is GeneratorId.L1PLUS:
+            h = (h0, h1, h2)
+            g = (gp + p * h2, g1 - p * c.gamma, g2 + p * h0)
+        elif gid is GeneratorId.L2PLUS:
+            h = (h0, h1, h2)
+            g = (gp - p * h1, g1 - p * h0, g2 - p * c.gamma)
+        else:
+            raise ValueError(f"unknown generator {gid!r}")
+    except OverflowError:  # an infinite cosh, sinh or exp leaves a coefficient non-finite
+        raise ValueError("all coefficients must be finite") from None
+    return LiouvillianCoeffs._from_checked(h, c.gamma, g)
 
 
 # (Q, r, dQ, dr) as the terms of degree-one operators
@@ -427,6 +443,48 @@ def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> Pha
     return out
 
 
+def _phase_conjugated(terms: dict, kappa: float) -> dict:
+    """Terms of exp(i kappa Q r) op exp(-i kappa Q r) for op's terms.
+
+    The similarity substitutes dQ -> dQ + u r and dr -> dr + u Q, u =
+    -i kappa (exponential_similarity with phi = u Q r).  Each monomial
+    Q^a r^b is multiplied on the right by its c letters dQ + u r and then
+    its d letters dr + u Q; a letter dr + u Q passes Q through the c1
+    factors dQ before it, which adds u c1 Q^a r^b dQ^(c1-1) dr^d1.  The
+    terms are accumulated, and exact zeros dropped, in the order and with
+    the rounding of the operator products: for finite coefficients the
+    result is theirs bit for bit, term order included.
+    """
+    u = -1j * kappa
+    out: dict = {}
+    for (a, b, c, d), coeff in terms.items():
+        term = {(a, b, 0, 0): coeff}
+        for _ in range(c):  # no dr stands to the right yet
+            step: dict = {}
+            for (a1, b1, c1, d1), val in term.items():
+                key = (a1, b1, c1 + 1, d1)
+                step[key] = step.get(key, 0) + val
+                key = (a1, b1 + 1, c1, d1)
+                step[key] = step.get(key, 0) + val * u
+            term = {key: val for key, val in step.items() if val != 0}
+        for _ in range(d):
+            step = {}
+            for (a1, b1, c1, d1), val in term.items():
+                key = (a1, b1, c1, d1 + 1)
+                step[key] = step.get(key, 0) + val
+                key = (a1 + 1, b1, c1, d1)
+                step[key] = step.get(key, 0) + val * u
+                if c1:
+                    key = (a1, b1, c1 - 1, d1)
+                    step[key] = step.get(key, 0) + val * u * c1
+            term = {key: val for key, val in step.items() if val != 0}
+        for key, val in term.items():
+            out[key] = out.get(key, 0) + val
+        if 0 in out.values():  # a cancelled term leaves, and comes back at the end
+            out = {key: val for key, val in out.items() if val != 0}
+    return out
+
+
 def rescale_coordinates(
     op: PhasePolyOperator, frame: CoordinateFrame
 ) -> PhasePolyOperator:
@@ -435,13 +493,12 @@ def rescale_coordinates(
     Each monomial picks up the factor s_q^(a-c) * s_r^(d-b); exponents
     are unchanged.
     """
-    if frame.kappa:
-        op = exponential_similarity(op, PhasePolyOperator({(1, 1, 0, 0): -1j * frame.kappa}))
+    terms = _phase_conjugated(op._terms, frame.kappa) if frame.kappa else op._terms
     sq, sr = frame.s_q, frame.s_r
     return PhasePolyOperator._from_checked(
         {
             (a, b, c, d): coeff * sq ** (a - c) * sr ** (d - b)
-            for (a, b, c, d), coeff in op._terms.items()
+            for (a, b, c, d), coeff in terms.items()
         }
     )
 

@@ -27,6 +27,7 @@ from .errors import (
     OverdampedError,
     SingularGError,
 )
+from .gauss import GaussianState, stationary_preset
 from .operators import (
     GeneratorId,
     LinearPhaseOperator,
@@ -164,9 +165,10 @@ class ReductionPlan:
     The similarity S of the steps is the same for every label, so what
     depends on the plan alone is computed once per plan object:
     `raising_pair` carries the normal form's pair through the inverse
-    steps.  `checked_source` is the coefficient object reduce_to_kl
-    replayed the plan against (None for a plan built by hand); it takes no
-    part in equality, and dataclasses.replace drops it.
+    steps, and `_normal_state` is the normal form's stationary Gaussian.
+    `checked_source` is the coefficient object reduce_to_kl replayed the
+    plan against (None for a plan built by hand); it takes no part in
+    equality, and dataclasses.replace drops it.
     """
 
     steps: tuple[tuple[GeneratorId, float], ...]
@@ -194,6 +196,13 @@ class ReductionPlan:
             b1 = conjugate_linear(gid, p, b1)
             b2 = conjugate_linear(gid, p, b2)
         return b1, b2
+
+    @cached_property
+    def _normal_state(self) -> GaussianState:
+        """The normal form's stationary Gaussian at width b,
+        stationary_preset("kl", b=b)."""
+        state, _ = stationary_preset("kl", b=self.b)
+        return state
 
     def replay(self, c: LiouvillianCoeffs) -> LiouvillianCoeffs:
         for gid, param in self.steps:

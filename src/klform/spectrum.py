@@ -32,11 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditionedReduction, LabelError, PositivityViolation
-from .gauss import (
-    GaussianState,
-    apply_plan_gaussian,
-    stationary_preset,
-)
+from .gauss import GaussianState, apply_plan_gaussian
 from .operators import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
@@ -123,25 +119,32 @@ def _apply_linear_to_poly(op: LinearPhaseOperator, poly: dict, grad: tuple) -> d
     with log-derivative grad = (a, b, c): d(ln f)/dQ = a Q + b r and
     d(ln f)/dr = b Q + c r.
 
-    Multiplications add exponents; derivatives act by the product rule.  A
-    zero product adds nothing, so a field of op that is 0 and the derivative
-    of a constant factor leave no term; integer fields, grad and poly keep
-    the arithmetic in exact integers.  A coefficient that leaves the float
-    range raises IllConditionedReduction with an infinite miss.
+    Multiplications add exponents; derivatives act by the product rule.
+    Only the fields of op that are nonzero multiply, in the order q, r,
+    dq, dr (a transported raising letter has q = dr = 0); a zero product
+    adds nothing, so the derivative of a constant factor leaves no term.
+    Integer fields, grad and poly keep the arithmetic in exact integers.  A
+    coefficient that leaves the float range raises IllConditionedReduction
+    with an infinite miss.
     """
     out: dict = {}
     a, b, c = grad
+    q, r, dq, dr = op.q, op.r, op.dq, op.dr
     for (j, k), coeff in poly.items():
-        for key, val in (
-            ((j + 1, k), op.q * coeff),
-            ((j, k + 1), op.r * coeff),
-            ((j - 1, k), op.dq * coeff * j if j else 0),
-            ((j + 1, k), op.dq * coeff * a),
-            ((j, k + 1), op.dq * coeff * b),
-            ((j, k - 1), op.dr * coeff * k if k else 0),
-            ((j + 1, k), op.dr * coeff * b),
-            ((j, k + 1), op.dr * coeff * c),
-        ):
+        moves = []
+        if q:
+            moves.append(((j + 1, k), q * coeff))
+        if r:
+            moves.append(((j, k + 1), r * coeff))
+        if dq:
+            if j:
+                moves.append(((j - 1, k), dq * coeff * j))
+            moves += (((j + 1, k), dq * coeff * a), ((j, k + 1), dq * coeff * b))
+        if dr:
+            if k:
+                moves.append(((j, k - 1), dr * coeff * k))
+            moves += (((j + 1, k), dr * coeff * b), ((j, k + 1), dr * coeff * c))
+        for key, val in moves:
             if val != 0:
                 out[key] = out.get(key, 0) + val
     out = {k: v for k, v in out.items() if v != 0}
@@ -238,7 +241,9 @@ class AppliedEigenfunction:
         for op, count in powers:
             for _ in range(count):
                 poly = _apply_linear_to_poly(op, poly, grad)
-        return PhasePolyOperator({(a, b, 0, 0): coeff for (a, b), coeff in poly.items()})
+        return PhasePolyOperator._from_checked(
+            {(a, b, 0, 0): coeff for (a, b), coeff in poly.items()}
+        )
 
     def evaluate(self, q, r) -> np.ndarray:
         return self.expanded_poly.evaluate(q, r) * self.gaussian.evaluate(q, r)
@@ -265,8 +270,8 @@ def transformed_eigenfunction(
     raising pair are transported through the steps in reverse order with
     negated parameters, and the label's word is unchanged.  The pair does
     not depend on the label, so it is the plan's (ReductionPlan.raising_pair,
-    transported once per plan object); the Gaussian is transported per
-    call.  m above MAX_M raises LabelError before anything is transported.
+    transported once per plan object), and so is the normal form's Gaussian
+    (its _normal_state); the Gaussian is transported per call.  m above MAX_M raises LabelError before anything is transported.
     The transported Gaussian may pass outside the physical region; only a
     non-normalizable endpoint (mu + nu <= 0) is an error.  A plan that does
     not replay source onto its target (ReductionPlan.check_replay, skipped
@@ -279,8 +284,7 @@ def transformed_eigenfunction(
     _word(label)  # LabelError above MAX_M
     if source is not plan.checked_source:
         plan.check_replay(source)
-    base_state, _ = stationary_preset("kl", b=plan.b)
-    state = apply_plan_gaussian(plan.inverse_steps, base_state)
+    state = apply_plan_gaussian(plan.inverse_steps, plan._normal_state)
     if state.width_sum <= 0:
         raise PositivityViolation(
             "transported stationary Gaussian is not normalizable (mu + nu <= 0)"

@@ -221,23 +221,42 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     factor, multiplication factors to the left of derivative factors.  The
     diagonals of the 1-D factors, in closed form, are cached per basis
     size.  Each term adds the outer products of its diagonals, scaled by
-    its coefficient, into its bands, in the operator's term order.
-    Every entry is that of the operator itself, restricted to the basis.
-    Total degree above 2, beyond any quadratic Liouvillian, raises
-    DegreeError, which bounds the factors cached per basis size at 6.
+    its coefficient, into its bands, in the operator's term order.  A term
+    without a factor on one coordinate has the identity there, whose
+    diagonal is exactly 1.0, so it adds its coefficient times its other
+    diagonal broadcast along that coordinate, or its coefficient times
+    1.0: the same entries as the outer product, bit for bit.  Every
+    entry is that of the operator itself, restricted to the basis.  Total
+    degree above 2, beyond any quadratic Liouvillian, raises DegreeError,
+    which bounds the factors cached per basis size at 6.
     """
     if op.degree() > 2:
         raise DegreeError(f"operator degree {op.degree()} exceeds 2")
     scaled = rescale_coordinates(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
     bands: dict[tuple[int, int], np.ndarray] = {}
+    # the entries of band (s, t) whose column lies in the basis
+    spans: dict[tuple[int, int], np.ndarray] = {}
     for (a, b, c, d), coeff in scaled.terms.items():
-        for s, diag_q in _ladder_factor(n_q, a, c):
-            for t, diag_r in _ladder_factor(n_r, b, d):
-                band = bands.get((s, t))
-                if band is None:
-                    band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
-                band[_span(n_q, s), _span(n_r, t)] += coeff * np.multiply.outer(diag_q, diag_r)
+        # made one at a time, so that a term holds one array of entries
+        if a + c and b + d:
+            entries = (
+                (s, t, coeff * (diag_q[:, None] * diag_r))
+                for s, diag_q in _ladder_factor(n_q, a, c)
+                for t, diag_r in _ladder_factor(n_r, b, d)
+            )
+        elif a + c:
+            entries = ((s, 0, (coeff * diag)[:, None]) for s, diag in _ladder_factor(n_q, a, c))
+        elif b + d:
+            entries = ((0, t, coeff * diag) for t, diag in _ladder_factor(n_r, b, d))
+        else:
+            entries = ((0, 0, coeff * 1.0),)
+        for s, t, values in entries:
+            span = spans.get((s, t))
+            if span is None:
+                band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
+                span = spans[(s, t)] = band[_span(n_q, s), _span(n_r, t)]
+            span += values
     return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
 
 

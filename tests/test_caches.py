@@ -19,7 +19,9 @@ from klform import (
     GENERATOR_ORDER,
     AppliedEigenfunction,
     BasisConfig,
+    CoordinateFrame,
     EigenLabel,
+    GaussianState,
     IllConditionedReduction,
     LinearPhaseOperator,
     LiouvillianCoeffs,
@@ -29,6 +31,7 @@ from klform import (
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
+    conjugate_coefficients,
     conjugate_linear,
     distinct_labels,
     expand,
@@ -39,10 +42,12 @@ from klform import (
     rescale_coordinates,
     stationary_preset,
     stationary_similarity,
+    transform_gaussian,
     transformed_eigenfunction,
 )
 from klform import reduction, verify
 from klform.cli import DESK_PRESETS
+from klform.operators import exponential_similarity
 
 from adjoint_oracle import (
     _adjoint_matrix_4,
@@ -105,10 +110,22 @@ def fresh_factor(n, a, c):
     return (out @ dif)[:n, :n]
 
 
+def generic_rescale(op, frame):
+    """rescale_coordinates through the operator products: the frame's phase
+    as exponential_similarity by the polynomial -i kappa Q r, then each
+    term times s_q^(a-c) s_r^(d-b)."""
+    if frame.kappa:
+        op = exponential_similarity(op, PhasePolyOperator({(1, 1, 0, 0): -1j * frame.kappa}))
+    sq, sr = frame.s_q, frame.s_r
+    return PhasePolyOperator(
+        {(a, b, c, d): v * sq ** (a - c) * sr ** (d - b) for (a, b, c, d), v in op.terms.items()}
+    )
+
+
 def fresh_assemble(op, cfg):
     """The operator's matrix as scipy builds it: a sum of Kronecker products
     of the fresh 1-D factors."""
-    scaled = rescale_coordinates(op, cfg.frame)
+    scaled = generic_rescale(op, cfg.frame)
     total = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
     for (a, b, c, d), coeff in scaled.terms.items():
         factor_q, factor_r = fresh_factor(cfg.n_q, a, c), fresh_factor(cfg.n_r, b, d)
@@ -138,8 +155,9 @@ def exact(terms):
 
 def per_term_bands(op, cfg):
     """The bands as the per-term loop sums them: each term's outer product,
-    scaled by its coefficient, added in place in term order."""
-    scaled = rescale_coordinates(op, cfg.frame)
+    scaled by its coefficient, added in place in term order, after the
+    generic rescaling."""
+    scaled = generic_rescale(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
     bands = {}
     for (a, b, c, d), coeff in scaled.terms.items():
@@ -153,19 +171,116 @@ def per_term_bands(op, cfg):
 
 
 def test_stacked_band_sums_equal_the_per_term_loop():
-    """The presets at 24, 32 and 40 and their stationary similarities, and
-    the 100 criterion-02 sources at 40: every band, signed zeros included."""
-    cases = [(name, op, frame, (24, 32, 40)) for name, op, frame in oracle_operators()]
+    """The broadcast one-sided terms give the per-term loop's bands: the
+    presets and their stationary similarities at 24, 32 and 40 and on two
+    rectangles, and the 100 criterion-02 sources at 40, every band, signed
+    zeros included."""
+    sizes = [(24, 24), (32, 32), (40, 40), (24, 36), (40, 28)]
+    cases = [(name, op, frame, sizes) for name, op, frame in oracle_operators()]
     for index, src in enumerate(criterion_02_sources(100)):
         frame = modes(src, 0)[0].gaussian.frame()
-        cases.append((f"c02-{index}", assemble_liouvillian(src), frame, (40,)))
-    for name, op, frame, sizes in cases:
-        for n in sizes:
-            cfg = BasisConfig(n, n, frame)
+        cases.append((f"c02-{index}", assemble_liouvillian(src), frame, [(40, 40)]))
+    for name, op, frame, shapes in cases:
+        for n_q, n_r in shapes:
+            cfg = BasisConfig(n_q, n_r, frame)
             assert same_bands(assemble_matrix(op, cfg).matrix.bands, per_term_bands(op, cfg)), (
                 name,
-                n,
+                n_q,
+                n_r,
             )
+
+
+# the exponent quadruples of total degree at most 2
+QUADRATIC_KEYS = [
+    (a, b, c, d)
+    for a in range(3)
+    for b in range(3)
+    for c in range(3)
+    for d in range(3)
+    if a + b + c + d <= 2
+]
+
+
+def random_coefficient(rng):
+    """A coefficient with a random magnitude from 1e-300 to 1e3, and with a
+    zero, negative-zero or nonzero real or imaginary part."""
+    scale = 10.0 ** rng.choice([-300, -160, -8, 0, 0, 0, 3])
+    parts = [float(rng.normal()) * scale, float(rng.normal()) * scale]
+    which = rng.integers(4)
+    if which < 2:
+        parts[which] = rng.choice([0.0, -0.0])
+    return complex(*parts)
+
+
+def random_operator(rng, max_terms=12):
+    """Terms of degree at most 2 in random order, some of them exactly 0."""
+    keys = rng.permutation(len(QUADRATIC_KEYS))[: rng.integers(1, max_terms + 1)]
+    return {QUADRATIC_KEYS[k]: random_coefficient(rng) if rng.random() < 0.9 else 0.0 for k in keys}
+
+
+def random_frame(rng):
+    """Scales from 0.1 to 4 and a phase of 0 or of order 1, 1e-150 or 1e150,
+    small enough that no product overflows."""
+    kappa = float(rng.choice([0.0, 1.0, -0.5, 1e-150, 1e150])) * float(rng.uniform(0.1, 3.0))
+    return CoordinateFrame(float(rng.uniform(0.1, 4.0)), float(rng.uniform(0.1, 4.0)), kappa)
+
+
+def test_assembly_of_random_operators_equals_the_per_term_loop():
+    """600 random operators of degree at most 2, with random phases and
+    basis sizes 4 to 40 on each coordinate, give the per-term loop's bands
+    bit for bit."""
+    rng = np.random.default_rng(20290101)
+    for index in range(600):
+        op = PhasePolyOperator(random_operator(rng))
+        frame = random_frame(rng)
+        cfg = BasisConfig(int(rng.integers(4, 41)), int(rng.integers(4, 41)), frame)
+        assert same_bands(assemble_matrix(op, cfg).matrix.bands, per_term_bands(op, cfg)), index
+
+
+def cancelling_operator(rng, kappa):
+    """Terms whose phase images cancel: the first term is minus the image
+    u v r^2 of r dQ (u = -i kappa), so their sum leaves the result, and the
+    dQ^2 term then adds r^2 back, after every other key; Q dr's image u
+    cancels the constant term likewise."""
+    u = -1j * kappa
+    v, w, x = (random_coefficient(rng) for _ in range(3))
+    return {
+        (0, 2, 0, 0): -(v * u),
+        (0, 0, 0, 0): -(x * u),
+        (0, 1, 1, 0): v,
+        (0, 0, 1, 1): x,
+        (0, 0, 2, 0): w,
+    }
+
+
+def exact_in_order(op):
+    """The terms in stored order, each value by its repr, so that term order
+    and the sign of a zero part count."""
+    return [(key, repr(val)) for key, val in op.terms.items()]
+
+
+def test_phase_conjugation_equals_the_generic_route():
+    """rescale_coordinates equals the operator products of the generic route
+    on 2,400 random operators of degree at most 2, by repr and term order:
+    zero and negative-zero parts, exact zero terms, products that underflow
+    to zero, and terms that cancel and come back."""
+    rng = np.random.default_rng(20290102)
+    for index in range(2400):
+        frame = random_frame(rng)
+        terms = random_operator(rng)
+        if index % 4 == 0 and frame.kappa:
+            terms = {**cancelling_operator(rng, frame.kappa), **terms}
+        op = PhasePolyOperator(terms)
+        got, want = rescale_coordinates(op, frame), generic_rescale(op, frame)
+        assert exact_in_order(got) == exact_in_order(want), index
+
+
+def test_cancelled_terms_leave_and_come_back_at_the_end():
+    frame = CoordinateFrame(1.0, 1.0, 0.5)
+    op = PhasePolyOperator(cancelling_operator(np.random.default_rng(7), frame.kappa))
+    got = rescale_coordinates(op, frame)
+    assert list(got.terms)[-1] == (0, 2, 0, 0) and (0, 0, 0, 0) not in got.terms
+    assert exact_in_order(got) == exact_in_order(generic_rescale(op, frame))
 
 
 def test_assemble_matrix_equals_fresh_kronecker_products():
@@ -327,6 +442,29 @@ def test_modes_of_one_plan_equal_a_per_label_transport():
             assert [repr(op) for op in got.raising] == [repr(op) for op in ref.raising], (name, lab)
             assert repr(got.gaussian) == repr(ref.gaussian), (name, lab)
             assert exact(got.expanded_poly.terms) == exact(ref.expanded_poly.terms), (name, lab)
+
+
+def test_flow_results_equal_the_public_constructors_along_the_criterion_02_plans():
+    """Each step's coefficients (the replay) and each inverse step's
+    Gaussian (the transport) equal, by == and repr, the public
+    constructors applied to their fields, which are floats; the plan's
+    normal-form Gaussian is stationary_preset's and is built once."""
+    for index, src in enumerate(criterion_02_sources(100)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        c = src
+        for gid, p in plan.steps:
+            c = conjugate_coefficients(gid, p, c)
+            public = LiouvillianCoeffs(c.h, c.gamma, c.g)
+            assert c == public and repr(c) == repr(public), (index, gid)
+            assert all(type(x) is float for x in (*c.h, c.gamma, *c.g)), (index, gid)
+        state = plan._normal_state
+        assert plan._normal_state is state
+        assert repr(state) == repr(stationary_preset("kl", b=plan.b)[0]), index
+        for gid, p in plan.inverse_steps:
+            state = transform_gaussian(gid, p, state)
+            public = GaussianState(state.mu, state.kappa, state.nu)
+            assert state == public and repr(state) == repr(public), (index, gid)
+            assert all(type(x) is float for x in (state.mu, state.kappa, state.nu)), (index, gid)
 
 
 def counting(monkeypatch, owner, name):

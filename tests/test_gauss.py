@@ -13,6 +13,7 @@ from klform import (
     LinearPhaseOperator,
     OverdampedError,
     PositivityViolation,
+    apply_plan_gaussian,
     conjugate_linear,
     positivity_window,
     reduced_frequency,
@@ -263,3 +264,21 @@ def test_reduced_frequency_and_overdamped_error():
 def test_unknown_preset_name():
     with pytest.raises(ValueError):
         stationary_preset("ou", b=1.0)
+
+
+def test_an_underflowing_mu_still_fails_the_positivity_check():
+    """IM2 at p = 800 scales mu by exp(-800), which is 0.0: the map's state
+    is finite, and its mu > 0 check raises, with the step's prefix."""
+    state = GaussianState(0.25, 0.0, 0.75)
+    with pytest.raises(PositivityViolation, match=r"mu = 0\.0 must be positive"):
+        transform_gaussian(GeneratorId.IM2, 800.0, state)
+    steps = [(GeneratorId.IL0, 0.3), (GeneratorId.IM2, 800.0)]
+    with pytest.raises(PositivityViolation, match=r"^step 1 \(IM2, 800\.0\): mu = 0\.0 must"):
+        apply_plan_gaussian(steps, state)
+
+
+def test_a_non_finite_map_still_raises_degenerate_denominator():
+    """A map whose result overflows without an OverflowError on the way
+    (mu exp(700) with mu = 1e10) fails the finiteness check."""
+    with pytest.raises(DegenerateDenominator, match="leaves the float range"):
+        transform_gaussian(GeneratorId.IM2, -700.0, GaussianState(1e10, 0.0, 1.0))

@@ -48,7 +48,8 @@ def test_no_scipy_import():
 
 def _unbounded_caches(tree):
     """(function, line number) of every functools.cache and of every
-    lru_cache that does not state a finite maxsize, however it is spelt."""
+    lru_cache whose maxsize is not a named constant, however it is spelt:
+    no bound, None, or a bare number that says nothing of what it counts."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -63,7 +64,7 @@ def _unbounded_caches(tree):
                 sizes = []
                 if call:
                     sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
-                if not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                if not sizes or not isinstance(sizes[0], ast.Name):
                     yield node.name, dec.lineno
 
 
@@ -105,6 +106,7 @@ def test_cache_check_sees_every_spelling():
         ("d", 9),
         ("e", 12),
         ("f", 14),
+        ("h", 18),
     ]
 
 

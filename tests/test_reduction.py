@@ -11,12 +11,14 @@ from klform import (
     CriticalDampingError,
     DegenerateDenominator,
     EigenLabel,
+    GaussianState,
     GeneratorId,
     IllConditionedReduction,
     KLFormError,
     LiouvillianCoeffs,
     NonPositiveH0Error,
     OverdampedError,
+    PositivityViolation,
     ReductionPlan,
     SingularGError,
     conjugate_coefficients,
@@ -26,6 +28,7 @@ from klform import (
     step1_solve,
     step2_matrix,
     step2_solve,
+    transform_gaussian,
     transformed_eigenfunction,
     u_matrix,
 )
@@ -367,3 +370,35 @@ def test_step2_check_fails_on_a_non_finite_miss():
     with pytest.raises(IllConditionedReduction, match="float range") as info:
         step2_solve(1.0, 0.3, (0.0, 0.0, 0.0), (-6e307, 0.0, 0.0))
     assert info.value.residual == math.inf
+
+
+@pytest.mark.parametrize("param", [800.0, -800.0, 1500.0, -1500.0, 1e308])
+@pytest.mark.parametrize(
+    "gid", [GeneratorId.IM1, GeneratorId.IM2, GeneratorId.O0MI], ids=lambda g: g.name
+)
+def test_flows_beyond_the_float_range_raise_typed_errors(gid, param):
+    """Where cosh, sinh, exp or a square overflows, the Gaussian map raises
+    DegenerateDenominator (IM2 at p > 0 instead underflows mu to 0:
+    PositivityViolation), the coefficient flow the ValueError of a
+    non-finite coefficient, and a plan holding the step replays to inf.
+    O0MI at p < 0 scales g by exp(p) = 0.0 and stays finite."""
+    error = PositivityViolation if gid is GeneratorId.IM2 and param > 0 else DegenerateDenominator
+    with pytest.raises(error):
+        transform_gaussian(gid, param, GaussianState(0.25, 0.0, 0.75))
+    src = kl_coefficients(1.0, 0.3, 1.0)
+    plan = ReductionPlan(((gid, param),), 1.0, 1.0, src)
+    if gid is GeneratorId.O0MI and param < 0:
+        assert conjugate_coefficients(gid, param, src).g == (0.0, 0.0, 0.0)
+        assert plan.replay_residual(src) == 0.6
+        return
+    with pytest.raises(ValueError, match="must be finite"):
+        conjugate_coefficients(gid, param, src)
+    assert plan.replay_residual(src) == math.inf
+
+
+def test_a_non_finite_flow_result_still_raises_value_error():
+    """A shift whose image overflows without an OverflowError on the way
+    fails the finiteness check of the flow's result."""
+    src = LiouvillianCoeffs((2.0, 0.0, 10.0), 0.3, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        conjugate_coefficients(GeneratorId.OPLUS, 1e308, src)
