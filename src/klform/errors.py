@@ -33,7 +33,8 @@ class PositivityViolation(KLFormError):
 
 class DegenerateDenominator(KLFormError):
     """A Gaussian parameter map hits a vanishing or negative denominator,
-    or maps a parameter outside the float range."""
+    or maps a parameter outside the float range, or a positivity window
+    has an endpoint outside it."""
 
 
 class LabelError(KLFormError):

@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _NO_WINDOW = (GeneratorId.IL0, GeneratorId.IM1, GeneratorId.IM2)
+_WINDOW_FLOWS = (GeneratorId.O0MI, GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
+# the flows whose window is a half-line [lo, inf)
+_HALF_LINES = (GeneratorId.O0MI, GeneratorId.OPLUS)
 
 # normalized width or phase difference up to which a Gaussian fits a frame
 FRAME_TOL = 1e-9
@@ -137,26 +140,79 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
 
     with D the discriminant of s.  For OPLUS the second root of nu' = 0
     lies below -1/(2*mu) where the map's denominator changes sign, so
-    only the upper branch bounds the window.
+    only the upper branch bounds the window.  Where these forms overflow
+    or cancel to a non-finite endpoint, far from unit scale, the endpoints
+    come from _far_window instead.
     """
     if not s.is_physical():
         raise PositivityViolation("positivity window is defined for physical states")
     if gid in _NO_WINDOW:
         return (-math.inf, math.inf)
+    if gid not in _WINDOW_FLOWS:
+        raise ValueError(f"unknown generator {gid!r}")
+    try:
+        lo, hi = _closed_window(gid, s)
+    except (OverflowError, ValueError):  # a square beyond the float range, a log of 0
+        lo = hi = math.nan
+    # only the windows of O0MI and OPLUS have an infinite end, the upper one
+    if math.isfinite(lo) and (math.isfinite(hi) or gid in _HALF_LINES):
+        return lo, hi
+    return _far_window(gid, s)
+
+
+def _closed_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
+    """The endpoints of positivity_window by its closed forms, in floats."""
     mu, nu = s.mu, s.nu
-    dis = s.delta()
     if gid is GeneratorId.O0MI:
         return (0.5 * math.log(mu / s.width_sum), math.inf)
-    if gid is GeneratorId.OPLUS:
-        root = math.sqrt((1.0 + dis) ** 2 - 16.0 * mu * nu)
-        return ((-(1.0 + dis) + root) / (4.0 * mu), math.inf)
-    if gid is GeneratorId.L1PLUS:
-        root = math.sqrt((1.0 - dis) ** 2 + 16.0 * mu * nu)
-        return (((1.0 - dis) - root) / (4.0 * mu), ((1.0 - dis) + root) / (4.0 * mu))
     if gid is GeneratorId.L2PLUS:
         root = math.sqrt(s.kappa**2 + 4.0 * mu * nu)
         return ((s.kappa - root) / (2.0 * mu), (s.kappa + root) / (2.0 * mu))
-    raise ValueError(f"unknown generator {gid!r}")
+    dis = s.delta()
+    if gid is GeneratorId.OPLUS:
+        root = math.sqrt((1.0 + dis) ** 2 - 16.0 * mu * nu)
+        return ((-(1.0 + dis) + root) / (4.0 * mu), math.inf)
+    root = math.sqrt((1.0 - dis) ** 2 + 16.0 * mu * nu)
+    return (((1.0 - dis) - root) / (4.0 * mu), ((1.0 - dis) + root) / (4.0 * mu))
+
+
+def _far_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
+    """The endpoints of positivity_window in 40-digit decimal arithmetic,
+    whose exponent range holds every product of the floats involved, each
+    rounded once to a float; DegenerateDenominator for an endpoint outside
+    the float range.
+
+    For the three shifts nu'(p) = 0 reads mu p^2 - 2 c p - e nu = 0, with
+    (c, e) = (-(1+D)/4, -1), ((1-D)/4, 1) and (kappa/2, 1) for OPLUS,
+    L1PLUS and L2PLUS.  Its root of the larger modulus,
+    (c + sign(c) sqrt(c^2 + e mu nu)) / mu, adds terms of one sign, and
+    the other root is the product of the two, -e nu/mu, over it, so no
+    difference cancels.  OPLUS keeps the root of the smaller modulus.
+    """
+    # imported on this rare path only, so that importing klform does not load it
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mu, kappa, nu = map(Decimal, (s.mu, s.kappa, s.nu))
+        if gid is GeneratorId.O0MI:
+            ends = [(mu / (mu + nu)).ln() / 2]
+        else:
+            dis = 4 * mu * (mu + nu) + kappa * kappa
+            c, e = {
+                GeneratorId.OPLUS: (-(1 + dis) / 4, -1),
+                GeneratorId.L1PLUS: ((1 - dis) / 4, 1),
+                GeneratorId.L2PLUS: (kappa / 2, 1),
+            }[gid]
+            far = (c + (c * c + e * mu * nu).sqrt().copy_sign(c)) / mu
+            # far is 0 only for nu = 0, where both roots are
+            near = -e * nu / (mu * far) if nu else Decimal(0)
+            ends = [near] if gid is GeneratorId.OPLUS else sorted((near, far))
+    out = [float(end) for end in ends]
+    if not all(map(math.isfinite, out)):
+        shown = ", ".join(f"{end:.6g}" for end in ends)
+        raise DegenerateDenominator(f"positivity window endpoints {shown} leave the float range")
+    return (out[0], math.inf) if len(out) == 1 else (out[0], out[1])
 
 
 def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> GaussianState:

@@ -27,7 +27,9 @@ a truncated Taylor series on those arrays.  A shift (s, t) moves the total
 degree by a fixed -(s + t), so the grading is checked on per-band maxima
 and the blocks are gathered from the bands with s + t = 0; a spectral
 window skips each block whose diagonal puts, by Bendixson's theorem, the
-real parts of its eigenvalues outside the window.
+real parts of its eigenvalues outside the window.  The blocks left are
+solved zero-padded, up to 16 successive degrees per LAPACK call, which
+keeps each block's eigenvalues bit for bit.
 """
 
 from __future__ import annotations
@@ -551,16 +553,50 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray, np.
     if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
         raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
     blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
-    # the strip needs M[j, j + 1] M[j + 1, j] <= 0 for j < d, and finite entries
+    # the strip needs M[j, j + 1] M[j + 1, j] <= 0 for j < d, and finite
+    # entries; the product's sign is that of the signs' product, which cannot
+    # overflow
     inner = row < deg
     upper = diag[inner] + 1
-    products = packed[upper] * packed[upper + deg[inner]]
-    loose = np.bincount(deg[inner], products > 0, minlength=top) > 0
+    signs = np.sign(packed[upper]) * np.sign(packed[upper + deg[inner]])
+    loose = np.bincount(deg[inner], signs > 0, minlength=top) > 0
     loose |= wide or not np.isfinite(packed).all()
     starts = np.flatnonzero(row == 0)
     low = np.where(loose, -np.inf, np.minimum.reduceat(packed[diag], starts))
     high = np.where(loose, np.inf, np.maximum.reduceat(packed[diag], starts))
     return blocks, low, high
+
+
+# Degrees solved per LAPACK call, and the most rows a padded stack may have.
+# LAPACK's balancing splits zero rows and columns off a zero-padded block
+# before any QR step, and the Hessenberg reduction and the QR run on the
+# rows left, so the block keeps its eigenvalues bit for bit as long as
+# dhseqr keeps its small-matrix QR, which it picks by the padded size: up
+# to 75 rows (its NMIN in OpenBLAS 0.3.31).  One stack padded to the
+# largest block changed the bits at bases 76, 80 and 100, and was slower
+# from 64 rows on.
+_STACK_DEGREES = 16
+_STACK_ROWS = 64
+
+
+def _block_eigenvalues(blocks: list[np.ndarray], degrees) -> np.ndarray:
+    """Eigenvalues of blocks[d] for the increasing degrees given, as complex128,
+    each block's in LAPACK's order: the blocks of up to _STACK_DEGREES
+    successive degrees, zero-padded to the largest, in one np.linalg.eigvals
+    call, and a block of more than _STACK_ROWS rows alone."""
+    degrees = np.asarray(degrees, dtype=int)
+    small = degrees[degrees < _STACK_ROWS]
+    spectra = [np.zeros(0, dtype=complex)]
+    for start in range(0, small.size, _STACK_DEGREES):
+        chunk = small[start : start + _STACK_DEGREES]
+        size = chunk[-1] + 1
+        stack = np.zeros((chunk.size, size, size))
+        for padded, d in zip(stack, chunk):
+            padded[: d + 1, : d + 1] = blocks[d]
+        # block d's eigenvalues are the first d + 1 of its row
+        spectra.append(np.linalg.eigvals(stack)[np.arange(size) <= chunk[:, None]])
+    spectra += [np.linalg.eigvals(blocks[d]) for d in degrees[degrees >= _STACK_ROWS]]
+    return np.concatenate(spectra, dtype=complex)
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
@@ -572,16 +608,16 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     invariant subspace.  The entries are exact, so for d < m = min(n_q, n_r)
     the block of degree d, on the d + 1 functions (j, d - j), is the
     operator's own; those m blocks, read from the bands (s, -s), are
-    diagonalized densely, m (m + 1) / 2 eigenvalues in all.  The blocks of
-    higher degree, cut by the truncation, are left out.  A Liouvillian
-    keeps functions Hermitian, C -> conj(C) (-1)^k, so its matrix has
-    P conj(M) P = M, P = diag((-1)^k) = S^2 with S = diag(i^k): S^-1 M S,
-    each entry times the exact i^(k_col - k_row), is real, and so are the
-    blocks diagonalized (an imaginary part beyond roundoff raises
-    DegreeError).
+    diagonalized densely, m (m + 1) / 2 eigenvalues in all, in order of
+    degree (_block_eigenvalues).  The blocks of higher degree, cut by the
+    truncation, are left out.  A Liouvillian keeps functions Hermitian,
+    C -> conj(C) (-1)^k, so its matrix has P conj(M) P = M,
+    P = diag((-1)^k) = S^2 with S = diag(i^k): S^-1 M S, each entry times
+    the exact i^(k_col - k_row), is real, and so are the blocks
+    diagonalized (an imaginary part beyond roundoff raises DegreeError).
     """
     blocks, _, _ = _degree_blocks(k_mat.matrix)
-    return np.concatenate([np.linalg.eigvals(block) for block in blocks], dtype=complex)
+    return _block_eigenvalues(blocks, range(len(blocks)))
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
@@ -595,10 +631,8 @@ def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
     entry.  Every Liouvillian block is such a block.
     """
     blocks, low, high = _degree_blocks(k_mat.matrix)
-    # a NaN bound solves the block
-    skip = (low > radius) | (high < -radius)
-    spectra = [np.linalg.eigvals(block) for block, out in zip(blocks, skip) if not out]
-    ev = np.concatenate([np.zeros(0), *spectra], dtype=complex)
+    kept = np.flatnonzero(~((low > radius) | (high < -radius)))
+    ev = _block_eigenvalues(blocks, kept)
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

@@ -1,6 +1,8 @@
 """Gaussian parameter flows, positivity windows, and stationary presets."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from klform import (
     stationary_preset,
     transform_gaussian,
 )
+from klform.gauss import _far_window
 
 ALL_GIDS = (
     GeneratorId.IL0,
@@ -126,6 +129,68 @@ def test_window_fixture_cross_diffusion():
     lo, hi = positivity_window(GeneratorId.L2PLUS, s)
     assert lo == pytest.approx(-math.sqrt(3.0), abs=1e-14)
     assert hi == pytest.approx(math.sqrt(3.0), abs=1e-14)
+
+
+def reference_window(gid, s):
+    """The closed forms of positivity_window in 2000-digit decimal
+    arithmetic, where no square overflows and no difference cancels."""
+    with localcontext(prec=2000):
+        mu, kappa, nu = map(Decimal, (s.mu, s.kappa, s.nu))
+        dis = 4 * mu * (mu + nu) + kappa * kappa
+        if gid is GeneratorId.O0MI:
+            return (mu / (mu + nu)).ln() / 2, Decimal("inf")
+        if gid is GeneratorId.OPLUS:
+            root = ((1 + dis) ** 2 - 16 * mu * nu).sqrt()
+            return (-(1 + dis) + root) / (4 * mu), Decimal("inf")
+        if gid is GeneratorId.L1PLUS:
+            root = ((1 - dis) ** 2 + 16 * mu * nu).sqrt()
+            return ((1 - dis) - root) / (4 * mu), ((1 - dis) + root) / (4 * mu)
+        root = (kappa**2 + 4 * mu * nu).sqrt()
+        return (kappa - root) / (2 * mu), (kappa + root) / (2 * mu)
+
+
+# states whose windows overflowed untyped (kappa or nu 1e200) or came out
+# NaN (mu 1e160) in floats
+FAR_WINDOWS = [
+    ((1.0, 1e200, 0.5), GeneratorId.O0MI),
+    ((1.0, 1e200, 0.5), GeneratorId.OPLUS),
+    ((1.0, 1e200, 0.5), GeneratorId.L1PLUS),
+    ((1.0, 1e200, 0.5), GeneratorId.L2PLUS),
+    ((1.0, -1e200, 0.5), GeneratorId.L2PLUS),
+    ((1.0, 0.0, 1e200), GeneratorId.OPLUS),
+    ((1.0, 0.0, 1e200), GeneratorId.L1PLUS),
+    ((1e160, 0.0, 0.5), GeneratorId.OPLUS),
+    ((1e160, 0.0, 0.5), GeneratorId.L1PLUS),
+]
+
+
+@pytest.mark.parametrize("params, gid", FAR_WINDOWS)
+def test_positivity_window_far_from_unit_scale(params, gid):
+    """Each endpoint is the float nearest the reference, within an ulp, or
+    the window raises DegenerateDenominator when one lies outside the float
+    range (L1PLUS at kappa 1e200 starts near -5e399)."""
+    s = GaussianState(*params)
+    reference = [float(end) for end in reference_window(gid, s)]
+    if any(abs(end) > sys.float_info.max and end != math.inf for end in reference):
+        with pytest.raises(DegenerateDenominator):
+            positivity_window(gid, s)
+        return
+    lo, hi = positivity_window(gid, s)
+    assert lo <= 0.0 <= hi
+    assert hi == reference[1] or abs(hi - reference[1]) <= math.ulp(reference[1])
+    assert abs(lo - reference[0]) <= math.ulp(reference[0])
+
+
+def test_far_window_forms_agree_with_the_closed_forms():
+    """The cancellation-free forms the far windows use, at unit scale."""
+    rng = np.random.default_rng(8080)
+    for _ in range(100):
+        s = random_state(rng)
+        for gid in (GeneratorId.O0MI, GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS):
+            lo, hi = positivity_window(gid, s)
+            far_lo, far_hi = _far_window(gid, s)
+            assert far_lo == pytest.approx(lo, rel=1e-12, abs=1e-15)
+            assert far_hi == pytest.approx(hi, rel=1e-12, abs=1e-15)
 
 
 def test_rotation_and_boosts_have_unbounded_windows():

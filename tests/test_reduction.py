@@ -34,6 +34,8 @@ from klform import (
 )
 from klform.reduction import REPLAY_TOL
 
+from test_acceptance import random_scrambled_source
+
 METRIC = np.diag([1.0, -1.0, -1.0])
 
 
@@ -111,6 +113,31 @@ def test_step1_solve_trivial_and_errors():
         step1_solve((1.0, 1.0, 0.0))
     with pytest.raises(NonPositiveH0Error):
         step1_solve((-1.0, 0.5, 0.0))
+
+
+def test_step1_forward_check_misses_by_roundoff_by_either_route():
+    """On the 100 criterion-02 sources the check's flows, applied to h,
+    miss (h1, h2) by at most 4.6e-16, as the product of the two u_matrix
+    matrices with h does."""
+    rng = np.random.default_rng(20260816)
+    for _ in range(100):
+        src = random_scrambled_source(rng)
+        theta, phi, _ = step1_solve(src.h)
+        flowed = LiouvillianCoeffs(src.h, 0.0, (0.0, 0.0, 0.0))
+        for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):
+            flowed = conjugate_coefficients(gid, param, flowed)
+        product = u_matrix("U1", phi) @ u_matrix("U0", theta) @ np.array(src.h)
+        for out in (flowed.h, product):
+            assert abs(out[1]) + abs(out[2]) <= 4.6e-16
+
+
+def test_step1_flow_beyond_the_float_range_raises_typed_error(monkeypatch):
+    """No finite metric gets there (cosh(phi) stays below about 7e7), so a
+    boost of 800 is forced: cosh(800) overflows in the forward check."""
+    monkeypatch.setattr(math, "atanh", lambda x: -800.0)
+    with pytest.raises(IllConditionedReduction, match="float range") as info:
+        step1_solve((2.0, 0.5, 0.5))
+    assert info.value.residual == math.inf
 
 
 def test_step2_matrix_determinant_formula():

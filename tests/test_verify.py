@@ -449,11 +449,13 @@ def assert_low_degree_spectrum(k_mat):
 
 @pytest.mark.parametrize("n_q, n_r", [(14, 9), (9, 14)])
 def test_all_eigenvalues_on_a_rectangular_basis(n_q, n_r):
-    """A rectangular basis holds whole the degree blocks below its shorter side."""
+    """A rectangular basis holds whole the degree blocks below its shorter
+    side, and the stacked solve keeps the per-block bits there too."""
     _, frame = stationary_preset("kl", b=B)
     cfg = BasisConfig(n_q, n_r, frame)
     k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
     assert_low_degree_spectrum(k_mat)
+    assert_stacked_solve_is_per_block(k_mat, 4.0 * max(W0, GAM))
 
 
 def test_all_eigenvalues_contains_low_spectrum():
@@ -878,6 +880,92 @@ def test_the_strip_on_the_criterion_02_sources():
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
         skipped += assert_window_filters_all_eigenvalues(k_mat, radius)
     assert skipped == 1006
+
+
+def per_block_eigenvalues(k_mat):
+    """The spectrum of all_eigenvalues as a reference: block d on the
+    functions (j, d - j), its entries read from the matrix entry by entry,
+    each times the exact i^(k_col - k_row), and one np.linalg.eigvals call
+    per block.  matrix_entries reads what toarray() holds, without the
+    dense matrix, which takes 0.7 GB at 80x80 and 4.6 GB at 130x130."""
+    mat = k_mat.matrix
+    spectra = []
+    for d in range(min(mat.n_q, mat.n_r)):
+        j = np.arange(d + 1)
+        rows = j * mat.n_r + (d - j)
+        k_row, k_col = np.meshgrid(d - j, d - j, indexing="ij")
+        phase = np.array([1, 1j, -1, -1j])[(k_col - k_row) % 4]
+        block = matrix_entries(mat, rows, rows) * phase
+        assert np.all(block.imag == 0.0)
+        spectra.append(np.linalg.eigvals(block.real))
+    return np.concatenate(spectra, dtype=complex)
+
+
+def matrix_entries(mat, rows, cols):
+    """toarray()[np.ix_(rows, cols)] of a BandedMatrix, read from its
+    definition: entry (row, col) is bands[(s, t)][j, k] with row (j, k) and
+    col (j + s, k + t), zero without such a band."""
+    j, k = np.divmod(rows, mat.n_r)
+    j_col, k_col = np.divmod(cols, mat.n_r)
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    for (s, t), band in mat.bands.items():
+        row, col = np.nonzero((j_col == j[:, None] + s) & (k_col == k[:, None] + t))
+        out[row, col] = band[j[row], k[row]]
+    return out
+
+
+def test_matrix_entries_read_what_toarray_holds():
+    _, cfg, k_mat = kl_setup(12)
+    index = np.arange(cfg.dim)
+    assert np.array_equal(matrix_entries(k_mat.matrix, index, index), k_mat.matrix.toarray())
+
+
+def assert_stacked_solve_is_per_block(k_mat, radius):
+    """all_eigenvalues equals the per-block reference byte for byte, order
+    included, and eigenvalues_in_window its sorted radius filter."""
+    reference = per_block_eigenvalues(k_mat)
+    assert all_eigenvalues(k_mat).tobytes() == reference.tobytes()
+    inside = reference[np.abs(reference) <= radius]
+    expected = inside[np.lexsort((inside.imag, inside.real))]
+    assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 24, 32, 48, 64, 75, 80, 130])
+@pytest.mark.parametrize("model", ["kl", "hpz"])
+def test_stacked_solve_keeps_the_bits_of_the_per_block_solve(model, n):
+    """Blocks of up to 64 rows are solved zero-padded in stacks of 16
+    degrees and keep their eigenvalues bit for bit; at 80x80 a stack padded
+    past 64 rows, to 80, would change them."""
+    coeffs, state, radius, _ = window_spectrum(model)
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
+    assert_stacked_solve_is_per_block(k_mat, radius)
+
+
+def test_stacked_solve_on_the_criterion_02_sources():
+    """The same on the 100 criterion-02 sources at 32x32, radius
+    4 max(omega0, gamma), their frames carrying a phase."""
+    rng = np.random.default_rng(20260816)
+    for _ in range(100):
+        src = random_scrambled_source(rng)
+        h0, h1, h2 = src.h
+        radius = 4.0 * max(0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2), src.gamma)
+        plan = reduce_to_kl(src, b_target=1.0)
+        state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
+        k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
+        assert_stacked_solve_is_per_block(k_mat, radius)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("omega0", [1e154, 1e200, 1e300])
+def test_the_strip_test_does_not_overflow(omega0, n):
+    """Off-diagonal entries of order omega0: their products overflow past
+    about 1e154, their signs do not, and no RuntimeWarning is raised."""
+    state, _ = stationary_preset("kl", b=1.0)
+    coeffs = kl_coefficients(omega0, 0.3, 1.0)
+    window = refined_window_eigenvalues(coeffs, state, n, n, 4.0 * omega0)
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
+    assert window.tobytes() == eigenvalues_in_window(k_mat, 4.0 * omega0).tobytes()
+    assert assert_window_filters_all_eigenvalues(k_mat, 4.0 * omega0) == 0
 
 
 def test_biorthogonality_kl_low_modes():
