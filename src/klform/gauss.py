@@ -36,8 +36,6 @@ __all__ = [
 
 _NO_WINDOW = (GeneratorId.IL0, GeneratorId.IM1, GeneratorId.IM2)
 _WINDOW_FLOWS = (GeneratorId.O0MI, GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
-# the flows whose window is a half-line [lo, inf)
-_HALF_LINES = (GeneratorId.O0MI, GeneratorId.OPLUS)
 
 # normalized width or phase difference up to which a Gaussian fits a frame
 FRAME_TOL = 1e-9
@@ -140,9 +138,9 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
 
     with D the discriminant of s.  For OPLUS the second root of nu' = 0
     lies below -1/(2*mu) where the map's denominator changes sign, so
-    only the upper branch bounds the window.  Where these forms overflow
-    or cancel to a non-finite endpoint, far from unit scale, the endpoints
-    come from _far_window instead.
+    only the upper branch bounds the window.  The endpoints come from
+    _window_ends, which neither cancels next to 0 nor overflows;
+    DegenerateDenominator for an endpoint outside the float range.
     """
     if not s.is_physical():
         raise PositivityViolation("positivity window is defined for physical states")
@@ -150,69 +148,66 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
         return (-math.inf, math.inf)
     if gid not in _WINDOW_FLOWS:
         raise ValueError(f"unknown generator {gid!r}")
-    try:
-        lo, hi = _closed_window(gid, s)
-    except (OverflowError, ValueError):  # a square beyond the float range, a log of 0
-        lo = hi = math.nan
-    # only the windows of O0MI and OPLUS have an infinite end, the upper one
-    if math.isfinite(lo) and (math.isfinite(hi) or gid in _HALF_LINES):
-        return lo, hi
-    return _far_window(gid, s)
+    return _window_ends(gid, s)
 
 
-def _closed_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
-    """The endpoints of positivity_window by its closed forms, in floats."""
-    mu, nu = s.mu, s.nu
-    if gid is GeneratorId.O0MI:
-        return (0.5 * math.log(mu / s.width_sum), math.inf)
-    if gid is GeneratorId.L2PLUS:
-        root = math.sqrt(s.kappa**2 + 4.0 * mu * nu)
-        return ((s.kappa - root) / (2.0 * mu), (s.kappa + root) / (2.0 * mu))
-    dis = s.delta()
-    if gid is GeneratorId.OPLUS:
-        root = math.sqrt((1.0 + dis) ** 2 - 16.0 * mu * nu)
-        return ((-(1.0 + dis) + root) / (4.0 * mu), math.inf)
-    root = math.sqrt((1.0 - dis) ** 2 + 16.0 * mu * nu)
-    return (((1.0 - dis) - root) / (4.0 * mu), ((1.0 - dis) + root) / (4.0 * mu))
+def _window_ends(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
+    """The endpoints of positivity_window in scaled floats, pairs (f, k)
+    standing for f * 2**k, so that no square overflows.
 
-
-def _far_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
-    """The endpoints of positivity_window in 40-digit decimal arithmetic,
-    whose exponent range holds every product of the floats involved, each
-    rounded once to a float; DegenerateDenominator for an endpoint outside
-    the float range.
-
-    For the three shifts nu'(p) = 0 reads mu p^2 - 2 c p - e nu = 0, with
-    (c, e) = (-(1+D)/4, -1), ((1-D)/4, 1) and (kappa/2, 1) for OPLUS,
-    L1PLUS and L2PLUS.  Its root of the larger modulus,
-    (c + sign(c) sqrt(c^2 + e mu nu)) / mu, adds terms of one sign, and
-    the other root is the product of the two, -e nu/mu, over it, so no
-    difference cancels.  OPLUS keeps the root of the smaller modulus.
+    O0MI's endpoint is -log1p(nu/mu)/2, from the exponents where nu/mu
+    leaves the float range.  For the three shifts nu'(p) = 0 reads
+    p^2 - 2 b p - e nu/mu = 0, with e = -1 for OPLUS and 1 for L1PLUS and
+    L2PLUS, b = kappa/(2 mu) for L2PLUS, and b = b_e for OPLUS and L1PLUS,
+    b_e = (e - D)/(4 mu) = e/(4 mu) - mu - nu - kappa^2/(4 mu), summed
+    exactly.  The root of the larger modulus, b + sign(b) r with r =
+    sqrt(b^2 + e nu/mu), adds terms of one sign, and the other root is the
+    product of the two, -e nu/mu, over it, so no difference cancels.  r
+    is a hypot: of b and sqrt(nu/mu) for L1PLUS and L2PLUS, and for
+    OPLUS, since (1 + D)^2 - 16 mu nu = (1 - D)^2 + 16 mu^2 + 4 kappa^2,
+    of b_1, 1 and kappa/(2 mu), which keeps its double root from
+    cancelling.  OPLUS keeps the root of the smaller modulus.
     """
-    # imported on this rare path only, so that importing klform does not load it
-    from decimal import Decimal, localcontext
+    (f_mu, k_mu), (f_kappa, k_kappa), (f_nu, k_nu) = map(math.frexp, (s.mu, s.kappa, s.nu))
+    if gid is GeneratorId.O0MI:
+        ratio = s.nu / s.mu
+        if math.isfinite(ratio):
+            # 0.0 - x keeps the endpoint of nu = 0 at +0.0
+            return 0.0 - 0.5 * math.log1p(ratio), math.inf
+        return -0.5 * (math.log(f_nu / f_mu) + (k_nu - k_mu) * math.log(2.0)), math.inf
 
-    with localcontext() as ctx:
-        ctx.prec = 40
-        mu, kappa, nu = map(Decimal, (s.mu, s.kappa, s.nu))
-        if gid is GeneratorId.O0MI:
-            ends = [(mu / (mu + nu)).ln() / 2]
-        else:
-            dis = 4 * mu * (mu + nu) + kappa * kappa
-            c, e = {
-                GeneratorId.OPLUS: (-(1 + dis) / 4, -1),
-                GeneratorId.L1PLUS: ((1 - dis) / 4, 1),
-                GeneratorId.L2PLUS: (kappa / 2, 1),
-            }[gid]
-            far = (c + (c * c + e * mu * nu).sqrt().copy_sign(c)) / mu
-            # far is 0 only for nu = 0, where both roots are
-            near = -e * nu / (mu * far) if nu else Decimal(0)
-            ends = [near] if gid is GeneratorId.OPLUS else sorted((near, far))
-    out = [float(end) for end in ends]
-    if not all(map(math.isfinite, out)):
-        shown = ", ".join(f"{end:.6g}" for end in ends)
-        raise DegenerateDenominator(f"positivity window endpoints {shown} leave the float range")
-    return (out[0], math.inf) if len(out) == 1 else (out[0], out[1])
+    def b_e(e):
+        terms = [
+            (e / f_mu, -k_mu - 2),
+            (-f_mu, k_mu),
+            (-f_nu, k_nu),
+            (-f_kappa * f_kappa / f_mu, 2 * k_kappa - k_mu - 2),
+        ]
+        top = max(k for _, k in terms)
+        frac, exp = math.frexp(math.fsum(math.ldexp(f, k - top) for f, k in terms))
+        return frac, exp + top
+
+    e = -1.0 if gid is GeneratorId.OPLUS else 1.0
+    slope = (f_kappa / f_mu, k_kappa - k_mu - 1)  # kappa / (2 mu)
+    b = slope if gid is GeneratorId.L2PLUS else b_e(e)
+    if gid is GeneratorId.OPLUS:
+        legs = [b_e(1.0), (1.0, 0), slope]
+    else:
+        half, odd = divmod(k_nu - k_mu, 2)
+        legs = [b, (math.sqrt(f_nu / f_mu * 2**odd), half)]
+    # far = b + sign(b) r = f * 2**top
+    top = max((k for f, k in [b, *legs] if f), default=0)
+    root = math.hypot(*(math.ldexp(f, k - top) for f, k in legs))
+    far = math.ldexp(b[0], b[1] - top) + math.copysign(root, b[0])
+    try:
+        # far is 0 only for nu = 0, where both roots are
+        near = math.ldexp(-e * f_nu / f_mu / far, k_nu - k_mu - top) if s.nu else 0.0
+        if gid is GeneratorId.OPLUS:
+            return near, math.inf
+        far = math.ldexp(far, top)
+    except OverflowError:
+        raise DegenerateDenominator("a positivity window endpoint leaves the float range") from None
+    return (near, far) if near <= far else (far, near)
 
 
 def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> GaussianState:

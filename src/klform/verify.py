@@ -25,15 +25,21 @@ index shift (BandedMatrix), from ladder factors in closed form for the
 quadratic operators assembled, and applied with numpy alone; the evolution is
 a truncated Taylor series on those arrays.  A shift (s, t) moves the total
 degree by a fixed -(s + t), so the grading is checked on per-band maxima
-and the blocks are gathered from the bands with s + t = 0; a spectral
-window skips each block whose diagonal puts, by Bendixson's theorem, the
-real parts of its eigenvalues outside the window.  The blocks left are
+and the blocks are gathered from the bands with s + t = 0.  A spectral
+window skips each block that a Bauer-Fike certificate (Numer. Math. 2
+(1960) 137) puts outside it: by the paper's first claim block d is the
+second-quantized image of block 1, with the eigenvalues n1 alpha_1 +
+n2 alpha_2 of its 2x2 part and the eigenvectors Sym^d(P), of condition
+cond(P)^d (third quantization, Prosen, New J. Phys. 10 (2008) 043026), so
+the distance of the block from that prediction, times cond(P)^d, bounds
+how far its eigenvalues lie from the predicted ones.  The blocks left are
 solved zero-padded, up to 16 successive degrees per LAPACK call, which
 keeps each block's eigenvalues bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -527,17 +533,118 @@ def _check_grading(mat: BandedMatrix) -> None:
         )
 
 
-def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The real blocks of all_eigenvalues, and the strip low[d] <= Re lambda
-    <= high[d] of eigenvalues_in_window on each, (-inf, inf) where it does
-    not apply.  Entry band[j, d - j] of a degree-keeping band (s, -s) lies
-    in row j, column j + s of block d, times i^(-s)."""
-    _check_grading(mat)
-    top = min(mat.n_q, mat.n_r)
+# Block layouts kept, one per basis size min(n_q, n_r)
+_LAYOUTS = 8
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _block_layout(top: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of the degree blocks d < top, packed row-major,
+    block d in packed[ends[d] : ends[d + 1]]: over the pairs (d, j), j <= d,
+    d, j and the position of entry (j, j); ends; the positions `tri` of
+    the entries (j, j), then (j, j + 1), then (j + 1, j), and their degrees;
+    the 5 x tri.size weights that give G_d at `tri` from (c, A00, A01, A10,
+    A11) (_degree_blocks); and where each degree's pairs start."""
     deg, row = np.tril_indices(top)
-    # block d, row-major, fills packed[ends[d] : ends[d + 1]]
     ends = np.cumsum(np.arange(top + 1) ** 2)
     diag = ends[deg] + row * (deg + 2)
+    inner = row < deg
+    upper = diag[inner] + 1
+    lower = upper + deg[inner]
+    ladder = np.sqrt((row[inner] + 1.0) * (deg - row)[inner])
+    n_diag, n_off = diag.size, upper.size
+    weights = np.zeros((5, n_diag + 2 * n_off))
+    weights[0, :n_diag] = 1.0
+    weights[1, :n_diag] = deg - row
+    weights[2, n_diag : n_diag + n_off] = ladder
+    weights[3, n_diag + n_off :] = ladder
+    weights[4, :n_diag] = row
+    tri = np.concatenate([diag, upper, lower])
+    tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
+    starts = np.flatnonzero(row == 0)
+    layout = (deg, row, ends, diag, tri, tri_deg, weights, starts)
+    return tuple(_read_only(arr) for arr in layout)
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
+    """Eigenvalues alpha_1, alpha_2 of the real 2x2 matrix A, in closed form;
+    kappa >= cond_2(P) of their unit eigenvectors P, inf for a defective A;
+    and delta >= ||A - P diag(alpha) P^-1||_2.
+
+    For unit columns P^H P has eigenvalues 1 +- g, g = |p_1^H p_2|, so
+    sigma_1 sigma_2 = |det P| and kappa = (1 + g) / |det P|, the
+    determinant lowered by 4u for its rounding.  The computed pairs are
+    exact for A - R P^-1, R = A P - P diag(alpha), so delta = ||R||_F /
+    sigma_min(P), ||R||_F raised by its rounding 6u (||A||_F + max |alpha|).
+    """
+    half, mid = 0.5 * (a00 - a11), 0.5 * (a00 + a11)
+    root = cmath.sqrt(half * half + a01 * a10)
+    alphas = (mid + root, mid - root)
+    columns = []
+    for k, alpha in enumerate(alphas):
+        # (A01, alpha - A00) and (alpha - A11, A10) both solve (A - alpha) p = 0
+        pairs = ((a01, alpha - a00), (alpha - a11, a10))
+        p0, p1 = max(pairs, key=lambda pair: math.hypot(abs(pair[0]), abs(pair[1])))
+        norm = math.hypot(abs(p0), abs(p1))
+        # both vanish only for a multiple of the identity: take the unit vectors
+        columns.append((p0 / norm, p1 / norm) if norm else ((1.0, 0.0), (0.0, 1.0))[k])
+    (u0, u1), (w0, w1) = columns
+    g = abs(u0.conjugate() * w0 + u1.conjugate() * w1)
+    det = abs(u0 * w1 - u1 * w0) - 4 * _U
+    if det <= 0:
+        return alphas[0], alphas[1], math.inf, math.inf
+    misses = []
+    for (p0, p1), alpha in zip(columns, alphas):
+        misses += [a00 * p0 + a01 * p1 - alpha * p0, a10 * p0 + a11 * p1 - alpha * p1]
+    residual = math.hypot(*map(abs, misses))
+    residual += 6 * _U * (math.hypot(a00, a01, a10, a11) + max(map(abs, alphas)))
+    return alphas[0], alphas[1], (1 + g) / det, residual * math.sqrt(1 + g) / det
+
+
+def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
+    """The real blocks of all_eigenvalues, and floor[d] <= |lambda| for
+    every eigenvalue LAPACK computes for block d, -inf where no bound
+    applies.  Entry band[j, d - j] of a degree-keeping band (s, -s) lies in
+    row j, column j + s of block d, times i^(-s).
+
+    The floor is a Bauer-Fike certificate (Numer. Math. 2 (1960) 137)
+    against the block that the paper's first claim predicts from blocks 0
+    and 1.  In a frame matched to the stationary Gaussian the operator is
+    c + dGamma(A) on the ladder pair, c = M_0 and A = M_1 - c I, so block d
+    is G_d = c I + dGamma_d(A): diagonal c + j A11 + (d - j) A00, entry
+    (j, j + 1) sqrt((j + 1)(d - j)) A01, entry (j + 1, j) the same times
+    A10.  If A = P diag(alpha) P^-1, G_d has the eigenvalues c + k alpha_1
+    + (d - k) alpha_2, k = 0..d, and the eigenvectors V_d = Sym^d(P),
+    whose singular values are products of d of P's, so cond(V_d) =
+    cond(P)^d = kappa^d (third quantization, Prosen, New J. Phys. 10
+    (2008) 043026).  LAPACK's eigenvalues of M_d are the exact ones of
+    M_d + E, ||E||_F <= p(d) u ||M_d||_F: p(d) = 10 (d + 1)^2 stands above
+    the backward error of the Householder reduction and the QR sweeps,
+    ||E|| ~ u ||M_d|| (Golub and Van Loan, 7.5.6; the balancing scales by
+    exact powers of 2), so that a skipped block's computed eigenvalues lie
+    outside the window too.  The 2x2 solve is exact for A - F, ||F||_2 <=
+    delta (_pair_eigensystem), and ||dGamma_d(F)||_2 <= d ||F||_2; delta
+    also holds 3u (|c| + max |alpha|), over the rounding of each predicted
+    eigenvalue.  So by Bauer-Fike each computed eigenvalue lies within
+    kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta) of a predicted
+    one, and floor[d] is the least predicted modulus less that bound.  The
+    rounding of G_d's entries, 6u sqrt(3d + 1) (|c| + (d + 1) max |A_ij|),
+    joins the residual; for the test's own arithmetic the bound is raised
+    by 1 + 8 (d + 2) u and the least modulus lowered by 4u.
+
+    The test reads only the matrix, and a block whose structure is off
+    has a large residual and is solved.  The norms run over the
+    tridiagonal entries in units of a power of 2 near the largest entry,
+    so no square overflows.  A band (s, -s) with |s| > 1, which no
+    quadratic operator fills, a non-finite entry, a defective A or a
+    kappa^d past the float range leave the floor at -inf.
+    """
+    _check_grading(mat)
+    top = min(mat.n_q, mat.n_r)
+    deg, row, ends, diag, tri, tri_deg, weights, starts = _block_layout(top)
     packed = np.zeros(ends[-1])
     phases = np.array([1, 1j, -1, -1j])
     kept, wide = [np.zeros(0)], False
@@ -553,18 +660,35 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray, np.
     if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
         raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
     blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
-    # the strip needs M[j, j + 1] M[j + 1, j] <= 0 for j < d, and finite
-    # entries; the product's sign is that of the signs' product, which cannot
-    # overflow
-    inner = row < deg
-    upper = diag[inner] + 1
-    signs = np.sign(packed[upper]) * np.sign(packed[upper + deg[inner]])
-    loose = np.bincount(deg[inner], signs > 0, minlength=top) > 0
-    loose |= wide or not np.isfinite(packed).all()
-    starts = np.flatnonzero(row == 0)
-    low = np.where(loose, -np.inf, np.minimum.reduceat(packed[diag], starts))
-    high = np.where(loose, np.inf, np.maximum.reduceat(packed[diag], starts))
-    return blocks, low, high
+    floor = np.full(top, -np.inf)
+    if wide or not np.isfinite(packed).all():
+        return blocks, floor
+    scale = math.ldexp(1.0, math.frexp(np.abs(packed).max())[1] - 1)
+    x = packed / scale
+    c = float(x[0])
+    a00, a01, a10, a11 = (x[1:5] - c * np.array([1.0, 0.0, 0.0, 1.0])).tolist()
+    alpha_1, alpha_2, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
+    if kappa == math.inf:  # a defective A: no eigenvector matrix to bound by
+        return blocks, floor
+    delta += 3 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
+    entries = x[tri]
+    miss = entries - np.array([c, a00, a01, a10, a11]) @ weights
+    residual = np.sqrt(np.bincount(tri_deg, miss * miss, minlength=top))
+    norm = np.sqrt(np.bincount(tri_deg, entries * entries, minlength=top))
+    degrees = np.arange(top)
+    roundoff = 1 + 8 * (degrees + 2) * _U
+    largest = abs(c) + (degrees + 1) * max(map(abs, (a00, a01, a10, a11)))
+    formation = 6 * _U * np.sqrt(3 * degrees + 1) * largest
+    backward = 10 * (degrees + 1) ** 2 * _U * norm
+    spread = roundoff * (residual + formation) + backward + degrees * delta
+    predicted = np.abs(c + row * alpha_1 + (deg - row) * alpha_2)
+    gap = np.minimum.reduceat(predicted, starts) * (1 - 4 * _U)
+    with np.errstate(over="ignore"):
+        # kappa^d past the float range bounds nothing; kappa^0 = 1
+        growth = roundoff * kappa**degrees
+        bounded = np.isfinite(growth)
+        floor[bounded] = (gap[bounded] - growth[bounded] * spread[bounded]) * scale
+    return blocks, floor
 
 
 # Degrees solved per LAPACK call, and the most rows a padded stack may have.
@@ -616,22 +740,33 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     the exact i^(k_col - k_row), is real, and so are the blocks
     diagonalized (an imaginary part beyond roundoff raises DegreeError).
     """
-    blocks, _, _ = _degree_blocks(k_mat.matrix)
+    blocks, _ = _degree_blocks(k_mat.matrix)
     return _block_eigenvalues(blocks, range(len(blocks)))
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
     """Eigenvalues of all_eigenvalues with |lambda| <= radius, sorted by (re, im).
 
-    A block is not diagonalized when the matrix alone puts its spectrum
-    outside the disk: if it is tridiagonal and each off-diagonal pair has a
-    product <= 0, a diagonal similarity leaves its diagonal plus a
-    skew-symmetric part, so by Bendixson's theorem (Acta Math. 25 (1902)
-    359) every Re lambda lies between its smallest and largest diagonal
-    entry.  Every Liouvillian block is such a block.
+    A block is not diagonalized when the matrix alone puts its spectrum,
+    as LAPACK would compute it, outside the disk.  Blocks 0 and 1 give
+    c = M_0 and the 2x2 A = M_1 - c I, whose eigenvalues alpha_1,2 and
+    unit eigenvectors P, of condition kappa, come in closed form.  Block d
+    is then predicted as G_d = c I + dGamma_d(A), with the eigenvalues
+    c + k alpha_1 + (d - k) alpha_2 and the eigenvectors Sym^d(P), of
+    condition kappa^d (Prosen, New J. Phys. 10 (2008) 043026), and by
+    Bauer-Fike (Numer. Math. 2 (1960) 137) block d is skipped when
+
+      min_k |c + k alpha_1 + (d - k) alpha_2|
+          - kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta) > radius,
+
+    p(d) u ||M_d||_F covering LAPACK's backward error and delta the 2x2
+    roundoff (_degree_blocks derives both).  The closed forms of the
+    spectrum play no part: a block off its prediction is solved.  On cl
+    and hpz at 24x24 this skips degrees 13-23, whose diagonals reach down
+    to 0 so that no diagonal strip can.
     """
-    blocks, low, high = _degree_blocks(k_mat.matrix)
-    kept = np.flatnonzero(~((low > radius) | (high < -radius)))
+    blocks, floor = _degree_blocks(k_mat.matrix)
+    kept = np.flatnonzero(~(floor > radius))
     ev = _block_eigenvalues(blocks, kept)
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))

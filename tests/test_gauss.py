@@ -22,7 +22,6 @@ from klform import (
     stationary_preset,
     transform_gaussian,
 )
-from klform.gauss import _far_window
 
 ALL_GIDS = (
     GeneratorId.IL0,
@@ -181,16 +180,65 @@ def test_positivity_window_far_from_unit_scale(params, gid):
     assert abs(lo - reference[0]) <= math.ulp(reference[0])
 
 
+def closed_window_in_floats(gid, s):
+    """The closed forms of positivity_window, evaluated as written in floats."""
+    mu, kappa, nu = s.mu, s.kappa, s.nu
+    dis = 4.0 * mu * (mu + nu) + kappa**2
+    if gid is GeneratorId.O0MI:
+        return 0.5 * math.log(mu / (mu + nu)), math.inf
+    if gid is GeneratorId.OPLUS:
+        root = math.sqrt((1.0 + dis) ** 2 - 16.0 * mu * nu)
+        return (-(1.0 + dis) + root) / (4.0 * mu), math.inf
+    if gid is GeneratorId.L1PLUS:
+        root = math.sqrt((1.0 - dis) ** 2 + 16.0 * mu * nu)
+        return ((1.0 - dis) - root) / (4.0 * mu), ((1.0 - dis) + root) / (4.0 * mu)
+    root = math.sqrt(kappa**2 + 4.0 * mu * nu)
+    return (kappa - root) / (2.0 * mu), (kappa + root) / (2.0 * mu)
+
+
 def test_far_window_forms_agree_with_the_closed_forms():
-    """The cancellation-free forms the far windows use, at unit scale."""
+    """The cancellation-free forms of positivity_window agree with its
+    closed forms evaluated as written, at unit scale."""
     rng = np.random.default_rng(8080)
     for _ in range(100):
         s = random_state(rng)
         for gid in (GeneratorId.O0MI, GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS):
             lo, hi = positivity_window(gid, s)
-            far_lo, far_hi = _far_window(gid, s)
-            assert far_lo == pytest.approx(lo, rel=1e-12, abs=1e-15)
-            assert far_hi == pytest.approx(hi, rel=1e-12, abs=1e-15)
+            closed_lo, closed_hi = closed_window_in_floats(gid, s)
+            assert lo == pytest.approx(closed_lo, rel=1e-12, abs=1e-15)
+            assert hi == pytest.approx(closed_hi, rel=1e-12, abs=1e-15)
+
+
+# states where the closed forms evaluated in floats cancel the endpoint
+# next to 0: OPLUS gives 0.0 for -2.5e-17, L1PLUS 0.0 for 2.5e-17, and
+# L2PLUS at kappa 1e30 0.0 for -5e-31
+NEAR_ZERO_WINDOWS = [
+    ((1e8, 0.0, 0.5), GeneratorId.OPLUS, 0),
+    ((1e8, 0.0, 0.5), GeneratorId.L1PLUS, 1),
+    ((1.0, 1e30, 0.5), GeneratorId.L2PLUS, 0),
+]
+
+
+@pytest.mark.parametrize("params, gid, end", NEAR_ZERO_WINDOWS)
+def test_positivity_window_keeps_the_endpoint_next_to_zero(params, gid, end):
+    """Within an ulp of the 2000-digit reference, where the closed forms in
+    floats return 0.0."""
+    s = GaussianState(*params)
+    reference = [float(x) for x in reference_window(gid, s)]
+    assert closed_window_in_floats(gid, s)[end] == 0.0 != reference[end]
+    for got, want in zip(positivity_window(gid, s), reference):
+        assert got == want or abs(got - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("params", [(1e-8, 0.0, 2.5e7), (1e-4, 0.0, 2500.0), (0.01, 0.3, 24.0)])
+def test_the_oplus_endpoint_keeps_its_bits_next_to_the_double_root(params):
+    """Where mu nu nears 1/4 and mu 0, the two roots of OPLUS's nu'(p) meet,
+    and (1 + D)^2 - 16 mu nu evaluated in floats cancels (by 4e7 ulps at
+    mu = 1e-8); its sum of squares (1 - D)^2 + 16 mu^2 + 4 kappa^2 holds
+    the endpoint to an ulp of the 2000-digit reference."""
+    s = GaussianState(*params)
+    want = float(reference_window(GeneratorId.OPLUS, s)[0])
+    assert abs(positivity_window(GeneratorId.OPLUS, s)[0] - want) <= math.ulp(want)
 
 
 def test_rotation_and_boosts_have_unbounded_windows():

@@ -50,6 +50,7 @@ from klform.verify import (
     BandedMatrix,
     OperatorMatrix,
     _degree_blocks,
+    _pair_eigensystem,
     _psi_at_zero,
     _trace_covector_parts,
 )
@@ -58,6 +59,7 @@ from adjoint_oracle import linear_from_vector
 from hermite_oracle import hermite_functions, reconstruct
 from pairing_oracle import per_mode_pairing
 from quadrature_oracle import quadrature_expand
+from symmetric_power_oracle import second_quantized, symmetric_power
 from test_acceptance import criterion_02_source, random_scrambled_source
 
 W0, GAM, B = 1.0, 0.3, 1.0
@@ -793,20 +795,42 @@ def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
     assert strays == {87}
 
 
+def bendixson_strip(blocks, radius):
+    """The skip rule the certificate replaced, as a reference: a block all
+    of whose off-diagonal entries are tridiagonal pairs with products <= 0
+    is, after a diagonal similarity, its diagonal plus a skew-symmetric
+    part, so by Bendixson's theorem (Acta Math. 25 (1902) 359) every
+    Re lambda lies between its smallest and largest diagonal entry; it
+    skipped a block whose strip misses [-radius, radius], and nothing when
+    any block had an entry off the tridiagonal or a non-finite one."""
+    if any(np.triu(b, 2).any() or np.tril(b, -2).any() or not np.isfinite(b).all() for b in blocks):
+        return np.zeros(len(blocks), dtype=bool)
+    return np.array(
+        [
+            not np.any(np.sign(np.diag(b, 1)) * np.sign(np.diag(b, -1)) > 0)
+            and (np.diag(b).min() > radius or np.diag(b).max() < -radius)
+            for b in blocks
+        ]
+    )
+
+
 def assert_window_filters_all_eigenvalues(k_mat, radius):
     """eigenvalues_in_window is, bit for bit, the radius filter of
-    all_eigenvalues, sorted; every block that Bendixson's strip skips has its
-    whole spectrum outside the radius and is tridiagonal.  Returns the count
-    skipped."""
+    all_eigenvalues, sorted; every block that the certificate skips is
+    tridiagonal, and LAPACK puts its whole spectrum at or above the block's
+    floor, outside the radius; and every block Bendixson's strip skipped is
+    skipped.  Returns the count skipped."""
     eigvals = all_eigenvalues(k_mat)
     eigvals = eigvals[np.abs(eigvals) <= radius]
     expected = eigvals[np.lexsort((eigvals.imag, eigvals.real))]
     assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
-    blocks, low, high = _degree_blocks(k_mat.matrix)
-    skipped = (low > radius) | (high < -radius)
-    for block in (block for block, out in zip(blocks, skipped) if out):
-        assert np.all(np.abs(np.linalg.eigvals(block)) > radius)
-        assert not np.any(np.triu(block, 2)) and not np.any(np.tril(block, -2))
+    blocks, floor = _degree_blocks(k_mat.matrix)
+    skipped = floor > radius
+    for block, low in zip(blocks, floor):
+        if low > radius:
+            assert np.all(np.abs(np.linalg.eigvals(block)) >= low)
+            assert not np.any(np.triu(block, 2)) and not np.any(np.tril(block, -2))
+    assert not np.any(bendixson_strip(blocks, radius) & ~skipped)
     return int(np.count_nonzero(skipped))
 
 
@@ -814,8 +838,8 @@ def assert_window_filters_all_eigenvalues(k_mat, radius):
     "model, n_q, n_r, skipped",
     [
         ("kl", 32, 32, 5),
-        ("cl", 24, 24, 0),
-        ("hpz", 24, 24, 0),
+        ("cl", 24, 24, 11),
+        ("hpz", 24, 24, 11),
         ("kl", 32, 27, 0),
         ("kl", 25, 32, 0),
     ],
@@ -823,7 +847,10 @@ def assert_window_filters_all_eigenvalues(k_mat, radius):
 def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped):
     """At the window-spectrum sizes and on rectangular bases, at the
     workload's radius 4 max(omega0, gamma) (the pinned count) and at half and
-    twice it."""
+    twice it.  cl and hpz skip degrees 13-23, whose diagonals reach down
+    to 0 although every eigenvalue of block d has real part 0.3 d; the
+    rectangular bases hold no block of degree 27 or more, the first kl
+    skips."""
     coeffs, state, radius, _ = window_spectrum(model)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n_q, n_r, state.frame()))
     assert assert_window_filters_all_eigenvalues(k_mat, radius) == skipped
@@ -868,7 +895,8 @@ def test_the_strip_never_skips_a_block_with_a_positive_product():
 
 def test_the_strip_on_the_criterion_02_sources():
     """On the 100 criterion-02 sources at 32x32, radius 4 max(omega0, gamma),
-    the strip skips 1006 of the 3200 blocks and no window changes."""
+    the certificate skips 1308 of the 3200 blocks (Bendixson's diagonal
+    strip skipped 1006, all among them) and no window changes."""
     rng = np.random.default_rng(20260816)
     skipped = 0
     for _ in range(100):
@@ -879,7 +907,7 @@ def test_the_strip_on_the_criterion_02_sources():
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
         skipped += assert_window_filters_all_eigenvalues(k_mat, radius)
-    assert skipped == 1006
+    assert skipped == 1308
 
 
 def per_block_eigenvalues(k_mat):
@@ -1052,3 +1080,112 @@ def test_biorthogonality_refuses_an_empty_mode_list():
     _, _, k_mat = kl_setup(8)
     with pytest.raises(PairingFailure, match="no modes"):
         biorthogonality_check(k_mat, [])
+
+
+def criterion_02_matrix(i, n=32):
+    """The oracle matrix of criterion-02 source i at n x n in the frame of
+    its stationary Gaussian."""
+    src = criterion_02_source(i)
+    plan = reduce_to_kl(src, b_target=1.0)
+    state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
+    return assemble_matrix(assemble_liouvillian(src), BasisConfig(n, n, state.frame()))
+
+
+def window_matrix(case):
+    """The oracle matrix of a named model at the window-spectrum size, or of
+    a criterion-02 source at 32x32."""
+    if isinstance(case, int):
+        return criterion_02_matrix(case)
+    coeffs, state, _, _ = window_spectrum(case)
+    n = 32 if case == "kl" else 24
+    return assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
+
+
+@pytest.mark.parametrize("case", ["kl", "cl", "hpz", 0, 75, 87])
+def test_symmetric_powers_diagonalize_the_predicted_blocks(case):
+    """The lemma under the window's certificate, from an independent route:
+    P from LAPACK's eig of A = M_1 - c I, Sym^d(P) by binomial expansion.
+    Sym^d(P) diagonalizes c I + dGamma_d(A) with the eigenvalues
+    c + k w_1 + (d - k) w_0, that block is M_d up to roundoff, and the
+    singular values of Sym^d(P) give cond = kappa^d, kappa the closed-form
+    condition of _pair_eigensystem, wherever the SVD resolves it (kappa^d
+    <= 1e8); source 87 has kappa 5.895."""
+    blocks, floor = _degree_blocks(window_matrix(case).matrix)
+    c = blocks[0][0, 0]
+    a = blocks[1] - c * np.eye(2)
+    w, p = np.linalg.eig(a)
+    kappa = _pair_eigensystem(*a.ravel().tolist())[2]
+    assert kappa == pytest.approx(np.linalg.cond(p), rel=1e-12)
+    resolved = 0
+    for d, block in enumerate(blocks):
+        predicted = second_quantized(c, a, d)
+        assert np.linalg.norm(block - predicted) <= 1e-13 * max(1.0, np.linalg.norm(block))
+        vecs = symmetric_power(p, d)
+        lam = c + np.arange(d + 1) * w[1] + (d - np.arange(d + 1)) * w[0]
+        miss = np.linalg.norm(predicted @ vecs - vecs * lam)
+        assert miss <= 1e-12 * np.linalg.norm(predicted) * np.linalg.norm(vecs)
+        assert floor[d] <= np.abs(np.linalg.eigvals(block)).min()
+        if kappa**d <= 1e8:
+            assert np.linalg.cond(vecs) == pytest.approx(kappa**d, rel=1e-6)
+            resolved += 1
+    assert resolved >= (11 if case == 87 else len(blocks))
+
+
+def moved_block_entry(k_mat, d, j, shift, value):
+    """k_mat with entry (j, j + shift) of degree block d moved by value: a
+    band (shift, -shift) entry at [j, d - j], times i^(-shift) in the block."""
+    mat = k_mat.matrix
+    bands = {st: band.copy() for st, band in mat.bands.items()}
+    band = bands.setdefault((shift, -shift), np.zeros((mat.n_q, mat.n_r), dtype=complex))
+    band[j, d - j] += value / [1, 1j, -1, -1j][-shift % 4]
+    return OperatorMatrix(BandedMatrix(bands, mat.n_q, mat.n_r), k_mat.config)
+
+
+@pytest.mark.parametrize(
+    "shift, value, skipped",
+    [(0, 1e-3, 11), (1, 1e-3, 11), (0, 1e-2, 10), (-1, 1e-2, 10), (2, 1e-3, 0)],
+)
+def test_a_block_moved_off_its_prediction_is_solved_when_the_bound_says_so(shift, value, skipped):
+    """cl at 24x24 with one entry of block 15 moved off the predicted block.
+    Block 15's eigenvalues are predicted at modulus 4.6 or more, against a
+    radius of 3.82, and kappa^15 is 104: a tridiagonal move of 1e-3 moves
+    them by at most 0.104 (Bauer-Fike), so the block stays out and the
+    floor still holds LAPACK's eigenvalues; a move of 1e-2 can move them
+    by 1.04, and the block is solved.  An entry two places off the
+    diagonal, which no quadratic operator fills, stops every skip."""
+    coeffs, state, radius, _ = window_spectrum("cl")
+    cfg = BasisConfig(24, 24, state.frame())
+    k_mat = moved_block_entry(assemble_matrix(assemble_liouvillian(coeffs), cfg), 15, 7, shift, value)
+    assert assert_window_filters_all_eigenvalues(k_mat, radius) == skipped
+    floor = _degree_blocks(k_mat.matrix)[1]
+    assert (floor[15] > radius) == (skipped == 11)
+
+
+def test_a_defective_first_block_skips_nothing():
+    """Hand-built bands whose block 1 is 1 + A, A = [[7, 1], [-16, -1]], a
+    defective matrix with the double eigenvalue 3: kappa = inf, and every
+    block d >= 1 is exactly c I + dGamma_d(A), with the one eigenvalue
+    3d + 1, outside the radius 2.  No eigenvector matrix bounds the blocks,
+    so none is skipped, and no RuntimeWarning (inf times 0) is raised.
+    Their diagonals 1 + 3d +- 4d reach into the disk, so Bendixson's strip
+    skips none either; block 0, the lone 1, is inside."""
+    n = 8
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    bands = {
+        # block d = j + k: entry (j, j) is c + j A11 + k A00, entry (j, j + 1)
+        # sqrt((j + 1) k) A01 times i, and entry (j, j - 1) sqrt(j (k + 1)) A10
+        # times -i
+        (0, 0): (1.0 - j + 7.0 * k).astype(complex),
+        (1, -1): 1j * np.sqrt((j + 1.0) * k),
+        (-1, 1): 16j * np.sqrt(j * (k + 1.0)),
+    }
+    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    blocks, floor = _degree_blocks(k_mat.matrix)
+    assert np.array_equal(blocks[1], [[8.0, 1.0], [-16.0, 0.0]])
+    for d, block in enumerate(blocks):
+        assert np.array_equal(block, second_quantized(1.0, blocks[1] - np.eye(2), d))
+    assert _pair_eigensystem(7.0, 1.0, -16.0, -1.0)[2] == math.inf
+    assert np.all(floor[1:] == -np.inf)
+    assert not bendixson_strip(blocks, 2.0).any()
+    assert assert_window_filters_all_eigenvalues(k_mat, 2.0) == 0
+    assert eigenvalues_in_window(k_mat, 2.0).tolist() == [1.0]
