@@ -36,7 +36,6 @@ from .gauss import (
     GaussianState,
     apply_plan_gaussian,
     positivity_window,
-    reduced_frequency,
     stationary_preset,
     transform_gaussian,
 )
@@ -49,18 +48,15 @@ from .operators import (
     PhasePolyOperator,
     assemble_liouvillian,
     cl_coefficients,
-    commutator,
     conjugate_coefficients,
     conjugate_linear,
     generator,
     hpz_coefficients,
     kl_coefficients,
-    rescale_coordinates,
 )
 from .reduction import (
     ReductionPlan,
     reduce_to_kl,
-    step1_solve,
     step2_matrix,
     step2_solve,
     u_matrix,
@@ -84,7 +80,6 @@ from .verify import (
     eigenvalues_in_window,
     evolve_series,
     expand,
-    ladder_matrices,
     refined_window_eigenvalues,
     residual,
     stationary_similarity,

@@ -31,7 +31,6 @@ __all__ = [
     "positivity_window",
     "apply_plan_gaussian",
     "stationary_preset",
-    "reduced_frequency",
 ]
 
 _NO_WINDOW = (GeneratorId.IL0, GeneratorId.IM1, GeneratorId.IM2)
@@ -297,7 +296,7 @@ def apply_plan_gaussian(steps, s: GaussianState) -> GaussianState:
     return out
 
 
-def reduced_frequency(omega0_prime: float, gamma: float) -> float:
+def _reduced_frequency(omega0_prime: float, gamma: float) -> float:
     """sqrt(omega0_prime^2 - gamma^2/4); raises OverdampedError when not real positive."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -336,7 +335,7 @@ def stationary_preset(model: str, **params) -> tuple[GaussianState, CoordinateFr
     if name == "hpz":
         omega0_prime = float(params["omega0_prime"])
         gamma = float(params["gamma"])
-        reduced_frequency(omega0_prime, gamma)
+        _reduced_frequency(omega0_prime, gamma)
         b_minus = float(params["b_hpz"])
         b_plus = b_minus + float(params["d"]) / (2.0 * omega0_prime)
         if b_plus <= 0:

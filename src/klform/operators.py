@@ -36,11 +36,9 @@ __all__ = [
     "LiouvillianCoeffs",
     "CoordinateFrame",
     "generator",
-    "commutator",
     "assemble_liouvillian",
     "conjugate_coefficients",
     "conjugate_linear",
-    "rescale_coordinates",
     "kl_coefficients",
     "cl_coefficients",
     "hpz_coefficients",
@@ -307,7 +305,7 @@ def generator(gid: GeneratorId) -> PhasePolyOperator:
     return PhasePolyOperator(_GENERATOR_TERMS[gid])
 
 
-def commutator(a: PhasePolyOperator, b: PhasePolyOperator) -> PhasePolyOperator:
+def _commutator(a: PhasePolyOperator, b: PhasePolyOperator) -> PhasePolyOperator:
     return a @ b - b @ a
 
 
@@ -383,7 +381,7 @@ def _adjoint_rows(gid: GeneratorId) -> tuple[tuple[int, complex], ...]:
     is a generator coefficient times 1 or 2."""
     rows = [(0, 0j)] * 4
     for j, e_j in enumerate(_LINEAR_TERMS):
-        for term, coeff in commutator(generator(gid), PhasePolyOperator({e_j: 1.0})).terms.items():
+        for term, coeff in _commutator(generator(gid), PhasePolyOperator({e_j: 1.0})).terms.items():
             rows[_LINEAR_TERMS.index(term)] = (j, coeff)
     return tuple(rows)
 
@@ -431,7 +429,7 @@ def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> Pha
     dQ + dphi/dQ and likewise dr, so a quadratic phi keeps op's degree.
     """
     d_q, d_r = PhasePolyOperator({(0, 0, 1, 0): 1.0}), PhasePolyOperator({(0, 0, 0, 1): 1.0})
-    sub_q, sub_r = d_q + commutator(d_q, phi), d_r + commutator(d_r, phi)
+    sub_q, sub_r = d_q + _commutator(d_q, phi), d_r + _commutator(d_r, phi)
     out = PhasePolyOperator({})
     for (a, b, c, d), coeff in op.terms.items():
         term = PhasePolyOperator({(a, b, 0, 0): coeff})
@@ -485,7 +483,7 @@ def _phase_conjugated(terms: dict, kappa: float) -> dict:
     return out
 
 
-def rescale_coordinates(
+def _rescale_coordinates(
     op: PhasePolyOperator, frame: CoordinateFrame
 ) -> PhasePolyOperator:
     """Rewrite exp(i kappa Q r) op exp(-i kappa Q r) in Qs = Q/s_q, rs = s_r*r.

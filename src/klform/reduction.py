@@ -39,7 +39,6 @@ from .operators import (
 
 __all__ = [
     "u_matrix",
-    "step1_solve",
     "step2_matrix",
     "step2_solve",
     "ReductionPlan",
@@ -67,7 +66,7 @@ def u_matrix(which: str, param: float) -> np.ndarray:
     return np.array([conjugate_coefficients(_U_FLOWS[which], param, c).h for c in units]).T
 
 
-def step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
+def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     """Rotation and boost parameters sending h to (2*omega0, 0, 0).
 
     Returns (theta, phi, omega0) with theta = -atan2(h1, h2) and
@@ -253,7 +252,7 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     """
     if not b_target >= 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
-    theta, phi, omega0 = step1_solve(c.h)
+    theta, phi, omega0 = _step1_solve(c.h)
     work = c
     steps: list[tuple[GeneratorId, float]] = []
     for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):

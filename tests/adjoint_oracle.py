@@ -29,9 +29,9 @@ from klform import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
-    commutator,
     generator,
 )
+from klform.operators import _commutator
 
 
 def linear_as_vector(op: LinearPhaseOperator) -> np.ndarray:
@@ -83,7 +83,7 @@ def _adjoint_matrix_7(gid: GeneratorId) -> np.ndarray:
     g_op = generator(gid)
     cols = []
     for other in GENERATOR_ORDER:
-        x = _decompose_over_generators(commutator(g_op, generator(other)))
+        x = _decompose_over_generators(_commutator(g_op, generator(other)))
         # Brackets of trace-killing operators are trace-killing: no identity part.
         if abs(x[7]) > 1e-12:
             raise AssertionError("commutator acquired an identity component")
@@ -117,7 +117,7 @@ def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
     g_op = generator(gid)
     cols = []
     for e in _LINEAR_BASIS:
-        bracket = commutator(g_op, e.to_poly())
+        bracket = _commutator(g_op, e.to_poly())
         vec = np.zeros(4, dtype=complex)
         for term, coeff in bracket.terms.items():
             idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)

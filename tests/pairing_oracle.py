@@ -30,12 +30,13 @@ def per_mode_pairing(k_mat, modes, tol=1e-6):
         if norm == 0:
             raise ZeroVector(f"mode {mode.label} expanded to the zero vector")
         vec = vec / norm
-        shift = lam + 1e-8 * (1.0 + abs(lam)) * (1.0 + 1.0j) / math.sqrt(2.0)
-        inverse = np.linalg.inv(block - shift * np.eye(index.size))
-        refined = inverse @ vec
-        refined /= np.linalg.norm(refined)
-        rayleigh = complex(np.vdot(refined, block @ refined))
-        if abs(rayleigh - lam) > 10.0 * tol:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = lam + 1e-8 * (1.0 + abs(lam)) * (1.0 + 1.0j) / math.sqrt(2.0)
+            inverse = np.linalg.inv(block - shift * np.eye(index.size))
+            refined = inverse @ vec
+            refined /= np.linalg.norm(refined)
+            rayleigh = complex(np.vdot(refined, block @ refined))
+        if not abs(rayleigh - lam) <= 10.0 * tol:
             raise PairingFailure(
                 f"mode {mode.label}: matrix eigenvalue {rayleigh} does not match "
                 f"prediction {lam}"
@@ -48,7 +49,7 @@ def per_mode_pairing(k_mat, modes, tol=1e-6):
         lefts.append(left)
     gram = np.array(lefts).conj() @ np.array(rights).T
     diag = np.diag(gram)
-    if np.min(np.abs(diag)) < 1e-8:
+    if not np.min(np.abs(diag)) >= 1e-8:
         raise PairingFailure("a left/right pair is numerically orthogonal")
     rescaled = gram / diag[:, None]
     return gram, float(np.max(np.abs(rescaled - np.eye(len(modes)))))

@@ -19,9 +19,9 @@ from klform import (
     KLFormError,
     PhasePolyOperator,
     eigenvalue,
-    reduced_frequency,
     stationary_preset,
 )
+from klform.gauss import _reduced_frequency
 
 
 class UnsupportedLabel(KLFormError):
@@ -81,7 +81,7 @@ def reference_eigenfunction(model: str, label: EigenLabel, **params) -> Referenc
     else:
         omega0_prime = float(params["omega0_prime"])
         b_minus = float(params["b_hpz"])
-        omega0 = reduced_frequency(omega0_prime, gamma)
+        omega0 = _reduced_frequency(omega0_prime, gamma)
         lam_plus = complex(0.5 * gamma, omega0)
         lam_minus = complex(0.5 * gamma, -omega0)
         pref = cmath.sqrt(1j * omega0_prime) / omega0

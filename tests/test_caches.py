@@ -37,9 +37,7 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
-    ladder_matrices,
     reduce_to_kl,
-    rescale_coordinates,
     stationary_preset,
     stationary_similarity,
     transform_gaussian,
@@ -47,7 +45,7 @@ from klform import (
 )
 from klform import reduction, verify
 from klform.cli import DESK_PRESETS
-from klform.operators import exponential_similarity
+from klform.operators import _rescale_coordinates, exponential_similarity
 
 from adjoint_oracle import (
     _adjoint_matrix_4,
@@ -271,14 +269,14 @@ def test_phase_conjugation_equals_the_generic_route():
         if index % 4 == 0 and frame.kappa:
             terms = {**cancelling_operator(rng, frame.kappa), **terms}
         op = PhasePolyOperator(terms)
-        got, want = rescale_coordinates(op, frame), generic_rescale(op, frame)
+        got, want = _rescale_coordinates(op, frame), generic_rescale(op, frame)
         assert exact_in_order(got) == exact_in_order(want), index
 
 
 def test_cancelled_terms_leave_and_come_back_at_the_end():
     frame = CoordinateFrame(1.0, 1.0, 0.5)
     op = PhasePolyOperator(cancelling_operator(np.random.default_rng(7), frame.kappa))
-    got = rescale_coordinates(op, frame)
+    got = _rescale_coordinates(op, frame)
     assert list(got.terms)[-1] == (0, 2, 0, 0) and (0, 0, 0, 0) not in got.terms
     assert exact_in_order(got) == exact_in_order(generic_rescale(op, frame))
 
@@ -381,15 +379,31 @@ def test_expand_equals_the_word_on_fresh_ladder_matrices(monkeypatch):
     cfgs = [BasisConfig(n, n, fs[0].gaussian.frame()) for n in (24, 40, 24)]
     cached = [expand(f, cfg) for cfg in cfgs for f in fs]
     sizes = [2 * f.label.m - f.label.n + 1 for f in fs]
-    assert not any(mat.flags.writeable for size in sizes for mat in ladder_matrices(size))
+    assert not any(mat.flags.writeable for size in sizes for mat in verify._ladder_matrices(size))
 
     def fresh_ladder_matrices(n):
         off = np.sqrt(np.arange(1, n) / 2.0)
         return np.diag(off, 1) + np.diag(off, -1), np.diag(off, 1) - np.diag(off, -1)
 
-    monkeypatch.setattr(verify, "ladder_matrices", fresh_ladder_matrices)
+    monkeypatch.setattr(verify, "_ladder_matrices", fresh_ladder_matrices)
     for got, want in zip(cached, [expand(f, cfg) for cfg in cfgs for f in fs]):
         assert same_bits(got, want)
+
+
+def test_the_pairing_and_window_index_caches_are_read_only():
+    """The index arrays that biorthogonality_check and the window's gather
+    keep per basis, degree and band shift cannot be written through."""
+    kl_modes = modes(PRESETS["kl"])
+    frame = kl_modes[0].gaussian.frame()
+    k_mat = assemble_matrix(assemble_liouvillian(PRESETS["kl"]), BasisConfig(12, 10, frame))
+    verify.biorthogonality_check(k_mat, kl_modes)
+    verify.eigenvalues_in_window(k_mat, 1.2)
+    mat = k_mat.matrix
+    j, k, gathers = verify._pairing_layout(12, 10, 4, tuple(mat.bands))
+    gathers += tuple(verify._keeping_gather(10, 10, s) for s in (-1, 0, 1))
+    arrays = [j, k, *(arr for gather in gathers for arr in gather)]
+    assert len(arrays) == 2 + 2 * (len(mat.bands) + 3)
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():

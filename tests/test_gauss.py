@@ -18,10 +18,10 @@ from klform import (
     apply_plan_gaussian,
     conjugate_linear,
     positivity_window,
-    reduced_frequency,
     stationary_preset,
     transform_gaussian,
 )
+from klform.gauss import _reduced_frequency
 
 ALL_GIDS = (
     GeneratorId.IL0,
@@ -367,9 +367,9 @@ def test_hpz_preset_width_split():
 
 
 def test_reduced_frequency_and_overdamped_error():
-    assert reduced_frequency(1.0, 0.6) == pytest.approx(math.sqrt(0.91))
+    assert _reduced_frequency(1.0, 0.6) == pytest.approx(math.sqrt(0.91))
     with pytest.raises(OverdampedError):
-        reduced_frequency(0.5, 1.2)
+        _reduced_frequency(0.5, 1.2)
     with pytest.raises(OverdampedError):
         stationary_preset("cl", omega0_prime=0.5, gamma=1.2, b_cl=1.0)
 

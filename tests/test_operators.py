@@ -15,14 +15,13 @@ from klform import (
     PhasePolyOperator,
     assemble_liouvillian,
     cl_coefficients,
-    commutator,
     conjugate_coefficients,
     conjugate_linear,
     generator,
     hpz_coefficients,
     kl_coefficients,
-    rescale_coordinates,
 )
+from klform.operators import _commutator, _rescale_coordinates
 
 from adjoint_oracle import (
     adjoint_conjugate_coefficients,
@@ -108,7 +107,7 @@ def test_polynomial_algebra_and_evaluate():
 
 
 def test_commutator_oscillation_and_boost():
-    lhs = commutator(generator(GeneratorId.IL0), generator(GeneratorId.IM1))
+    lhs = _commutator(generator(GeneratorId.IL0), generator(GeneratorId.IM1))
     rhs = (-1.0) * generator(GeneratorId.IM2)
     assert lhs.max_abs_diff(rhs) <= 1e-15
 
@@ -130,7 +129,7 @@ def test_commutators_close_over_span():
     span = np.array(cols).T
     for ga in GENERATOR_ORDER:
         for gb in GENERATOR_ORDER:
-            comm = commutator(generator(ga), generator(gb))
+            comm = _commutator(generator(ga), generator(gb))
             assert comm.degree() <= 2
             vec = np.zeros(len(basis_keys), dtype=complex)
             for key, val in comm.terms.items():
@@ -222,9 +221,9 @@ def test_arithmetic_results_are_normalized_as_the_constructor_normalizes():
     frame = CoordinateFrame(2.0, 0.5, 0.3)
     results = []
     for a in ops:
-        results += [-a, -1.0 * a, a * -0.5, 0.0 * a, rescale_coordinates(a, frame)]
+        results += [-a, -1.0 * a, a * -0.5, 0.0 * a, _rescale_coordinates(a, frame)]
         for b in ops:
-            results += [a + b, a - b, a - a, a @ b, commutator(a, b)]
+            results += [a + b, a - b, a - a, a @ b, _commutator(a, b)]
 
     def exact(op):
         return [(key, repr(val)) for key, val in op.terms.items()]
@@ -370,7 +369,7 @@ def test_conjugate_linear_far_parameters():
 def test_rescale_coordinates_monomials():
     frame = CoordinateFrame(2.0, 0.5)
     op = PhasePolyOperator({(2, 0, 0, 0): 1.0, (0, 1, 0, 1): 3.0, (1, 0, 1, 0): 5.0})
-    scaled = rescale_coordinates(op, frame)
+    scaled = _rescale_coordinates(op, frame)
     # Q^2 picks s_q^2, r*dr is invariant, Q*dQ is invariant
     assert scaled.terms[(2, 0, 0, 0)] == 4.0
     assert scaled.terms[(0, 1, 0, 1)] == 3.0

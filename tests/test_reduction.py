@@ -25,14 +25,13 @@ from klform import (
     distinct_labels,
     kl_coefficients,
     reduce_to_kl,
-    step1_solve,
     step2_matrix,
     step2_solve,
     transform_gaussian,
     transformed_eigenfunction,
     u_matrix,
 )
-from klform.reduction import REPLAY_TOL
+from klform.reduction import REPLAY_TOL, _step1_solve
 
 from test_acceptance import random_scrambled_source
 
@@ -99,20 +98,20 @@ def test_step1_solve_normalizes_frequency_block():
         h1, h2 = rng.uniform(-1.0, 1.0, size=2)
         h0 = math.hypot(h1, h2) + rng.uniform(0.05, 2.0)
         h = (h0, h1, h2)
-        theta, phi, omega0 = step1_solve(h)
+        theta, phi, omega0 = _step1_solve(h)
         out = u_matrix("U1", phi) @ u_matrix("U0", theta) @ np.array(h)
         assert_allclose(out, [2.0 * omega0, 0.0, 0.0], atol=1e-12)
         assert omega0 == pytest.approx(0.5 * math.sqrt(metric_value(h)))
 
 
 def test_step1_solve_trivial_and_errors():
-    assert step1_solve((0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+    assert _step1_solve((0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
     with pytest.raises(OverdampedError):
-        step1_solve((1.0, 2.0, 0.0))
+        _step1_solve((1.0, 2.0, 0.0))
     with pytest.raises(CriticalDampingError):
-        step1_solve((1.0, 1.0, 0.0))
+        _step1_solve((1.0, 1.0, 0.0))
     with pytest.raises(NonPositiveH0Error):
-        step1_solve((-1.0, 0.5, 0.0))
+        _step1_solve((-1.0, 0.5, 0.0))
 
 
 def test_step1_forward_check_misses_by_roundoff_by_either_route():
@@ -122,7 +121,7 @@ def test_step1_forward_check_misses_by_roundoff_by_either_route():
     rng = np.random.default_rng(20260816)
     for _ in range(100):
         src = random_scrambled_source(rng)
-        theta, phi, _ = step1_solve(src.h)
+        theta, phi, _ = _step1_solve(src.h)
         flowed = LiouvillianCoeffs(src.h, 0.0, (0.0, 0.0, 0.0))
         for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):
             flowed = conjugate_coefficients(gid, param, flowed)
@@ -136,7 +135,7 @@ def test_step1_flow_beyond_the_float_range_raises_typed_error(monkeypatch):
     boost of 800 is forced: cosh(800) overflows in the forward check."""
     monkeypatch.setattr(math, "atanh", lambda x: -800.0)
     with pytest.raises(IllConditionedReduction, match="float range") as info:
-        step1_solve((2.0, 0.5, 0.5))
+        _step1_solve((2.0, 0.5, 0.5))
     assert info.value.residual == math.inf
 
 
@@ -264,7 +263,7 @@ def test_step1_rho_rounding_to_h0_raises_typed_error():
     """h0^2 - h1^2 - h2^2 is positive (2.8e-17) but rho/h0 rounds to 1,
     so artanh(rho/h0) is undefined."""
     with pytest.raises(IllConditionedReduction) as info:
-        step1_solve((1.0, 0.9434413524127122, 0.3315394615391546))
+        _step1_solve((1.0, 0.9434413524127122, 0.3315394615391546))
     assert info.value.residual == math.inf
 
 

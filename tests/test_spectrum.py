@@ -20,7 +20,6 @@ from klform import (
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
-    commutator,
     conjugate_coefficients,
     distinct_labels,
     eigenvalue,
@@ -36,6 +35,7 @@ from klform import (
 
 from klform import reduction, spectrum
 from klform.spectrum import _apply_linear_to_poly
+from klform.operators import _commutator
 
 from adjoint_oracle import _adjoint_matrix_4
 from pi_oracle import (
@@ -253,7 +253,7 @@ def test_raising_pair_against_the_reduction_free_4x4_route():
         k_op = assemble_liouvillian(src)
         for letter, sign in zip(f.raising, (-1, 1)):
             want = eigenvalue(EigenLabel(1, 1, sign), plan.omega0, src.gamma) * letter.to_poly()
-            got = commutator(k_op, letter.to_poly())
+            got = _commutator(k_op, letter.to_poly())
             assert got.max_abs_diff(want) <= 1e-12 * max(map(abs, want.terms.values())), index
         ad_k = sum(c * _adjoint_matrix_4(gid) for c, gid in zip(src.as_vector(), GENERATOR_ORDER))
         rates, vecs = np.linalg.eig(ad_k)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from klform import (
     hpz_coefficients,
     kl_coefficients,
     kl_eigenfunction,
-    ladder_matrices,
     reduce_to_kl,
     refined_window_eigenvalues,
     residual,
@@ -50,7 +50,10 @@ from klform.verify import (
     BandedMatrix,
     OperatorMatrix,
     _degree_blocks,
+    _ladder_matrices,
+    _mode_coefficients,
     _pair_eigensystem,
+    _pairing_layout,
     _psi_at_zero,
     _trace_covector_parts,
 )
@@ -92,7 +95,7 @@ def hermite_function_oracle(j, x):
 
 def test_ladder_matrices_against_quadrature():
     n = 6
-    x_dense, d_dense = ladder_matrices(n)
+    x_dense, d_dense = _ladder_matrices(n)
     assert not x_dense.flags.writeable and not d_dense.flags.writeable
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     wts = weights * np.exp(nodes**2)
@@ -410,26 +413,42 @@ def test_non_finite_entries_fail_the_grading_check():
     modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
     with pytest.raises(DegreeError):
         biorthogonality_check(k_mat, modes)
+    # an infinite entry passes the roundoff test: it reached LAPACK (an
+    # untyped LinAlgError) and gave the pairing a max_offdiag of NaN
+    for shift, at, check in (
+        ((1, -1), (0, 1), all_eigenvalues),
+        ((0, 0), (1, 0), lambda k: biorthogonality_check(k, modes)),
+    ):
+        k_mat = kl_setup(8)[2]
+        k_mat.matrix.bands[shift][at] = math.inf
+        with pytest.raises(DegreeError, match="infinite entry"):
+            check(k_mat)
 
 
 @pytest.mark.parametrize(
-    "shift", [(-1, -1), (0, 0), (1, 1)], ids=["raising", "keeping", "lowering"]
+    "shift",
+    [(-1, -1), (0, 0), (1, 1), (1, -1)],
+    ids=["raising", "keeping", "lowering", "keeping-across"],
 )
 def test_a_nan_in_any_band_fails_the_grading_check(shift):
-    """Every reader of the grading raises on a NaN written into one band,
-    whichever way that band moves the degree: the maximum over the per-band
-    maxima must keep the NaN."""
-    _, cfg, k_mat = kl_setup(8)
-    k_mat.matrix.bands[shift][3, 3] = math.nan
+    """Every reader of the grading raises on a NaN or an infinite entry
+    written into one band, whichever way that band moves the degree: the
+    maximum over the per-band maxima must keep the NaN, and an infinite
+    maximum, which passes the roundoff test, fails on its own."""
     modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
-    for check in (all_eigenvalues, lambda k: eigenvalues_in_window(k, 4.0)):
-        with pytest.raises(DegreeError, match="raises the Hermite degree"):
-            check(k_mat)
-    with pytest.raises(DegreeError, match="raises the Hermite degree"):
-        biorthogonality_check(k_mat, modes)
-    # a start below the top degree keeps to its degrees, which needs the grading
-    with pytest.raises(DegreeError, match="raises the Hermite degree"):
-        evolve_series(k_mat, np.eye(cfg.dim)[0], [1.0])
+    cases = [(math.nan, "raises the Hermite degree")]
+    cases += [(value, "infinite entry") for value in (math.inf, -math.inf)]
+    for value, message in cases:
+        _, cfg, k_mat = kl_setup(8)
+        k_mat.matrix.bands[shift][3, 3] = value
+        for check in (all_eigenvalues, lambda k: eigenvalues_in_window(k, 4.0)):
+            with pytest.raises(DegreeError, match=message):
+                check(k_mat)
+        with pytest.raises(DegreeError, match=message):
+            biorthogonality_check(k_mat, modes)
+        # a start below the top degree keeps to its degrees, which needs the grading
+        with pytest.raises(DegreeError, match=message):
+            evolve_series(k_mat, np.eye(cfg.dim)[0], [1.0])
 
 
 def assert_low_degree_spectrum(k_mat):
@@ -1037,15 +1056,89 @@ def test_biorthogonality_detects_wrong_spectrum():
 
 @pytest.mark.parametrize("source", ["kl", "cl", "hpz", 0, 2, 75, 80, 87])
 def test_stacked_pairing_equals_the_per_mode_loop(source):
-    """The presets and criterion-02 sources at 32x32, modes m <= 2."""
+    """The presets and criterion-02 sources at 32x32, modes m <= 2 and
+    m <= 3: the word lattice and the stacked solve against per-mode
+    expansions and solves."""
     src = MODELS[source][0] if source in MODELS else criterion_02_source(source)
-    modes = transported_modes(src, 2)
-    cfg = BasisConfig(32, 32, modes[0].gaussian.frame())
+    for m_max in (2, 3):
+        modes = transported_modes(src, m_max)
+        cfg = BasisConfig(32, 32, modes[0].gaussian.frame())
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        report = biorthogonality_check(k_mat, modes)
+        gram, max_offdiag = per_mode_pairing(k_mat, modes)
+        assert np.max(np.abs(report.gram - gram)) <= 1e-12, m_max
+        assert abs(report.max_offdiag - max_offdiag) <= 1e-12, m_max
+
+
+def test_word_lattice_equals_the_per_mode_expansions():
+    """The right vectors of biorthogonality_check, read from one word lattice
+    per raising pair, equal each mode's own expand to a few ulps of its
+    largest coefficient, scale included, on a basis that holds the degrees
+    and on one that crops them."""
+    sources = [coeffs for coeffs, _ in MODELS.values()] + [GENERIC]
+    sources += [criterion_02_source(i) for i in (0, 2, 75, 80, 87)]
+    for src in sources:
+        modes = transported_modes(src, 3)
+        for n_q, n_r in ((32, 32), (6, 5)):
+            cfg = BasisConfig(n_q, n_r, modes[0].gaussian.frame())
+            j, k, _ = _pairing_layout(n_q, n_r, 6, ())
+            lattice = np.zeros((len(modes), n_q, n_r), dtype=complex)
+            lattice[:, j, k] = _mode_coefficients(modes, cfg.frame, 6)[:, j, k]
+            for got, mode in zip(lattice, modes):
+                want = expand(mode, cfg).reshape(n_q, n_r)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), mode.label
+
+
+def test_modes_of_two_plans_in_shuffled_order_pair_as_per_mode():
+    """Two plans of one source, to b = 1 and to b = 1.7, have different
+    raising pairs and fit the same frame: the m <= 1 modes of one and the
+    m = 2 modes of the other, shuffled, run as two word lattices and pair
+    as the per-mode loop does."""
+    src = MODELS["cl"][0]
+    plans = [reduce_to_kl(src, b_target=b) for b in (1.0, 1.7)]
+    assert plans[0].raising_pair != plans[1].raising_pair
+    labels = distinct_labels(2)
+    modes = [transformed_eigenfunction(plans[lab.m == 2], lab, src) for lab in labels]
+    modes = [modes[i] for i in np.random.default_rng(7).permutation(len(modes))]
+    cfg = BasisConfig(24, 20, modes[0].gaussian.frame())
     k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
     report = biorthogonality_check(k_mat, modes)
     gram, max_offdiag = per_mode_pairing(k_mat, modes)
+    assert report.passed
     assert np.max(np.abs(report.gram - gram)) <= 1e-12
     assert abs(report.max_offdiag - max_offdiag) <= 1e-12
+
+
+def test_pairing_reports_frame_then_zero_then_rayleigh_failures():
+    """With several failing modes the check raises FrameMismatch for a mode
+    that does not fit the frame, wherever it stands, before ZeroVector for a
+    mode whose letters are zero, and that before PairingFailure for a mode
+    of the wrong spectrum."""
+    _, _, k_mat = kl_setup(24, gamma=0.8)
+    wrong = kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.3)
+    zero = AppliedEigenfunction(
+        EigenLabel(1, 0, 1), wrong.eigenvalue, (LinearPhaseOperator(),) * 2, wrong.gaussian
+    )
+    unfit = kl_eigenfunction(EigenLabel(1, 1, 1), 2.0 * B, W0, 0.8)
+    with pytest.raises(FrameMismatch):
+        biorthogonality_check(k_mat, [wrong, zero, unfit])
+    with pytest.raises(ZeroVector):
+        biorthogonality_check(k_mat, [wrong, zero])
+    with pytest.raises(PairingFailure, match="does not match prediction"):
+        biorthogonality_check(k_mat, [wrong])
+
+
+def test_a_nan_prediction_fails_the_pairing():
+    """A mode whose predicted eigenvalue is NaN, or beyond the float range,
+    gives a NaN Rayleigh quotient, which the comparisons must not let pass:
+    before, the check returned a report with max_offdiag NaN."""
+    _, _, k_mat = kl_setup(12)
+    modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(1)]
+    for value in (complex(math.nan, 0), complex(math.inf, 0), complex(1e300, 1e300)):
+        bad = modes[:1] + [replace(modes[1], eigenvalue=value)] + modes[2:]
+        for pairing in (biorthogonality_check, per_mode_pairing):
+            with pytest.raises(PairingFailure, match="does not match prediction"):
+                pairing(k_mat, bad)
 
 
 def quoted_eigenvalue(message):
