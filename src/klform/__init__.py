@@ -57,9 +57,6 @@ from .operators import (
 from .reduction import (
     ReductionPlan,
     reduce_to_kl,
-    step2_matrix,
-    step2_solve,
-    u_matrix,
 )
 from .spectrum import (
     AppliedEigenfunction,

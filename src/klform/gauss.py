@@ -137,9 +137,15 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
 
     with D the discriminant of s.  For OPLUS the second root of nu' = 0
     lies below -1/(2*mu) where the map's denominator changes sign, so
-    only the upper branch bounds the window.  The endpoints come from
-    _window_ends, which neither cancels next to 0 nor overflows;
-    DegenerateDenominator for an endpoint outside the float range.
+    only the upper branch bounds the window.  O0MI's endpoint is
+    -log1p(nu/mu)/2, from the exponents where nu/mu leaves the float range.
+    The three shifts are solved in exact rationals: nu'(p) = 0 reads
+    p^2 - 2 b p - e nu/mu = 0, with e = -1 for OPLUS and 1 otherwise,
+    b = kappa/(2 mu) for L2PLUS and (e - D)/(4 mu) for OPLUS and L1PLUS.
+    The root of larger modulus is b + sign(b) sqrt(b^2 + e nu/mu), the
+    square root to 64 bits beyond a float's, and the other is -e nu/mu
+    over it; each endpoint is rounded once.  DegenerateDenominator for an
+    endpoint outside the float range.
     """
     if not s.is_physical():
         raise PositivityViolation("positivity window is defined for physical states")
@@ -147,63 +153,32 @@ def positivity_window(gid: GeneratorId, s: GaussianState) -> tuple[float, float]
         return (-math.inf, math.inf)
     if gid not in _WINDOW_FLOWS:
         raise ValueError(f"unknown generator {gid!r}")
-    return _window_ends(gid, s)
-
-
-def _window_ends(gid: GeneratorId, s: GaussianState) -> tuple[float, float]:
-    """The endpoints of positivity_window in scaled floats, pairs (f, k)
-    standing for f * 2**k, so that no square overflows.
-
-    O0MI's endpoint is -log1p(nu/mu)/2, from the exponents where nu/mu
-    leaves the float range.  For the three shifts nu'(p) = 0 reads
-    p^2 - 2 b p - e nu/mu = 0, with e = -1 for OPLUS and 1 for L1PLUS and
-    L2PLUS, b = kappa/(2 mu) for L2PLUS, and b = b_e for OPLUS and L1PLUS,
-    b_e = (e - D)/(4 mu) = e/(4 mu) - mu - nu - kappa^2/(4 mu), summed
-    exactly.  The root of the larger modulus, b + sign(b) r with r =
-    sqrt(b^2 + e nu/mu), adds terms of one sign, and the other root is the
-    product of the two, -e nu/mu, over it, so no difference cancels.  r
-    is a hypot: of b and sqrt(nu/mu) for L1PLUS and L2PLUS, and for
-    OPLUS, since (1 + D)^2 - 16 mu nu = (1 - D)^2 + 16 mu^2 + 4 kappa^2,
-    of b_1, 1 and kappa/(2 mu), which keeps its double root from
-    cancelling.  OPLUS keeps the root of the smaller modulus.
-    """
-    (f_mu, k_mu), (f_kappa, k_kappa), (f_nu, k_nu) = map(math.frexp, (s.mu, s.kappa, s.nu))
     if gid is GeneratorId.O0MI:
         ratio = s.nu / s.mu
         if math.isfinite(ratio):
             # 0.0 - x keeps the endpoint of nu = 0 at +0.0
             return 0.0 - 0.5 * math.log1p(ratio), math.inf
+        (f_mu, k_mu), (f_nu, k_nu) = math.frexp(s.mu), math.frexp(s.nu)
         return -0.5 * (math.log(f_nu / f_mu) + (k_nu - k_mu) * math.log(2.0)), math.inf
+    from fractions import Fraction  # here, not at import: it loads decimal
 
-    def b_e(e):
-        terms = [
-            (e / f_mu, -k_mu - 2),
-            (-f_mu, k_mu),
-            (-f_nu, k_nu),
-            (-f_kappa * f_kappa / f_mu, 2 * k_kappa - k_mu - 2),
-        ]
-        top = max(k for _, k in terms)
-        frac, exp = math.frexp(math.fsum(math.ldexp(f, k - top) for f, k in terms))
-        return frac, exp + top
-
-    e = -1.0 if gid is GeneratorId.OPLUS else 1.0
-    slope = (f_kappa / f_mu, k_kappa - k_mu - 1)  # kappa / (2 mu)
-    b = slope if gid is GeneratorId.L2PLUS else b_e(e)
-    if gid is GeneratorId.OPLUS:
-        legs = [b_e(1.0), (1.0, 0), slope]
+    mu, kappa, nu = map(Fraction, (s.mu, s.kappa, s.nu))
+    e = -1 if gid is GeneratorId.OPLUS else 1
+    if gid is GeneratorId.L2PLUS:
+        b = kappa / (2 * mu)
     else:
-        half, odd = divmod(k_nu - k_mu, 2)
-        legs = [b, (math.sqrt(f_nu / f_mu * 2**odd), half)]
-    # far = b + sign(b) r = f * 2**top
-    top = max((k for f, k in [b, *legs] if f), default=0)
-    root = math.hypot(*(math.ldexp(f, k - top) for f, k in legs))
-    far = math.ldexp(b[0], b[1] - top) + math.copysign(root, b[0])
+        b = (e - 4 * mu * (mu + nu) - kappa * kappa) / (4 * mu)
+    disc = b * b + e * nu / mu
+    num, den = disc.numerator, disc.denominator
+    spare = max(0, 118 - (num * den).bit_length() // 2)  # 53 bits and 64 more
+    root = Fraction(math.isqrt(num * den << 2 * spare), den << spare)
+    far = b + root if b >= 0 else b - root
+    # far is 0 only for nu = 0 and b = 0, where both roots are
+    near = -e * nu / mu / far if far else far
     try:
-        # far is 0 only for nu = 0, where both roots are
-        near = math.ldexp(-e * f_nu / f_mu / far, k_nu - k_mu - top) if s.nu else 0.0
         if gid is GeneratorId.OPLUS:
-            return near, math.inf
-        far = math.ldexp(far, top)
+            return float(near), math.inf
+        near, far = float(near), float(far)
     except OverflowError:
         raise DegenerateDenominator("a positivity window endpoint leaves the float range") from None
     return (near, far) if near <= far else (far, near)

@@ -16,7 +16,9 @@ generators,
 and this module provides the generators, their algebra (products and
 commutators), the closed-form action of one-parameter conjugation flows
 exp(p*G) K exp(-p*G) on the coefficient vector, the corresponding action
-on degree-one operators, and coordinate rescalings.
+on degree-one operators, the conjugation exp(-phi) K exp(phi) by the
+exponential of a quadratic phi(Q, r), which gives both a frame's phase
+and the stationary similarity, and coordinate rescalings.
 """
 
 from __future__ import annotations
@@ -422,59 +424,41 @@ def conjugate_linear(
     )
 
 
-def exponential_similarity(op: PhasePolyOperator, phi: PhasePolyOperator) -> PhasePolyOperator:
-    """exp(-phi) op exp(phi) for a polynomial phi(Q, r), terms (a, b, 0, 0).
+def _exp_conjugated(terms: dict, q2: complex, qr: complex, r2: complex) -> dict:
+    """Terms of exp(-phi) op exp(phi) for op's terms, phi = q2 Q^2 + qr Q r + r2 r^2.
 
-    Each derivative picks up the gradient of phi, dQ -> dQ + [dQ, phi] =
-    dQ + dphi/dQ and likewise dr, so a quadratic phi keeps op's degree.
+    Each derivative picks up the gradient of phi, dQ -> dQ + 2 q2 Q + qr r
+    and dr -> dr + qr Q + 2 r2 r, so op keeps its degree.  Each monomial
+    Q^a r^b is multiplied on the right by its c letters for dQ, then its d
+    letters for dr.  A letter's x Q passes the c1 factors dQ before it,
+    which adds x c1 Q^a r^b dQ^(c1-1) dr^d1, and its y r passes the d1
+    factors dr likewise; a zero x or y adds nothing.  The terms are
+    accumulated, and exact zeros dropped, in the order and with the
+    rounding of the operator products: for finite coefficients and a phi
+    of Q r alone, or of Q^2 and r^2 alone, the result is theirs bit for
+    bit, term order included.
     """
-    d_q, d_r = PhasePolyOperator({(0, 0, 1, 0): 1.0}), PhasePolyOperator({(0, 0, 0, 1): 1.0})
-    sub_q, sub_r = d_q + _commutator(d_q, phi), d_r + _commutator(d_r, phi)
-    out = PhasePolyOperator({})
-    for (a, b, c, d), coeff in op.terms.items():
-        term = PhasePolyOperator({(a, b, 0, 0): coeff})
-        for _ in range(c):
-            term = term @ sub_q
-        for _ in range(d):
-            term = term @ sub_r
-        out = out + term
-    return out
-
-
-def _phase_conjugated(terms: dict, kappa: float) -> dict:
-    """Terms of exp(i kappa Q r) op exp(-i kappa Q r) for op's terms.
-
-    The similarity substitutes dQ -> dQ + u r and dr -> dr + u Q, u =
-    -i kappa (exponential_similarity with phi = u Q r).  Each monomial
-    Q^a r^b is multiplied on the right by its c letters dQ + u r and then
-    its d letters dr + u Q; a letter dr + u Q passes Q through the c1
-    factors dQ before it, which adds u c1 Q^a r^b dQ^(c1-1) dr^d1.  The
-    terms are accumulated, and exact zeros dropped, in the order and with
-    the rounding of the operator products: for finite coefficients the
-    result is theirs bit for bit, term order included.
-    """
-    u = -1j * kappa
+    d_q, d_r = (1, 2 * q2, qr), (0, qr, 2 * r2)  # (1 for dQ, 0 for dr; x, y)
     out: dict = {}
     for (a, b, c, d), coeff in terms.items():
         term = {(a, b, 0, 0): coeff}
-        for _ in range(c):  # no dr stands to the right yet
+        for dc, x, y in (d_q,) * c + (d_r,) * d:
             step: dict = {}
             for (a1, b1, c1, d1), val in term.items():
-                key = (a1, b1, c1 + 1, d1)
+                key = (a1, b1, c1 + dc, d1 + 1 - dc)
                 step[key] = step.get(key, 0) + val
-                key = (a1, b1 + 1, c1, d1)
-                step[key] = step.get(key, 0) + val * u
-            term = {key: val for key, val in step.items() if val != 0}
-        for _ in range(d):
-            step = {}
-            for (a1, b1, c1, d1), val in term.items():
-                key = (a1, b1, c1, d1 + 1)
-                step[key] = step.get(key, 0) + val
-                key = (a1 + 1, b1, c1, d1)
-                step[key] = step.get(key, 0) + val * u
-                if c1:
-                    key = (a1, b1, c1 - 1, d1)
-                    step[key] = step.get(key, 0) + val * u * c1
+                if x:
+                    key = (a1 + 1, b1, c1, d1)
+                    step[key] = step.get(key, 0) + val * x
+                    if c1:
+                        key = (a1, b1, c1 - 1, d1)
+                        step[key] = step.get(key, 0) + val * x * c1
+                if y:
+                    key = (a1, b1 + 1, c1, d1)
+                    step[key] = step.get(key, 0) + val * y
+                    if d1:
+                        key = (a1, b1, c1, d1 - 1)
+                        step[key] = step.get(key, 0) + val * y * d1
             term = {key: val for key, val in step.items() if val != 0}
         for key, val in term.items():
             out[key] = out.get(key, 0) + val
@@ -491,7 +475,7 @@ def _rescale_coordinates(
     Each monomial picks up the factor s_q^(a-c) * s_r^(d-b); exponents
     are unchanged.
     """
-    terms = _phase_conjugated(op._terms, frame.kappa) if frame.kappa else op._terms
+    terms = _exp_conjugated(op._terms, 0, -1j * frame.kappa, 0) if frame.kappa else op._terms
     sq, sr = frame.s_q, frame.s_r
     return PhasePolyOperator._from_checked(
         {

@@ -38,32 +38,13 @@ from .operators import (
 )
 
 __all__ = [
-    "u_matrix",
-    "step2_matrix",
-    "step2_solve",
     "ReductionPlan",
     "reduce_to_kl",
 ]
 
 REPLAY_TOL = 1e-10
 
-_U_FLOWS = {"U0": GeneratorId.IL0, "U1": GeneratorId.IM1, "U2": GeneratorId.IM2}
 _SHIFTS = (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
-
-
-def u_matrix(which: str, param: float) -> np.ndarray:
-    """3x3 matrix acting on (h0, h1, h2) for the rotation/boost flows.
-
-    which = "U0" rotates (h1, h2) (flow IL0); "U1" boosts (h0, h2) (IM1);
-    "U2" boosts (h0, h1) (IM2).  Column j is the image of the j-th unit
-    vector under conjugate_coefficients.  U0 preserves the Euclidean
-    metric on (h1, h2) and the boosts preserve the indefinite form
-    h0^2 - h1^2 - h2^2.
-    """
-    if which not in _U_FLOWS:
-        raise ValueError(f"unknown U matrix {which!r}")
-    units = (LiouvillianCoeffs(e, 0.0, (0.0, 0.0, 0.0)) for e in np.eye(3))
-    return np.array([conjugate_coefficients(_U_FLOWS[which], param, c).h for c in units]).T
 
 
 def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -73,11 +54,11 @@ def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     phi = -artanh(rho/h0), rho = hypot(h1, h2): the rotation U0(theta)
     carries h to (h0, 0, rho) and the boost U1(phi) then carries that to
     (2*omega0, 0, 0).  One forward substitution checks the result: the
-    two flows applied to h.  They round each product once, as the route
-    through the 3x3 matrices, u_matrix("U1", phi) @ u_matrix("U0", theta)
-    @ h, does, so either route misses (h1, h2) by a few roundoffs of
-    |h| cosh(phi), at most 4.6e-16 on the 100 criterion-02 sources.  The
-    bound 1e-9 max(1, |h|) is reached only from cosh(phi) of about 1e7 on.
+    two flows applied to h.  They round each product once, as the product
+    of the 3x3 boost and rotation matrices with h does, so either route
+    misses (h1, h2) by a few roundoffs of |h| cosh(phi), at most 4.6e-16
+    on the 100 criterion-02 sources.  The bound 1e-9 max(1, |h|) is
+    reached only from cosh(phi) of about 1e7 on.
 
     h = (0, 0, 0) returns (0, 0, 0): nothing to rotate.  Raises
     OverdampedError / CriticalDampingError when h0^2 - h1^2 - h2^2 is
@@ -123,7 +104,7 @@ def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     return theta, phi, omega0
 
 
-def step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
+def _step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
     """Matrix of the combined affine action of the shift flows on g.
 
     Column j is the image of g = 0 under the j-th of OPLUS, L1PLUS,
@@ -135,7 +116,8 @@ def step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
     zero_g = LiouvillianCoeffs(h, gamma, (0.0, 0.0, 0.0))
     return np.array([conjugate_coefficients(gid, 1.0, zero_g).g for gid in _SHIFTS]).T
 
-def step2_solve(
+
+def _step2_solve(
     omega0: float,
     gamma: float,
     g_from: tuple[float, float, float],
@@ -150,7 +132,7 @@ def step2_solve(
     """
     if gamma == 0:
         raise SingularGError("gamma = 0: the shift system has determinant zero")
-    mat = step2_matrix((2.0 * float(omega0), 0.0, 0.0), gamma)
+    mat = _step2_matrix((2.0 * float(omega0), 0.0, 0.0), gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite miss fails below
         rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
         eta = np.linalg.solve(mat, rhs)
@@ -267,7 +249,7 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
             f"b = {b_target}",
             math.inf,
         ) from None
-    eta = step2_solve(omega0, c.gamma, work.g, target.g)
+    eta = _step2_solve(omega0, c.gamma, work.g, target.g)
     steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
     plan.check_replay(c)

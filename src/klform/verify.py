@@ -54,9 +54,9 @@ from .gauss import GaussianState
 from .operators import (
     CoordinateFrame,
     PhasePolyOperator,
+    _exp_conjugated,
     _rescale_coordinates,
     assemble_liouvillian,
-    exponential_similarity,
 )
 from .spectrum import AppliedEigenfunction, _word
 
@@ -112,8 +112,9 @@ class BandedMatrix:
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
-        # sorted shifts sum each row in the column order of a sparse matrix
-        self.bands = dict(sorted(bands.items()))
+        # sorted shifts sum each row in the column order of a sparse matrix;
+        # C order makes each flattened band a view, which sees later writes
+        self.bands = {key: np.ascontiguousarray(band) for key, band in sorted(bands.items())}
         self.n_q, self.n_r = n_q, n_r
         # In the flattened basis a shift (s, t) is the offset s * n_r + t; a
         # column that wraps past the end of a row meets a zero entry.
@@ -829,8 +830,9 @@ def stationary_similarity(
     """
     phase = state.frame().kappa  # PositivityViolation unless mu + nu > 0
     mu, w = state.mu, state.width_sum
-    half = PhasePolyOperator({(2, 0, 0, 0): -mu, (0, 2, 0, 0): -0.25 * w})
-    op = exponential_similarity(assemble_liouvillian(coeffs), half)
+    # phi = -mu Q^2 - (w/4) r^2, the exponent of the real half-Gaussian
+    terms = _exp_conjugated(assemble_liouvillian(coeffs)._terms, -mu, 0, -0.25 * w)
+    op = PhasePolyOperator._from_checked(terms)
     return op, CoordinateFrame(1.0 / math.sqrt(mu), math.sqrt(w) / 2.0, phase)
 
 

@@ -17,6 +17,7 @@ from klform import (
     EigenLabel,
     GENERATOR_ORDER,
     GaussianState,
+    GeneratorId,
     LinearPhaseOperator,
     LiouvillianCoeffs,
     OverdampedError,
@@ -42,20 +43,34 @@ from klform import (
     residual,
     stationary_preset,
     stationary_similarity,
-    step2_matrix,
-    step2_solve,
     trace_and_hermiticity,
     transform_gaussian,
     transformed_eigenfunction,
-    u_matrix,
 )
 from klform.cli import main as cli_main
+from klform.reduction import _step2_matrix, _step2_solve
 
 from adjoint_oracle import adjoint_conjugate_coefficients
 from reference_fixtures import reference_eigenfunction
 
 W0, GAM, B = 1.0, 0.3, 1.0
 SHIFT_IDS = tuple(GENERATOR_ORDER[4:])
+U_FLOWS = {"U0": GeneratorId.IL0, "U1": GeneratorId.IM1, "U2": GeneratorId.IM2}
+
+
+def u_matrix(which, param):
+    """3x3 matrix acting on (h0, h1, h2) for the rotation/boost flows.
+
+    which = "U0" rotates (h1, h2) (flow IL0); "U1" boosts (h0, h2) (IM1);
+    "U2" boosts (h0, h1) (IM2).  Column j is the image of the j-th unit
+    vector under conjugate_coefficients.  U0 preserves the Euclidean
+    metric on (h1, h2) and the boosts preserve the indefinite form
+    h0^2 - h1^2 - h2^2.
+    """
+    if which not in U_FLOWS:
+        raise ValueError(f"unknown U matrix {which!r}")
+    units = (LiouvillianCoeffs(e, 0.0, (0.0, 0.0, 0.0)) for e in np.eye(3))
+    return np.array([conjugate_coefficients(U_FLOWS[which], param, c).h for c in units]).T
 
 
 @contextmanager
@@ -322,7 +337,7 @@ def test_criterion_05_shift_system():
         for _ in range(100):
             h = tuple(rng.uniform(-2.0, 2.0, 3))
             gamma = float(rng.uniform(0.05, 1.5))
-            mat = step2_matrix(h, gamma)
+            mat = _step2_matrix(h, gamma)
             det_closed = -gamma * (h[0] ** 2 - h[1] ** 2 - h[2] ** 2 + gamma * gamma)
             assert abs(np.linalg.det(mat) - det_closed) <= 1e-12 * max(
                 1.0, abs(det_closed)
@@ -332,14 +347,14 @@ def test_criterion_05_shift_system():
             gamma = float(rng.uniform(0.05, 1.0))
             g_from = tuple(rng.uniform(-1.5, 1.5, 3))
             g_target = tuple(rng.uniform(-1.5, 1.5, 3))
-            eta = step2_solve(omega0, gamma, g_from, g_target)
+            eta = _step2_solve(omega0, gamma, g_from, g_target)
             coeffs = LiouvillianCoeffs((2.0 * omega0, 0.0, 0.0), gamma, g_from)
             for gid, param in zip(SHIFT_IDS, eta):
                 coeffs = conjugate_coefficients(gid, float(param), coeffs)
             assert np.max(np.abs(np.array(coeffs.g) - np.array(g_target))) <= 1e-12
             assert coeffs.h == (2.0 * omega0, 0.0, 0.0)
         with pytest.raises(SingularGError):
-            step2_solve(1.0, 0.0, (0.1, 0.0, 0.0), (-0.5, 0.0, 0.0))
+            _step2_solve(1.0, 0.0, (0.1, 0.0, 0.0), (-0.5, 0.0, 0.0))
 
 
 def random_state(rng):

@@ -45,7 +45,7 @@ from klform import (
 )
 from klform import reduction, verify
 from klform.cli import DESK_PRESETS
-from klform.operators import _rescale_coordinates, exponential_similarity
+from klform.operators import _exp_conjugated, _rescale_coordinates
 
 from adjoint_oracle import (
     _adjoint_matrix_4,
@@ -106,6 +106,24 @@ def fresh_factor(n, a, c):
     for _ in range(c):
         dif = dif @ (d_mat * math.sqrt(2.0)).tocsr()
     return (out @ dif)[:n, :n]
+
+
+def exponential_similarity(op, phi):
+    """exp(-phi) op exp(phi) for a polynomial phi(Q, r), terms (a, b, 0, 0),
+    through the operator products: each derivative picks up the gradient of
+    phi, dQ -> dQ + [dQ, phi] = dQ + dphi/dQ and likewise dr, and each
+    monomial Q^a r^b is multiplied on the right by its letters."""
+    d_q, d_r = PhasePolyOperator({(0, 0, 1, 0): 1.0}), PhasePolyOperator({(0, 0, 0, 1): 1.0})
+    sub_q, sub_r = d_q + (d_q @ phi - phi @ d_q), d_r + (d_r @ phi - phi @ d_r)
+    out = PhasePolyOperator({})
+    for (a, b, c, d), coeff in op.terms.items():
+        term = PhasePolyOperator({(a, b, 0, 0): coeff})
+        for _ in range(c):
+            term = term @ sub_q
+        for _ in range(d):
+            term = term @ sub_r
+        out = out + term
+    return out
 
 
 def generic_rescale(op, frame):
@@ -279,6 +297,51 @@ def test_cancelled_terms_leave_and_come_back_at_the_end():
     got = _rescale_coordinates(op, frame)
     assert list(got.terms)[-1] == (0, 2, 0, 0) and (0, 0, 0, 0) not in got.terms
     assert exact_in_order(got) == exact_in_order(generic_rescale(op, frame))
+
+
+def similarity_by_products(src, state):
+    """stationary_similarity's operator through the operator products: the
+    Liouvillian conjugated by exp(phi), phi = -mu Q^2 - (w/4) r^2."""
+    half = PhasePolyOperator({(2, 0, 0, 0): -state.mu, (0, 2, 0, 0): -0.25 * state.width_sum})
+    return exponential_similarity(assemble_liouvillian(src), half)
+
+
+def half_gaussian_cancelling_operator(rng, x, y):
+    """Terms whose half-Gaussian images cancel: the constant term is minus
+    the image w x of dQ^2 (x = 2 alpha), so their sum leaves the result, and
+    dr^2's image z y (y = 2 gamma) then brings the constant term back, behind
+    the keys added in between."""
+    w, z = random_coefficient(rng), random_coefficient(rng)
+    return {(0, 0, 0, 0): -(w * x), (0, 0, 2, 0): w, (0, 0, 0, 2): z}
+
+
+def test_stationary_similarity_equals_the_operator_products():
+    """stationary_similarity equals the operator products, by == and by repr
+    in term order, on the presets and the 100 criterion-02 stationary
+    states; the conjugation by exp(alpha Q^2 + gamma r^2) does on 2,000
+    random operators, with zero, negative-zero and cancelling parts."""
+    cases = [
+        (name, src, stationary_preset(name, **DESK_PRESETS[name])[0]) for name, src in PRESETS.items()
+    ]
+    for index, src in enumerate(criterion_02_sources(100)):
+        cases.append((f"c02-{index}", src, modes(src, 0)[0].gaussian))
+    for name, src, state in cases:
+        got, want = stationary_similarity(src, state)[0], similarity_by_products(src, state)
+        assert got == want and exact_in_order(got) == exact_in_order(want), name
+    rng = np.random.default_rng(20290103)
+    for index in range(2000):
+        alpha, gamma = (
+            random_coefficient(rng) if rng.random() < 0.85 else rng.choice([0.0, -0.0])
+            for _ in range(2)
+        )
+        terms = random_operator(rng)
+        if index % 4 == 0:
+            terms = {**half_gaussian_cancelling_operator(rng, 2 * alpha, 2 * gamma), **terms}
+        op = PhasePolyOperator(terms)
+        got = PhasePolyOperator._from_checked(_exp_conjugated(op.terms, alpha, 0, gamma))
+        half = PhasePolyOperator({(2, 0, 0, 0): alpha, (0, 2, 0, 0): gamma})
+        want = exponential_similarity(op, half)
+        assert exact_in_order(got) == exact_in_order(want), index
 
 
 def test_assemble_matrix_equals_fresh_kronecker_products():

@@ -165,9 +165,10 @@ FAR_WINDOWS = [
 
 @pytest.mark.parametrize("params, gid", FAR_WINDOWS)
 def test_positivity_window_far_from_unit_scale(params, gid):
-    """Each endpoint is the float nearest the reference, within an ulp, or
-    the window raises DegenerateDenominator when one lies outside the float
-    range (L1PLUS at kappa 1e200 starts near -5e399)."""
+    """Each endpoint of a shift is the float nearest the reference, and
+    O0MI's is within an ulp of it, or the window raises
+    DegenerateDenominator when one lies outside the float range (L1PLUS at
+    kappa 1e200 starts near -5e399)."""
     s = GaussianState(*params)
     reference = [float(end) for end in reference_window(gid, s)]
     if any(abs(end) > sys.float_info.max and end != math.inf for end in reference):
@@ -176,8 +177,10 @@ def test_positivity_window_far_from_unit_scale(params, gid):
         return
     lo, hi = positivity_window(gid, s)
     assert lo <= 0.0 <= hi
-    assert hi == reference[1] or abs(hi - reference[1]) <= math.ulp(reference[1])
-    assert abs(lo - reference[0]) <= math.ulp(reference[0])
+    if gid is GeneratorId.O0MI:
+        assert hi == reference[1] and abs(lo - reference[0]) <= math.ulp(reference[0])
+    else:
+        assert [lo, hi] == reference
 
 
 def closed_window_in_floats(gid, s):
@@ -221,24 +224,40 @@ NEAR_ZERO_WINDOWS = [
 
 @pytest.mark.parametrize("params, gid, end", NEAR_ZERO_WINDOWS)
 def test_positivity_window_keeps_the_endpoint_next_to_zero(params, gid, end):
-    """Within an ulp of the 2000-digit reference, where the closed forms in
-    floats return 0.0."""
+    """The floats nearest the 2000-digit reference, where the closed forms
+    in floats return 0.0."""
     s = GaussianState(*params)
     reference = [float(x) for x in reference_window(gid, s)]
     assert closed_window_in_floats(gid, s)[end] == 0.0 != reference[end]
-    for got, want in zip(positivity_window(gid, s), reference):
-        assert got == want or abs(got - want) <= math.ulp(want)
+    assert list(positivity_window(gid, s)) == reference
 
 
 @pytest.mark.parametrize("params", [(1e-8, 0.0, 2.5e7), (1e-4, 0.0, 2500.0), (0.01, 0.3, 24.0)])
 def test_the_oplus_endpoint_keeps_its_bits_next_to_the_double_root(params):
     """Where mu nu nears 1/4 and mu 0, the two roots of OPLUS's nu'(p) meet,
     and (1 + D)^2 - 16 mu nu evaluated in floats cancels (by 4e7 ulps at
-    mu = 1e-8); its sum of squares (1 - D)^2 + 16 mu^2 + 4 kappa^2 holds
-    the endpoint to an ulp of the 2000-digit reference."""
+    mu = 1e-8); in exact arithmetic the endpoint is the float nearest the
+    2000-digit reference."""
     s = GaussianState(*params)
     want = float(reference_window(GeneratorId.OPLUS, s)[0])
-    assert abs(positivity_window(GeneratorId.OPLUS, s)[0] - want) <= math.ulp(want)
+    assert positivity_window(GeneratorId.OPLUS, s)[0] == want
+
+
+def test_shift_windows_at_unit_scale_are_the_nearest_floats():
+    """On 600 seeded unit-scale states, and on the state where the scaled
+    floats were 2 ulps off on L2PLUS, every endpoint of OPLUS, L1PLUS and
+    L2PLUS is the float nearest the 2000-digit reference."""
+    rng = np.random.default_rng(20290104)
+    states = [random_state(rng) for _ in range(600)]
+    states.append(GaussianState(1.73643864273757, 1.1296112892497416, 0.9438194387175805))
+    for index, s in enumerate(states):
+        for gid in (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS):
+            reference = [float(end) for end in reference_window(gid, s)]
+            assert list(positivity_window(gid, s)) == reference, (index, gid)
+    assert positivity_window(GeneratorId.L2PLUS, states[-1]) == (
+        -0.48054710755706254,
+        1.1310804816985531,
+    )
 
 
 def test_rotation_and_boosts_have_unbounded_windows():

@@ -3,6 +3,9 @@
 No module of `src/klform` imports scipy, and `import klform.cli`, every
 subcommand and `biorthogonality_check` start and run in a fresh
 interpreter without loading it.  scipy serves only the tests' oracles.
+Neither do the CLI's import and subcommands load `fractions` or
+`decimal`, which only positivity_window's exact arithmetic needs and
+which would add their import time to every process.
 """
 
 import ast
@@ -207,13 +210,14 @@ def test_unused_import_check_sees_every_spelling():
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the
-# scipy modules loaded after the import and after each command.
+# scipy, fractions and decimal modules loaded after the import and after
+# each command.
 _PROBE = """
 import json, sys
 import klform.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "fractions", "decimal"))
 
 report = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):

@@ -25,15 +25,12 @@ from klform import (
     distinct_labels,
     kl_coefficients,
     reduce_to_kl,
-    step2_matrix,
-    step2_solve,
     transform_gaussian,
     transformed_eigenfunction,
-    u_matrix,
 )
-from klform.reduction import REPLAY_TOL, _step1_solve
+from klform.reduction import REPLAY_TOL, _step1_solve, _step2_matrix, _step2_solve
 
-from test_acceptance import random_scrambled_source
+from test_acceptance import random_scrambled_source, u_matrix
 
 METRIC = np.diag([1.0, -1.0, -1.0])
 
@@ -144,7 +141,7 @@ def test_step2_matrix_determinant_formula():
     for _ in range(100):
         h = tuple(rng.uniform(-2.0, 2.0, size=3))
         gamma = float(rng.uniform(0.0, 2.0))
-        det = np.linalg.det(step2_matrix(h, gamma))
+        det = np.linalg.det(_step2_matrix(h, gamma))
         formula = -gamma * (metric_value(h) + gamma * gamma)
         assert abs(det - formula) <= 1e-12 * max(1.0, abs(formula))
 
@@ -155,7 +152,7 @@ def test_step2_matrix_equals_literal_closed_form():
         h0, h1, h2 = rng.uniform(-2.0, 2.0, size=3)
         gamma = float(rng.uniform(0.0, 2.0))
         literal = [[-gamma, h2, -h1], [h2, -gamma, -h0], [-h1, h0, -gamma]]
-        assert np.array_equal(step2_matrix((h0, h1, h2), gamma), np.array(literal))
+        assert np.array_equal(_step2_matrix((h0, h1, h2), gamma), np.array(literal))
 
 
 def test_step2_solve_forward_replay():
@@ -166,9 +163,9 @@ def test_step2_solve_forward_replay():
         gamma = float(rng.uniform(0.05, 1.0))
         g_from = tuple(rng.uniform(-1.5, 1.5, size=3))
         g_target = tuple(rng.uniform(-1.5, 1.5, size=3))
-        eta = step2_solve(omega0, gamma, g_from, g_target)
+        eta = _step2_solve(omega0, gamma, g_from, g_target)
         h = (2.0 * omega0, 0.0, 0.0)
-        resid = step2_matrix(h, gamma) @ eta - (
+        resid = _step2_matrix(h, gamma) @ eta - (
             np.asarray(g_target) - np.asarray(g_from)
         )
         assert np.max(np.abs(resid)) <= 1e-12
@@ -183,7 +180,7 @@ def test_step2_solve_forward_replay():
 
 def test_step2_solve_singular_at_zero_gamma():
     with pytest.raises(SingularGError):
-        step2_solve(1.0, 0.0, (0.1, 0.2, 0.3), (-0.6, 0.0, 0.0))
+        _step2_solve(1.0, 0.0, (0.1, 0.2, 0.3), (-0.6, 0.0, 0.0))
 
 
 def test_reduce_round_trip_scrambled_normal_forms():
@@ -394,7 +391,7 @@ def test_a_width_beyond_the_float_range_raises_typed_error(c, match):
 
 def test_step2_check_fails_on_a_non_finite_miss():
     with pytest.raises(IllConditionedReduction, match="float range") as info:
-        step2_solve(1.0, 0.3, (0.0, 0.0, 0.0), (-6e307, 0.0, 0.0))
+        _step2_solve(1.0, 0.3, (0.0, 0.0, 0.0), (-6e307, 0.0, 0.0))
     assert info.value.residual == math.inf
 
 

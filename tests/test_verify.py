@@ -877,6 +877,18 @@ def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped
         assert_window_filters_all_eigenvalues(k_mat, scale * radius)
 
 
+def test_a_write_into_a_band_reaches_every_reader():
+    """A band given in Fortran order is stored in C order, so that its
+    flattened view, which `@` and toarray() read, sees a later write."""
+    n = 4
+    band = np.asfortranarray(np.arange(n * n, dtype=complex).reshape(n, n))
+    mat = BandedMatrix({(0, 0): band}, n, n)
+    mat.bands[(0, 0)][1, 1] = 100
+    unit = np.zeros(n * n)
+    unit[5] = 1.0
+    assert mat.toarray()[5, 5] == 100 and (mat @ unit)[5] == 100
+
+
 def test_the_strip_never_skips_a_pentadiagonal_block():
     """Blocks with diagonal -5, no tridiagonal entries, and symmetric
     entries 3 two places off the diagonal from the bands (2, -2) and
