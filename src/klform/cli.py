@@ -455,7 +455,13 @@ def cmd_eigfun(cfg: RunConfig):
     grid = cfg.grid
     q_vals = np.linspace(grid.q_min, grid.q_max, grid.steps)
     r_vals = np.linspace(grid.r_min, grid.r_max, grid.steps)
-    values = mode.evaluate(q_vals[:, None], r_vals[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails below
+        values = mode.evaluate(q_vals[:, None], r_vals[None, :])
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"eigenfunction {list(cfg.label)} is not finite on the grid q in "
+            f"[{grid.q_min}, {grid.q_max}], r in [{grid.r_min}, {grid.r_max}]"
+        )
     return {
         "eigenfunction.json": render_json(doc),
         "eigenfunction.csv": render_grid_csv(q_vals, r_vals, values),

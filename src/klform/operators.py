@@ -33,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "GeneratorId",
+    "GENERATOR_ORDER",
     "PhasePolyOperator",
     "LinearPhaseOperator",
     "LiouvillianCoeffs",
@@ -134,10 +135,6 @@ class PhasePolyOperator:
     @property
     def terms(self) -> dict:
         return dict(self._terms)
-
-    @classmethod
-    def zero(cls) -> "PhasePolyOperator":
-        return cls({})
 
     @classmethod
     def identity(cls) -> "PhasePolyOperator":

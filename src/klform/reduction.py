@@ -50,23 +50,17 @@ _SHIFTS = (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
 def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     """Rotation and boost parameters sending h to (2*omega0, 0, 0).
 
-    Returns (theta, phi, omega0) with theta = -atan2(h1, h2) and
+    Returns (theta, phi, omega0) in closed form, theta = -atan2(h1, h2) and
     phi = -artanh(rho/h0), rho = hypot(h1, h2): the rotation U0(theta)
     carries h to (h0, 0, rho) and the boost U1(phi) then carries that to
-    (2*omega0, 0, 0).  One forward substitution checks the result: the
-    two flows applied to h.  They round each product once, as the product
-    of the 3x3 boost and rotation matrices with h does, so either route
-    misses (h1, h2) by a few roundoffs of |h| cosh(phi), at most 4.6e-16
-    on the 100 criterion-02 sources.  The bound 1e-9 max(1, |h|) is
-    reached only from cosh(phi) of about 1e7 on.
+    (2*omega0, 0, 0).  No flow is applied here: reduce_to_kl applies the
+    two to the source once, and that application is their check.
 
     h = (0, 0, 0) returns (0, 0, 0): nothing to rotate.  Raises
     OverdampedError / CriticalDampingError when h0^2 - h1^2 - h2^2 is
     negative / zero, NonPositiveH0Error when h0 <= 0 with h nonzero, and
-    IllConditionedReduction when that metric overflows or rho/h0 rounds
-    to 1 or a flow leaves the float range (residual inf), or when the
-    forward substitution leaves (h1, h2) above roundoff (residual = the
-    miss).
+    IllConditionedReduction (residual inf) when that metric overflows or
+    rho/h0 rounds to 1.
     """
     h0, h1, h2 = (float(x) for x in h)
     if h0 == 0.0 and h1 == 0.0 and h2 == 0.0:
@@ -90,17 +84,6 @@ def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
         raise IllConditionedReduction(f"rho/h0 rounds to 1 for h = {(h0, h1, h2)}", math.inf)
     theta = -math.atan2(h1, h2)
     phi = -math.atanh(rho / h0)
-    out = LiouvillianCoeffs((h0, h1, h2), 0.0, (0.0, 0.0, 0.0))
-    try:
-        for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):
-            out = conjugate_coefficients(gid, param, out)
-    except ValueError:  # a coefficient beyond the float range
-        raise IllConditionedReduction(
-            f"rotation and boost leave the float range for h = {(h0, h1, h2)}", math.inf
-        ) from None
-    miss = abs(out.h[1]) + abs(out.h[2])
-    if miss > 1e-9 * max(1.0, abs(h0), abs(h1), abs(h2)):
-        raise IllConditionedReduction(f"rotation and boost miss (h1, h2) by {miss}", miss)
     return theta, phi, omega0
 
 
@@ -227,20 +210,31 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
 
     Step order: IL0 rotation, IM1 boost (these fix h), then the three
     shifts OPLUS, L1PLUS, L2PLUS (these fix g; gamma is invariant
-    throughout).  The returned plan is verified by replaying it
-    (ReductionPlan.check_replay), and records c as its checked_source.  A
-    normal form or shift beyond the float range raises
-    IllConditionedReduction with residual inf.
+    throughout).  The rotation and the boost are applied to c once, and
+    that is step 1's check: (h1, h2) must come out within 1e-9 max(1, |h|),
+    or IllConditionedReduction carries the miss (at most 4.6e-16 on the
+    100 criterion-02 sources).  The returned plan is
+    verified by replaying it (ReductionPlan.check_replay), and records c
+    as its checked_source.  A flow, normal form or shift beyond the float
+    range raises IllConditionedReduction with residual inf.
     """
     if not b_target >= 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
     theta, phi, omega0 = _step1_solve(c.h)
     work = c
     steps: list[tuple[GeneratorId, float]] = []
-    for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):
-        if param != 0.0:
-            work = conjugate_coefficients(gid, param, work)
-            steps.append((gid, param))
+    try:
+        for gid, param in ((GeneratorId.IL0, theta), (GeneratorId.IM1, phi)):
+            if param != 0.0:  # a flow at +-0.0 leaves |h1| and |h2| as they are
+                work = conjugate_coefficients(gid, param, work)
+                steps.append((gid, param))
+    except ValueError:  # a coefficient beyond the float range
+        raise IllConditionedReduction(
+            f"rotation and boost leave the float range for h = {c.h}", math.inf
+        ) from None
+    miss = abs(work.h[1]) + abs(work.h[2])
+    if miss > 1e-9 * max(1.0, *map(abs, c.h)):
+        raise IllConditionedReduction(f"rotation and boost miss (h1, h2) by {miss}", miss)
     try:
         target = kl_coefficients(omega0, c.gamma, b_target)
     except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient

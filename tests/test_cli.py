@@ -155,6 +155,25 @@ def test_stationary_generic_matches_preset(tmp_path):
         assert a[key] == pytest.approx(b[key], abs=1e-12)
 
 
+def test_eigfun_on_a_grid_where_the_mode_is_not_finite_exits_2(tmp_path, capsys):
+    """At |q| = 1e5, Q^64 overflows while the Gaussian underflows to 0, so
+    the label (32, 0, 1) has no float value there: nothing is written."""
+    out = tmp_path / "out"
+    doc = {
+        **KL,
+        "label": [32, 0, 1],
+        "grid": {"q_min": -1e5, "q_max": 1e5, "r_min": -1.0, "r_max": 1.0, "steps": 3},
+        "out": str(out),
+    }
+    assert run_cli(["eigfun", "--config", write_config(tmp_path, doc)]) == 2
+    message = (
+        "eigenfunction [32, 0, 1] is not finite on the grid q in [-100000.0, 100000.0], "
+        "r in [-1.0, 1.0]"
+    )
+    assert json.loads(capsys.readouterr().out) == {"error": "ConfigError", "message": message}
+    assert not out.exists()
+
+
 def test_eigfun_grid_shape(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -689,6 +708,14 @@ UNREDUCIBLE = {
         0.3,
         [-0.6, 0.0, 0.0],
         1e308,
+        "IllConditionedReduction",
+    ),
+    "boost-overflow": (
+        "reduce",
+        GENERIC["coefficients"]["h"],
+        0.5,
+        [1.78e308, 0.0, 0.0],
+        1.0,
         "IllConditionedReduction",
     ),
 }

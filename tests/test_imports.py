@@ -5,7 +5,8 @@ subcommand and `biorthogonality_check` start and run in a fresh
 interpreter without loading it.  scipy serves only the tests' oracles.
 Neither do the CLI's import and subcommands load `fractions` or
 `decimal`, which only positivity_window's exact arithmetic needs and
-which would add their import time to every process.
+which would add their import time to every process.  The package's
+names are one list: its modules' `__all__` and the typed errors.
 """
 
 import ast
@@ -14,6 +15,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import klform
+from klform import errors, gauss, operators, reduction, spectrum, verify
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "klform"
 
@@ -207,6 +212,24 @@ def test_unused_import_check_sees_every_spelling():
         ("os", 3),
         ("two_pi", 6),
     ]
+
+
+def test_package_names_are_the_modules_all_and_the_typed_errors():
+    """`klform` exports exactly the names its five modules list in `__all__`
+    and the KLFormError classes of `errors`: one list of public names."""
+    public = {
+        name
+        for name, value in vars(klform).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = set().union(*(m.__all__ for m in (gauss, operators, reduction, spectrum, verify)))
+    typed = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.KLFormError)
+    }
+    assert public == listed | typed
+    assert len(public) == 54
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the

@@ -129,10 +129,20 @@ def test_step1_forward_check_misses_by_roundoff_by_either_route():
 
 def test_step1_flow_beyond_the_float_range_raises_typed_error(monkeypatch):
     """No finite metric gets there (cosh(phi) stays below about 7e7), so a
-    boost of 800 is forced: cosh(800) overflows in the forward check."""
+    boost of 800 is forced: cosh(800) overflows where reduce_to_kl applies
+    the boost, which is also step 1's forward check."""
     monkeypatch.setattr(math, "atanh", lambda x: -800.0)
     with pytest.raises(IllConditionedReduction, match="float range") as info:
-        _step1_solve((2.0, 0.5, 0.5))
+        reduce_to_kl(LiouvillianCoeffs((2.0, 0.5, 0.5), 0.3, (-0.6, 0.0, 0.0)))
+    assert info.value.residual == math.inf
+
+
+def test_a_boost_that_carries_g_beyond_the_float_range_raises_typed_error():
+    """h alone boosts to a finite normal form, but cosh(phi) = 1.03 carries
+    g0 = 1.78e308 past the largest float."""
+    c = LiouvillianCoeffs((2.2, 0.4, -0.3), 0.5, (1.78e308, 0.0, 0.0))
+    with pytest.raises(IllConditionedReduction, match="float range") as info:
+        reduce_to_kl(c)
     assert info.value.residual == math.inf
 
 
@@ -324,9 +334,9 @@ def test_transport_reproducer_raises_on_every_call():
 
 def test_reduce_and_transport_raise_only_klform_errors():
     """Sources at the edges of the domain (h0 up to 1e150, rho/h0 up to
-    1 - 1e-17, gamma down to 1e-300), at widths b up to 1e308, reduce and
-    transport to the stationary mode, or raise a KLFormError; never another
-    exception."""
+    1 - 1e-17, gamma down to 1e-300, |g| up to the largest float), at
+    widths b up to 1e308, reduce and transport to the stationary mode, or
+    raise a KLFormError; never another exception."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -345,7 +355,7 @@ def test_reduce_and_transport_raise_only_klform_errors():
         ratio,
         st.floats(-math.pi, math.pi),
         power(-300, 1),
-        st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        st.tuples(*[st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)] * 3),
     )
 
     @hyp.settings(max_examples=300)
