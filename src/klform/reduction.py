@@ -88,16 +88,16 @@ def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
 
 
 def _step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
-    """Matrix of the combined affine action of the shift flows on g.
+    """Matrix of the combined affine action of the shift flows on g, in closed form.
 
     Column j is the image of g = 0 under the j-th of OPLUS, L1PLUS,
-    L2PLUS at parameter 1 (conjugate_coefficients), so columns
-    correspond to the parameters (eta0, eta1, eta2).
+    L2PLUS at parameter 1, so columns correspond to the parameters
+    (eta0, eta1, eta2); the tests check it against conjugate_coefficients.
     det = -gamma*(h0^2 - h1^2 - h2^2 + gamma^2), so for a reducible h the
     system is singular exactly at gamma = 0.
     """
-    zero_g = LiouvillianCoeffs(h, gamma, (0.0, 0.0, 0.0))
-    return np.array([conjugate_coefficients(gid, 1.0, zero_g).g for gid in _SHIFTS]).T
+    h0, h1, h2 = h
+    return np.array([[-gamma, h2, -h1], [h2, -gamma, -h0], [-h1, h0, -gamma]])
 
 
 def _step2_solve(
@@ -213,10 +213,11 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     throughout).  The rotation and the boost are applied to c once, and
     that is step 1's check: (h1, h2) must come out within 1e-9 max(1, |h|),
     or IllConditionedReduction carries the miss (at most 4.6e-16 on the
-    100 criterion-02 sources).  The returned plan is
-    verified by replaying it (ReductionPlan.check_replay), and records c
-    as its checked_source.  A flow, normal form or shift beyond the float
-    range raises IllConditionedReduction with residual inf.
+    100 criterion-02 sources).  The returned plan is verified by
+    replaying it (ReductionPlan.check_replay), and records c as its
+    checked_source; conjugate_coefficients is called only to apply a step.
+    A flow, normal form or shift beyond the float range raises
+    IllConditionedReduction with residual inf (one guard names h, g, gamma, b).
     """
     if not b_target >= 0.5:
         raise ValueError(f"b_target = {b_target} must be at least 1/2")
@@ -228,19 +229,14 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
             if param != 0.0:  # a flow at +-0.0 leaves |h1| and |h2| as they are
                 work = conjugate_coefficients(gid, param, work)
                 steps.append((gid, param))
-    except ValueError:  # a coefficient beyond the float range
-        raise IllConditionedReduction(
-            f"rotation and boost leave the float range for h = {c.h}", math.inf
-        ) from None
-    miss = abs(work.h[1]) + abs(work.h[2])
-    if miss > 1e-9 * max(1.0, *map(abs, c.h)):
-        raise IllConditionedReduction(f"rotation and boost miss (h1, h2) by {miss}", miss)
-    try:
+        miss = abs(work.h[1]) + abs(work.h[2])
+        if miss > 1e-9 * max(1.0, *map(abs, c.h)):
+            raise IllConditionedReduction(f"rotation and boost miss (h1, h2) by {miss}", miss)
         target = kl_coefficients(omega0, c.gamma, b_target)
     except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient
         raise IllConditionedReduction(
-            f"normal form g0 = -2 gamma b leaves the float range at gamma = {c.gamma}, "
-            f"b = {b_target}",
+            f"rotation, boost or normal form leaves the float range for h = {c.h}, "
+            f"g = {c.g}, gamma = {c.gamma}, b = {b_target}",
             math.inf,
         ) from None
     eta = _step2_solve(omega0, c.gamma, work.g, target.g)

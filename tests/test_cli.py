@@ -736,6 +736,17 @@ def test_unreducible_source_exits_2_with_typed_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_boost_overflow_error_names_the_overflowing_g(tmp_path, capsys):
+    """The boost carries g0 = 1.78e308 past the largest float while h stays
+    finite, so the message names g as well as h."""
+    _, h, gamma, g, _, _ = UNREDUCIBLE["boost-overflow"]
+    doc = {"model": "generic", "coefficients": {"h": h, "gamma": gamma, "g": g}}
+    assert run_cli(["reduce", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "IllConditionedReduction"
+    assert "1.78e+308" in err["message"]
+
+
 def test_overflowing_preset_exits_2_with_config_error(tmp_path, capsys):
     """A preset whose own coefficient -2 gamma b leaves the float range."""
     out = tmp_path / "out"

@@ -130,6 +130,14 @@ def test_window_fixture_cross_diffusion():
     assert hi == pytest.approx(math.sqrt(3.0), abs=1e-14)
 
 
+def decimal_root(x):
+    """The square root of a Decimal x >= 0 to about 2000 digits: math.isqrt
+    of x scaled to a 4000-digit integer, at half the cost of Decimal.sqrt
+    and with the same floats on every case the reference is read at."""
+    k = 2000 - x.adjusted() // 2
+    return Decimal(math.isqrt(int(x.scaleb(2 * k)))).scaleb(-k)
+
+
 def reference_window(gid, s):
     """The closed forms of positivity_window in 2000-digit decimal
     arithmetic, where no square overflows and no difference cancels."""
@@ -139,12 +147,12 @@ def reference_window(gid, s):
         if gid is GeneratorId.O0MI:
             return (mu / (mu + nu)).ln() / 2, Decimal("inf")
         if gid is GeneratorId.OPLUS:
-            root = ((1 + dis) ** 2 - 16 * mu * nu).sqrt()
+            root = decimal_root((1 + dis) ** 2 - 16 * mu * nu)
             return (-(1 + dis) + root) / (4 * mu), Decimal("inf")
         if gid is GeneratorId.L1PLUS:
-            root = ((1 - dis) ** 2 + 16 * mu * nu).sqrt()
+            root = decimal_root((1 - dis) ** 2 + 16 * mu * nu)
             return ((1 - dis) - root) / (4 * mu), ((1 - dis) + root) / (4 * mu)
-        root = (kappa**2 + 4 * mu * nu).sqrt()
+        root = decimal_root(kappa**2 + 4 * mu * nu)
         return (kappa - root) / (2 * mu), (kappa + root) / (2 * mu)
 
 

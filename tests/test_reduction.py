@@ -33,6 +33,7 @@ from klform.reduction import REPLAY_TOL, _step1_solve, _step2_matrix, _step2_sol
 from test_acceptance import random_scrambled_source, u_matrix
 
 METRIC = np.diag([1.0, -1.0, -1.0])
+SHIFTS = (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS)
 
 
 def metric_value(h):
@@ -144,6 +145,7 @@ def test_a_boost_that_carries_g_beyond_the_float_range_raises_typed_error():
     with pytest.raises(IllConditionedReduction, match="float range") as info:
         reduce_to_kl(c)
     assert info.value.residual == math.inf
+    assert "1.78e+308" in str(info.value)  # the message names g, not only h
 
 
 def test_step2_matrix_determinant_formula():
@@ -157,12 +159,43 @@ def test_step2_matrix_determinant_formula():
 
 
 def test_step2_matrix_equals_literal_closed_form():
+    """_step2_matrix, the literal closed form, equals the shift flows'
+    action on g: column j is the image of g = 0 under the j-th of OPLUS,
+    L1PLUS, L2PLUS at parameter 1 (conjugate_coefficients).  Checked on 50
+    random h and at the normal-form h = (2 omega0, 0, 0) of the 100
+    criterion-02 sources, by value: signed zeros may differ (the literal
+    has -0.0 where it negates h1 = 0.0)."""
+    cases = []
     rng = np.random.default_rng(56)
     for _ in range(50):
         h0, h1, h2 = rng.uniform(-2.0, 2.0, size=3)
-        gamma = float(rng.uniform(0.0, 2.0))
-        literal = [[-gamma, h2, -h1], [h2, -gamma, -h0], [-h1, h0, -gamma]]
-        assert np.array_equal(_step2_matrix((h0, h1, h2), gamma), np.array(literal))
+        cases.append(((h0, h1, h2), float(rng.uniform(0.0, 2.0))))
+    rng = np.random.default_rng(20260816)
+    for _ in range(100):
+        src = random_scrambled_source(rng)
+        cases.append(((2.0 * _step1_solve(src.h)[2], 0.0, 0.0), src.gamma))
+    for h, gamma in cases:
+        zero_g = LiouvillianCoeffs(h, gamma, (0.0, 0.0, 0.0))
+        flows = [conjugate_coefficients(gid, 1.0, zero_g).g for gid in SHIFTS]
+        assert np.array_equal(_step2_matrix(h, gamma), np.array(flows).T)
+
+
+def test_reduce_calls_the_flows_only_to_apply_a_step(monkeypatch):
+    """On the 100 criterion-02 sources, reduce_to_kl applies the rotation
+    and the boost once each (step 1's check) and replays the plan once;
+    step 2's matrix is a closed form and calls no flow."""
+    rng = np.random.default_rng(20260816)
+    sources = [random_scrambled_source(rng) for _ in range(100)]
+    calls = []
+    monkeypatch.setattr(
+        "klform.reduction.conjugate_coefficients",
+        lambda *args: calls.append(args) or conjugate_coefficients(*args),
+    )
+    for src in sources:
+        calls.clear()
+        plan = reduce_to_kl(src)
+        step1 = sum(gid in (GeneratorId.IL0, GeneratorId.IM1) for gid, _ in plan.steps)
+        assert len(calls) == step1 + len(plan.steps)
 
 
 def test_step2_solve_forward_replay():
@@ -180,9 +213,7 @@ def test_step2_solve_forward_replay():
         )
         assert np.max(np.abs(resid)) <= 1e-12
         c = LiouvillianCoeffs(h, gamma, g_from)
-        for gid, p in zip(
-            (GeneratorId.OPLUS, GeneratorId.L1PLUS, GeneratorId.L2PLUS), eta
-        ):
+        for gid, p in zip(SHIFTS, eta):
             c = conjugate_coefficients(gid, float(p), c)
         assert_allclose(c.g, g_target, atol=1e-12)
         assert_allclose(c.h, h, atol=1e-12)
