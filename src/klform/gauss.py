@@ -60,10 +60,8 @@ class GaussianState:
 
     @classmethod
     def _from_checked(cls, mu: float, kappa: float, nu: float) -> "GaussianState":
-        """The state of floats a map has already found finite, taken as they
-        are; only the positivity check mu > 0 runs (PositivityViolation)."""
-        if mu <= 0:
-            raise PositivityViolation(f"mu = {mu} must be positive")
+        """The state of floats a map (_flow) has already found finite, with
+        mu > 0, taken as they are."""
         out = cls.__new__(cls)
         out.__dict__.update(mu=mu, kappa=kappa, nu=nu)
         return out
@@ -193,12 +191,23 @@ def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> Gaus
     stays physical only for a parameter in positivity_window(gid, s).
     Only a vanishing or sign-changing denominator, or a mapped parameter
     outside the float range, raises (DegenerateDenominator), and a mapped
-    mu that underflows to 0 (PositivityViolation).
+    mu that underflows to 0 (PositivityViolation).  The closed forms are
+    _flow's, on the floats of s.
     """
-    p = float(param)
-    mu, kappa, w = s.mu, s.kappa, s.width_sum
+    return GaussianState._from_checked(*_flow(gid, float(param), s.mu, s.kappa, s.nu))
+
+
+def _flow(gid: GeneratorId, p: float, mu: float, kappa: float, nu: float) -> tuple:
+    """(mu, kappa, nu) of exp(p*G) applied to the Gaussian (mu, kappa, nu),
+    in closed form, with transform_gaussian's checks and errors.
+
+    The maps read the width sum w = mu + nu and the discriminant
+    D = 4 mu w + kappa^2, formed as GaussianState.width_sum and delta()
+    form them, and give the new mu, kappa and w; the new nu is w - mu.
+    """
+    w = mu + nu
     try:
-        dis = s.delta()
+        dis = 4.0 * mu * w + kappa**2
         if gid is GeneratorId.IL0:
             half = 0.5 * p
             den = (math.cos(half) + kappa * math.sin(half)) ** 2 + 4.0 * mu * w * math.sin(
@@ -247,7 +256,9 @@ def transform_gaussian(gid: GeneratorId, param: float, s: GaussianState) -> Gaus
     nu2 = w2 - mu2
     if not all(map(math.isfinite, (mu2, kappa2, nu2))):
         raise DegenerateDenominator(f"map leaves the float range: {(mu2, kappa2, nu2)}")
-    return GaussianState._from_checked(mu2, kappa2, nu2)
+    if mu2 <= 0:
+        raise PositivityViolation(f"mu = {mu2} must be positive")
+    return mu2, kappa2, nu2
 
 
 def _guard_denominator(den: float) -> None:
@@ -259,16 +270,19 @@ def apply_plan_gaussian(steps, s: GaussianState) -> GaussianState:
     """Apply a sequence of (GeneratorId, param) steps to a Gaussian, in order.
 
     The maps are formal (transform_gaussian): the state may pass outside
-    the physical region.  Errors from an individual step are
+    the physical region.  The steps run on the floats (mu, kappa, nu),
+    each with transform_gaussian's checks, and one state is built at the
+    end, the same as the chain of transform_gaussian calls; an empty
+    sequence returns s itself.  Errors from an individual step are
     re-raised with the step index prepended to the message.
     """
-    out = s
+    start = params = (s.mu, s.kappa, s.nu)
     for idx, (gid, param) in enumerate(steps):
         try:
-            out = transform_gaussian(gid, param, out)
+            params = _flow(gid, float(param), *params)
         except (PositivityViolation, DegenerateDenominator) as exc:
             raise type(exc)(f"step {idx} ({gid.name}, {param}): {exc}") from exc
-    return out
+    return s if params is start else GaussianState._from_checked(*params)
 
 
 def _reduced_frequency(omega0_prime: float, gamma: float) -> float:

@@ -143,8 +143,10 @@ class ReductionPlan:
     `raising_pair` carries the normal form's pair through the inverse
     steps, and `_normal_state` is the normal form's stationary Gaussian.
     `checked_source` is the coefficient object reduce_to_kl replayed the
-    plan against (None for a plan built by hand); it takes no part in
-    equality, and dataclasses.replace drops it.
+    plan against (None for a plan built by hand), and `_pair_certified`
+    records that the raising pair passed its certificate [K, B1] =
+    lambda_1 B1 against that source (spectrum.transformed_eigenfunction);
+    neither takes part in equality, and dataclasses.replace drops both.
     """
 
     steps: tuple[tuple[GeneratorId, float], ...]
@@ -154,6 +156,7 @@ class ReductionPlan:
     checked_source: LiouvillianCoeffs | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _pair_certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def inverse_steps(self) -> list[tuple[GeneratorId, float]]:

@@ -259,6 +259,31 @@ def kl_eigenfunction(
     return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
 
 
+def _certify_pair(pair, source: LiouvillianCoeffs, omega0: float) -> None:
+    """The transport's certificate [K, B1] = lambda_1 B1 for the source K.
+
+    The flows keep the trace, so B1 stays beta r + delta dQ (q = dr = 0
+    exactly), on which K acts through h and gamma alone: [K, r] =
+    (gamma - h2)/2 r + i(h1 - h0)/2 dQ, [K, dQ] = -i(h0 + h1)/2 r +
+    (gamma + h2)/2 dQ.  They keep B2 the mirror of B1 under
+    f -> conj f(Q, -r) bit for bit, so B2 misses as much.  A miss above
+    RAISING_TOL times |lambda_1| max(|beta|, |delta|) raises
+    IllConditionedReduction carrying the relative miss.
+    """
+    (h0, h1, h2), gamma = source.h, source.gamma
+    lam = eigenvalue(EigenLabel(1, 1, -1), omega0, gamma)
+    beta, delta = pair[0].r, pair[0].dq
+    miss = abs(0.5 * (beta * (gamma - h2) - 1j * delta * (h0 + h1)) - lam * beta) + abs(
+        0.5 * (1j * beta * (h1 - h0) + delta * (gamma + h2)) - lam * delta
+    )
+    scale = abs(lam) * max(abs(beta), abs(delta))
+    if not miss <= RAISING_TOL * scale:
+        raise IllConditionedReduction(
+            f"transported raising pair misses [K, B] = lambda B by {miss} of {scale}",
+            miss / scale if scale else math.inf,
+        )
+
+
 def transformed_eigenfunction(
     plan: ReductionPlan, label: EigenLabel, source: LiouvillianCoeffs
 ) -> AppliedEigenfunction:
@@ -271,18 +296,24 @@ def transformed_eigenfunction(
     negated parameters, and the label's word is unchanged.  The pair does
     not depend on the label, so it is the plan's (ReductionPlan.raising_pair,
     transported once per plan object), and so is the normal form's Gaussian
-    (its _normal_state); the Gaussian is transported per call.  m above MAX_M raises LabelError before anything is transported.
-    The transported Gaussian may pass outside the physical region; only a
-    non-normalizable endpoint (mu + nu <= 0) is an error.  A plan that does
-    not replay source onto its target (ReductionPlan.check_replay, skipped
-    when source is the plan's checked_source, which reduce_to_kl already
-    replayed), a transported pair that misses [K, B_i] = lambda_i B_i of
-    the source by more than RAISING_TOL relative to |lambda_i B_i|, or one
-    that no longer commutes (see AppliedEigenfunction) raises
-    IllConditionedReduction carrying the miss.
+    (its _normal_state).  The Gaussian is transported per call, on floats
+    (apply_plan_gaussian).  m above MAX_M raises LabelError before anything
+    is transported.  The transported Gaussian may pass outside the physical
+    region; only a non-normalizable endpoint (mu + nu <= 0) is an error.  A
+    plan that does not replay source onto its target
+    (ReductionPlan.check_replay), a transported pair that misses
+    [K, B_i] = lambda_i B_i of the source by more than RAISING_TOL relative
+    to |lambda_i B_i|, or one that no longer commutes (see
+    AppliedEigenfunction) raises IllConditionedReduction carrying the miss.
+    When source is the plan's checked_source, the replay is skipped, since
+    reduce_to_kl already ran it, and the pair's certificate runs on the
+    first call that reaches it and is recorded on the plan once it passes;
+    any other source, an equal copy included, is checked on every call, and
+    a failing certificate (_certify_pair) raises on every call.
     """
     _word(label)  # LabelError above MAX_M
-    if source is not plan.checked_source:
+    checked = source is plan.checked_source
+    if not checked:
         plan.check_replay(source)
     state = apply_plan_gaussian(plan.inverse_steps, plan._normal_state)
     if state.width_sum <= 0:
@@ -290,24 +321,10 @@ def transformed_eigenfunction(
             "transported stationary Gaussian is not normalizable (mu + nu <= 0)"
         )
     pair = plan.raising_pair
-    # The transport's certificate [K, B1] = lambda_1 B1, checked against the
-    # source on every call.  The flows keep the trace, so B1 stays
-    # beta r + delta dQ (q = dr = 0 exactly), on which K acts through h and
-    # gamma alone: [K, r] = (gamma - h2)/2 r + i(h1 - h0)/2 dQ,
-    # [K, dQ] = -i(h0 + h1)/2 r + (gamma + h2)/2 dQ.  They keep B2 the mirror
-    # of B1 under f -> conj f(Q, -r) bit for bit, so B2 misses as much.
-    (h0, h1, h2), gamma = source.h, source.gamma
-    lam = eigenvalue(EigenLabel(1, 1, -1), plan.omega0, gamma)
-    beta, delta = pair[0].r, pair[0].dq
-    miss = abs(0.5 * (beta * (gamma - h2) - 1j * delta * (h0 + h1)) - lam * beta) + abs(
-        0.5 * (1j * beta * (h1 - h0) + delta * (gamma + h2)) - lam * delta
-    )
-    scale = abs(lam) * max(abs(beta), abs(delta))
-    if not miss <= RAISING_TOL * scale:
-        raise IllConditionedReduction(
-            f"transported raising pair misses [K, B] = lambda B by {miss} of {scale}",
-            miss / scale if scale else math.inf,
-        )
+    if not (checked and plan._pair_certified):
+        _certify_pair(pair, source, plan.omega0)
+        if checked:
+            object.__setattr__(plan, "_pair_certified", True)
     return AppliedEigenfunction(
         label=label,
         eigenvalue=eigenvalue(label, plan.omega0, source.gamma),

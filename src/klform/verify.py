@@ -45,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,8 +107,9 @@ class BandedMatrix:
     basis are zero.  A term of degree p in one coordinate moves its index
     by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
     at most 9 such arrays.  Every use reads them band by band: `@` on
-    vectors, `nnz`, `toarray()`, and the degree structure, since band
-    (s, t) maps a function of total Hermite degree e to degree e - (s + t).
+    vectors (and residual on the leading rows a vector reaches), `nnz`,
+    `toarray()`, and the degree structure, since band (s, t) maps a
+    function of total Hermite degree e to degree e - (s + t).
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -131,17 +132,29 @@ class BandedMatrix:
     def nnz(self) -> int:
         return sum(int(np.count_nonzero(band)) for band in self.bands.values())
 
+    @cached_property
+    def _finite(self) -> bool:
+        """Whether every entry is finite, read from the bands once, on first use."""
+        return all(np.isfinite(band).all() for band in self._flat)
+
     def __matmul__(self, vec) -> np.ndarray:
+        return self._leading_rows(vec, self.shape[0])
+
+    def _leading_rows(self, vec, rows: int) -> np.ndarray:
+        """The first `rows` entries of self @ vec, each summed as the full
+        product sums it: band by band, in shift order, from zero."""
         vec = np.asarray(vec)
         dim, pad = self.shape[0], self._pad
         if vec.shape != (dim,):
             raise ValueError(f"vector of shape {vec.shape} does not fit a {self.shape} matrix")
-        padded = np.zeros(dim + 2 * pad, dtype=np.result_type(vec, complex))
-        padded[pad : pad + dim] = vec
-        out = np.zeros(dim, dtype=padded.dtype)
+        # a row reads at most pad entries beyond it
+        padded = np.zeros(rows + 2 * pad, dtype=np.result_type(vec, complex))
+        seen = vec[: rows + pad]
+        padded[pad : pad + seen.size] = seen
+        out = np.zeros(rows, dtype=padded.dtype)
         product = np.empty_like(out)
         for off, band in zip(self._offsets, self._flat):
-            out += np.multiply(band, padded[pad + off : pad + off + dim], out=product)
+            out += np.multiply(band[:rows], padded[pad + off : pad + off + rows], out=product)
         return out
 
     def toarray(self) -> np.ndarray:
@@ -224,6 +237,26 @@ def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, 
     return tuple((s, _read_only(diag.copy())) for s, diag in diagonals)
 
 
+# Two-sided outer products kept, one per (n_q, a, c, n_r, b, d): a term of
+# degree 2 with a factor on each side has a + c = b + d = 1, so 4 per pair
+# of basis sizes, about 0.2 MB at 40x40
+_LADDER_OUTERS = 32
+
+
+@lru_cache(maxsize=_LADDER_OUTERS)
+def _ladder_outers(
+    n_q: int, a: int, c: int, n_r: int, b: int, d: int
+) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(s, t, read-only diag_q[:, None] * diag_r) for every pair of nonzero
+    diagonals of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q functions and
+    (X/sqrt2)^b (sqrt2 D)^d on n_r, in the order of _ladder_factor's."""
+    return tuple(
+        (s, t, _read_only(diag_q[:, None] * diag_r))
+        for s, diag_q in _ladder_factor(n_q, a, c)
+        for t, diag_r in _ladder_factor(n_r, b, d)
+    )
+
+
 def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     """Matrix of a normal-ordered operator of degree at most 2 in the tensor basis.
 
@@ -232,15 +265,17 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
     factor, multiplication factors to the left of derivative factors.  The
     diagonals of the 1-D factors, in closed form, are cached per basis
-    size.  Each term adds the outer products of its diagonals, scaled by
-    its coefficient, into its bands, in the operator's term order.  A term
-    without a factor on one coordinate has the identity there, whose
-    diagonal is exactly 1.0, so it adds its coefficient times its other
-    diagonal broadcast along that coordinate, or its coefficient times
-    1.0: the same entries as the outer product, bit for bit.  Every
-    entry is that of the operator itself, restricted to the basis.  Total
-    degree above 2, beyond any quadratic Liouvillian, raises DegreeError,
-    which bounds the factors cached per basis size at 6.
+    size, and so are the outer products of a term with a factor on each
+    coordinate.  Each term adds the outer products of its diagonals,
+    scaled by its coefficient, into its bands, in the operator's term
+    order.  A term without a factor on one coordinate has the identity
+    there, whose diagonal is exactly 1.0, so it adds its coefficient
+    times its other diagonal broadcast along that coordinate, or its
+    coefficient times 1.0: the same entries as the outer product, bit
+    for bit.  Every entry is that of the operator itself, restricted to
+    the basis.  Total degree above 2, beyond any quadratic Liouvillian,
+    raises DegreeError, which bounds the factors cached per basis size
+    at 6.
     """
     if op.degree() > 2:
         raise DegreeError(f"operator degree {op.degree()} exceeds 2")
@@ -252,11 +287,7 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     for (a, b, c, d), coeff in scaled.terms.items():
         # made one at a time, so that a term holds one array of entries
         if a + c and b + d:
-            entries = (
-                (s, t, coeff * (diag_q[:, None] * diag_r))
-                for s, diag_q in _ladder_factor(n_q, a, c)
-                for t, diag_r in _ladder_factor(n_r, b, d)
-            )
+            entries = ((s, t, coeff * outer) for s, t, outer in _ladder_outers(n_q, a, c, n_r, b, d))
         elif a + c:
             entries = ((s, 0, (coeff * diag)[:, None]) for s, diag in _ladder_factor(n_q, a, c))
         elif b + d:
@@ -341,12 +372,28 @@ def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndar
 
 
 def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
-    """Relative residual |K v - lam v| / |v| in the Euclidean norm."""
+    """Relative residual |K v - lam v| / |v| in the Euclidean norm.
+
+    Row i of K v reads the entries i + s n_r + t of v, so past the last
+    nonzero entry of v and the largest such offset every row of a finite
+    matrix is an exact zero: only the rows before are multiplied (a mode of
+    m <= 2 in its own frame reaches at most 241 of 1,600 rows at 40x40),
+    each summed as K @ v sums it, and K v - lam v is laid out at full
+    length with zeros past them, so the norm is the full product's, bit
+    for bit.  A matrix with an entry that is not finite (read once, on the
+    first call) multiplies every row, so that inf * 0 gives NaN.
+    """
     vec = np.asarray(vec, dtype=complex)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    return float(np.linalg.norm(k_mat.matrix @ vec - lam * vec)) / norm
+    mat = k_mat.matrix
+    reach = mat.shape[0]
+    if mat._finite:
+        reach = min(reach, int((vec != 0).nonzero()[0][-1]) + mat._pad + 1)
+    diff = np.zeros_like(vec)
+    diff[:reach] = mat._leading_rows(vec, reach) - lam * vec[:reach]
+    return float(np.linalg.norm(diff)) / norm
 
 
 # Taylor steps an evolution may take: at basis_n 32 one step costs about

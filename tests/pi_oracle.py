@@ -8,13 +8,16 @@ rationals, so it is the oracle for the package's pi_polynomial, which
 multiplies out the word instead.  Qs and rs, transported backwards through
 the plan, are two degree-one operators op_q and op_r, and each monomial
 Qs^j rs^k becomes op_q^j op_r^k applied to the Gaussian.  The product rule
-is the closure form the package used.  The route shares nothing with the
-words but conjugate_linear, and its Hermite expansion cancels badly from m
-near 16 on, so the tests compare it with the words at small m.
+adds its terms in the order of the closure form the package used.  The
+powers depend on the plan alone and the table on the label alone, so each
+is built once.  The route shares nothing with the words but
+conjugate_linear, and its Hermite expansion cancels badly from m near 16
+on, so the tests compare it with the words at small m.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from klform import LinearPhaseOperator, conjugate_linear, stationary_preset
 
@@ -74,29 +77,28 @@ def pi_exact(label) -> dict:
 
 def apply_linear(op, poly, s):
     """Coefficients of (op P f)/f for P = poly, keyed (j, k), and f Gaussian s,
-    each product-rule term added through a closure that skips zeros."""
+    each product-rule term added in the closure form's order, a zero skipped."""
     out = {}
-
-    def add(key, val):
-        if val != 0:
-            out[key] = out.get(key, 0) + val
-
     mu, kappa, w = s.mu, s.kappa, s.width_sum
     for (j, k), coeff in poly.items():
+        terms = []
         if op.q != 0:
-            add((j + 1, k), op.q * coeff)
+            terms.append(((j + 1, k), op.q * coeff))
         if op.r != 0:
-            add((j, k + 1), op.r * coeff)
+            terms.append(((j, k + 1), op.r * coeff))
         if op.dq != 0:
             if j > 0:
-                add((j - 1, k), op.dq * coeff * j)
-            add((j + 1, k), op.dq * coeff * (-4.0 * mu))
-            add((j, k + 1), op.dq * coeff * (-1j * kappa))
+                terms.append(((j - 1, k), op.dq * coeff * j))
+            terms.append(((j + 1, k), op.dq * coeff * (-4.0 * mu)))
+            terms.append(((j, k + 1), op.dq * coeff * (-1j * kappa)))
         if op.dr != 0:
             if k > 0:
-                add((j, k - 1), op.dr * coeff * k)
-            add((j + 1, k), op.dr * coeff * (-1j * kappa))
-            add((j, k + 1), op.dr * coeff * (-w))
+                terms.append(((j, k - 1), op.dr * coeff * k))
+            terms.append(((j + 1, k), op.dr * coeff * (-1j * kappa)))
+            terms.append(((j, k + 1), op.dr * coeff * (-w)))
+        for key, val in terms:
+            if val != 0:
+                out[key] = out.get(key, 0) + val
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -112,22 +114,35 @@ def multiplication_pair(plan):
     return op_q, op_r
 
 
-def pi_route_terms(plan, mode):
-    """Terms (a, b, 0, 0) of the multiplier P of mode = P * Gaussian by the
-    monomial route: op_r is applied k times to 1, then op_q j times."""
+def route_powers(plan, gaussian):
+    """power(j, k): the terms (a, b) of op_q^j op_r^k applied to 1 over the
+    plan's transported Gaussian, op_r applied k times and then op_q j
+    times; each power is built once and shared by every label of the plan."""
     op_q, op_r = multiplication_pair(plan)
     powers = {(0, 0): {(0, 0): 1.0 + 0j}}
 
     def power(j, k):
         if (j, k) not in powers:
             op, below = (op_q, (j - 1, k)) if j > 0 else (op_r, (0, k - 1))
-            powers[(j, k)] = apply_linear(op, power(*below), mode.gaussian)
+            powers[(j, k)] = apply_linear(op, power(*below), gaussian)
         return powers[(j, k)]
 
+    return power
+
+
+@lru_cache(maxsize=None)
+def pi_table(label):
+    """((j, k), coefficient) of each term Qs^j rs^k of Pi(label), pi_exact's
+    rationals over the common factor, rounded once; built once per label."""
+    common = common_factor(label.m, label.n)
+    return tuple((key, float(exact) / common) for key, exact in pi_exact(label).items())
+
+
+def pi_route_terms(power, label):
+    """Terms (a, b, 0, 0) of the multiplier P of the label's mode = P * Gaussian
+    by the monomial route, on the powers of its plan (route_powers)."""
     total = {}
-    common = common_factor(mode.label.m, mode.label.n)
-    for (j, k), exact in pi_exact(mode.label).items():
-        coeff = float(exact) / common
+    for (j, k), coeff in pi_table(label):
         for (a, b), val in power(j, k).items():
             total[(a, b, 0, 0)] = total.get((a, b, 0, 0), 0) + coeff * val
     return total

@@ -20,12 +20,15 @@ from klform import (
     AppliedEigenfunction,
     BasisConfig,
     CoordinateFrame,
+    DegenerateDenominator,
     EigenLabel,
     GaussianState,
     IllConditionedReduction,
+    KLFormError,
     LinearPhaseOperator,
     LiouvillianCoeffs,
     PhasePolyOperator,
+    PositivityViolation,
     ReductionPlan,
     apply_plan_gaussian,
     assemble_liouvillian,
@@ -43,7 +46,7 @@ from klform import (
     transform_gaussian,
     transformed_eigenfunction,
 )
-from klform import reduction, verify
+from klform import reduction, spectrum, verify
 from klform.cli import DESK_PRESETS
 from klform.operators import _exp_conjugated, _rescale_coordinates
 
@@ -53,8 +56,9 @@ from adjoint_oracle import (
     linear_as_vector,
     linear_from_vector,
 )
-from pi_oracle import pi_route_terms
+from pi_oracle import pi_route_terms, route_powers
 from test_acceptance import random_scrambled_source
+from test_reduction import edge_domain
 from test_verify import GENERIC
 
 PRESETS = {
@@ -370,6 +374,28 @@ def test_ladder_factor_equals_the_sparse_power_factor():
                     assert not dense.diagonal(s).any(), (n, a, c, s)
 
 
+def test_ladder_outers_equal_fresh_outer_products():
+    """Each cached two-sided outer product, a + c = b + d = 1, on square and
+    rectangular bases, is the outer product of the fresh factors'
+    diagonals, byte for byte, in the shift order of _ladder_factor, and
+    read-only; the second pass at 24x36 reads what the first one left."""
+    sides = [(1, 0), (0, 1)]
+    for n_q, n_r in [(4, 4), (24, 36), (40, 40), (40, 28), (24, 36)]:
+        for (a, c), (b, d) in [(q, r) for q in sides for r in sides]:
+            dense_q, dense_r = fresh_factor(n_q, a, c).toarray(), fresh_factor(n_r, b, d).toarray()
+            want = [
+                (s, t, np.multiply.outer(dense_q.diagonal(s), dense_r.diagonal(t)))
+                for s in range(1 - n_q, n_q)
+                if dense_q.diagonal(s).any()
+                for t in range(1 - n_r, n_r)
+                if dense_r.diagonal(t).any()
+            ]
+            got = verify._ladder_outers(n_q, a, c, n_r, b, d)
+            assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
+            for (s, t, outer), (_, _, fresh) in zip(got, want):
+                assert same_bits(outer, fresh) and not outer.flags.writeable, (n_q, n_r, s, t)
+
+
 def test_expanded_poly_equals_the_per_label_table():
     """Every mode m <= 8 of the presets, the CLI tests' generic config and
     criterion-02 sources 0-4 equals the monomial route, the triple sum's
@@ -379,11 +405,12 @@ def test_expanded_poly_equals_the_per_label_table():
     sources.update({f"c02-{i}": src for i, src in enumerate(criterion_02_sources(5))})
     for name, src in sources.items():
         plan = reduce_to_kl(src, b_target=1.0)
-        for lab in distinct_labels(8):
-            f = transformed_eigenfunction(plan, lab, src)
-            ref = PhasePolyOperator(pi_route_terms(plan, f))
+        fs = [transformed_eigenfunction(plan, lab, src) for lab in distinct_labels(8)]
+        power = route_powers(plan, fs[0].gaussian)
+        for f in fs:
+            ref = PhasePolyOperator(pi_route_terms(power, f.label))
             peak = max(map(abs, ref.terms.values()))
-            assert f.expanded_poly.max_abs_diff(ref) <= 1e-12 * peak, (name, lab)
+            assert f.expanded_poly.max_abs_diff(ref) <= 1e-12 * peak, (name, f.label)
 
 
 @pytest.mark.parametrize("gid", GENERATOR_ORDER, ids=lambda g: g.name)
@@ -586,6 +613,79 @@ def test_plans_without_a_checked_source_replay_on_every_call(monkeypatch):
         for lab in distinct_labels(2):
             transformed_eigenfunction(used, lab, source)
         assert len(replays) == 9
+
+
+def test_one_pair_certificate_per_plan_for_its_source(monkeypatch):
+    """[K, B1] = lambda_1 B1 runs once for the plan's checked_source over
+    two rounds of the 9 labels; a hand-built plan, an equal copy of the
+    source and a replaced plan run it on each of the 9 calls.  The record
+    takes no part in the plan's equality or repr."""
+    for src in (PRESETS["cl"], *criterion_02_sources(5)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        by_hand = ReductionPlan(plan.steps, plan.omega0, plan.b, plan.target)
+        certificates = counting(monkeypatch, spectrum, "_certify_pair")
+        for _ in range(2):
+            for lab in distinct_labels(2):
+                transformed_eigenfunction(plan, lab, src)
+        assert len(certificates) == 1
+        assert plan == by_hand and repr(plan) == repr(by_hand)
+        copy = LiouvillianCoeffs(src.h, src.gamma, src.g)
+        for used, source in ((by_hand, src), (plan, copy), (replace(plan), src)):
+            certificates.clear()
+            for lab in distinct_labels(2):
+                transformed_eigenfunction(used, lab, source)
+            assert len(certificates) == 9
+        monkeypatch.undo()
+
+
+def chained_transform(steps, state):
+    """apply_plan_gaussian as a chain of transform_gaussian calls, a state
+    per step, each error prefixed with its step."""
+    for idx, (gid, param) in enumerate(steps):
+        try:
+            state = transform_gaussian(gid, param, state)
+        except (PositivityViolation, DegenerateDenominator) as exc:
+            raise type(exc)(f"step {idx} ({gid.name}, {param}): {exc}") from exc
+    return state
+
+
+def transport_outcome(transport, plan):
+    """repr of the plan's transported Gaussian, or the type and message of its error."""
+    try:
+        return repr(transport(plan.inverse_steps, plan._normal_state))
+    except KLFormError as exc:
+        return type(exc), str(exc)
+
+
+def test_plan_gaussian_on_floats_equals_the_transform_chain():
+    """The 100 criterion-02 plans and 3,000 draws of their recipe at seed
+    630948696, by repr, errors included; an empty plan returns its state."""
+    rng = np.random.default_rng(630948696)
+    sources = criterion_02_sources(100) + [random_scrambled_source(rng) for _ in range(3000)]
+    for index, src in enumerate(sources):
+        plan = reduce_to_kl(src, b_target=1.0)
+        got = transport_outcome(apply_plan_gaussian, plan)
+        assert got == transport_outcome(chained_transform, plan), index
+    state = GaussianState(0.3, 0.1, 0.4)
+    assert apply_plan_gaussian([], state) is state
+
+
+def test_plan_gaussian_on_floats_equals_the_transform_chain_at_the_edges():
+    """Sources at the edges of the domain: the same state, or the same
+    error type and message."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300)
+    @hyp.given(*edge_domain(hyp.strategies))
+    def check(c, b_target):
+        try:
+            plan = reduce_to_kl(c, b_target=b_target)
+        except KLFormError:
+            return
+        got = transport_outcome(apply_plan_gaussian, plan)
+        assert got == transport_outcome(chained_transform, plan)
+
+    check()
 
 
 def test_a_plan_used_with_another_source_raises_on_every_call():

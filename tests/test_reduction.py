@@ -363,13 +363,10 @@ def test_transport_reproducer_raises_on_every_call():
             assert info.value.residual > 1e-12
 
 
-def test_reduce_and_transport_raise_only_klform_errors():
-    """Sources at the edges of the domain (h0 up to 1e150, rho/h0 up to
-    1 - 1e-17, gamma down to 1e-300, |g| up to the largest float), at
-    widths b up to 1e308, reduce and transport to the stationary mode, or
-    raise a KLFormError; never another exception."""
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
+def edge_domain(st):
+    """Hypothesis strategies (sources, widths) at the edges of the domain:
+    h0 up to 1e150, rho/h0 up to 1 - 1e-17, gamma down to 1e-300, |g| up
+    to the largest float, and widths b up to 1e308."""
 
     def power(lo, hi):
         return st.floats(lo, hi).map(lambda e: 10.0**e)
@@ -388,9 +385,17 @@ def test_reduce_and_transport_raise_only_klform_errors():
         power(-300, 1),
         st.tuples(*[st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)] * 3),
     )
+    return sources, st.floats(0.5, 3.0) | power(0, 308)
+
+
+def test_reduce_and_transport_raise_only_klform_errors():
+    """Sources at the edges of the domain (edge_domain) reduce and
+    transport to the stationary mode, or raise a KLFormError; never
+    another exception."""
+    hyp = pytest.importorskip("hypothesis")
 
     @hyp.settings(max_examples=300)
-    @hyp.given(sources, st.floats(0.5, 3.0) | power(0, 308))
+    @hyp.given(*edge_domain(hyp.strategies))
     def check(c, b_target):
         try:
             plan = reduce_to_kl(c, b_target=b_target)

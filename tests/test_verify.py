@@ -270,6 +270,64 @@ def test_residual_zero_vector_rejected():
         residual(k_mat, np.zeros(cfg.dim, dtype=complex), 0.0)
 
 
+def full_product_residual(k_mat, vec, lam):
+    """|K v - lam v| / |v| with K v the product over every row."""
+    return float(np.linalg.norm(k_mat.matrix @ vec - lam * vec)) / float(np.linalg.norm(vec))
+
+
+def test_residual_equals_the_full_product_on_the_criterion_02_modes():
+    """The 9 modes m <= 2 of the 100 criterion-02 sources at 40x40, by ==."""
+    rng = np.random.default_rng(20260816)
+    for index in range(100):
+        src = random_scrambled_source(rng)
+        modes = transported_modes(src, 2)
+        cfg = BasisConfig(40, 40, modes[0].gaussian.frame())
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        for f in modes:
+            vec = expand(f, cfg)
+            want = full_product_residual(k_mat, vec, f.eigenvalue)
+            assert residual(k_mat, vec, f.eigenvalue) == want, (index, f.label)
+
+
+@pytest.mark.parametrize("n_q, n_r", [(12, 12), (9, 14), (15, 7)])
+def test_residual_equals_the_full_product_on_any_support(n_q, n_r):
+    """The generic config's modes m <= 2, and random vectors with full
+    support, with support ending anywhere, and with its last entry within
+    the largest band offset of the end, on square and rectangular bases,
+    by ==."""
+    rng = np.random.default_rng(n_q * 100 + n_r)
+    modes = transported_modes(GENERIC, 2)
+    cfg = BasisConfig(n_q, n_r, modes[0].gaussian.frame())
+    k_mat = assemble_matrix(assemble_liouvillian(GENERIC), cfg)
+    for f in modes:
+        vec = expand(f, cfg)
+        assert residual(k_mat, vec, f.eigenvalue) == full_product_residual(k_mat, vec, f.eigenvalue)
+    dim, pad = n_q * n_r, k_mat.matrix._pad
+    ends = [dim, dim - 1, *range(dim - pad, dim), *rng.integers(1, dim, 20), 1]
+    for end in ends:
+        vec = np.zeros(dim, dtype=complex)
+        vec[:end] = rng.normal(size=end) + 1j * rng.normal(size=end)
+        vec[: end - 1] *= rng.random(end - 1) < 0.7  # interior zeros, signed too
+        vec[: end - 1] *= rng.choice([-1.0, 1.0], end - 1)
+        lam = complex(*rng.normal(size=2))
+        assert residual(k_mat, vec, lam) == full_product_residual(k_mat, vec, lam), end
+
+
+def test_residual_of_a_matrix_with_an_infinite_entry_past_the_reach_is_not_finite():
+    """inf * 0 is NaN: a row the vector does not reach still spoils the
+    residual when its entry is infinite, as in the full product."""
+    _, cfg, k_mat = kl_setup(8)
+    vec = expand(kl_eigenfunction(EigenLabel(0, 0), B, W0, GAM), cfg)
+    for value in (np.inf, np.nan):
+        bands = {key: band.copy() for key, band in k_mat.matrix.bands.items()}
+        bands[(0, 0)][7, 7] = value
+        spoiled = replace(k_mat, matrix=BandedMatrix(bands, 8, 8))
+        assert 7 * 8 + 7 > np.flatnonzero(vec)[-1] + spoiled.matrix._pad
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(residual(spoiled, vec, 0.0))
+            assert not math.isfinite(full_product_residual(spoiled, vec, 0.0))
+
+
 def test_trace_and_hermiticity_fixtures():
     state, cfg, _ = kl_setup(24)
     v0 = expand(state, cfg)
