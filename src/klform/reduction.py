@@ -140,8 +140,9 @@ class ReductionPlan:
 
     The similarity S of the steps is the same for every label, so what
     depends on the plan alone is computed once per plan object:
-    `raising_pair` carries the normal form's pair through the inverse
-    steps, and `_normal_state` is the normal form's stationary Gaussian.
+    `inverse_steps` are the steps of S^-1, `raising_pair` carries the
+    normal form's pair through them, and `_normal_state` is the normal
+    form's stationary Gaussian.
     `checked_source` is the coefficient object reduce_to_kl replayed the
     plan against (None for a plan built by hand), and `_pair_certified`
     records that the raising pair passed its certificate [K, B1] =
@@ -158,10 +159,10 @@ class ReductionPlan:
     )
     _pair_certified: bool = field(default=False, init=False, compare=False, repr=False)
 
-    @property
-    def inverse_steps(self) -> list[tuple[GeneratorId, float]]:
+    @cached_property
+    def inverse_steps(self) -> tuple[tuple[GeneratorId, float], ...]:
         """The steps of S^-1: reversed, with negated parameters."""
-        return [(gid, -p) for gid, p in reversed(self.steps)]
+        return tuple((gid, -p) for gid, p in reversed(self.steps))
 
     @cached_property
     def raising_pair(self) -> tuple[LinearPhaseOperator, LinearPhaseOperator]:

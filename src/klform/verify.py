@@ -106,22 +106,39 @@ class BandedMatrix:
     with basis index j * n_r + k; entries whose column falls outside the
     basis are zero.  A term of degree p in one coordinate moves its index
     by at most p, so a Liouvillian, whose terms have degree 0 or 2, fills
-    at most 9 such arrays.  Every use reads them band by band: `@` on
-    vectors (and residual on the leading rows a vector reaches), `nnz`,
-    `toarray()`, and the degree structure, since band (s, t) maps a
-    function of total Hermite degree e to degree e - (s + t).
+    at most 9 such arrays.  They are the layers of one complex C-ordered
+    stack, in sorted shift order, and bands[(s, t)] is a view of its layer,
+    so a write through it reaches every reader.  Band (s, t) maps a
+    function of total Hermite degree e to degree e - (s + t), so the degree
+    structure, `nnz`, `toarray()` and the finiteness test each read the
+    whole stack in one numpy call; `@` on vectors (and residual on the
+    leading rows a vector reaches) adds the bands one by one.  A matrix
+    built from a dict of bands stacks a copy of them.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
-        # sorted shifts sum each row in the column order of a sparse matrix;
-        # C order makes each flattened band a view, which sees later writes
-        self.bands = {key: np.ascontiguousarray(band) for key, band in sorted(bands.items())}
-        self.n_q, self.n_r = n_q, n_r
+        shifts = sorted(bands)
+        stack = np.array([bands[st] for st in shifts], dtype=complex)
+        self._adopt(shifts, stack.reshape(len(shifts), n_q, n_r))
+
+    @classmethod
+    def _of_stack(cls, shifts, stack: np.ndarray) -> BandedMatrix:
+        """The matrix whose band shifts[i] is stack[i]: the sorted shifts and a
+        C-ordered complex stack, kept without a copy."""
+        mat = cls.__new__(cls)
+        mat._adopt(shifts, stack)
+        return mat
+
+    def _adopt(self, shifts, stack: np.ndarray) -> None:
+        # sorted shifts sum each row in the column order of a sparse matrix
+        self._shifts = tuple(shifts)
+        self._stack = stack
+        self.n_q, self.n_r = stack.shape[1:]
+        self.bands = dict(zip(self._shifts, stack))
         # In the flattened basis a shift (s, t) is the offset s * n_r + t; a
         # column that wraps past the end of a row meets a zero entry.
-        self._offsets = [s * n_r + t for s, t in self.bands]
+        self._offsets = [s * self.n_r + t for s, t in self._shifts]
         self._pad = max(map(abs, self._offsets), default=0)
-        self._flat = [band.reshape(-1) for band in self.bands.values()]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,12 +147,13 @@ class BandedMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(int(np.count_nonzero(band)) for band in self.bands.values())
+        return int(np.count_nonzero(self._stack))
 
     @cached_property
     def _finite(self) -> bool:
-        """Whether every entry is finite, read from the bands once, on first use."""
-        return all(np.isfinite(band).all() for band in self._flat)
+        """Whether every entry is finite, read from the stack once, on first use:
+        both parts of each, as floats, which numpy tests twice as fast."""
+        return bool(np.isfinite(self._stack.view(np.float64)).all())
 
     def __matmul__(self, vec) -> np.ndarray:
         return self._leading_rows(vec, self.shape[0])
@@ -153,15 +171,16 @@ class BandedMatrix:
         padded[pad : pad + seen.size] = seen
         out = np.zeros(rows, dtype=padded.dtype)
         product = np.empty_like(out)
-        for off, band in zip(self._offsets, self._flat):
-            out += np.multiply(band[:rows], padded[pad + off : pad + off + rows], out=product)
+        leading = self._stack.reshape(len(self._offsets), dim)[:, :rows]
+        for off, band in zip(self._offsets, leading):
+            out += np.multiply(band, padded[pad + off : pad + off + rows], out=product)
         return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
-        for off, band in zip(self._offsets, self._flat):
-            row = np.flatnonzero(band)
-            out[row, row + off] = band[row]
+        flat = self._stack.reshape(len(self._offsets), self.shape[0])
+        band, row = np.nonzero(flat)
+        out[row, row + np.array(self._offsets, dtype=int)[band]] = flat[band, row]
         return out
 
 
@@ -281,9 +300,14 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
         raise DegreeError(f"operator degree {op.degree()} exceeds 2")
     scaled = _rescale_coordinates(op, cfg.frame)
     n_q, n_r = cfg.n_q, cfg.n_r
-    bands: dict[tuple[int, int], np.ndarray] = {}
+    # a factor of degree p has the diagonals -p, -p + 2, ..., p
+    degrees = {(a + c, b + d) for a, b, c, d in scaled.terms}
+    shifts = sorted(
+        {(s, t) for p, q in degrees for s in range(-p, p + 1, 2) for t in range(-q, q + 1, 2)}
+    )
+    stack = np.zeros((len(shifts), n_q, n_r), dtype=complex)
     # the entries of band (s, t) whose column lies in the basis
-    spans: dict[tuple[int, int], np.ndarray] = {}
+    spans = {(s, t): band[_span(n_q, s), _span(n_r, t)] for (s, t), band in zip(shifts, stack)}
     for (a, b, c, d), coeff in scaled.terms.items():
         # made one at a time, so that a term holds one array of entries
         if a + c and b + d:
@@ -295,12 +319,8 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
         else:
             entries = ((0, 0, coeff * 1.0),)
         for s, t, values in entries:
-            span = spans.get((s, t))
-            if span is None:
-                band = bands[(s, t)] = np.zeros((n_q, n_r), dtype=complex)
-                span = spans[(s, t)] = band[_span(n_q, s), _span(n_r, t)]
-            span += values
-    return OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
+            spans[(s, t)] += values
+    return OperatorMatrix(BandedMatrix._of_stack(shifts, stack), cfg)
 
 
 def _ground(gauss: GaussianState, frame: CoordinateFrame) -> float:
@@ -426,15 +446,16 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     kept = degree <= top
     if not kept.all():
         _check_grading(mat)
-    bands = {
-        (s, t): np.where(degree <= top - max(0, s + t), -band, 0.0)
-        for (s, t), band in mat.bands.items()
-    }
-    diag = bands.get((0, 0), np.zeros((n_q, n_r), dtype=complex))
+    if (0, 0) not in mat.bands:  # B holds the shift on its diagonal
+        mat = BandedMatrix({**mat.bands, (0, 0): np.zeros((n_q, n_r))}, n_q, n_r)
+    # band (s, t) lowers the degree of its row by s + t
+    lowered = np.array([max(0, s + t) for s, t in mat._shifts])[:, None, None]
+    stack = np.where(degree <= top - lowered, -mat._stack, 0.0)
+    diag = stack[mat._shifts.index((0, 0))]
     mu = complex(diag.sum()) / np.count_nonzero(kept)
-    bands[(0, 0)] = np.where(kept, diag - mu, 0.0)
+    diag[...] = np.where(kept, diag - mu, 0.0)
     keep_q, keep_r = min(n_q, top + 1), min(n_r, top + 1)
-    gen = BandedMatrix({st: band[:keep_q, :keep_r] for st, band in bands.items()}, keep_q, keep_r)
+    gen = BandedMatrix._of_stack(mat._shifts, np.ascontiguousarray(stack[:, :keep_q, :keep_r]))
     # each column's moduli added in band order, from zero
     norms = np.zeros((keep_q, keep_r))
     for (s, t), band in gen.bands.items():
@@ -593,9 +614,9 @@ def _check_grading(mat: BandedMatrix) -> None:
     those of the bands (s, t) with s + t < 0, is roundoff of the largest
     entry, and every entry is finite; a NaN entry makes a maximum NaN and
     fails the first test, an infinite one the second."""
-    peaks = {st: np.max(np.abs(band)) for st, band in mat.bands.items()}
-    raising = np.max([peak for (s, t), peak in peaks.items() if s + t < 0], initial=0.0)
-    largest = np.max(list(peaks.values()), initial=0.0)
+    peaks = np.abs(mat._stack).max(axis=(1, 2), initial=0.0)
+    raising = peaks[[s + t < 0 for s, t in mat._shifts]].max(initial=0.0)
+    largest = peaks.max(initial=0.0)
     if not raising <= _GRADING_TOL * largest:
         raise DegreeError(
             "matrix raises the Hermite degree beyond roundoff: its frame does not "
@@ -638,19 +659,29 @@ def _block_layout(top: int) -> tuple[np.ndarray, ...]:
     return tuple(_read_only(arr) for arr in layout)
 
 
-# Gathers kept, one per degree-keeping band (s, -s), |s| <= 1, of a layout
-_GATHERS = 3 * _LAYOUTS
+# Gathers kept, one per (basis, band shifts): two sets of band shifts per layout
+_KEEPING_GATHERS = 2 * _LAYOUTS
 
 
-@lru_cache(maxsize=_GATHERS)
-def _keeping_gather(top: int, n_r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only positions, in a flattened band of n_r columns, of the entries
-    band[j, d - j] that the band (s, -s) holds in the blocks d < top, in the
-    order of _block_layout's pairs (d, j), and their positions in the packed
-    blocks: row j, column j + s of block d."""
+@lru_cache(maxsize=_KEEPING_GATHERS)
+def _keeping_gather(top: int, n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
+    """Read-only positions, in the flattened band stack of the shifts given,
+    of the entries band[j, d - j] that the degree-keeping bands (s, -s) hold
+    in the blocks d < top, band by band and in the order of _block_layout's
+    pairs (d, j); their positions in the packed blocks, row j, column j + s
+    of block d; the exact phase i^(-s) of each; and the indices of those
+    from a band with |s| > 1, which no quadratic operator fills."""
     deg, row, _, diag, *_ = _block_layout(top)
-    inside = (row + s >= 0) & (row + s <= deg)
-    return _read_only(row[inside] * n_r + (deg - row)[inside]), _read_only(diag[inside] + s)
+    source, dest, phase, far = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [], []
+    for index, (s, t) in enumerate(shifts):
+        if s + t == 0:
+            inside = (row + s >= 0) & (row + s <= deg)
+            source.append(index * n_q * n_r + row[inside] * n_r + (deg - row)[inside])
+            dest.append(diag[inside] + s)
+            phase += [(1, 1j, -1, -1j)[t % 4]] * dest[-1].size
+            far += [abs(s) > 1] * dest[-1].size
+    gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
+    return tuple(_read_only(arr) for arr in (*gather, np.flatnonzero(far)))
 
 
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -734,17 +765,11 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
     top = min(mat.n_q, mat.n_r)
     deg, row, ends, diag, tri, tri_deg, weights, starts = _block_layout(top)
     packed = np.zeros(ends[-1])
-    phases = np.array([1, 1j, -1, -1j])
-    kept, wide = [np.zeros(0)], False
-    for (s, t), band in mat.bands.items():
-        if s + t == 0:
-            source, dest = _keeping_gather(top, mat.n_r, s)
-            vals = band.reshape(-1)[source] * phases[t % 4]
-            nonzero = vals != 0
-            packed[dest[nonzero]] = vals.real[nonzero]
-            wide = wide or (abs(s) > 1 and nonzero.any())
-            kept.append(vals)
-    vals = np.concatenate(kept)
+    source, dest, phase, far = _keeping_gather(top, mat.n_q, mat.n_r, mat._shifts)
+    vals = mat._stack.reshape(-1)[source] * phase
+    nonzero = vals != 0
+    packed[dest[nonzero]] = vals.real[nonzero]
+    wide = nonzero[far].any()
     if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
         raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
     blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
@@ -931,24 +956,24 @@ _PAIRING_LAYOUTS = 16
 @lru_cache(maxsize=_PAIRING_LAYOUTS)
 def _pairing_layout(n_q: int, n_r: int, top: int, shifts: tuple) -> tuple:
     """Read-only index arrays of the leading block on degrees j + k <= top:
-    the coordinates j and k of its functions in basis order, and, for each
-    band shift (s, t) in turn, the pair of the flat positions of the band's
-    entries whose row and column both lie in the block and their flat
-    positions in the block."""
+    the coordinates j and k of its functions in basis order; the positions,
+    in the flattened band stack of the shifts given, of the band entries
+    whose row and column both lie in the block, band by band; and their
+    flat positions in the block."""
     j, k = np.divmod(np.arange(n_q * n_r), n_r)
     low = j + k <= top
     index = np.flatnonzero(low)
     position = np.cumsum(low) - 1
     j, k = j[index], k[index]
-    gathers = []
-    for s, t in shifts:
+    source, dest = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for band, (s, t) in enumerate(shifts):
         col_j, col_k = j + s, k + t
         inside = (col_j >= 0) & (col_j < n_q) & (col_k >= 0) & (col_k < n_r)
         inside &= col_j + col_k <= top
         rows = index[inside]
-        dest = position[rows] * index.size + position[rows + s * n_r + t]
-        gathers.append((_read_only(rows), _read_only(dest)))
-    return _read_only(j), _read_only(k), tuple(gathers)
+        source.append(band * n_q * n_r + rows)
+        dest.append(position[rows] * index.size + position[rows + s * n_r + t])
+    return tuple(_read_only(arr) for arr in (j, k, np.concatenate(source), np.concatenate(dest)))
 
 
 def _mode_coefficients(modes, frame: CoordinateFrame, top: int) -> np.ndarray:
@@ -1015,10 +1040,9 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     mat = k_mat.matrix
     _check_grading(mat)
     top = max(2 * mode.label.m - mode.label.n for mode in modes)
-    j, k, gathers = _pairing_layout(mat.n_q, mat.n_r, top, tuple(mat.bands))
+    j, k, source, dest = _pairing_layout(mat.n_q, mat.n_r, top, mat._shifts)
     block = np.zeros(j.size * j.size, dtype=complex)
-    for band, (source, dest) in zip(mat._flat, gathers):
-        block[dest] = band[source]
+    block[dest] = mat._stack.reshape(-1)[source]
     block = block.reshape(j.size, j.size)
     rights = _mode_coefficients(modes, k_mat.config.frame, top)[:, j, k]
     norms = np.linalg.norm(rights, axis=1)

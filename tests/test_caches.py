@@ -482,18 +482,82 @@ def test_expand_equals_the_word_on_fresh_ladder_matrices(monkeypatch):
 
 def test_the_pairing_and_window_index_caches_are_read_only():
     """The index arrays that biorthogonality_check and the window's gather
-    keep per basis, degree and band shift cannot be written through."""
+    keep per basis, degree and band shifts cannot be written through."""
     kl_modes = modes(PRESETS["kl"])
     frame = kl_modes[0].gaussian.frame()
     k_mat = assemble_matrix(assemble_liouvillian(PRESETS["kl"]), BasisConfig(12, 10, frame))
     verify.biorthogonality_check(k_mat, kl_modes)
     verify.eigenvalues_in_window(k_mat, 1.2)
-    mat = k_mat.matrix
-    j, k, gathers = verify._pairing_layout(12, 10, 4, tuple(mat.bands))
-    gathers += tuple(verify._keeping_gather(10, 10, s) for s in (-1, 0, 1))
-    arrays = [j, k, *(arr for gather in gathers for arr in gather)]
-    assert len(arrays) == 2 + 2 * (len(mat.bands) + 3)
+    shifts = tuple(k_mat.matrix.bands)
+    arrays = [
+        *verify._pairing_layout(12, 10, 4, shifts),
+        *verify._keeping_gather(10, 12, 10, shifts),
+        *verify._block_layout(10),
+    ]
+    assert len(arrays) == 4 + 4 + 8
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+def fresh_keeping_gather(top, n_q, n_r, shifts):
+    """_keeping_gather entry by entry: for each band (s, -s) in turn and each
+    block d < top in turn, its entries band[j, d - j] with 0 <= j + s <= d,
+    at row j, column j + s of block d, packed row-major after blocks 0 to
+    d - 1, times i^(-s)."""
+    source, dest, phase, far = [], [], [], []
+    for index, (s, t) in enumerate(shifts):
+        if s + t:
+            continue
+        for d in range(top):
+            for j in range(d + 1):
+                if 0 <= j + s <= d:
+                    source.append(index * n_q * n_r + j * n_r + (d - j))
+                    dest.append(sum(e * e for e in range(1, d + 1)) + j * (d + 1) + j + s)
+                    phase.append(1j**t)
+                    far.append(abs(s) > 1)
+    return source, dest, phase, [i for i, wide in enumerate(far) if wide]
+
+
+def fresh_pairing_layout(n_q, n_r, top, shifts):
+    """_pairing_layout entry by entry: the functions (j, k), j + k <= top, in
+    basis order, and for each band in turn each of them whose column
+    (j + s, k + t) lies in the basis and on those degrees."""
+    block = [(j, k) for j in range(n_q) for k in range(n_r) if j + k <= top]
+    position = {jk: p for p, jk in enumerate(block)}
+    source, dest = [], []
+    for index, (s, t) in enumerate(shifts):
+        for j, k in block:
+            if (j + s, k + t) in position:
+                source.append(index * n_q * n_r + j * n_r + k)
+                dest.append(position[(j, k)] * len(block) + position[(j + s, k + t)])
+    return [j for j, _ in block], [k for _, k in block], source, dest
+
+
+STACK_SHIFTS = [
+    ((-1, -1), (-1, 1), (0, -2), (0, 0), (0, 2), (1, -1), (1, 1)),
+    ((-2, 2), (-1, 0), (0, 0), (1, -1), (2, -2)),
+    ((0, 0),),
+    (),
+]
+
+
+@pytest.mark.parametrize("shifts", STACK_SHIFTS, ids=["quadratic", "wide", "diagonal", "none"])
+def test_the_window_and_pairing_gathers_equal_building_them_afresh(shifts):
+    """The cached gathers of the degree blocks and of the pairing's leading
+    block, on square and rectangular bases, hold the entries their
+    definitions give, in order, phases included, and a second call
+    returns the cached arrays."""
+    for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
+        top = min(n_q, n_r)
+        got = verify._keeping_gather(top, n_q, n_r, shifts)
+        assert verify._keeping_gather(top, n_q, n_r, shifts) is got
+        for arr, want in zip(got, fresh_keeping_gather(top, n_q, n_r, shifts)):
+            assert arr.tolist() == want, (n_q, n_r)
+        assert got[2].dtype == complex
+        for degrees in (0, 2, 4):
+            got = verify._pairing_layout(n_q, n_r, degrees, shifts)
+            assert verify._pairing_layout(n_q, n_r, degrees, shifts) is got
+            for arr, want in zip(got, fresh_pairing_layout(n_q, n_r, degrees, shifts)):
+                assert arr.tolist() == want, (n_q, n_r, degrees)
 
 
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():
@@ -552,7 +616,8 @@ def test_flow_results_equal_the_public_constructors_along_the_criterion_02_plans
     """Each step's coefficients (the replay) and each inverse step's
     Gaussian (the transport) equal, by == and repr, the public
     constructors applied to their fields, which are floats; the plan's
-    normal-form Gaussian is stationary_preset's and is built once."""
+    normal-form Gaussian is stationary_preset's and, like its inverse
+    steps, is built once."""
     for index, src in enumerate(criterion_02_sources(100)):
         plan = reduce_to_kl(src, b_target=1.0)
         c = src
@@ -564,7 +629,10 @@ def test_flow_results_equal_the_public_constructors_along_the_criterion_02_plans
         state = plan._normal_state
         assert plan._normal_state is state
         assert repr(state) == repr(stationary_preset("kl", b=plan.b)[0]), index
-        for gid, p in plan.inverse_steps:
+        inverse = plan.inverse_steps
+        assert plan.inverse_steps is inverse
+        assert inverse == tuple((gid, -p) for gid, p in reversed(plan.steps)), index
+        for gid, p in inverse:
             state = transform_gaussian(gid, p, state)
             public = GaussianState(state.mu, state.kappa, state.nu)
             assert state == public and repr(state) == repr(public), (index, gid)

@@ -45,10 +45,12 @@ from klform import (
     trace_and_hermiticity,
     transformed_eigenfunction,
 )
+from klform import verify
 from klform.verify import (
     _GRADING_TOL,
     BandedMatrix,
     OperatorMatrix,
+    _check_grading,
     _degree_blocks,
     _ladder_matrices,
     _mode_coefficients,
@@ -640,6 +642,23 @@ def test_evolve_series_keeps_to_the_degrees_of_its_start():
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+def test_evolve_series_on_matrices_without_a_diagonal_band():
+    """The generator takes its shift on a diagonal band that a hand-built
+    matrix may lack: the zero matrix with no band keeps f0, and a lone
+    lowering band (1, 0), nilpotent, moves psi_1 psi_0 to -t psi_0 psi_0."""
+    n = 5
+    frame = CoordinateFrame(1.0, 1.0)
+    f0 = np.zeros(n * n, dtype=complex)
+    f0[n] = 1.0
+    times = np.array([0.0, 0.5, 1.0])
+    zero = OperatorMatrix(BandedMatrix({}, n, n), BasisConfig(n, n, frame))
+    assert np.array_equal(evolve_series(zero, f0, times), np.tile(f0, (3, 1)))
+    lowering = OperatorMatrix(BandedMatrix({(1, 0): np.ones((n, n))}, n, n), BasisConfig(n, n, frame))
+    want = np.tile(f0, (3, 1))
+    want[:, 0] = -times
+    assert np.allclose(evolve_series(lowering, f0, times), want, rtol=0.0, atol=1e-15)
+
+
 def test_evolve_series_grid_handling():
     _, cfg, k_mat = kl_setup(20, gamma=0.5)
     f0 = expand(kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, 0.5), cfg)
@@ -936,8 +955,8 @@ def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped
 
 
 def test_a_write_into_a_band_reaches_every_reader():
-    """A band given in Fortran order is stored in C order, so that its
-    flattened view, which `@` and toarray() read, sees a later write."""
+    """A band given in Fortran order is copied into the C-ordered stack, and
+    a later write through bands[...] reaches `@` and toarray()."""
     n = 4
     band = np.asfortranarray(np.arange(n * n, dtype=complex).reshape(n, n))
     mat = BandedMatrix({(0, 0): band}, n, n)
@@ -945,6 +964,134 @@ def test_a_write_into_a_band_reaches_every_reader():
     unit = np.zeros(n * n)
     unit[5] = 1.0
     assert mat.toarray()[5, 5] == 100 and (mat @ unit)[5] == 100
+
+
+def test_a_write_into_an_assembled_band_reaches_the_blocks_and_the_pairing(monkeypatch):
+    """Entry (1, 1) -> (1, 1) of kl at 12x10, a function of degree 2, moved
+    through bands[(0, 0)] after assembly: toarray(), `@`, degree block 2
+    and the leading block that the pairing inverts all see the move, and
+    nothing else."""
+    modes = [kl_eigenfunction(lab, B, W0, GAM) for lab in distinct_labels(2)]
+    cfg = BasisConfig(12, 10, modes[0].gaussian.frame())
+    k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(W0, GAM, B)), cfg)
+    mat = k_mat.matrix
+    inverted = []
+
+    def recording_splu(stack):
+        inverted.append(stack.copy())
+        return np.linalg.inv(stack)
+
+    monkeypatch.setattr(verify, "splu", recording_splu)
+    dense, blocks = mat.toarray(), _degree_blocks(mat)[0]
+    biorthogonality_check(k_mat, modes)
+    row, move = 1 * 10 + 1, 0.25
+    mat.bands[(0, 0)][1, 1] += move
+    dense[row, row] += move
+    assert np.array_equal(mat.toarray(), dense)
+    unit = np.zeros(mat.shape[0])
+    unit[row] = 1.0
+    assert np.array_equal(mat @ unit, dense[:, row])
+    moved = _degree_blocks(mat)[0]
+    blocks[2][1, 1] += move
+    assert all(np.array_equal(got, want) for got, want in zip(moved, blocks))
+    with pytest.raises(PairingFailure):  # the moved entry shifts the modes' eigenvalues
+        biorthogonality_check(k_mat, modes)
+    # functions j + k <= 4 in basis order: (0, 0..4), (1, 0..3), so (1, 1) is the seventh
+    change = inverted[1] - inverted[0]
+    assert np.allclose(change[:, 6, 6], move, rtol=0.0, atol=1e-15)
+    change[:, 6, 6] = 0.0
+    assert not change.any()
+
+
+def per_band_reference(bands, n_q, n_r, vec):
+    """nnz, entries, finiteness and product of a matrix read from its bands
+    by their definition: entry (j, k) of band (s, t) in row (j, k), column
+    (j + s, k + t), the product added band by band in shift order, from zero."""
+    nnz = sum(int(np.count_nonzero(band)) for band in bands.values())
+    finite = all(np.isfinite(band).all() for band in bands.values())
+    dense = np.zeros((n_q * n_r, n_q * n_r), dtype=complex)
+    product = np.zeros((n_q, n_r), dtype=complex)
+    grid = vec.reshape(n_q, n_r)
+    for (s, t), band in sorted(bands.items()):
+        rows = np.s_[max(0, -s) : n_q - max(0, s), max(0, -t) : n_r - max(0, t)]
+        cols = np.s_[max(0, s) : n_q - max(0, -s), max(0, t) : n_r - max(0, -t)]
+        product[rows] += band[rows] * grid[cols]
+        j, k = np.nonzero(band)
+        dense[j * n_r + k, (j + s) * n_r + (k + t)] = band[j, k]
+    return nnz, dense, finite, product.reshape(-1)
+
+
+def random_bands(rng, n_q, n_r, real):
+    """Bands of a random subset of the shifts a quadratic operator fills,
+    with random zeros, each zero where its column leaves the basis."""
+    shifts = [(s, t) for s in range(-2, 3) for t in range(-2, 3) if abs(s) + abs(t) <= 2]
+    bands = {}
+    for s, t in [st for st in shifts if rng.random() < 0.7]:
+        band = rng.normal(size=(n_q, n_r)) * (rng.random((n_q, n_r)) < 0.8)
+        if not real:
+            band = band + 1j * rng.normal(size=(n_q, n_r))
+        inside = np.zeros((n_q, n_r), dtype=bool)
+        inside[max(0, -s) : n_q - max(0, s), max(0, -t) : n_r - max(0, t)] = True
+        bands[(s, t)] = np.where(inside, band, 0.0)
+    return bands
+
+
+@pytest.mark.parametrize("n_q, n_r", [(6, 6), (5, 8), (9, 4)])
+def test_the_band_stack_equals_the_per_band_reference(n_q, n_r):
+    """nnz, toarray(), the finiteness flag and `@` of the one-stack storage
+    equal the per-band reference, on random complex and real bands, square
+    and rectangular, and on the zero matrix with no band; the stack holds
+    a copy of the bands, so a later write into them does not reach it."""
+    rng = np.random.default_rng(n_q * 10 + n_r)
+    cases = [random_bands(rng, n_q, n_r, real=index % 2 == 1) for index in range(12)]
+    cases += [{}, {(0, 0): np.zeros((n_q, n_r))}]
+    spoiled = random_bands(rng, n_q, n_r, real=False)
+    band = spoiled[min(spoiled)]
+    band[tuple(np.argwhere(band)[0])] = math.inf
+    for bands in cases + [spoiled]:
+        vec = rng.normal(size=n_q * n_r) + 1j * rng.normal(size=n_q * n_r)
+        mat = BandedMatrix(bands, n_q, n_r)
+        nnz, dense, finite, product = per_band_reference(bands, n_q, n_r, vec)
+        assert list(mat.bands) == sorted(bands)
+        assert all(np.array_equal(mat.bands[st], band) for st, band in bands.items())
+        assert mat.nnz == nnz and mat._finite == finite
+        assert np.array_equal(mat.toarray(), dense)
+        if finite:
+            assert np.array_equal(mat @ vec, product)
+    mat = BandedMatrix(cases[0], n_q, n_r)
+    dense = mat.toarray()
+    for band in cases[0].values():
+        band += 1.0
+    assert np.array_equal(mat.toarray(), dense)
+
+
+def test_the_grading_check_reads_every_band_of_the_stack():
+    """_check_grading on hand-built bands: a degree-raising entry up to
+    _GRADING_TOL of the largest entry is roundoff, one ulp more is not, a
+    NaN anywhere fails the roundoff test and an infinite entry fails on its
+    own; the zero matrix with no band passes."""
+    n = 6
+    _check_grading(BandedMatrix({}, n, n))
+    at_tol = 2.0 * _GRADING_TOL
+    cases = [
+        ((-1, -1), at_tol, None),
+        ((-1, -1), np.nextafter(at_tol, 1.0), "raises the Hermite degree"),
+        ((0, -1), -np.nextafter(at_tol, 1.0), "raises the Hermite degree"),
+        ((1, -1), math.nan, "raises the Hermite degree"),
+        ((-1, -1), math.nan, "raises the Hermite degree"),
+        ((1, 1), math.inf, "infinite entry"),
+        ((0, 0), -math.inf, "infinite entry"),
+    ]
+    for shift, value, message in cases:
+        bands = {st: np.zeros((n, n)) for st in [(-1, -1), (0, -1), (0, 0), (1, -1), (1, 1)]}
+        bands[(0, 0)][:] = 2.0
+        mat = BandedMatrix(bands, n, n)
+        mat.bands[shift][2, 3] = value
+        if message is None:
+            _check_grading(mat)
+        else:
+            with pytest.raises(DegreeError, match=message):
+                _check_grading(mat)
 
 
 def test_the_strip_never_skips_a_pentadiagonal_block():
@@ -1151,7 +1298,7 @@ def test_word_lattice_equals_the_per_mode_expansions():
         modes = transported_modes(src, 3)
         for n_q, n_r in ((32, 32), (6, 5)):
             cfg = BasisConfig(n_q, n_r, modes[0].gaussian.frame())
-            j, k, _ = _pairing_layout(n_q, n_r, 6, ())
+            j, k, *_ = _pairing_layout(n_q, n_r, 6, ())
             lattice = np.zeros((len(modes), n_q, n_r), dtype=complex)
             lattice[:, j, k] = _mode_coefficients(modes, cfg.frame, 6)[:, j, k]
             for got, mode in zip(lattice, modes):
