@@ -23,8 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
+from . import verify
 from .errors import EvolutionOverflow, KLFormError, LabelError, PositivityViolation
 from .gauss import stationary_preset
 from .operators import (
@@ -42,14 +41,6 @@ from .spectrum import (
     eigenvalue,
     pi_polynomial,
     transformed_eigenfunction,
-)
-from .verify import (
-    BasisConfig,
-    assemble_matrix,
-    evolve_series,
-    expand,
-    residual,
-    trace_and_hermiticity,
 )
 
 __all__ = ["RunConfig", "GridSpec", "ConfigError", "load_config", "run", "main"]
@@ -282,9 +273,10 @@ def _render(obj, indent: int) -> str:
         return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    numpy = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if isinstance(obj, int) or (numpy and isinstance(obj, numpy.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or (numpy and isinstance(obj, numpy.floating)):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite float {obj}")
         return format(float(obj), ".17g")
@@ -359,8 +351,8 @@ def _reduce(cfg: RunConfig):
 
 def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, steady):
     """Truncated basis in the frame of the stationary mode, and the matrix of K on it."""
-    basis = BasisConfig(cfg.basis_n, cfg.basis_n, steady.gaussian.frame())
-    return basis, assemble_matrix(assemble_liouvillian(coeffs), basis)
+    basis = verify.BasisConfig(cfg.basis_n, cfg.basis_n, steady.gaussian.frame())
+    return basis, verify.assemble_matrix(assemble_liouvillian(coeffs), basis)
 
 
 def _coeff_doc(c: LiouvillianCoeffs) -> dict:
@@ -430,6 +422,8 @@ def cmd_stationary(cfg: RunConfig):
 
 
 def cmd_eigfun(cfg: RunConfig):
+    import numpy as np
+
     coeffs, plan = _reduce(cfg)
     mode = transformed_eigenfunction(plan, EigenLabel(*cfg.label), coeffs)
     lam = complex(mode.eigenvalue)
@@ -479,13 +473,13 @@ def cmd_verify(cfg: RunConfig):
     worst = 0.0
     stationary_vec = None
     for mode, row in zip(modes, rows):
-        vec = expand(mode, basis)
+        vec = verify.expand(mode, basis)
         if mode.label.m == 0:
             stationary_vec = vec
-        res = residual(k_mat, vec, mode.eigenvalue)
+        res = verify.residual(k_mat, vec, mode.eigenvalue)
         worst = max(worst, res)
         row["residual"] = res
-    trace, defect = trace_and_hermiticity(stationary_vec, basis)
+    trace, defect = verify.trace_and_hermiticity(stationary_vec, basis)
     trace_error = abs(trace - 1.0)
     passed = worst <= cfg.tol and trace_error <= cfg.tol and defect <= cfg.tol
     doc = {
@@ -504,17 +498,19 @@ def cmd_verify(cfg: RunConfig):
 
 
 def cmd_evolve(cfg: RunConfig):
+    import numpy as np
+
     coeffs, plan = _reduce(cfg)
     gamma = coeffs.gamma
     seed = transformed_eigenfunction(plan, EigenLabel(*cfg.seed_label), coeffs)
     steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs)
     basis, k_mat = _oracle(cfg, coeffs, steady)
-    v_steady = expand(steady, basis)
-    v_seed = expand(seed, basis)
+    v_steady = verify.expand(steady, basis)
+    v_seed = verify.expand(seed, basis)
     f0 = v_steady + cfg.seed_amplitude * v_seed / np.linalg.norm(v_seed)
     t_max = cfg.t_max if cfg.t_max is not None else 10.0 / gamma
     times = np.linspace(0.0, t_max, cfg.n_times)
-    series = evolve_series(k_mat, f0, times)
+    series = verify.evolve_series(k_mat, f0, times)
     rows = []
     overlaps = np.empty(cfg.n_times)
     max_trace_error = 0.0
@@ -527,7 +523,7 @@ def cmd_evolve(cfg: RunConfig):
             dev0 = np.linalg.norm(series[0] - v_steady)
             for i, t in enumerate(times):
                 vec = series[i]
-                trace, defect = trace_and_hermiticity(vec, basis)
+                trace, defect = verify.trace_and_hermiticity(vec, basis)
                 max_trace_error = max(max_trace_error, abs(trace - 1.0))
                 max_defect = max(max_defect, defect)
                 overlaps[i] = np.linalg.norm(vec - v_steady) / dev0

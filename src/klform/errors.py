@@ -44,7 +44,8 @@ class LabelError(KLFormError):
 class DegreeError(KLFormError):
     """Operator degree exceeds what the matrix assembler supports, or a
     matrix that must respect the Hermite degree grading raises the degree,
-    or one whose spectrum is solved in real arithmetic breaks hermiticity."""
+    or one whose spectrum is solved in real arithmetic breaks hermiticity,
+    or a hand-built band has a nonzero entry outside the basis."""
 
 
 class IllConditionedReduction(KLFormError):

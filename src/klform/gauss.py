@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateDenominator,
@@ -24,6 +23,9 @@ from .errors import (
     PositivityViolation,
 )
 from .operators import CoordinateFrame, GeneratorId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GaussianState",
@@ -110,6 +112,8 @@ class GaussianState:
         )
 
     def evaluate(self, q, r) -> np.ndarray:
+        import numpy as np
+
         q = np.asarray(q, dtype=float)
         r = np.asarray(r, dtype=float)
         pref = math.sqrt(2.0 * self.mu / math.pi)

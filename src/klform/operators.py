@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import ne, sub
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GeneratorId",
@@ -149,6 +151,8 @@ class PhasePolyOperator:
     def evaluate(self, q, r) -> np.ndarray:
         """(op 1)(q, r) with numpy broadcasting: derivatives annihilate the
         constant 1, so only the multiplication terms Q^a r^b contribute."""
+        import numpy as np
+
         q = np.asarray(q)
         r = np.asarray(r)
         out = np.zeros(np.broadcast(q, r).shape, dtype=complex)
@@ -269,6 +273,8 @@ class LiouvillianCoeffs:
 
     def as_vector(self) -> np.ndarray:
         """Length-7 vector in GENERATOR_ORDER."""
+        import numpy as np
+
         return np.array([*self.h, self.gamma, *self.g], dtype=float)
 
     def max_abs_diff(self, other: "LiouvillianCoeffs") -> float:
@@ -401,6 +407,8 @@ def conjugate_linear(
     module's cosh, sinh and exp round differently.  An overflowing boost
     gives non-finite entries under numpy's RuntimeWarning.
     """
+    import numpy as np
+
     p = float(param)
     vec = (op.q, op.r, op.dq, op.dr)
     rows = _adjoint_rows(gid)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     CriticalDampingError,
     IllConditionedReduction,
@@ -87,17 +85,41 @@ def _step1_solve(h: tuple[float, float, float]) -> tuple[float, float, float]:
     return theta, phi, omega0
 
 
-def _step2_matrix(h: tuple[float, float, float], gamma: float) -> np.ndarray:
+def _step2_matrix(
+    h: tuple[float, float, float], gamma: float
+) -> tuple[tuple[float, float, float], ...]:
     """Matrix of the combined affine action of the shift flows on g, in closed form.
 
     Column j is the image of g = 0 under the j-th of OPLUS, L1PLUS,
     L2PLUS at parameter 1, so columns correspond to the parameters
     (eta0, eta1, eta2); the tests check it against conjugate_coefficients.
     det = -gamma*(h0^2 - h1^2 - h2^2 + gamma^2), so for a reducible h the
-    system is singular exactly at gamma = 0.
+    system is singular exactly at gamma = 0.  Rows as tuples.
     """
     h0, h1, h2 = h
-    return np.array([[-gamma, h2, -h1], [h2, -gamma, -h0], [-h1, h0, -gamma]])
+    return ((-gamma, h2, -h1), (h2, -gamma, -h0), (-h1, h0, -gamma))
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, a fused multiply-add (Python 3.11 has no math.fma).
+
+    The sum is formed exactly from the operands' integer ratios, whose
+    denominators are powers of two, and int / int rounds correctly
+    (to the nearest float, ties to even, subnormals included).  An exact
+    zero, or an infinite or NaN operand, takes the float expression,
+    which then has the fused operation's value and sign.
+    """
+    try:
+        (na, da), (nb, db), (nc, dc) = (x.as_integer_ratio() for x in (a, b, c))
+    except (OverflowError, ValueError):  # inf or NaN
+        return a * b + c
+    num = na * nb * dc + nc * da * db
+    if num == 0:  # a*b is then exact, so a*b + c has the signed zero of the fused sum
+        return a * b + c
+    try:
+        return num / (da * db * dc)
+    except OverflowError:  # beyond the largest float: rounds to infinity
+        return math.inf if num > 0 else -math.inf
 
 
 def _step2_solve(
@@ -105,26 +127,45 @@ def _step2_solve(
     gamma: float,
     g_from: tuple[float, float, float],
     g_target: tuple[float, float, float],
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Shift parameters (eta0, eta1, eta2) moving g_from onto g_target.
 
     Assumes the frequency part is already in normal form h = (2*omega0,
-    0, 0).  Raises SingularGError when gamma = 0 or the forward check
-    misses, and IllConditionedReduction (residual inf) when the move or
-    the parameters leave the float range.
+    0, 0), where the shift matrix is [[-gamma, 0, 0], [0, -gamma, -h0],
+    [0, h0, -gamma]].  The solve is LAPACK's Gaussian elimination
+    (dgesv) written out for that matrix, so that the parameters keep the
+    bits np.linalg.solve gives them: eta0 = r0 / (-gamma); in the lower
+    block the row with the larger |pivot| leads (the first on a tie), the
+    multiplier is c * (1/a), the Schur complement u = d - l*b is rounded
+    twice, and the forward and back steps are fused multiply-adds (_fma).
+    Raises SingularGError when gamma = 0 or the forward check misses, and
+    IllConditionedReduction (residual inf) when the move or the parameters
+    leave the float range.
     """
     if gamma == 0:
         raise SingularGError("gamma = 0: the shift system has determinant zero")
-    mat = _step2_matrix((2.0 * float(omega0), 0.0, 0.0), gamma)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite miss fails below
-        rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
-        eta = np.linalg.solve(mat, rhs)
-        resid = float(np.max(np.abs(mat @ eta - rhs)))
-    if not math.isfinite(resid):
+    h0 = 2.0 * float(omega0)
+    rhs = tuple(float(t) - float(f) for t, f in zip(g_target, g_from))
+    r0, r1, r2 = rhs
+    if abs(h0) > abs(gamma):  # pivot on row 2: (h0, -gamma) leads (-gamma, -h0)
+        pivot, upper, lead, rest = h0, -gamma, r2, r1
+        mult = -gamma * (1.0 / h0)
+        schur = -h0 - mult * -gamma
+    else:
+        pivot, upper, lead, rest = -gamma, -h0, r1, r2
+        mult = h0 * (1.0 / -gamma)
+        schur = -gamma - mult * -h0
+    eta2 = _fma(-lead, mult, rest) / schur
+    eta1 = _fma(-eta2, upper, lead) / pivot
+    eta = (r0 / -gamma, eta1, eta2)
+    mat = _step2_matrix((h0, 0.0, 0.0), gamma)
+    misses = [abs(sum(m * x for m, x in zip(row, eta)) - r) for row, r in zip(mat, rhs)]
+    if not all(map(math.isfinite, misses)):
         raise IllConditionedReduction(
-            f"shift parameters {eta.tolist()} leave the float range", math.inf
+            f"shift parameters {list(eta)} leave the float range", math.inf
         )
-    if not resid <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
+    resid = max(misses)
+    if not resid <= 1e-10 * max(1.0, *map(abs, rhs)):
         raise SingularGError(f"shift solve failed the forward check (resid {resid})")
     return eta
 
@@ -244,7 +285,7 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
             math.inf,
         ) from None
     eta = _step2_solve(omega0, c.gamma, work.g, target.g)
-    steps += [(gid, float(param)) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
+    steps += [(gid, param) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
     plan.check_replay(c)
     object.__setattr__(plan, "checked_source", c)

@@ -28,8 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IllConditionedReduction, LabelError, PositivityViolation
 from .gauss import GaussianState, apply_plan_gaussian
@@ -43,6 +42,9 @@ from .operators import (
 # perfbench/test_perfbench.py still looks the name up on this module.
 from .operators import conjugate_linear  # noqa: F401
 from .reduction import ReductionPlan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EigenLabel",

@@ -113,13 +113,22 @@ class BandedMatrix:
     structure, `nnz`, `toarray()` and the finiteness test each read the
     whole stack in one numpy call; `@` on vectors (and residual on the
     leading rows a vector reaches) adds the bands one by one.  A matrix
-    built from a dict of bands stacks a copy of them.
+    built from a dict of bands stacks a copy of them, and raises DegreeError
+    for a nonzero entry whose column leaves the basis.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
         shifts = sorted(bands)
         stack = np.array([bands[st] for st in shifts], dtype=complex)
-        self._adopt(shifts, stack.reshape(len(shifts), n_q, n_r))
+        stack = stack.reshape(len(shifts), n_q, n_r)
+        for (s, t), band in zip(shifts, stack):
+            inside = band[max(0, -s) : max(0, n_q - s), max(0, -t) : max(0, n_r - t)]
+            if np.count_nonzero(inside) != np.count_nonzero(band):
+                raise DegreeError(
+                    f"band {(s, t)} has a nonzero entry whose column leaves the "
+                    f"{n_q} x {n_r} basis"
+                )
+        self._adopt(shifts, stack)
 
     @classmethod
     def _of_stack(cls, shifts, stack: np.ndarray) -> BandedMatrix:

@@ -1,15 +1,19 @@
-"""The package runs on numpy alone.
+"""The package runs on numpy alone, and its closed forms on the standard library.
 
 No module of `src/klform` imports scipy, and `import klform.cli`, every
 subcommand and `biorthogonality_check` start and run in a fresh
 interpreter without loading it.  scipy serves only the tests' oracles.
 Neither do the CLI's import and subcommands load `fractions` or
 `decimal`, which only positivity_window's exact arithmetic needs and
-which would add their import time to every process.  The package's
-names are one list: its modules' `__all__` and the typed errors.
+which would add their import time to every process.  numpy is loaded by
+the oracle and by the subcommands that evaluate on arrays, not by
+`import klform.cli` nor by the subcommands that only read closed forms.
+The package's names are one list: its modules' `__all__` and the typed
+errors.
 """
 
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -20,7 +24,10 @@ import types
 import klform
 from klform import errors, gauss, operators, reduction, spectrum, verify
 
+from test_cli import GENERIC, UNREDUCIBLE
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "klform"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _scipy_imports(body, scope="<module>"):
@@ -216,11 +223,13 @@ def test_unused_import_check_sees_every_spelling():
 
 def test_package_names_are_the_modules_all_and_the_typed_errors():
     """`klform` exports exactly the names its five modules list in `__all__`
-    and the KLFormError classes of `errors`: one list of public names."""
+    and the KLFormError classes of `errors`: one list of public names.  Read
+    through dir() and getattr, which also see the names `klform` serves
+    from its lazily bound `verify`."""
     public = {
         name
-        for name, value in vars(klform).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(klform)
+        if not name.startswith("_") and not isinstance(getattr(klform, name), types.ModuleType)
     }
     listed = set().union(*(m.__all__ for m in (gauss, operators, reduction, spectrum, verify)))
     typed = {
@@ -233,18 +242,21 @@ def test_package_names_are_the_modules_all_and_the_typed_errors():
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the
-# scipy, fractions and decimal modules loaded after the import and after
-# each command.
+# scipy, fractions and decimal modules loaded and whether numpy is, after
+# the import and after each command, with each command's exit code and
+# printed JSON.
 _PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import klform.cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "fractions", "decimal"))
 
-report = {"import": loaded()}
+report = {"import": [loaded(), "numpy" in sys.modules]}
 for name, argv in json.loads(sys.argv[1]):
-    report[name] = [klform.cli.main(argv), loaded()]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = klform.cli.main(argv)
+    report[name] = [code, loaded(), "numpy" in sys.modules, json.loads(out.getvalue())]
 print(json.dumps(report))
 """
 
@@ -267,18 +279,23 @@ print(json.dumps([report.passed, loaded]))
 """
 
 
-def _run(script, *args):
+def _python(*args):
+    """`python *args` with src on PYTHONPATH; raises on a nonzero exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run(script, *args):
+    """The JSON on the last line that `python -c script *args` prints."""
+    return json.loads(_python("-c", script, *args).stdout.splitlines()[-1])
 
 
 def _probe(runs):
@@ -290,26 +307,20 @@ def test_biorthogonality_check_runs_without_scipy():
 
 
 def test_closed_form_subcommands_run_without_scipy(tmp_path):
+    """The first three read closed forms only; eigfun samples its grid with
+    numpy, and verify and evolve run the oracle."""
     commands = ("spectrum", "reduce", "stationary", "eigfun", "verify", "evolve")
     report = _probe([[c, [c, "--preset", "kl", "--out", str(tmp_path)]] for c in commands])
-    assert report["import"] == []
+    assert report["import"] == [[], False]
     for command in commands:
-        assert report[command] == [0, []], command
+        assert report[command][:3] == [0, [], command in ("eigfun", "verify", "evolve")], command
 
 
 def test_transport_runs_without_scipy(tmp_path):
     """Transporting modes through a plan is closed form on every model, and
     the oracle behind verify and evolve is numpy only."""
     config = tmp_path / "generic.json"
-    config.write_text(
-        json.dumps(
-            {
-                "model": "generic",
-                "coefficients": {"h": [2.2, 0.4, -0.3], "gamma": 0.5, "g": [-1.1, 0.2, 0.3]},
-                "basis_n": 24,
-            }
-        )
-    )
+    config.write_text(json.dumps({**GENERIC, "basis_n": 24}))
     sources = {
         "cl": ["--preset", "cl"],
         "hpz": ["--preset", "hpz"],
@@ -319,4 +330,101 @@ def test_transport_runs_without_scipy(tmp_path):
     runs += [[f"{c}:generic", [c, *sources["generic"]]] for c in ("stationary", "verify", "evolve")]
     report = _probe([[name, [*argv, "--out", str(tmp_path / "out")]] for name, argv in runs])
     for name, _ in runs:
-        assert report[name] == [0, []], name
+        assert report[name][:2] == [0, []], name
+
+
+def test_closed_form_subcommands_run_without_numpy(tmp_path):
+    """reduce and spectrum on every model, and stationary on the presets,
+    compute closed forms: step 2's solve included, they load no numpy.
+    stationary on a generic source transports the raising pair, whose
+    certificate [K, B1] = lambda_1 B1 needs numpy's exponentials, and on
+    the h ~ 1e64 source that certificate still stops it."""
+    generic = tmp_path / "generic.json"
+    generic.write_text(json.dumps(GENERIC))
+    _, h, gamma, g, b_target, _ = UNREDUCIBLE["non-commuting-pair"]
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps(
+            {
+                "model": "generic",
+                "coefficients": {"h": h, "gamma": gamma, "g": g},
+                "b_target": b_target,
+            }
+        )
+    )
+    sources = {
+        "kl": ["--preset", "kl"],
+        "cl": ["--preset", "cl"],
+        "hpz": ["--preset", "hpz"],
+        "generic": ["--config", str(generic)],
+    }
+    runs = [[f"{c}:{name}", [c, *args]] for c in ("reduce", "spectrum") for name, args in sources.items()]
+    runs += [[f"stationary:{name}", ["stationary", *sources[name]]] for name in ("kl", "cl", "hpz")]
+    closed = [name for name, _ in runs]
+    runs += [["stationary:generic", ["stationary", *sources["generic"]]]]
+    runs += [["stationary:pair", ["stationary", "--config", str(pair)]]]
+    report = _probe([[name, [*argv, "--out", str(tmp_path / "out")]] for name, argv in runs])
+    for name in closed:
+        assert report[name][:3] == [0, [], False], name
+    assert report["stationary:generic"][:3] == [0, [], True]
+    code, _, _, printed = report["stationary:pair"]
+    assert code == 2 and printed["error"] == "IllConditionedReduction"
+    assert "transported raising pair misses [K, B]" in printed["message"]
+
+
+# perfbench's span tracer wraps each layer it names through
+# sys.modules["klform.<module>"], so every such module is bound by the
+# import, the lazily bound verify included, before any of them runs.
+_LAYER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import LAYERS
+import klform.cli
+
+modules = sorted({"klform." + path.split(".")[0] for path in LAYERS.values()})
+print(json.dumps([[m for m in modules if m not in sys.modules], "numpy" in sys.modules]))
+"""
+
+
+def test_the_tracers_modules_are_bound_by_the_import_without_numpy():
+    assert _run(_LAYER_PROBE, str(PERFBENCH)) == [[], False]
+
+
+# span name -> count of the traced cli-batch items below, as before verify
+# was bound lazily
+_TRACED = {
+    "reduce": {"cli.render_json": 2, "cli.run": 1, "reduction.reduce_to_kl": 1},
+    "verify": {
+        "cli.render_json": 2,
+        "cli.run": 1,
+        "gauss.apply_plan_gaussian": 9,
+        "operators.assemble_liouvillian": 1,
+        "operators.conjugate_coefficients": 7,
+        "operators.conjugate_linear": 10,
+        "reduction.reduce_to_kl": 1,
+        "spectrum.transformed_eigenfunction": 9,
+        "verify.assemble_matrix": 1,
+        "verify.expand": 9,
+        "verify.residual": 9,
+        "verify.trace_and_hermiticity": 1,
+    },
+}
+
+
+def test_the_traced_cli_items_keep_their_spans(tmp_path):
+    """perfbench/cli_child.py installs the tracer after `import klform.cli`
+    and runs one subcommand: reduce on kl, and verify on the cli-batch
+    generic config (40x40, tolerance 1e-7), trace the same spans as they
+    did when verify was imported eagerly."""
+    generic = tmp_path / "generic.json"
+    generic.write_text(json.dumps({**GENERIC, "basis_n": 40, "tol": 1e-7}))
+    argvs = {
+        "reduce": ["reduce", "--preset", "kl"],
+        "verify": ["verify", "--config", str(generic)],
+    }
+    for name, argv in argvs.items():
+        trace = tmp_path / f"{name}.json"
+        child = [str(PERFBENCH / "cli_child.py"), str(trace), "--", *argv]
+        _python(*child, "--out", str(tmp_path / "out"))
+        spans = json.loads(trace.read_text())["spans"]
+        assert collections.Counter(span[0] for span in spans) == _TRACED[name], name

@@ -1,6 +1,7 @@
 """Reduction of generic quadratic Liouvillians to the damped normal form."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from klform import (
     transform_gaussian,
     transformed_eigenfunction,
 )
-from klform.reduction import REPLAY_TOL, _step1_solve, _step2_matrix, _step2_solve
+from klform.reduction import REPLAY_TOL, _fma, _step1_solve, _step2_matrix, _step2_solve
 
 from test_acceptance import random_scrambled_source, u_matrix
 
@@ -208,7 +209,7 @@ def test_step2_solve_forward_replay():
         g_target = tuple(rng.uniform(-1.5, 1.5, size=3))
         eta = _step2_solve(omega0, gamma, g_from, g_target)
         h = (2.0 * omega0, 0.0, 0.0)
-        resid = _step2_matrix(h, gamma) @ eta - (
+        resid = np.array(_step2_matrix(h, gamma)) @ eta - (
             np.asarray(g_target) - np.asarray(g_from)
         )
         assert np.max(np.abs(resid)) <= 1e-12
@@ -222,6 +223,126 @@ def test_step2_solve_forward_replay():
 def test_step2_solve_singular_at_zero_gamma():
     with pytest.raises(SingularGError):
         _step2_solve(1.0, 0.0, (0.1, 0.2, 0.3), (-0.6, 0.0, 0.0))
+
+
+def lapack_step2(omega0, gamma, g_from, g_target):
+    """Step 2 as LAPACK solves it: np.linalg.solve on the shift matrix and
+    the same forward check.  Returns the parameters, or the KLFormError
+    class the check raises."""
+    mat = np.array(_step2_matrix((2.0 * omega0, 0.0, 0.0), gamma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.asarray(g_target, dtype=float) - np.asarray(g_from, dtype=float)
+        eta = np.linalg.solve(mat, rhs)
+        resid = float(np.max(np.abs(mat @ eta - rhs)))
+    if not math.isfinite(resid):
+        return IllConditionedReduction
+    if not resid <= 1e-10 * max(1.0, float(np.max(np.abs(rhs)))):
+        return SingularGError
+    return eta
+
+
+def assert_step2_is_lapacks(omega0, gamma, g_from, g_target):
+    """_step2_solve gives LAPACK's parameters bit for bit, or raises the
+    error LAPACK's parameters fail the check with."""
+    want = lapack_step2(omega0, gamma, g_from, g_target)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _step2_solve(omega0, gamma, g_from, g_target)
+        return 0
+    got = _step2_solve(omega0, gamma, g_from, g_target)
+    assert type(got) is tuple and all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == want.tobytes(), (omega0, gamma, g_from, g_target)
+    return 1
+
+
+def test_step2_solve_is_lapacks_on_the_criterion_02_recipe(monkeypatch):
+    """The closed-form elimination gives np.linalg.solve's bits on the
+    9,300 shift parameters that reduce_to_kl solves for the 100 criterion-02
+    sources and 3,000 draws of the same recipe at seed 630948696."""
+    calls = []
+    monkeypatch.setattr(
+        "klform.reduction._step2_solve", lambda *args: calls.append(args) or _step2_solve(*args)
+    )
+    for seed, count in ((20260816, 100), (630948696, 3000)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            reduce_to_kl(random_scrambled_source(rng))
+    assert len(calls) == 3100
+    assert sum(assert_step2_is_lapacks(*args) for args in calls) == 3100
+
+
+def test_step2_solve_is_lapacks_at_the_edges():
+    """LAPACK's bits, or its typed error, where the elimination's choices
+    show: the pivot tie |h0| = |gamma| and its two neighbours, gamma down
+    to 1e-300, and magnitudes from 2^996 on, where a product split in
+    halves (Dekker) would overflow."""
+    rng = np.random.default_rng(39)
+    solved = 0
+    for _ in range(200):
+        gamma = float(rng.uniform(0.05, 3.0))
+        g_from, g_target = tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(-2, 2, 3))
+        for omega0 in (np.nextafter(gamma / 2, 0.0), gamma / 2, np.nextafter(gamma / 2, 4.0)):
+            solved += assert_step2_is_lapacks(float(omega0), gamma, g_from, g_target)
+    for exponent in range(0, 301, 4):
+        gamma = float(rng.uniform(1.0, 10.0)) * 10.0**-exponent
+        g_from, g_target = tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(-2, 2, 3))
+        solved += assert_step2_is_lapacks(float(rng.uniform(0.3, 2.0)), gamma, g_from, g_target)
+    failed = 0
+    for exponent in range(996, 1024):
+        for _ in range(20):
+            scale = 2.0**exponent
+            omega0 = float(rng.uniform(0.3, 2.0)) * 10.0 ** float(rng.integers(-150, 300))
+            gamma = float(rng.uniform(0.1, 2.0)) * 10.0 ** float(rng.integers(-300, 300))
+            g_from = tuple(float(x) * scale for x in rng.uniform(-0.9, 0.9, 3))
+            g_target = tuple(float(x) * scale for x in rng.uniform(-0.9, 0.9, 3))
+            ok = assert_step2_is_lapacks(omega0, gamma, g_from, g_target)
+            solved, failed = solved + ok, failed + 1 - ok
+    assert solved > 900 and failed > 200  # both outcomes are checked (956 and 280)
+
+
+def exact_fma(a, b, c):
+    """a*b + c rounded once, by Fraction; an exact zero takes the sign the
+    IEEE sum of the rounded product and c would have."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        return a * b + c
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def test_fma_rounds_once():
+    """_fma against exact rationals: where the rounded product loses the
+    answer (1 + u)(1 - u) - 1 = -u^2, in the subnormal range, past the float
+    range in the product but not in the sum, and on overflow; NaN and
+    infinities follow the float expression."""
+    u = 2.0**-52
+    fmax = 1.7976931348623157e308
+    cases = [
+        (1.0 + u, 1.0 - u, -1.0),
+        (0.1, 10.0, -1.0),
+        (3e-160, 3e-160, 1e-320),
+        (1e-200, -1e-200, 0.0),
+        (2.0, fmax, -fmax),
+        (fmax, fmax, 1.0),
+        (-fmax, fmax, 1.0),
+        (0.0, -1.0, 0.0),
+        (-0.0, 1.0, -0.0),
+        (1.0, -1.0, 1.0),
+    ]
+    rng = np.random.default_rng(52)
+    for _ in range(2000):
+        a, b, c = (float(x) * 10.0 ** float(rng.integers(-320, 300)) for x in rng.normal(size=3))
+        cases.append((a, b, c))
+        cases.append((a, b, -float(Fraction(a) * Fraction(b)) if abs(a * b) < fmax else c))
+    for a, b, c in cases:
+        want = exact_fma(a, b, c)
+        got = _fma(a, b, c)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b, c)
+    assert _fma(1.0 + u, 1.0 - u, -1.0) == -(u * u) != (1.0 + u) * (1.0 - u) - 1.0
+    assert math.isnan(_fma(math.inf, 0.0, 1.0))
+    assert _fma(2.0, 3.0, -math.inf) == -math.inf
 
 
 def test_reduce_round_trip_scrambled_normal_forms():

@@ -653,7 +653,9 @@ def test_evolve_series_on_matrices_without_a_diagonal_band():
     times = np.array([0.0, 0.5, 1.0])
     zero = OperatorMatrix(BandedMatrix({}, n, n), BasisConfig(n, n, frame))
     assert np.array_equal(evolve_series(zero, f0, times), np.tile(f0, (3, 1)))
-    lowering = OperatorMatrix(BandedMatrix({(1, 0): np.ones((n, n))}, n, n), BasisConfig(n, n, frame))
+    lowering = OperatorMatrix(
+        BandedMatrix(in_basis({(1, 0): np.ones((n, n))}, n, n), n, n), BasisConfig(n, n, frame)
+    )
     want = np.tile(f0, (3, 1))
     want[:, 0] = -times
     assert np.allclose(evolve_series(lowering, f0, times), want, rtol=0.0, atol=1e-15)
@@ -1021,6 +1023,17 @@ def per_band_reference(bands, n_q, n_r, vec):
     return nnz, dense, finite, product.reshape(-1)
 
 
+def in_basis(bands, n_q, n_r):
+    """The bands with every entry whose column leaves the basis set to zero,
+    as BandedMatrix requires."""
+    out = {}
+    for (s, t), band in bands.items():
+        inside = np.zeros((n_q, n_r), dtype=bool)
+        inside[max(0, -s) : max(0, n_q - s), max(0, -t) : max(0, n_r - t)] = True
+        out[(s, t)] = np.where(inside, band, 0.0)
+    return out
+
+
 def random_bands(rng, n_q, n_r, real):
     """Bands of a random subset of the shifts a quadratic operator fills,
     with random zeros, each zero where its column leaves the basis."""
@@ -1030,10 +1043,21 @@ def random_bands(rng, n_q, n_r, real):
         band = rng.normal(size=(n_q, n_r)) * (rng.random((n_q, n_r)) < 0.8)
         if not real:
             band = band + 1j * rng.normal(size=(n_q, n_r))
-        inside = np.zeros((n_q, n_r), dtype=bool)
-        inside[max(0, -s) : n_q - max(0, s), max(0, -t) : n_r - max(0, t)] = True
-        bands[(s, t)] = np.where(inside, band, 0.0)
-    return bands
+        bands[(s, t)] = band
+    return in_basis(bands, n_q, n_r)
+
+
+def test_a_band_entry_whose_column_leaves_the_basis_is_rejected():
+    """Entry [0, 3] of band (0, 1) at 4x4 would sit in column (0, 4), outside
+    the basis: the flat product read it into the wrapped column (1, 0) and
+    toarray() raised IndexError.  The constructor names the band instead;
+    the same band zero in its last column is a matrix."""
+    with pytest.raises(DegreeError, match=r"band \(0, 1\)"):
+        BandedMatrix({(0, 1): np.ones((4, 4))}, 4, 4)
+    mat = BandedMatrix(in_basis({(0, 1): np.ones((4, 4))}, 4, 4), 4, 4)
+    unit = np.zeros(16)
+    unit[4] = 1.0
+    assert (mat @ unit)[3] == 0 and mat.nnz == 12 and mat.toarray()[3, 4] == 0
 
 
 @pytest.mark.parametrize("n_q, n_r", [(6, 6), (5, 8), (9, 4)])
@@ -1107,7 +1131,7 @@ def test_the_strip_never_skips_a_pentadiagonal_block():
         (2, -2): np.full((n, n), -3.0 + 0j),
         (-2, 2): np.full((n, n), -3.0 + 0j),
     }
-    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
     block = _degree_blocks(k_mat.matrix)[0][4]
     assert np.diag(block).max() < -1.0 and np.triu(block, 2).any()
     assert np.abs(np.linalg.eigvals(block)).min() < 1.0
@@ -1124,7 +1148,7 @@ def test_the_strip_never_skips_a_block_with_a_positive_product():
         (1, -1): np.full((n, n), 3j),
         (-1, 1): np.full((n, n), -3j),
     }
-    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
     assert eigenvalues_in_window(k_mat, 2.0).size > 0
     assert assert_window_filters_all_eigenvalues(k_mat, 2.0) == 1
 
@@ -1489,7 +1513,7 @@ def test_a_defective_first_block_skips_nothing():
         (1, -1): 1j * np.sqrt((j + 1.0) * k),
         (-1, 1): 16j * np.sqrt(j * (k + 1.0)),
     }
-    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
     blocks, floor = _degree_blocks(k_mat.matrix)
     assert np.array_equal(blocks[1], [[8.0, 1.0], [-16.0, 0.0]])
     for d, block in enumerate(blocks):
