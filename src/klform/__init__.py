@@ -6,11 +6,13 @@ The package is organized bottom-up:
               algebra, conjugation flows on coefficients and on
               degree-one operators
   reduction   similarity reduction of a generic coefficient vector to
-              the normal form (2*omega0, 0, 0; gamma; -2*gamma*b, 0, 0)
+              the normal form (2*omega0, 0, 0; gamma; -2*gamma*b, 0, 0),
+              and the plan's transport of the normal form's stationary
+              Gaussian and raising pair back to the source
   gauss       Gaussian states, closed-form conjugation maps, positivity
               windows, stationary presets
-  spectrum    closed-form eigenvalues and right eigenfunctions, and
-              their transport through a reduction plan
+  spectrum    closed-form eigenvalues and right eigenfunctions, words
+              in a raising pair applied to a Gaussian
   verify      truncated Hermite-basis oracle: matrices, expansions,
               residuals, evolution, biorthogonality
   cli         JSON-driven command line front end
@@ -24,62 +26,21 @@ the module's __getattr__) or `klform.verify.expand`.  A PEP 562
 __getattr__ alone would leave sys.modules["klform.verify"] absent until
 that first read, and code that finds the oracle's functions there to wrap
 them, as perfbench's span tracer does, would fail with KeyError.
+
+The public names are listed once, in each module's __all__ (errors has
+none: its public names are its exception classes), and republished here
+by wildcard imports.  verify's names are the one literal list,
+_VERIFY_NAMES, because reading verify.__all__ would run the oracle.
 """
 
 import importlib.util
 import sys
 
-from .errors import (
-    CriticalDampingError,
-    DegenerateDenominator,
-    DegreeError,
-    EvolutionOverflow,
-    FrameMismatch,
-    IllConditionedReduction,
-    KLFormError,
-    LabelError,
-    NonPositiveH0Error,
-    OverdampedError,
-    PairingFailure,
-    PositivityViolation,
-    SingularGError,
-    ZeroVector,
-)
-from .gauss import (
-    GaussianState,
-    apply_plan_gaussian,
-    positivity_window,
-    stationary_preset,
-    transform_gaussian,
-)
-from .operators import (
-    CoordinateFrame,
-    GeneratorId,
-    GENERATOR_ORDER,
-    LinearPhaseOperator,
-    LiouvillianCoeffs,
-    PhasePolyOperator,
-    assemble_liouvillian,
-    cl_coefficients,
-    conjugate_coefficients,
-    conjugate_linear,
-    generator,
-    hpz_coefficients,
-    kl_coefficients,
-)
-from .reduction import (
-    ReductionPlan,
-    reduce_to_kl,
-)
-from .spectrum import (
-    AppliedEigenfunction,
-    EigenLabel,
-    distinct_labels,
-    eigenvalue,
-    kl_eigenfunction,
-    pi_polynomial,
-    transformed_eigenfunction,
-)
+from .errors import *
+from .gauss import *
+from .operators import *
+from .reduction import *
+from .spectrum import *
 
 _spec = importlib.util.find_spec(f"{__name__}.verify")
 _spec.loader = importlib.util.LazyLoader(_spec.loader)
@@ -88,7 +49,7 @@ sys.modules[_spec.name] = verify
 _spec.loader.exec_module(verify)  # binds the module; its code runs on the first read
 del _spec
 
-# verify.__all__, listed here because reading it would run the module
+# verify.__all__, a literal because reading it would run the module
 _VERIFY_NAMES = (
     "BasisConfig",
     "BiorthReport",

@@ -273,10 +273,9 @@ def _render(obj, indent: int) -> str:
         return "[\n" + rows + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    numpy = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if isinstance(obj, int) or (numpy and isinstance(obj, numpy.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, float) or (numpy and isinstance(obj, numpy.floating)):
+    if isinstance(obj, float):  # np.float64 too, a float subclass
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite float {obj}")
         return format(float(obj), ".17g")

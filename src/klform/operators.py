@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from operator import ne, sub
 from typing import TYPE_CHECKING
 
@@ -373,22 +372,21 @@ def conjugate_coefficients(
     return LiouvillianCoeffs._from_checked(h, c.gamma, g)
 
 
-# (Q, r, dQ, dr) as the terms of degree-one operators
-_LINEAR_TERMS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-# adjoint rows kept, one per generator
-_GENERATORS = len(GENERATOR_ORDER)
-
-
-@lru_cache(maxsize=_GENERATORS)
-def _adjoint_rows(gid: GeneratorId) -> tuple[tuple[int, complex], ...]:
-    """(j, a_ij) for the nonzero entry of each row i of ad_G on (Q, r, dQ, dr),
-    (0, 0j) for a zero row, from [G, e_j] = sum_i a_ij e_i.  Exact: each entry
-    is a generator coefficient times 1 or 2."""
-    rows = [(0, 0j)] * 4
-    for j, e_j in enumerate(_LINEAR_TERMS):
-        for term, coeff in _commutator(generator(gid), PhasePolyOperator({e_j: 1.0})).terms.items():
-            rows[_LINEAR_TERMS.index(term)] = (j, coeff)
-    return tuple(rows)
+# ad_G on (Q, r, dQ, dr): row i is (j, a_ij) for the one nonzero entry of
+# [G, e_j] = sum_i a_ij e_i, (0, 0j) for a zero row.  Each entry is a
+# generator coefficient times 1 or 2; complex(0, -0.5) keeps the +0.0 real
+# part of the commutator's entry, which the literal -0.5j makes -0.0.
+_ADJOINT = {
+    GeneratorId.IL0: (
+        (3, complex(0, -0.5)), (2, complex(0, -0.5)), (1, complex(0, -0.5)), (0, complex(0, -0.5))
+    ),
+    GeneratorId.IM1: ((3, complex(0, -0.5)), (2, complex(0, -0.5)), (1, 0.5j), (0, 0.5j)),
+    GeneratorId.IM2: ((0, -0.5 + 0j), (1, -0.5 + 0j), (2, 0.5 + 0j), (3, 0.5 + 0j)),
+    GeneratorId.O0MI: ((0, -0.5 + 0j), (1, 0.5 + 0j), (2, 0.5 + 0j), (3, -0.5 + 0j)),
+    GeneratorId.OPLUS: ((0, 0j), (3, 0.5 + 0j), (0, 0.5 + 0j), (0, 0j)),
+    GeneratorId.L1PLUS: ((0, 0j), (3, 0.5 + 0j), (0, -0.5 + 0j), (0, 0j)),
+    GeneratorId.L2PLUS: ((0, 0j), (0, complex(0, -0.5)), (3, 0.5j), (0, 0j)),
+}
 
 
 def conjugate_linear(
@@ -411,7 +409,7 @@ def conjugate_linear(
 
     p = float(param)
     vec = (op.q, op.r, op.dq, op.dr)
-    rows = _adjoint_rows(gid)
+    rows = _ADJOINT[gid]
     if gid is GeneratorId.IM2 or gid is GeneratorId.O0MI:
         return LinearPhaseOperator(*[float(np.exp(p * a.real)) * v for v, (_, a) in zip(vec, rows)])
     if gid is GeneratorId.IL0:

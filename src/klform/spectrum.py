@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import IllConditionedReduction, LabelError, PositivityViolation
-from .gauss import GaussianState, apply_plan_gaussian
+from .errors import IllConditionedReduction, LabelError
+from .gauss import GaussianState
 from .operators import (
     LinearPhaseOperator,
     LiouvillianCoeffs,
@@ -61,11 +61,6 @@ __all__ = [
 MAX_M = 32
 # largest |[B1, B2]| of a commuting raising pair
 COMMUTATOR_TOL = 1e-12
-# largest miss of [K, B1] = lambda_1 B1, summed over the r and dQ fields,
-# relative to |lambda_1| max |B1|, the replay check's REPLAY_TOL: at most
-# 8.7e-16 on the 100 criterion-02 sources and 798 draws of their recipe at
-# seed 630948696
-RAISING_TOL = 1e-10
 
 
 @dataclass(frozen=True, order=True)
@@ -261,31 +256,6 @@ def kl_eigenfunction(
     return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
 
 
-def _certify_pair(pair, source: LiouvillianCoeffs, omega0: float) -> None:
-    """The transport's certificate [K, B1] = lambda_1 B1 for the source K.
-
-    The flows keep the trace, so B1 stays beta r + delta dQ (q = dr = 0
-    exactly), on which K acts through h and gamma alone: [K, r] =
-    (gamma - h2)/2 r + i(h1 - h0)/2 dQ, [K, dQ] = -i(h0 + h1)/2 r +
-    (gamma + h2)/2 dQ.  They keep B2 the mirror of B1 under
-    f -> conj f(Q, -r) bit for bit, so B2 misses as much.  A miss above
-    RAISING_TOL times |lambda_1| max(|beta|, |delta|) raises
-    IllConditionedReduction carrying the relative miss.
-    """
-    (h0, h1, h2), gamma = source.h, source.gamma
-    lam = eigenvalue(EigenLabel(1, 1, -1), omega0, gamma)
-    beta, delta = pair[0].r, pair[0].dq
-    miss = abs(0.5 * (beta * (gamma - h2) - 1j * delta * (h0 + h1)) - lam * beta) + abs(
-        0.5 * (1j * beta * (h1 - h0) + delta * (gamma + h2)) - lam * delta
-    )
-    scale = abs(lam) * max(abs(beta), abs(delta))
-    if not miss <= RAISING_TOL * scale:
-        raise IllConditionedReduction(
-            f"transported raising pair misses [K, B] = lambda B by {miss} of {scale}",
-            miss / scale if scale else math.inf,
-        )
-
-
 def transformed_eigenfunction(
     plan: ReductionPlan, label: EigenLabel, source: LiouvillianCoeffs
 ) -> AppliedEigenfunction:
@@ -293,43 +263,15 @@ def transformed_eigenfunction(
 
     If S is the similarity built from the plan steps (so S K S^-1 is the
     normal form), the source eigenfunctions are S^-1 applied to the
-    normal-form ones at the same label: the stationary Gaussian and the
-    raising pair are transported through the steps in reverse order with
-    negated parameters, and the label's word is unchanged.  The pair does
-    not depend on the label, so it is the plan's (ReductionPlan.raising_pair,
-    transported once per plan object), and so is the normal form's Gaussian
-    (its _normal_state).  The Gaussian is transported per call, on floats
-    (apply_plan_gaussian).  m above MAX_M raises LabelError before anything
-    is transported.  The transported Gaussian may pass outside the physical
-    region; only a non-normalizable endpoint (mu + nu <= 0) is an error.  A
-    plan that does not replay source onto its target
-    (ReductionPlan.check_replay), a transported pair that misses
-    [K, B_i] = lambda_i B_i of the source by more than RAISING_TOL relative
-    to |lambda_i B_i|, or one that no longer commutes (see
-    AppliedEigenfunction) raises IllConditionedReduction carrying the miss.
-    When source is the plan's checked_source, the replay is skipped, since
-    reduce_to_kl already ran it, and the pair's certificate runs on the
-    first call that reaches it and is recorded on the plan once it passes;
-    any other source, an equal copy included, is checked on every call, and
-    a failing certificate (_certify_pair) raises on every call.
+    normal-form ones at the same label: the plan carries the stationary
+    Gaussian and the raising pair back to the source
+    (ReductionPlan.transport, with its checks and errors), and the label's
+    word is unchanged.  m above MAX_M raises LabelError, and an omega0 or
+    gamma outside eigenvalue's domain ValueError, before anything is
+    transported.  A transported pair that no longer commutes raises
+    IllConditionedReduction (see AppliedEigenfunction).
     """
     _word(label)  # LabelError above MAX_M
-    checked = source is plan.checked_source
-    if not checked:
-        plan.check_replay(source)
-    state = apply_plan_gaussian(plan.inverse_steps, plan._normal_state)
-    if state.width_sum <= 0:
-        raise PositivityViolation(
-            "transported stationary Gaussian is not normalizable (mu + nu <= 0)"
-        )
-    pair = plan.raising_pair
-    if not (checked and plan._pair_certified):
-        _certify_pair(pair, source, plan.omega0)
-        if checked:
-            object.__setattr__(plan, "_pair_certified", True)
-    return AppliedEigenfunction(
-        label=label,
-        eigenvalue=eigenvalue(label, plan.omega0, source.gamma),
-        raising=pair,
-        gaussian=state,
-    )
+    lam = eigenvalue(label, plan.omega0, source.gamma)
+    state, pair = plan.transport(source)
+    return AppliedEigenfunction(label=label, eigenvalue=lam, raising=pair, gaussian=state)

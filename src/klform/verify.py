@@ -434,7 +434,7 @@ MAX_TAYLOR_STEPS = 100_000
 # is at most theta_55 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488).
 _TAYLOR_DEGREE = 55
 _THETA_55 = 9.9
-_UNIT_ROUNDOFF = 2.0**-53
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix, complex, float]:
@@ -505,7 +505,7 @@ def _taylor_advance(gen: BandedMatrix, mu: complex, vec: np.ndarray, dt: float, 
             bound += size
             # the partial sum is at most `bound`: only a small term needs its norm
             small = last + size
-            if small <= _UNIT_ROUNDOFF * bound and small <= _UNIT_ROUNDOFF * _sup(total):
+            if small <= _U * bound and small <= _U * _sup(total):
                 break
             last = size
         vec = scale * total
@@ -692,8 +692,6 @@ def _keeping_gather(top: int, n_q: int, n_r: int, shifts: tuple) -> tuple[np.nda
     gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
     return tuple(_read_only(arr) for arr in (*gather, np.flatnonzero(far)))
 
-
-_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):

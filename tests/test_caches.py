@@ -46,7 +46,7 @@ from klform import (
     transform_gaussian,
     transformed_eigenfunction,
 )
-from klform import reduction, spectrum, verify
+from klform import reduction, verify
 from klform.cli import DESK_PRESETS
 from klform.operators import _exp_conjugated, _rescale_coordinates
 
@@ -691,7 +691,7 @@ def test_one_pair_certificate_per_plan_for_its_source(monkeypatch):
     for src in (PRESETS["cl"], *criterion_02_sources(5)):
         plan = reduce_to_kl(src, b_target=1.0)
         by_hand = ReductionPlan(plan.steps, plan.omega0, plan.b, plan.target)
-        certificates = counting(monkeypatch, spectrum, "_certify_pair")
+        certificates = counting(monkeypatch, ReductionPlan, "_certify_pair")
         for _ in range(2):
             for lab in distinct_labels(2):
                 transformed_eigenfunction(plan, lab, src)

@@ -351,6 +351,12 @@ def test_render_refuses_non_finite_floats(value):
         render_json({"rows": [{"overlap": value}]})
 
 
+def test_render_writes_a_numpy_float_as_its_float():
+    values = [0.1, -2.5e-300, 1.7976931348623157e308, 5e-324, -0.0, 3.0]
+    for value in values:
+        assert render_json({"x": [np.float64(value)]}) == render_json({"x": [value]}), value
+
+
 def test_overdamped_input_exits_2_without_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(

@@ -21,7 +21,7 @@ from klform import (
     hpz_coefficients,
     kl_coefficients,
 )
-from klform.operators import _commutator, _rescale_coordinates
+from klform.operators import _ADJOINT, _commutator, _rescale_coordinates
 
 from adjoint_oracle import (
     adjoint_conjugate_coefficients,
@@ -110,6 +110,21 @@ def test_commutator_oscillation_and_boost():
     lhs = _commutator(generator(GeneratorId.IL0), generator(GeneratorId.IM1))
     rhs = (-1.0) * generator(GeneratorId.IM2)
     assert lhs.max_abs_diff(rhs) <= 1e-15
+
+
+def test_adjoint_table_equals_the_commutators():
+    """Each row (j, a_ij) of the literal ad_G is read off [G, e_j] =
+    sum_i a_ij e_i on (Q, r, dQ, dr), equal by repr, so that signed zeros
+    count; a zero row is (0, 0j)."""
+    linear = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert list(_ADJOINT) == list(GENERATOR_ORDER)
+    for gid in GENERATOR_ORDER:
+        rows = [(0, 0j)] * 4
+        for j, e_j in enumerate(linear):
+            bracket = _commutator(generator(gid), PhasePolyOperator({e_j: 1.0}))
+            for term, coeff in bracket.terms.items():
+                rows[linear.index(term)] = (j, coeff)
+        assert repr(_ADJOINT[gid]) == repr(tuple(rows)), gid
 
 
 def test_commutators_close_over_span():

@@ -1,5 +1,6 @@
 """Reduction of generic quadratic Liouvillians to the damped normal form."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -365,6 +366,13 @@ def test_reduce_records_the_source_it_checked_outside_equality():
     assert by_hand.checked_source is None
     assert by_hand == plan and hash(by_hand) == hash(plan)
     assert repr(by_hand) == repr(plan) and "checked_source" not in repr(plan)
+
+
+def test_plan_fields():
+    """The plan's data: what the transport keeps per plan object are
+    cached properties, not fields."""
+    names = [f.name for f in dataclasses.fields(ReductionPlan)]
+    assert names == ["steps", "omega0", "b", "target", "checked_source"]
 
 
 def test_reduce_already_normal_form_gives_empty_plan():

@@ -17,6 +17,7 @@ from klform import (
     LabelError,
     LinearPhaseOperator,
     PhasePolyOperator,
+    ReductionPlan,
     assemble_liouvillian,
     assemble_matrix,
     cl_coefficients,
@@ -33,7 +34,7 @@ from klform import (
     transformed_eigenfunction,
 )
 
-from klform import reduction, spectrum
+from klform import reduction
 from klform.spectrum import _apply_linear_to_poly
 from klform.operators import _commutator
 
@@ -176,7 +177,7 @@ def test_transport_rejects_m_above_the_cap_before_transporting(monkeypatch):
         raise AssertionError("a label above the cap was transported")
 
     monkeypatch.setattr(reduction, "conjugate_linear", transport)
-    monkeypatch.setattr(spectrum, "apply_plan_gaussian", transport)
+    monkeypatch.setattr(reduction, "apply_plan_gaussian", transport)
     src = criterion_02_sources(1)[0]
     plan = reduce_to_kl(src, b_target=1.0)
     assert plan.steps
@@ -184,6 +185,23 @@ def test_transport_rejects_m_above_the_cap_before_transporting(monkeypatch):
         with pytest.raises(LabelError, match="^m = 33 exceeds the cap 32$"):
             transformed_eigenfunction(plan, EigenLabel(33, 1, sigma), src)
     assert "raising_pair" not in vars(plan)
+
+
+@pytest.mark.parametrize("omega0", [math.nan, -1.0, math.inf])
+def test_transport_of_a_plan_built_with_a_bad_omega0_raises_value_error(omega0):
+    """eigenvalue's check, for the empty plan and for a plan with steps,
+    whose replay passes."""
+    src = criterion_02_sources(1)[0]
+    plan = reduce_to_kl(src, b_target=1.0)
+    target = kl_coefficients(1.0, 0.3, 1.0)
+    cases = (
+        (ReductionPlan((), omega0, 1.0, target), target),
+        (ReductionPlan(plan.steps, omega0, plan.b, plan.target), src),
+    )
+    for used, source in cases:
+        for lab in (EigenLabel(0, 0, 1), EigenLabel(2, 1, -1)):
+            with pytest.raises(ValueError, match="^omega0 must be finite and non-negative$"):
+                transformed_eigenfunction(used, lab, source)
 
 
 def test_kl_eigenfunction_residuals_low_modes():
