@@ -5,12 +5,12 @@ The package is organized bottom-up:
   operators   normal-ordered polynomial operators, the seven-generator
               algebra, conjugation flows on coefficients and on
               degree-one operators
+  gauss       Gaussian states, closed-form conjugation maps, positivity
+              windows, stationary presets
   reduction   similarity reduction of a generic coefficient vector to
               the normal form (2*omega0, 0, 0; gamma; -2*gamma*b, 0, 0),
               and the plan's transport of the normal form's stationary
               Gaussian and raising pair back to the source
-  gauss       Gaussian states, closed-form conjugation maps, positivity
-              windows, stationary presets
   spectrum    closed-form eigenvalues and right eigenfunctions, words
               in a raising pair applied to a Gaussian
   verify      truncated Hermite-basis oracle: matrices, expansions,

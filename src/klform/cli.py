@@ -348,9 +348,9 @@ def _reduce(cfg: RunConfig):
     return coeffs, reduce_to_kl(coeffs, b_target=cfg.b_target)
 
 
-def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, steady):
-    """Truncated basis in the frame of the stationary mode, and the matrix of K on it."""
-    basis = verify.BasisConfig(cfg.basis_n, cfg.basis_n, steady.gaussian.frame())
+def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, state):
+    """Truncated basis in the frame of the stationary Gaussian, and the matrix of K on it."""
+    basis = verify.BasisConfig(cfg.basis_n, cfg.basis_n, state.frame())
     return basis, verify.assemble_matrix(assemble_liouvillian(coeffs), basis)
 
 
@@ -404,7 +404,7 @@ def cmd_reduce(cfg: RunConfig):
 def cmd_stationary(cfg: RunConfig):
     if cfg.model == "generic":
         coeffs, plan = _reduce(cfg)
-        state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs).gaussian
+        state, _ = plan.transport(coeffs)
         if not state.is_physical():  # as stationary_preset demands of a preset
             raise PositivityViolation(f"stationary Gaussian has nu = {state.nu} < 0")
         frame = state.frame()
@@ -467,7 +467,7 @@ def cmd_verify(cfg: RunConfig):
     coeffs, plan = _reduce(cfg)
     labels = distinct_labels(cfg.m_max)
     modes = [transformed_eigenfunction(plan, lab, coeffs) for lab in labels]
-    basis, k_mat = _oracle(cfg, coeffs, modes[0])
+    basis, k_mat = _oracle(cfg, coeffs, modes[0].gaussian)
     rows = _eigen_rows(cfg.m_max, plan.omega0, coeffs.gamma)
     worst = 0.0
     stationary_vec = None
@@ -502,7 +502,7 @@ def cmd_evolve(cfg: RunConfig):
     coeffs, plan = _reduce(cfg)
     gamma = coeffs.gamma
     seed = transformed_eigenfunction(plan, EigenLabel(*cfg.seed_label), coeffs)
-    steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), coeffs)
+    steady, _ = plan.transport(coeffs)
     basis, k_mat = _oracle(cfg, coeffs, steady)
     v_steady = verify.expand(steady, basis)
     v_seed = verify.expand(seed, basis)

@@ -217,16 +217,6 @@ class LinearPhaseOperator:
     dq: complex = 0.0
     dr: complex = 0.0
 
-    def to_poly(self) -> PhasePolyOperator:
-        return PhasePolyOperator(
-            {
-                (1, 0, 0, 0): self.q,
-                (0, 1, 0, 0): self.r,
-                (0, 0, 1, 0): self.dq,
-                (0, 0, 0, 1): self.dr,
-            }
-        )
-
     def commutator_scalar(self, other: "LinearPhaseOperator") -> complex:
         # [aQ + br + c dQ + d dr, a'Q + b'r + c'dQ + d'dr] = (c a' - a c') + (d b' - b d')
         return (

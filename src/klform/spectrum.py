@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING
 
 from .errors import IllConditionedReduction, LabelError
 from .gauss import GaussianState
-from .operators import (
-    LinearPhaseOperator,
-    LiouvillianCoeffs,
-    PhasePolyOperator,
-    kl_coefficients,
-)
+from .operators import LinearPhaseOperator, LiouvillianCoeffs, PhasePolyOperator
 # Not called here since the plan transports the pair (ReductionPlan.raising_pair);
 # perfbench/test_perfbench.py still looks the name up on this module.
 from .operators import conjugate_linear  # noqa: F401
@@ -52,7 +47,6 @@ __all__ = [
     "eigenvalue",
     "pi_polynomial",
     "distinct_labels",
-    "kl_eigenfunction",
     "transformed_eigenfunction",
 ]
 
@@ -244,16 +238,6 @@ class AppliedEigenfunction:
 
     def evaluate(self, q, r) -> np.ndarray:
         return self.expanded_poly.evaluate(q, r) * self.gaussian.evaluate(q, r)
-
-
-def kl_eigenfunction(
-    label: EigenLabel, b: float, omega0: float, gamma: float
-) -> AppliedEigenfunction:
-    """Normal-form eigenfunction at width b >= 1/2: the transport of the
-    empty plan, whose raising pair is B1 = s_r (r + dQ) and
-    B2 = s_r (r - dQ) with s_r = sqrt(b/2)."""
-    target = kl_coefficients(omega0, gamma, b)
-    return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
 
 
 def transformed_eigenfunction(

@@ -635,18 +635,25 @@ def _check_grading(mat: BandedMatrix) -> None:
         raise DegreeError("matrix has an infinite entry: no block of it is the operator's")
 
 
-# Block layouts kept, one per basis size min(n_q, n_r)
-_LAYOUTS = 8
+# Block layouts kept, one per (n_q, n_r, band shifts)
+_LAYOUTS = 16
 
 
 @lru_cache(maxsize=_LAYOUTS)
-def _block_layout(top: int) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays of the degree blocks d < top, packed row-major,
-    block d in packed[ends[d] : ends[d + 1]]: over the pairs (d, j), j <= d,
-    d, j and the position of entry (j, j); ends; the positions `tri` of
-    the entries (j, j), then (j, j + 1), then (j + 1, j), and their degrees;
-    the 5 x tri.size weights that give G_d at `tri` from (c, A00, A01, A10,
-    A11) (_degree_blocks); and where each degree's pairs start."""
+def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of the degree blocks d < top = min(n_q, n_r),
+    packed row-major, block d in packed[ends[d] : ends[d + 1]]: over the
+    pairs (d, j), j <= d, d and j; ends; the positions `tri` of the entries
+    (j, j), then (j, j + 1), then (j + 1, j), and their degrees; the
+    5 x tri.size weights that give G_d at `tri` from (c, A00, A01, A10, A11)
+    (_degree_blocks); where each degree's pairs start; and the gather of the
+    degree-keeping bands (s, -s) among the shifts given: the positions, in
+    the flattened band stack, of the entries band[j, d - j] they hold in
+    those blocks, band by band and pair by pair; their positions in the
+    packed blocks, row j, column j + s of block d; the exact phase i^(-s) of
+    each; and the indices of those from a band with |s| > 1, which no
+    quadratic operator fills."""
+    top = min(n_q, n_r)
     deg, row = np.tril_indices(top)
     ends = np.cumsum(np.arange(top + 1) ** 2)
     diag = ends[deg] + row * (deg + 2)
@@ -664,23 +671,6 @@ def _block_layout(top: int) -> tuple[np.ndarray, ...]:
     tri = np.concatenate([diag, upper, lower])
     tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
     starts = np.flatnonzero(row == 0)
-    layout = (deg, row, ends, diag, tri, tri_deg, weights, starts)
-    return tuple(_read_only(arr) for arr in layout)
-
-
-# Gathers kept, one per (basis, band shifts): two sets of band shifts per layout
-_KEEPING_GATHERS = 2 * _LAYOUTS
-
-
-@lru_cache(maxsize=_KEEPING_GATHERS)
-def _keeping_gather(top: int, n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
-    """Read-only positions, in the flattened band stack of the shifts given,
-    of the entries band[j, d - j] that the degree-keeping bands (s, -s) hold
-    in the blocks d < top, band by band and in the order of _block_layout's
-    pairs (d, j); their positions in the packed blocks, row j, column j + s
-    of block d; the exact phase i^(-s) of each; and the indices of those
-    from a band with |s| > 1, which no quadratic operator fills."""
-    deg, row, _, diag, *_ = _block_layout(top)
     source, dest, phase, far = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [], []
     for index, (s, t) in enumerate(shifts):
         if s + t == 0:
@@ -690,8 +680,8 @@ def _keeping_gather(top: int, n_q: int, n_r: int, shifts: tuple) -> tuple[np.nda
             phase += [(1, 1j, -1, -1j)[t % 4]] * dest[-1].size
             far += [abs(s) > 1] * dest[-1].size
     gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
-    return tuple(_read_only(arr) for arr in (*gather, np.flatnonzero(far)))
-
+    layout = (deg, row, ends, tri, tri_deg, weights, starts, *gather, np.flatnonzero(far))
+    return tuple(_read_only(arr) for arr in layout)
 
 
 def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
@@ -770,9 +760,9 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
     """
     _check_grading(mat)
     top = min(mat.n_q, mat.n_r)
-    deg, row, ends, diag, tri, tri_deg, weights, starts = _block_layout(top)
+    layout = _block_layout(mat.n_q, mat.n_r, mat._shifts)
+    deg, row, ends, tri, tri_deg, weights, starts, source, dest, phase, far = layout
     packed = np.zeros(ends[-1])
-    source, dest, phase, far = _keeping_gather(top, mat.n_q, mat.n_r, mat._shifts)
     vals = mat._stack.reshape(-1)[source] * phase
     nonzero = vals != 0
     packed[dest[nonzero]] = vals.real[nonzero]

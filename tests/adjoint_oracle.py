@@ -33,6 +33,8 @@ from klform import (
 )
 from klform.operators import _commutator
 
+from reference_fixtures import linear_as_poly
+
 
 def linear_as_vector(op: LinearPhaseOperator) -> np.ndarray:
     """The fields (q, r, dq, dr) of a degree-one operator as a complex 4-vector."""
@@ -117,7 +119,7 @@ def _adjoint_matrix_4(gid: GeneratorId) -> np.ndarray:
     g_op = generator(gid)
     cols = []
     for e in _LINEAR_BASIS:
-        bracket = _commutator(g_op, e.to_poly())
+        bracket = _commutator(g_op, linear_as_poly(e))
         vec = np.zeros(4, dtype=complex)
         for term, coeff in bracket.terms.items():
             idx = {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1, (0, 0, 1, 0): 2, (0, 0, 0, 1): 3}.get(term)

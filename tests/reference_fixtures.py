@@ -1,9 +1,12 @@
-"""Hard-coded closed forms of the lowest modes of the named models.
+"""Hard-coded closed forms of the lowest modes of the named models, and
+two small builders the tests share.
 
 The tests compare the package's transported eigenfunctions with these
 polynomials, written out by hand: they share nothing with the reduction,
 the raising pair or the eigenpolynomial formula, and take only their
-Gaussians and widths from the stationary presets.
+Gaussians and widths from the stationary presets.  kl_eigenfunction, the
+normal form's modes as the transport of an empty plan, and linear_as_poly,
+a degree-one operator as an element of the algebra, are not references.
 """
 
 import cmath
@@ -13,15 +16,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from klform import (
+    AppliedEigenfunction,
     CoordinateFrame,
     EigenLabel,
     GaussianState,
     KLFormError,
+    LinearPhaseOperator,
     PhasePolyOperator,
+    ReductionPlan,
     eigenvalue,
+    kl_coefficients,
     stationary_preset,
+    transformed_eigenfunction,
 )
 from klform.gauss import _reduced_frequency
+
+
+def kl_eigenfunction(
+    label: EigenLabel, b: float, omega0: float, gamma: float
+) -> AppliedEigenfunction:
+    """Normal-form eigenfunction at width b >= 1/2: the transport of the
+    empty plan, whose raising pair is B1,2 = s_r (r +- dQ), s_r = sqrt(b/2).
+    The plan is built by hand, so that it keeps omega0 as given;
+    reduce_to_kl would recompute it through a square root."""
+    target = kl_coefficients(omega0, gamma, b)
+    return transformed_eigenfunction(ReductionPlan((), omega0, b, target), label, target)
+
+
+def linear_as_poly(op: LinearPhaseOperator) -> PhasePolyOperator:
+    """The degree-one operator q Q + r r + dq dQ + dr dr as a PhasePolyOperator."""
+    return PhasePolyOperator(
+        {(1, 0, 0, 0): op.q, (0, 1, 0, 0): op.r, (0, 0, 1, 0): op.dq, (0, 0, 0, 1): op.dr}
+    )
 
 
 class UnsupportedLabel(KLFormError):

@@ -36,7 +36,6 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
-    kl_eigenfunction,
     positivity_window,
     reduce_to_kl,
     refined_window_eigenvalues,
@@ -51,7 +50,7 @@ from klform.cli import main as cli_main
 from klform.reduction import _step2_matrix, _step2_solve
 
 from adjoint_oracle import adjoint_conjugate_coefficients
-from reference_fixtures import reference_eigenfunction
+from reference_fixtures import kl_eigenfunction, reference_eigenfunction
 
 W0, GAM, B = 1.0, 0.3, 1.0
 SHIFT_IDS = tuple(GENERATOR_ORDER[4:])

@@ -491,18 +491,17 @@ def test_the_pairing_and_window_index_caches_are_read_only():
     shifts = tuple(k_mat.matrix.bands)
     arrays = [
         *verify._pairing_layout(12, 10, 4, shifts),
-        *verify._keeping_gather(10, 12, 10, shifts),
-        *verify._block_layout(10),
+        *verify._block_layout(12, 10, shifts),
     ]
-    assert len(arrays) == 4 + 4 + 8
+    assert len(arrays) == 4 + 11
     assert not any(arr.flags.writeable for arr in arrays)
 
 
 def fresh_keeping_gather(top, n_q, n_r, shifts):
-    """_keeping_gather entry by entry: for each band (s, -s) in turn and each
-    block d < top in turn, its entries band[j, d - j] with 0 <= j + s <= d,
-    at row j, column j + s of block d, packed row-major after blocks 0 to
-    d - 1, times i^(-s)."""
+    """The gather of _block_layout entry by entry: for each band (s, -s) in
+    turn and each block d < top in turn, its entries band[j, d - j] with
+    0 <= j + s <= d, at row j, column j + s of block d, packed row-major
+    after blocks 0 to d - 1, times i^(-s)."""
     source, dest, phase, far = [], [], [], []
     for index, (s, t) in enumerate(shifts):
         if s + t:
@@ -548,11 +547,12 @@ def test_the_window_and_pairing_gathers_equal_building_them_afresh(shifts):
     returns the cached arrays."""
     for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
         top = min(n_q, n_r)
-        got = verify._keeping_gather(top, n_q, n_r, shifts)
-        assert verify._keeping_gather(top, n_q, n_r, shifts) is got
-        for arr, want in zip(got, fresh_keeping_gather(top, n_q, n_r, shifts)):
+        got = verify._block_layout(n_q, n_r, shifts)
+        assert verify._block_layout(n_q, n_r, shifts) is got
+        gather = got[7:]
+        for arr, want in zip(gather, fresh_keeping_gather(top, n_q, n_r, shifts), strict=True):
             assert arr.tolist() == want, (n_q, n_r)
-        assert got[2].dtype == complex
+        assert gather[2].dtype == complex
         for degrees in (0, 2, 4):
             got = verify._pairing_layout(n_q, n_r, degrees, shifts)
             assert verify._pairing_layout(n_q, n_r, degrees, shifts) is got

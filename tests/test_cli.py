@@ -11,7 +11,14 @@ import sys
 import numpy as np
 import pytest
 
-from klform import GeneratorId, LiouvillianCoeffs, cli, conjugate_coefficients
+from klform import (
+    EigenLabel,
+    GeneratorId,
+    LiouvillianCoeffs,
+    cli,
+    conjugate_coefficients,
+    distinct_labels,
+)
 from klform.cli import (
     DESK_PRESETS,
     ConfigError,
@@ -468,6 +475,30 @@ def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, 
     assert run_cli(["spectrum", *argv]) == 0
 
 
+def test_the_stationary_state_comes_from_the_plan_not_from_a_mode(tmp_path, monkeypatch):
+    """stationary reads the Gaussian from the plan's transport and builds no
+    mode, evolve builds only its seed, and verify only the labels it
+    tabulates, on the generic config at 40x40 and tolerance 1e-7."""
+    labels = []
+    transport = cli.transformed_eigenfunction
+
+    def spy(plan, label, source):
+        labels.append(label)
+        return transport(plan, label, source)
+
+    monkeypatch.setattr(cli, "transformed_eigenfunction", spy)
+    cfg = write_config(tmp_path, {**GENERIC, "basis_n": 40, "tol": 1e-7})
+    expected = {
+        "stationary": [],
+        "evolve": [EigenLabel(1, 0, 1)],
+        "verify": distinct_labels(2),
+    }
+    for command, want in expected.items():
+        labels.clear()
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert labels == want, command
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -725,6 +756,16 @@ UNREDUCIBLE = {
         "IllConditionedReduction",
     ),
 }
+
+
+# the transport's certificate refuses the same source on the routes that
+# read only the stationary Gaussian
+UNREDUCIBLE.update(
+    {
+        f"non-commuting-pair-{command}": (command, *UNREDUCIBLE["non-commuting-pair"][1:])
+        for command in ("stationary", "evolve")
+    }
+)
 
 
 @pytest.mark.parametrize("case", UNREDUCIBLE.values(), ids=UNREDUCIBLE.keys())

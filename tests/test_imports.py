@@ -238,7 +238,7 @@ def test_package_names_are_the_modules_all_and_the_typed_errors():
         if isinstance(value, type) and issubclass(value, errors.KLFormError)
     }
     assert public == listed | typed
-    assert len(public) == 54
+    assert len(public) == 53
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the
@@ -265,14 +265,16 @@ print(json.dumps(report))
 # in a fresh interpreter and reports the scipy modules loaded.
 _BIORTH_PROBE = """
 import json, sys
-from klform import (BasisConfig, assemble_liouvillian, assemble_matrix,
-    biorthogonality_check, distinct_labels, kl_coefficients, kl_eigenfunction,
-    stationary_preset)
+from klform import (BasisConfig, ReductionPlan, assemble_liouvillian, assemble_matrix,
+    biorthogonality_check, distinct_labels, kl_coefficients, stationary_preset,
+    transformed_eigenfunction)
 
 _, frame = stationary_preset("kl", b=1.0)
 cfg = BasisConfig(32, 32, frame)
-k_mat = assemble_matrix(assemble_liouvillian(kl_coefficients(1.0, 0.3, 1.0)), cfg)
-modes = [kl_eigenfunction(lab, 1.0, 1.0, 0.3) for lab in distinct_labels(2)]
+target = kl_coefficients(1.0, 0.3, 1.0)
+k_mat = assemble_matrix(assemble_liouvillian(target), cfg)
+plan = ReductionPlan((), 1.0, 1.0, target)
+modes = [transformed_eigenfunction(plan, lab, target) for lab in distinct_labels(2)]
 report = biorthogonality_check(k_mat, modes)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps([report.passed, loaded]))

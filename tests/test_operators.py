@@ -29,6 +29,7 @@ from adjoint_oracle import (
     linear_as_vector,
     linear_from_vector,
 )
+from reference_fixtures import linear_as_poly
 
 GENERATOR_TABLE = {
     GeneratorId.IL0: {(1, 1, 0, 0): 0.5j, (0, 0, 1, 1): -0.5j},
@@ -304,7 +305,7 @@ def test_conjugation_operator_level():
             "dq": LinearPhaseOperator(0.0, 0.0, 1.0, 0.0),
             "dr": LinearPhaseOperator(0.0, 0.0, 0.0, 1.0),
         }
-        moved = {k: conjugate_linear(gid, p, v).to_poly() for k, v in basis.items()}
+        moved = {k: linear_as_poly(conjugate_linear(gid, p, v)) for k, v in basis.items()}
         total = PhasePolyOperator({})
         for (a, b, cc, d), coeff in op.terms.items():
             term = PhasePolyOperator({(0, 0, 0, 0): coeff})

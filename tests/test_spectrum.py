@@ -27,7 +27,6 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
-    kl_eigenfunction,
     pi_polynomial,
     reduce_to_kl,
     residual,
@@ -47,7 +46,12 @@ from pi_oracle import (
     multiplication_pair,
     pi_exact,
 )
-from reference_fixtures import UnsupportedLabel, reference_eigenfunction
+from reference_fixtures import (
+    UnsupportedLabel,
+    kl_eigenfunction,
+    linear_as_poly,
+    reference_eigenfunction,
+)
 from test_caches import criterion_02_sources
 from test_verify import GENERIC
 
@@ -270,8 +274,8 @@ def test_raising_pair_against_the_reduction_free_4x4_route():
         f = transformed_eigenfunction(plan, EigenLabel(0, 0), src)
         k_op = assemble_liouvillian(src)
         for letter, sign in zip(f.raising, (-1, 1)):
-            want = eigenvalue(EigenLabel(1, 1, sign), plan.omega0, src.gamma) * letter.to_poly()
-            got = _commutator(k_op, letter.to_poly())
+            want = eigenvalue(EigenLabel(1, 1, sign), plan.omega0, src.gamma) * linear_as_poly(letter)
+            got = _commutator(k_op, linear_as_poly(letter))
             assert got.max_abs_diff(want) <= 1e-12 * max(map(abs, want.terms.values())), index
         ad_k = sum(c * _adjoint_matrix_4(gid) for c, gid in zip(src.as_vector(), GENERATOR_ORDER))
         rates, vecs = np.linalg.eig(ad_k)

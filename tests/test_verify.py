@@ -36,7 +36,6 @@ from klform import (
     expand,
     hpz_coefficients,
     kl_coefficients,
-    kl_eigenfunction,
     reduce_to_kl,
     refined_window_eigenvalues,
     residual,
@@ -64,6 +63,7 @@ from adjoint_oracle import linear_from_vector
 from hermite_oracle import hermite_functions, reconstruct
 from pairing_oracle import per_mode_pairing
 from quadrature_oracle import quadrature_expand
+from reference_fixtures import kl_eigenfunction
 from symmetric_power_oracle import second_quantized, symmetric_power
 from test_acceptance import criterion_02_source, random_scrambled_source
 
@@ -1463,6 +1463,42 @@ def test_symmetric_powers_diagonalize_the_predicted_blocks(case):
             assert np.linalg.cond(vecs) == pytest.approx(kappa**d, rel=1e-6)
             resolved += 1
     assert resolved >= (11 if case == 87 else len(blocks))
+
+
+def test_the_window_kappa_equals_the_modes_condition():
+    """The window's kappa, the condition of the unit eigenvectors of
+    A = M_1 - c I in closed form (_pair_eigensystem), is the condition of
+    the modes themselves: of the unit degree-one parts p_1, p_2, the
+    coefficients (0, 1) and (1, 0), of expand of (1, 1, +1) and (1, 1, -1),
+    which is (1 + |p_1^H p_2|) / |det P|.  On kl, cl, hpz and the 100
+    criterion-02 sources at 32x32, in the frame of the transported Gaussian,
+    the two agree within 64 kappa^2 u relative.  Each side's eigenvectors
+    carry an error of about kappa u: a 2x2 eigenvector moves by the
+    backward error times the eigenvalue condition, which kappa bounds.
+    |det P| of unit columns is linear in each column, so it moves by about
+    that error, and relative to |det P| <= 2 / kappa the move is about
+    kappa times larger: kappa^2 u per side.  The largest miss is
+    9.9 kappa^2 u, on source 37 (kappa 1.12); source 87, of the largest
+    kappa, 5.90, misses by 8.9e-15, 2.3 kappa^2 u."""
+    u = np.finfo(float).eps / 2
+    sources = [MODELS[model][0] for model in ("kl", "cl", "hpz")]
+    sources += [criterion_02_source(i) for i in range(100)]
+    for index, src in enumerate(sources):
+        plan = reduce_to_kl(src, b_target=1.0)
+        state, _ = plan.transport(src)
+        cfg = BasisConfig(32, 32, state.frame())
+        blocks, _ = _degree_blocks(assemble_matrix(assemble_liouvillian(src), cfg).matrix)
+        c = blocks[0][0, 0]
+        kappa = _pair_eigensystem(*(blocks[1] - c * np.eye(2)).ravel().tolist())[2]
+        columns = []
+        for sigma in (1, -1):
+            mode = transformed_eigenfunction(plan, EigenLabel(1, 1, sigma), src)
+            coeffs = expand(mode, cfg).reshape(32, 32)
+            part = np.array([coeffs[0, 1], coeffs[1, 0]])
+            columns.append(part / np.linalg.norm(part))
+        p1, p2 = columns
+        condition = (1 + abs(np.vdot(p1, p2))) / abs(np.linalg.det(np.column_stack(columns)))
+        assert abs(kappa - condition) <= 64 * kappa**2 * u * condition, index
 
 
 def moved_block_entry(k_mat, d, j, shift, value):
