@@ -28,14 +28,15 @@ index shift (BandedMatrix), from ladder factors in closed form for the
 quadratic operators assembled, and applied with numpy alone; the evolution is
 a truncated Taylor series on those arrays.  A shift (s, t) moves the total
 degree by a fixed -(s + t), so the grading is checked on per-band maxima
-and the blocks are gathered from the bands with s + t = 0.  A spectral
-window skips each block that a Bauer-Fike certificate (Numer. Math. 2
-(1960) 137) puts outside it: by the paper's first claim block d is the
-second-quantized image of block 1, with the eigenvalues n1 alpha_1 +
-n2 alpha_2 of its 2x2 part and the eigenvectors Sym^d(P), of condition
-cond(P)^d (third quantization, Prosen, New J. Phys. 10 (2008) 043026), so
-the distance of the block from that prediction, times cond(P)^d, bounds
-how far its eigenvalues lie from the predicted ones.  The blocks left are
+and the blocks are gathered from the bands with s + t = 0.  By the
+paper's first claim block d is the second-quantized image of block 1,
+with the eigenvalues n1 alpha_1 + n2 alpha_2 of its 2x2 part and the
+eigenvectors Sym^d(P), of condition cond(P)^d (third quantization,
+Prosen, New J. Phys. 10 (2008) 043026), so the distance of the block
+from that prediction, times cond(P)^d, bounds how far its eigenvalues lie
+from the predicted ones (Bauer-Fike, Numer. Math. 2 (1960) 137).  A
+spectral window skips each block that this bound puts outside it, and
+returns the predictions of each block it certifies; the blocks left are
 solved zero-padded, up to 16 successive degrees per LAPACK call, which
 keeps each block's eigenvalues bit for bit.
 """
@@ -46,6 +47,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -616,6 +618,10 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
 # Degree-raising entries up to this fraction of the largest entry are
 # roundoff (below 4e-16 for the presets), not structure.
 _GRADING_TOL = 1e-12
+# The largest Bauer-Fike radius, in the matrix's units, at which a degree
+# block's predictions stand in for its eigenvalues (_degree_blocks): 100
+# times under the 1e-6 at which criterion 01 compares the window.
+_PREDICTION_TOL = 1e-8
 
 
 def _check_grading(mat: BandedMatrix) -> None:
@@ -646,7 +652,7 @@ def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
     pairs (d, j), j <= d, d and j; ends; the positions `tri` of the entries
     (j, j), then (j, j + 1), then (j + 1, j), and their degrees; the
     5 x tri.size weights that give G_d at `tri` from (c, A00, A01, A10, A11)
-    (_degree_blocks); where each degree's pairs start; and the gather of the
+    (_degree_blocks); and the gather of the
     degree-keeping bands (s, -s) among the shifts given: the positions, in
     the flattened band stack, of the entries band[j, d - j] they hold in
     those blocks, band by band and pair by pair; their positions in the
@@ -670,7 +676,6 @@ def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
     weights[4, :n_diag] = row
     tri = np.concatenate([diag, upper, lower])
     tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
-    starts = np.flatnonzero(row == 0)
     source, dest, phase, far = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [], []
     for index, (s, t) in enumerate(shifts):
         if s + t == 0:
@@ -680,14 +685,15 @@ def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
             phase += [(1, 1j, -1, -1j)[t % 4]] * dest[-1].size
             far += [abs(s) > 1] * dest[-1].size
     gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
-    layout = (deg, row, ends, tri, tri_deg, weights, starts, *gather, np.flatnonzero(far))
+    layout = (deg, row, ends, tri, tri_deg, weights, *gather, np.flatnonzero(far))
     return tuple(_read_only(arr) for arr in layout)
 
 
 def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
-    """Eigenvalues alpha_1, alpha_2 of the real 2x2 matrix A, in closed form;
+    """mid and root of the eigenvalues alpha_1,2 = mid +- root of the real
+    2x2 matrix A, in closed form, mid real and root real or imaginary;
     kappa >= cond_2(P) of their unit eigenvectors P, inf for a defective A;
-    and delta >= ||A - P diag(alpha) P^-1||_2.
+    and delta >= ||A - P diag(alpha) P^-1||_2, alpha the rounded mid +- root.
 
     For unit columns P^H P has eigenvalues 1 +- g, g = |p_1^H p_2|, so
     sigma_1 sigma_2 = |det P| and kappa = (1 + g) / |det P|, the
@@ -710,26 +716,54 @@ def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
     g = abs(u0.conjugate() * w0 + u1.conjugate() * w1)
     det = abs(u0 * w1 - u1 * w0) - 4 * _U
     if det <= 0:
-        return alphas[0], alphas[1], math.inf, math.inf
+        return mid, root, math.inf, math.inf
     misses = []
     for (p0, p1), alpha in zip(columns, alphas):
         misses += [a00 * p0 + a01 * p1 - alpha * p0, a10 * p0 + a11 * p1 - alpha * p1]
     residual = math.hypot(*map(abs, misses))
     residual += 6 * _U * (math.hypot(a00, a01, a10, a11) + max(map(abs, alphas)))
-    return alphas[0], alphas[1], (1 + g) / det, residual * math.sqrt(1 + g) / det
+    return mid, root, (1 + g) / det, residual * math.sqrt(1 + g) / det
 
 
-def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
-    """The real blocks of all_eigenvalues, and floor[d] <= |lambda| for
-    every eigenvalue LAPACK computes for block d, -inf where no bound
-    applies.  Entry band[j, d - j] of a degree-keeping band (s, -s) lies in
-    row j, column j + s of block d, times i^(-s).
+class _BlockCertificate(NamedTuple):
+    """The certificate of each degree block d < min(n_q, n_r) against its
+    prediction from blocks 0 and 1, as _degree_blocks derives it: kappa^d
+    (growth), ||M_d - G_d||_F (residual) and the Bauer-Fike radius r_d
+    (radius), both in the matrix's units; the predictions, block d's at
+    predicted[d (d + 1) / 2 : (d + 1) (d + 2) / 2], k = 0..d in order; and
+    whether the block is certified.  radius is inf where no bound applies;
+    a matrix that bounds no block has growth inf, and residual and
+    predicted NaN."""
 
-    The floor is a Bauer-Fike certificate (Numer. Math. 2 (1960) 137)
-    against the block that the paper's first claim predicts from blocks 0
-    and 1.  In a frame matched to the stationary Gaussian the operator is
-    c + dGamma(A) on the ladder pair, c = M_0 and A = M_1 - c I, so block d
-    is G_d = c I + dGamma_d(A): diagonal c + j A11 + (d - j) A00, entry
+    growth: np.ndarray
+    residual: np.ndarray
+    radius: np.ndarray
+    predicted: np.ndarray
+    certified: np.ndarray
+
+    @property
+    def floor(self) -> np.ndarray:
+        """floor[d] <= |lambda| for every eigenvalue LAPACK computes for block
+        d, -inf where no bound applies: the least predicted modulus, lowered
+        by 4u for its rounding, less r_d."""
+        degrees = np.arange(self.radius.size)
+        least = np.minimum.reduceat(np.abs(self.predicted), degrees * (degrees + 1) // 2)
+        floor = np.full(degrees.size, -np.inf)
+        bounded = self.radius < np.inf
+        floor[bounded] = least[bounded] * (1 - 4 * _U) - self.radius[bounded]
+        return floor
+
+
+def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], _BlockCertificate]:
+    """The real blocks of all_eigenvalues, and their certificate.  Entry
+    band[j, d - j] of a degree-keeping band (s, -s) lies in row j, column
+    j + s of block d, times i^(-s).
+
+    The certificate is Bauer-Fike's (Numer. Math. 2 (1960) 137) against the
+    block that the paper's first claim predicts from blocks 0 and 1.  In a
+    frame matched to the stationary Gaussian the operator is c + dGamma(A)
+    on the ladder pair, c = M_0 and A = M_1 - c I, so block d is
+    G_d = c I + dGamma_d(A): diagonal c + j A11 + (d - j) A00, entry
     (j, j + 1) sqrt((j + 1)(d - j)) A01, entry (j + 1, j) the same times
     A10.  If A = P diag(alpha) P^-1, G_d has the eigenvalues c + k alpha_1
     + (d - k) alpha_2, k = 0..d, and the eigenvectors V_d = Sym^d(P),
@@ -739,29 +773,52 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
     M_d + E, ||E||_F <= p(d) u ||M_d||_F: p(d) = 10 (d + 1)^2 stands above
     the backward error of the Householder reduction and the QR sweeps,
     ||E|| ~ u ||M_d|| (Golub and Van Loan, 7.5.6; the balancing scales by
-    exact powers of 2), so that a skipped block's computed eigenvalues lie
-    outside the window too.  The 2x2 solve is exact for A - F, ||F||_2 <=
-    delta (_pair_eigensystem), and ||dGamma_d(F)||_2 <= d ||F||_2; delta
-    also holds 3u (|c| + max |alpha|), over the rounding of each predicted
-    eigenvalue.  So by Bauer-Fike each computed eigenvalue lies within
-    kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta) of a predicted
-    one, and floor[d] is the least predicted modulus less that bound.  The
-    rounding of G_d's entries, 6u sqrt(3d + 1) (|c| + (d + 1) max |A_ij|),
-    joins the residual; for the test's own arithmetic the bound is raised
-    by 1 + 8 (d + 2) u and the least modulus lowered by 4u.
+    exact powers of 2).  The 2x2 solve is exact for A - F, ||F||_2 <=
+    delta, with the rounded alpha_1,2 = mid +- root (_pair_eigensystem),
+    and ||dGamma_d(F)||_2 <= d ||F||_2.  The rounding of G_d's entries,
+    6u sqrt(3d + 1) (|c| + (d + 1) max |A_ij|), joins the residual.  So by
+    Bauer-Fike every eigenvalue of M_d, and of M_d + E, lies within
 
-    The test reads only the matrix, and a block whose structure is off
-    has a large residual and is solved.  The norms run over the
-    tridiagonal entries in units of a power of 2 near the largest entry,
-    so no square overflows.  A band (s, -s) with |s| > 1, which no
-    quadratic operator fills, a defective A or a kappa^d past the float
-    range leave the floor at -inf; a non-finite entry fails the grading
-    check (DegreeError).
+      r_d = kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta)
+
+    of one of those c + k alpha_1 + (d - k) alpha_2.  The predictions are
+    formed as c + d mid + (2k - d) root, so that conjugate pairs are exact
+    conjugates and the real one of an even degree has imaginary part 0.0;
+    they miss the exact values by at most 2u |c| + 6 d u max |alpha|,
+    which the 7u (|c| + max |alpha|) that delta also holds covers.  Block 0
+    is M_0 itself.  floor[d] is the least predicted modulus less r_d, so a
+    block whose floor lies outside a window has every eigenvalue, LAPACK's
+    too, outside it.  For the test's own arithmetic r_d is raised by
+    1 + 8 (d + 2) u and the least modulus lowered by 4u.
+
+    Block d is certified when r_d <= _PREDICTION_TOL and its d + 1 discs of
+    radius r_d about the predictions are pairwise disjoint: the exact
+    values lie on a line, |alpha_1 - alpha_2| apart, so the test is
+    2 r_d < |alpha_1 - alpha_2|.  Then each disc holds exactly one
+    eigenvalue of M_d, and exactly one of LAPACK's.  On the path
+    G + t (M - G), 0 <= t <= 1, from G = c I + dGamma_d(A - F) to M = M_d
+    or M_d + E, every eigenvalue lies within t rho of one of G's simple
+    eigenvalues, rho <= r_d less the predictions' rounding (Bauer-Fike
+    again); the discs of radius rho about them stay disjoint and the
+    eigenvalues move continuously, so each disc keeps the one eigenvalue
+    it holds at t = 0.  That disc lies inside the prediction's, and every
+    other eigenvalue lies more than |alpha_1 - alpha_2| - r_d > r_d from
+    the prediction.  So the certified predictions, as a multiset, are
+    within r_d of M_d's spectrum and of LAPACK's, one for one.
+
+    The certificate reads only the matrix, never the closed forms of the
+    spectrum, and a block whose structure is off has a large residual and
+    is not certified.  The norms run over the tridiagonal entries in
+    units of a power of 2 near the largest entry, so no square overflows.
+    A band (s, -s) with |s| > 1, which no quadratic operator fills, a
+    defective A or a kappa^d past the float range bound nothing: the floor
+    is -inf and no block is certified.  A non-finite entry fails the
+    grading check (DegreeError).
     """
     _check_grading(mat)
     top = min(mat.n_q, mat.n_r)
     layout = _block_layout(mat.n_q, mat.n_r, mat._shifts)
-    deg, row, ends, tri, tri_deg, weights, starts, source, dest, phase, far = layout
+    deg, row, ends, tri, tri_deg, weights, source, dest, phase, far = layout
     packed = np.zeros(ends[-1])
     vals = mat._stack.reshape(-1)[source] * phase
     nonzero = vals != 0
@@ -770,17 +827,24 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
     if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
         raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
     blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
-    floor = np.full(top, -np.inf)
+    unbounded = _BlockCertificate(
+        growth=np.full(top, np.inf),
+        residual=np.full(top, np.nan),
+        radius=np.full(top, np.inf),
+        predicted=np.full(row.size, np.nan, dtype=complex),
+        certified=np.zeros(top, dtype=bool),
+    )
     if wide:
-        return blocks, floor
+        return blocks, unbounded
     scale = math.ldexp(1.0, math.frexp(np.abs(packed).max())[1] - 1)
     x = packed / scale
     c = float(x[0])
     a00, a01, a10, a11 = (x[1:5] - c * np.array([1.0, 0.0, 0.0, 1.0])).tolist()
-    alpha_1, alpha_2, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
+    mid, root, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
     if kappa == math.inf:  # a defective A: no eigenvector matrix to bound by
-        return blocks, floor
-    delta += 3 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
+        return blocks, unbounded
+    alpha_1, alpha_2 = mid + root, mid - root
+    delta += 7 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
     entries = x[tri]
     miss = entries - np.array([c, a00, a01, a10, a11]) @ weights
     residual = np.sqrt(np.bincount(tri_deg, miss * miss, minlength=top))
@@ -791,14 +855,26 @@ def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], np.ndarray]:
     formation = 6 * _U * np.sqrt(3 * degrees + 1) * largest
     backward = 10 * (degrees + 1) ** 2 * _U * norm
     spread = roundoff * (residual + formation) + backward + degrees * delta
-    predicted = np.abs(c + row * alpha_1 + (deg - row) * alpha_2)
-    gap = np.minimum.reduceat(predicted, starts) * (1 - 4 * _U)
+    twice = 2 * row - deg
+    predicted = np.empty(row.size, dtype=complex)
     with np.errstate(over="ignore"):
+        # a prediction past the float range lies outside every finite window
+        predicted.real = (c + deg * mid + twice * root.real) * scale
+        predicted.imag = twice * root.imag * scale + 0.0
         # kappa^d past the float range bounds nothing; kappa^0 = 1
-        growth = roundoff * kappa**degrees
-        bounded = np.isfinite(growth)
-        floor[bounded] = (gap[bounded] - growth[bounded] * spread[bounded]) * scale
-    return blocks, floor
+        growth = kappa**degrees
+        bound = roundoff * growth * spread
+        radius = bound * scale
+    spacing = abs(alpha_1 - alpha_2) * (1 - 4 * _U)
+    disjoint = (degrees == 0) | (2 * bound < spacing)
+    certificate = _BlockCertificate(
+        growth=growth,
+        residual=residual * scale,
+        radius=radius,
+        predicted=predicted,
+        certified=disjoint & (radius <= _PREDICTION_TOL),
+    )
+    return blocks, certificate
 
 
 # Degrees solved per LAPACK call, and the most rows a padded stack may have.
@@ -849,35 +925,38 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     P = diag((-1)^k) = S^2 with S = diag(i^k): S^-1 M S, each entry times
     the exact i^(k_col - k_row), is real, and so are the blocks
     diagonalized (an imaginary part beyond roundoff raises DegreeError).
+    Every block is LAPACK's, certified or not: this is the reference that
+    the predictions of eigenvalues_in_window are held against.
     """
     blocks, _ = _degree_blocks(k_mat.matrix)
     return _block_eigenvalues(blocks, range(len(blocks)))
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
-    """Eigenvalues of all_eigenvalues with |lambda| <= radius, sorted by (re, im).
+    """Eigenvalues of the degree blocks the basis holds whole with
+    |lambda| <= radius, sorted by (re, im).
 
-    A block is not diagonalized when the matrix alone puts its spectrum,
-    as LAPACK would compute it, outside the disk.  Blocks 0 and 1 give
-    c = M_0 and the 2x2 A = M_1 - c I, whose eigenvalues alpha_1,2 and
-    unit eigenvectors P, of condition kappa, come in closed form.  Block d
-    is then predicted as G_d = c I + dGamma_d(A), with the eigenvalues
-    c + k alpha_1 + (d - k) alpha_2 and the eigenvectors Sym^d(P), of
-    condition kappa^d (Prosen, New J. Phys. 10 (2008) 043026), and by
-    Bauer-Fike (Numer. Math. 2 (1960) 137) block d is skipped when
-
-      min_k |c + k alpha_1 + (d - k) alpha_2|
-          - kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta) > radius,
-
-    p(d) u ||M_d||_F covering LAPACK's backward error and delta the 2x2
-    roundoff (_degree_blocks derives both).  The closed forms of the
-    spectrum play no part: a block off its prediction is solved.  On cl
-    and hpz at 24x24 this skips degrees 13-23, whose diagonals reach down
-    to 0 so that no diagonal strip can.
+    Blocks 0 and 1 of the matrix predict every block d as
+    c I + dGamma_d(A), with the eigenvalues c + k alpha_1 + (d - k) alpha_2
+    and a Bauer-Fike radius r_d, and a block is certified when its
+    predictions, within r_d <= 1e-8, stand one for one for its eigenvalues
+    and for LAPACK's (_degree_blocks states the rule and proves it).  A
+    block whose floor, the least predicted modulus less r_d, lies outside
+    the disk is left out; a certified block gives its predictions; every
+    other block is solved by LAPACK (_block_eigenvalues), and its values
+    are those of all_eigenvalues, bit for bit.  So each returned value of a
+    certified block lies within r_d of one of all_eigenvalues, and a value
+    within r_d of the radius may fall on either side of it.  The closed
+    forms of the spectrum play no part: a block off its prediction is
+    solved.  On kl at 32x32 and cl and hpz at 24x24, at radius
+    4 max(omega0, gamma), every block kept is certified, and LAPACK solves
+    none.
     """
-    blocks, floor = _degree_blocks(k_mat.matrix)
-    kept = np.flatnonzero(~(floor > radius))
-    ev = _block_eigenvalues(blocks, kept)
+    blocks, cert = _degree_blocks(k_mat.matrix)
+    kept = ~(cert.floor > radius)
+    held = np.repeat(kept & cert.certified, np.arange(1, len(blocks) + 1))
+    solved = _block_eigenvalues(blocks, np.flatnonzero(kept & ~cert.certified))
+    ev = np.concatenate([cert.predicted[held], solved])
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
@@ -916,9 +995,10 @@ def refined_window_eigenvalues(
 
     The Liouvillian is assembled in the frame of the stationary Gaussian
     `state`, which grades the matrix by Hermite degree, and the eigenvalues
-    come from the degree blocks the basis holds whole (all_eigenvalues).  A
-    state that is not stationary for `coeffs` breaks the grading, and
-    all_eigenvalues raises DegreeError.
+    come from the degree blocks the basis holds whole: the certified
+    predictions, or LAPACK's values (eigenvalues_in_window).  A state that
+    is not stationary for `coeffs` breaks the grading, and DegreeError is
+    raised.
     """
     cfg = BasisConfig(n_q, n_r, state.frame())
     return eigenvalues_in_window(assemble_matrix(assemble_liouvillian(coeffs), cfg), radius)

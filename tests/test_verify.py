@@ -869,14 +869,18 @@ def closed_forms_in_disk(omega0, gamma, radius):
 
 def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
     """On the 100 criterion-02 sources at 32x32, radius 4 max(omega0, gamma),
-    the window returns every closed-form eigenvalue of degree < 32 strictly
-    inside the radius, and no eigenvalue more than 1e-6 from every closed
-    form except on source 87, whose exact blocks of high degree are ill
-    conditioned.  With the blocks the truncation cuts, 21 sources had such
-    an eigenvalue."""
+    the window returns every closed-form eigenvalue of degree < 32 inside
+    the radius, and no eigenvalue more than 1e-6 from every closed form
+    except on source 87, whose exact blocks of high degree are ill
+    conditioned.  A closed form on the radius, or within its certified
+    block's r_d of it, is on the edge and may be present or absent: label
+    (4, 0, +1), of degree 8 and modulus 4 gamma, lies on the radius of 12
+    sources, and 4 windows hold it.  Source 87's 9 strays are LAPACK's
+    values of its blocks 23-29, none of which is certified.  With the
+    blocks the truncation cuts, 21 sources had such an eigenvalue."""
     n = 32
     rng = np.random.default_rng(20260816)
-    strays = set()
+    strays, homes = set(), set()
     for i in range(100):
         src = random_scrambled_source(rng)
         h0, h1, h2 = src.h
@@ -884,13 +888,25 @@ def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
         radius = 4.0 * max(omega0, src.gamma)
         plan = reduce_to_kl(src, b_target=1.0)
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
-        window = refined_window_eigenvalues(src, state, n, n, radius)
-        closed, degree = closed_forms_in_disk(omega0, src.gamma, radius)
-        if np.abs(window[:, None] - closed[None, :]).min(axis=1).max(initial=0.0) > 1e-6:
+        k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(n, n, state.frame()))
+        window = eigenvalues_in_window(k_mat, radius)
+        blocks, cert = _degree_blocks(k_mat.matrix)
+        closed, degree = closed_forms_in_disk(omega0, src.gamma, radius + 1e-6)
+        far = np.abs(window[:, None] - closed[None, :]).min(axis=1) > 1e-6
+        if far.any():
             strays.add(i)
-        wanted = closed[(degree < n) & (np.abs(closed) < (1.0 - 1e-9) * radius)]
+            lapack = per_block(all_eigenvalues(k_mat), blocks)
+            for value in window[far]:
+                home = [d for d, values in enumerate(lapack) if value in values]
+                assert home and not cert.certified[home].any(), i
+                homes.update(home)
+        if i == 87:
+            assert not cert.certified[23:30].any()
+        closed, degree = closed[degree < n], degree[degree < n]
+        edge = np.where(cert.certified[degree], cert.radius[degree], 0.0)
+        wanted = closed[np.abs(closed) < radius - edge]
         assert np.abs(wanted[:, None] - window[None, :]).min(axis=1).max() <= 1e-6, i
-    assert strays == {87}
+    assert strays == {87} and homes <= set(range(23, 30))
 
 
 def bendixson_strip(blocks, radius):
@@ -912,22 +928,39 @@ def bendixson_strip(blocks, radius):
     )
 
 
-def assert_window_filters_all_eigenvalues(k_mat, radius):
-    """eigenvalues_in_window is, bit for bit, the radius filter of
-    all_eigenvalues, sorted; every block that the certificate skips is
-    tridiagonal, and LAPACK puts its whole spectrum at or above the block's
-    floor, outside the radius; and every block Bendixson's strip skipped is
-    skipped.  Returns the count skipped."""
-    eigvals = all_eigenvalues(k_mat)
-    eigvals = eigvals[np.abs(eigvals) <= radius]
-    expected = eigvals[np.lexsort((eigvals.imag, eigvals.real))]
-    assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
-    blocks, floor = _degree_blocks(k_mat.matrix)
+def per_block(values, blocks):
+    """values, packed block after block in order of degree, split per block."""
+    return np.split(values, np.cumsum([len(block) for block in blocks])[:-1])
+
+
+def assert_window_holds_its_certificate(k_mat, radius):
+    """eigenvalues_in_window against LAPACK's spectrum of each block
+    (all_eigenvalues): every certified block has LAPACK's d + 1 values one
+    in each disc of radius r_d about its predictions; a block whose floor
+    lies outside the radius is tridiagonal, and LAPACK puts its whole
+    spectrum at or above that floor; and the window is, bit for bit, the
+    sorted radius filter of the predictions of the certified blocks kept
+    and of LAPACK's values of the other blocks kept.  Every block
+    Bendixson's strip skipped is skipped.  Returns the count skipped."""
+    blocks, cert = _degree_blocks(k_mat.matrix)
+    lapack = per_block(all_eigenvalues(k_mat), blocks)
+    predicted = per_block(cert.predicted, blocks)
+    floor = cert.floor
     skipped = floor > radius
-    for block, low in zip(blocks, floor):
-        if low > radius:
-            assert np.all(np.abs(np.linalg.eigvals(block)) >= low)
+    kept = []
+    for d, block in enumerate(blocks):
+        if cert.certified[d]:
+            inside = np.abs(lapack[d][:, None] - predicted[d][None, :]) <= cert.radius[d]
+            assert np.all(inside.sum(axis=0) == 1) and np.all(inside.sum(axis=1) == 1), d
+        if skipped[d]:
+            assert np.all(np.abs(lapack[d]) >= floor[d])
             assert not np.any(np.triu(block, 2)) and not np.any(np.tril(block, -2))
+        else:
+            kept.append(predicted[d] if cert.certified[d] else lapack[d])
+    inside = np.concatenate([np.zeros(0, dtype=complex), *kept])
+    inside = inside[np.abs(inside) <= radius]
+    expected = inside[np.lexsort((inside.imag, inside.real))]
+    assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
     assert not np.any(bendixson_strip(blocks, radius) & ~skipped)
     return int(np.count_nonzero(skipped))
 
@@ -951,9 +984,9 @@ def test_the_strip_skips_only_blocks_outside_the_window(model, n_q, n_r, skipped
     skips."""
     coeffs, state, radius, _ = window_spectrum(model)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n_q, n_r, state.frame()))
-    assert assert_window_filters_all_eigenvalues(k_mat, radius) == skipped
+    assert assert_window_holds_its_certificate(k_mat, radius) == skipped
     for scale in (0.5, 2.0):
-        assert_window_filters_all_eigenvalues(k_mat, scale * radius)
+        assert_window_holds_its_certificate(k_mat, scale * radius)
 
 
 def test_a_write_into_a_band_reaches_every_reader():
@@ -1135,7 +1168,7 @@ def test_the_strip_never_skips_a_pentadiagonal_block():
     block = _degree_blocks(k_mat.matrix)[0][4]
     assert np.diag(block).max() < -1.0 and np.triu(block, 2).any()
     assert np.abs(np.linalg.eigvals(block)).min() < 1.0
-    assert assert_window_filters_all_eigenvalues(k_mat, 1.0) == 0
+    assert assert_window_holds_its_certificate(k_mat, 1.0) == 0
 
 
 def test_the_strip_never_skips_a_block_with_a_positive_product():
@@ -1150,15 +1183,17 @@ def test_the_strip_never_skips_a_block_with_a_positive_product():
     }
     k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
     assert eigenvalues_in_window(k_mat, 2.0).size > 0
-    assert assert_window_filters_all_eigenvalues(k_mat, 2.0) == 1
+    assert assert_window_holds_its_certificate(k_mat, 2.0) == 1
 
 
 def test_the_strip_on_the_criterion_02_sources():
     """On the 100 criterion-02 sources at 32x32, radius 4 max(omega0, gamma),
     the certificate skips 1308 of the 3200 blocks (Bendixson's diagonal
-    strip skipped 1006, all among them) and no window changes."""
+    strip skipped 1006, all among them) and certifies 2912, each of which
+    has LAPACK's values one per disc of radius r_d about its predictions
+    (at most 7.5% of r_d from them)."""
     rng = np.random.default_rng(20260816)
-    skipped = 0
+    skipped = certified = 0
     for _ in range(100):
         src = random_scrambled_source(rng)
         h0, h1, h2 = src.h
@@ -1166,8 +1201,9 @@ def test_the_strip_on_the_criterion_02_sources():
         plan = reduce_to_kl(src, b_target=1.0)
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
-        skipped += assert_window_filters_all_eigenvalues(k_mat, radius)
-    assert skipped == 1308
+        skipped += assert_window_holds_its_certificate(k_mat, radius)
+        certified += int(np.count_nonzero(_degree_blocks(k_mat.matrix)[1].certified))
+    assert skipped == 1308 and certified == 2912
 
 
 def per_block_eigenvalues(k_mat):
@@ -1210,12 +1246,9 @@ def test_matrix_entries_read_what_toarray_holds():
 
 def assert_stacked_solve_is_per_block(k_mat, radius):
     """all_eigenvalues equals the per-block reference byte for byte, order
-    included, and eigenvalues_in_window its sorted radius filter."""
-    reference = per_block_eigenvalues(k_mat)
-    assert all_eigenvalues(k_mat).tobytes() == reference.tobytes()
-    inside = reference[np.abs(reference) <= radius]
-    expected = inside[np.lexsort((inside.imag, inside.real))]
-    assert eigenvalues_in_window(k_mat, radius).tobytes() == expected.tobytes()
+    included, and eigenvalues_in_window holds its certificate against it."""
+    assert all_eigenvalues(k_mat).tobytes() == per_block_eigenvalues(k_mat).tobytes()
+    assert_window_holds_its_certificate(k_mat, radius)
 
 
 @pytest.mark.parametrize("n", [8, 24, 32, 48, 64, 75, 80, 130])
@@ -1230,17 +1263,17 @@ def test_stacked_solve_keeps_the_bits_of_the_per_block_solve(model, n):
 
 
 def test_stacked_solve_on_the_criterion_02_sources():
-    """The same on the 100 criterion-02 sources at 32x32, radius
-    4 max(omega0, gamma), their frames carrying a phase."""
+    """all_eigenvalues equals the per-block reference byte for byte on the
+    100 criterion-02 sources at 32x32, their frames carrying a phase; their
+    windows are held to the certificate in
+    test_the_strip_on_the_criterion_02_sources."""
     rng = np.random.default_rng(20260816)
     for _ in range(100):
         src = random_scrambled_source(rng)
-        h0, h1, h2 = src.h
-        radius = 4.0 * max(0.5 * math.sqrt(h0 * h0 - h1 * h1 - h2 * h2), src.gamma)
         plan = reduce_to_kl(src, b_target=1.0)
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
-        assert_stacked_solve_is_per_block(k_mat, radius)
+        assert all_eigenvalues(k_mat).tobytes() == per_block_eigenvalues(k_mat).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 24])
@@ -1253,7 +1286,7 @@ def test_the_strip_test_does_not_overflow(omega0, n):
     window = refined_window_eigenvalues(coeffs, state, n, n, 4.0 * omega0)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
     assert window.tobytes() == eigenvalues_in_window(k_mat, 4.0 * omega0).tobytes()
-    assert assert_window_filters_all_eigenvalues(k_mat, 4.0 * omega0) == 0
+    assert assert_window_holds_its_certificate(k_mat, 4.0 * omega0) == 0
 
 
 def test_biorthogonality_kl_low_modes():
@@ -1444,7 +1477,8 @@ def test_symmetric_powers_diagonalize_the_predicted_blocks(case):
     singular values of Sym^d(P) give cond = kappa^d, kappa the closed-form
     condition of _pair_eigensystem, wherever the SVD resolves it (kappa^d
     <= 1e8); source 87 has kappa 5.895."""
-    blocks, floor = _degree_blocks(window_matrix(case).matrix)
+    blocks, cert = _degree_blocks(window_matrix(case).matrix)
+    floor = cert.floor
     c = blocks[0][0, 0]
     a = blocks[1] - c * np.eye(2)
     w, p = np.linalg.eig(a)
@@ -1522,13 +1556,84 @@ def test_a_block_moved_off_its_prediction_is_solved_when_the_bound_says_so(shift
     them by at most 0.104 (Bauer-Fike), so the block stays out and the
     floor still holds LAPACK's eigenvalues; a move of 1e-2 can move them
     by 1.04, and the block is solved.  An entry two places off the
-    diagonal, which no quadratic operator fills, stops every skip."""
+    diagonal, which no quadratic operator fills, stops every skip.  The
+    moved block is certified by no move, and the blocks of the disk by
+    every move but the last."""
     coeffs, state, radius, _ = window_spectrum("cl")
     cfg = BasisConfig(24, 24, state.frame())
     k_mat = moved_block_entry(assemble_matrix(assemble_liouvillian(coeffs), cfg), 15, 7, shift, value)
-    assert assert_window_filters_all_eigenvalues(k_mat, radius) == skipped
-    floor = _degree_blocks(k_mat.matrix)[1]
-    assert (floor[15] > radius) == (skipped == 11)
+    assert assert_window_holds_its_certificate(k_mat, radius) == skipped
+    cert = _degree_blocks(k_mat.matrix)[1]
+    assert (cert.floor[15] > radius) == (skipped == 11)
+    assert not cert.certified[15]
+    assert cert.certified[:13].all() == (skipped > 0)
+
+
+def recording_block_solves(monkeypatch):
+    """The degrees each call of verify._block_eigenvalues is handed, in a
+    list that grows as the calls come."""
+    handed = []
+    solve = verify._block_eigenvalues
+
+    def recording(blocks, degrees):
+        handed.append(np.asarray(degrees).tolist())
+        return solve(blocks, degrees)
+
+    monkeypatch.setattr(verify, "_block_eigenvalues", recording)
+    return handed
+
+
+@pytest.mark.parametrize("model", ["kl", "cl", "hpz"])
+def test_the_window_spectrum_models_hand_lapack_no_block(model, monkeypatch):
+    """At the window-spectrum sizes, kl at 32x32 and cl and hpz at 24x24,
+    every block the window keeps is certified, so LAPACK solves none; the
+    window holds the closed-form spectrum within 1e-14, closed under
+    conjugation bit for bit, as all_eigenvalues is."""
+    coeffs, state, radius, analytic = window_spectrum(model)
+    n = 32 if model == "kl" else 24
+    handed = recording_block_solves(monkeypatch)
+    window = refined_window_eigenvalues(coeffs, state, n, n, radius)
+    assert handed == [[]]
+    assert window.size == analytic.size and nearest_gap(window, analytic) <= 1e-14
+    assert np.array_equal(np.sort_complex(window), np.sort_complex(window.conj()))
+
+
+@pytest.mark.parametrize("shift", [0, 1, -1])
+def test_a_moved_entry_loses_its_blocks_certificate(shift, monkeypatch):
+    """cl at 24x24 with one tridiagonal entry of block 5, inside the disk,
+    moved by 1e-6: r_5 grows past 1e-8, so block 5 loses its certificate
+    and alone is handed to LAPACK, whose values the window returns bit
+    for bit; every other block the window keeps stays certified."""
+    coeffs, state, radius, _ = window_spectrum("cl")
+    cfg = BasisConfig(24, 24, state.frame())
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
+    assert _degree_blocks(k_mat.matrix)[1].certified[5]
+    moved = moved_block_entry(k_mat, 5, 2, shift, 1e-6)
+    cert = _degree_blocks(moved.matrix)[1]
+    assert np.flatnonzero(~cert.certified[:13]).tolist() == [5]
+    handed = recording_block_solves(monkeypatch)
+    eigenvalues_in_window(moved, radius)
+    assert handed == [[5]]
+    assert_window_holds_its_certificate(moved, radius)
+
+
+def test_blocks_whose_predictions_coincide_are_solved(monkeypatch):
+    """Hand-built bands whose block 1 is 0.5 + A, A the identity: block d is
+    exactly (0.5 + d) I, and its d + 1 predictions coincide, so their discs
+    overlap and only block 0 is certified, however small r_d is.  LAPACK
+    solves every other block, and the window returns its values."""
+    n = 6
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    bands = {(0, 0): (0.5 + j + k).astype(complex)}
+    k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
+    cert = _degree_blocks(k_mat.matrix)[1]
+    assert cert.certified.tolist() == [True] + [False] * (n - 1)
+    assert cert.radius.max() <= 1e-12
+    handed = recording_block_solves(monkeypatch)
+    window = eigenvalues_in_window(k_mat, 10.0)
+    assert handed == [[1, 2, 3, 4, 5]]
+    assert assert_window_holds_its_certificate(k_mat, 10.0) == 0
+    assert window.tolist() == [0.5 + d for d in range(n) for _ in range(d + 1)]
 
 
 def test_a_defective_first_block_skips_nothing():
@@ -1550,12 +1655,12 @@ def test_a_defective_first_block_skips_nothing():
         (-1, 1): 16j * np.sqrt(j * (k + 1.0)),
     }
     k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
-    blocks, floor = _degree_blocks(k_mat.matrix)
+    blocks, cert = _degree_blocks(k_mat.matrix)
     assert np.array_equal(blocks[1], [[8.0, 1.0], [-16.0, 0.0]])
     for d, block in enumerate(blocks):
         assert np.array_equal(block, second_quantized(1.0, blocks[1] - np.eye(2), d))
     assert _pair_eigensystem(7.0, 1.0, -16.0, -1.0)[2] == math.inf
-    assert np.all(floor[1:] == -np.inf)
+    assert np.all(cert.floor[1:] == -np.inf) and not cert.certified.any()
     assert not bendixson_strip(blocks, 2.0).any()
-    assert assert_window_filters_all_eigenvalues(k_mat, 2.0) == 0
+    assert assert_window_holds_its_certificate(k_mat, 2.0) == 0
     assert eigenvalues_in_window(k_mat, 2.0).tolist() == [1.0]
