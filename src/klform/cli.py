@@ -349,9 +349,13 @@ def _reduce(cfg: RunConfig):
 
 
 def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, state):
-    """Truncated basis in the frame of the stationary Gaussian, and the matrix of K on it."""
+    """Truncated basis in the frame of the stationary Gaussian, and the matrix
+    of K on it; ConfigError when the matrix does not fit in memory."""
     basis = verify.BasisConfig(cfg.basis_n, cfg.basis_n, state.frame())
-    return basis, verify.assemble_matrix(assemble_liouvillian(coeffs), basis)
+    try:
+        return basis, verify.assemble_matrix(assemble_liouvillian(coeffs), basis)
+    except MemoryError as exc:
+        raise ConfigError(f"basis_n {cfg.basis_n} is too large: {exc}") from exc
 
 
 def _coeff_doc(c: LiouvillianCoeffs) -> dict:

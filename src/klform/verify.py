@@ -279,9 +279,12 @@ def _ladder_outers(
 ) -> tuple[tuple[int, int, np.ndarray], ...]:
     """(s, t, read-only diag_q[:, None] * diag_r) for every pair of nonzero
     diagonals of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q functions and
-    (X/sqrt2)^b (sqrt2 D)^d on n_r, in the order of _ladder_factor's."""
+    (X/sqrt2)^b (sqrt2 D)^d on n_r, in the order of _ladder_factor's.  Each
+    product is kept as complex, imaginary part +0.0, the cast that a complex
+    coefficient times the float product makes, so assemble_matrix's
+    coeff * outer has the same bits without casting on every call."""
     return tuple(
-        (s, t, _read_only(diag_q[:, None] * diag_r))
+        (s, t, _read_only((diag_q[:, None] * diag_r).astype(complex)))
         for s, diag_q in _ladder_factor(n_q, a, c)
         for t, diag_r in _ladder_factor(n_r, b, d)
     )
@@ -619,7 +622,7 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
 # roundoff (below 4e-16 for the presets), not structure.
 _GRADING_TOL = 1e-12
 # The largest Bauer-Fike radius, in the matrix's units, at which a degree
-# block's predictions stand in for its eigenvalues (_degree_blocks): 100
+# block's predictions stand in for its eigenvalues (_DegreeEntries): 100
 # times under the 1e-6 at which criterion 01 compares the window.
 _PREDICTION_TOL = 1e-8
 
@@ -649,16 +652,18 @@ _LAYOUTS = 16
 def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
     """Read-only index arrays of the degree blocks d < top = min(n_q, n_r),
     packed row-major, block d in packed[ends[d] : ends[d + 1]]: over the
-    pairs (d, j), j <= d, d and j; ends; the positions `tri` of the entries
-    (j, j), then (j, j + 1), then (j + 1, j), and their degrees; the
-    5 x tri.size weights that give G_d at `tri` from (c, A00, A01, A10, A11)
-    (_degree_blocks); and the gather of the
-    degree-keeping bands (s, -s) among the shifts given: the positions, in
-    the flattened band stack, of the entries band[j, d - j] they hold in
-    those blocks, band by band and pair by pair; their positions in the
-    packed blocks, row j, column j + s of block d; the exact phase i^(-s) of
-    each; and the indices of those from a band with |s| > 1, which no
-    quadratic operator fills."""
+    pairs (d, j), j <= d, d and j; ends; the certificate's reads, as
+    positions among the gathered entries below, that position being their
+    count for an entry no band holds: packed[0:5], blocks 0 and 1, and the
+    tridiagonal entries (j, j), then (j, j + 1), then (j + 1, j); the
+    tridiagonal entries' degrees; the 5 x (their count) weights that give
+    G_d there from (c, A00, A01, A10, A11) (_DegreeEntries.certificate); and
+    the gather of the degree-keeping bands (s, -s) among the shifts given:
+    the positions, in the flattened band stack, of the entries band[j, d - j]
+    they hold in those blocks, band by band and pair by pair; their
+    positions in the packed blocks, row j, column j + s of block d; the
+    exact phase i^(-s) of each; and the indices of those from a band with
+    |s| > 1, which no quadratic operator fills."""
     top = min(n_q, n_r)
     deg, row = np.tril_indices(top)
     ends = np.cumsum(np.arange(top + 1) ** 2)
@@ -685,7 +690,11 @@ def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
             phase += [(1, 1j, -1, -1j)[t % 4]] * dest[-1].size
             far += [abs(s) > 1] * dest[-1].size
     gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
-    layout = (deg, row, ends, tri, tri_deg, weights, *gather, np.flatnonzero(far))
+    # the gathered entry at each packed position, or one past the last
+    at = np.full(ends[-1], gather[1].size)
+    at[gather[1]] = np.arange(gather[1].size)
+    reads = (at[:5], at[tri], tri_deg, weights)
+    layout = (deg, row, ends, *reads, *gather, np.flatnonzero(far))
     return tuple(_read_only(arr) for arr in layout)
 
 
@@ -727,19 +736,30 @@ def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
 
 class _BlockCertificate(NamedTuple):
     """The certificate of each degree block d < min(n_q, n_r) against its
-    prediction from blocks 0 and 1, as _degree_blocks derives it: kappa^d
-    (growth), ||M_d - G_d||_F (residual) and the Bauer-Fike radius r_d
-    (radius), both in the matrix's units; the predictions, block d's at
-    predicted[d (d + 1) / 2 : (d + 1) (d + 2) / 2], k = 0..d in order; and
-    whether the block is certified.  radius is inf where no bound applies;
-    a matrix that bounds no block has growth inf, and residual and
-    predicted NaN."""
+    prediction from blocks 0 and 1, as _DegreeEntries.certificate derives
+    it: kappa^d (growth), ||M_d - G_d||_F (residual) and the Bauer-Fike
+    radius r_d (radius), both in the matrix's units; the predictions, block
+    d's at predicted[d (d + 1) / 2 : (d + 1) (d + 2) / 2], k = 0..d in
+    order; and whether the block is certified.  radius is inf where no
+    bound applies; a matrix that bounds no block has growth inf, and
+    residual and predicted NaN."""
 
     growth: np.ndarray
     residual: np.ndarray
     radius: np.ndarray
     predicted: np.ndarray
     certified: np.ndarray
+
+    @classmethod
+    def unbounded(cls, top: int) -> _BlockCertificate:
+        """The certificate of blocks d < top that nothing bounds."""
+        return cls(
+            growth=np.full(top, np.inf),
+            residual=np.full(top, np.nan),
+            radius=np.full(top, np.inf),
+            predicted=np.full(top * (top + 1) // 2, np.nan, dtype=complex),
+            certified=np.zeros(top, dtype=bool),
+        )
 
     @property
     def floor(self) -> np.ndarray:
@@ -754,127 +774,142 @@ class _BlockCertificate(NamedTuple):
         return floor
 
 
-def _degree_blocks(mat: BandedMatrix) -> tuple[list[np.ndarray], _BlockCertificate]:
-    """The real blocks of all_eigenvalues, and their certificate.  Entry
-    band[j, d - j] of a degree-keeping band (s, -s) lies in row j, column
-    j + s of block d, times i^(-s).
+class _DegreeEntries:
+    """The entries of the real degree blocks d < top = min(n_q, n_r) of a
+    matrix, gathered from its degree-keeping bands in one fancy index:
+    entry band[j, d - j] of a band (s, -s) lies in row j, column j + s of
+    block d, times i^(-s) (_block_layout).  Gathering checks the grading
+    (a non-finite entry fails it too) and that every entry gathered is real
+    up to roundoff (DegreeError for either).  The certificate reads the
+    gathered entries; the dense blocks are built only for LAPACK
+    (_block_eigenvalues)."""
 
-    The certificate is Bauer-Fike's (Numer. Math. 2 (1960) 137) against the
-    block that the paper's first claim predicts from blocks 0 and 1.  In a
-    frame matched to the stationary Gaussian the operator is c + dGamma(A)
-    on the ladder pair, c = M_0 and A = M_1 - c I, so block d is
-    G_d = c I + dGamma_d(A): diagonal c + j A11 + (d - j) A00, entry
-    (j, j + 1) sqrt((j + 1)(d - j)) A01, entry (j + 1, j) the same times
-    A10.  If A = P diag(alpha) P^-1, G_d has the eigenvalues c + k alpha_1
-    + (d - k) alpha_2, k = 0..d, and the eigenvectors V_d = Sym^d(P),
-    whose singular values are products of d of P's, so cond(V_d) =
-    cond(P)^d = kappa^d (third quantization, Prosen, New J. Phys. 10
-    (2008) 043026).  LAPACK's eigenvalues of M_d are the exact ones of
-    M_d + E, ||E||_F <= p(d) u ||M_d||_F: p(d) = 10 (d + 1)^2 stands above
-    the backward error of the Householder reduction and the QR sweeps,
-    ||E|| ~ u ||M_d|| (Golub and Van Loan, 7.5.6; the balancing scales by
-    exact powers of 2).  The 2x2 solve is exact for A - F, ||F||_2 <=
-    delta, with the rounded alpha_1,2 = mid +- root (_pair_eigensystem),
-    and ||dGamma_d(F)||_2 <= d ||F||_2.  The rounding of G_d's entries,
-    6u sqrt(3d + 1) (|c| + (d + 1) max |A_ij|), joins the residual.  So by
-    Bauer-Fike every eigenvalue of M_d, and of M_d + E, lies within
+    __slots__ = ("top", "layout", "vals")
 
-      r_d = kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta)
+    def __init__(self, mat: BandedMatrix):
+        _check_grading(mat)
+        self.top = min(mat.n_q, mat.n_r)
+        self.layout = _block_layout(mat.n_q, mat.n_r, mat._shifts)
+        source, _, phase, _ = self.layout[-4:]  # the gather
+        self.vals = vals = mat._stack.reshape(-1)[source] * phase
+        if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
+            raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
 
-    of one of those c + k alpha_1 + (d - k) alpha_2.  The predictions are
-    formed as c + d mid + (2k - d) root, so that conjugate pairs are exact
-    conjugates and the real one of an even degree has imaginary part 0.0;
-    they miss the exact values by at most 2u |c| + 6 d u max |alpha|,
-    which the 7u (|c| + max |alpha|) that delta also holds covers.  Block 0
-    is M_0 itself.  floor[d] is the least predicted modulus less r_d, so a
-    block whose floor lies outside a window has every eigenvalue, LAPACK's
-    too, outside it.  For the test's own arithmetic r_d is raised by
-    1 + 8 (d + 2) u and the least modulus lowered by 4u.
+    def blocks(self) -> list[np.ndarray]:
+        """The blocks, block d a (d + 1) x (d + 1) view of one packed array,
+        zero wherever no entry is gathered."""
+        ends, dest = self.layout[2], self.layout[-3]
+        packed = np.zeros(ends[-1])
+        nonzero = self.vals != 0
+        packed[dest[nonzero]] = self.vals.real[nonzero]
+        return [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(self.top)]
 
-    Block d is certified when r_d <= _PREDICTION_TOL and its d + 1 discs of
-    radius r_d about the predictions are pairwise disjoint: the exact
-    values lie on a line, |alpha_1 - alpha_2| apart, so the test is
-    2 r_d < |alpha_1 - alpha_2|.  Then each disc holds exactly one
-    eigenvalue of M_d, and exactly one of LAPACK's.  On the path
-    G + t (M - G), 0 <= t <= 1, from G = c I + dGamma_d(A - F) to M = M_d
-    or M_d + E, every eigenvalue lies within t rho of one of G's simple
-    eigenvalues, rho <= r_d less the predictions' rounding (Bauer-Fike
-    again); the discs of radius rho about them stay disjoint and the
-    eigenvalues move continuously, so each disc keeps the one eigenvalue
-    it holds at t = 0.  That disc lies inside the prediction's, and every
-    other eigenvalue lies more than |alpha_1 - alpha_2| - r_d > r_d from
-    the prediction.  So the certified predictions, as a multiset, are
-    within r_d of M_d's spectrum and of LAPACK's, one for one.
+    def certificate(self) -> _BlockCertificate:
+        """The blocks' certificate, Bauer-Fike's (Numer. Math. 2 (1960) 137)
+        against the block that the paper's first claim predicts from blocks 0
+        and 1.
 
-    The certificate reads only the matrix, never the closed forms of the
-    spectrum, and a block whose structure is off has a large residual and
-    is not certified.  The norms run over the tridiagonal entries in
-    units of a power of 2 near the largest entry, so no square overflows.
-    A band (s, -s) with |s| > 1, which no quadratic operator fills, a
-    defective A or a kappa^d past the float range bound nothing: the floor
-    is -inf and no block is certified.  A non-finite entry fails the
-    grading check (DegreeError).
-    """
-    _check_grading(mat)
-    top = min(mat.n_q, mat.n_r)
-    layout = _block_layout(mat.n_q, mat.n_r, mat._shifts)
-    deg, row, ends, tri, tri_deg, weights, source, dest, phase, far = layout
-    packed = np.zeros(ends[-1])
-    vals = mat._stack.reshape(-1)[source] * phase
-    nonzero = vals != 0
-    packed[dest[nonzero]] = vals.real[nonzero]
-    wide = nonzero[far].any()
-    if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
-        raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
-    blocks = [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(top)]
-    unbounded = _BlockCertificate(
-        growth=np.full(top, np.inf),
-        residual=np.full(top, np.nan),
-        radius=np.full(top, np.inf),
-        predicted=np.full(row.size, np.nan, dtype=complex),
-        certified=np.zeros(top, dtype=bool),
-    )
-    if wide:
-        return blocks, unbounded
-    scale = math.ldexp(1.0, math.frexp(np.abs(packed).max())[1] - 1)
-    x = packed / scale
-    c = float(x[0])
-    a00, a01, a10, a11 = (x[1:5] - c * np.array([1.0, 0.0, 0.0, 1.0])).tolist()
-    mid, root, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
-    if kappa == math.inf:  # a defective A: no eigenvector matrix to bound by
-        return blocks, unbounded
-    alpha_1, alpha_2 = mid + root, mid - root
-    delta += 7 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
-    entries = x[tri]
-    miss = entries - np.array([c, a00, a01, a10, a11]) @ weights
-    residual = np.sqrt(np.bincount(tri_deg, miss * miss, minlength=top))
-    norm = np.sqrt(np.bincount(tri_deg, entries * entries, minlength=top))
-    degrees = np.arange(top)
-    roundoff = 1 + 8 * (degrees + 2) * _U
-    largest = abs(c) + (degrees + 1) * max(map(abs, (a00, a01, a10, a11)))
-    formation = 6 * _U * np.sqrt(3 * degrees + 1) * largest
-    backward = 10 * (degrees + 1) ** 2 * _U * norm
-    spread = roundoff * (residual + formation) + backward + degrees * delta
-    twice = 2 * row - deg
-    predicted = np.empty(row.size, dtype=complex)
-    with np.errstate(over="ignore"):
-        # a prediction past the float range lies outside every finite window
-        predicted.real = (c + deg * mid + twice * root.real) * scale
-        predicted.imag = twice * root.imag * scale + 0.0
-        # kappa^d past the float range bounds nothing; kappa^0 = 1
-        growth = kappa**degrees
-        bound = roundoff * growth * spread
-        radius = bound * scale
-    spacing = abs(alpha_1 - alpha_2) * (1 - 4 * _U)
-    disjoint = (degrees == 0) | (2 * bound < spacing)
-    certificate = _BlockCertificate(
-        growth=growth,
-        residual=residual * scale,
-        radius=radius,
-        predicted=predicted,
-        certified=disjoint & (radius <= _PREDICTION_TOL),
-    )
-    return blocks, certificate
+        In a frame matched to the stationary Gaussian the operator is
+        c + dGamma(A) on the ladder pair, c = M_0 and A = M_1 - c I, so block
+        d is G_d = c I + dGamma_d(A): diagonal c + j A11 + (d - j) A00, entry
+        (j, j + 1) sqrt((j + 1)(d - j)) A01, entry (j + 1, j) the same times
+        A10.  If A = P diag(alpha) P^-1, G_d has the eigenvalues
+        c + k alpha_1 + (d - k) alpha_2, k = 0..d, and the eigenvectors
+        V_d = Sym^d(P), whose singular values are products of d of P's, so
+        cond(V_d) = cond(P)^d = kappa^d (third quantization, Prosen, New J.
+        Phys. 10 (2008) 043026).  LAPACK's eigenvalues of M_d are the exact
+        ones of M_d + E, ||E||_F <= p(d) u ||M_d||_F: p(d) = 10 (d + 1)^2
+        stands above the backward error of the Householder reduction and the
+        QR sweeps, ||E|| ~ u ||M_d|| (Golub and Van Loan, 7.5.6; the
+        balancing scales by exact powers of 2).  The 2x2 solve is exact for
+        A - F, ||F||_2 <= delta, with the rounded alpha_1,2 = mid +- root
+        (_pair_eigensystem), and ||dGamma_d(F)||_2 <= d ||F||_2.  The
+        rounding of G_d's entries, 6u sqrt(3d + 1) (|c| + (d + 1) max |A_ij|),
+        joins the residual.  So by Bauer-Fike every eigenvalue of M_d, and of
+        M_d + E, lies within
+
+          r_d = kappa^d (||M_d - G_d||_F + p(d) u ||M_d||_F + d delta)
+
+        of one of those c + k alpha_1 + (d - k) alpha_2.  The predictions are
+        formed as c + d mid + (2k - d) root, so that conjugate pairs are
+        exact conjugates and the real one of an even degree has imaginary
+        part 0.0; they miss the exact values by at most 2u |c| + 6 d u
+        max |alpha|, which the 7u (|c| + max |alpha|) that delta also holds
+        covers.  Block 0 is M_0 itself.  floor[d] is the least predicted
+        modulus less r_d, so a block whose floor lies outside a window has
+        every eigenvalue, LAPACK's too, outside it.  For the test's own
+        arithmetic r_d is raised by 1 + 8 (d + 2) u and the least modulus
+        lowered by 4u.
+
+        Block d is certified when r_d <= _PREDICTION_TOL and its d + 1 discs
+        of radius r_d about the predictions are pairwise disjoint: the exact
+        values lie on a line, |alpha_1 - alpha_2| apart, so the test is
+        2 r_d < |alpha_1 - alpha_2|.  Then each disc holds exactly one
+        eigenvalue of M_d, and exactly one of LAPACK's.  On the path
+        G + t (M - G), 0 <= t <= 1, from G = c I + dGamma_d(A - F) to M = M_d
+        or M_d + E, every eigenvalue lies within t rho of one of G's simple
+        eigenvalues, rho <= r_d less the predictions' rounding (Bauer-Fike
+        again); the discs of radius rho about them stay disjoint and the
+        eigenvalues move continuously, so each disc keeps the one eigenvalue
+        it holds at t = 0.  That disc lies inside the prediction's, and
+        every other eigenvalue lies more than |alpha_1 - alpha_2| - r_d > r_d
+        from the prediction.  So the certified predictions, as a multiset,
+        are within r_d of M_d's spectrum and of LAPACK's, one for one.
+
+        The certificate reads only the matrix, never the closed forms of the
+        spectrum, and a block whose structure is off has a large residual and
+        is not certified.  It reads blocks 0 and 1 and the tridiagonal
+        entries straight from the gathered entries, an entry that no band
+        holds as 0.0, and its norms run over those entries in units of a
+        power of 2 near the largest entry, so no square overflows.  A band
+        (s, -s) with |s| > 1, which no quadratic operator fills, a defective
+        A or a kappa^d past the float range bound nothing: the floor is -inf
+        and no block is certified.
+        """
+        deg, row, _, head_at, tri_at, tri_deg, weights, _, _, _, far = self.layout
+        top = self.top
+        if self.vals[far].any():
+            return _BlockCertificate.unbounded(top)
+        # the last entry, 0.0, stands for each one that no band holds
+        real = np.append(self.vals.real, 0.0)
+        scale = math.ldexp(1.0, math.frexp(np.abs(real).max())[1] - 1)
+        head = real[head_at] / scale
+        c = float(head[0])
+        a00, a01, a10, a11 = (head[1:] - c * np.array([1.0, 0.0, 0.0, 1.0])).tolist()
+        mid, root, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
+        if kappa == math.inf:  # a defective A: no eigenvector matrix to bound by
+            return _BlockCertificate.unbounded(top)
+        alpha_1, alpha_2 = mid + root, mid - root
+        delta += 7 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
+        entries = real[tri_at] / scale
+        miss = entries - np.array([c, a00, a01, a10, a11]) @ weights
+        residual = np.sqrt(np.bincount(tri_deg, miss * miss, minlength=top))
+        norm = np.sqrt(np.bincount(tri_deg, entries * entries, minlength=top))
+        degrees = np.arange(top)
+        roundoff = 1 + 8 * (degrees + 2) * _U
+        largest = abs(c) + (degrees + 1) * max(map(abs, (a00, a01, a10, a11)))
+        formation = 6 * _U * np.sqrt(3 * degrees + 1) * largest
+        backward = 10 * (degrees + 1) ** 2 * _U * norm
+        spread = roundoff * (residual + formation) + backward + degrees * delta
+        twice = 2 * row - deg
+        predicted = np.empty(row.size, dtype=complex)
+        with np.errstate(over="ignore"):
+            # a prediction past the float range lies outside every finite window
+            predicted.real = (c + deg * mid + twice * root.real) * scale
+            predicted.imag = twice * root.imag * scale + 0.0
+            # kappa^d past the float range bounds nothing; kappa^0 = 1
+            growth = kappa**degrees
+            bound = roundoff * growth * spread
+            radius = bound * scale
+        spacing = abs(alpha_1 - alpha_2) * (1 - 4 * _U)
+        disjoint = (degrees == 0) | (2 * bound < spacing)
+        return _BlockCertificate(
+            growth=growth,
+            residual=residual * scale,
+            radius=radius,
+            predicted=predicted,
+            certified=disjoint & (radius <= _PREDICTION_TOL),
+        )
 
 
 # Degrees solved per LAPACK call, and the most rows a padded stack may have.
@@ -889,12 +924,16 @@ _STACK_DEGREES = 16
 _STACK_ROWS = 64
 
 
-def _block_eigenvalues(blocks: list[np.ndarray], degrees) -> np.ndarray:
-    """Eigenvalues of blocks[d] for the increasing degrees given, as complex128,
+def _block_eigenvalues(entries: _DegreeEntries, degrees) -> np.ndarray:
+    """Eigenvalues of block d for the increasing degrees given, as complex128,
     each block's in LAPACK's order: the blocks of up to _STACK_DEGREES
     successive degrees, zero-padded to the largest, in one np.linalg.eigvals
-    call, and a block of more than _STACK_ROWS rows alone."""
+    call, and a block of more than _STACK_ROWS rows alone.  The dense
+    blocks are built only when some degree is given."""
     degrees = np.asarray(degrees, dtype=int)
+    if not degrees.size:
+        return np.zeros(0, dtype=complex)
+    blocks = entries.blocks()
     small = degrees[degrees < _STACK_ROWS]
     spectra = [np.zeros(0, dtype=complex)]
     for start in range(0, small.size, _STACK_DEGREES):
@@ -926,10 +965,11 @@ def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
     the exact i^(k_col - k_row), is real, and so are the blocks
     diagonalized (an imaginary part beyond roundoff raises DegreeError).
     Every block is LAPACK's, certified or not: this is the reference that
-    the predictions of eigenvalues_in_window are held against.
+    the predictions of eigenvalues_in_window are held against, and no
+    certificate is computed.
     """
-    blocks, _ = _degree_blocks(k_mat.matrix)
-    return _block_eigenvalues(blocks, range(len(blocks)))
+    entries = _DegreeEntries(k_mat.matrix)
+    return _block_eigenvalues(entries, range(entries.top))
 
 
 def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
@@ -940,23 +980,29 @@ def eigenvalues_in_window(k_mat: OperatorMatrix, radius: float) -> np.ndarray:
     c I + dGamma_d(A), with the eigenvalues c + k alpha_1 + (d - k) alpha_2
     and a Bauer-Fike radius r_d, and a block is certified when its
     predictions, within r_d <= 1e-8, stand one for one for its eigenvalues
-    and for LAPACK's (_degree_blocks states the rule and proves it).  A
-    block whose floor, the least predicted modulus less r_d, lies outside
-    the disk is left out; a certified block gives its predictions; every
-    other block is solved by LAPACK (_block_eigenvalues), and its values
-    are those of all_eigenvalues, bit for bit.  So each returned value of a
-    certified block lies within r_d of one of all_eigenvalues, and a value
-    within r_d of the radius may fall on either side of it.  The closed
-    forms of the spectrum play no part: a block off its prediction is
-    solved.  On kl at 32x32 and cl and hpz at 24x24, at radius
-    4 max(omega0, gamma), every block kept is certified, and LAPACK solves
-    none.
+    and for LAPACK's (_DegreeEntries.certificate states the rule and
+    proves it).  A certified block gives its predictions, and the radius
+    filter drops those outside the disk.  Of the other blocks, one whose
+    floor, the least predicted modulus less r_d, lies outside the disk is
+    left out, and the rest are solved by LAPACK (_block_eigenvalues), their
+    values those of all_eigenvalues, bit for bit; the floor is computed
+    only when some block is not certified, and the dense blocks only when
+    LAPACK solves one.  So each returned value of a certified block lies
+    within r_d of one of all_eigenvalues, and a value within r_d of the
+    radius may fall on either side of it.  The closed forms of the
+    spectrum play no part: a block off its prediction is solved.  On kl at
+    32x32 and cl and hpz at 24x24, at radius 4 max(omega0, gamma), every
+    block kept is certified: the window reads only the gathered entries,
+    and LAPACK solves no block.
     """
-    blocks, cert = _degree_blocks(k_mat.matrix)
-    kept = ~(cert.floor > radius)
-    held = np.repeat(kept & cert.certified, np.arange(1, len(blocks) + 1))
-    solved = _block_eigenvalues(blocks, np.flatnonzero(kept & ~cert.certified))
-    ev = np.concatenate([cert.predicted[held], solved])
+    entries = _DegreeEntries(k_mat.matrix)
+    cert = entries.certificate()
+    # a certified block outside the disk leaves with the radius filter below
+    held = np.repeat(cert.certified, np.arange(1, entries.top + 1))
+    solve = np.flatnonzero(~cert.certified)
+    if solve.size:
+        solve = solve[~(cert.floor[solve] > radius)]
+    ev = np.concatenate([cert.predicted[held], _block_eigenvalues(entries, solve)])
     ev = ev[np.abs(ev) <= radius]
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

@@ -377,8 +377,10 @@ def test_ladder_factor_equals_the_sparse_power_factor():
 def test_ladder_outers_equal_fresh_outer_products():
     """Each cached two-sided outer product, a + c = b + d = 1, on square and
     rectangular bases, is the outer product of the fresh factors'
-    diagonals, byte for byte, in the shift order of _ladder_factor, and
-    read-only; the second pass at 24x36 reads what the first one left."""
+    diagonals, kept as complex: its real part byte for byte, its imaginary
+    part +0.0 throughout, as numpy's cast of the float product gives, in the
+    shift order of _ladder_factor, and read-only; the second pass at 24x36
+    reads what the first one left."""
     sides = [(1, 0), (0, 1)]
     for n_q, n_r in [(4, 4), (24, 36), (40, 40), (40, 28), (24, 36)]:
         for (a, c), (b, d) in [(q, r) for q in sides for r in sides]:
@@ -393,7 +395,10 @@ def test_ladder_outers_equal_fresh_outer_products():
             got = verify._ladder_outers(n_q, a, c, n_r, b, d)
             assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
             for (s, t, outer), (_, _, fresh) in zip(got, want):
-                assert same_bits(outer, fresh) and not outer.flags.writeable, (n_q, n_r, s, t)
+                assert same_bits(outer, fresh.astype(complex)), (n_q, n_r, s, t)
+                assert same_bits(outer.real.copy(), fresh), (n_q, n_r, s, t)
+                assert same_bits(outer.imag.copy(), np.zeros_like(fresh)), (n_q, n_r, s, t)
+                assert not outer.flags.writeable, (n_q, n_r, s, t)
 
 
 def test_expanded_poly_equals_the_per_label_table():
@@ -493,7 +498,7 @@ def test_the_pairing_and_window_index_caches_are_read_only():
         *verify._pairing_layout(12, 10, 4, shifts),
         *verify._block_layout(12, 10, shifts),
     ]
-    assert len(arrays) == 4 + 10
+    assert len(arrays) == 4 + 11
     assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -514,6 +519,23 @@ def fresh_keeping_gather(top, n_q, n_r, shifts):
                     phase.append(1j**t)
                     far.append(abs(s) > 1)
     return source, dest, phase, [i for i, wide in enumerate(far) if wide]
+
+
+def fresh_certificate_reads(top, dest):
+    """The positions, among the entries gathered to the packed positions
+    dest, of packed[0:5] and of the tridiagonal entries of the blocks
+    d < top: (j, j) of every block in turn, then (j, j + 1), then
+    (j + 1, j); len(dest) for a position no entry is gathered to."""
+    start = [sum(e * e for e in range(1, d + 1)) for d in range(top)]
+    pairs = [(d, j) for d in range(top) for j in range(d + 1)]
+    diag = [start[d] + j * (d + 1) + j for d, j in pairs]
+    upper = [start[d] + j * (d + 1) + j + 1 for d, j in pairs if j < d]
+    lower = [start[d] + (j + 1) * (d + 1) + j for d, j in pairs if j < d]
+
+    def at(position):
+        return dest.index(position) if position in dest else len(dest)
+
+    return [at(p) for p in range(5)], [at(p) for p in diag + upper + lower]
 
 
 def fresh_pairing_layout(n_q, n_r, top, shifts):
@@ -543,16 +565,21 @@ STACK_SHIFTS = [
 def test_the_window_and_pairing_gathers_equal_building_them_afresh(shifts):
     """The cached gathers of the degree blocks and of the pairing's leading
     block, on square and rectangular bases, hold the entries their
-    definitions give, in order, phases included, and a second call
+    definitions give, in order, phases included; the certificate's reads of
+    blocks 0 and 1 and of the tridiagonal entries point at the gathered
+    entries those positions hold, or past the last; and a second call
     returns the cached arrays."""
     for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
         top = min(n_q, n_r)
         got = verify._block_layout(n_q, n_r, shifts)
         assert verify._block_layout(n_q, n_r, shifts) is got
-        gather = got[6:]
+        gather = got[7:]
         for arr, want in zip(gather, fresh_keeping_gather(top, n_q, n_r, shifts), strict=True):
             assert arr.tolist() == want, (n_q, n_r)
         assert gather[2].dtype == complex
+        reads = fresh_certificate_reads(top, gather[1].tolist())
+        for arr, want in zip(got[3:5], reads, strict=True):
+            assert arr.tolist() == want, (n_q, n_r)
         for degrees in (0, 2, 4):
             got = verify._pairing_layout(n_q, n_r, degrees, shifts)
             assert verify._pairing_layout(n_q, n_r, degrees, shifts) is got

@@ -475,6 +475,24 @@ def test_verify_beyond_the_label_cap_exits_2_before_transport(tmp_path, capsys, 
     assert run_cli(["spectrum", *argv]) == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+@pytest.mark.parametrize("source", ["kl", "cl", "hpz", "generic"])
+def test_a_basis_too_large_to_allocate_exits_2(tmp_path, capsys, command, source):
+    """At basis_n 1e8 the band stack takes about 1 EiB, which numpy refuses
+    before touching any memory: a ConfigError naming basis_n, and nothing
+    written."""
+    out = tmp_path / "out"
+    if source == "generic":
+        argv = ["--config", write_config(tmp_path, {**GENERIC, "out": str(out)})]
+    else:
+        argv = ["--preset", source, "--out", str(out)]
+    assert run_cli([command, *argv, "--basis-n", "100000000"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("basis_n 100000000 is too large")
+    assert not out.exists()
+
+
 def test_the_stationary_state_comes_from_the_plan_not_from_a_mode(tmp_path, monkeypatch):
     """stationary reads the Gaussian from the plan's transport and builds no
     mode, evolve builds only its seed, and verify only the labels it

@@ -48,9 +48,9 @@ from klform import verify
 from klform.verify import (
     _GRADING_TOL,
     BandedMatrix,
+    _DegreeEntries,
     OperatorMatrix,
     _check_grading,
-    _degree_blocks,
     _ladder_matrices,
     _mode_coefficients,
     _pair_eigensystem,
@@ -890,7 +890,7 @@ def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(n, n, state.frame()))
         window = eigenvalues_in_window(k_mat, radius)
-        blocks, cert = _degree_blocks(k_mat.matrix)
+        blocks, cert = degree_blocks(k_mat.matrix)
         closed, degree = closed_forms_in_disk(omega0, src.gamma, radius + 1e-6)
         far = np.abs(window[:, None] - closed[None, :]).min(axis=1) > 1e-6
         if far.any():
@@ -907,6 +907,13 @@ def test_window_holds_only_the_closed_forms_of_the_exact_blocks():
         wanted = closed[np.abs(closed) < radius - edge]
         assert np.abs(wanted[:, None] - window[None, :]).min(axis=1).max() <= 1e-6, i
     assert strays == {87} and homes <= set(range(23, 30))
+
+
+def degree_blocks(mat):
+    """The dense degree blocks of a matrix and their certificate, from one
+    gather of its entries."""
+    entries = _DegreeEntries(mat)
+    return entries.blocks(), entries.certificate()
 
 
 def bendixson_strip(blocks, radius):
@@ -942,7 +949,7 @@ def assert_window_holds_its_certificate(k_mat, radius):
     sorted radius filter of the predictions of the certified blocks kept
     and of LAPACK's values of the other blocks kept.  Every block
     Bendixson's strip skipped is skipped.  Returns the count skipped."""
-    blocks, cert = _degree_blocks(k_mat.matrix)
+    blocks, cert = degree_blocks(k_mat.matrix)
     lapack = per_block(all_eigenvalues(k_mat), blocks)
     predicted = per_block(cert.predicted, blocks)
     floor = cert.floor
@@ -1017,7 +1024,7 @@ def test_a_write_into_an_assembled_band_reaches_the_blocks_and_the_pairing(monke
         return np.linalg.inv(stack)
 
     monkeypatch.setattr(verify, "splu", recording_splu)
-    dense, blocks = mat.toarray(), _degree_blocks(mat)[0]
+    dense, blocks = mat.toarray(), degree_blocks(mat)[0]
     biorthogonality_check(k_mat, modes)
     row, move = 1 * 10 + 1, 0.25
     mat.bands[(0, 0)][1, 1] += move
@@ -1026,7 +1033,7 @@ def test_a_write_into_an_assembled_band_reaches_the_blocks_and_the_pairing(monke
     unit = np.zeros(mat.shape[0])
     unit[row] = 1.0
     assert np.array_equal(mat @ unit, dense[:, row])
-    moved = _degree_blocks(mat)[0]
+    moved = degree_blocks(mat)[0]
     blocks[2][1, 1] += move
     assert all(np.array_equal(got, want) for got, want in zip(moved, blocks))
     with pytest.raises(PairingFailure):  # the moved entry shifts the modes' eigenvalues
@@ -1165,7 +1172,7 @@ def test_the_strip_never_skips_a_pentadiagonal_block():
         (-2, 2): np.full((n, n), -3.0 + 0j),
     }
     k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
-    block = _degree_blocks(k_mat.matrix)[0][4]
+    block = degree_blocks(k_mat.matrix)[0][4]
     assert np.diag(block).max() < -1.0 and np.triu(block, 2).any()
     assert np.abs(np.linalg.eigvals(block)).min() < 1.0
     assert assert_window_holds_its_certificate(k_mat, 1.0) == 0
@@ -1202,7 +1209,7 @@ def test_the_strip_on_the_criterion_02_sources():
         state = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src).gaussian
         k_mat = assemble_matrix(assemble_liouvillian(src), BasisConfig(32, 32, state.frame()))
         skipped += assert_window_holds_its_certificate(k_mat, radius)
-        certified += int(np.count_nonzero(_degree_blocks(k_mat.matrix)[1].certified))
+        certified += int(np.count_nonzero(degree_blocks(k_mat.matrix)[1].certified))
     assert skipped == 1308 and certified == 2912
 
 
@@ -1477,7 +1484,7 @@ def test_symmetric_powers_diagonalize_the_predicted_blocks(case):
     singular values of Sym^d(P) give cond = kappa^d, kappa the closed-form
     condition of _pair_eigensystem, wherever the SVD resolves it (kappa^d
     <= 1e8); source 87 has kappa 5.895."""
-    blocks, cert = _degree_blocks(window_matrix(case).matrix)
+    blocks, cert = degree_blocks(window_matrix(case).matrix)
     floor = cert.floor
     c = blocks[0][0, 0]
     a = blocks[1] - c * np.eye(2)
@@ -1521,7 +1528,7 @@ def test_the_window_kappa_equals_the_modes_condition():
         plan = reduce_to_kl(src, b_target=1.0)
         state, _ = plan.transport(src)
         cfg = BasisConfig(32, 32, state.frame())
-        blocks, _ = _degree_blocks(assemble_matrix(assemble_liouvillian(src), cfg).matrix)
+        blocks, _ = degree_blocks(assemble_matrix(assemble_liouvillian(src), cfg).matrix)
         c = blocks[0][0, 0]
         kappa = _pair_eigensystem(*(blocks[1] - c * np.eye(2)).ravel().tolist())[2]
         columns = []
@@ -1563,7 +1570,7 @@ def test_a_block_moved_off_its_prediction_is_solved_when_the_bound_says_so(shift
     cfg = BasisConfig(24, 24, state.frame())
     k_mat = moved_block_entry(assemble_matrix(assemble_liouvillian(coeffs), cfg), 15, 7, shift, value)
     assert assert_window_holds_its_certificate(k_mat, radius) == skipped
-    cert = _degree_blocks(k_mat.matrix)[1]
+    cert = degree_blocks(k_mat.matrix)[1]
     assert (cert.floor[15] > radius) == (skipped == 11)
     assert not cert.certified[15]
     assert cert.certified[:13].all() == (skipped > 0)
@@ -1598,6 +1605,49 @@ def test_the_window_spectrum_models_hand_lapack_no_block(model, monkeypatch):
     assert np.array_equal(np.sort_complex(window), np.sort_complex(window.conj()))
 
 
+def recording_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of owner.name from now on."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["kl", "cl", "hpz"])
+def test_the_certified_windows_build_no_dense_blocks(model, monkeypatch):
+    """At the window-spectrum sizes every block the window keeps is
+    certified, so the window reads only the gathered entries and builds no
+    dense block array; all_eigenvalues, which solves every block, builds
+    it once."""
+    coeffs, state, radius, _ = window_spectrum(model)
+    n = 32 if model == "kl" else 24
+    k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
+    built = recording_calls(monkeypatch, _DegreeEntries, "blocks")
+    eigenvalues_in_window(k_mat, radius)
+    assert built == []
+    all_eigenvalues(k_mat)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("case", ["kl", 87])
+def test_all_eigenvalues_computes_no_certificate(case, monkeypatch):
+    """all_eigenvalues returns LAPACK's values of every block and reads
+    nothing of the certificate, so it never solves the 2x2 pair the
+    certificate starts from; the window, on the same matrix, solves it
+    once."""
+    k_mat = window_matrix(case)
+    solved = recording_calls(monkeypatch, verify, "_pair_eigensystem")
+    all_eigenvalues(k_mat)
+    assert solved == []
+    eigenvalues_in_window(k_mat, 1.0)
+    assert len(solved) == 1
+
+
 @pytest.mark.parametrize("shift", [0, 1, -1])
 def test_a_moved_entry_loses_its_blocks_certificate(shift, monkeypatch):
     """cl at 24x24 with one tridiagonal entry of block 5, inside the disk,
@@ -1607,9 +1657,9 @@ def test_a_moved_entry_loses_its_blocks_certificate(shift, monkeypatch):
     coeffs, state, radius, _ = window_spectrum("cl")
     cfg = BasisConfig(24, 24, state.frame())
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), cfg)
-    assert _degree_blocks(k_mat.matrix)[1].certified[5]
+    assert degree_blocks(k_mat.matrix)[1].certified[5]
     moved = moved_block_entry(k_mat, 5, 2, shift, 1e-6)
-    cert = _degree_blocks(moved.matrix)[1]
+    cert = degree_blocks(moved.matrix)[1]
     assert np.flatnonzero(~cert.certified[:13]).tolist() == [5]
     handed = recording_block_solves(monkeypatch)
     eigenvalues_in_window(moved, radius)
@@ -1626,7 +1676,7 @@ def test_blocks_whose_predictions_coincide_are_solved(monkeypatch):
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     bands = {(0, 0): (0.5 + j + k).astype(complex)}
     k_mat = OperatorMatrix(BandedMatrix(bands, n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
-    cert = _degree_blocks(k_mat.matrix)[1]
+    cert = degree_blocks(k_mat.matrix)[1]
     assert cert.certified.tolist() == [True] + [False] * (n - 1)
     assert cert.radius.max() <= 1e-12
     handed = recording_block_solves(monkeypatch)
@@ -1655,7 +1705,7 @@ def test_a_defective_first_block_skips_nothing():
         (-1, 1): 16j * np.sqrt(j * (k + 1.0)),
     }
     k_mat = OperatorMatrix(BandedMatrix(in_basis(bands, n, n), n, n), BasisConfig(n, n, CoordinateFrame(1.0, 1.0)))
-    blocks, cert = _degree_blocks(k_mat.matrix)
+    blocks, cert = degree_blocks(k_mat.matrix)
     assert np.array_equal(blocks[1], [[8.0, 1.0], [-16.0, 0.0]])
     for d, block in enumerate(blocks):
         assert np.array_equal(block, second_quantized(1.0, blocks[1] - np.eye(2), d))
