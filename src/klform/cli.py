@@ -24,7 +24,13 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import verify
-from .errors import EvolutionOverflow, KLFormError, LabelError, PositivityViolation
+from .errors import (
+    BasisSizeError,
+    EvolutionOverflow,
+    KLFormError,
+    LabelError,
+    PositivityViolation,
+)
 from .gauss import stationary_preset
 from .operators import (
     LiouvillianCoeffs,
@@ -354,7 +360,7 @@ def _oracle(cfg: RunConfig, coeffs: LiouvillianCoeffs, state):
     basis = verify.BasisConfig(cfg.basis_n, cfg.basis_n, state.frame())
     try:
         return basis, verify.assemble_matrix(assemble_liouvillian(coeffs), basis)
-    except MemoryError as exc:
+    except BasisSizeError as exc:
         raise ConfigError(f"basis_n {cfg.basis_n} is too large: {exc}") from exc
 
 

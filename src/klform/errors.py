@@ -48,6 +48,12 @@ class DegreeError(KLFormError):
     or a hand-built band has a nonzero entry outside the basis."""
 
 
+class BasisSizeError(KLFormError, ValueError):
+    """A truncated basis has a size that is not an integer of at least 4,
+    or is too large for numpy to allocate its arrays.  A ValueError
+    subclass too, so that callers catching ValueError keep working."""
+
+
 class IllConditionedReduction(KLFormError):
     """A reduction plan misses its forward check by more than roundoff.
 

@@ -26,7 +26,16 @@ A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix), from ladder factors in closed form for the
 quadratic operators assembled, and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.  A shift (s, t) moves the total
+a truncated Taylor series on those arrays.  A quadratic operator's bands
+fall into three groups by the kind of term that fills them: the corners
+(+-1, +-1) the terms with a factor on each coordinate, the off-centre
+bands the terms on one coordinate, and the centre (0, 0) both kinds of
+one-sided term of degree 2 and the constant.  Assembly sums each group
+from zeros in the operator's term order, one call per term into the
+corners or the off-centre rows and one add per term into the centre,
+where the two coordinates meet in every entry; each entry is thus the
+sum a loop adding every term into its bands makes, bit for bit, and the
+operator's own.  A shift (s, t) moves the total
 degree by a fixed -(s + t), so the grading is checked on per-band maxima
 and the blocks are gathered from the bands with s + t = 0.  By the
 paper's first claim block d is the second-quantized image of block 1,
@@ -45,13 +54,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeError, EvolutionOverflow, FrameMismatch, PairingFailure, ZeroVector
+from .errors import (
+    BasisSizeError,
+    DegreeError,
+    EvolutionOverflow,
+    FrameMismatch,
+    PairingFailure,
+    ZeroVector,
+)
 from .gauss import GaussianState
 from .operators import (
     CoordinateFrame,
@@ -81,15 +98,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Truncation sizes and expansion frame of the Hermite tensor basis."""
+    """Truncation sizes and expansion frame of the Hermite tensor basis: each
+    size an integer of at least 4, kept as an int (BasisSizeError else)."""
 
     n_q: int
     n_r: int
     frame: CoordinateFrame
 
     def __post_init__(self):
-        if self.n_q < 4 or self.n_r < 4:
-            raise ValueError("basis sizes must be at least 4")
+        for name in ("n_q", "n_r"):
+            value = getattr(self, name)
+            try:
+                size = operator.index(value)
+            except TypeError:
+                size = None
+            if size is None or size < 4:
+                raise BasisSizeError(
+                    f"basis size {name} = {value!r} is not an integer of at least 4"
+                )
+            object.__setattr__(self, name, size)
 
     @property
     def dim(self) -> int:
@@ -267,27 +294,61 @@ def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, 
     return tuple((s, _read_only(diag.copy())) for s, diag in diagonals)
 
 
-# Two-sided outer products kept, one per (n_q, a, c, n_r, b, d): a term of
-# degree 2 with a factor on each side has a + c = b + d = 1, so 4 per pair
-# of basis sizes, about 0.2 MB at 40x40
+# Two-sided outer products kept, one stack per (n_q, a, c, n_r, b, d): a
+# term of degree 2 with a factor on each side has a + c = b + d = 1, so 4
+# stacks per pair of basis sizes, about 0.4 MB at 40x40
 _LADDER_OUTERS = 32
 
 
 @lru_cache(maxsize=_LADDER_OUTERS)
-def _ladder_outers(
-    n_q: int, a: int, c: int, n_r: int, b: int, d: int
-) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """(s, t, read-only diag_q[:, None] * diag_r) for every pair of nonzero
-    diagonals of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q functions and
-    (X/sqrt2)^b (sqrt2 D)^d on n_r, in the order of _ladder_factor's.  Each
-    product is kept as complex, imaginary part +0.0, the cast that a complex
-    coefficient times the float product makes, so assemble_matrix's
-    coeff * outer has the same bits without casting on every call."""
-    return tuple(
-        (s, t, _read_only((diag_q[:, None] * diag_r).astype(complex)))
-        for s, diag_q in _ladder_factor(n_q, a, c)
-        for t, diag_r in _ladder_factor(n_r, b, d)
+def _ladder_outers(n_q: int, a: int, c: int, n_r: int, b: int, d: int) -> np.ndarray:
+    """Read-only (4, n_q - 1, n_r - 1) stack of diag_q[:, None] * diag_r over
+    the diagonals -1 and +1 of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q
+    functions and (X/sqrt2)^b (sqrt2 D)^d on n_r, a + c = b + d = 1, in the
+    shift order (-1, -1), (-1, 1), (1, -1), (1, 1) of the corner bands.
+    Each product is kept as complex, imaginary part +0.0, the cast that a
+    complex coefficient times the float product makes, so
+    assemble_matrix's coeff * outers has the same bits without casting on
+    every call."""
+    diags_q = np.array([diag for _, diag in _ladder_factor(n_q, a, c)])
+    diags_r = np.array([diag for _, diag in _ladder_factor(n_r, b, d)])
+    outers = diags_q[:, None, :, None] * diags_r[None, :, None, :]
+    return _read_only(outers.reshape(4, n_q - 1, n_r - 1).astype(complex))
+
+
+@lru_cache(maxsize=_LADDER_FACTORS)
+def _ladder_sides(n: int, mult_power: int, dif_power: int) -> np.ndarray:
+    """Read-only (2, n - p) stack of the diagonals -p and +p of
+    _ladder_factor(n, a, c), p = a + c >= 1."""
+    factor = _ladder_factor(n, mult_power, dif_power)
+    return _read_only(np.array([factor[0][1], factor[-1][1]]))
+
+
+# Band layouts kept, one per (term degrees, n_q, n_r)
+_BAND_LAYOUTS = 16
+
+
+@lru_cache(maxsize=_BAND_LAYOUTS)
+def _band_layout(degrees: frozenset, n_q: int, n_r: int) -> tuple[tuple, tuple]:
+    """The sorted band shifts of an operator whose terms have the degrees
+    (a + c, b + d) given, and the span of each band's entries whose column
+    lies in the basis."""
+    # a factor of degree p has the diagonals -p, -p + 2, ..., p
+    shifts = sorted(
+        {(s, t) for p, q in degrees for s in range(-p, p + 1, 2) for t in range(-q, q + 1, 2)}
     )
+    return tuple(shifts), tuple((_span(n_q, s), _span(n_r, t)) for s, t in shifts)
+
+
+def _zeros(shape, cfg: BasisConfig) -> np.ndarray:
+    """np.zeros(shape, dtype=complex) of an array sized by the basis;
+    BasisSizeError where numpy cannot allocate it."""
+    try:
+        return np.zeros(shape, dtype=complex)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest size
+        raise BasisSizeError(
+            f"the {cfg.n_q} x {cfg.n_r} basis does not fit in memory: {exc}"
+        ) from exc
 
 
 def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
@@ -296,44 +357,68 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     The operator is first conjugated by the frame's phase and rewritten
     in its normalized coordinates; a monomial Qs^a rs^b dQs^c drs^d then
     maps to (X/sqrt2)^a (sqrt2 D)^c on the Q factor and likewise on the r
-    factor, multiplication factors to the left of derivative factors.  The
-    diagonals of the 1-D factors, in closed form, are cached per basis
-    size, and so are the outer products of a term with a factor on each
-    coordinate.  Each term adds the outer products of its diagonals,
-    scaled by its coefficient, into its bands, in the operator's term
-    order.  A term without a factor on one coordinate has the identity
-    there, whose diagonal is exactly 1.0, so it adds its coefficient
-    times its other diagonal broadcast along that coordinate, or its
-    coefficient times 1.0: the same entries as the outer product, bit
-    for bit.  Every entry is that of the operator itself, restricted to
-    the basis.  Total degree above 2, beyond any quadratic Liouvillian,
-    raises DegreeError, which bounds the factors cached per basis size
-    at 6.
+    factor, multiplication factors to the left of derivative factors, and
+    moves the indices by its degrees p = a + c and q = b + d.  So the
+    bands fall into three groups, each filled by its own kind of term:
+    the corners (+-1, +-1) only by the two-sided terms, p = q = 1; the
+    off-centre bands (+-1 or +-2, 0) and (0, +-1 or +-2) only by the terms
+    on one coordinate; and the centre (0, 0) by the terms of degree 2 on
+    one coordinate and the constant.  A term adds into its group with one
+    numpy add: a two-sided term its coefficient times the stacked outer
+    products of its diagonals into one sum of the four corners, a
+    one-sided term its coefficient times its stacked diagonals -p and +p
+    into one sum of their rows, which is the same along the other
+    coordinate, whose factor is the identity; each sum is copied, or
+    broadcast, into its bands once, at the end.  Only the centre takes the terms one by
+    one, coefficient times diagonal 0 broadcast along the other
+    coordinate, or times 1.0 for the constant, since there the terms of
+    both coordinates meet in every entry.  Every sum starts from zero and
+    adds in the operator's term order, so each entry is
+    0 + v1 + v2 + ... as a loop adding each term's outer products into
+    its bands sums it, bit for bit, and it is the operator's own entry,
+    restricted to the basis.  The diagonals of the 1-D factors, in closed
+    form, are cached per basis size, the stacks of a term per basis size
+    and exponents, and the band shifts and spans per term degrees and
+    basis.  Total degree above 2, beyond any quadratic Liouvillian, raises
+    DegreeError, which bounds the factors cached per basis size at 6; a
+    basis numpy cannot allocate raises BasisSizeError.
     """
     if op.degree() > 2:
         raise DegreeError(f"operator degree {op.degree()} exceeds 2")
-    scaled = _rescale_coordinates(op, cfg.frame)
+    terms = _rescale_coordinates(op, cfg.frame).terms
     n_q, n_r = cfg.n_q, cfg.n_r
-    # a factor of degree p has the diagonals -p, -p + 2, ..., p
-    degrees = {(a + c, b + d) for a, b, c, d in scaled.terms}
-    shifts = sorted(
-        {(s, t) for p, q in degrees for s in range(-p, p + 1, 2) for t in range(-q, q + 1, 2)}
-    )
-    stack = np.zeros((len(shifts), n_q, n_r), dtype=complex)
-    # the entries of band (s, t) whose column lies in the basis
-    spans = {(s, t): band[_span(n_q, s), _span(n_r, t)] for (s, t), band in zip(shifts, stack)}
-    for (a, b, c, d), coeff in scaled.terms.items():
-        # made one at a time, so that a term holds one array of entries
-        if a + c and b + d:
-            entries = ((s, t, coeff * outer) for s, t, outer in _ladder_outers(n_q, a, c, n_r, b, d))
-        elif a + c:
-            entries = ((s, 0, (coeff * diag)[:, None]) for s, diag in _ladder_factor(n_q, a, c))
-        elif b + d:
-            entries = ((0, t, coeff * diag) for t, diag in _ladder_factor(n_r, b, d))
+    degrees = frozenset((a + c, b + d) for a, b, c, d in terms)
+    shifts, spans = _band_layout(degrees, n_q, n_r)
+    stack = _zeros((len(shifts), n_q, n_r), cfg)
+    # the zero-started sums of the corners and of each one-sided degree
+    corners = _zeros((4, n_q - 1, n_r - 1), cfg) if (1, 1) in degrees else None
+    sides = {
+        (p, q): _zeros((2, n_q - p if p else n_r - q), cfg)
+        for p, q in degrees
+        if bool(p) != bool(q)
+    }
+    centre = stack[shifts.index((0, 0))] if (0, 0) in shifts else None
+    for (a, b, c, d), coeff in terms.items():
+        p, q = a + c, b + d
+        if p and q:
+            corners += coeff * _ladder_outers(n_q, a, c, n_r, b, d)
+        elif p:
+            sides[p, 0] += coeff * _ladder_sides(n_q, a, c)
+            if p == 2:  # diagonal 0 of the factor, the same along r
+                centre += (coeff * _ladder_factor(n_q, a, c)[1][1])[:, None]
+        elif q:
+            sides[0, q] += coeff * _ladder_sides(n_r, b, d)
+            if q == 2:
+                centre += coeff * _ladder_factor(n_r, b, d)[1][1]
         else:
-            entries = ((0, 0, coeff * 1.0),)
-        for s, t, values in entries:
-            spans[(s, t)] += values
+            centre += coeff * 1.0
+    for (s, t), span, band in zip(shifts, spans, stack):
+        if s and t:
+            band[span] = corners[2 * (s > 0) + (t > 0)]
+        elif s:
+            band[span] = sides[abs(s), 0][int(s > 0)][:, None]
+        elif t:
+            band[span] = sides[0, abs(t)][int(t > 0)]
     return OperatorMatrix(BandedMatrix._of_stack(shifts, stack), cfg)
 
 
@@ -382,6 +467,7 @@ def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndar
     Each letter moves an index by one, so the word runs on k + 1 functions
     per coordinate, whose edge it never reaches, and is cropped to the
     basis: the coefficients are exact, and exactly zero above total degree k.
+    A basis numpy cannot allocate raises BasisSizeError.
     """
     if isinstance(f, GaussianState):
         gauss, (scale, powers) = f, (1.0, ())
@@ -399,7 +485,7 @@ def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndar
         on_q, on_r = _letter(op, cfg.frame, size)
         for _ in range(count):
             coeffs = on_q @ coeffs + coeffs @ on_r
-    out = np.zeros((cfg.n_q, cfg.n_r), dtype=complex)
+    out = _zeros((cfg.n_q, cfg.n_r), cfg)
     keep_q, keep_r = min(size, cfg.n_q), min(size, cfg.n_r)
     out[:keep_q, :keep_r] = coeffs[:keep_q, :keep_r]
     return out.reshape(-1)

@@ -7,6 +7,7 @@ again.  A mode's multiplier, built once per mode, is held against the
 monomial route it replaced, whose arithmetic differs, within 1e-12.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -257,6 +258,51 @@ def test_assembly_of_random_operators_equals_the_per_term_loop():
         assert same_bands(assemble_matrix(op, cfg).matrix.bands, per_term_bands(op, cfg)), index
 
 
+def band_group_cases():
+    """(name, terms, basis sizes) that reach each band group at its edges:
+    terms of degree one, which fill the odd off-centre bands; sides of 4
+    functions, where the diagonals +-2 have 2 entries; the terms of the
+    centre (0, 0), on Q, on r and constant, in several orders, with
+    magnitudes from 1e-3 to 1e16, so that an entry's sum depends on its
+    order; and a two-sided term whose coefficient has a zero or negative
+    zero part, alone, first or between two others."""
+    small = [(4, 4), (4, 9), (9, 4), (5, 6)]
+    cases = [
+        ("degree-one", {(1, 0, 0, 0): 1.5 - 0.25j, (0, 0, 0, 1): -0.75j, (0, 1, 0, 0): 2.0}, small),
+        ("degree-one-and-two", {(0, 0, 1, 0): 0.5j, (2, 0, 0, 0): -1.25, (0, 1, 0, 0): 1.0}, small),
+        ("side-of-4", dict.fromkeys(QUADRATIC_KEYS, 0.3 - 1.1j), small),
+    ]
+    centre = {
+        "q1": ((2, 0, 0, 0), 1e16 + 3j),
+        "r1": ((0, 1, 0, 1), 1.0 - 1e-3j),
+        "q2": ((1, 0, 1, 0), -1e16 + 2.5j),
+        "c": ((0, 0, 0, 0), 0.75 + 1e16j),
+        "r2": ((0, 0, 0, 2), -2.0 + 1e-3j),
+    }
+    for order in itertools.permutations(centre):
+        cases.append((f"centre-{'-'.join(order)}", dict(centre[key] for key in order), [(6, 7)]))
+    for part in (complex(-0.0, 1.5), complex(0.0, -1.5), complex(-2.0, -0.0), complex(-0.0, 0.0)):
+        two_sided = {(1, 1, 0, 0): part, (0, 0, 1, 1): -part, (1, 0, 0, 1): part}
+        first = {(0, 1, 1, 0): part, (1, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.5}
+        between = {(1, 1, 0, 0): 0.5, (0, 1, 1, 0): part, (1, 0, 0, 1): -0.5}
+        for name, terms in (("alone", two_sided), ("first", first), ("between", between)):
+            cases.append((f"signed-zero-{name}-{part}", terms, small))
+    return cases
+
+
+@pytest.mark.parametrize("frame", [CoordinateFrame(1.0, 1.0), CoordinateFrame(0.7, 1.9, 0.4)])
+def test_each_band_group_equals_the_per_term_loop(frame):
+    """Every case of band_group_cases gives the per-term loop's bands bit
+    for bit, in a frame without scales or phase, where each coefficient
+    reaches the matrix as it is, and in one with both."""
+    for name, terms, sizes in band_group_cases():
+        op = PhasePolyOperator(terms)
+        for n_q, n_r in sizes:
+            cfg = BasisConfig(n_q, n_r, frame)
+            got = assemble_matrix(op, cfg).matrix.bands
+            assert same_bands(got, per_term_bands(op, cfg)), (name, n_q, n_r)
+
+
 def cancelling_operator(rng, kappa):
     """Terms whose phase images cancel: the first term is minus the image
     u v r^2 of r dQ (u = -i kappa), so their sum leaves the result, and the
@@ -375,12 +421,14 @@ def test_ladder_factor_equals_the_sparse_power_factor():
 
 
 def test_ladder_outers_equal_fresh_outer_products():
-    """Each cached two-sided outer product, a + c = b + d = 1, on square and
-    rectangular bases, is the outer product of the fresh factors'
-    diagonals, kept as complex: its real part byte for byte, its imaginary
-    part +0.0 throughout, as numpy's cast of the float product gives, in the
-    shift order of _ladder_factor, and read-only; the second pass at 24x36
-    reads what the first one left."""
+    """Each cached stack of two-sided outer products, a + c = b + d = 1, on
+    square and rectangular bases, holds the outer products of the fresh
+    factors' diagonals, kept as complex: layer by layer in the shift order
+    (-1, -1), (-1, 1), (1, -1), (1, 1) of the corner bands, each the
+    fresh float product cast by numpy, its real part byte for byte the
+    float product and its imaginary part +0.0 throughout; the stack is
+    read-only, and the second pass at 24x36 reads what the first one
+    left."""
     sides = [(1, 0), (0, 1)]
     for n_q, n_r in [(4, 4), (24, 36), (40, 40), (40, 28), (24, 36)]:
         for (a, c), (b, d) in [(q, r) for q in sides for r in sides]:
@@ -392,13 +440,13 @@ def test_ladder_outers_equal_fresh_outer_products():
                 for t in range(1 - n_r, n_r)
                 if dense_r.diagonal(t).any()
             ]
+            assert [(s, t) for s, t, _ in want] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
             got = verify._ladder_outers(n_q, a, c, n_r, b, d)
-            assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
-            for (s, t, outer), (_, _, fresh) in zip(got, want):
+            assert got.shape == (4, n_q - 1, n_r - 1) and not got.flags.writeable
+            for outer, (s, t, fresh) in zip(got, want):
                 assert same_bits(outer, fresh.astype(complex)), (n_q, n_r, s, t)
                 assert same_bits(outer.real.copy(), fresh), (n_q, n_r, s, t)
                 assert same_bits(outer.imag.copy(), np.zeros_like(fresh)), (n_q, n_r, s, t)
-                assert not outer.flags.writeable, (n_q, n_r, s, t)
 
 
 def test_expanded_poly_equals_the_per_label_table():

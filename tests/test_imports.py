@@ -238,7 +238,7 @@ def test_package_names_are_the_modules_all_and_the_typed_errors():
         if isinstance(value, type) and issubclass(value, errors.KLFormError)
     }
     assert public == listed | typed
-    assert len(public) == 53
+    assert len(public) == 54
 
 
 # Runs CLI commands in one fresh interpreter, in order, and reports the

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from klform import (
     AppliedEigenfunction,
     BasisConfig,
+    BasisSizeError,
     CoordinateFrame,
     DegreeError,
     EigenLabel,
@@ -129,6 +130,38 @@ def test_assemble_matrix_degree_cap():
     for bad in ({(3, 2, 0, 0): 1.0}, {(1, 0, 1, 1): 1.0}, (op @ op).terms):
         with pytest.raises(DegreeError, match="exceeds 2"):
             assemble_matrix(PhasePolyOperator(bad), cfg)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(10.0, 10), (10, math.nan), (3, 10), (10, 3), (-4, 10), ("10", 10), (None, 10)]
+)
+def test_a_basis_size_that_is_no_integer_of_at_least_4_is_a_typed_error(sizes):
+    """A float size, even an integral one, NaN, a size below 4, a string
+    and None each raise BasisSizeError, which is a KLFormError and a
+    ValueError, from BasisConfig itself."""
+    with pytest.raises(BasisSizeError, match="not an integer of at least 4") as info:
+        BasisConfig(*sizes, CoordinateFrame(1.0, 1.0))
+    assert isinstance(info.value, KLFormError) and isinstance(info.value, ValueError)
+
+
+def test_an_integer_basis_size_is_kept_as_an_int():
+    cfg = BasisConfig(np.int64(6), np.int32(5), CoordinateFrame(1.0, 1.0))
+    assert (type(cfg.n_q), type(cfg.n_r), cfg.dim) == (int, int, 30)
+    assert cfg == BasisConfig(6, 5, CoordinateFrame(1.0, 1.0))
+
+
+@pytest.mark.parametrize("sizes", [(10**8, 10**8), (10, 2**62)])
+def test_a_basis_too_large_to_allocate_is_a_typed_error(sizes):
+    """numpy refuses both bases before touching any memory: 1e8 x 1e8 with a
+    MemoryError, 10 x 2^62 with a ValueError, past its largest array.
+    assemble_matrix and expand raise BasisSizeError for both."""
+    state, _ = stationary_preset("kl", omega0=W0, gamma=GAM, b=B)
+    cfg = BasisConfig(*sizes, state.frame())
+    k_op = assemble_liouvillian(kl_coefficients(W0, GAM, B))
+    with pytest.raises(BasisSizeError, match="does not fit in memory"):
+        assemble_matrix(k_op, cfg)
+    with pytest.raises(BasisSizeError, match="does not fit in memory"):
+        expand(state, cfg)
 
 
 def test_expand_stationary_state_is_ground_mode():
