@@ -50,8 +50,10 @@ class DegreeError(KLFormError):
 
 class BasisSizeError(KLFormError, ValueError):
     """A truncated basis has a size that is not an integer of at least 4,
-    or is too large for numpy to allocate its arrays.  A ValueError
-    subclass too, so that callers catching ValueError keep working."""
+    or is too large for numpy to allocate its arrays, or a vector handed to
+    a matrix on it (a residual, a product, the start of an evolution) does
+    not have the basis's length.  A ValueError subclass too, so that
+    callers catching ValueError keep working."""
 
 
 class IllConditionedReduction(KLFormError):

@@ -193,7 +193,8 @@ class ReductionPlan:
     normal form's pair through them, and `_normal_state` is the normal
     form's stationary Gaussian; `transport` carries both to a source.
     `checked_source` is the coefficient object reduce_to_kl replayed the
-    plan against (None for a plan built by hand); it takes no part in
+    plan against (None for a plan built by hand), and replay_residual
+    returns the residual of that replay for it; it takes no part in
     equality, and dataclasses.replace drops it.
     """
 
@@ -299,14 +300,18 @@ class ReductionPlan:
         return c
 
     def replay_residual(self, c: LiouvillianCoeffs) -> float:
-        """Largest coefficient miss of the replay; inf when a step leaves the float range."""
+        """Largest coefficient miss of the replay; inf when a step leaves the
+        float range.  For checked_source it is the one reduce_to_kl computed;
+        any other source, an equal copy included, is replayed."""
+        if c is self.checked_source:
+            return self._checked_replay
         try:
             return self.replay(c).max_abs_diff(self.target)
         except ValueError:  # LiouvillianCoeffs rejects a non-finite coefficient
             return math.inf
 
-    def check_replay(self, c: LiouvillianCoeffs) -> None:
-        """Raise IllConditionedReduction carrying the replay residual of c
+    def check_replay(self, c: LiouvillianCoeffs) -> float:
+        """The replay residual of c; IllConditionedReduction carrying it
         unless it is at most REPLAY_TOL times the largest coefficient of c
         (at least 1); inf and NaN fail."""
         resid = self.replay_residual(c)
@@ -316,6 +321,7 @@ class ReductionPlan:
                 "exceeds tolerance",
                 resid,
             )
+        return resid
 
 
 def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
@@ -328,7 +334,8 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     or IllConditionedReduction carries the miss (at most 4.6e-16 on the
     100 criterion-02 sources).  The returned plan is verified by
     replaying it (ReductionPlan.check_replay), and records c as its
-    checked_source; conjugate_coefficients is called only to apply a step.
+    checked_source and the residual of that replay; conjugate_coefficients
+    is called only to apply a step.
     A flow, normal form or shift beyond the float range raises
     IllConditionedReduction with residual inf (one guard names h, g, gamma, b).
     """
@@ -355,6 +362,6 @@ def reduce_to_kl(c: LiouvillianCoeffs, b_target: float = 1.0) -> ReductionPlan:
     eta = _step2_solve(omega0, c.gamma, work.g, target.g)
     steps += [(gid, param) for gid, param in zip(_SHIFTS, eta) if param != 0.0]
     plan = ReductionPlan(tuple(steps), omega0, float(b_target), target)
-    plan.check_replay(c)
+    object.__setattr__(plan, "_checked_replay", plan.check_replay(c))
     object.__setattr__(plan, "checked_source", c)
     return plan

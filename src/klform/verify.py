@@ -25,8 +25,11 @@ arithmetic.
 A polynomial operator moves each Hermite index by at most its degree in
 that coordinate, so its matrix is stored as one coefficient array per
 index shift (BandedMatrix), from ladder factors in closed form for the
-quadratic operators assembled, and applied with numpy alone; the evolution is
-a truncated Taylor series on those arrays.  A quadratic operator's bands
+quadratic operators assembled, and applied with numpy alone, as one gather
+over the rows a vector reaches: band (s, t) maps a function of total
+degree e to degree e - (s + t), so a vector zero above degree D reaches
+only the rows up to D plus the most a band raises the degree.  The evolution is a
+truncated Taylor series of such products.  A quadratic operator's bands
 fall into three groups by the kind of term that fills them: the corners
 (+-1, +-1) the terms with a factor on each coordinate, the off-centre
 bands the terms on one coordinate, and the centre (0, 0) both kinds of
@@ -123,6 +126,11 @@ class BasisConfig:
         return self.n_q * self.n_r
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _span(n: int, shift: int) -> slice:
     """Indices j of n basis functions with j + shift also among them."""
     return slice(max(0, -shift), n - max(0, shift))
@@ -140,10 +148,13 @@ class BandedMatrix:
     so a write through it reaches every reader.  Band (s, t) maps a
     function of total Hermite degree e to degree e - (s + t), so the degree
     structure, `nnz`, `toarray()` and the finiteness test each read the
-    whole stack in one numpy call; `@` on vectors (and residual on the
-    leading rows a vector reaches) adds the bands one by one.  A matrix
-    built from a dict of bands stacks a copy of them, and raises DegreeError
-    for a nonzero entry whose column leaves the basis.
+    whole stack in one numpy call.  `@` on vectors, residual and the
+    evolution's Taylor steps share one product: a gather over a set of
+    rows, through index arrays cached per basis, band shifts and row set
+    (_product_layout), summed band by band, in shift order, from zero.  A
+    matrix built from a dict of bands stacks a copy of them, and raises
+    DegreeError for a nonzero entry whose column leaves the basis; a vector
+    that does not fit the basis raises BasisSizeError.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -173,10 +184,8 @@ class BandedMatrix:
         self._stack = stack
         self.n_q, self.n_r = stack.shape[1:]
         self.bands = dict(zip(self._shifts, stack))
-        # In the flattened basis a shift (s, t) is the offset s * n_r + t; a
-        # column that wraps past the end of a row meets a zero entry.
-        self._offsets = [s * self.n_r + t for s, t in self._shifts]
-        self._pad = max(map(abs, self._offsets), default=0)
+        # the most a band raises the total degree of a function
+        self._lift = max([0, *(-(s + t) for s, t in self._shifts)])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -193,33 +202,80 @@ class BandedMatrix:
         both parts of each, as floats, which numpy tests twice as fast."""
         return bool(np.isfinite(self._stack.view(np.float64)).all())
 
-    def __matmul__(self, vec) -> np.ndarray:
-        return self._leading_rows(vec, self.shape[0])
+    def _fit(self, vec, name: str = "vector") -> np.ndarray:
+        """vec as a C-contiguous complex array; BasisSizeError unless it has
+        the basis's length."""
+        if np.shape(vec) != self.shape[1:]:
+            raise BasisSizeError(
+                f"{name} of shape {np.shape(vec)} does not fit a {self.shape} matrix"
+            )
+        return np.ascontiguousarray(vec, dtype=complex)
 
-    def _leading_rows(self, vec, rows: int) -> np.ndarray:
-        """The first `rows` entries of self @ vec, each summed as the full
-        product sums it: band by band, in shift order, from zero."""
-        vec = np.asarray(vec)
-        dim, pad = self.shape[0], self._pad
-        if vec.shape != (dim,):
-            raise ValueError(f"vector of shape {vec.shape} does not fit a {self.shape} matrix")
-        # a row reads at most pad entries beyond it
-        padded = np.zeros(rows + 2 * pad, dtype=np.result_type(vec, complex))
-        seen = vec[: rows + pad]
-        padded[pad : pad + seen.size] = seen
-        out = np.zeros(rows, dtype=padded.dtype)
-        product = np.empty_like(out)
-        leading = self._stack.reshape(len(self._offsets), dim)[:, :rows]
-        for off, band in zip(self._offsets, leading):
-            out += np.multiply(band, padded[pad + off : pad + off + rows], out=product)
-        return out
+    def _gather(self, bound: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of total degree j + k <= bound, every row by default, in
+        basis order; the (bands, rows) entries of the bands in those rows,
+        read from the stack now, and the stack itself when they are every
+        row; and the columns those entries read (_product_layout)."""
+        rows, columns = _product_layout(
+            self.n_q, self.n_r, self._shifts, min(bound, self.n_q + self.n_r - 2)
+        )
+        entries = self._stack.reshape(len(self._shifts), self.n_q * self.n_r)
+        if rows.size < entries.shape[1]:
+            entries = entries.take(rows, axis=1)
+        return rows, entries, columns
+
+    def __matmul__(self, vec) -> np.ndarray:
+        _, entries, columns = self._gather()
+        return _row_product(entries, columns, self._fit(vec))
 
     def toarray(self) -> np.ndarray:
+        rows, entries, columns = self._gather()
+        band, row = np.nonzero((entries != 0) & (columns < self.shape[0]))
         out = np.zeros(self.shape, dtype=complex)
-        flat = self._stack.reshape(len(self._offsets), self.shape[0])
-        band, row = np.nonzero(flat)
-        out[row, row + np.array(self._offsets, dtype=int)[band]] = flat[band, row]
+        out[rows[row], columns[band, row]] = entries[band, row]
         return out
+
+
+# Product layouts kept, one per (n_q, n_r, band shifts, row bound): the full
+# product and the residuals of the modes m <= 2 (row bounds 2 to 6) on a few
+# basis sizes, and the generators of the evolutions
+_PRODUCT_LAYOUTS = 32
+
+
+@lru_cache(maxsize=_PRODUCT_LAYOUTS)
+def _product_layout(n_q: int, n_r: int, shifts: tuple, bound: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of the product on the rows of total degree
+    j + k <= bound: those rows' flat indices, in basis order, which are
+    also their positions in each band of the flattened stack; and the
+    (bands, rows) array of the flat column that each band's entry in each
+    row reads, in shift order, n_q n_r where the column leaves the basis:
+    the zero that _row_product appends to the vector."""
+    dim = n_q * n_r
+    j, k = np.divmod(np.arange(dim), n_r)
+    rows = np.flatnonzero(j + k <= bound)
+    shift = np.array(shifts, dtype=int).reshape(-1, 2)
+    col_j, col_k = j[rows] + shift[:, :1], k[rows] + shift[:, 1:]
+    inside = (col_j >= 0) & (col_j < n_q) & (col_k >= 0) & (col_k < n_r)
+    columns = np.where(inside, col_j * n_r + col_k, dim)
+    return _read_only(rows), _read_only(columns)
+
+
+_APPENDED_ZERO = _read_only(np.zeros(1))
+
+
+def _row_product(entries: np.ndarray, columns: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The rows of K vec, vec complex, that the gathered entries and columns
+    of K give (BandedMatrix._gather): each row the sum of its bands' entries
+    times the vector entries they read, zero where the column leaves the
+    basis, added band by band, in shift order, from zero.  np.add.reduce
+    along the band axis adds row b to the running sums in order b, from its
+    initial +0.0, so a sum of signed zeros is +0.0 as when adding into
+    np.zeros; it runs on the floats of the complex products, whose real and
+    imaginary parts add apart, since numpy sums a reduction over one complex
+    row pairwise."""
+    terms = np.concatenate((vec, _APPENDED_ZERO)).take(columns)
+    np.multiply(entries, terms, out=terms)
+    return np.add.reduce(terms.view(np.float64), axis=0, initial=0.0).view(complex)
 
 
 @dataclass
@@ -228,11 +284,6 @@ class OperatorMatrix:
 
     matrix: BandedMatrix
     config: BasisConfig
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 # Ladder matrices kept, one per size: a word of k letters uses size k + 1
@@ -494,26 +545,48 @@ def expand(f: GaussianState | AppliedEigenfunction, cfg: BasisConfig) -> np.ndar
 def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     """Relative residual |K v - lam v| / |v| in the Euclidean norm.
 
-    Row i of K v reads the entries i + s n_r + t of v, so past the last
-    nonzero entry of v and the largest such offset every row of a finite
-    matrix is an exact zero: only the rows before are multiplied (a mode of
-    m <= 2 in its own frame reaches at most 241 of 1,600 rows at 40x40),
-    each summed as K @ v sums it, and K v - lam v is laid out at full
-    length with zeros past them, so the norm is the full product's, bit
-    for bit.  A matrix with an entry that is not finite (read once, on the
-    first call) multiplies every row, so that inf * 0 gives NaN.
+    Band (s, t) maps a function of total degree e to degree e - (s + t), so
+    v, exactly zero above its top degree D, reaches only the rows of degree
+    at most D plus the most any band raises the degree (BandedMatrix._lift),
+    graded or not: every other row of a finite matrix is an exact zero.
+    Only those rows are multiplied (6 to 28 of 1,600 for a mode of m <= 2
+    in its own frame at 40x40), each summed as K @ v sums it, and K v - lam v
+    is laid out at full length with zeros past them, so the norm is the
+    full product's, bit for bit.  A matrix with an entry that is not finite
+    (read once, on the first call) multiplies every row, so that inf * 0
+    gives NaN.  A vector that does not fit the basis raises BasisSizeError,
+    the zero vector ZeroVector.
     """
-    vec = np.asarray(vec, dtype=complex)
+    mat = k_mat.matrix
+    vec = mat._fit(vec)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    mat = k_mat.matrix
-    reach = mat.shape[0]
+    bound = math.inf
     if mat._finite:
-        reach = min(reach, int((vec != 0).nonzero()[0][-1]) + mat._pad + 1)
+        bound = _top_degree(vec, mat.n_q, mat.n_r) + mat._lift
+    rows, entries, columns = mat._gather(bound)
     diff = np.zeros_like(vec)
-    diff[:reach] = mat._leading_rows(vec, reach) - lam * vec[:reach]
+    diff[rows] = _row_product(entries, columns, vec) - lam * vec[rows]
     return float(np.linalg.norm(diff)) / norm
+
+
+# Degree arrays kept, one per (n_q, n_r)
+_DEGREE_GRIDS = 16
+
+
+@lru_cache(maxsize=_DEGREE_GRIDS)
+def _float_degrees(n_q: int, n_r: int) -> np.ndarray:
+    """Read-only total degree j + k of each float of a complex vector on the
+    basis: each entry's degree twice, for its real and imaginary part."""
+    return _read_only(np.repeat(np.add.outer(np.arange(n_q), np.arange(n_r)).reshape(-1), 2))
+
+
+def _top_degree(vec: np.ndarray, n_q: int, n_r: int) -> int:
+    """The largest total degree of an entry of the C-contiguous complex vec
+    that is not exactly zero, 0 for the zero vector; read on its floats,
+    which numpy compares with zero faster than complex numbers."""
+    return int(_float_degrees(n_q, n_r)[vec.view(np.float64) != 0].max(initial=0))
 
 
 # Taylor steps an evolution may take: at basis_n 32 one step costs about
@@ -542,7 +615,7 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     """
     n_q, n_r = mat.n_q, mat.n_r
     degree = np.add.outer(np.arange(n_q), np.arange(n_r))
-    top = degree.reshape(-1)[np.flatnonzero(f0)].max(initial=0)
+    top = _top_degree(f0, n_q, n_r)
     kept = degree <= top
     if not kept.all():
         _check_grading(mat)
@@ -574,8 +647,8 @@ def _sup(vec: np.ndarray) -> float:
     return float(np.max(np.abs(vec.view(np.float64))))
 
 
-def _taylor_advance(gen: BandedMatrix, mu: complex, vec: np.ndarray, dt: float, steps: int):
-    """exp(dt (gen + mu I)) vec in `steps` truncated Taylor steps.
+def _taylor_advance(product, mu: complex, vec: np.ndarray, dt: float, steps: int):
+    """exp(dt (B + mu I)) vec in `steps` truncated Taylor steps, product(v) = B v.
 
     A step ends early once two successive terms fall below unit roundoff
     of the partial sum; EvolutionOverflow is raised at the first step
@@ -589,7 +662,7 @@ def _taylor_advance(gen: BandedMatrix, mu: complex, vec: np.ndarray, dt: float, 
         total, term = vec.copy(), vec
         last = bound = size
         for j in range(1, degree + 1):
-            term = gen @ term
+            term = product(term)
             term *= dt / (steps * j)
             size = _sup(term)
             total += term
@@ -614,11 +687,13 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     degree up to 55 per stretch dt, where B is -K on the degrees f0
     occupies, shifted by its mean diagonal (DegreeError if K is cut but not
     graded).  The steps run on the leading rectangle of functions that
-    holds those degrees; the rows are exactly zero outside it.  A
-    one-point grid must have a finite t; an empty grid, a
-    non-uniform one and an f0 that does not fit raise ValueError.
-    EvolutionOverflow is raised before stepping when the steps would exceed
-    MAX_TAYLOR_STEPS, and at the first step that leaves the float range.
+    holds those degrees; the rows are exactly zero outside it.  Each term
+    is the banded product of `@`, B's entries gathered once for all the
+    steps.  A one-point grid must have a finite t; an empty grid and a
+    non-uniform one raise ValueError, an f0 that does not fit the basis
+    BasisSizeError, a ValueError too.  EvolutionOverflow is raised before
+    stepping when the steps would exceed MAX_TAYLOR_STEPS, and at the first
+    step that leaves the float range.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -632,9 +707,7 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
         if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
             raise ValueError("time grid must be uniform")
         gap = (float(times[-1]) - start) / (times.size - 1)
-    f0 = np.asarray(f0, dtype=complex)
-    if f0.shape != k_mat.matrix.shape[1:]:
-        raise ValueError(f"f0 of shape {f0.shape} does not fit a {k_mat.matrix.shape} matrix")
+    f0 = k_mat.matrix._fit(f0, "f0")
     gen, mu, norm = _shifted_generator(k_mat.matrix, f0)
     first, each = _taylor_steps(norm, start), _taylor_steps(norm, gap)
     steps = first + (times.size - 1) * each
@@ -645,13 +718,18 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
         )
     # f0 is exactly zero outside gen's leading rectangle, and so is its evolution
     n_q, n_r, keep_q, keep_r = k_mat.matrix.n_q, k_mat.matrix.n_r, gen.n_q, gen.n_r
+    _, entries, columns = gen._gather()  # every row, gathered once
+
+    def product(vec):
+        return _row_product(entries, columns, vec)
+
     live = np.empty((times.size, keep_q * keep_r), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
         live[0] = _taylor_advance(
-            gen, mu, f0.reshape(n_q, n_r)[:keep_q, :keep_r].reshape(-1), start, int(first)
+            product, mu, f0.reshape(n_q, n_r)[:keep_q, :keep_r].reshape(-1), start, int(first)
         )
         for i in range(1, times.size):
-            live[i] = _taylor_advance(gen, mu, live[i - 1], gap, int(each))
+            live[i] = _taylor_advance(product, mu, live[i - 1], gap, int(each))
     series = np.zeros((times.size, n_q, n_r), dtype=complex)
     series[:, :keep_q, :keep_r] = live.reshape(times.size, keep_q, keep_r)
     return series.reshape(times.size, -1)

@@ -534,19 +534,28 @@ def test_expand_equals_the_word_on_fresh_ladder_matrices(monkeypatch):
 
 
 def test_the_pairing_and_window_index_caches_are_read_only():
-    """The index arrays that biorthogonality_check and the window's gather
-    keep per basis, degree and band shifts cannot be written through."""
+    """The index arrays that biorthogonality_check, the window's gather and
+    the banded product (the residual's rows and every row) keep per basis,
+    degree and band shifts cannot be written through."""
     kl_modes = modes(PRESETS["kl"])
     frame = kl_modes[0].gaussian.frame()
     k_mat = assemble_matrix(assemble_liouvillian(PRESETS["kl"]), BasisConfig(12, 10, frame))
     verify.biorthogonality_check(k_mat, kl_modes)
     verify.eigenvalues_in_window(k_mat, 1.2)
+    mode = kl_modes[-1]
+    vec = verify.expand(mode, k_mat.config)
+    verify.residual(k_mat, vec, mode.eigenvalue)
+    k_mat.matrix @ vec
     shifts = tuple(k_mat.matrix.bands)
+    top = 2 * mode.label.m - mode.label.n
     arrays = [
         *verify._pairing_layout(12, 10, 4, shifts),
         *verify._block_layout(12, 10, shifts),
+        *verify._product_layout(12, 10, shifts, top + 2),
+        *verify._product_layout(12, 10, shifts, 12 + 10 - 2),
+        verify._float_degrees(12, 10),
     ]
-    assert len(arrays) == 4 + 11
+    assert len(arrays) == 4 + 11 + 2 + 2 + 1
     assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -738,6 +747,25 @@ def test_one_pair_transport_per_plan_and_no_replay_for_its_source(monkeypatch):
                 transformed_eigenfunction(plan, lab, src)
         assert len(linear) == 2 * len(plan.steps)
         assert replays == []
+        monkeypatch.undo()
+
+
+def test_the_plan_keeps_the_replay_it_checked(monkeypatch):
+    """replay_residual of the plan's checked_source returns the residual
+    that reduce_to_kl's check computed, with no conjugate_coefficients call;
+    an equal copy of the source and a replaced plan replay, to the same
+    float."""
+    for src in (PRESETS["cl"], *criterion_02_sources(5)):
+        plan = reduce_to_kl(src, b_target=1.0)
+        steps = counting(monkeypatch, reduction, "conjugate_coefficients")
+        kept = plan.replay_residual(src)
+        assert steps == []
+        copy = LiouvillianCoeffs(src.h, src.gamma, src.g)
+        for used, source in ((plan, copy), (replace(plan), src)):
+            steps.clear()
+            assert used.replay_residual(source) == kept
+            assert len(steps) == len(plan.steps) > 0
+        assert kept == plan.replay(src).max_abs_diff(plan.target)
         monkeypatch.undo()
 
 

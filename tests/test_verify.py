@@ -337,7 +337,7 @@ def test_residual_equals_the_full_product_on_any_support(n_q, n_r):
     for f in modes:
         vec = expand(f, cfg)
         assert residual(k_mat, vec, f.eigenvalue) == full_product_residual(k_mat, vec, f.eigenvalue)
-    dim, pad = n_q * n_r, k_mat.matrix._pad
+    dim, pad = n_q * n_r, max(abs(s * n_r + t) for s, t in k_mat.matrix.bands)
     ends = [dim, dim - 1, *range(dim - pad, dim), *rng.integers(1, dim, 20), 1]
     for end in ends:
         vec = np.zeros(dim, dtype=complex)
@@ -353,14 +353,174 @@ def test_residual_of_a_matrix_with_an_infinite_entry_past_the_reach_is_not_finit
     residual when its entry is infinite, as in the full product."""
     _, cfg, k_mat = kl_setup(8)
     vec = expand(kl_eigenfunction(EigenLabel(0, 0), B, W0, GAM), cfg)
+    top = np.add.outer(np.arange(8), np.arange(8)).reshape(-1)[vec != 0].max()
     for value in (np.inf, np.nan):
         bands = {key: band.copy() for key, band in k_mat.matrix.bands.items()}
         bands[(0, 0)][7, 7] = value
         spoiled = replace(k_mat, matrix=BandedMatrix(bands, 8, 8))
-        assert 7 * 8 + 7 > np.flatnonzero(vec)[-1] + spoiled.matrix._pad
+        assert 7 + 7 > top + spoiled.matrix._lift
         with np.errstate(invalid="ignore"):
             assert not math.isfinite(residual(spoiled, vec, 0.0))
             assert not math.isfinite(full_product_residual(spoiled, vec, 0.0))
+
+
+@pytest.mark.parametrize("entry", ["residual", "matmul", "evolve_series"])
+def test_a_vector_that_does_not_fit_is_a_typed_error(entry):
+    """A (10,) vector against the 64x64 matrix of kl raises BasisSizeError,
+    a KLFormError and a ValueError, from residual, `@` and evolve_series's
+    f0 alike; a zero vector of the wrong shape is refused for its shape."""
+    _, _, k_mat = kl_setup(8)
+    calls = {
+        "residual": lambda vec: residual(k_mat, vec, 0.0),
+        "matmul": lambda vec: k_mat.matrix @ vec,
+        "evolve_series": lambda vec: evolve_series(k_mat, vec, [0.0, 1.0]),
+    }
+    for vec in (np.ones(10), np.zeros(10), np.ones((8, 8)), 1.0):
+        fit = r"of shape .* does not fit a \(64, 64\) matrix"
+        with pytest.raises(BasisSizeError, match=fit) as info:
+            calls[entry](vec)
+        assert isinstance(info.value, KLFormError) and isinstance(info.value, ValueError)
+
+
+def shifted_per_band_product(mat, vec):
+    """K vec by the definition of the bands: out = 0, then out += band *
+    shifted for each band in shift order, shifted the vector moved onto the
+    band's columns, zero where a column leaves the basis."""
+    n_q, n_r = mat.n_q, mat.n_r
+    grid = vec.reshape(n_q, n_r)
+    out = np.zeros((n_q, n_r), dtype=complex)
+    for (s, t), band in zip(mat._shifts, mat._stack):
+        shifted = np.zeros((n_q, n_r), dtype=complex)
+        rows = np.s_[max(0, -s) : max(0, n_q - max(0, s)), max(0, -t) : max(0, n_r - max(0, t))]
+        cols = np.s_[max(0, s) : max(0, n_q + min(0, s)), max(0, t) : max(0, n_r + min(0, t))]
+        shifted[rows] = grid[cols]
+        out += band * shifted
+    return out.reshape(-1)
+
+
+def signed_zeros(rng, arr):
+    """arr with about a third of its entries, real and imaginary parts
+    apart, set to +0.0 or -0.0."""
+    out = np.array(arr, dtype=complex)
+    parts = out.view(np.float64)
+    zero = rng.random(parts.shape) < 0.35
+    parts[zero] = np.copysign(0.0, rng.choice([-1.0, 1.0], parts.shape))[zero]
+    return out
+
+
+def same_bits_but_nan(got, want):
+    """Equal bit for bit, each NaN float but its sign and payload, which
+    depend on the operand order a compiled add of two NaNs takes."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def vectors_of_every_top_degree(rng, n_q, n_r):
+    """For each top degree D of the basis a random complex vector that is
+    exactly zero above degree D, with signed zeros below it."""
+    degree = np.add.outer(np.arange(n_q), np.arange(n_r)).reshape(-1)
+    for top in range(n_q + n_r - 1):
+        vec = rng.normal(size=n_q * n_r) + 1j * rng.normal(size=n_q * n_r)
+        vec = signed_zeros(rng, vec)
+        vec[degree == top] += 1.0  # the top degree occupied
+        vec[degree > top] = 0.0
+        yield top, vec
+
+
+@pytest.mark.parametrize("n_q, n_r", [(1, 1), (1, 5), (4, 4), (6, 5), (3, 9)])
+def test_the_gathered_product_equals_the_per_band_reference(n_q, n_r):
+    """`@` is the per-band sum bit for bit, signed zeros included: random
+    complex bands of every shift a quadratic operator fills, with signed
+    zeros, NaN and inf entries, entries whose column leaves the basis (read
+    against zero), no (0, 0) band and a single band, on square, rectangular
+    and one-row bases, against vectors of every top degree and a vector of
+    signed zeros."""
+    rng = np.random.default_rng(n_q * 31 + n_r)
+    shifts = [(s, t) for s in range(-2, 3) for t in range(-2, 3) if abs(s) + abs(t) <= 2]
+    for case in range(10):
+        chosen = sorted(st for st in shifts if rng.random() < 0.7 and (case % 3 or st != (0, 0)))
+        if case >= 8:  # one band: a row's sum of its one signed zero is +0.0
+            chosen = [shifts[rng.integers(len(shifts))]]
+        shape = (len(chosen), n_q, n_r)
+        stack = signed_zeros(rng, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        spoilers = {5: [complex(np.inf, 1.0)], 6: [complex(0.0, np.nan)], 7: [np.inf, np.nan]}
+        for value in spoilers.get(case, []) if stack.size else []:
+            stack.reshape(-1)[rng.integers(stack.size)] = value
+        mat = BandedMatrix._of_stack(chosen, stack)
+        zeros = np.copysign(0.0, rng.choice([-1.0, 1.0], 2 * n_q * n_r)).view(complex)
+        for top, vec in [*vectors_of_every_top_degree(rng, n_q, n_r), (-1, zeros)]:
+            with np.errstate(invalid="ignore"):
+                got, want = mat @ vec, shifted_per_band_product(mat, vec)
+            assert same_bits_but_nan(got, want), (case, top)
+
+
+@pytest.mark.parametrize("n_q, n_r", [(5, 5), (4, 7), (8, 4)])
+def test_the_residual_rows_rule_holds_on_matrices_that_are_not_graded(n_q, n_r):
+    """Random bands of every shift, those that raise the degree by up to 2
+    too, with no zero forced anywhere but outside the basis: the residual
+    over the rows of degree <= top + lift equals the full product's, by ==,
+    on vectors of every top degree."""
+    rng = np.random.default_rng(n_q * 7 + n_r)
+    cfg = BasisConfig(n_q, n_r, CoordinateFrame(1.0, 1.0))
+    for case in range(6):
+        bands = random_bands(rng, n_q, n_r, real=case % 2 == 1)
+        k_mat = OperatorMatrix(BandedMatrix(bands, n_q, n_r), cfg)
+        for top, vec in vectors_of_every_top_degree(rng, n_q, n_r):
+            lam = complex(*rng.normal(size=2))
+            assert residual(k_mat, vec, lam) == full_product_residual(k_mat, vec, lam), (case, top)
+
+
+def test_residual_multiplies_only_the_rows_a_mode_reaches(monkeypatch):
+    """On kl at 40x40 the product of each mode m <= 2 runs on the rows of
+    degree <= its top degree + 2, 6 to 28 of the 1,600."""
+    _, cfg, k_mat = kl_setup(40)
+    seen = []
+    row_product = verify._row_product
+
+    def counted(entries, columns, vec):
+        seen.append(entries.shape[1])
+        return row_product(entries, columns, vec)
+
+    monkeypatch.setattr(verify, "_row_product", counted)
+    src = kl_coefficients(W0, GAM, B)
+    plan = reduce_to_kl(src, b_target=B)
+    for lab in distinct_labels(2):
+        mode = transformed_eigenfunction(plan, lab, src)
+        residual(k_mat, expand(mode, cfg), mode.eigenvalue)
+        top = 2 * lab.m - lab.n + 2
+        assert seen.pop() == (top + 1) * (top + 2) // 2, lab
+
+
+def test_the_taylor_steps_sum_as_the_per_band_loop(monkeypatch):
+    """evolve_series from the CLI's evolve start on kl and on a generic
+    source gives the same bits with its product replaced by the loop
+    out = 0, out += entries[b] * vector[columns[b]] for each band b."""
+    for src in (kl_coefficients(W0, GAM, B), GENERIC):
+        plan = reduce_to_kl(src, b_target=1.0)
+        state, _ = plan.transport(src)
+        seed = transformed_eigenfunction(plan, EigenLabel(1, 0, 1), src)
+        cfg = BasisConfig(40, 40, state.frame())
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        v_seed = expand(seed, cfg)
+        f0 = expand(state, cfg) + 0.2 * v_seed / np.linalg.norm(v_seed)
+        times = np.linspace(0.0, 10.0 / src.gamma, 81)
+        got = evolve_series(k_mat, f0, times)
+
+        calls = []
+
+        def looped(entries, columns, vec):
+            calls.append(vec.size)
+            extended = np.append(vec, 0.0)
+            out = np.zeros(entries.shape[1], dtype=complex)
+            for band, cols in zip(entries, columns):
+                out += band * extended[cols]
+            return out
+
+        monkeypatch.setattr(verify, "_row_product", looped)
+        assert got.tobytes() == evolve_series(k_mat, f0, times).tobytes()
+        assert len(calls) > 100 and set(calls) == {9}  # the 3x3 functions of degree <= 2
+        monkeypatch.undo()
 
 
 def test_trace_and_hermiticity_fixtures():
@@ -759,13 +919,13 @@ def test_evolve_series_stops_at_the_first_step_that_leaves_the_float_range(monke
     _, cfg, k_mat = kl_setup(20, gamma=0.5)
     f0 = np.full(cfg.dim, 1e308)
     products = []
-    matmul = type(k_mat.matrix).__matmul__
+    row_product = verify._row_product
 
-    def counted(mat, vec):
+    def counted(*args):
         products.append(1)
-        return matmul(mat, vec)
+        return row_product(*args)
 
-    monkeypatch.setattr(type(k_mat.matrix), "__matmul__", counted)
+    monkeypatch.setattr(verify, "_row_product", counted)
     with pytest.raises(EvolutionOverflow, match="float range"):
         evolve_series(k_mat, f0, np.linspace(0.0, 50.0, 81))
     # one Taylor step takes at most 55 products; the grid asks for hundreds of steps

@@ -11,7 +11,13 @@ that the source's reduction plan transports, the families hash:
 - residual: the residuals of those vectors at the modes' eigenvalues;
 - all_eigenvalues: the spectrum of the degree blocks;
 - window: eigenvalues_in_window at radius 4 max(omega0, gamma);
-- pairing: the Gram matrix of biorthogonality_check on the 9 modes.
+- pairing: the Gram matrix of biorthogonality_check on the 9 modes;
+- product: the matrix times a seeded vector of each top degree the basis
+  holds, exactly zero above it, and a copy of the matrix with one infinite
+  entry times the vectors of the lowest and the highest top degree;
+- evolve: on the presets only, evolve_series from the start of `klform
+  evolve`, the stationary state plus 0.2 times the unit mode (1, 0, +1),
+  over 81 times up to 10/gamma.
 
 Each digest covers the exact bytes of every array and float, so two trees
 print the same line for a family only if it is bit for bit the same on
@@ -36,8 +42,18 @@ import klform
 from klform import cli, verify
 
 SIZES = (24, 32, 40)
-FAMILIES = ("assemble_matrix", "expand", "residual", "all_eigenvalues", "window", "pairing")
+FAMILIES = (
+    "assemble_matrix",
+    "expand",
+    "residual",
+    "all_eigenvalues",
+    "window",
+    "pairing",
+    "product",
+    "evolve",
+)
 CRITERION_02_SEED = 20260816
+PRESETS = ("kl", "cl", "hpz")
 
 
 def criterion_02_sources(count: int = 100) -> list:
@@ -58,16 +74,47 @@ def criterion_02_sources(count: int = 100) -> list:
 
 def all_sources() -> dict:
     """{name: coefficients} of the presets and the criterion-02 sources."""
-    sources = {name: cli.MODELS[name](**cli.DESK_PRESETS[name]) for name in ("kl", "cl", "hpz")}
+    sources = {name: cli.MODELS[name](**cli.DESK_PRESETS[name]) for name in PRESETS}
     sources.update({f"c02-{i}": src for i, src in enumerate(criterion_02_sources())})
     return sources
+
+
+def graded_vectors(n: int) -> list:
+    """Seeded complex vectors on the n x n basis, one of each top degree
+    0..2n-2, exactly zero above it."""
+    rng = np.random.default_rng(n)
+    degree = np.add.outer(np.arange(n), np.arange(n)).reshape(-1)
+    vecs = []
+    for top in range(2 * n - 1):
+        vec = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+        vec[degree > top] = 0.0
+        vecs.append(vec)
+    return vecs
+
+
+def evolve_start(plan, state, src, cfg) -> tuple:
+    """(f0, times) of `klform evolve` at its defaults: the stationary state
+    plus 0.2 times the unit mode (1, 0, +1), and 81 times up to 10/gamma."""
+    mode = klform.transformed_eigenfunction(plan, klform.EigenLabel(1, 0, 1), src)
+    seed = verify.expand(mode, cfg)
+    f0 = verify.expand(state, cfg) + 0.2 * seed / np.linalg.norm(seed)
+    return f0, np.linspace(0.0, 10.0 / src.gamma, 81)
+
+
+def with_infinite_entry(k_mat):
+    """A copy of k_mat's matrix whose (0, 0) band has inf at (1, 2)."""
+    mat = k_mat.matrix
+    stack = mat._stack.copy()
+    stack[mat._shifts.index((0, 0)), 1, 2] = np.inf
+    return verify.BandedMatrix._of_stack(mat._shifts, stack)
 
 
 def digests(sources: dict, sizes=SIZES) -> dict:
     """{family: sha256 hex} over the sources, in order, and the sizes."""
     sha = {family: hashlib.sha256() for family in FAMILIES}
     labels = klform.distinct_labels(2)
-    for src in sources.values():
+    vectors = {n: graded_vectors(n) for n in sizes}
+    for name, src in sources.items():
         plan = klform.reduce_to_kl(src, b_target=1.0)
         state, _ = plan.transport(src)
         modes = [klform.transformed_eigenfunction(plan, lab, src) for lab in labels]
@@ -87,6 +134,15 @@ def digests(sources: dict, sizes=SIZES) -> dict:
             sha["all_eigenvalues"].update(verify.all_eigenvalues(k_mat).tobytes())
             sha["window"].update(verify.eigenvalues_in_window(k_mat, radius).tobytes())
             sha["pairing"].update(verify.biorthogonality_check(k_mat, modes).gram.tobytes())
+            for vec in vectors[n]:
+                sha["product"].update((k_mat.matrix @ vec).tobytes())
+            spoiled = with_infinite_entry(k_mat)
+            with np.errstate(invalid="ignore"):
+                for vec in (vectors[n][0], vectors[n][-1]):
+                    sha["product"].update((spoiled @ vec).tobytes())
+            if name in PRESETS:
+                f0, times = evolve_start(plan, state, src, cfg)
+                sha["evolve"].update(verify.evolve_series(k_mat, f0, times).tobytes())
     return {family: sha[family].hexdigest() for family in FAMILIES}
 
 
