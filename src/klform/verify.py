@@ -58,8 +58,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -136,6 +137,271 @@ def _span(n: int, shift: int) -> slice:
     return slice(max(0, -shift), n - max(0, shift))
 
 
+# Hermite sizes kept: a word of k letters uses size k + 1 (expand), a word
+# lattice on degrees <= D size D + 1, and an n_q x n_r basis the sizes n_q
+# and n_r, so 32 serve the words of up to 15 letters and 8 basis sizes
+_LADDER_SIZES = 32
+
+class _Ladder:
+    """The ladder algebra on n orthonormal Hermite functions, read-only.
+
+    factors[a, c], a + c <= 2, are the nonzero diagonals (shift s,
+    F[j, j+s]) of F = (X/sqrt2)^a (sqrt2 D)^c, the exact matrix of
+    Qs^a dQs^c on n Hermite functions, and sides[a, c], p = a + c >= 1, the
+    (2, n - p) stack of its diagonals -p and +p.  A letter L moves an index
+    by one: L[j, j+1] = up[j] and L[j+1, j] = down[j], with up = down =
+    sqrt((j+1)/2)/sqrt2 for X/sqrt2 and up = -down = sqrt2 sqrt((j+1)/2) for
+    sqrt2 D.  A product of two letters A B keeps the diagonals -2, 0 and +2,
+    and entry j of diagonal 0 adds its terms A[j, j-1] B[j-1, j] and
+    A[j, j+1] B[j+1, j] in that order, from zero; the second runs through
+    index j + 1 = n at the edge, so every entry is the operator's own.
+
+    trace holds the integrals integral psi_j(u) du: sqrt(2 pi) pi^(-1/4)
+    sqrt((2t)!)/(2^t t!) at j = 2t, zero for odd j; and at_zero the values
+    psi_j(0): at u = 0 the Hermite recurrence reduces to psi_j+1(0) =
+    -sqrt(j/(j+1)) psi_j-1(0), which the product runs in order; zero for odd
+    j.  Both run on the ratios sqrt((2t - 1)/(2t)), 0 < 2t < n, of
+    sqrt((2t)!)/(2^t t!) to its value at t - 1.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.link = link = _read_only(np.sqrt(np.arange(1, n + 1) / 2.0))
+        mult, dif = link * (1.0 / math.sqrt(2.0)), link * math.sqrt(2.0)
+        self.factors, self.sides = factors, sides = {}, {}
+        for a, c in [(a, c) for a in range(3) for c in range(3 - a)]:
+            letters = [(mult, mult)] * a + [(dif, -dif)] * c
+            if not letters:
+                diagonals = [(0, np.ones(n))]
+            elif len(letters) == 1:
+                [(up, down)] = letters
+                diagonals = [(-1, down[: n - 1]), (1, up[: n - 1])]
+            else:
+                (a_up, a_down), (b_up, b_down) = letters
+                middle = np.zeros(n)
+                middle[1:] += a_down[: n - 1] * b_up[: n - 1]
+                middle += a_up * b_down
+                diagonals = [
+                    (-2, a_down[1 : n - 1] * b_down[: n - 2]),
+                    (0, middle),
+                    (2, a_up[: n - 2] * b_up[1 : n - 1]),
+                ]
+            factors[a, c] = tuple((s, _read_only(diag.copy())) for s, diag in diagonals)
+            if a + c:
+                sides[a, c] = _read_only(np.array([diagonals[0][1], diagonals[-1][1]]))
+        two_t = np.arange(2, n, 2)
+        ratios = np.sqrt((two_t - 1) / two_t)
+        trace, at_zero = np.zeros(n), np.zeros(n)
+        trace[::2] = math.sqrt(2.0 * math.pi) / math.pi**0.25 * np.cumprod(np.r_[1.0, ratios])
+        at_zero[::2] = np.cumprod(np.r_[math.pi ** (-0.25), -ratios])
+        self.trace, self.at_zero = _read_only(trace), _read_only(at_zero)
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tridiagonal X and D of u* and d/du*, built for words on first use.
+
+        X is symmetric with X[j, j+1] = sqrt((j+1)/2); D is antisymmetric
+        with D[j, j+1] = sqrt((j+1)/2), D[j+1, j] = -sqrt((j+1)/2).  On the
+        interior block D X - X D = identity; the last row/column carries the
+        truncation defect.
+        """
+        upper, lower = np.diag(self.link[: self.n - 1], 1), np.diag(self.link[: self.n - 1], -1)
+        return _read_only(upper + lower), _read_only(upper - lower)
+
+
+@lru_cache(maxsize=_LADDER_SIZES)
+def _ladder(n: int) -> _Ladder:
+    return _Ladder(n)
+
+
+# Bases kept, one per (n_q, n_r)
+_BASES = 8
+
+
+class _Basis:
+    """The n_q x n_r tensor basis, each part built on its first use and
+    read-only."""
+
+    def __init__(self, n_q: int, n_r: int):
+        self.n_q, self.n_r = n_q, n_r
+        self._outers, self._bands = {}, {}
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """The total degree j + k of each function, in basis order j * n_r + k."""
+        return _read_only(np.add.outer(np.arange(self.n_q), np.arange(self.n_r)).reshape(-1))
+
+    @cached_property
+    def float_degrees(self) -> np.ndarray:
+        """The total degree of each float of a complex vector on the basis:
+        each entry's degree twice, for its real and imaginary part."""
+        return _read_only(np.repeat(self.degree, 2))
+
+    def top_degree(self, vec: np.ndarray) -> int:
+        """The largest total degree of an entry of the C-contiguous complex vec
+        that is not exactly zero, 0 for the zero vector; read on its floats,
+        which numpy compares with zero faster than complex numbers."""
+        return int(self.float_degrees[vec.view(np.float64) != 0].max(initial=0))
+
+    def outers(self, a: int, c: int, b: int, d: int) -> np.ndarray:
+        """(4, n_q - 1, n_r - 1) stack of diag_q[:, None] * diag_r over the
+        diagonals -1 and +1 of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q
+        functions and (X/sqrt2)^b (sqrt2 D)^d on n_r, a + c = b + d = 1, in
+        the shift order (-1, -1), (-1, 1), (1, -1), (1, 1) of the corner
+        bands, kept per exponents: 4 stacks at most.  Each product is kept
+        as complex, imaginary part +0.0, the cast that a complex coefficient
+        times the float product makes, so assemble_matrix's coeff * outers
+        has the same bits without casting on every call."""
+        if (a, c, b, d) not in self._outers:
+            diags_q, diags_r = _ladder(self.n_q).sides[a, c], _ladder(self.n_r).sides[b, d]
+            outers = (diags_q[:, None, :, None] * diags_r[None, :, None, :]).astype(complex)
+            self._outers[a, c, b, d] = _read_only(outers.reshape(4, self.n_q - 1, self.n_r - 1))
+        return self._outers[a, c, b, d]
+
+    def bands(self, degrees: frozenset) -> tuple[tuple, tuple]:
+        """The sorted band shifts of an operator whose terms have the degrees
+        (a + c, b + d) given, and the span of each band's entries whose
+        column lies in the basis, kept per set of degrees: sets of the six
+        of a quadratic operator, so 64 at most."""
+        if degrees not in self._bands:
+            # a factor of degree p has the diagonals -p, -p + 2, ..., p
+            steps = [range(-p, p + 1, 2) for p in range(3)]
+            shifts = sorted({(s, t) for p, q in degrees for s in steps[p] for t in steps[q]})
+            spans = tuple((_span(self.n_q, s), _span(self.n_r, t)) for s, t in shifts)
+            self._bands[degrees] = tuple(shifts), spans
+        return self._bands[degrees]
+
+
+@lru_cache(maxsize=_BASES)
+def _basis(n_q: int, n_r: int) -> _Basis:
+    return _Basis(n_q, n_r)
+
+
+# Layouts kept, one per (n_q, n_r, band shifts)
+_LAYOUTS = 16
+
+_Blocks = namedtuple("_Blocks", "deg row ends head_at tri_at tri_deg weights source dest phase far")
+
+
+class _Layout:
+    """The index arrays of a matrix on the n_q x n_r basis with the sorted
+    band shifts given, each built on its first use and read-only, which
+    BandedMatrix looks up once: none is kept per row bound, and the
+    pairing's for the last degree only."""
+
+    def __init__(self, n_q: int, n_r: int, shifts: tuple):
+        self.n_q, self.n_r = n_q, n_r
+        self.shift = _read_only(np.array(shifts, dtype=int).reshape(-1, 2))
+        # the degree each band lowers a function's by, and the most one raises it
+        self.drop = _read_only(self.shift.sum(axis=1))
+        self.lift = max(0, -int(self.drop.min(initial=0)))
+        self._pairing: tuple = (None, ())
+
+    def _reads(self, rows) -> np.ndarray:
+        """The (bands, rows) array of the flat column that each band's entry
+        in each of the rows reads, in shift order, n_q n_r where the column
+        leaves the basis: the zero that _row_product appends to the vector."""
+        j, k = np.divmod(rows, self.n_r)
+        col_j, col_k = j + self.shift[:, :1], k + self.shift[:, 1:]
+        inside = (col_j >= 0) & (col_j < self.n_q) & (col_k >= 0) & (col_k < self.n_r)
+        return np.where(inside, col_j * self.n_r + col_k, self.n_q * self.n_r)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return _read_only(self._reads(np.arange(self.n_q * self.n_r)))
+
+    @cached_property
+    def _by_degree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows sorted stably by total degree, their columns in that
+        order, and ends[b], the count of rows of degree <= b."""
+        degree = _basis(self.n_q, self.n_r).degree
+        order = np.argsort(degree, kind="stable")
+        ends = np.cumsum(np.bincount(degree))
+        return _read_only(order), _read_only(self.columns.take(order, axis=1)), _read_only(ends)
+
+    def rows(self, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of total degree j + k <= bound, by degree, and the columns
+        their entries read (_reads): views of one sorted pair of arrays,
+        since the rows of each bound lead it."""
+        order, columns, ends = self._by_degree
+        count = ends[min(bound, ends.size - 1)]
+        return order[:count], columns[:, :count]
+
+    @cached_property
+    def blocks(self) -> _Blocks:
+        """Read-only index arrays of the degree blocks d < top = min(n_q, n_r),
+        packed row-major, block d in packed[ends[d] : ends[d + 1]]: over the
+        pairs (d, j), j <= d, d (deg) and j (row); ends; the certificate's
+        reads, as positions among the gathered entries below, that position
+        being their count for an entry no band holds: packed[0:5], blocks 0
+        and 1 (head_at), and the tridiagonal entries (j, j), then
+        (j, j + 1), then (j + 1, j) (tri_at); the tridiagonal entries'
+        degrees (tri_deg); the 5 x (their count) weights that give G_d there
+        from (c, A00, A01, A10, A11) (_DegreeEntries.certificate); and the
+        gather of the degree-keeping bands (s, -s) among the shifts: the
+        positions, in the flattened band stack, of the entries band[j, d - j]
+        they hold in those blocks, band by band and pair by pair (source);
+        their positions in the packed blocks, row j, column j + s of block d
+        (dest); the exact phase i^(-s) of each (phase); and the indices of
+        those from a band with |s| > 1, which no quadratic operator fills
+        (far)."""
+        n_q, n_r = self.n_q, self.n_r
+        top = min(n_q, n_r)
+        deg, row = np.tril_indices(top)
+        ends = np.cumsum(np.arange(top + 1) ** 2)
+        diag = ends[deg] + row * (deg + 2)
+        inner = row < deg
+        upper = diag[inner] + 1
+        lower = upper + deg[inner]
+        ladder = np.sqrt((row[inner] + 1.0) * (deg - row)[inner])
+        n_diag, n_off = diag.size, upper.size
+        weights = np.zeros((5, n_diag + 2 * n_off))
+        weights[0, :n_diag] = 1.0
+        weights[1, :n_diag] = deg - row
+        weights[2, n_diag : n_diag + n_off] = ladder
+        weights[3, n_diag + n_off :] = ladder
+        weights[4, :n_diag] = row
+        tri = np.concatenate([diag, upper, lower])
+        tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
+        # the entries in the rows (j, d - j) of the bands (s, -s) whose column is in the basis
+        keeping = np.flatnonzero(self.drop == 0)
+        flat = row * n_r + deg - row
+        band, pair = np.nonzero(self._reads(flat)[keeping] < n_q * n_r)
+        s = self.shift[keeping, 0][band]
+        dest = diag[pair] + s
+        # the gathered entry at each packed position, or one past the last
+        at = np.full(ends[-1], dest.size)
+        at[dest] = np.arange(dest.size)
+        source = keeping[band] * (n_q * n_r) + flat[pair]
+        phase = np.array([1, 1j, -1, -1j])[-s % 4]
+        far = np.flatnonzero(abs(s) > 1)
+        layout = (deg, row, ends, at[:5], at[tri], tri_deg, weights, source, dest, phase, far)
+        return _Blocks(*(_read_only(arr) for arr in layout))
+
+    def pairing(self, top: int) -> tuple[np.ndarray, ...]:
+        """Read-only index arrays of the leading block on degrees
+        j + k <= top: the coordinates j and k of its functions in basis
+        order; the positions, in the flattened band stack, of the band
+        entries whose row and column both lie in the block, band by band;
+        and their flat positions in the block.  Read off the block's rows
+        alone, and kept for the last top asked for only."""
+        if self._pairing[0] != top:
+            rows = np.flatnonzero(_basis(self.n_q, self.n_r).degree <= top)
+            columns = self._reads(rows)
+            at = np.searchsorted(rows, columns)
+            # a column out of the block is past its last row or clipped onto a row it is not
+            band, row = np.nonzero(rows.take(at, mode="clip") == columns)
+            source = band * (self.n_q * self.n_r) + rows[row]
+            arrays = *np.divmod(rows, self.n_r), source, row * rows.size + at[band, row]
+            self._pairing = top, tuple(_read_only(arr) for arr in arrays)
+        return self._pairing[1]
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(n_q: int, n_r: int, shifts: tuple) -> _Layout:
+    return _Layout(n_q, n_r, shifts)
+
+
 class BandedMatrix:
     """Matrix on the n_q x n_r tensor basis, stored by index shift.
 
@@ -150,25 +416,25 @@ class BandedMatrix:
     structure, `nnz`, `toarray()` and the finiteness test each read the
     whole stack in one numpy call.  `@` on vectors, residual and the
     evolution's Taylor steps share one product: a gather over a set of
-    rows, through index arrays cached per basis, band shifts and row set
-    (_product_layout), summed band by band, in shift order, from zero.  A
-    matrix built from a dict of bands stacks a copy of them, and raises
-    DegreeError for a nonzero entry whose column leaves the basis; a vector
-    that does not fit the basis raises BasisSizeError.
+    rows, through the index arrays of the layout of the matrix's basis and
+    band shifts (_Layout), looked up once, summed band by band, in shift
+    order, from zero.  A matrix built from a dict of bands stacks a copy of
+    them, and raises BasisSizeError for a band whose shape is not
+    (n_q, n_r) and DegreeError for a nonzero entry whose column leaves the
+    basis; a vector that does not fit the basis raises BasisSizeError.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
         shifts = sorted(bands)
-        stack = np.array([bands[st] for st in shifts], dtype=complex)
-        stack = stack.reshape(len(shifts), n_q, n_r)
-        for (s, t), band in zip(shifts, stack):
-            inside = band[max(0, -s) : max(0, n_q - s), max(0, -t) : max(0, n_r - t)]
-            if np.count_nonzero(inside) != np.count_nonzero(band):
-                raise DegreeError(
-                    f"band {(s, t)} has a nonzero entry whose column leaves the "
-                    f"{n_q} x {n_r} basis"
-                )
-        self._adopt(shifts, stack)
+        if any(np.shape(bands[st]) != (n_q, n_r) for st in shifts):
+            shapes = sorted({np.shape(band) for band in bands.values()})
+            raise BasisSizeError(f"bands of shapes {shapes} do not fit the {n_q} x {n_r} basis")
+        stack = np.array([bands[st] for st in shifts], dtype=complex).reshape(-1, n_q * n_r)
+        self._adopt(shifts, stack.reshape(-1, n_q, n_r))
+        leaving = ((self._layout.columns == n_q * n_r) & (stack != 0)).any(axis=1)
+        if leaving.any():
+            band = shifts[leaving.argmax()]
+            raise DegreeError(f"band {band} has a nonzero entry whose column leaves the basis")
 
     @classmethod
     def _of_stack(cls, shifts, stack: np.ndarray) -> BandedMatrix:
@@ -184,8 +450,7 @@ class BandedMatrix:
         self._stack = stack
         self.n_q, self.n_r = stack.shape[1:]
         self.bands = dict(zip(self._shifts, stack))
-        # the most a band raises the total degree of a function
-        self._lift = max([0, *(-(s + t) for s, t in self._shifts)])
+        self._layout = _layout(self.n_q, self.n_r, self._shifts)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -211,63 +476,30 @@ class BandedMatrix:
             )
         return np.ascontiguousarray(vec, dtype=complex)
 
-    def _gather(self, bound: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of total degree j + k <= bound, every row by default, in
-        basis order; the (bands, rows) entries of the bands in those rows,
-        read from the stack now, and the stack itself when they are every
-        row; and the columns those entries read (_product_layout)."""
-        rows, columns = _product_layout(
-            self.n_q, self.n_r, self._shifts, min(bound, self.n_q + self.n_r - 2)
-        )
-        entries = self._stack.reshape(len(self._shifts), self.n_q * self.n_r)
-        if rows.size < entries.shape[1]:
-            entries = entries.take(rows, axis=1)
-        return rows, entries, columns
+    @property
+    def _entries(self) -> np.ndarray:
+        """The (bands, rows) view of the stack, every row in basis order."""
+        return self._stack.reshape(len(self._shifts), self.n_q * self.n_r)
 
     def __matmul__(self, vec) -> np.ndarray:
-        _, entries, columns = self._gather()
-        return _row_product(entries, columns, self._fit(vec))
+        return _row_product(self._entries, self._layout.columns, self._fit(vec))
 
     def toarray(self) -> np.ndarray:
-        rows, entries, columns = self._gather()
+        entries, columns = self._entries, self._layout.columns
         band, row = np.nonzero((entries != 0) & (columns < self.shape[0]))
         out = np.zeros(self.shape, dtype=complex)
-        out[rows[row], columns[band, row]] = entries[band, row]
+        out[row, columns[band, row]] = entries[band, row]
         return out
-
-
-# Product layouts kept, one per (n_q, n_r, band shifts, row bound): the full
-# product and the residuals of the modes m <= 2 (row bounds 2 to 6) on a few
-# basis sizes, and the generators of the evolutions
-_PRODUCT_LAYOUTS = 32
-
-
-@lru_cache(maxsize=_PRODUCT_LAYOUTS)
-def _product_layout(n_q: int, n_r: int, shifts: tuple, bound: int) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays of the product on the rows of total degree
-    j + k <= bound: those rows' flat indices, in basis order, which are
-    also their positions in each band of the flattened stack; and the
-    (bands, rows) array of the flat column that each band's entry in each
-    row reads, in shift order, n_q n_r where the column leaves the basis:
-    the zero that _row_product appends to the vector."""
-    dim = n_q * n_r
-    j, k = np.divmod(np.arange(dim), n_r)
-    rows = np.flatnonzero(j + k <= bound)
-    shift = np.array(shifts, dtype=int).reshape(-1, 2)
-    col_j, col_k = j[rows] + shift[:, :1], k[rows] + shift[:, 1:]
-    inside = (col_j >= 0) & (col_j < n_q) & (col_k >= 0) & (col_k < n_r)
-    columns = np.where(inside, col_j * n_r + col_k, dim)
-    return _read_only(rows), _read_only(columns)
 
 
 _APPENDED_ZERO = _read_only(np.zeros(1))
 
 
 def _row_product(entries: np.ndarray, columns: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The rows of K vec, vec complex, that the gathered entries and columns
-    of K give (BandedMatrix._gather): each row the sum of its bands' entries
-    times the vector entries they read, zero where the column leaves the
-    basis, added band by band, in shift order, from zero.  np.add.reduce
+    """The rows of K vec, vec complex, that K's entries and columns in them
+    give (_Layout.rows, _Layout.columns): each row the sum of its bands'
+    entries times the vector entries they read, zero where the column leaves
+    the basis, added band by band, in shift order, from zero.  np.add.reduce
     along the band axis adds row b to the running sums in order b, from its
     initial +0.0, so a sum of signed zeros is +0.0 as when adding into
     np.zeros; it runs on the floats of the complex products, whose real and
@@ -284,111 +516,6 @@ class OperatorMatrix:
 
     matrix: BandedMatrix
     config: BasisConfig
-
-
-# Ladder matrices kept, one per size: a word of k letters uses size k + 1
-# (expand), and a word lattice on degrees <= D size D + 1, so 16 serve the
-# words of up to 15 letters
-_LADDER_SIZES = 16
-
-
-@lru_cache(maxsize=_LADDER_SIZES)
-def _ladder_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tridiagonal matrices of u* and d/du* on n orthonormal Hermite functions.
-
-    X is symmetric with X[j, j+1] = sqrt((j+1)/2); D is antisymmetric
-    with D[j, j+1] = sqrt((j+1)/2), D[j+1, j] = -sqrt((j+1)/2).  On the
-    interior block D X - X D = identity; the last row/column carries the
-    truncation defect.
-    """
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    upper, lower = np.diag(off, 1), np.diag(off, -1)
-    return _read_only(upper + lower), _read_only(upper - lower)
-
-
-# Ladder factors kept, one per (n, a, c): a + c <= 2, so 6 per basis size
-_LADDER_FACTORS = 128
-
-
-@lru_cache(maxsize=_LADDER_FACTORS)
-def _ladder_factor(n: int, mult_power: int, dif_power: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Nonzero diagonals (shift s, read-only F[j, j+s]) of F = (X/sqrt2)^a (sqrt2 D)^c,
-    a + c <= 2, the exact matrix of Qs^a dQs^c on n Hermite functions.
-
-    A letter L moves an index by one: L[j, j+1] = up[j] and L[j+1, j] = down[j],
-    with up = down = sqrt((j+1)/2)/sqrt2 for X/sqrt2 and up = -down =
-    sqrt2 sqrt((j+1)/2) for sqrt2 D.  A product of two letters A B keeps
-    the diagonals -2, 0 and +2, and entry j of diagonal 0 adds its terms
-    A[j, j-1] B[j-1, j] and A[j, j+1] B[j+1, j] in that order, from zero;
-    the second runs through index j + 1 = n at the edge, so every entry is
-    the operator's own.
-    """
-    link = np.sqrt(np.arange(1, n + 1) / 2.0)
-    mult = link * (1.0 / math.sqrt(2.0))
-    dif = link * math.sqrt(2.0)
-    letters = [(mult, mult)] * mult_power + [(dif, -dif)] * dif_power
-    if not letters:
-        diagonals = [(0, np.ones(n))]
-    elif len(letters) == 1:
-        [(up, down)] = letters
-        diagonals = [(-1, down[: n - 1]), (1, up[: n - 1])]
-    else:
-        (a_up, a_down), (b_up, b_down) = letters
-        middle = np.zeros(n)
-        middle[1:] += a_down[: n - 1] * b_up[: n - 1]
-        middle += a_up * b_down
-        diagonals = [
-            (-2, a_down[1 : n - 1] * b_down[: n - 2]),
-            (0, middle),
-            (2, a_up[: n - 2] * b_up[1 : n - 1]),
-        ]
-    return tuple((s, _read_only(diag.copy())) for s, diag in diagonals)
-
-
-# Two-sided outer products kept, one stack per (n_q, a, c, n_r, b, d): a
-# term of degree 2 with a factor on each side has a + c = b + d = 1, so 4
-# stacks per pair of basis sizes, about 0.4 MB at 40x40
-_LADDER_OUTERS = 32
-
-
-@lru_cache(maxsize=_LADDER_OUTERS)
-def _ladder_outers(n_q: int, a: int, c: int, n_r: int, b: int, d: int) -> np.ndarray:
-    """Read-only (4, n_q - 1, n_r - 1) stack of diag_q[:, None] * diag_r over
-    the diagonals -1 and +1 of the factors (X/sqrt2)^a (sqrt2 D)^c on n_q
-    functions and (X/sqrt2)^b (sqrt2 D)^d on n_r, a + c = b + d = 1, in the
-    shift order (-1, -1), (-1, 1), (1, -1), (1, 1) of the corner bands.
-    Each product is kept as complex, imaginary part +0.0, the cast that a
-    complex coefficient times the float product makes, so
-    assemble_matrix's coeff * outers has the same bits without casting on
-    every call."""
-    diags_q = np.array([diag for _, diag in _ladder_factor(n_q, a, c)])
-    diags_r = np.array([diag for _, diag in _ladder_factor(n_r, b, d)])
-    outers = diags_q[:, None, :, None] * diags_r[None, :, None, :]
-    return _read_only(outers.reshape(4, n_q - 1, n_r - 1).astype(complex))
-
-
-@lru_cache(maxsize=_LADDER_FACTORS)
-def _ladder_sides(n: int, mult_power: int, dif_power: int) -> np.ndarray:
-    """Read-only (2, n - p) stack of the diagonals -p and +p of
-    _ladder_factor(n, a, c), p = a + c >= 1."""
-    factor = _ladder_factor(n, mult_power, dif_power)
-    return _read_only(np.array([factor[0][1], factor[-1][1]]))
-
-
-# Band layouts kept, one per (term degrees, n_q, n_r)
-_BAND_LAYOUTS = 16
-
-
-@lru_cache(maxsize=_BAND_LAYOUTS)
-def _band_layout(degrees: frozenset, n_q: int, n_r: int) -> tuple[tuple, tuple]:
-    """The sorted band shifts of an operator whose terms have the degrees
-    (a + c, b + d) given, and the span of each band's entries whose column
-    lies in the basis."""
-    # a factor of degree p has the diagonals -p, -p + 2, ..., p
-    shifts = sorted(
-        {(s, t) for p, q in degrees for s in range(-p, p + 1, 2) for t in range(-q, q + 1, 2)}
-    )
-    return tuple(shifts), tuple((_span(n_q, s), _span(n_r, t)) for s, t in shifts)
 
 
 def _zeros(shape, cfg: BasisConfig) -> np.ndarray:
@@ -428,18 +555,20 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
     0 + v1 + v2 + ... as a loop adding each term's outer products into
     its bands sums it, bit for bit, and it is the operator's own entry,
     restricted to the basis.  The diagonals of the 1-D factors, in closed
-    form, are cached per basis size, the stacks of a term per basis size
-    and exponents, and the band shifts and spans per term degrees and
-    basis.  Total degree above 2, beyond any quadratic Liouvillian, raises
-    DegreeError, which bounds the factors cached per basis size at 6; a
-    basis numpy cannot allocate raises BasisSizeError.
+    form, are cached per basis size (_ladder), the stacks of a term per
+    basis and exponents, and the band shifts and spans per basis and term
+    degrees (_Basis).  Total degree above 2, beyond any quadratic
+    Liouvillian, raises DegreeError, which bounds the factors per size at
+    6, the stacks per basis at 4 and the sets of degrees at 64; a basis
+    numpy cannot allocate raises BasisSizeError.
     """
     if op.degree() > 2:
         raise DegreeError(f"operator degree {op.degree()} exceeds 2")
     terms = _rescale_coordinates(op, cfg.frame).terms
     n_q, n_r = cfg.n_q, cfg.n_r
     degrees = frozenset((a + c, b + d) for a, b, c, d in terms)
-    shifts, spans = _band_layout(degrees, n_q, n_r)
+    basis = _basis(n_q, n_r)
+    shifts, spans = basis.bands(degrees)
     stack = _zeros((len(shifts), n_q, n_r), cfg)
     # the zero-started sums of the corners and of each one-sided degree
     corners = _zeros((4, n_q - 1, n_r - 1), cfg) if (1, 1) in degrees else None
@@ -449,18 +578,19 @@ def assemble_matrix(op: PhasePolyOperator, cfg: BasisConfig) -> OperatorMatrix:
         if bool(p) != bool(q)
     }
     centre = stack[shifts.index((0, 0))] if (0, 0) in shifts else None
+    ladder_q, ladder_r = _ladder(n_q), _ladder(n_r)
     for (a, b, c, d), coeff in terms.items():
         p, q = a + c, b + d
         if p and q:
-            corners += coeff * _ladder_outers(n_q, a, c, n_r, b, d)
+            corners += coeff * basis.outers(a, c, b, d)
         elif p:
-            sides[p, 0] += coeff * _ladder_sides(n_q, a, c)
+            sides[p, 0] += coeff * ladder_q.sides[a, c]
             if p == 2:  # diagonal 0 of the factor, the same along r
-                centre += (coeff * _ladder_factor(n_q, a, c)[1][1])[:, None]
+                centre += (coeff * ladder_q.factors[a, c][1][1])[:, None]
         elif q:
-            sides[0, q] += coeff * _ladder_sides(n_r, b, d)
+            sides[0, q] += coeff * ladder_r.sides[b, d]
             if q == 2:
-                centre += coeff * _ladder_factor(n_r, b, d)[1][1]
+                centre += coeff * ladder_r.factors[b, d][1][1]
         else:
             centre += coeff * 1.0
     for (s, t), span, band in zip(shifts, spans, stack):
@@ -492,7 +622,7 @@ def _letter(op, frame: CoordinateFrame, size: int) -> tuple[np.ndarray, np.ndarr
     """(L, R) with C -> L C + C R the action of the degree-one letter op,
     conjugated by the frame's phase, on size x size coefficient arrays."""
     sq, sr, kappa = frame.s_q, frame.s_r, frame.kappa
-    x_mat, d_mat = _ladder_matrices(size)
+    x_mat, d_mat = _ladder(size).matrices
     root2 = math.sqrt(2.0)
     on_q = (op.q - 1j * kappa * op.dr) * (sq / root2) * x_mat + op.dq * (root2 / sq) * d_mat
     on_r = (op.r - 1j * kappa * op.dq) / (root2 * sr) * x_mat + op.dr * (root2 * sr) * d_mat
@@ -547,7 +677,7 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
 
     Band (s, t) maps a function of total degree e to degree e - (s + t), so
     v, exactly zero above its top degree D, reaches only the rows of degree
-    at most D plus the most any band raises the degree (BandedMatrix._lift),
+    at most D plus the most any band raises the degree (_Layout.lift),
     graded or not: every other row of a finite matrix is an exact zero.
     Only those rows are multiplied (6 to 28 of 1,600 for a mode of m <= 2
     in its own frame at 40x40), each summed as K @ v sums it, and K v - lam v
@@ -562,31 +692,11 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    bound = math.inf
-    if mat._finite:
-        bound = _top_degree(vec, mat.n_q, mat.n_r) + mat._lift
-    rows, entries, columns = mat._gather(bound)
+    bound = _basis(mat.n_q, mat.n_r).top_degree(vec) + mat._layout.lift if mat._finite else math.inf
+    rows, columns = mat._layout.rows(bound)
     diff = np.zeros_like(vec)
-    diff[rows] = _row_product(entries, columns, vec) - lam * vec[rows]
+    diff[rows] = _row_product(mat._entries.take(rows, axis=1), columns, vec) - lam * vec[rows]
     return float(np.linalg.norm(diff)) / norm
-
-
-# Degree arrays kept, one per (n_q, n_r)
-_DEGREE_GRIDS = 16
-
-
-@lru_cache(maxsize=_DEGREE_GRIDS)
-def _float_degrees(n_q: int, n_r: int) -> np.ndarray:
-    """Read-only total degree j + k of each float of a complex vector on the
-    basis: each entry's degree twice, for its real and imaginary part."""
-    return _read_only(np.repeat(np.add.outer(np.arange(n_q), np.arange(n_r)).reshape(-1), 2))
-
-
-def _top_degree(vec: np.ndarray, n_q: int, n_r: int) -> int:
-    """The largest total degree of an entry of the C-contiguous complex vec
-    that is not exactly zero, 0 for the zero vector; read on its floats,
-    which numpy compares with zero faster than complex numbers."""
-    return int(_float_degrees(n_q, n_r)[vec.view(np.float64) != 0].max(initial=0))
 
 
 # Taylor steps an evolution may take: at basis_n 32 one step costs about
@@ -614,27 +724,24 @@ def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix,
     takes it out of the Taylor series, one exponential per step.
     """
     n_q, n_r = mat.n_q, mat.n_r
-    degree = np.add.outer(np.arange(n_q), np.arange(n_r))
-    top = _top_degree(f0, n_q, n_r)
+    basis = _basis(n_q, n_r)
+    degree, top = basis.degree.reshape(n_q, n_r), basis.top_degree(f0)
     kept = degree <= top
     if not kept.all():
         _check_grading(mat)
     if (0, 0) not in mat.bands:  # B holds the shift on its diagonal
         mat = BandedMatrix({**mat.bands, (0, 0): np.zeros((n_q, n_r))}, n_q, n_r)
     # band (s, t) lowers the degree of its row by s + t
-    lowered = np.array([max(0, s + t) for s, t in mat._shifts])[:, None, None]
+    lowered = np.maximum(mat._layout.drop, 0)[:, None, None]
     stack = np.where(degree <= top - lowered, -mat._stack, 0.0)
     diag = stack[mat._shifts.index((0, 0))]
     mu = complex(diag.sum()) / np.count_nonzero(kept)
     diag[...] = np.where(kept, diag - mu, 0.0)
     keep_q, keep_r = min(n_q, top + 1), min(n_r, top + 1)
     gen = BandedMatrix._of_stack(mat._shifts, np.ascontiguousarray(stack[:, :keep_q, :keep_r]))
-    # each column's moduli added in band order, from zero
-    norms = np.zeros((keep_q, keep_r))
-    for (s, t), band in gen.bands.items():
-        rows = _span(keep_q, s), _span(keep_r, t)
-        norms[_span(keep_q, -s), _span(keep_r, -t)] += np.abs(band[rows])
-    return gen, mu, float(norms.max())
+    # each column's moduli added in band order, from zero; bin keep_q keep_r: outside
+    norms = np.bincount(gen._layout.columns.reshape(-1), np.abs(gen._entries).reshape(-1))
+    return gen, mu, float(norms[: keep_q * keep_r].max())
 
 
 def _taylor_steps(norm: float, dt: float) -> float:
@@ -689,24 +796,22 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     graded).  The steps run on the leading rectangle of functions that
     holds those degrees; the rows are exactly zero outside it.  Each term
     is the banded product of `@`, B's entries gathered once for all the
-    steps.  A one-point grid must have a finite t; an empty grid and a
-    non-uniform one raise ValueError, an f0 that does not fit the basis
+    steps.  A grid that is not 1-D or holds a t that is not finite raises
+    ValueError before any other check; so do an empty grid and a
+    non-uniform one, and an f0 that does not fit the basis raises
     BasisSizeError, a ValueError too.  EvolutionOverflow is raised before
     stepping when the steps would exceed MAX_TAYLOR_STEPS, and at the first
     step that leaves the float range.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError(f"time grid of shape {times.shape} must be 1-D, and each t must be finite")
     if times.size == 0:
         raise ValueError("time grid must not be empty")
-    if times.size == 1 and not math.isfinite(float(times[0])):
-        raise ValueError("t must be finite")
-    start = float(times[0])
-    gap = 0.0
-    if times.size > 1:
-        gaps = np.diff(times)
-        if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=1e-12):
-            raise ValueError("time grid must be uniform")
-        gap = (float(times[-1]) - start) / (times.size - 1)
+    start, gaps = float(times[0]), np.diff(times)
+    if not np.allclose(gaps, gaps[:1], rtol=1e-12, atol=1e-12):
+        raise ValueError("time grid must be uniform")
+    gap = (float(times[-1]) - start) / max(times.size - 1, 1)
     f0 = k_mat.matrix._fit(f0, "f0")
     gen, mu, norm = _shifted_generator(k_mat.matrix, f0)
     first, each = _taylor_steps(norm, start), _taylor_steps(norm, gap)
@@ -718,11 +823,7 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
         )
     # f0 is exactly zero outside gen's leading rectangle, and so is its evolution
     n_q, n_r, keep_q, keep_r = k_mat.matrix.n_q, k_mat.matrix.n_r, gen.n_q, gen.n_r
-    _, entries, columns = gen._gather()  # every row, gathered once
-
-    def product(vec):
-        return _row_product(entries, columns, vec)
-
+    product = partial(_row_product, gen._entries, gen._layout.columns)  # every row
     live = np.empty((times.size, keep_q * keep_r), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
         live[0] = _taylor_advance(
@@ -733,30 +834,6 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     series = np.zeros((times.size, n_q, n_r), dtype=complex)
     series[:, :keep_q, :keep_r] = live.reshape(times.size, keep_q, keep_r)
     return series.reshape(times.size, -1)
-
-
-def _even_ratios(n: int) -> np.ndarray:
-    """sqrt((2t - 1)/(2t)) for 0 < 2t < n: the ratio of sqrt((2t)!)/(2^t t!)
-    to its value at t - 1."""
-    two_t = np.arange(2, n, 2)
-    return np.sqrt((two_t - 1) / two_t)
-
-
-def _trace_covector_parts(n: int) -> np.ndarray:
-    """Integrals integral psi_j(u) du: sqrt(2 pi) pi^(-1/4) sqrt((2t)!)/(2^t t!)
-    at j = 2t, zero for odd j."""
-    out = np.zeros(n)
-    out[::2] = math.sqrt(2.0 * math.pi) / math.pi**0.25 * np.cumprod(np.r_[1.0, _even_ratios(n)])
-    return out
-
-
-def _psi_at_zero(n: int) -> np.ndarray:
-    """Values psi_j(0): at u = 0 the Hermite recurrence reduces to
-    psi_j+1(0) = -sqrt(j/(j+1)) psi_j-1(0), which the product runs in order;
-    zero for odd j."""
-    out = np.zeros(n)
-    out[::2] = np.cumprod(np.r_[math.pi ** (-0.25), -_even_ratios(n)])
-    return out
 
 
 def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:
@@ -770,13 +847,17 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
     Indritz's inequality |psi_j| <= pi^(-1/4) its modulus is at most the
     basis normalization times pi^(-1/2) sum |C (-1)^k - conj C|.  Both read
     the expansion without the frame's phase, which is 1 at r = 0 and
-    conjugated by r -> -r.
+    conjugated by r -> -r.  A vector that does not fit the basis raises
+    BasisSizeError.
     """
+    if np.shape(vec) != (cfg.dim,):
+        fit = f"does not fit the {cfg.n_q} x {cfg.n_r} basis"
+        raise BasisSizeError(f"vector of shape {np.shape(vec)} {fit}")
     coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
-    tr_q = _trace_covector_parts(cfg.n_q) * (sq / math.sqrt(2.0)) * norm
-    trace = complex(tr_q @ coeffs @ _psi_at_zero(cfg.n_r))
+    tr_q = _ladder(cfg.n_q).trace * (sq / math.sqrt(2.0)) * norm
+    trace = complex(tr_q @ coeffs @ _ladder(cfg.n_r).at_zero)
     gap = coeffs * (-1.0) ** np.arange(cfg.n_r) - coeffs.conj()
     defect = norm / math.sqrt(math.pi) * float(np.sum(np.abs(gap)))
     return trace, defect
@@ -797,7 +878,7 @@ def _check_grading(mat: BandedMatrix) -> None:
     entry, and every entry is finite; a NaN entry makes a maximum NaN and
     fails the first test, an infinite one the second."""
     peaks = np.abs(mat._stack).max(axis=(1, 2), initial=0.0)
-    raising = peaks[[s + t < 0 for s, t in mat._shifts]].max(initial=0.0)
+    raising = peaks[mat._layout.drop < 0].max(initial=0.0)
     largest = peaks.max(initial=0.0)
     if not raising <= _GRADING_TOL * largest:
         raise DegreeError(
@@ -806,60 +887,6 @@ def _check_grading(mat: BandedMatrix) -> None:
         )
     if largest == math.inf:
         raise DegreeError("matrix has an infinite entry: no block of it is the operator's")
-
-
-# Block layouts kept, one per (n_q, n_r, band shifts)
-_LAYOUTS = 16
-
-
-@lru_cache(maxsize=_LAYOUTS)
-def _block_layout(n_q: int, n_r: int, shifts: tuple) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays of the degree blocks d < top = min(n_q, n_r),
-    packed row-major, block d in packed[ends[d] : ends[d + 1]]: over the
-    pairs (d, j), j <= d, d and j; ends; the certificate's reads, as
-    positions among the gathered entries below, that position being their
-    count for an entry no band holds: packed[0:5], blocks 0 and 1, and the
-    tridiagonal entries (j, j), then (j, j + 1), then (j + 1, j); the
-    tridiagonal entries' degrees; the 5 x (their count) weights that give
-    G_d there from (c, A00, A01, A10, A11) (_DegreeEntries.certificate); and
-    the gather of the degree-keeping bands (s, -s) among the shifts given:
-    the positions, in the flattened band stack, of the entries band[j, d - j]
-    they hold in those blocks, band by band and pair by pair; their
-    positions in the packed blocks, row j, column j + s of block d; the
-    exact phase i^(-s) of each; and the indices of those from a band with
-    |s| > 1, which no quadratic operator fills."""
-    top = min(n_q, n_r)
-    deg, row = np.tril_indices(top)
-    ends = np.cumsum(np.arange(top + 1) ** 2)
-    diag = ends[deg] + row * (deg + 2)
-    inner = row < deg
-    upper = diag[inner] + 1
-    lower = upper + deg[inner]
-    ladder = np.sqrt((row[inner] + 1.0) * (deg - row)[inner])
-    n_diag, n_off = diag.size, upper.size
-    weights = np.zeros((5, n_diag + 2 * n_off))
-    weights[0, :n_diag] = 1.0
-    weights[1, :n_diag] = deg - row
-    weights[2, n_diag : n_diag + n_off] = ladder
-    weights[3, n_diag + n_off :] = ladder
-    weights[4, :n_diag] = row
-    tri = np.concatenate([diag, upper, lower])
-    tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
-    source, dest, phase, far = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [], []
-    for index, (s, t) in enumerate(shifts):
-        if s + t == 0:
-            inside = (row + s >= 0) & (row + s <= deg)
-            source.append(index * n_q * n_r + row[inside] * n_r + (deg - row)[inside])
-            dest.append(diag[inside] + s)
-            phase += [(1, 1j, -1, -1j)[t % 4]] * dest[-1].size
-            far += [abs(s) > 1] * dest[-1].size
-    gather = (np.concatenate(source), np.concatenate(dest), np.array(phase, dtype=complex))
-    # the gathered entry at each packed position, or one past the last
-    at = np.full(ends[-1], gather[1].size)
-    at[gather[1]] = np.arange(gather[1].size)
-    reads = (at[:5], at[tri], tri_deg, weights)
-    layout = (deg, row, ends, *reads, *gather, np.flatnonzero(far))
-    return tuple(_read_only(arr) for arr in layout)
 
 
 def _pair_eigensystem(a00: float, a01: float, a10: float, a11: float):
@@ -942,7 +969,7 @@ class _DegreeEntries:
     """The entries of the real degree blocks d < top = min(n_q, n_r) of a
     matrix, gathered from its degree-keeping bands in one fancy index:
     entry band[j, d - j] of a band (s, -s) lies in row j, column j + s of
-    block d, times i^(-s) (_block_layout).  Gathering checks the grading
+    block d, times i^(-s) (_Layout.blocks).  Gathering checks the grading
     (a non-finite entry fails it too) and that every entry gathered is real
     up to roundoff (DegreeError for either).  The certificate reads the
     gathered entries; the dense blocks are built only for LAPACK
@@ -953,19 +980,18 @@ class _DegreeEntries:
     def __init__(self, mat: BandedMatrix):
         _check_grading(mat)
         self.top = min(mat.n_q, mat.n_r)
-        self.layout = _block_layout(mat.n_q, mat.n_r, mat._shifts)
-        source, _, phase, _ = self.layout[-4:]  # the gather
-        self.vals = vals = mat._stack.reshape(-1)[source] * phase
+        self.layout = layout = mat._layout.blocks
+        self.vals = vals = mat._stack.reshape(-1)[layout.source] * layout.phase
         if not np.abs(vals.imag).max(initial=0.0) <= _GRADING_TOL * np.abs(vals).max(initial=0.0):
             raise DegreeError("matrix breaks hermiticity beyond roundoff: its blocks are not real")
 
     def blocks(self) -> list[np.ndarray]:
         """The blocks, block d a (d + 1) x (d + 1) view of one packed array,
         zero wherever no entry is gathered."""
-        ends, dest = self.layout[2], self.layout[-3]
+        ends = self.layout.ends
         packed = np.zeros(ends[-1])
         nonzero = self.vals != 0
-        packed[dest[nonzero]] = self.vals.real[nonzero]
+        packed[self.layout.dest[nonzero]] = self.vals.real[nonzero]
         return [packed[ends[d] : ends[d + 1]].reshape(d + 1, d + 1) for d in range(self.top)]
 
     def certificate(self) -> _BlockCertificate:
@@ -1030,14 +1056,14 @@ class _DegreeEntries:
         A or a kappa^d past the float range bound nothing: the floor is -inf
         and no block is certified.
         """
-        deg, row, _, head_at, tri_at, tri_deg, weights, _, _, _, far = self.layout
-        top = self.top
-        if self.vals[far].any():
+        layout, top = self.layout, self.top
+        deg, row = layout.deg, layout.row
+        if self.vals[layout.far].any():
             return _BlockCertificate.unbounded(top)
         # the last entry, 0.0, stands for each one that no band holds
         real = np.append(self.vals.real, 0.0)
         scale = math.ldexp(1.0, math.frexp(np.abs(real).max())[1] - 1)
-        head = real[head_at] / scale
+        head = real[layout.head_at] / scale
         c = float(head[0])
         a00, a01, a10, a11 = (head[1:] - c * np.array([1.0, 0.0, 0.0, 1.0])).tolist()
         mid, root, kappa, delta = _pair_eigensystem(a00, a01, a10, a11)
@@ -1045,10 +1071,10 @@ class _DegreeEntries:
             return _BlockCertificate.unbounded(top)
         alpha_1, alpha_2 = mid + root, mid - root
         delta += 7 * _U * (abs(c) + max(abs(alpha_1), abs(alpha_2)))
-        entries = real[tri_at] / scale
-        miss = entries - np.array([c, a00, a01, a10, a11]) @ weights
-        residual = np.sqrt(np.bincount(tri_deg, miss * miss, minlength=top))
-        norm = np.sqrt(np.bincount(tri_deg, entries * entries, minlength=top))
+        entries = real[layout.tri_at] / scale
+        miss = entries - np.array([c, a00, a01, a10, a11]) @ layout.weights
+        residual = np.sqrt(np.bincount(layout.tri_deg, miss * miss, minlength=top))
+        norm = np.sqrt(np.bincount(layout.tri_deg, entries * entries, minlength=top))
         degrees = np.arange(top)
         roundoff = 1 + 8 * (degrees + 2) * _U
         largest = abs(c) + (degrees + 1) * max(map(abs, (a00, a01, a10, a11)))
@@ -1235,34 +1261,6 @@ def splu(mat: np.ndarray) -> np.ndarray:
     return np.linalg.inv(mat)
 
 
-# Leading-block layouts kept, one per (n_q, n_r, D, band shifts): the modes
-# m <= 2 and m <= 3 on a few basis sizes
-_PAIRING_LAYOUTS = 16
-
-
-@lru_cache(maxsize=_PAIRING_LAYOUTS)
-def _pairing_layout(n_q: int, n_r: int, top: int, shifts: tuple) -> tuple:
-    """Read-only index arrays of the leading block on degrees j + k <= top:
-    the coordinates j and k of its functions in basis order; the positions,
-    in the flattened band stack of the shifts given, of the band entries
-    whose row and column both lie in the block, band by band; and their
-    flat positions in the block."""
-    j, k = np.divmod(np.arange(n_q * n_r), n_r)
-    low = j + k <= top
-    index = np.flatnonzero(low)
-    position = np.cumsum(low) - 1
-    j, k = j[index], k[index]
-    source, dest = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for band, (s, t) in enumerate(shifts):
-        col_j, col_k = j + s, k + t
-        inside = (col_j >= 0) & (col_j < n_q) & (col_k >= 0) & (col_k < n_r)
-        inside &= col_j + col_k <= top
-        rows = index[inside]
-        source.append(band * n_q * n_r + rows)
-        dest.append(position[rows] * index.size + position[rows + s * n_r + t])
-    return tuple(_read_only(arr) for arr in (j, k, np.concatenate(source), np.concatenate(dest)))
-
-
 def _mode_coefficients(modes, frame: CoordinateFrame, top: int) -> np.ndarray:
     """Coefficient arrays, (top + 1) x (top + 1), of the modes c B1^n1 B2^n2 rho
     with n1 + n2 <= top, in the frame, from one word lattice per raising pair
@@ -1307,7 +1305,8 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     PairingFailure if there are none) span an invariant subspace holding
     every mode, and on it the left eigenvectors are those of the leading
     block on degrees <= D (15x15 for m <= 2), gathered from the bands
-    through index arrays cached per basis, D and band shifts.  The right
+    through index arrays kept by the layout of its basis and band shifts
+    (_Layout.pairing).  The right
     vectors are the modes' words read on that triangle j + k <= D, from one
     word lattice per raising pair (_mode_coefficients); nothing of the
     size of the basis is built.  For each mode the predicted eigenvalue
@@ -1327,7 +1326,7 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     mat = k_mat.matrix
     _check_grading(mat)
     top = max(2 * mode.label.m - mode.label.n for mode in modes)
-    j, k, source, dest = _pairing_layout(mat.n_q, mat.n_r, top, mat._shifts)
+    j, k, source, dest = mat._layout.pairing(top)
     block = np.zeros(j.size * j.size, dtype=complex)
     block[dest] = mat._stack.reshape(-1)[source]
     block = block.reshape(j.size, j.size)

@@ -9,6 +9,7 @@ monomial route it replaced, whose arithmetic differs, within 1e-12.
 
 import itertools
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -182,8 +183,8 @@ def per_term_bands(op, cfg):
     n_q, n_r = cfg.n_q, cfg.n_r
     bands = {}
     for (a, b, c, d), coeff in scaled.terms.items():
-        for s, diag_q in verify._ladder_factor(n_q, a, c):
-            for t, diag_r in verify._ladder_factor(n_r, b, d):
+        for s, diag_q in verify._ladder(n_q).factors[a, c]:
+            for t, diag_r in verify._ladder(n_r).factors[b, d]:
                 band = bands.setdefault((s, t), np.zeros((n_q, n_r), dtype=complex))
                 band[verify._span(n_q, s), verify._span(n_r, t)] += coeff * np.multiply.outer(
                     diag_q, diag_r
@@ -407,17 +408,28 @@ def test_assemble_matrix_equals_fresh_kronecker_products():
 def test_ladder_factor_equals_the_sparse_power_factor():
     """The closed-form diagonals of every factor a + c <= 2 on 4 to 80
     functions are those of the sparse product, byte for byte, and read-only;
-    every other diagonal of the product is zero."""
+    every other diagonal of the product is zero.  The stacked sides of a
+    factor of degree p >= 1 are its diagonals -p and +p, and a second call
+    returns the same ladder."""
     for n in range(4, 81):
-        for a, c in [(a, c) for a in range(3) for c in range(3 - a)]:
+        ladder = verify._ladder(n)
+        assert verify._ladder(n) is ladder
+        assert sorted(ladder.factors) == [(a, c) for a in range(3) for c in range(3 - a)]
+        for (a, c), factor in ladder.factors.items():
             dense = fresh_factor(n, a, c).toarray()
-            got = dict(verify._ladder_factor(n, a, c))
+            got = dict(factor)
             assert list(got) == sorted(got) and not any(d.flags.writeable for d in got.values())
             for s in range(-n + 1, n):
                 if s in got:
                     assert same_bits(got[s], dense.diagonal(s)), (n, a, c, s)
                 else:
                     assert not dense.diagonal(s).any(), (n, a, c, s)
+            if a + c:
+                sides = ladder.sides[a, c]
+                assert not sides.flags.writeable
+                want = np.array([dense.diagonal(-(a + c)), dense.diagonal(a + c)])
+                assert same_bits(sides, want), (n, a, c)
+        assert sorted(ladder.sides) == sorted(key for key in ladder.factors if key != (0, 0))
 
 
 def test_ladder_outers_equal_fresh_outer_products():
@@ -427,8 +439,8 @@ def test_ladder_outers_equal_fresh_outer_products():
     (-1, -1), (-1, 1), (1, -1), (1, 1) of the corner bands, each the
     fresh float product cast by numpy, its real part byte for byte the
     float product and its imaginary part +0.0 throughout; the stack is
-    read-only, and the second pass at 24x36 reads what the first one
-    left."""
+    read-only, a second call returns it, and the second pass at 24x36
+    reads what the first one left."""
     sides = [(1, 0), (0, 1)]
     for n_q, n_r in [(4, 4), (24, 36), (40, 40), (40, 28), (24, 36)]:
         for (a, c), (b, d) in [(q, r) for q in sides for r in sides]:
@@ -441,7 +453,8 @@ def test_ladder_outers_equal_fresh_outer_products():
                 if dense_r.diagonal(t).any()
             ]
             assert [(s, t) for s, t, _ in want] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-            got = verify._ladder_outers(n_q, a, c, n_r, b, d)
+            got = verify._basis(n_q, n_r).outers(a, c, b, d)
+            assert verify._basis(n_q, n_r).outers(a, c, b, d) is got
             assert got.shape == (4, n_q - 1, n_r - 1) and not got.flags.writeable
             for outer, (s, t, fresh) in zip(got, want):
                 assert same_bits(outer, fresh.astype(complex)), (n_q, n_r, s, t)
@@ -522,45 +535,63 @@ def test_expand_equals_the_word_on_fresh_ladder_matrices(monkeypatch):
     cfgs = [BasisConfig(n, n, fs[0].gaussian.frame()) for n in (24, 40, 24)]
     cached = [expand(f, cfg) for cfg in cfgs for f in fs]
     sizes = [2 * f.label.m - f.label.n + 1 for f in fs]
-    assert not any(mat.flags.writeable for size in sizes for mat in verify._ladder_matrices(size))
+    assert not any(mat.flags.writeable for size in sizes for mat in verify._ladder(size).matrices)
 
-    def fresh_ladder_matrices(n):
+    def fresh_ladder(n):
         off = np.sqrt(np.arange(1, n) / 2.0)
-        return np.diag(off, 1) + np.diag(off, -1), np.diag(off, 1) - np.diag(off, -1)
+        x_mat, d_mat = np.diag(off, 1) + np.diag(off, -1), np.diag(off, 1) - np.diag(off, -1)
+        return types.SimpleNamespace(matrices=(x_mat, d_mat))
 
-    monkeypatch.setattr(verify, "_ladder_matrices", fresh_ladder_matrices)
+    monkeypatch.setattr(verify, "_ladder", fresh_ladder)
     for got, want in zip(cached, [expand(f, cfg) for cfg in cfgs for f in fs]):
         assert same_bits(got, want)
 
 
+def held_arrays(obj):
+    """Every array an object holds, through its attributes and the tuples,
+    lists and dicts among them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj))
+
+
 def test_the_pairing_and_window_index_caches_are_read_only():
-    """The index arrays that biorthogonality_check, the window's gather and
-    the banded product (the residual's rows and every row) keep per basis,
-    degree and band shifts cannot be written through."""
+    """The index arrays of the pairing, the window's gather and the banded
+    product, and every other array held by the ladders, the bases and the
+    layouts that assembly, expand, residual, `@`, the window, the pairing
+    and an evolution used, walked whole, cannot be written through."""
     kl_modes = modes(PRESETS["kl"])
     frame = kl_modes[0].gaussian.frame()
     k_mat = assemble_matrix(assemble_liouvillian(PRESETS["kl"]), BasisConfig(12, 10, frame))
     verify.biorthogonality_check(k_mat, kl_modes)
     verify.eigenvalues_in_window(k_mat, 1.2)
-    mode = kl_modes[-1]
-    vec = verify.expand(mode, k_mat.config)
-    verify.residual(k_mat, vec, mode.eigenvalue)
-    k_mat.matrix @ vec
-    shifts = tuple(k_mat.matrix.bands)
-    top = 2 * mode.label.m - mode.label.n
-    arrays = [
-        *verify._pairing_layout(12, 10, 4, shifts),
-        *verify._block_layout(12, 10, shifts),
-        *verify._product_layout(12, 10, shifts, top + 2),
-        *verify._product_layout(12, 10, shifts, 12 + 10 - 2),
-        verify._float_degrees(12, 10),
-    ]
-    assert len(arrays) == 4 + 11 + 2 + 2 + 1
-    assert not any(arr.flags.writeable for arr in arrays)
+    vecs = [verify.expand(mode, k_mat.config) for mode in kl_modes]
+    for mode, vec in zip(kl_modes, vecs):
+        verify.residual(k_mat, vec, mode.eigenvalue)
+    k_mat.matrix @ vecs[-1]
+    verify.evolve_series(k_mat, vecs[-1], [0.0, 0.1])
+    shifts = k_mat.matrix._shifts
+    objects = [verify._ladder(n) for n in (1, 2, 3, 4, 5, 10, 12)]
+    objects += [verify._basis(12, 10), verify._layout(12, 10, shifts)]
+    # the generator of the evolution, on the degrees <= 4 its start occupies
+    objects += [verify._basis(5, 5), verify._layout(5, 5, shifts)]
+    layout = objects[-3]
+    assert {"columns", "_by_degree", "blocks"} <= vars(layout).keys()
+    assert {"degree", "float_degrees"} <= vars(objects[-4]).keys() and objects[-4]._outers
+    arrays = [arr for obj in objects for arr in held_arrays(obj)]
+    assert len(arrays) > 100
+    assert not [arr.shape for arr in arrays if arr.flags.writeable]
 
 
 def fresh_keeping_gather(top, n_q, n_r, shifts):
-    """The gather of _block_layout entry by entry: for each band (s, -s) in
+    """The gather of _Layout.blocks entry by entry: for each band (s, -s) in
     turn and each block d < top in turn, its entries band[j, d - j] with
     0 <= j + s <= d, at row j, column j + s of block d, packed row-major
     after blocks 0 to d - 1, times i^(-s)."""
@@ -596,7 +627,7 @@ def fresh_certificate_reads(top, dest):
 
 
 def fresh_pairing_layout(n_q, n_r, top, shifts):
-    """_pairing_layout entry by entry: the functions (j, k), j + k <= top, in
+    """_Layout.pairing entry by entry: the functions (j, k), j + k <= top, in
     basis order, and for each band in turn each of them whose column
     (j + s, k + t) lies in the basis and on those degrees."""
     block = [(j, k) for j in range(n_q) for k in range(n_r) if j + k <= top]
@@ -625,23 +656,87 @@ def test_the_window_and_pairing_gathers_equal_building_them_afresh(shifts):
     definitions give, in order, phases included; the certificate's reads of
     blocks 0 and 1 and of the tridiagonal entries point at the gathered
     entries those positions hold, or past the last; and a second call
-    returns the cached arrays."""
+    returns the cached arrays, the pairing's for the last degree asked."""
     for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
         top = min(n_q, n_r)
-        got = verify._block_layout(n_q, n_r, shifts)
-        assert verify._block_layout(n_q, n_r, shifts) is got
-        gather = got[7:]
+        layout = verify._layout(n_q, n_r, shifts)
+        assert verify._layout(n_q, n_r, shifts) is layout
+        got = layout.blocks
+        assert layout.blocks is got
+        gather = (got.source, got.dest, got.phase, got.far)
         for arr, want in zip(gather, fresh_keeping_gather(top, n_q, n_r, shifts), strict=True):
             assert arr.tolist() == want, (n_q, n_r)
-        assert gather[2].dtype == complex
-        reads = fresh_certificate_reads(top, gather[1].tolist())
-        for arr, want in zip(got[3:5], reads, strict=True):
+        assert got.phase.dtype == complex
+        reads = fresh_certificate_reads(top, got.dest.tolist())
+        for arr, want in zip((got.head_at, got.tri_at), reads, strict=True):
             assert arr.tolist() == want, (n_q, n_r)
-        for degrees in (0, 2, 4):
-            got = verify._pairing_layout(n_q, n_r, degrees, shifts)
-            assert verify._pairing_layout(n_q, n_r, degrees, shifts) is got
-            for arr, want in zip(got, fresh_pairing_layout(n_q, n_r, degrees, shifts)):
+        for degrees in (0, 2, 4, n_q + n_r):
+            got = layout.pairing(degrees)
+            assert layout.pairing(degrees) is got
+            for arr, want in zip(got, fresh_pairing_layout(n_q, n_r, degrees, shifts), strict=True):
                 assert arr.tolist() == want, (n_q, n_r, degrees)
+
+
+@pytest.mark.parametrize("shifts", STACK_SHIFTS, ids=["quadratic", "wide", "diagonal", "none"])
+def test_the_product_rows_and_the_basis_degrees_equal_building_them_afresh(shifts):
+    """The basis's degrees, and the product's columns of every row and
+    rows of each bound, on square and rectangular bases, equal their
+    definitions: each column (j + s) n_r + k + t, n_q n_r where it leaves
+    the basis; and the rows of degree <= bound, in order of degree and then
+    of basis index, with their columns, views of the rows sorted once."""
+    for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
+        basis = verify._basis(n_q, n_r)
+        assert verify._basis(n_q, n_r) is basis and basis.degree is basis.degree
+        cells = [(a, b) for a in range(n_q) for b in range(n_r)]
+        assert basis.degree.tolist() == [a + b for a, b in cells]
+        assert basis.float_degrees.tolist() == [a + b for a, b in cells for _ in range(2)]
+        layout = verify._layout(n_q, n_r, shifts)
+        order, by_degree, _ = layout._by_degree
+        assert by_degree.flags.c_contiguous
+        every = [
+            [
+                (a + s) * n_r + b + t if 0 <= a + s < n_q and 0 <= b + t < n_r else n_q * n_r
+                for a, b in cells
+            ]
+            for s, t in shifts
+        ]
+        assert layout.columns.reshape(len(shifts), n_q * n_r).tolist() == every
+        for bound in range(n_q + n_r + 1):
+            rows, columns = layout.rows(bound)
+            assert rows.base is order and columns.base is by_degree
+            low = [p for p in range(n_q * n_r) if sum(cells[p]) <= bound]
+            assert rows.tolist() == sorted(low, key=lambda p: sum(cells[p])), bound
+            want = [[band[p] for p in rows] for band in every]
+            assert columns.reshape(len(shifts), rows.size).tolist() == want, bound
+
+
+def test_more_keys_than_each_cache_keeps_rebuild_the_same_bits():
+    """Assembly, expand, residual, the window and the pairing on more basis
+    sizes than any of the three caches keeps evict the first size's
+    ladder, basis and layout; running it again rebuilds them, with the
+    same bits."""
+    kl_modes = modes(PRESETS["kl"])
+    frame = kl_modes[0].gaussian.frame()
+    op = assemble_liouvillian(PRESETS["kl"])
+
+    def run(n):
+        k_mat = assemble_matrix(op, BasisConfig(n, n, frame))
+        vecs = [expand(mode, k_mat.config) for mode in kl_modes]
+        res = [verify.residual(k_mat, v, mode.eigenvalue) for mode, v in zip(kl_modes, vecs)]
+        window = verify.eigenvalues_in_window(k_mat, 1.2)
+        gram = verify.biorthogonality_check(k_mat, kl_modes).gram
+        arrays = [k_mat.matrix._stack, *vecs, np.array(res), window, gram]
+        return [arr.tobytes() for arr in arrays]
+
+    caches = (verify._ladder, verify._basis, verify._layout)
+    sizes = range(8, 8 + max(verify._LADDER_SIZES, verify._BASES, verify._LAYOUTS) + 1)
+    first = run(sizes[0])
+    for n in sizes[1:]:
+        run(n)
+    misses = [cache.cache_info().misses for cache in caches]
+    assert run(sizes[0]) == first
+    after = [cache.cache_info().misses for cache in caches]
+    assert all(new > old for new, old in zip(after, misses)), (misses, after)
 
 
 def test_scaling_returned_results_in_place_leaves_later_calls_unchanged():

@@ -17,6 +17,7 @@ import collections
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -90,6 +91,32 @@ def test_no_unbounded_cache():
         for name, line in _unbounded_caches(ast.parse(path.read_text()))
     ]
     assert found == [], f"unbounded caches at {found}"
+
+
+def _cache_bounds(tree):
+    """The names of the maxsize constants of every lru_cache."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call) and "lru_cache" in ast.unparse(dec.func):
+                    sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+                    yield from (size.id for size in sizes if isinstance(size, ast.Name))
+
+
+def test_the_readme_cache_table_names_exactly_the_cache_bounds():
+    """README's table of what is cached names, in backticks, the bound
+    constant of every lru_cache in the package and no other, so the table
+    cannot keep a cache that is gone or miss one that was added."""
+    used = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _cache_bounds(ast.parse(path.read_text()))
+    }
+    lines = (PACKAGE.parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| What is cached |"))
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    named = set(re.findall(r"`(_[A-Z][A-Z0-9_]*)`", "\n".join(lines[start:end])))
+    assert used and named == used, (sorted(named), sorted(used))
 
 
 def test_cache_check_sees_every_spelling():

@@ -52,12 +52,10 @@ from klform.verify import (
     _DegreeEntries,
     OperatorMatrix,
     _check_grading,
-    _ladder_matrices,
+    _ladder,
+    _layout,
     _mode_coefficients,
     _pair_eigensystem,
-    _pairing_layout,
-    _psi_at_zero,
-    _trace_covector_parts,
 )
 
 from adjoint_oracle import linear_from_vector
@@ -98,7 +96,7 @@ def hermite_function_oracle(j, x):
 
 def test_ladder_matrices_against_quadrature():
     n = 6
-    x_dense, d_dense = _ladder_matrices(n)
+    x_dense, d_dense = _ladder(n).matrices
     assert not x_dense.flags.writeable and not d_dense.flags.writeable
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     wts = weights * np.exp(nodes**2)
@@ -358,7 +356,7 @@ def test_residual_of_a_matrix_with_an_infinite_entry_past_the_reach_is_not_finit
         bands = {key: band.copy() for key, band in k_mat.matrix.bands.items()}
         bands[(0, 0)][7, 7] = value
         spoiled = replace(k_mat, matrix=BandedMatrix(bands, 8, 8))
-        assert 7 + 7 > top + spoiled.matrix._lift
+        assert 7 + 7 > top + spoiled.matrix._layout.lift
         with np.errstate(invalid="ignore"):
             assert not math.isfinite(residual(spoiled, vec, 0.0))
             assert not math.isfinite(full_product_residual(spoiled, vec, 0.0))
@@ -380,6 +378,41 @@ def test_a_vector_that_does_not_fit_is_a_typed_error(entry):
         with pytest.raises(BasisSizeError, match=fit) as info:
             calls[entry](vec)
         assert isinstance(info.value, KLFormError) and isinstance(info.value, ValueError)
+
+
+def test_bands_and_vectors_that_do_not_fit_the_basis_are_typed_errors():
+    """A band whose shape is not the basis's, flat or square or of another
+    size, raises BasisSizeError from BandedMatrix, as a vector that does not
+    fit does from trace_and_hermiticity; both are KLFormErrors and
+    ValueErrors."""
+    for band in (np.ones((3, 3)), np.ones(16), np.ones((4, 5)), np.ones(4)):
+        with pytest.raises(BasisSizeError, match="do not fit the 4 x 4 basis") as info:
+            BandedMatrix({(0, 0): np.ones((4, 4)), (0, 1): band}, 4, 4)
+        assert isinstance(info.value, KLFormError) and isinstance(info.value, ValueError)
+    _, cfg, _ = kl_setup(12)
+    for vec in (np.ones(10), np.ones((12, 12)), np.ones(145)):
+        fit = r"of shape .* does not fit the 12 x 12 basis"
+        with pytest.raises(BasisSizeError, match=fit) as info:
+            trace_and_hermiticity(vec, cfg)
+        assert isinstance(info.value, KLFormError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.0, math.nan], [0.0, math.inf], [[0.0, 1.0]], [math.nan], [-math.inf, 0.0, 1.0], 0.0],
+    ids=["nan-last", "inf-last", "2-d", "nan-alone", "inf-first", "0-d"],
+)
+def test_evolve_series_rejects_a_grid_not_finite_or_not_1d_first(times):
+    """On kl at 12x12 from its ground function, a grid with a t that is not
+    finite, or that is not 1-D, raises the one ValueError before any other
+    check, an f0 that does not fit included: not the uniformity rule, not
+    EvolutionOverflow from an inf times the generator's zero norm, and no
+    TypeError."""
+    state, cfg, k_mat = kl_setup(12)
+    for f0 in (expand(state, cfg), np.ones(10)):
+        with pytest.raises(ValueError, match="must be 1-D, and each t must be finite") as info:
+            evolve_series(k_mat, f0, times)
+        assert type(info.value) is ValueError
 
 
 def shifted_per_band_product(mat, vec):
@@ -564,9 +597,12 @@ def test_hermite_functions_obey_indritz_bound():
 
 def test_psi_at_zero_equals_the_recurrence():
     """The closed form runs the recurrence's product at u = 0, bit for bit
-    but for the sign of the zeros at odd j, which == does not tell apart."""
+    but for the sign of the zeros at odd j, which == does not tell apart,
+    and is read-only."""
     for n in range(4, 201):
-        assert (_psi_at_zero(n) == hermite_functions(np.zeros(1), n)[0]).all(), n
+        at_zero = _ladder(n).at_zero
+        assert (at_zero == hermite_functions(np.zeros(1), n)[0]).all(), n
+        assert not at_zero.flags.writeable
 
 
 def test_trace_covector_is_the_fourier_image_of_psi_at_zero():
@@ -576,7 +612,7 @@ def test_trace_covector_is_the_fourier_image_of_psi_at_zero():
     for n in range(4, 201):
         phase = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(n) % 4]
         fourier = math.sqrt(2.0 * math.pi) * phase * hermite_functions(np.zeros(1), n)[0]
-        gap = np.abs(_trace_covector_parts(n) - fourier)
+        gap = np.abs(_ladder(n).trace - fourier)
         assert (gap <= 1e-15 * np.abs(fourier)).all(), n
 
 
@@ -852,6 +888,44 @@ def test_evolve_series_on_matrices_without_a_diagonal_band():
     want = np.tile(f0, (3, 1))
     want[:, 0] = -times
     assert np.allclose(evolve_series(lowering, f0, times), want, rtol=0.0, atol=1e-15)
+
+
+def per_band_generator_norm(gen):
+    """The 1-norm of a generator as the per-band loop sums it: each column's
+    moduli added band by band, in shift order, from zero."""
+    norms = np.zeros((gen.n_q, gen.n_r))
+    for (s, t), band in gen.bands.items():
+        rows = verify._span(gen.n_q, s), verify._span(gen.n_r, t)
+        norms[verify._span(gen.n_q, -s), verify._span(gen.n_r, -t)] += np.abs(band[rows])
+    return float(norms.max())
+
+
+def test_the_generator_norm_is_the_largest_column_sum():
+    """The evolution's 1-norm, which sets the Taylor step count, equals the
+    per-band loop's bit for bit and the dense matrix's largest column sum to
+    1e-15 of it: on the presets from the start of `klform evolve`, and on
+    random graded bands whose largest row sum is 20% or more off it."""
+    cases = []
+    for name in ("kl", "cl", "hpz"):
+        src = MODELS[name][0]
+        plan = reduce_to_kl(src, b_target=1.0)
+        steady = transformed_eigenfunction(plan, EigenLabel(0, 0, 1), src)
+        seed = transformed_eigenfunction(plan, EigenLabel(1, 0, 1), src)
+        cfg = BasisConfig(24, 24, steady.gaussian.frame())
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        cases.append((k_mat.matrix, expand(steady, cfg) + 0.2 * expand(seed, cfg)))
+    rng = np.random.default_rng(7)
+    shifts = [(0, 0), (1, -1), (-1, 1), (1, 1), (2, 0), (0, 2)]
+    for n_q, n_r in ((6, 6), (5, 8)):
+        bands = {st: rng.normal(size=(n_q, n_r)) + 1j * rng.normal(size=(n_q, n_r)) for st in shifts}
+        bands = {(s, t): band * np.arange(1, n_r + 1) ** 2 for (s, t), band in bands.items()}
+        cases.append((BandedMatrix(in_basis(bands, n_q, n_r), n_q, n_r), np.ones(n_q * n_r)))
+    for mat, f0 in cases:
+        gen, _, norm = verify._shifted_generator(mat, mat._fit(f0))
+        assert norm == per_band_generator_norm(gen)
+        dense = np.abs(gen.toarray())
+        assert abs(norm - dense.sum(axis=0).max()) <= 1e-15 * norm
+    assert abs(dense.sum(axis=1).max() - norm) >= 0.2 * norm
 
 
 def test_evolve_series_grid_handling():
@@ -1555,7 +1629,7 @@ def test_word_lattice_equals_the_per_mode_expansions():
         modes = transported_modes(src, 3)
         for n_q, n_r in ((32, 32), (6, 5)):
             cfg = BasisConfig(n_q, n_r, modes[0].gaussian.frame())
-            j, k, *_ = _pairing_layout(n_q, n_r, 6, ())
+            j, k, *_ = _layout(n_q, n_r, ()).pairing(6)
             lattice = np.zeros((len(modes), n_q, n_r), dtype=complex)
             lattice[:, j, k] = _mode_coefficients(modes, cfg.frame, 6)[:, j, k]
             for got, mode in zip(lattice, modes):
