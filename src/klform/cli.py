@@ -522,19 +522,14 @@ def cmd_evolve(cfg: RunConfig):
     series = verify.evolve_series(k_mat, f0, times)
     rows = []
     overlaps = np.empty(cfg.n_times)
-    max_trace_error = 0.0
-    max_defect = 0.0
     # A seed amplitude near 1e308 overflows the norms, a tiny one (1e-150
     # on the kl preset) rounds the deviation to zero and a t_max near 1e-200
     # underflows the fit: raise instead of reporting inf or NaN.
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             dev0 = np.linalg.norm(series[0] - v_steady)
-            for i, t in enumerate(times):
-                vec = series[i]
-                trace, defect = verify.trace_and_hermiticity(vec, basis)
-                max_trace_error = max(max_trace_error, abs(trace - 1.0))
-                max_defect = max(max_defect, defect)
+            traces, defects = verify.trace_and_hermiticity(series, basis)
+            for i, (t, vec, trace) in enumerate(zip(times, series, traces)):
                 overlaps[i] = np.linalg.norm(vec - v_steady) / dev0
                 rows.append(
                     {
@@ -552,6 +547,8 @@ def cmd_evolve(cfg: RunConfig):
         ) from exc
     expected = abs(complex(seed.eigenvalue).real)
     fitted = -float(slope)
+    max_trace_error = max(abs(trace - 1.0) for trace in traces)
+    max_defect = max(defects)
     doc = {
         "model": cfg.model,
         "gamma": gamma,

@@ -48,9 +48,9 @@ Prosen, New J. Phys. 10 (2008) 043026), so the distance of the block
 from that prediction, times cond(P)^d, bounds how far its eigenvalues lie
 from the predicted ones (Bauer-Fike, Numer. Math. 2 (1960) 137).  A
 spectral window skips each block that this bound puts outside it, and
-returns the predictions of each block it certifies; the blocks left are
-solved zero-padded, up to 16 successive degrees per LAPACK call, which
-keeps each block's eigenvalues bit for bit.
+returns the predictions of each block it certifies; LAPACK solves each
+block left alone.  Each set of rows worked on is a prefix of the rows by
+degree.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ _Blocks = namedtuple("_Blocks", "deg row ends head_at tri_at tri_deg weights sou
 class _Layout:
     """The index arrays of a matrix on the n_q x n_r basis with the sorted
     band shifts given, each built on its first use and read-only, which
-    BandedMatrix looks up once: none is kept per row bound, and the
-    pairing's for the last degree only."""
+    BandedMatrix looks up once: each set of rows is a prefix of one order
+    by degree (rows), and the pairing's is kept for the last degree only."""
 
     def __init__(self, n_q: int, n_r: int, shifts: tuple):
         self.n_q, self.n_r = n_q, n_r
@@ -297,35 +297,38 @@ class _Layout:
         self.lift = max(0, -int(self.drop.min(initial=0)))
         self._pairing: tuple = (None, ())
 
-    def _reads(self, rows) -> np.ndarray:
-        """The (bands, rows) array of the flat column that each band's entry
-        in each of the rows reads, in shift order, n_q n_r where the column
-        leaves the basis: the zero that _row_product appends to the vector."""
-        j, k = np.divmod(rows, self.n_r)
-        col_j, col_k = j + self.shift[:, :1], k + self.shift[:, 1:]
-        inside = (col_j >= 0) & (col_j < self.n_q) & (col_k >= 0) & (col_k < self.n_r)
-        return np.where(inside, col_j * self.n_r + col_k, self.n_q * self.n_r)
-
     @cached_property
     def columns(self) -> np.ndarray:
-        return _read_only(self._reads(np.arange(self.n_q * self.n_r)))
+        """The (bands, rows) array of the flat column that each band's entry
+        in each row reads, in shift order and basis order, n_q n_r where the
+        column leaves the basis: the zero that _row_product appends to the
+        vector."""
+        j, k = np.divmod(np.arange(self.n_q * self.n_r), self.n_r)
+        col_j, col_k = j + self.shift[:, :1], k + self.shift[:, 1:]
+        inside = (col_j >= 0) & (col_j < self.n_q) & (col_k >= 0) & (col_k < self.n_r)
+        return _read_only(np.where(inside, col_j * self.n_r + col_k, self.n_q * self.n_r))
 
     @cached_property
     def _by_degree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows sorted stably by total degree, their columns in that
-        order, and ends[b], the count of rows of degree <= b."""
+        """The rows sorted stably by total degree; the position in that
+        order of the column each band's entry in each of them reads, n_q n_r
+        where it leaves the basis; and ends[b], the count of rows of degree
+        <= b."""
         degree = _basis(self.n_q, self.n_r).degree
         order = np.argsort(degree, kind="stable")
+        reads = np.append(order.argsort(), order.size).take(self.columns.take(order, axis=1))
         ends = np.cumsum(np.bincount(degree))
-        return _read_only(order), _read_only(self.columns.take(order, axis=1)), _read_only(ends)
+        return _read_only(order), _read_only(reads), _read_only(ends)
 
     def rows(self, bound: float) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of total degree j + k <= bound, by degree, and the columns
-        their entries read (_reads): views of one sorted pair of arrays,
-        since the rows of each bound lead it."""
-        order, columns, ends = self._by_degree
+        """The rows of total degree j + k <= bound, by degree and then basis
+        index, and the position among them of the column each of their
+        entries reads, their count or more where it is not one of them:
+        views of one sorted pair of arrays, since the rows of each bound
+        lead it."""
+        order, reads, ends = self._by_degree
         count = ends[min(bound, ends.size - 1)]
-        return order[:count], columns[:, :count]
+        return order[:count], reads[:, :count]
 
     @cached_property
     def blocks(self) -> _Blocks:
@@ -347,7 +350,10 @@ class _Layout:
         (far)."""
         n_q, n_r = self.n_q, self.n_r
         top = min(n_q, n_r)
-        deg, row = np.tril_indices(top)
+        # the rows of degree < top, by degree and then basis index, are the pairs (d, j)
+        flat, reads = self.rows(top - 1)
+        row, col = np.divmod(flat, n_r)
+        deg = row + col
         ends = np.cumsum(np.arange(top + 1) ** 2)
         diag = ends[deg] + row * (deg + 2)
         inner = row < deg
@@ -365,8 +371,7 @@ class _Layout:
         tri_deg = np.concatenate([deg, deg[inner], deg[inner]])
         # the entries in the rows (j, d - j) of the bands (s, -s) whose column is in the basis
         keeping = np.flatnonzero(self.drop == 0)
-        flat = row * n_r + deg - row
-        band, pair = np.nonzero(self._reads(flat)[keeping] < n_q * n_r)
+        band, pair = np.nonzero(reads[keeping] < flat.size)
         s = self.shift[keeping, 0][band]
         dest = diag[pair] + s
         # the gathered entry at each packed position, or one past the last
@@ -380,19 +385,18 @@ class _Layout:
 
     def pairing(self, top: int) -> tuple[np.ndarray, ...]:
         """Read-only index arrays of the leading block on degrees
-        j + k <= top: the coordinates j and k of its functions in basis
-        order; the positions, in the flattened band stack, of the band
-        entries whose row and column both lie in the block, band by band;
-        and their flat positions in the block.  Read off the block's rows
-        alone, and kept for the last top asked for only."""
+        j + k <= top, in basis order: the coordinates j and k of its
+        functions; the positions, in the flattened band stack, of the band
+        entries whose row and column both lie in the block, band by band,
+        rows by degree (rows(top)); and their flat positions in the block.
+        Kept for the last top asked for only."""
         if self._pairing[0] != top:
-            rows = np.flatnonzero(_basis(self.n_q, self.n_r).degree <= top)
-            columns = self._reads(rows)
-            at = np.searchsorted(rows, columns)
-            # a column out of the block is past its last row or clipped onto a row it is not
-            band, row = np.nonzero(rows.take(at, mode="clip") == columns)
+            rows, reads = self.rows(top)
+            place = rows.argsort().argsort()  # each row's rank in basis order
+            band, row = np.nonzero(reads < rows.size)
             source = band * (self.n_q * self.n_r) + rows[row]
-            arrays = *np.divmod(rows, self.n_r), source, row * rows.size + at[band, row]
+            dest = place[row] * rows.size + place[reads[band, row]]
+            arrays = *np.divmod(np.sort(rows), self.n_r), source, dest
             self._pairing = top, tuple(_read_only(arr) for arr in arrays)
         return self._pairing[1]
 
@@ -418,10 +422,12 @@ class BandedMatrix:
     evolution's Taylor steps share one product: a gather over a set of
     rows, through the index arrays of the layout of the matrix's basis and
     band shifts (_Layout), looked up once, summed band by band, in shift
-    order, from zero.  A matrix built from a dict of bands stacks a copy of
-    them, and raises BasisSizeError for a band whose shape is not
-    (n_q, n_r) and DegreeError for a nonzero entry whose column leaves the
-    basis; a vector that does not fit the basis raises BasisSizeError.
+    order, from zero: `@` over every row, residual and the Taylor steps
+    over the rows of degree up to a bound (_Layout.rows).  A matrix built
+    from a dict of bands stacks a copy of them, and raises BasisSizeError
+    for a band whose shape is not (n_q, n_r) and DegreeError for a nonzero
+    entry whose column leaves the basis; a vector that does not fit the
+    basis raises BasisSizeError.
     """
 
     def __init__(self, bands: dict[tuple[int, int], np.ndarray], n_q: int, n_r: int):
@@ -496,16 +502,17 @@ _APPENDED_ZERO = _read_only(np.zeros(1))
 
 
 def _row_product(entries: np.ndarray, columns: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The rows of K vec, vec complex, that K's entries and columns in them
-    give (_Layout.rows, _Layout.columns): each row the sum of its bands'
-    entries times the vector entries they read, zero where the column leaves
-    the basis, added band by band, in shift order, from zero.  np.add.reduce
+    """The rows of K vec, vec complex, that K's entries in them and the
+    indices into vec they read give (_Layout.columns, _Layout.rows): each
+    row the sum of its bands' entries times the vector entries they read,
+    zero from vec's length on (clipped onto an appended zero), added band
+    by band, in shift order, from zero.  np.add.reduce
     along the band axis adds row b to the running sums in order b, from its
     initial +0.0, so a sum of signed zeros is +0.0 as when adding into
     np.zeros; it runs on the floats of the complex products, whose real and
     imaginary parts add apart, since numpy sums a reduction over one complex
     row pairwise."""
-    terms = np.concatenate((vec, _APPENDED_ZERO)).take(columns)
+    terms = np.concatenate((vec, _APPENDED_ZERO)).take(columns, mode="clip")
     np.multiply(entries, terms, out=terms)
     return np.add.reduce(terms.view(np.float64), axis=0, initial=0.0).view(complex)
 
@@ -680,12 +687,12 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     at most D plus the most any band raises the degree (_Layout.lift),
     graded or not: every other row of a finite matrix is an exact zero.
     Only those rows are multiplied (6 to 28 of 1,600 for a mode of m <= 2
-    in its own frame at 40x40), each summed as K @ v sums it, and K v - lam v
-    is laid out at full length with zeros past them, so the norm is the
-    full product's, bit for bit.  A matrix with an entry that is not finite
-    (read once, on the first call) multiplies every row, so that inf * 0
-    gives NaN.  A vector that does not fit the basis raises BasisSizeError,
-    the zero vector ZeroVector.
+    in its own frame at 40x40), on v's entries there, each summed as K @ v
+    sums it, and K v - lam v is laid out at full length with zeros past
+    them, so the norm is the full product's, bit for bit.  A matrix with an
+    entry that is not finite (read once, on the first call) multiplies
+    every row, so that inf * 0 gives NaN.  A vector that does not fit the
+    basis raises BasisSizeError, the zero vector ZeroVector.
     """
     mat = k_mat.matrix
     vec = mat._fit(vec)
@@ -693,9 +700,10 @@ def residual(k_mat: OperatorMatrix, vec: np.ndarray, lam: complex) -> float:
     if norm == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
     bound = _basis(mat.n_q, mat.n_r).top_degree(vec) + mat._layout.lift if mat._finite else math.inf
-    rows, columns = mat._layout.rows(bound)
+    rows, reads = mat._layout.rows(bound)
+    held = vec[rows]
     diff = np.zeros_like(vec)
-    diff[rows] = _row_product(mat._entries.take(rows, axis=1), columns, vec) - lam * vec[rows]
+    diff[rows] = _row_product(mat._entries.take(rows, axis=1), reads, held) - lam * held
     return float(np.linalg.norm(diff)) / norm
 
 
@@ -711,37 +719,32 @@ _THETA_55 = 9.9
 _U = np.finfo(float).eps / 2  # unit roundoff
 
 
-def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple[BandedMatrix, complex, float]:
-    """B = -K - mu I on the degrees f0 occupies, mu, and the 1-norm of B.
+def _shifted_generator(mat: BandedMatrix, f0: np.ndarray) -> tuple:
+    """B = -K - mu I on the degrees f0 occupies: its rows and, in them, its
+    entries and their reads (_Layout.rows); mu; and the 1-norm of B.
 
     A graded matrix never raises the total Hermite degree j + k, so the
     degrees up to the largest of an exactly nonzero entry of f0 span an
     invariant subspace: B keeps the entries whose row and column both lie
     there, after checking the grading (DegreeError), or all of them when
-    f0 reaches the largest degree.  Every kept entry, its column too, lies
-    among the leading min(n_q, top + 1) x min(n_r, top + 1) functions, the
-    basis B is returned on.  mu is the mean of the kept diagonal; the shift
-    takes it out of the Taylor series, one exponential per step.
+    f0 reaches the largest degree.  mu is the mean of -K's diagonal there;
+    the shift takes it out of the Taylor series, one exponential per step.
     """
     n_q, n_r = mat.n_q, mat.n_r
     basis = _basis(n_q, n_r)
-    degree, top = basis.degree.reshape(n_q, n_r), basis.top_degree(f0)
-    kept = degree <= top
+    top = basis.top_degree(f0)
+    kept = (basis.degree <= top).reshape(n_q, n_r)
     if not kept.all():
         _check_grading(mat)
-    if (0, 0) not in mat.bands:  # B holds the shift on its diagonal
-        mat = BandedMatrix({**mat.bands, (0, 0): np.zeros((n_q, n_r))}, n_q, n_r)
-    # band (s, t) lowers the degree of its row by s + t
-    lowered = np.maximum(mat._layout.drop, 0)[:, None, None]
-    stack = np.where(degree <= top - lowered, -mat._stack, 0.0)
-    diag = stack[mat._shifts.index((0, 0))]
-    mu = complex(diag.sum()) / np.count_nonzero(kept)
-    diag[...] = np.where(kept, diag - mu, 0.0)
-    keep_q, keep_r = min(n_q, top + 1), min(n_r, top + 1)
-    gen = BandedMatrix._of_stack(mat._shifts, np.ascontiguousarray(stack[:, :keep_q, :keep_r]))
-    # each column's moduli added in band order, from zero; bin keep_q keep_r: outside
-    norms = np.bincount(gen._layout.columns.reshape(-1), np.abs(gen._entries).reshape(-1))
-    return gen, mu, float(norms[: keep_q * keep_r].max())
+    rows, reads = mat._layout.rows(top)
+    entries = np.where(reads < rows.size, -mat._entries.take(rows, axis=1), 0.0)
+    centre = mat.bands.get((0, 0), 0j)
+    mu = complex(np.where(kept, -centre, 0.0).sum()) / np.count_nonzero(kept)
+    if (0, 0) in mat.bands:
+        entries[mat._shifts.index((0, 0))] -= mu
+    # each column's moduli added in band order, from zero; bins from rows.size on: outside
+    norms = np.bincount(reads.reshape(-1), np.abs(entries).reshape(-1))
+    return rows, entries, reads, mu, float(norms[: rows.size].max(initial=0.0))
 
 
 def _taylor_steps(norm: float, dt: float) -> float:
@@ -793,8 +796,8 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
     each interval of the grid, ceil(|dt| ||B||_1 / theta_55) steps of
     degree up to 55 per stretch dt, where B is -K on the degrees f0
     occupies, shifted by its mean diagonal (DegreeError if K is cut but not
-    graded).  The steps run on the leading rectangle of functions that
-    holds those degrees; the rows are exactly zero outside it.  Each term
+    graded).  The steps run on f0's entries in the rows of those degrees
+    (_Layout.rows), and the series is exactly zero past them.  Each term
     is the banded product of `@`, B's entries gathered once for all the
     steps.  A grid that is not 1-D or holds a t that is not finite raises
     ValueError before any other check; so do an empty grid and a
@@ -813,7 +816,7 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
         raise ValueError("time grid must be uniform")
     gap = (float(times[-1]) - start) / max(times.size - 1, 1)
     f0 = k_mat.matrix._fit(f0, "f0")
-    gen, mu, norm = _shifted_generator(k_mat.matrix, f0)
+    rows, entries, reads, mu, norm = _shifted_generator(k_mat.matrix, f0)
     first, each = _taylor_steps(norm, start), _taylor_steps(norm, gap)
     steps = first + (times.size - 1) * each
     if not steps <= MAX_TAYLOR_STEPS:
@@ -821,23 +824,18 @@ def evolve_series(k_mat: OperatorMatrix, f0: np.ndarray, times: np.ndarray) -> n
             f"time span too long for the matrix: about {steps:.3g} Taylor steps, "
             f"more than {MAX_TAYLOR_STEPS}"
         )
-    # f0 is exactly zero outside gen's leading rectangle, and so is its evolution
-    n_q, n_r, keep_q, keep_r = k_mat.matrix.n_q, k_mat.matrix.n_r, gen.n_q, gen.n_r
-    product = partial(_row_product, gen._entries, gen._layout.columns)  # every row
-    live = np.empty((times.size, keep_q * keep_r), dtype=complex)
+    product = partial(_row_product, entries, reads)
+    series = np.zeros((times.size, f0.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
-        live[0] = _taylor_advance(
-            product, mu, f0.reshape(n_q, n_r)[:keep_q, :keep_r].reshape(-1), start, int(first)
-        )
+        series[0, rows] = vec = _taylor_advance(product, mu, f0[rows], start, int(first))
         for i in range(1, times.size):
-            live[i] = _taylor_advance(product, mu, live[i - 1], gap, int(each))
-    series = np.zeros((times.size, n_q, n_r), dtype=complex)
-    series[:, :keep_q, :keep_r] = live.reshape(times.size, keep_q, keep_r)
-    return series.reshape(times.size, -1)
+            series[i, rows] = vec = _taylor_advance(product, mu, vec, gap, int(each))
+    return series
 
 
-def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, float]:
-    """Trace functional and hermiticity defect of an expanded function.
+def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple:
+    """Trace functional and hermiticity defect of an expanded function, or
+    lists of them for each row of a (rows, n_q n_r) stack.
 
     The trace is the closed-form integral of f(Q, 0) over Q (only even
     Q-indices and the psi_k(0) column enter).  The hermiticity defect bounds
@@ -847,20 +845,22 @@ def trace_and_hermiticity(vec: np.ndarray, cfg: BasisConfig) -> tuple[complex, f
     Indritz's inequality |psi_j| <= pi^(-1/4) its modulus is at most the
     basis normalization times pi^(-1/2) sum |C (-1)^k - conj C|.  Both read
     the expansion without the frame's phase, which is 1 at r = 0 and
-    conjugated by r -> -r.  A vector that does not fit the basis raises
-    BasisSizeError.
+    conjugated by r -> -r.  Each row of a stack gives its vector's bits.
+    A vector or stack that does not fit the basis raises BasisSizeError.
     """
-    if np.shape(vec) != (cfg.dim,):
+    shape = np.shape(vec)
+    if shape[-1:] != (cfg.dim,) or len(shape) > 2:
         fit = f"does not fit the {cfg.n_q} x {cfg.n_r} basis"
-        raise BasisSizeError(f"vector of shape {np.shape(vec)} {fit}")
-    coeffs = np.asarray(vec, dtype=complex).reshape(cfg.n_q, cfg.n_r)
+        raise BasisSizeError(f"vector of shape {shape} {fit}")
+    coeffs = np.asarray(vec, dtype=complex).reshape(-1, cfg.n_q, cfg.n_r)
     sq, sr = cfg.frame.s_q, cfg.frame.s_r
     norm = math.sqrt(math.sqrt(2.0) / sq) * math.sqrt(math.sqrt(2.0) * sr)
     tr_q = _ladder(cfg.n_q).trace * (sq / math.sqrt(2.0)) * norm
-    trace = complex(tr_q @ coeffs @ _ladder(cfg.n_r).at_zero)
+    at_zero = _ladder(cfg.n_r).at_zero
+    traces = [complex(tr_q @ row @ at_zero) for row in coeffs]
     gap = coeffs * (-1.0) ** np.arange(cfg.n_r) - coeffs.conj()
-    defect = norm / math.sqrt(math.pi) * float(np.sum(np.abs(gap)))
-    return trace, defect
+    defects = (norm / math.sqrt(math.pi) * np.sum(np.abs(gap), axis=(1, 2))).tolist()
+    return (traces, defects) if len(shape) == 2 else (traces[0], defects[0])
 
 
 # Degree-raising entries up to this fraction of the largest entry are
@@ -1102,40 +1102,14 @@ class _DegreeEntries:
         )
 
 
-# Degrees solved per LAPACK call, and the most rows a padded stack may have.
-# LAPACK's balancing splits zero rows and columns off a zero-padded block
-# before any QR step, and the Hessenberg reduction and the QR run on the
-# rows left, so the block keeps its eigenvalues bit for bit as long as
-# dhseqr keeps its small-matrix QR, which it picks by the padded size: up
-# to 75 rows (its NMIN in OpenBLAS 0.3.31).  One stack padded to the
-# largest block changed the bits at bases 76, 80 and 100, and was slower
-# from 64 rows on.
-_STACK_DEGREES = 16
-_STACK_ROWS = 64
-
-
 def _block_eigenvalues(entries: _DegreeEntries, degrees) -> np.ndarray:
     """Eigenvalues of block d for the increasing degrees given, as complex128,
-    each block's in LAPACK's order: the blocks of up to _STACK_DEGREES
-    successive degrees, zero-padded to the largest, in one np.linalg.eigvals
-    call, and a block of more than _STACK_ROWS rows alone.  The dense
-    blocks are built only when some degree is given."""
-    degrees = np.asarray(degrees, dtype=int)
-    if not degrees.size:
+    each block's in LAPACK's order, one np.linalg.eigvals call per block.
+    The dense blocks are built only when some degree is given."""
+    if not len(degrees):
         return np.zeros(0, dtype=complex)
     blocks = entries.blocks()
-    small = degrees[degrees < _STACK_ROWS]
-    spectra = [np.zeros(0, dtype=complex)]
-    for start in range(0, small.size, _STACK_DEGREES):
-        chunk = small[start : start + _STACK_DEGREES]
-        size = chunk[-1] + 1
-        stack = np.zeros((chunk.size, size, size))
-        for padded, d in zip(stack, chunk):
-            padded[: d + 1, : d + 1] = blocks[d]
-        # block d's eigenvalues are the first d + 1 of its row
-        spectra.append(np.linalg.eigvals(stack)[np.arange(size) <= chunk[:, None]])
-    spectra += [np.linalg.eigvals(blocks[d]) for d in degrees[degrees >= _STACK_ROWS]]
-    return np.concatenate(spectra, dtype=complex)
+    return np.concatenate([np.linalg.eigvals(blocks[d]) for d in degrees], dtype=complex)
 
 
 def all_eigenvalues(k_mat: OperatorMatrix) -> np.ndarray:
@@ -1305,11 +1279,10 @@ def biorthogonality_check(k_mat: OperatorMatrix, modes, tol: float = 1e-6) -> Bi
     PairingFailure if there are none) span an invariant subspace holding
     every mode, and on it the left eigenvectors are those of the leading
     block on degrees <= D (15x15 for m <= 2), gathered from the bands
-    through index arrays kept by the layout of its basis and band shifts
-    (_Layout.pairing).  The right
-    vectors are the modes' words read on that triangle j + k <= D, from one
-    word lattice per raising pair (_mode_coefficients); nothing of the
-    size of the basis is built.  For each mode the predicted eigenvalue
+    through the layout's index arrays (_Layout.pairing).  The right vectors
+    are the modes' words read on that triangle j + k <= D, from one word
+    lattice per raising pair (_mode_coefficients); nothing of the size of
+    the basis is built.  For each mode the predicted eigenvalue
     seeds one shifted inverse of that block; a few inverse-iteration
     steps on the adjoint system, started from the mode's own vector (its
     pairing with the left eigenvector is nonzero, which the Gram diagonal

@@ -580,11 +580,9 @@ def test_the_pairing_and_window_index_caches_are_read_only():
     shifts = k_mat.matrix._shifts
     objects = [verify._ladder(n) for n in (1, 2, 3, 4, 5, 10, 12)]
     objects += [verify._basis(12, 10), verify._layout(12, 10, shifts)]
-    # the generator of the evolution, on the degrees <= 4 its start occupies
-    objects += [verify._basis(5, 5), verify._layout(5, 5, shifts)]
-    layout = objects[-3]
+    layout = objects[-1]
     assert {"columns", "_by_degree", "blocks"} <= vars(layout).keys()
-    assert {"degree", "float_degrees"} <= vars(objects[-4]).keys() and objects[-4]._outers
+    assert {"degree", "float_degrees"} <= vars(objects[-2]).keys() and objects[-2]._outers
     arrays = [arr for obj in objects for arr in held_arrays(obj)]
     assert len(arrays) > 100
     assert not [arr.shape for arr in arrays if arr.flags.writeable]
@@ -628,13 +626,14 @@ def fresh_certificate_reads(top, dest):
 
 def fresh_pairing_layout(n_q, n_r, top, shifts):
     """_Layout.pairing entry by entry: the functions (j, k), j + k <= top, in
-    basis order, and for each band in turn each of them whose column
-    (j + s, k + t) lies in the basis and on those degrees."""
+    basis order, and for each band in turn each of them, in order of degree
+    and then of basis index, whose column (j + s, k + t) lies in the basis
+    and on those degrees, at its row and column in basis order."""
     block = [(j, k) for j in range(n_q) for k in range(n_r) if j + k <= top]
     position = {jk: p for p, jk in enumerate(block)}
     source, dest = [], []
     for index, (s, t) in enumerate(shifts):
-        for j, k in block:
+        for j, k in sorted(block, key=sum):
             if (j + s, k + t) in position:
                 source.append(index * n_q * n_r + j * n_r + k)
                 dest.append(position[(j, k)] * len(block) + position[(j + s, k + t)])
@@ -683,7 +682,9 @@ def test_the_product_rows_and_the_basis_degrees_equal_building_them_afresh(shift
     rows of each bound, on square and rectangular bases, equal their
     definitions: each column (j + s) n_r + k + t, n_q n_r where it leaves
     the basis; and the rows of degree <= bound, in order of degree and then
-    of basis index, with their columns, views of the rows sorted once."""
+    of basis index, with the position of each column in that order of all
+    the rows, n_q n_r where it leaves the basis: views of the rows sorted
+    once."""
     for n_q, n_r in [(4, 4), (12, 10), (7, 9), (24, 24)]:
         basis = verify._basis(n_q, n_r)
         assert verify._basis(n_q, n_r) is basis and basis.degree is basis.degree
@@ -693,6 +694,8 @@ def test_the_product_rows_and_the_basis_degrees_equal_building_them_afresh(shift
         layout = verify._layout(n_q, n_r, shifts)
         order, by_degree, _ = layout._by_degree
         assert by_degree.flags.c_contiguous
+        ranked = sorted(range(n_q * n_r), key=lambda p: sum(cells[p]))
+        position = {p: at for at, p in enumerate(ranked)} | {n_q * n_r: n_q * n_r}
         every = [
             [
                 (a + s) * n_r + b + t if 0 <= a + s < n_q and 0 <= b + t < n_r else n_q * n_r
@@ -702,12 +705,12 @@ def test_the_product_rows_and_the_basis_degrees_equal_building_them_afresh(shift
         ]
         assert layout.columns.reshape(len(shifts), n_q * n_r).tolist() == every
         for bound in range(n_q + n_r + 1):
-            rows, columns = layout.rows(bound)
-            assert rows.base is order and columns.base is by_degree
+            rows, reads = layout.rows(bound)
+            assert rows.base is order and reads.base is by_degree
             low = [p for p in range(n_q * n_r) if sum(cells[p]) <= bound]
             assert rows.tolist() == sorted(low, key=lambda p: sum(cells[p])), bound
-            want = [[band[p] for p in rows] for band in every]
-            assert columns.reshape(len(shifts), rows.size).tolist() == want, bound
+            want = [[position[band[p]] for p in rows] for band in every]
+            assert reads.reshape(len(shifts), rows.size).tolist() == want, bound
 
 
 def test_more_keys_than_each_cache_keeps_rebuild_the_same_bits():

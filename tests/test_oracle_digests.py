@@ -1,5 +1,7 @@
-"""`tools/oracle_digests.py` on two sources: each family's digest sees a
-one-bit change in its own numbers, and no other family's moves."""
+"""`tools/oracle_digests.py` on two sources and one config of
+`tools/artifact_digests.py` that the evolve family runs: each family's
+digest sees a one-bit change in its own numbers, and no other family's
+moves."""
 
 import dataclasses
 import importlib.util
@@ -21,10 +23,11 @@ SOURCES = {
     "c02-87": oracle_digests.criterion_02_sources(88)[87],
 }
 SIZES = (24,)
+CONFIGS = (oracle_digests.run_config("hpz-a"),)
 
 
 def digests():
-    return oracle_digests.digests(SOURCES, SIZES)
+    return oracle_digests.digests(SOURCES, SIZES, CONFIGS)
 
 
 def last_zero_negated(arr):
@@ -78,6 +81,20 @@ def test_the_digests_cover_every_family_and_repeat():
     assert list(first) == list(oracle_digests.FAMILIES) == list(NUDGES)
     assert all(len(sha) == 64 for sha in first.values())
     assert digests() == first
+
+
+def test_the_evolve_family_sees_one_bit_of_a_config_series(monkeypatch):
+    """A one-bit change in the series of the config alone moves the evolve
+    digest: the presets at the basis sizes do not cover it."""
+    before = digests()
+    wrapped = oracle_digests.config_series
+
+    def nudged(cfg):
+        return first_moved_one_ulp(wrapped(cfg))
+
+    monkeypatch.setattr(oracle_digests, "config_series", nudged)
+    after = digests()
+    assert [f for f in before if before[f] != after[f]] == ["evolve"]
 
 
 @pytest.mark.parametrize("family", NUDGES)

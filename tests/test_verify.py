@@ -528,7 +528,8 @@ def test_residual_multiplies_only_the_rows_a_mode_reaches(monkeypatch):
 def test_the_taylor_steps_sum_as_the_per_band_loop(monkeypatch):
     """evolve_series from the CLI's evolve start on kl and on a generic
     source gives the same bits with its product replaced by the loop
-    out = 0, out += entries[b] * vector[columns[b]] for each band b."""
+    out = 0, out += entries[b] * vector[columns[b]] for each band b, a
+    column past the vector reading zero."""
     for src in (kl_coefficients(W0, GAM, B), GENERIC):
         plan = reduce_to_kl(src, b_target=1.0)
         state, _ = plan.transport(src)
@@ -547,12 +548,12 @@ def test_the_taylor_steps_sum_as_the_per_band_loop(monkeypatch):
             extended = np.append(vec, 0.0)
             out = np.zeros(entries.shape[1], dtype=complex)
             for band, cols in zip(entries, columns):
-                out += band * extended[cols]
+                out += band * extended[np.minimum(cols, vec.size)]
             return out
 
         monkeypatch.setattr(verify, "_row_product", looped)
         assert got.tobytes() == evolve_series(k_mat, f0, times).tobytes()
-        assert len(calls) > 100 and set(calls) == {9}  # the 3x3 functions of degree <= 2
+        assert len(calls) > 100 and set(calls) == {6}  # the functions of degree <= 2
         monkeypatch.undo()
 
 
@@ -569,6 +570,30 @@ def test_trace_and_hermiticity_fixtures():
     minus = expand(kl_eigenfunction(EigenLabel(1, 1, -1), B, W0, GAM), cfg)
     _, defect_pair = trace_and_hermiticity(plus + minus, cfg)
     assert defect_pair <= 1e-10
+
+
+def test_trace_and_hermiticity_of_a_series_is_each_rows_bit_for_bit():
+    """The series `klform evolve` runs on kl, cl and hpz at 40x40, as one
+    (times, n_q n_r) stack, gives each row's trace and defect as the row
+    alone does, bit for bit; a stack of another width, or of more than two
+    axes, raises BasisSizeError."""
+    for name in ("kl", "cl", "hpz"):
+        src = MODELS[name][0]
+        plan = reduce_to_kl(src, b_target=1.0)
+        state, _ = plan.transport(src)
+        cfg = BasisConfig(40, 40, state.frame())
+        seed = expand(transformed_eigenfunction(plan, EigenLabel(1, 0, 1), src), cfg)
+        f0 = expand(state, cfg) + 0.2 * seed / np.linalg.norm(seed)
+        k_mat = assemble_matrix(assemble_liouvillian(src), cfg)
+        series = evolve_series(k_mat, f0, np.linspace(0.0, 10.0 / src.gamma, 81))
+        traces, defects = trace_and_hermiticity(series, cfg)
+        rows = [trace_and_hermiticity(row, cfg) for row in series]
+        assert [type(t) for t in traces] == [complex] * 81 and len(defects) == 81
+        assert np.array(traces).tobytes() == np.array([t for t, _ in rows]).tobytes()
+        assert np.array(defects).tobytes() == np.array([d for _, d in rows]).tobytes()
+    for bad in (series[:, :-1], series[None]):
+        with pytest.raises(BasisSizeError, match="does not fit"):
+            trace_and_hermiticity(bad, cfg)
 
 
 @pytest.mark.parametrize("n_q, n_r", [(12, 12), (14, 9)], ids=["square", "rectangular"])
@@ -901,10 +926,12 @@ def per_band_generator_norm(gen):
 
 
 def test_the_generator_norm_is_the_largest_column_sum():
-    """The evolution's 1-norm, which sets the Taylor step count, equals the
-    per-band loop's bit for bit and the dense matrix's largest column sum to
-    1e-15 of it: on the presets from the start of `klform evolve`, and on
-    random graded bands whose largest row sum is 20% or more off it."""
+    """The evolution's generator is -K - mu I on the rows and columns of the
+    start's degrees and zero elsewhere, and its 1-norm, which sets the
+    Taylor step count, equals the per-band loop's bit for bit and the dense
+    matrix's largest column sum to 1e-15 of it: on the presets from the
+    start of `klform evolve`, and on random graded bands whose largest row
+    sum is 20% or more off it."""
     cases = []
     for name in ("kl", "cl", "hpz"):
         src = MODELS[name][0]
@@ -921,11 +948,38 @@ def test_the_generator_norm_is_the_largest_column_sum():
         bands = {(s, t): band * np.arange(1, n_r + 1) ** 2 for (s, t), band in bands.items()}
         cases.append((BandedMatrix(in_basis(bands, n_q, n_r), n_q, n_r), np.ones(n_q * n_r)))
     for mat, f0 in cases:
-        gen, _, norm = verify._shifted_generator(mat, mat._fit(f0))
+        rows, entries, _, mu, norm = verify._shifted_generator(mat, mat._fit(f0))
+        # the generator on the whole basis, zero outside its rows
+        stack = np.zeros((len(mat._shifts), mat.n_q * mat.n_r), dtype=complex)
+        stack[:, rows] = entries
+        gen = BandedMatrix._of_stack(mat._shifts, stack.reshape(-1, mat.n_q, mat.n_r))
+        kept = np.zeros(mat.shape[0], dtype=bool)
+        kept[rows] = True
+        want = np.where(np.outer(kept, kept), -mat.toarray(), 0.0)
+        want[rows, rows] -= mu
+        assert np.array_equal(gen.toarray(), want)
         assert norm == per_band_generator_norm(gen)
         dense = np.abs(gen.toarray())
         assert abs(norm - dense.sum(axis=0).max()) <= 1e-15 * norm
     assert abs(dense.sum(axis=1).max() - norm) >= 0.2 * norm
+
+
+def test_an_evolution_builds_no_matrix_and_no_layout(monkeypatch):
+    """The Taylor steps run on rows of the matrix's own layout: an evolution
+    builds no BandedMatrix and adds no entry to the layout cache, and its
+    series is exactly zero past the degrees its start occupies."""
+    _, cfg, k_mat = kl_setup(20)
+    f0 = expand(kl_eigenfunction(EigenLabel(1, 0, 1), B, W0, GAM), cfg)
+    built = []
+    adopt = BandedMatrix._adopt
+    monkeypatch.setattr(BandedMatrix, "_adopt", lambda *args: built.append(adopt(*args)))
+    before = verify._layout.cache_info()
+    series = evolve_series(k_mat, f0, np.linspace(0.0, 2.0, 5))
+    after = verify._layout.cache_info()
+    assert built == [] and (after.hits, after.misses) == (before.hits, before.misses)
+    degree = np.add.outer(np.arange(20), np.arange(20)).reshape(-1)
+    past = np.ascontiguousarray(series[:, degree > 2])
+    assert np.any(series[:, degree == 2]) and not past.view(np.uint8).any()  # +0.0 only
 
 
 def test_evolve_series_grid_handling():
@@ -1528,19 +1582,20 @@ def assert_stacked_solve_is_per_block(k_mat, radius):
 @pytest.mark.parametrize("n", [8, 24, 32, 48, 64, 75, 80, 130])
 @pytest.mark.parametrize("model", ["kl", "hpz"])
 def test_stacked_solve_keeps_the_bits_of_the_per_block_solve(model, n):
-    """Blocks of up to 64 rows are solved zero-padded in stacks of 16
-    degrees and keep their eigenvalues bit for bit; at 80x80 a stack padded
-    past 64 rows, to 80, would change them."""
+    """all_eigenvalues, one LAPACK call per block gathered from the bands,
+    equals the per-block reference, whose blocks are read entry by entry,
+    byte for byte, on blocks of up to 130 rows; a zero-padded stack of
+    blocks kept their bits only up to 75 rows."""
     coeffs, state, radius, _ = window_spectrum(model)
     k_mat = assemble_matrix(assemble_liouvillian(coeffs), BasisConfig(n, n, state.frame()))
     assert_stacked_solve_is_per_block(k_mat, radius)
 
 
 def test_stacked_solve_on_the_criterion_02_sources():
-    """all_eigenvalues equals the per-block reference byte for byte on the
-    100 criterion-02 sources at 32x32, their frames carrying a phase; their
-    windows are held to the certificate in
-    test_the_strip_on_the_criterion_02_sources."""
+    """all_eigenvalues, one LAPACK call per block gathered from the bands,
+    equals the per-block reference byte for byte on the 100 criterion-02
+    sources at 32x32, their frames carrying a phase; their windows are
+    held to the certificate in test_the_strip_on_the_criterion_02_sources."""
     rng = np.random.default_rng(20260816)
     for _ in range(100):
         src = random_scrambled_source(rng)

@@ -17,7 +17,10 @@ that the source's reduction plan transports, the families hash:
   entry times the vectors of the lowest and the highest top degree;
 - evolve: on the presets only, evolve_series from the start of `klform
   evolve`, the stationary state plus 0.2 times the unit mode (1, 0, +1),
-  over 81 times up to 10/gamma.
+  over 81 times up to 10/gamma; then, from the same start, the series
+  `klform evolve` computes on the configs of tools/artifact_digests.py
+  away from the presets (EVOLVE_CONFIGS), each at its own basis size and
+  b_target.
 
 Each digest covers the exact bytes of every array and float, so two trees
 print the same line for a family only if it is bit for bit the same on
@@ -35,11 +38,16 @@ import json
 import math
 import os
 import sys
+import tempfile
 
-import numpy as np
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import klform
-from klform import cli, verify
+import numpy as np  # noqa: E402
+
+import klform  # noqa: E402
+from klform import cli, verify  # noqa: E402
+
+from artifact_digests import SOURCES as ARTIFACT_SOURCES  # noqa: E402
 
 SIZES = (24, 32, 40)
 FAMILIES = (
@@ -54,6 +62,7 @@ FAMILIES = (
 )
 CRITERION_02_SEED = 20260816
 PRESETS = ("kl", "cl", "hpz")
+EVOLVE_CONFIGS = ("cl-a", "cl-b", "hpz-a", "hpz-b", "generic", "generic-b")
 
 
 def criterion_02_sources(count: int = 100) -> list:
@@ -101,6 +110,25 @@ def evolve_start(plan, state, src, cfg) -> tuple:
     return f0, np.linspace(0.0, 10.0 / src.gamma, 81)
 
 
+def run_config(name: str):
+    """The RunConfig that `klform evolve --config` reads from the config
+    of tools/artifact_digests.py with this name."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(ARTIFACT_SOURCES[name], fh)
+        return cli.load_config(cli.build_parser().parse_args(["evolve", "--config", path]))
+
+
+def config_series(cfg) -> np.ndarray:
+    """The series `klform evolve` computes for a RunConfig that keeps the
+    defaults of its start and time grid."""
+    src, plan = cli._reduce(cfg)
+    state, _ = plan.transport(src)
+    basis, k_mat = cli._oracle(cfg, src, state)
+    return verify.evolve_series(k_mat, *evolve_start(plan, state, src, basis))
+
+
 def with_infinite_entry(k_mat):
     """A copy of k_mat's matrix whose (0, 0) band has inf at (1, 2)."""
     mat = k_mat.matrix
@@ -109,8 +137,9 @@ def with_infinite_entry(k_mat):
     return verify.BandedMatrix._of_stack(mat._shifts, stack)
 
 
-def digests(sources: dict, sizes=SIZES) -> dict:
-    """{family: sha256 hex} over the sources, in order, and the sizes."""
+def digests(sources: dict, sizes=SIZES, configs=()) -> dict:
+    """{family: sha256 hex} over the sources, in order, and the sizes, the
+    evolve family then over the RunConfigs given."""
     sha = {family: hashlib.sha256() for family in FAMILIES}
     labels = klform.distinct_labels(2)
     vectors = {n: graded_vectors(n) for n in sizes}
@@ -143,6 +172,8 @@ def digests(sources: dict, sizes=SIZES) -> dict:
             if name in PRESETS:
                 f0, times = evolve_start(plan, state, src, cfg)
                 sha["evolve"].update(verify.evolve_series(k_mat, f0, times).tobytes())
+    for cfg in configs:
+        sha["evolve"].update(config_series(cfg).tobytes())
     return {family: sha[family].hexdigest() for family in FAMILIES}
 
 
@@ -151,7 +182,13 @@ def main() -> int:
     parser.parse_args()
     print(f"klform from {os.path.dirname(klform.__file__)}", file=sys.stderr)
     sources = all_sources()
-    doc = {"sources": len(sources), "sizes": list(SIZES), "sha256": digests(sources)}
+    configs = [run_config(name) for name in EVOLVE_CONFIGS]
+    doc = {
+        "sources": len(sources),
+        "sizes": list(SIZES),
+        "evolve_configs": list(EVOLVE_CONFIGS),
+        "sha256": digests(sources, configs=configs),
+    }
     print(json.dumps(doc, indent=1))
     return 0
 
