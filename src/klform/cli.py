@@ -17,6 +17,7 @@ Identical configurations produce bit-identical output files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -636,5 +637,17 @@ def main(argv=None) -> int:
     return 0 if passed else 3
 
 
+def console_main(argv=None):
+    """The process entry, `python -m klform.cli` and the `klform` script:
+    main, then gc.freeze() and exit with main's code.  Freezing leaves the
+    interpreter's final collection no object to traverse; atexit handlers,
+    the flush of stdout and stderr and the teardown of the modules still
+    run, and main has written and closed every file before it returns.
+    Callers in the process call main, whose heap stays collectable."""
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -316,7 +316,9 @@ class _Layout:
         <= b."""
         degree = _basis(self.n_q, self.n_r).degree
         order = np.argsort(degree, kind="stable")
-        reads = np.append(order.argsort(), order.size).take(self.columns.take(order, axis=1))
+        # each sorted column mapped to its position in place: no second (bands, rows) array
+        reads = self.columns.take(order, axis=1)
+        np.append(order.argsort(), order.size).take(reads, out=reads, mode="clip")
         ends = np.cumsum(np.bincount(degree))
         return _read_only(order), _read_only(reads), _read_only(ends)
 
@@ -754,7 +756,7 @@ def _taylor_steps(norm: float, dt: float) -> float:
 
 def _sup(vec: np.ndarray) -> float:
     """Largest modulus of the real and imaginary parts; inf or NaN when vec is not finite."""
-    return float(np.max(np.abs(vec.view(np.float64))))
+    return float(np.abs(vec.view(np.float64)).max())
 
 
 def _taylor_advance(product, mu: complex, vec: np.ndarray, dt: float, steps: int):

@@ -1,6 +1,8 @@
 """Command-line front end: config handling, artifacts, exit codes."""
 
+import ast
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -35,6 +37,21 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(argv):
     return main(argv)
+
+
+def run_process(argv, cwd=None):
+    """`python -X dev -W error -m klform.cli argv` in cwd, klform from this
+    checkout: the process path, its warnings made errors."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "klform.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -306,15 +323,7 @@ def test_evolve_beyond_the_float_range_exits_2(tmp_path, capsys, doc, in_subproc
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {**doc, "out": str(out)})
     if in_subprocess:
-        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "klform.cli", "evolve", "--config", cfg],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_process(["evolve", "--config", cfg])
         code, stdout = proc.returncode, proc.stdout
     else:
         code, stdout = run_cli(["evolve", "--config", cfg]), capsys.readouterr().out
@@ -951,3 +960,79 @@ def test_load_config_raises_only_config_error(tmp_path):
             pass
 
     check()
+
+
+# The process path: `python -m klform.cli` and the `klform` script run
+# console_main, which freezes the heap after main and exits with its code.
+# Tier-1 cost: the four processes below take about 0.6 s in all.
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--preset", "kl"], ["verify", "--preset", "cl"]], ids=["spectrum-kl", "verify-cl"]
+)
+def test_a_process_writes_the_bytes_of_main_in_process(tmp_path, monkeypatch, capsys, argv):
+    """Same exit code, stdout and artifact bytes, and nothing on stderr
+    under `-X dev -W error`; each side writes to the relative `out`."""
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    process.mkdir()
+    in_process.mkdir()
+    proc = run_process([*argv, "--out", "out"], cwd=process)
+    monkeypatch.chdir(in_process)
+    code = run_cli([*argv, "--out", "out"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, capsys.readouterr().out, "")
+    assert code == 0
+    files = sorted(path.name for path in (process / "out").iterdir())
+    assert files == sorted(path.name for path in (in_process / "out").iterdir())
+    for name in files:
+        assert (process / "out" / name).read_bytes() == (in_process / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("case", ["bad-config", "tolerance-failure"])
+def test_a_process_exits_with_mains_code(tmp_path, case):
+    out = tmp_path / "out"
+    if case == "bad-config":
+        doc = {"model": "kl", "preset": DESK_PRESETS["kl"], "m_max": -1}
+        argv, code = ["spectrum", "--config", write_config(tmp_path, doc)], 2
+    else:
+        argv, code = ["verify", "--preset", "kl", "--basis-n", "8", "--m-max", "1", "--tol", "1e-20"], 3
+    proc = run_process([*argv, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (code, "")
+    if code == 2:
+        assert json.loads(proc.stdout)["error"] == "ConfigError"
+        assert not out.exists()
+    else:
+        assert json.loads(proc.stdout)["status"] == "tolerance_failure"
+        assert json.loads((out / "verify.json").read_text())["passed"] is False
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    count = gc.get_freeze_count()
+    assert run_cli(["spectrum", "--preset", "kl", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == count
+
+
+def test_console_main_freezes_after_main_and_exits_with_its_code(tmp_path, monkeypatch):
+    """main has written its report when the heap is frozen, and the exit
+    carries main's code; gc.freeze is replaced, so this process's heap is
+    left as it was."""
+    out = tmp_path / "out"
+    seen = []
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append((out / "verify.json").is_file()))
+    argv = ["verify", "--preset", "kl", "--basis-n", "8", "--m-max", "1", "--tol", "1e-20"]
+    with pytest.raises(SystemExit) as info:
+        cli.console_main([*argv, "--out", str(out)])
+    assert (info.value.code, seen) == (3, [True])
+
+
+def test_the_klform_script_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["klform"].partition(":")
+    assert module == "klform.cli"
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [
+        node.body
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block] == [f"{name}()"]
